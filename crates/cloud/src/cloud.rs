@@ -449,11 +449,15 @@ impl Cloud {
     /// container in the warm pool. Releasing an already-killed container is
     /// a no-op (the kill callback already ran).
     pub fn release_lambda(&self, sim: &mut Sim, id: LambdaId) {
-        let kill_event = {
+        // The kill can no longer happen, so its callback goes too (dropped
+        // once the borrow below ends): it typically holds the deployment
+        // that holds this cloud — a cycle that kept whole runs alive.
+        let (kill_event, _unfired) = {
             let mut inner = self.inner.borrow_mut();
             let now = sim.now();
             let lam = &mut inner.lambdas[id.0 as usize];
-            match lam.state {
+            let unfired = lam.on_killed.take();
+            let kill_event = match lam.state {
                 LambdaState::Running => {
                     lam.state = LambdaState::Released;
                     let runtime =
@@ -490,7 +494,8 @@ impl Cloud {
                     None
                 }
                 LambdaState::Released | LambdaState::Killed => None,
-            }
+            };
+            (kill_event, unfired)
         };
         if let Some(ev) = kill_event {
             sim.cancel(ev);
@@ -868,6 +873,39 @@ mod tests {
         assert!(cloud.total_cost() > 0.0);
         let accrued = cloud.accrued_cost(sim.now());
         assert!((accrued - cloud.total_cost()).abs() < 1e-12, "nothing left accruing");
+    }
+
+    /// `on_killed` usually captures the deployment that owns the cloud;
+    /// once a Lambda can no longer be killed the cloud must let go of it.
+    #[test]
+    fn released_lambdas_drop_their_kill_callbacks() {
+        let mut sim = Sim::new(0);
+        let cloud = Cloud::new(quiet_spec(), Fabric::new());
+        let sentinel = Rc::new(());
+        let held = |s: &Rc<()>| {
+            let s = Rc::clone(s);
+            move |_: &mut Sim, _: LambdaId| drop(s)
+        };
+        let running = cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
+        sim.run_until(SimTime::from_secs(1));
+        // Still starting when released.
+        let starting = cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
+        assert_eq!(Rc::strong_count(&sentinel), 3);
+        cloud.release_lambda(&mut sim, running);
+        assert_eq!(cloud.lambda_state(running), LambdaState::Released);
+        assert_eq!(Rc::strong_count(&sentinel), 2);
+        cloud.release_lambda(&mut sim, starting);
+        assert_eq!(Rc::strong_count(&sentinel), 1);
+
+        // `shutdown_all` releases whatever is left, in either state.
+        cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
+        sim.run_until(SimTime::from_secs(2));
+        cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
+        assert_eq!(Rc::strong_count(&sentinel), 3);
+        cloud.shutdown_all(&mut sim);
+        assert_eq!(Rc::strong_count(&sentinel), 1);
+        sim.run();
+        assert_eq!(Rc::strong_count(&sentinel), 1);
     }
 
     #[test]

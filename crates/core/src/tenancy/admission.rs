@@ -355,34 +355,35 @@ impl AdmissionController {
     }
 
     fn pick(&self) -> Pick {
-        for class in SloClass::all() {
-            // One pass over the dense table, no allocation: track the
-            // fair-order minimum of all eligible tenants (the blocked
-            // head if nothing fits) and of those whose head job fits
-            // the free slots (the dispatch winner).
-            let mut first: Option<usize> = None;
-            let mut first_fit: Option<usize> = None;
-            for (i, t) in self.tenants.iter().enumerate() {
-                if t.spec.class != class
-                    || t.running >= t.spec.max_concurrent
-                    || t.queue.is_empty()
-                {
-                    continue;
-                }
-                if first.is_none_or(|b| Self::fair_before(t, &self.tenants[b])) {
-                    first = Some(i);
-                }
-                let head = t.queue.front().expect("eligible tenant has a head");
-                if head.req.cores <= self.slots_free
-                    && first_fit.is_none_or(|b| Self::fair_before(t, &self.tenants[b]))
-                {
-                    first_fit = Some(i);
-                }
+        // One pass over the dense table, no allocation: per class, track
+        // the fair-order minimum of all eligible tenants (the blocked head
+        // if nothing fits) and of those whose head job fits the free slots
+        // (the dispatch winner).
+        let mut first: [Option<usize>; 3] = [None; 3];
+        let mut first_fit: [Option<usize>; 3] = [None; 3];
+        for (i, t) in self.tenants.iter().enumerate() {
+            if t.running >= t.spec.max_concurrent {
+                continue;
             }
-            if let Some(i) = first_fit {
+            let Some(head) = t.queue.front() else {
+                continue;
+            };
+            let class = usize::from(t.spec.class.rank());
+            if first[class].is_none_or(|b| Self::fair_before(t, &self.tenants[b])) {
+                first[class] = Some(i);
+            }
+            if head.req.cores <= self.slots_free
+                && first_fit[class].is_none_or(|b| Self::fair_before(t, &self.tenants[b]))
+            {
+                first_fit[class] = Some(i);
+            }
+        }
+        // Strict priority: the first class with an eligible tenant decides.
+        for class in 0..3 {
+            if let Some(i) = first_fit[class] {
                 return Pick::Dispatch(i);
             }
-            if let Some(i) = first {
+            if let Some(i) = first[class] {
                 return Pick::Blocked(i);
             }
         }
@@ -391,7 +392,8 @@ impl AdmissionController {
 
     fn drain(&mut self, now_us: u64) -> Vec<Dispatch> {
         let mut out = Vec::new();
-        loop {
+        // Nothing queued: no tenant is eligible, whatever the slots.
+        while self.queued > 0 {
             match self.pick() {
                 Pick::Dispatch(idx) => {
                     let state = &mut self.tenants[idx];
@@ -460,13 +462,21 @@ pub fn verify_log(
     specs: &[TenantSpec],
     events: &[AdmissionEvent],
 ) -> Result<(), String> {
-    let spec_of: BTreeMap<&TenantId, &TenantSpec> =
-        specs.iter().map(|s| (&s.id, s)).collect();
-    let mut queues: BTreeMap<&TenantId, VecDeque<u64>> = BTreeMap::new();
-    let mut running: BTreeMap<&TenantId, u32> = BTreeMap::new();
-    let mut arrived_at: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut cores_of: BTreeMap<u64, u32> = BTreeMap::new();
-    let mut dispatched: BTreeMap<u64, bool> = BTreeMap::new(); // job -> completed?
+    // Tenants are resolved to their dense index once per event; the
+    // replayed per-tenant state lives in plain tables behind it.
+    let index_of: BTreeMap<&TenantId, usize> =
+        specs.iter().enumerate().map(|(t, s)| (&s.id, t)).collect();
+    // Tenant indices in id order — the order violations are reported in.
+    let by_id: Vec<usize> = index_of.values().copied().collect();
+    let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); specs.len()];
+    let mut running: Vec<u32> = vec![0; specs.len()];
+    enum Phase {
+        Queued,
+        Running,
+        Completed,
+    }
+    // job → (arrival time, cores at arrival, lifecycle phase)
+    let mut jobs: BTreeMap<u64, (u64, u32, Phase)> = BTreeMap::new();
     let mut slots_free = slots_total;
     let mut prev_us = 0u64;
 
@@ -476,22 +486,22 @@ pub fn verify_log(
             return fail(format!("time went backwards: {} < {prev_us}", ev.at_us));
         }
         prev_us = ev.at_us;
-        let Some(spec) = spec_of.get(&ev.tenant) else {
+        let Some(&t) = index_of.get(&ev.tenant) else {
             return fail(format!("unknown tenant {}", ev.tenant));
         };
+        let spec = &specs[t];
         if spec.class != ev.class {
             return fail(format!("class mismatch: log {}, spec {}", ev.class, spec.class));
         }
         match &ev.kind {
             AdmissionEventKind::Arrived => {
-                if arrived_at.insert(ev.job, ev.at_us).is_some() {
+                if jobs.insert(ev.job, (ev.at_us, ev.cores, Phase::Queued)).is_some() {
                     return fail("job arrived twice".into());
                 }
-                cores_of.insert(ev.job, ev.cores);
-                queues.entry(&ev.tenant).or_default().push_back(ev.job);
+                queues[t].push_back(ev.job);
             }
             AdmissionEventKind::Dispatched { waited_us, hol_us } => {
-                let q = queues.entry(&ev.tenant).or_default();
+                let q = &mut queues[t];
                 match q.front() {
                     Some(&head) if head == ev.job => {
                         q.pop_front();
@@ -502,11 +512,13 @@ pub fn verify_log(
                         ));
                     }
                 }
-                if dispatched.insert(ev.job, false).is_some() {
-                    return fail("job dispatched twice".into());
-                }
-                let Some(&arr) = arrived_at.get(&ev.job) else {
-                    return fail("dispatched before arrival".into());
+                let (arr, cores) = match jobs.get_mut(&ev.job) {
+                    Some((arr, cores, phase @ Phase::Queued)) => {
+                        *phase = Phase::Running;
+                        (*arr, *cores)
+                    }
+                    Some(_) => return fail("job dispatched twice".into()),
+                    None => return fail("dispatched before arrival".into()),
                 };
                 if arr + waited_us != ev.at_us {
                     return fail(format!(
@@ -516,10 +528,10 @@ pub fn verify_log(
                 if hol_us > waited_us {
                     return fail(format!("hol_us {hol_us} exceeds waited_us {waited_us}"));
                 }
-                if cores_of.get(&ev.job) != Some(&ev.cores) {
+                if cores != ev.cores {
                     return fail("cores changed between arrival and dispatch".into());
                 }
-                let r = running.entry(&ev.tenant).or_default();
+                let r = &mut running[t];
                 *r += 1;
                 if *r > spec.max_concurrent {
                     return fail(format!(
@@ -542,28 +554,28 @@ pub fn verify_log(
                 slots_free -= ev.cores;
                 // Strict priority: every strictly-higher-class tenant
                 // with queued work must be at its cap right now.
-                for (tid, q) in &queues {
-                    if q.is_empty() {
-                        continue;
-                    }
-                    let other = spec_of[tid];
-                    if other.class.rank() < ev.class.rank()
-                        && running.get(tid).copied().unwrap_or(0) < other.max_concurrent
+                for &o in &by_id {
+                    let other = &specs[o];
+                    if !queues[o].is_empty()
+                        && other.class.rank() < ev.class.rank()
+                        && running[o] < other.max_concurrent
                     {
                         return fail(format!(
                             "priority inversion: {} ({}) queued and under cap while {} dispatched",
-                            tid, other.class, ev.class
+                            other.id, other.class, ev.class
                         ));
                     }
                 }
             }
             AdmissionEventKind::Completed => {
-                match dispatched.get_mut(&ev.job) {
-                    Some(done @ false) => *done = true,
-                    Some(true) => return fail("job completed twice".into()),
-                    None => return fail("completed before dispatch".into()),
+                match jobs.get_mut(&ev.job) {
+                    Some((_, _, phase @ Phase::Running)) => *phase = Phase::Completed,
+                    Some((_, _, Phase::Completed)) => return fail("job completed twice".into()),
+                    Some((_, _, Phase::Queued)) | None => {
+                        return fail("completed before dispatch".into())
+                    }
                 }
-                let r = running.entry(&ev.tenant).or_default();
+                let r = &mut running[t];
                 if *r == 0 {
                     return fail("completion with no running jobs".into());
                 }

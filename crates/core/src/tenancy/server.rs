@@ -176,7 +176,13 @@ impl TenantFleetConfig {
                 coldstart: ColdStartSpec::forever(),
                 ..CloudSpec::default()
             },
-            engine: EngineConfig::default(),
+            // The deployment is dropped before a fleet run returns, so an
+            // engine event log (~15 events per job) would only be built to
+            // be thrown away.
+            engine: EngineConfig {
+                event_log: false,
+                ..EngineConfig::default()
+            },
             lambda_memory_mb: 1_536,
             allocator,
             settle_tenant: TenantId::new("fleet"),

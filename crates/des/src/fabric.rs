@@ -37,28 +37,79 @@ struct Link {
 /// Completion continuation of a flow.
 type FlowComplete = Box<dyn FnOnce(&mut Sim)>;
 
-/// The links a flow crosses, stored inline: every real path is at most
-/// NIC → peer NIC → disk, so a heap `Vec` per flow (flows are created per
-/// block transfer) would be pure allocator churn.
-#[derive(Clone, Copy)]
-struct FlowLinks {
-    ids: [LinkId; 4],
+/// The links a transfer crosses, stored inline: every real path is at
+/// most NIC → peer NIC → disk, so a heap `Vec` per flow (flows are created
+/// per block transfer) would be pure allocator churn. The storage models
+/// build one per request and the fabric keeps it on the flow.
+///
+/// # Examples
+///
+/// ```
+/// use splitserve_des::{Fabric, LinkPath};
+///
+/// let fabric = Fabric::new();
+/// let nic = fabric.add_link(1e9, "nic");
+/// let disk = fabric.add_link(1e8, "disk");
+/// // Colocated endpoints name the same link twice; it is charged once.
+/// let path = LinkPath::dedup(&[Some(nic), None, Some(disk), Some(nic)]);
+/// assert_eq!(path.as_slice(), &[nic, disk]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkPath {
+    ids: [LinkId; LinkPath::MAX],
     len: u8,
 }
 
-impl FlowLinks {
-    fn new(links: &[LinkId]) -> Self {
-        assert!(links.len() <= 4, "a flow crosses at most 4 links");
-        let mut ids = [LinkId(0); 4];
-        ids[..links.len()].copy_from_slice(links);
-        FlowLinks {
-            ids,
-            len: links.len() as u8,
+impl LinkPath {
+    /// The most links one path can hold.
+    pub const MAX: usize = 4;
+
+    /// The path over exactly `links`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `links` is longer than [`LinkPath::MAX`].
+    pub fn new(links: &[LinkId]) -> Self {
+        let mut path = LinkPath {
+            ids: [LinkId(0); LinkPath::MAX],
+            len: 0,
+        };
+        for l in links {
+            path.push(*l);
         }
+        path
     }
 
-    fn iter(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.ids[..self.len as usize].iter().copied()
+    /// The `Some` links of `candidates`, deduplicated, preserving order —
+    /// a transfer between colocated endpoints must not charge the same
+    /// link twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`LinkPath::MAX`] distinct links remain.
+    pub fn dedup(candidates: &[Option<LinkId>]) -> Self {
+        let mut path = LinkPath::new(&[]);
+        for l in candidates.iter().flatten() {
+            if !path.as_slice().contains(l) {
+                path.push(*l);
+            }
+        }
+        path
+    }
+
+    fn push(&mut self, link: LinkId) {
+        assert!(
+            (self.len as usize) < LinkPath::MAX,
+            "a flow crosses at most {} links",
+            LinkPath::MAX
+        );
+        self.ids[self.len as usize] = link;
+        self.len += 1;
+    }
+
+    /// The links, in path order.
+    pub fn as_slice(&self) -> &[LinkId] {
+        &self.ids[..self.len as usize]
     }
 }
 
@@ -67,7 +118,7 @@ struct Flow {
     remaining: f64, // bytes
     rate: f64,      // bytes per second
     last_update: SimTime,
-    links: FlowLinks,
+    links: LinkPath,
     /// Water-fill round this flow was last frozen in (see [`Inner::water_fill`]).
     frozen_round: u64,
     event: Option<EventId>,
@@ -79,15 +130,18 @@ struct Inner {
     links: Vec<Link>,
     flows: FastMap<u64, Flow>,
     order: Vec<u64>, // deterministic iteration order of live flows
+    /// Indices of the links that carry at least one flow, ascending — all
+    /// that water-filling has to look at, however many links were ever
+    /// added (one per VM NIC/disk and per Lambda launched).
+    busy: Vec<usize>,
     next_flow: u64,
     bytes_completed: f64,
     /// Monotone counter distinguishing water-fill rounds, so freezing a
     /// flow is a field write instead of a per-call hash-map insert.
     round: u64,
-    /// Reusable (flow, completion time) buffer for rebalance.
-    scratch: Vec<(u64, SimTime)>,
     /// Reusable per-link buffers for water-fill (residual capacity and
-    /// unfrozen-flow counts).
+    /// unfrozen-flow counts), indexed by link; only the busy links'
+    /// entries are (re)initialised each round.
     residual: Vec<f64>,
     unfrozen_on: Vec<usize>,
 }
@@ -212,7 +266,7 @@ impl Fabric {
                     remaining: bytes as f64,
                     rate: 0.0,
                     last_update: now,
-                    links: FlowLinks::new(links),
+                    links: LinkPath::new(links),
                     frozen_round: 0,
                     event: None,
                     on_complete: Some(Box::new(on_complete)),
@@ -220,6 +274,10 @@ impl Fabric {
             );
             inner.order.push(id);
             for l in links {
+                if inner.links[l.0].active.is_empty() {
+                    let at = inner.busy.binary_search(&l.0).expect_err("idle link is not busy");
+                    inner.busy.insert(at, l.0);
+                }
                 inner.links[l.0].active.push(id);
             }
             id
@@ -273,39 +331,23 @@ impl Fabric {
 
     /// Recomputes max–min fair rates and reschedules completion events.
     fn rebalance(&self, sim: &mut Sim) {
-        let mut schedule = {
-            let mut inner = self.inner.borrow_mut();
-            let now = sim.now();
-            inner.settle(now);
-            inner.water_fill();
-
-            let mut schedule = std::mem::take(&mut inner.scratch);
-            schedule.clear();
-            for i in 0..inner.order.len() {
-                let id = inner.order[i];
-                let flow = inner.flows.get_mut(&id).expect("live flow in order list");
-                if let Some(ev) = flow.event.take() {
-                    sim.cancel(ev);
-                }
-                debug_assert!(flow.rate > 0.0, "water-fill left a flow with zero rate");
-                let secs = (flow.remaining / flow.rate).max(0.0);
-                let at = now + SimDuration::from_secs_f64(secs);
-                schedule.push((id, at));
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let now = sim.now();
+        inner.settle(now);
+        inner.water_fill();
+        // Scheduling only queues the event, so the borrow can stay held.
+        for id in &inner.order {
+            let flow = inner.flows.get_mut(id).expect("live flow in order list");
+            if let Some(ev) = flow.event.take() {
+                sim.cancel(ev);
             }
-            schedule
-        };
-        for &(id, at) in &schedule {
-            let handle = self.clone();
-            let ev = sim.schedule_at(at, move |sim| handle.complete(sim, id));
-            self.inner
-                .borrow_mut()
-                .flows
-                .get_mut(&id)
-                .expect("flow vanished while scheduling")
-                .event = Some(ev);
+            debug_assert!(flow.rate > 0.0, "water-fill left a flow with zero rate");
+            let secs = (flow.remaining / flow.rate).max(0.0);
+            let at = now + SimDuration::from_secs_f64(secs);
+            let (handle, id) = (self.clone(), *id);
+            flow.event = Some(sim.schedule_at(at, move |sim| handle.complete(sim, id)));
         }
-        schedule.clear();
-        self.inner.borrow_mut().scratch = schedule;
     }
 }
 
@@ -323,34 +365,49 @@ impl Inner {
     fn remove_flow(&mut self, id: u64) -> Option<Flow> {
         let f = self.flows.remove(&id)?;
         self.order.retain(|x| *x != id);
-        for l in f.links.iter() {
-            self.links[l.0].active.retain(|x| *x != id);
+        for l in f.links.as_slice() {
+            let active = &mut self.links[l.0].active;
+            active.retain(|x| *x != id);
+            // A path may name a link twice; only its first visit finds
+            // the link still listed.
+            if active.is_empty() {
+                if let Ok(at) = self.busy.binary_search(&l.0) {
+                    self.busy.remove(at);
+                }
+            }
         }
         Some(f)
     }
 
     /// Progressive-filling (water-filling) max–min fair allocation.
     ///
-    /// Runs on every flow arrival and departure, so it allocates nothing:
-    /// freezing a flow writes its `rate` in place, and membership in the
-    /// current round's frozen set is the `frozen_round == round` check
-    /// against the monotone round counter.
+    /// Runs on every flow arrival and departure, so it allocates nothing
+    /// and touches only the busy links: freezing a flow writes its `rate`
+    /// in place, and membership in the current round's frozen set is the
+    /// `frozen_round == round` check against the monotone round counter.
+    /// Scanning `busy` in ascending link order with a strict `<` keeps the
+    /// tie-break an all-links scan would make: the lowest-numbered link
+    /// among equal shares is the bottleneck.
     fn water_fill(&mut self) {
         self.round += 1;
         let round = self.round;
         let mut residual = std::mem::take(&mut self.residual);
         let mut unfrozen_on = std::mem::take(&mut self.unfrozen_on);
-        residual.clear();
-        residual.extend(self.links.iter().map(|l| l.capacity));
-        unfrozen_on.clear();
-        unfrozen_on.extend(self.links.iter().map(|l| l.active.len()));
+        if residual.len() < self.links.len() {
+            residual.resize(self.links.len(), 0.0);
+            unfrozen_on.resize(self.links.len(), 0);
+        }
+        for &li in &self.busy {
+            residual[li] = self.links[li].capacity;
+            unfrozen_on[li] = self.links[li].active.len();
+        }
         let mut nfrozen = 0usize;
 
         while nfrozen < self.flows.len() {
             // Bottleneck link: smallest per-flow share among links that
             // still carry unfrozen flows.
             let mut best: Option<(usize, f64)> = None;
-            for (li, _link) in self.links.iter().enumerate() {
+            for &li in &self.busy {
                 if unfrozen_on[li] == 0 {
                     continue;
                 }
@@ -373,7 +430,7 @@ impl Inner {
                 f.frozen_round = round;
                 f.rate = share;
                 nfrozen += 1;
-                for l in f.links.iter() {
+                for l in f.links.as_slice() {
                     residual[l.0] = (residual[l.0] - share).max(0.0);
                     unfrozen_on[l.0] -= 1;
                 }

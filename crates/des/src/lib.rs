@@ -9,7 +9,9 @@
 //!
 //! - [`Sim`] — the event loop: a cancellable priority queue of
 //!   `FnOnce(&mut Sim)` callbacks with deterministic FIFO tie-breaking and a
-//!   seeded RNG, so every run is reproducible from its seed.
+//!   seeded RNG, so every run is reproducible from its seed. The queue
+//!   keeps pre-scheduled far-future events in an append-only sorted run,
+//!   out of the small heap the near-term events churn through.
 //! - [`SimTime`] / [`SimDuration`] — exact microsecond-resolution time.
 //! - [`Fabric`] — a fluid-flow network with max–min fair bandwidth sharing,
 //!   modeling NICs, EBS pipes and Lambda uplinks under contention.
@@ -34,12 +36,13 @@
 
 mod dist;
 mod fabric;
+mod queue;
 mod sim;
 mod time;
 mod token;
 
 pub use dist::Dist;
-pub use fabric::{Fabric, FlowId, LinkId};
+pub use fabric::{Fabric, FlowId, LinkId, LinkPath};
 pub use sim::{EventFn, EventId, Sim};
 pub use time::{SimDuration, SimTime};
 pub use token::TokenBucket;

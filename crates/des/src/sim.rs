@@ -1,17 +1,16 @@
 //! The event loop: a deterministic, cancellable discrete-event scheduler.
 //!
-//! [`Sim`] owns the virtual clock and a priority queue of events. Each event
-//! is a boxed `FnOnce(&mut Sim)`; domain components (cloud, storage, engine)
-//! live in `Rc<RefCell<…>>` handles captured by those closures. Two events
-//! scheduled for the same instant fire in scheduling order (a monotonically
-//! increasing sequence number breaks ties), which makes every run with the
-//! same seed bit-for-bit reproducible.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`Sim`] owns the virtual clock and a priority queue of events (see
+//! `queue.rs` for its shape). Each event is a boxed `FnOnce(&mut Sim)`;
+//! domain components (cloud, storage, engine) live in `Rc<RefCell<…>>`
+//! handles captured by those closures. Two events scheduled for the same
+//! instant fire in scheduling order (a monotonically increasing sequence
+//! number breaks ties), which makes every run with the same seed
+//! bit-for-bit reproducible.
 
 use splitserve_rt::Rng;
 
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Handle to a scheduled event, usable with [`Sim::cancel`].
@@ -22,37 +21,15 @@ pub struct EventId(u64);
 /// schedule follow-up events.
 pub type EventFn = Box<dyn FnOnce(&mut Sim)>;
 
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    f: EventFn,
-}
-
-// Order entries so the *earliest* (time, seq) pops first from a max-heap.
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// Liveness of scheduled events, one bit per sequence number.
 ///
 /// Sequence numbers are dense and monotonically increasing, so a bitmap
 /// beats a hash set on the scheduler's hottest edge: every event is
 /// inserted once at schedule time and cleared once at fire/cancel time,
 /// and both become single word operations instead of hashes. Memory is
-/// one bit per event ever scheduled (an 8 M-event run costs 1 MB).
+/// one bit per event ever scheduled (an 8 M-event run costs 1 MB) and is
+/// the one part of the simulator that grows with a run's length rather
+/// than with its pending events.
 #[derive(Default)]
 struct LiveBits {
     words: Vec<u64>,
@@ -111,7 +88,7 @@ impl LiveBits {
 /// ```
 pub struct Sim {
     now: SimTime,
-    queue: BinaryHeap<Entry>,
+    queue: EventQueue,
     live: LiveBits,
     next_seq: u64,
     executed: u64,
@@ -136,7 +113,7 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             live: LiveBits::default(),
             next_seq: 0,
             executed: 0,
@@ -189,11 +166,7 @@ impl Sim {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live.insert(seq);
-        self.queue.push(Entry {
-            at,
-            seq,
-            f: Box::new(f),
-        });
+        self.queue.push(at, seq, Box::new(f));
         EventId(seq)
     }
 
@@ -220,7 +193,7 @@ impl Sim {
     /// fired (or been cancelled); cancelling an already-fired event is a
     /// harmless no-op returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // The live set is the source of truth; heap entries for dead ids
+        // The live set is the source of truth; queue entries for dead ids
         // are skipped when popped.
         self.live.remove(id.0)
     }
@@ -228,14 +201,14 @@ impl Sim {
     /// Executes the next pending event, advancing the clock to its time.
     /// Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        while let Some(entry) = self.queue.pop() {
-            if !self.live.remove(entry.seq) {
+        while let Some((key, f)) = self.queue.pop() {
+            if !self.live.remove(key.seq) {
                 continue; // cancelled
             }
-            debug_assert!(entry.at >= self.now, "event queue went backwards");
-            self.now = entry.at;
+            debug_assert!(key.at >= self.now, "event queue went backwards");
+            self.now = key.at;
             self.executed += 1;
-            (entry.f)(self);
+            f(self);
             return true;
         }
         false

@@ -62,6 +62,175 @@ fn cancellation_is_exact() {
     });
 }
 
+/// Under random interleavings of scheduling (near, far, ascending and
+/// not), cancelling and stepping, events fire in exactly the `(at, seq)`
+/// order a sorted reference gives, and each cancel reports what the
+/// reference says.
+#[test]
+fn queue_pops_in_key_order_under_schedule_and_cancel() {
+    check::run("queue_pops_in_key_order_under_schedule_and_cancel", 96, |g| {
+        let mut sim = Sim::new(0);
+        let fired: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
+        // The reference: pending (at_us, tag), tags in scheduling order.
+        let mut pending: Vec<(u64, usize)> = Vec::new();
+        let mut ids = Vec::new();
+        let mut expect: Vec<usize> = Vec::new();
+        let mut far = 1_000_000u64;
+        for _ in 0..g.usize_in(1, 400) {
+            match g.u64_in(0, 10) {
+                // Near-term event, anywhere in the next millisecond.
+                0..=3 => {
+                    let at = sim.now().as_micros() + g.u64_in(0, 1_001);
+                    let tag = ids.len();
+                    let f = Rc::clone(&fired);
+                    ids.push(sim.schedule_at(SimTime::from_micros(at), move |_| {
+                        f.borrow_mut().push(tag)
+                    }));
+                    pending.push((at, tag));
+                }
+                // Far-future event on an ascending trace (ties included).
+                4..=5 => {
+                    far += g.u64_in(0, 5_001);
+                    let at = far.max(sim.now().as_micros());
+                    let tag = ids.len();
+                    let f = Rc::clone(&fired);
+                    ids.push(sim.schedule_at(SimTime::from_micros(at), move |_| {
+                        f.borrow_mut().push(tag)
+                    }));
+                    pending.push((at, tag));
+                }
+                // Cancel any event ever scheduled: live, fired or cancelled.
+                6 if !ids.is_empty() => {
+                    let tag = g.usize_in(0, ids.len());
+                    let was_pending = pending.iter().position(|(_, t)| *t == tag);
+                    assert_eq!(sim.cancel(ids[tag]), was_pending.is_some());
+                    if let Some(i) = was_pending {
+                        pending.remove(i);
+                    }
+                }
+                // Step: the reference's minimum (at, tag) must be next.
+                _ => {
+                    let next = pending.iter().copied().min();
+                    assert_eq!(sim.step(), next.is_some());
+                    if let Some(next) = next {
+                        pending.retain(|e| *e != next);
+                        expect.push(next.1);
+                        assert_eq!(sim.now().as_micros(), next.0);
+                    }
+                }
+            }
+            assert_eq!(*fired.borrow(), expect);
+        }
+        pending.sort_unstable();
+        expect.extend(pending.iter().map(|(_, tag)| tag));
+        sim.run();
+        assert_eq!(*fired.borrow(), expect);
+    });
+}
+
+/// A live flow of the reference model: its tag and the links it crosses.
+type RefFlow = (usize, Vec<usize>);
+
+/// Max–min fair rates by progressive filling over *every* link of the
+/// fabric, busy or not — the reference the busy-link list must match.
+fn brute_force_rates(capacity: &[f64], flows: &[RefFlow]) -> Vec<(usize, f64)> {
+    let mut residual = capacity.to_vec();
+    let mut unfrozen_on = vec![0usize; capacity.len()];
+    for (_, links) in flows {
+        for l in links {
+            unfrozen_on[*l] += 1;
+        }
+    }
+    let mut rates: Vec<(usize, Option<f64>)> = flows.iter().map(|(id, _)| (*id, None)).collect();
+    while rates.iter().any(|(_, r)| r.is_none()) {
+        let mut best: Option<(usize, f64)> = None;
+        for li in 0..capacity.len() {
+            if unfrozen_on[li] == 0 {
+                continue;
+            }
+            let share = residual[li] / unfrozen_on[li] as f64;
+            match best {
+                Some((_, s)) if s <= share => {}
+                _ => best = Some((li, share)),
+            }
+        }
+        let (bottleneck, share) = best.expect("an unfrozen flow crosses some link");
+        for (i, (_, links)) in flows.iter().enumerate() {
+            if rates[i].1.is_some() || !links.contains(&bottleneck) {
+                continue;
+            }
+            rates[i].1 = Some(share);
+            for l in links {
+                residual[*l] = (residual[*l] - share).max(0.0);
+                unfrozen_on[*l] -= 1;
+            }
+        }
+    }
+    rates
+        .into_iter()
+        .map(|(id, r)| (id, r.expect("every flow frozen")))
+        .collect()
+}
+
+/// With many links of which a handful are busy, every live flow's rate
+/// equals the all-links water-fill bit for bit, across random starts,
+/// cancels and completions.
+#[test]
+fn busy_link_water_fill_matches_brute_force() {
+    check::run("busy_link_water_fill_matches_brute_force", 64, |g| {
+        let mut sim = Sim::new(0);
+        let fabric = Fabric::new();
+        // Few distinct capacities, so equal shares (ties) are common.
+        let capacity: Vec<f64> = (0..g.usize_in(4, 40))
+            .map(|_| [100.0, 250.0, 1_000.0][g.usize_in(0, 3)])
+            .collect();
+        let links: Vec<_> = capacity
+            .iter()
+            .map(|c| fabric.add_link(*c, "l"))
+            .collect();
+        // Live flows in start order: (tag, link indices), plus handles.
+        let live: Rc<RefCell<Vec<RefFlow>>> = Rc::new(RefCell::new(Vec::new()));
+        let mut handles = Vec::new();
+        for _ in 0..g.usize_in(1, 60) {
+            match g.u64_in(0, 6) {
+                0..=2 => {
+                    let mut path: Vec<usize> = Vec::new();
+                    for _ in 0..g.usize_in(1, 4) {
+                        let l = g.usize_in(0, links.len());
+                        if !path.contains(&l) {
+                            path.push(l);
+                        }
+                    }
+                    let tag = handles.len();
+                    let ids: Vec<_> = path.iter().map(|l| links[*l]).collect();
+                    live.borrow_mut().push((tag, path));
+                    let done = Rc::clone(&live);
+                    handles.push(fabric.start_flow(&mut sim, &ids, g.u64_in(1, 100_000), move |_| {
+                        done.borrow_mut().retain(|(t, _)| *t != tag);
+                    }));
+                }
+                3 if !handles.is_empty() => {
+                    let tag = g.usize_in(0, handles.len());
+                    if fabric.cancel_flow(&mut sim, handles[tag]) {
+                        live.borrow_mut().retain(|(t, _)| *t != tag);
+                    }
+                }
+                _ => {
+                    sim.step();
+                }
+            }
+            let want = brute_force_rates(&capacity, &live.borrow());
+            assert_eq!(fabric.active_flows(), want.len());
+            for (tag, rate) in want {
+                let got = fabric.flow_rate(handles[tag]).expect("live flow has a rate");
+                assert_eq!(got.to_bits(), rate.to_bits(), "flow {tag}: {got} vs {rate}");
+            }
+        }
+        sim.run();
+        assert!(live.borrow().is_empty());
+    });
+}
+
 /// With a single shared link, total transfer time equals total bytes /
 /// capacity regardless of how the bytes are split across flows
 /// (work conservation of max–min fair sharing).

@@ -16,23 +16,23 @@
 //!   facility relies on: a draining executor takes no new tasks, finishes
 //!   its current one, and decommissions when idle.
 
-use std::collections::{HashSet, VecDeque};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use splitserve_rt::{Bytes, FastMap, FastSet, TaskHandle, WorkerPool};
 use splitserve_des::{Sim, SimDuration, SimTime};
 use splitserve_obs::SpanId;
-use splitserve_storage::{BlockId, BlockStore, StoreError};
+use splitserve_rt::{Bytes, FastMap, FastSet, WorkerPool};
+use splitserve_storage::{BlockId, BlockStore, ClientLoc, StoreError};
 
 use crate::config::EngineConfig;
 use crate::context::TaskContext;
 use crate::events::{EngineEventKind, EventLog, JobId};
 use crate::executor::{ExecutorDesc, ExecutorId, ExecutorKind};
 use crate::metrics::{JobMetrics, JobOutput};
-use crate::node::{PartitionData, PlanNode, ShuffleBucket, ShuffleId};
-use crate::stage::{build_stages, StageGraph, StageId, StageKind};
+use crate::node::{PartitionData, PlanNode, ShuffleBucket, ShuffleDep, ShuffleId};
+use crate::stage::{build_stages, Stage, StageGraph, StageId, StageKind};
 use crate::telemetry::{FailureKind, Telemetry};
 use crate::tracker::{MapOutputTracker, MapStatus};
 
@@ -56,6 +56,13 @@ struct ExecMeta {
     speed_factor: f64,
 }
 
+impl ExecMeta {
+    /// Whether dispatch may hand this executor a task right now.
+    fn takes_tasks(&self) -> bool {
+        self.alive && !self.draining && self.running.is_none()
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct AttemptInfo {
     job: JobId,
@@ -71,6 +78,65 @@ struct AttemptInfo {
     straggler_flagged: bool,
 }
 
+/// Everything the scheduler holds for one task attempt: who and where it
+/// is, plus the window state of whichever shuffle phase it is in. The
+/// store callbacks of that phase carry only `Copy` handles and look the
+/// window up here — so an attempt that dies (its entry removed) takes its
+/// fetch plan and unwritten buckets with it, and a callback that arrives
+/// afterwards finds nothing and stops.
+struct Attempt {
+    info: AttemptInfo,
+    /// The blocks the task must fetch before it computes, as
+    /// `(shuffle, map index, writer, size)` in input-shuffle then map
+    /// order; fixed at dispatch.
+    plan: Vec<(ShuffleId, usize, ExecutorId, u64)>,
+    io: ShuffleIo,
+}
+
+enum ShuffleIo {
+    /// Between phases (waiting for its launch, computing, finishing).
+    Idle,
+    Fetch(FetchWindow),
+    Write(WriteWindow),
+}
+
+/// A reduce-side fetch in flight: at most `max_fetch_concurrency` gets
+/// outstanding, issued in plan order.
+struct FetchWindow {
+    /// Next plan entry to request.
+    next: usize,
+    outstanding: usize,
+    /// Fetched blocks, parallel to the plan (`None` until they land; an
+    /// empty `Bytes` would cost an allocation each). Completions arrive in
+    /// whatever order the store finishes them (fault injection and
+    /// latency windows reshuffle that order); filing each under its plan
+    /// position hands compute its inputs in map order regardless — task
+    /// inputs, and therefore outputs, stay bit-identical across fault
+    /// schedules.
+    blocks: Vec<Option<Bytes>>,
+    client: ClientLoc,
+    span: SpanId,
+    started: SimTime,
+}
+
+/// A map-side write in flight: the non-empty buckets go out in reduce
+/// order under the same window.
+struct WriteWindow {
+    shuffle: ShuffleId,
+    buckets: Vec<ShuffleBucket>,
+    /// Next bucket to consider (empty ones are skipped, never written).
+    next: usize,
+    /// Non-empty buckets not yet handed to the store.
+    unsent: usize,
+    outstanding: usize,
+    /// Serialized size of every bucket, for the map status.
+    sizes: Vec<u64>,
+    cpu: f64,
+    client: ClientLoc,
+    span: SpanId,
+    started: SimTime,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StageState {
     Waiting,
@@ -78,35 +144,120 @@ enum StageState {
     Done,
 }
 
+/// A set of small indices — partitions of a stage, positions in the
+/// executor table — one bit each. The first 64 live inline, so the common
+/// narrow stage allocates nothing; wider ones spill into `rest` on first
+/// use.
+#[derive(Default)]
+struct BitSet {
+    first: u64,
+    /// Indices 64 and up, 64 per word.
+    rest: Vec<u64>,
+    len: usize,
+}
+
+impl BitSet {
+    #[inline]
+    fn word_mut(&mut self, part: usize) -> Option<&mut u64> {
+        match part >> 6 {
+            0 => Some(&mut self.first),
+            w => self.rest.get_mut(w - 1),
+        }
+    }
+
+    fn insert(&mut self, part: usize) {
+        if part >> 6 > self.rest.len() {
+            self.rest.resize(part >> 6, 0);
+        }
+        let bit = 1u64 << (part & 63);
+        let word = self.word_mut(part).expect("grown to fit");
+        if *word & bit == 0 {
+            *word |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// Removes `part`, reporting whether it was present.
+    fn remove(&mut self, part: usize) -> bool {
+        let bit = 1u64 << (part & 63);
+        match self.word_mut(part) {
+            Some(word) if *word & bit != 0 => {
+                *word &= !bit;
+                self.len -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn contains(&self, part: usize) -> bool {
+        let word = match part >> 6 {
+            0 => self.first,
+            w => self.rest.get(w - 1).copied().unwrap_or(0),
+        };
+        word & (1 << (part & 63)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The smallest member.
+    fn first(&self) -> Option<usize> {
+        if self.first != 0 {
+            return Some(self.first.trailing_zeros() as usize);
+        }
+        let w = self.rest.iter().position(|word| *word != 0)?;
+        Some((w + 1) * 64 + self.rest[w].trailing_zeros() as usize)
+    }
+
+    fn clear(&mut self) {
+        self.first = 0;
+        self.rest.fill(0);
+        self.len = 0;
+    }
+}
+
 #[derive(Default)]
 struct StageStatus {
     state: Option<StageState>, // None until initialized
-    queued: HashSet<usize>,
-    running: HashSet<usize>,
+    queued: BitSet,
+    running: BitSet,
 }
 
 /// Driver-side completion callback of a job.
 type JobDoneCallback = Box<dyn FnOnce(&mut Sim, JobOutput)>;
 
-struct JobState {
+/// The scheduling state of a job that can still run a task.
+struct LiveJob {
     graph: StageGraph,
     status: Vec<StageStatus>,
     result_parts: Vec<Option<PartitionData>>,
     on_done: Option<JobDoneCallback>,
-    /// Uniquely owned (`Arc::get_mut`) while the job runs; once the job
-    /// completes, accessors hand out cheap `Arc` clones instead of deep-
-    /// copying the whole metrics block.
-    metrics: Arc<JobMetrics>,
-    done: bool,
+    /// How many entries of `Inner::attempts` belong to this job.
+    attempts: usize,
 }
 
-impl JobState {
+/// One row of the job table. The row itself stays for the engine's
+/// lifetime (metrics remain queryable); `live` is dropped when the job
+/// is over — see [`Inner::retire_if_over`].
+struct JobSlot {
+    /// Uniquely owned while the job runs; once it completes, accessors
+    /// hand out cheap `Arc` clones instead of deep-copying the block.
+    metrics: Arc<JobMetrics>,
+    done: bool,
+    live: Option<LiveJob>,
+}
+
+impl JobSlot {
     /// Mutable metrics access for the in-flight paths. The `Arc` is only
-    /// ever shared *after* `done` is set, so this never fails while the
-    /// job is live.
+    /// ever shared *after* `done` is set, so for a running job this is a
+    /// plain borrow. A stale attempt of a finished job may still report
+    /// here; if a caller holds the block by then, it keeps the snapshot
+    /// it was given and the table's copy moves on.
     #[inline]
     fn metrics_mut(&mut self) -> &mut JobMetrics {
-        Arc::get_mut(&mut self.metrics).expect("in-flight job metrics are uniquely owned")
+        Arc::make_mut(&mut self.metrics)
     }
 }
 
@@ -129,17 +280,31 @@ struct Inner {
     /// Interner-symbol → slot side table (`NO_SLOT` = absent). Symbols
     /// are dense process-wide, so this stays small and O(1) to index.
     exec_slots: Vec<u32>,
+    /// Slot → position in `execs_by_name`.
+    name_pos: Vec<u32>,
+    /// The positions in `execs_by_name` whose executor takes tasks right
+    /// now, so dispatch finds the first one without walking past every
+    /// busy, draining and long-dead executor. Kept current by
+    /// [`Inner::update_exec`], the only way executor state changes.
+    idle: BitSet,
     /// Dense job table indexed by `JobId.0` (ids are sequential from 0).
-    jobs: Vec<JobState>,
-    attempts: FastMap<AttemptId, AttemptInfo>,
+    jobs: Vec<JobSlot>,
+    /// The jobs that have not completed, ascending — what executor churn
+    /// and rollback walk instead of the whole table.
+    active: Vec<JobId>,
+    attempts: FastMap<AttemptId, Attempt>,
     pending: VecDeque<(JobId, StageId, usize)>,
     next_attempt: u64,
     tracker: MapOutputTracker,
     driver_free_at: SimTime,
     /// Live completion-time digests per (job, stage), feeding the
     /// straggler watch. Only populated while observability is enabled;
-    /// entries live as long as their `JobState`.
+    /// entries are dropped with their job's live state.
     stage_runtimes: FastMap<(JobId, StageId), splitserve_obs::QuantileDigest>,
+    /// The shuffles of retired jobs whose dependency was still reachable
+    /// when the job went (the caller holds the `Dataset`), re-examined at
+    /// every retirement. Shuffles of running jobs are not in here.
+    held_shuffles: FastMap<ShuffleId, Weak<ShuffleDep>>,
 }
 
 impl Inner {
@@ -157,9 +322,19 @@ impl Inner {
         self.exec_slot(id).map(|s| &self.execs[s])
     }
 
+    /// Changes an executor's state through `f`, then brings `idle` back
+    /// in line with it.
     #[inline]
-    fn exec_mut(&mut self, id: ExecutorId) -> Option<&mut ExecMeta> {
-        self.exec_slot(id).map(|s| &mut self.execs[s])
+    fn update_exec<R>(&mut self, slot: usize, f: impl FnOnce(&mut ExecMeta) -> R) -> R {
+        let meta = &mut self.execs[slot];
+        let out = f(meta);
+        let pos = self.name_pos[slot] as usize;
+        if meta.takes_tasks() {
+            self.idle.insert(pos);
+        } else {
+            self.idle.remove(pos);
+        }
+        out
     }
 
     /// Registers a new executor slot, keeping `execs_by_name` sorted.
@@ -180,9 +355,82 @@ impl Inner {
             .execs_by_name
             .partition_point(|&s| self.execs[s as usize].desc.id < id);
         self.execs_by_name.insert(pos, slot);
+        // Every later position moved up by one: renumber. Registration is
+        // rare next to dispatch.
+        self.name_pos.resize(self.execs.len(), 0);
+        self.idle.clear();
+        for (pos, &slot) in self.execs_by_name.iter().enumerate() {
+            self.name_pos[slot as usize] = pos as u32;
+            if self.execs[slot as usize].takes_tasks() {
+                self.idle.insert(pos);
+            }
+        }
         true
     }
 
+    /// Removes an attempt, releasing its hold on its job.
+    fn take_attempt(&mut self, id: AttemptId) -> Option<Attempt> {
+        let attempt = self.attempts.remove(&id)?;
+        self.jobs[attempt.info.job.0 as usize]
+            .live
+            .as_mut()
+            .expect("an attempt pins its job")
+            .attempts -= 1;
+        Some(attempt)
+    }
+
+    /// Puts a failed attempt's task back at the head of the dispatch
+    /// queue.
+    fn requeue(&mut self, info: &AttemptInfo) {
+        let job = self.jobs[info.job.0 as usize]
+            .live
+            .as_mut()
+            .expect("a requeued task keeps its job live");
+        let st = &mut job.status[info.stage.0 as usize];
+        st.running.remove(info.part);
+        st.queued.insert(info.part);
+        self.pending.push_front((info.job, info.stage, info.part));
+    }
+
+    /// Retires `job_id` if it is over: done, with no attempt left in
+    /// `attempts` and no task queued. (Done alone is not enough — a re-run
+    /// map task of a rolled-back stage can still be queued or in flight
+    /// when the result stage finishes, and it indexes the graph when it
+    /// lands.) Retiring drops the stage graph with its plan nodes, the
+    /// per-stage status and straggler digests, and forgets every shuffle
+    /// whose dependency nobody can reach any more. A `Dataset` the caller
+    /// still holds keeps its `ShuffleDep` alive, so resubmitting it finds
+    /// its map outputs registered and skips the map stage, exactly as
+    /// while the first job's state was around; its tracker entry goes at
+    /// the first retirement after the caller lets go.
+    fn retire_if_over(&mut self, job_id: JobId) {
+        let slot = &mut self.jobs[job_id.0 as usize];
+        if !slot.done {
+            return;
+        }
+        match &slot.live {
+            Some(job) if job.attempts == 0 && job.status.iter().all(|st| st.queued.is_empty()) => {}
+            _ => return,
+        }
+        let job = slot.live.take().expect("matched above");
+        for stage in &job.graph.stages {
+            if !self.stage_runtimes.is_empty() {
+                self.stage_runtimes.remove(&(job_id, stage.id));
+            }
+            if let StageKind::ShuffleMap(dep) = &stage.kind {
+                self.held_shuffles.insert(dep.id, Arc::downgrade(dep));
+            }
+        }
+        drop(job);
+        let tracker = &mut self.tracker;
+        self.held_shuffles.retain(|id, dep| {
+            let reachable = dep.strong_count() > 0;
+            if !reachable {
+                tracker.forget_shuffle(*id);
+            }
+            reachable
+        });
+    }
 }
 
 /// A snapshot of one executor's state, for policy layers (SplitServe's
@@ -208,7 +456,35 @@ pub struct ExecutorInfo {
     pub tasks_done: u64,
 }
 
-/// The Spark-like engine. Cloneable handle; all state is shared.
+/// How much per-work state the scheduler holds right now — all zeros on
+/// an idle engine, however many jobs it has run. A debugging and testing
+/// aid: it is what "state lives as long as the work it belongs to" means
+/// in numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiveState {
+    /// Jobs whose stage graph and status are held: running jobs, plus
+    /// finished ones with a stale attempt still in flight.
+    pub jobs: usize,
+    /// Shuffles the map-output tracker knows.
+    pub shuffles: usize,
+    /// Task attempts in flight.
+    pub attempts: usize,
+}
+
+/// What every [`Engine`] handle shares.
+struct Shared {
+    inner: RefCell<Inner>,
+    store: Rc<dyn BlockStore>,
+    log: EventLog,
+    tele: Telemetry,
+    /// Worker threads for task bodies; `None` runs bodies inline on the
+    /// simulation thread (`workers <= 1`). The pool joins its threads
+    /// when the last engine handle drops.
+    pool: Option<WorkerPool>,
+}
+
+/// The Spark-like engine. A handle is one `Rc`, so the clones that ride
+/// in every scheduled event cost one increment; all state is shared.
 ///
 /// # Examples
 ///
@@ -241,24 +517,17 @@ pub struct ExecutorInfo {
 /// ```
 #[derive(Clone)]
 pub struct Engine {
-    inner: Rc<RefCell<Inner>>,
-    store: Rc<dyn BlockStore>,
-    log: EventLog,
-    tele: Telemetry,
-    /// Worker threads for task bodies; `None` runs bodies inline on the
-    /// simulation thread (`workers <= 1`). Shared `Rc`: the pool joins
-    /// its threads when the last engine handle drops.
-    pool: Option<Rc<WorkerPool>>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.shared.inner.borrow();
         f.debug_struct("Engine")
             .field("executors", &inner.execs.len())
             .field("jobs", &inner.jobs.len())
             .field("pending_tasks", &inner.pending.len())
-            .field("store", &self.store.kind())
+            .field("store", &self.shared.store.kind())
             .finish()
     }
 }
@@ -272,23 +541,27 @@ enum ComputePayload {
 /// charge and working-set size (the inputs of the duration model).
 type BodyResult = (ComputePayload, f64, u64);
 
-/// A task body between launch and its join event. Pooled bodies are
-/// already running on a worker thread; inline bodies (workers <= 1) run
-/// on the simulation thread when the join event fires. Both variants
-/// resolve at the same virtual instant, so event order is identical at
-/// any worker count.
-enum PendingBody {
-    Inline(Box<dyn FnOnce() -> BodyResult>),
-    Pooled(TaskHandle<BodyResult>),
-}
-
-impl PendingBody {
-    fn resolve(self) -> BodyResult {
-        match self {
-            PendingBody::Inline(f) => f(),
-            PendingBody::Pooled(h) => h.join(),
-        }
+/// The task inputs a finished fetch hands to compute: every input shuffle
+/// of `stage` gets an entry (even when this reduce partition received no
+/// bytes from it), holding its blocks in map order — the plan's order.
+fn task_inputs(
+    stage: &Stage,
+    plan: &[(ShuffleId, usize, ExecutorId, u64)],
+    blocks: Vec<Option<Bytes>>,
+) -> FastMap<ShuffleId, Vec<Bytes>> {
+    let mut inputs =
+        FastMap::with_capacity_and_hasher(stage.input_shuffles.len(), Default::default());
+    let mut blocks = blocks
+        .into_iter()
+        .map(|b| b.expect("every planned block was fetched"));
+    let mut at = 0;
+    for dep in &stage.input_shuffles {
+        let n = plan[at..].iter().take_while(|(s, ..)| *s == dep.id).count();
+        inputs.insert(dep.id, blocks.by_ref().take(n).collect());
+        at += n;
     }
+    debug_assert_eq!(at, plan.len(), "plan follows input-shuffle order");
+    inputs
 }
 
 impl Engine {
@@ -300,42 +573,58 @@ impl Engine {
             cfg.obs.metrics.clone(),
         );
         let tele = Telemetry::new(cfg.obs.clone());
-        let pool = (cfg.workers >= 2).then(|| Rc::new(WorkerPool::new(cfg.workers)));
+        let pool = (cfg.workers >= 2).then(|| WorkerPool::new(cfg.workers));
         Engine {
-            pool,
-            inner: Rc::new(RefCell::new(Inner {
-                cfg,
-                execs: Vec::new(),
-                execs_by_name: Vec::new(),
-                exec_slots: Vec::new(),
-                jobs: Vec::new(),
-                attempts: FastMap::default(),
-                pending: VecDeque::new(),
-                next_attempt: 0,
-                tracker: MapOutputTracker::new(),
-                driver_free_at: SimTime::ZERO,
-                stage_runtimes: FastMap::default(),
-            })),
-            store,
-            log,
-            tele,
+            shared: Rc::new(Shared {
+                pool,
+                inner: RefCell::new(Inner {
+                    cfg,
+                    execs: Vec::new(),
+                    execs_by_name: Vec::new(),
+                    exec_slots: Vec::new(),
+                    name_pos: Vec::new(),
+                    idle: BitSet::default(),
+                    jobs: Vec::new(),
+                    active: Vec::new(),
+                    attempts: FastMap::default(),
+                    pending: VecDeque::new(),
+                    next_attempt: 0,
+                    tracker: MapOutputTracker::new(),
+                    driver_free_at: SimTime::ZERO,
+                    stage_runtimes: FastMap::default(),
+                    held_shuffles: FastMap::default(),
+                }),
+                store,
+                log,
+                tele,
+            }),
         }
     }
 
     /// The engine's event log.
     pub fn event_log(&self) -> &EventLog {
-        &self.log
+        &self.shared.log
     }
 
     /// The observability handle the engine records into (the one passed
     /// via [`EngineConfig::obs`]; disabled by default).
     pub fn obs(&self) -> &splitserve_obs::Obs {
-        self.tele.obs()
+        self.shared.tele.obs()
     }
 
     /// The shuffle store in use.
     pub fn store(&self) -> &Rc<dyn BlockStore> {
-        &self.store
+        &self.shared.store
+    }
+
+    /// How much per-work state is held right now (see [`LiveState`]).
+    pub fn live_state(&self) -> LiveState {
+        let inner = self.shared.inner.borrow();
+        LiveState {
+            jobs: inner.jobs.iter().filter(|j| j.live.is_some()).count(),
+            shuffles: inner.tracker.shuffle_count(),
+            attempts: inner.attempts.len(),
+        }
     }
 
     // ----- executors ---------------------------------------------------
@@ -346,9 +635,11 @@ impl Engine {
     ///
     /// Panics if the id is already registered.
     pub fn register_executor(&self, sim: &mut Sim, desc: ExecutorDesc) {
-        self.store.register_executor(desc.id.as_str(), desc.client_loc());
+        let sh = &*self.shared;
+        sh.store
+            .register_executor(desc.id.as_str(), desc.client_loc());
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = sh.inner.borrow_mut();
             let id = desc.id;
             let kind = desc.kind;
             let fresh = inner.add_exec(ExecMeta {
@@ -363,16 +654,18 @@ impl Engine {
                 speed_factor: 1.0,
             });
             assert!(fresh, "duplicate executor {id}");
-            self.tele.executor_registered(sim.now(), id, kind);
-            self.log
-                .push(sim.now(), EngineEventKind::ExecutorRegistered { exec: id, kind });
+            sh.tele.executor_registered(sim.now(), id, kind);
+            sh.log.push(
+                sim.now(),
+                EngineEventKind::ExecutorRegistered { exec: id, kind },
+            );
         }
         self.dispatch(sim);
     }
 
     /// Snapshot of all executors (in id order).
     pub fn executors(&self) -> Vec<ExecutorInfo> {
-        let inner = self.inner.borrow();
+        let inner = self.shared.inner.borrow();
         inner
             .execs_by_name
             .iter()
@@ -400,17 +693,17 @@ impl Engine {
     /// Number of tasks waiting in the dispatch queue (the backlog a
     /// dynamic-allocation controller reacts to).
     pub fn pending_tasks(&self) -> usize {
-        self.inner.borrow().pending.len()
+        self.shared.inner.borrow().pending.len()
     }
 
     /// Whether any submitted job has not completed yet.
     pub fn has_active_jobs(&self) -> bool {
-        self.inner.borrow().jobs.iter().any(|j| !j.done)
+        !self.shared.inner.borrow().active.is_empty()
     }
 
     /// Number of live, non-draining executors.
     pub fn active_executors(&self) -> usize {
-        let inner = self.inner.borrow();
+        let inner = self.shared.inner.borrow();
         inner
             .execs
             .iter()
@@ -429,17 +722,20 @@ impl Engine {
         on_drained: impl FnOnce(&mut Sim, ExecutorId) + 'static,
     ) {
         let finish_now = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(meta) = inner.exec_mut(*id) else {
+            let mut inner = self.shared.inner.borrow_mut();
+            let Some(slot) = inner.exec_slot(*id) else {
                 return;
             };
-            if !meta.alive || meta.draining {
+            if !inner.execs[slot].alive || inner.execs[slot].draining {
                 return;
             }
-            meta.draining = true;
-            meta.on_drained = Some(Box::new(on_drained));
-            let idle = meta.running.is_none();
-            self.log
+            let idle = inner.update_exec(slot, |meta| {
+                meta.draining = true;
+                meta.on_drained = Some(Box::new(on_drained));
+                meta.running.is_none()
+            });
+            self.shared
+                .log
                 .push(sim.now(), EngineEventKind::ExecutorDraining { exec: *id });
             idle
         };
@@ -453,53 +749,46 @@ impl Engine {
     /// executor-local, its map outputs are invalidated and the affected
     /// stages roll back.
     pub fn kill_executor(&self, sim: &mut Sim, id: &ExecutorId) {
-        let killed = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(meta) = inner.exec_mut(*id) else {
+        let sh = &*self.shared;
+        {
+            let mut inner = sh.inner.borrow_mut();
+            let inner = &mut *inner;
+            let Some(slot) = inner.exec_slot(*id) else {
                 return;
             };
-            if !meta.alive {
+            if !inner.execs[slot].alive {
                 return;
             }
-            meta.alive = false;
-            let running = meta.running.take();
-            self.log
+            let running = inner.update_exec(slot, |meta| {
+                meta.alive = false;
+                meta.running.take()
+            });
+            sh.log
                 .push(sim.now(), EngineEventKind::ExecutorLost { exec: *id });
-            if let Some(attempt) = running {
-                if let Some(info) = inner.attempts.remove(&attempt) {
-                    self.log.push(
-                        sim.now(),
-                        EngineEventKind::TaskFailed {
-                            stage: info.stage,
-                            part: info.part,
-                            exec: *id,
-                            reason: "executor lost".into(),
-                        },
-                    );
-                    if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                        self.tele.task_failed(
-                            sim.now(),
-                            job.metrics_mut(),
-                            info.span,
-                            info.stage,
-                            info.part,
-                            FailureKind::ExecutorLost,
-                        );
-                        let st = &mut job.status[info.stage.0 as usize];
-                        st.running.remove(&info.part);
-                        st.queued.insert(info.part);
-                        inner.pending.push_front((info.job, info.stage, info.part));
-                    }
-                }
+            if let Some(Attempt { info, .. }) = running.and_then(|a| inner.take_attempt(a)) {
+                sh.log.push(
+                    sim.now(),
+                    EngineEventKind::TaskFailed {
+                        stage: info.stage,
+                        part: info.part,
+                        exec: *id,
+                        reason: "executor lost".into(),
+                    },
+                );
+                sh.tele.task_failed(
+                    sim.now(),
+                    inner.jobs[info.job.0 as usize].metrics_mut(),
+                    info.span,
+                    info.stage,
+                    info.part,
+                    FailureKind::ExecutorLost,
+                );
+                inner.requeue(&info);
             }
-            true
-        };
-        if !killed {
-            return;
         }
-        self.store.on_executor_lost(sim, id.as_str());
-        if !self.store.survives_executor_loss() {
-            let affected = self.inner.borrow_mut().tracker.unregister_executor(id);
+        sh.store.on_executor_lost(sim, id.as_str());
+        if !sh.store.survives_executor_loss() {
+            let affected = sh.inner.borrow_mut().tracker.unregister_executor(id);
             if !affected.is_empty() {
                 self.rollback_incomplete_stages(sim);
             }
@@ -513,11 +802,15 @@ impl Engine {
     /// the query the chaos plane's differential oracle uses to predict
     /// `StageRolledBack` events before performing a kill.
     pub fn would_rollback_on_loss(&self, id: &ExecutorId) -> bool {
-        if self.store.survives_executor_loss() {
+        if self.shared.store.survives_executor_loss() {
             return false;
         }
-        let inner = self.inner.borrow();
-        inner.jobs.iter().filter(|j| !j.done).any(|job| {
+        let inner = self.shared.inner.borrow();
+        inner.active.iter().any(|job_id| {
+            let job = inner.jobs[job_id.0 as usize]
+                .live
+                .as_ref()
+                .expect("active job is live");
             job.graph.stages.iter().any(|stage| {
                 let StageKind::ShuffleMap(dep) = &stage.kind else {
                     return false;
@@ -541,32 +834,36 @@ impl Engine {
             factor.is_finite() && factor > 0.0,
             "invalid speed factor {factor}"
         );
-        if let Some(meta) = self.inner.borrow_mut().exec_mut(*id) {
-            meta.speed_factor = factor;
+        let mut inner = self.shared.inner.borrow_mut();
+        if let Some(slot) = inner.exec_slot(*id) {
+            inner.update_exec(slot, |meta| meta.speed_factor = factor);
         }
     }
 
     fn decommission(&self, sim: &mut Sim, id: ExecutorId) {
+        let sh = &*self.shared;
         let cb = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(meta) = inner.exec_mut(id) else {
+            let mut inner = sh.inner.borrow_mut();
+            let Some(slot) = inner.exec_slot(id) else {
                 return;
             };
-            if !meta.alive {
+            if !inner.execs[slot].alive {
                 return;
             }
-            meta.alive = false;
-            let cb = meta.on_drained.take();
-            self.log.push(
+            let cb = inner.update_exec(slot, |meta| {
+                meta.alive = false;
+                meta.on_drained.take()
+            });
+            sh.log.push(
                 sim.now(),
                 EngineEventKind::ExecutorDecommissioned { exec: id },
             );
             cb
         };
         // A decommissioned executor's node is gone; local blocks with it.
-        self.store.on_executor_lost(sim, id.as_str());
-        if !self.store.survives_executor_loss() {
-            let affected = self.inner.borrow_mut().tracker.unregister_executor(&id);
+        sh.store.on_executor_lost(sim, id.as_str());
+        if !sh.store.survives_executor_loss() {
+            let affected = sh.inner.borrow_mut().tracker.unregister_executor(&id);
             if !affected.is_empty() {
                 self.rollback_incomplete_stages(sim);
             }
@@ -580,22 +877,23 @@ impl Engine {
     /// Marks stages whose map outputs vanished as needing resubmission and
     /// pulls now-unrunnable queued tasks back out of the dispatch queue.
     fn rollback_incomplete_stages(&self, sim: &mut Sim) {
-        let mut inner = self.inner.borrow_mut();
+        let sh = &*self.shared;
+        let mut inner = sh.inner.borrow_mut();
         let inner = &mut *inner;
         let mut dequeue: FastSet<(JobId, StageId)> = FastSet::default();
-        for (job_idx, job) in inner.jobs.iter_mut().enumerate() {
-            if job.done {
-                continue;
-            }
-            let job_id = JobId(job_idx as u64);
+        for &job_id in &inner.active {
+            let job = inner.jobs[job_id.0 as usize]
+                .live
+                .as_mut()
+                .expect("active job is live");
             for stage in &job.graph.stages {
                 let st = &mut job.status[stage.id.0 as usize];
                 if let StageKind::ShuffleMap(dep) = &stage.kind {
                     if st.state == Some(StageState::Done) && !inner.tracker.is_complete(dep.id) {
-                        let missing = inner.tracker.missing(dep.id).len();
+                        let missing = inner.tracker.missing(dep.id).count();
                         st.state = Some(StageState::Waiting);
-                        self.tele.stage_rolled_back(sim.now(), stage.id, missing);
-                        self.log.push(
+                        sh.tele.stage_rolled_back(sim.now(), stage.id, missing);
+                        sh.log.push(
                             sim.now(),
                             EngineEventKind::StageRolledBack {
                                 stage: stage.id,
@@ -639,7 +937,7 @@ impl Engine {
         on_done: impl FnOnce(&mut Sim, JobOutput) + 'static,
     ) -> JobId {
         let job_id = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.shared.inner.borrow_mut();
             let id = JobId(inner.jobs.len() as u64);
             let graph = build_stages(final_node);
             // Register every shuffle in the tracker.
@@ -650,7 +948,7 @@ impl Engine {
                         .register_shuffle(dep.id, dep.parent.num_partitions());
                 }
             }
-            self.log.push(
+            self.shared.log.push(
                 sim.now(),
                 EngineEventKind::JobSubmitted {
                     job: id,
@@ -659,14 +957,18 @@ impl Engine {
             );
             let n_stages = graph.len();
             let result_width = graph.stage(graph.result).num_tasks;
-            inner.jobs.push(JobState {
-                graph,
-                status: (0..n_stages).map(|_| StageStatus::default()).collect(),
-                result_parts: vec![None; result_width],
-                on_done: Some(Box::new(on_done)),
+            inner.jobs.push(JobSlot {
                 metrics: Arc::new(JobMetrics::start(id, sim.now())),
                 done: false,
+                live: Some(LiveJob {
+                    graph,
+                    status: (0..n_stages).map(|_| StageStatus::default()).collect(),
+                    result_parts: vec![None; result_width],
+                    on_done: Some(Box::new(on_done)),
+                    attempts: 0,
+                }),
             });
+            inner.active.push(id);
             id
         };
         self.progress_job(sim, job_id);
@@ -677,21 +979,25 @@ impl Engine {
     /// newly-runnable tasks, finishes the job when the result stage is
     /// done. Then dispatches.
     fn progress_job(&self, sim: &mut Sim, job_id: JobId) {
+        let sh = &*self.shared;
         let mut finished: Option<(JobDoneCallback, JobOutput)> = None;
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
-            let Some(job) = inner.jobs.get_mut(job_id.0 as usize) else {
+            let Some(slot) = inner.jobs.get_mut(job_id.0 as usize) else {
                 return;
             };
-            if job.done {
+            if slot.done {
+                // A stale attempt of a finished job just ended; it may
+                // have been the last thing holding the job's state.
+                inner.retire_if_over(job_id);
                 return;
             }
-            // Split the metrics borrow off up front: the stage walk holds
-            // `job.graph` borrowed, and field-disjoint access is the only
-            // way to mutate metrics inside it.
+            // `metrics` and `live` are disjoint fields: the stage walk
+            // holds the graph borrowed while it counts into the metrics.
             let metrics =
-                Arc::get_mut(&mut job.metrics).expect("in-flight job metrics are uniquely owned");
+                Arc::get_mut(&mut slot.metrics).expect("in-flight job metrics are uniquely owned");
+            let job = slot.live.as_mut().expect("a running job is live");
             // Iterate stages in topological (id) order.
             for stage in &job.graph.stages {
                 let sidx = stage.id.0 as usize;
@@ -709,9 +1015,11 @@ impl Engine {
                 if complete {
                     if st.state != Some(StageState::Done) {
                         st.state = Some(StageState::Done);
-                        self.tele.stage_completed(metrics);
-                        self.log
-                            .push(sim.now(), EngineEventKind::StageCompleted { stage: stage.id });
+                        sh.tele.stage_completed(metrics);
+                        sh.log.push(
+                            sim.now(),
+                            EngineEventKind::StageCompleted { stage: stage.id },
+                        );
                     }
                     continue;
                 }
@@ -719,26 +1027,27 @@ impl Engine {
                     continue;
                 }
                 // Runnable: queue whatever is missing and not in flight.
-                let missing: Vec<usize> = match &stage.kind {
-                    StageKind::ShuffleMap(dep) => inner.tracker.missing(dep.id),
+                let mut queued_now = 0;
+                let mut queue_part = |part: usize| {
+                    if !st.queued.contains(part) && !st.running.contains(part) {
+                        st.queued.insert(part);
+                        inner.pending.push_back((job_id, stage.id, part));
+                        queued_now += 1;
+                    }
+                };
+                match &stage.kind {
+                    StageKind::ShuffleMap(dep) => {
+                        inner.tracker.missing(dep.id).for_each(&mut queue_part)
+                    }
                     StageKind::Result => job
                         .result_parts
                         .iter()
                         .enumerate()
                         .filter(|(_, p)| p.is_none())
-                        .map(|(i, _)| i)
-                        .collect(),
-                };
-                let mut queued_now = 0;
-                for part in missing {
-                    if !st.queued.contains(&part) && !st.running.contains(&part) {
-                        st.queued.insert(part);
-                        inner.pending.push_back((job_id, stage.id, part));
-                        queued_now += 1;
-                    }
+                        .for_each(|(part, _)| queue_part(part)),
                 }
                 if queued_now > 0 {
-                    self.log.push(
+                    sh.log.push(
                         sim.now(),
                         EngineEventKind::StageSubmitted {
                             stage: stage.id,
@@ -750,11 +1059,11 @@ impl Engine {
             }
 
             // Job completion.
-            if job.result_parts.iter().all(Option::is_some) && !job.done {
-                job.done = true;
+            if job.result_parts.iter().all(Option::is_some) {
+                slot.done = true;
                 metrics.completed_at = sim.now();
-                self.tele.job_completed(sim.now(), job_id, &job.metrics);
-                self.log
+                sh.tele.job_completed(sim.now(), job_id, &slot.metrics);
+                sh.log
                     .push(sim.now(), EngineEventKind::JobCompleted { job: job_id });
                 // Hand the job's only references over: `collect_partitions`
                 // can then move the rows out instead of cloning them (the
@@ -767,11 +1076,17 @@ impl Engine {
                 let output = JobOutput {
                     partitions,
                     // From here on the metrics block is frozen; share it.
-                    metrics: Arc::clone(&job.metrics),
+                    metrics: Arc::clone(&slot.metrics),
                 };
                 if let Some(cb) = job.on_done.take() {
                     finished = Some((cb, output));
                 }
+                let at = inner
+                    .active
+                    .binary_search(&job_id)
+                    .expect("a running job is active");
+                inner.active.remove(at);
+                inner.retire_if_over(job_id);
             }
         }
         if let Some((cb, output)) = finished {
@@ -781,15 +1096,9 @@ impl Engine {
     }
 
     fn progress_all_jobs(&self, sim: &mut Sim) {
-        let ids: Vec<JobId> = self
-            .inner
-            .borrow()
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| !j.done)
-            .map(|(id, _)| JobId(id as u64))
-            .collect();
+        // A snapshot: progressing one job can finish it, and its callback
+        // can submit more (those progress themselves on submission).
+        let ids = self.shared.inner.borrow().active.clone();
         for id in ids {
             self.progress_job(sim, id);
         }
@@ -799,7 +1108,8 @@ impl Engine {
     /// order. The returned `Arc`s share the scheduler's own metrics
     /// blocks — no per-job deep copy.
     pub fn completed_job_metrics(&self) -> Vec<Arc<JobMetrics>> {
-        self.inner
+        self.shared
+            .inner
             .borrow()
             .jobs
             .iter()
@@ -811,7 +1121,8 @@ impl Engine {
     /// A completed job's metrics (available after `on_done` fired),
     /// shared rather than cloned.
     pub fn job_metrics(&self, job: JobId) -> Option<Arc<JobMetrics>> {
-        self.inner
+        self.shared
+            .inner
             .borrow()
             .jobs
             .get(job.0 as usize)
@@ -822,31 +1133,44 @@ impl Engine {
 
     /// Pairs pending tasks with idle executors.
     fn dispatch(&self, sim: &mut Sim) {
+        let sh = &*self.shared;
         loop {
-            let launch = {
-                let mut inner = self.inner.borrow_mut();
+            let (attempt, start_at) = {
+                let mut inner = sh.inner.borrow_mut();
                 let inner = &mut *inner;
-                // Find an idle, live, non-draining executor (name order —
-                // see `execs_by_name`).
-                let slot = inner
-                    .execs_by_name
-                    .iter()
-                    .map(|&s| s as usize)
-                    .find(|&s| {
-                        let m = &inner.execs[s];
-                        m.alive && !m.draining && m.running.is_none()
-                    });
-                let Some(slot) = slot else { break };
+                // The common call finds nothing queued; look there before
+                // scanning the executor table.
+                if inner.pending.is_empty() {
+                    break;
+                }
+                // The first idle, live, non-draining executor in name order
+                // (see `execs_by_name`).
+                let Some(pos) = inner.idle.first() else { break };
+                let slot = inner.execs_by_name[pos] as usize;
+                debug_assert_eq!(
+                    inner
+                        .execs_by_name
+                        .iter()
+                        .position(|&s| inner.execs[s as usize].takes_tasks()),
+                    Some(pos),
+                    "idle set out of step with the executor table"
+                );
                 let exec_id = inner.execs[slot].desc.id;
                 // Pop the next dispatchable task.
                 let Some((job_id, stage_id, part)) = inner.pending.pop_front() else {
                     break;
                 };
-                let Some(job) = inner.jobs.get_mut(job_id.0 as usize) else {
+                // An entry can outlive its job (queued twice, then the
+                // job ran to the end and was retired).
+                let Some(job) = inner
+                    .jobs
+                    .get_mut(job_id.0 as usize)
+                    .and_then(|slot| slot.live.as_mut())
+                else {
                     continue;
                 };
                 let st = &mut job.status[stage_id.0 as usize];
-                if !st.queued.remove(&part) {
+                if !st.queued.remove(part) {
                     continue; // stale entry (rolled back or duplicate)
                 }
                 let stage = job.graph.stage(stage_id);
@@ -857,6 +1181,9 @@ impl Engine {
                     .iter()
                     .all(|d| inner.tracker.is_complete(d.id))
                 {
+                    // Dropped, not re-queued: if that was a finished job's
+                    // last queued task, nothing holds the job any more.
+                    inner.retire_if_over(job_id);
                     continue;
                 }
                 // Re-validate the executor chosen at the top of this
@@ -865,34 +1192,20 @@ impl Engine {
                 // of the scheduler state), but a kill arriving in between
                 // must requeue the task, not panic the driver — this was
                 // an `.expect("dispatch picked a live executor")`.
-                let meta = match &mut inner.execs[slot] {
-                    m if m.alive && !m.draining && m.running.is_none() => m,
-                    _ => {
-                        st.queued.insert(part);
-                        inner.pending.push_front((job_id, stage_id, part));
-                        continue;
-                    }
-                };
+                if !inner.execs[slot].takes_tasks() {
+                    st.queued.insert(part);
+                    inner.pending.push_front((job_id, stage_id, part));
+                    continue;
+                }
+                let kind = inner.execs[slot].desc.kind;
                 st.running.insert(part);
+                job.attempts += 1;
                 let attempt = AttemptId(inner.next_attempt);
                 inner.next_attempt += 1;
-                meta.running = Some(attempt);
-                let span =
-                    self.tele
-                        .task_started(sim.now(), exec_id, meta.desc.kind, stage_id, part);
-                inner.attempts.insert(
-                    attempt,
-                    AttemptInfo {
-                        job: job_id,
-                        stage: stage_id,
-                        part,
-                        exec: exec_id,
-                        span,
-                        started_at: sim.now(),
-                        straggler_flagged: false,
-                    },
-                );
-                self.log.push(
+                let span = sh
+                    .tele
+                    .task_started(sim.now(), exec_id, kind, stage_id, part);
+                sh.log.push(
                     sim.now(),
                     EngineEventKind::TaskStarted {
                         stage: stage_id,
@@ -903,195 +1216,180 @@ impl Engine {
                 // Build the fetch plan: (shuffle, map index, writer, size).
                 // Blocks are identified lazily at fetch time — the plan
                 // carries only `Copy` handles, no per-block strings.
-                let shuffle_ids: Vec<ShuffleId> =
-                    stage.input_shuffles.iter().map(|d| d.id).collect();
-                let mut plan: Vec<(ShuffleId, usize, ExecutorId, u64)> = Vec::new();
+                let mut plan = Vec::new();
                 for dep in &stage.input_shuffles {
                     inner
                         .tracker
                         .inputs_for_reduce_into(dep.id, part, &mut plan);
                 }
+                inner.update_exec(slot, |meta| meta.running = Some(attempt));
+                inner.attempts.insert(
+                    attempt,
+                    Attempt {
+                        info: AttemptInfo {
+                            job: job_id,
+                            stage: stage_id,
+                            part,
+                            exec: exec_id,
+                            span,
+                            started_at: sim.now(),
+                            straggler_flagged: false,
+                        },
+                        plan,
+                        io: ShuffleIo::Idle,
+                    },
+                );
                 // The driver is a single-threaded dispatcher: task
                 // launches serialize through it.
-                let start_at = {
-                    let t = inner.driver_free_at.max(sim.now()) + inner.cfg.driver_dispatch;
-                    inner.driver_free_at = t;
-                    t
-                };
-                Some((attempt, shuffle_ids, plan, start_at))
+                let start_at = inner.driver_free_at.max(sim.now()) + inner.cfg.driver_dispatch;
+                inner.driver_free_at = start_at;
+                (attempt, start_at)
             };
-            match launch {
-                Some((attempt, shuffle_ids, plan, start_at)) => {
-                    let engine = self.clone();
-                    sim.schedule_at(start_at, move |sim| {
-                        engine.begin_fetch(sim, attempt, shuffle_ids, plan);
-                    });
-                }
-                None => continue,
-            }
+            let engine = self.clone();
+            sim.schedule_at(start_at, move |sim| engine.begin_fetch(sim, attempt));
         }
-    }
-
-    fn attempt_live(&self, attempt: AttemptId) -> bool {
-        self.inner.borrow().attempts.contains_key(&attempt)
     }
 
     /// Starts the (window-bounded) shuffle fetch for a task, then runs its
     /// computation.
-    fn begin_fetch(
+    fn begin_fetch(&self, sim: &mut Sim, attempt: AttemptId) {
+        let sh = &*self.shared;
+        let gets = {
+            let mut inner = sh.inner.borrow_mut();
+            let inner = &mut *inner;
+            let Some(a) = inner.attempts.get(&attempt) else {
+                return;
+            };
+            let (info, blocks) = (a.info, a.plan.len());
+            if blocks == 0 {
+                let job = inner.jobs[info.job.0 as usize]
+                    .live
+                    .as_ref()
+                    .expect("an attempt pins its job");
+                Err(task_inputs(job.graph.stage(info.stage), &[], Vec::new()))
+            } else {
+                let meta = inner.exec(info.exec).expect("executor of live attempt");
+                let span = sh.tele.shuffle_phase_started(
+                    sim.now(),
+                    info.exec,
+                    meta.desc.kind,
+                    "shuffle fetch",
+                );
+                let client = meta.desc.client_loc();
+                let a = inner.attempts.get_mut(&attempt).expect("seen above");
+                a.io = ShuffleIo::Fetch(FetchWindow {
+                    next: 0,
+                    outstanding: 0,
+                    blocks: vec![None; blocks],
+                    client,
+                    span,
+                    started: sim.now(),
+                });
+                Ok(inner.cfg.max_fetch_concurrency.max(1).min(blocks))
+            }
+        };
+        match gets {
+            Ok(window) => (0..window).for_each(|_| self.fetch_next(sim, attempt)),
+            Err(no_inputs) => self.run_compute(sim, attempt, no_inputs, 0),
+        }
+    }
+
+    /// Requests the attempt's next planned block, if any is left. A no-op
+    /// for a dead attempt: a get can fail synchronously and take the
+    /// attempt down while its window is still being opened.
+    fn fetch_next(&self, sim: &mut Sim, attempt: AttemptId) {
+        let sh = &*self.shared;
+        let (client, block, at, span) = {
+            let mut inner = sh.inner.borrow_mut();
+            let Some(a) = inner.attempts.get_mut(&attempt) else {
+                return;
+            };
+            let ShuffleIo::Fetch(f) = &mut a.io else {
+                return;
+            };
+            let Some(&(shuffle, map, writer, _)) = a.plan.get(f.next) else {
+                return;
+            };
+            let at = f.next;
+            f.next += 1;
+            f.outstanding += 1;
+            let block = BlockId::shuffle(writer, shuffle.0, map as u64, a.info.part as u64);
+            (f.client, block, at, f.span)
+        };
+        let engine = self.clone();
+        sh.store.get(
+            sim,
+            client,
+            block,
+            Box::new(move |sim, result| engine.fetch_landed(sim, attempt, at, span, result)),
+        );
+    }
+
+    /// A get of plan entry `at` came back.
+    fn fetch_landed(
         &self,
         sim: &mut Sim,
         attempt: AttemptId,
-        shuffle_ids: Vec<ShuffleId>,
-        plan: Vec<(ShuffleId, usize, ExecutorId, u64)>,
+        at: usize,
+        span: SpanId,
+        result: Result<Bytes, StoreError>,
     ) {
-        // Every input shuffle gets an entry even when this reduce partition
-        // receives no bytes from it (all buckets empty).
-        let mut base: FastMap<ShuffleId, Vec<(usize, Bytes)>> = FastMap::default();
-        for id in &shuffle_ids {
-            base.insert(*id, Vec::new());
+        enum Next {
+            Fetch,
+            Compute(FastMap<ShuffleId, Vec<Bytes>>, u64, SimTime),
+            Failed(ShuffleId, usize, StoreError),
         }
-        // Sorting by map index gives every reduce task a canonical input
-        // order regardless of fetch-completion timing.
-        fn in_map_order(
-            results: FastMap<ShuffleId, Vec<(usize, Bytes)>>,
-        ) -> FastMap<ShuffleId, Vec<Bytes>> {
-            results
-                .into_iter()
-                .map(|(id, mut blocks)| {
-                    blocks.sort_by_key(|(m, _)| *m);
-                    (id, blocks.into_iter().map(|(_, b)| b).collect())
-                })
-                .collect()
-        }
-        if plan.is_empty() {
-            self.run_compute(sim, attempt, in_map_order(base), 0);
-            return;
-        }
-        let (client, fetch_span, part) = {
-            let inner = self.inner.borrow();
-            let Some(info) = inner.attempts.get(&attempt) else {
-                return;
-            };
-            let meta = inner.exec(info.exec).expect("executor of live attempt");
-            let span = self.tele.shuffle_phase_started(
-                sim.now(),
-                info.exec,
-                meta.desc.kind,
-                "shuffle fetch",
-            );
-            (meta.desc.client_loc(), span, info.part)
-        };
-        let fetched_bytes: u64 = plan.iter().map(|(_, _, _, s)| s).sum();
-        struct FetchState {
-            queue: VecDeque<(ShuffleId, usize, ExecutorId)>,
-            /// Fetched blocks with their map index: completions arrive in
-            /// whatever order the store finishes them (fault injection and
-            /// latency windows reshuffle that order), so blocks are sorted
-            /// by map index before compute — task inputs, and therefore
-            /// outputs, stay bit-identical across fault schedules.
-            results: FastMap<ShuffleId, Vec<(usize, Bytes)>>,
-            outstanding: usize,
-            aborted: bool,
-            span: SpanId,
-            started: SimTime,
-        }
-        let state = Rc::new(RefCell::new(FetchState {
-            queue: plan.iter().map(|&(s, m, w, _)| (s, m, w)).collect(),
-            results: base,
-            outstanding: 0,
-            aborted: false,
-            span: fetch_span,
-            started: sim.now(),
-        }));
-        let window = self.inner.borrow().cfg.max_fetch_concurrency.max(1);
-
-        fn spawn_next(
-            engine: &Engine,
-            sim: &mut Sim,
-            attempt: AttemptId,
-            part: usize,
-            state: &Rc<RefCell<FetchState>>,
-            client: splitserve_storage::ClientLoc,
-            fetched_bytes: u64,
-        ) {
-            let next = {
-                let mut st = state.borrow_mut();
-                if st.aborted {
+        let sh = &*self.shared;
+        let next = {
+            let mut inner = sh.inner.borrow_mut();
+            let inner = &mut *inner;
+            match (inner.attempts.get_mut(&attempt), result) {
+                (None, _) => {
+                    sh.tele.shuffle_phase_aborted(sim.now(), span);
                     return;
                 }
-                match st.queue.pop_front() {
-                    Some(item) => {
-                        st.outstanding += 1;
-                        Some(item)
-                    }
-                    None => None,
-                }
-            };
-            let Some((shuffle, map, writer)) = next else {
-                return;
-            };
-            let engine2 = engine.clone();
-            let state2 = Rc::clone(state);
-            engine.store.get(
-                sim,
-                client,
-                BlockId::shuffle(writer, shuffle.0, map as u64, part as u64),
-                Box::new(move |sim, result| {
-                    if !engine2.attempt_live(attempt) {
-                        let span = {
-                            let mut st = state2.borrow_mut();
-                            st.aborted = true;
-                            st.span
+                (Some(a), Ok(bytes)) => {
+                    let ShuffleIo::Fetch(f) = &mut a.io else {
+                        unreachable!("a landing get belongs to a fetching attempt");
+                    };
+                    f.outstanding -= 1;
+                    f.blocks[at] = Some(bytes);
+                    if f.next < a.plan.len() || f.outstanding > 0 {
+                        Next::Fetch
+                    } else {
+                        let ShuffleIo::Fetch(f) = std::mem::replace(&mut a.io, ShuffleIo::Idle)
+                        else {
+                            unreachable!("matched above");
                         };
-                        engine2.tele.shuffle_phase_aborted(sim.now(), span);
-                        return;
+                        let plan = std::mem::take(&mut a.plan);
+                        let job = inner.jobs[a.info.job.0 as usize]
+                            .live
+                            .as_ref()
+                            .expect("an attempt pins its job");
+                        Next::Compute(
+                            task_inputs(job.graph.stage(a.info.stage), &plan, f.blocks),
+                            plan.iter().map(|(_, _, _, size)| size).sum(),
+                            f.started,
+                        )
                     }
-                    match result {
-                        Ok(bytes) => {
-                            let done = {
-                                let mut st = state2.borrow_mut();
-                                st.outstanding -= 1;
-                                st.results.entry(shuffle).or_default().push((map, bytes));
-                                st.queue.is_empty() && st.outstanding == 0
-                            };
-                            if done {
-                                let (results, span, started) = {
-                                    let mut st = state2.borrow_mut();
-                                    (std::mem::take(&mut st.results), st.span, st.started)
-                                };
-                                engine2
-                                    .tele
-                                    .shuffle_phase_finished(sim.now(), span, "fetch", started);
-                                engine2.run_compute(sim, attempt, in_map_order(results), fetched_bytes);
-                            } else {
-                                spawn_next(
-                                    &engine2,
-                                    sim,
-                                    attempt,
-                                    part,
-                                    &state2,
-                                    client,
-                                    fetched_bytes,
-                                );
-                            }
-                        }
-                        Err(err) => {
-                            let span = {
-                                let mut st = state2.borrow_mut();
-                                st.aborted = true;
-                                st.span
-                            };
-                            engine2.tele.shuffle_phase_aborted(sim.now(), span);
-                            engine2.fetch_failed(sim, attempt, shuffle, map, err);
-                        }
-                    }
-                }),
-            );
-        }
-
-        for _ in 0..window.min(plan.len()) {
-            spawn_next(self, sim, attempt, part, &state, client, fetched_bytes);
+                }
+                (Some(a), Err(err)) => {
+                    let (shuffle, map, ..) = a.plan[at];
+                    Next::Failed(shuffle, map, err)
+                }
+            }
+        };
+        match next {
+            Next::Fetch => self.fetch_next(sim, attempt),
+            Next::Compute(inputs, fetched_bytes, started) => {
+                sh.tele
+                    .shuffle_phase_finished(sim.now(), span, "fetch", started);
+                self.run_compute(sim, attempt, inputs, fetched_bytes);
+            }
+            Next::Failed(shuffle, map, err) => {
+                sh.tele.shuffle_phase_aborted(sim.now(), span);
+                self.fetch_failed(sim, attempt, shuffle, map, err);
+            }
         }
     }
 
@@ -1119,12 +1417,14 @@ impl Engine {
         inputs: FastMap<ShuffleId, Vec<Bytes>>,
         fetched_bytes: u64,
     ) {
+        let sh = &*self.shared;
         let (terminal, kind, part, work, speed, mem_bytes) = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
-            let Some(&info) = inner.attempts.get(&attempt) else {
+            let Some(a) = inner.attempts.get(&attempt) else {
                 return;
             };
+            let info = a.info;
             let (speed, mem_bytes) = {
                 let meta = inner.exec(info.exec).expect("executor of live attempt");
                 (
@@ -1132,11 +1432,9 @@ impl Engine {
                     meta.desc.memory_bytes(),
                 )
             };
-            let job = inner
-                .jobs
-                .get_mut(info.job.0 as usize)
-                .expect("job of live attempt");
-            self.tele.shuffle_read(job.metrics_mut(), fetched_bytes);
+            let slot = &mut inner.jobs[info.job.0 as usize];
+            sh.tele.shuffle_read(slot.metrics_mut(), fetched_bytes);
+            let job = slot.live.as_ref().expect("an attempt pins its job");
             let stage = job.graph.stage(info.stage);
             (
                 Arc::clone(&stage.terminal),
@@ -1153,7 +1451,7 @@ impl Engine {
             .map(|b| b.len() as u64)
             .sum::<u64>() as f64
             * work.deser_secs_per_byte;
-        let obs = self.tele.obs().clone();
+        let obs = sh.tele.obs().clone();
         let body_work = work.clone();
         let body = move || {
             let mut ctx = TaskContext::new(body_work, inputs).with_obs(obs);
@@ -1166,21 +1464,31 @@ impl Engine {
             };
             (payload, ctx.cpu_secs(), ctx.working_set_bytes())
         };
-        let pending = match &self.pool {
-            Some(pool) => PendingBody::Pooled(pool.submit(body)),
-            None => PendingBody::Inline(Box::new(body)),
-        };
         let launched_at = sim.now();
-        let join_at = launched_at
-            + work.task_overhead
-            + SimDuration::from_secs_f64(deser_secs / speed);
+        let join_at =
+            launched_at + work.task_overhead + SimDuration::from_secs_f64(deser_secs / speed);
         let engine = self.clone();
-        sim.schedule_at(join_at, move |sim| {
-            engine.join_compute(sim, attempt, pending, launched_at, work, speed, mem_bytes);
-        });
+        // One event either way: a pooled body is already running on a
+        // worker thread and is collected at the join; an inline body rides
+        // in the join event and runs when it fires.
+        match &sh.pool {
+            Some(pool) => {
+                let running = pool.submit(body);
+                sim.schedule_at(join_at, move |sim| {
+                    let done = running.join();
+                    engine.join_compute(sim, attempt, done, launched_at, work, speed, mem_bytes);
+                });
+            }
+            None => {
+                sim.schedule_at(join_at, move |sim| {
+                    let done = body();
+                    engine.join_compute(sim, attempt, done, launched_at, work, speed, mem_bytes);
+                });
+            }
+        }
     }
 
-    /// The join event: collects the task body's result and schedules the
+    /// The join event, once it holds the task body's result: schedules the
     /// completion at the instant the duration model dictates. Runs even
     /// when the attempt died mid-flight (`after_compute` discards dead
     /// attempts) so the event structure never depends on fault timing.
@@ -1189,13 +1497,12 @@ impl Engine {
         &self,
         sim: &mut Sim,
         attempt: AttemptId,
-        pending: PendingBody,
+        (payload, cpu, working_set): BodyResult,
         launched_at: SimTime,
         work: crate::config::WorkModel,
         speed: f64,
         mem_bytes: u64,
     ) {
-        let (payload, cpu, working_set) = pending.resolve();
         let pressure = working_set as f64 / mem_bytes as f64;
         let gc = work.gc_factor(pressure);
         let dur = work.task_overhead + SimDuration::from_secs_f64(cpu / speed * gc);
@@ -1209,195 +1516,171 @@ impl Engine {
 
     /// The task's modeled CPU time has elapsed; persist outputs.
     fn after_compute(&self, sim: &mut Sim, attempt: AttemptId, payload: ComputePayload, cpu: f64) {
-        let (info, shuffle_id, client) = {
-            let inner = self.inner.borrow();
-            let Some(&info) = inner.attempts.get(&attempt) else {
-                return; // executor died while "computing"
-            };
-            let job = &inner.jobs[info.job.0 as usize];
-            let sid = match &job.graph.stage(info.stage).kind {
-                StageKind::ShuffleMap(dep) => Some(dep.id),
-                StageKind::Result => None,
-            };
-            let client = inner
-                .exec(info.exec)
-                .expect("executor of live attempt")
-                .desc
-                .client_loc();
-            (info, sid, client)
-        };
         match payload {
             ComputePayload::ResultOut(data) => {
                 {
-                    let mut inner = self.inner.borrow_mut();
-                    if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                        job.result_parts[info.part] = Some(data);
-                        self.tele.task_cpu(job.metrics_mut(), cpu);
-                    }
+                    let mut inner = self.shared.inner.borrow_mut();
+                    let Some(a) = inner.attempts.get(&attempt) else {
+                        return; // executor died while "computing"
+                    };
+                    let info = a.info;
+                    let slot = &mut inner.jobs[info.job.0 as usize];
+                    slot.live
+                        .as_mut()
+                        .expect("an attempt pins its job")
+                        .result_parts[info.part] = Some(data);
+                    self.shared.tele.task_cpu(slot.metrics_mut(), cpu);
                 }
                 self.task_done(sim, attempt, cpu);
             }
-            ComputePayload::MapOut(buckets) => {
-                let sid = shuffle_id.expect("map payload implies map stage");
-                let sizes: Vec<u64> = buckets.iter().map(|b| b.bytes.len() as u64).collect();
-                let writes: Vec<(BlockId, Bytes)> = buckets
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, b)| !b.bytes.is_empty())
-                    .map(|(r, b)| {
-                        (
-                            BlockId::shuffle(info.exec, sid.0, info.part as u64, r as u64),
-                            b.bytes,
-                        )
-                    })
-                    .collect();
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                        self.tele.task_cpu(job.metrics_mut(), cpu);
-                        self.tele
-                            .shuffle_written(job.metrics_mut(), sizes.iter().sum::<u64>());
-                    }
-                }
-                self.write_map_outputs(sim, attempt, sid, sizes, writes, client, cpu);
-            }
+            ComputePayload::MapOut(buckets) => self.write_map_outputs(sim, attempt, buckets, cpu),
         }
     }
 
-    /// Window-bounded writes of map-output buckets, then registration.
-    #[allow(clippy::too_many_arguments)]
+    /// Window-bounded writes of a map task's non-empty buckets, then
+    /// registration.
     fn write_map_outputs(
         &self,
         sim: &mut Sim,
         attempt: AttemptId,
-        sid: ShuffleId,
-        sizes: Vec<u64>,
-        writes: Vec<(BlockId, Bytes)>,
-        client: splitserve_storage::ClientLoc,
+        buckets: Vec<ShuffleBucket>,
         cpu: f64,
     ) {
-        if writes.is_empty() {
-            self.map_outputs_done(sim, attempt, sid, sizes, cpu);
-            return;
+        let sh = &*self.shared;
+        let puts = {
+            let mut inner = sh.inner.borrow_mut();
+            let inner = &mut *inner;
+            let Some(a) = inner.attempts.get(&attempt) else {
+                return; // executor died while "computing"
+            };
+            let info = a.info;
+            let slot = &mut inner.jobs[info.job.0 as usize];
+            let job = slot.live.as_ref().expect("an attempt pins its job");
+            let StageKind::ShuffleMap(dep) = &job.graph.stage(info.stage).kind else {
+                unreachable!("map payload implies map stage");
+            };
+            let shuffle = dep.id;
+            let sizes: Vec<u64> = buckets.iter().map(|b| b.bytes.len() as u64).collect();
+            sh.tele.task_cpu(slot.metrics_mut(), cpu);
+            sh.tele
+                .shuffle_written(slot.metrics_mut(), sizes.iter().sum::<u64>());
+            let unsent = sizes.iter().filter(|size| **size > 0).count();
+            if unsent == 0 {
+                Err((shuffle, sizes))
+            } else {
+                let meta = inner.exec(info.exec).expect("executor of live attempt");
+                let span = sh.tele.shuffle_phase_started(
+                    sim.now(),
+                    info.exec,
+                    meta.desc.kind,
+                    "shuffle write",
+                );
+                let client = meta.desc.client_loc();
+                let a = inner.attempts.get_mut(&attempt).expect("seen above");
+                a.io = ShuffleIo::Write(WriteWindow {
+                    shuffle,
+                    buckets,
+                    next: 0,
+                    unsent,
+                    outstanding: 0,
+                    sizes,
+                    cpu,
+                    client,
+                    span,
+                    started: sim.now(),
+                });
+                Ok(inner.cfg.max_fetch_concurrency.max(1).min(unsent))
+            }
+        };
+        match puts {
+            Ok(window) => (0..window).for_each(|_| self.write_next(sim, attempt)),
+            Err((shuffle, sizes)) => self.map_outputs_done(sim, attempt, shuffle, sizes, cpu),
         }
-        let write_span = {
-            let inner = self.inner.borrow();
-            let Some(info) = inner.attempts.get(&attempt) else {
+    }
+
+    /// Hands the attempt's next non-empty bucket to the store, if any is
+    /// left; a no-op for a dead attempt, like [`Engine::fetch_next`].
+    fn write_next(&self, sim: &mut Sim, attempt: AttemptId) {
+        let sh = &*self.shared;
+        let (client, block, bytes, span) = {
+            let mut inner = sh.inner.borrow_mut();
+            let Some(a) = inner.attempts.get_mut(&attempt) else {
                 return;
             };
-            let kind = inner
-                .exec(info.exec)
-                .expect("executor of live attempt")
-                .desc
-                .kind;
-            self.tele
-                .shuffle_phase_started(sim.now(), info.exec, kind, "shuffle write")
+            let ShuffleIo::Write(w) = &mut a.io else {
+                return;
+            };
+            if w.unsent == 0 {
+                return;
+            }
+            while w.buckets[w.next].bytes.is_empty() {
+                w.next += 1;
+            }
+            let reduce = w.next;
+            w.next += 1;
+            w.unsent -= 1;
+            w.outstanding += 1;
+            let block =
+                BlockId::shuffle(a.info.exec, w.shuffle.0, a.info.part as u64, reduce as u64);
+            let bytes = w.buckets[reduce].bytes.clone();
+            (w.client, block, bytes, w.span)
         };
-        struct WriteState {
-            queue: VecDeque<(BlockId, Bytes)>,
-            outstanding: usize,
-            aborted: bool,
-            span: SpanId,
-            started: SimTime,
-        }
-        let state = Rc::new(RefCell::new(WriteState {
-            queue: writes.into_iter().collect(),
-            outstanding: 0,
-            aborted: false,
-            span: write_span,
-            started: sim.now(),
-        }));
-        let window = self.inner.borrow().cfg.max_fetch_concurrency.max(1);
-        let total = state.borrow().queue.len();
+        let engine = self.clone();
+        sh.store.put(
+            sim,
+            client,
+            block,
+            bytes,
+            Box::new(move |sim, result| engine.write_landed(sim, attempt, span, result)),
+        );
+    }
 
-        #[allow(clippy::too_many_arguments)]
-        fn spawn_next(
-            engine: &Engine,
-            sim: &mut Sim,
-            attempt: AttemptId,
-            sid: ShuffleId,
-            sizes: &Rc<Vec<u64>>,
-            state: &Rc<RefCell<WriteState>>,
-            client: splitserve_storage::ClientLoc,
-            cpu: f64,
-        ) {
-            let next = {
-                let mut st = state.borrow_mut();
-                if st.aborted {
+    /// A bucket write came back.
+    fn write_landed(
+        &self,
+        sim: &mut Sim,
+        attempt: AttemptId,
+        span: SpanId,
+        result: Result<(), StoreError>,
+    ) {
+        let sh = &*self.shared;
+        // `None`: more to write; `Some(Ok)`: all landed; `Some(Err)`: failed.
+        let next = {
+            let mut inner = sh.inner.borrow_mut();
+            match (inner.attempts.get_mut(&attempt), result) {
+                (None, _) => {
+                    sh.tele.shuffle_phase_aborted(sim.now(), span);
                     return;
                 }
-                match st.queue.pop_front() {
-                    Some(item) => {
-                        st.outstanding += 1;
-                        Some(item)
-                    }
-                    None => None,
-                }
-            };
-            let Some((block, bytes)) = next else { return };
-            let engine2 = engine.clone();
-            let state2 = Rc::clone(state);
-            let sizes2 = Rc::clone(sizes);
-            engine.store.put(
-                sim,
-                client,
-                block,
-                bytes,
-                Box::new(move |sim, result| {
-                    if !engine2.attempt_live(attempt) {
-                        let span = {
-                            let mut st = state2.borrow_mut();
-                            st.aborted = true;
-                            st.span
+                (Some(a), Ok(())) => {
+                    let ShuffleIo::Write(w) = &mut a.io else {
+                        unreachable!("a landing put belongs to a writing attempt");
+                    };
+                    w.outstanding -= 1;
+                    if w.unsent > 0 || w.outstanding > 0 {
+                        None
+                    } else {
+                        let ShuffleIo::Write(w) = std::mem::replace(&mut a.io, ShuffleIo::Idle)
+                        else {
+                            unreachable!("matched above");
                         };
-                        engine2.tele.shuffle_phase_aborted(sim.now(), span);
-                        return;
+                        Some(Ok(w))
                     }
-                    match result {
-                        Ok(()) => {
-                            let done = {
-                                let mut st = state2.borrow_mut();
-                                st.outstanding -= 1;
-                                st.queue.is_empty() && st.outstanding == 0
-                            };
-                            if done {
-                                let (span, started) = {
-                                    let st = state2.borrow();
-                                    (st.span, st.started)
-                                };
-                                engine2
-                                    .tele
-                                    .shuffle_phase_finished(sim.now(), span, "write", started);
-                                engine2.map_outputs_done(
-                                    sim,
-                                    attempt,
-                                    sid,
-                                    sizes2.as_ref().clone(),
-                                    cpu,
-                                );
-                            } else {
-                                spawn_next(
-                                    &engine2, sim, attempt, sid, &sizes2, &state2, client, cpu,
-                                );
-                            }
-                        }
-                        Err(err) => {
-                            let span = {
-                                let mut st = state2.borrow_mut();
-                                st.aborted = true;
-                                st.span
-                            };
-                            engine2.tele.shuffle_phase_aborted(sim.now(), span);
-                            engine2.task_write_failed(sim, attempt, err);
-                        }
-                    }
-                }),
-            );
-        }
-
-        let sizes = Rc::new(sizes);
-        for _ in 0..window.min(total) {
-            spawn_next(self, sim, attempt, sid, &sizes, &state, client, cpu);
+                }
+                (Some(_), Err(err)) => Some(Err(err)),
+            }
+        };
+        match next {
+            None => self.write_next(sim, attempt),
+            Some(Ok(w)) => {
+                sh.tele
+                    .shuffle_phase_finished(sim.now(), span, "write", w.started);
+                self.map_outputs_done(sim, attempt, w.shuffle, w.sizes, w.cpu);
+            }
+            Some(Err(err)) => {
+                sh.tele.shuffle_phase_aborted(sim.now(), span);
+                self.task_write_failed(sim, attempt, err);
+            }
         }
     }
 
@@ -1410,10 +1693,11 @@ impl Engine {
         cpu: f64,
     ) {
         {
-            let mut inner = self.inner.borrow_mut();
-            let Some(&info) = inner.attempts.get(&attempt) else {
+            let mut inner = self.shared.inner.borrow_mut();
+            let Some(a) = inner.attempts.get(&attempt) else {
                 return;
             };
+            let info = a.info;
             inner.tracker.register_output(
                 sid,
                 info.part,
@@ -1428,38 +1712,41 @@ impl Engine {
 
     /// Common completion path: free the executor, update metrics, progress.
     fn task_done(&self, sim: &mut Sim, attempt: AttemptId, cpu: f64) {
+        let sh = &*self.shared;
         let (job_id, decommission_target) = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
-            let Some(info) = inner.attempts.remove(&attempt) else {
+            let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
                 return;
             };
-            let meta = inner
-                .exec_mut(info.exec)
+            let slot = inner
+                .exec_slot(info.exec)
                 .expect("executor of live attempt");
-            meta.running = None;
-            meta.idle_since = sim.now();
-            meta.tasks_done += 1;
-            let kind = meta.desc.kind;
-            let drain = meta.draining && meta.alive;
+            let (kind, drain) = inner.update_exec(slot, |meta| {
+                meta.running = None;
+                meta.idle_since = sim.now();
+                meta.tasks_done += 1;
+                (meta.desc.kind, meta.draining && meta.alive)
+            });
             let run_secs = sim.now().saturating_since(info.started_at).as_secs_f64();
-            if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                self.tele.task_finished(
-                    sim.now(),
-                    job.metrics_mut(),
-                    kind,
-                    info.span,
-                    info.stage,
-                    info.part,
-                    cpu,
-                    run_secs,
-                );
-                job.status[info.stage.0 as usize].running.remove(&info.part);
-            }
-            if self.tele.obs().is_enabled() {
+            let slot = &mut inner.jobs[info.job.0 as usize];
+            sh.tele.task_finished(
+                sim.now(),
+                slot.metrics_mut(),
+                kind,
+                info.span,
+                info.stage,
+                info.part,
+                cpu,
+                run_secs,
+            );
+            slot.live.as_mut().expect("an attempt pins its job").status[info.stage.0 as usize]
+                .running
+                .remove(info.part);
+            if sh.tele.obs().is_enabled() {
                 self.straggler_watch(sim.now(), inner, &info, run_secs);
             }
-            self.log.push(
+            sh.log.push(
                 sim.now(),
                 EngineEventKind::TaskFinished {
                     stage: info.stage,
@@ -1499,14 +1786,15 @@ impl Engine {
                 _ => return,
             }
         };
-        for info in inner.attempts.values_mut() {
+        for Attempt { info, .. } in inner.attempts.values_mut() {
             if info.job != done.job || info.stage != done.stage || info.straggler_flagged {
                 continue;
             }
             let elapsed = now.saturating_since(info.started_at).as_secs_f64();
             if elapsed > threshold {
                 info.straggler_flagged = true;
-                self.tele
+                self.shared
+                    .tele
                     .straggler_suspected(now, info.span, info.stage, info.part, elapsed, threshold);
             }
         }
@@ -1522,13 +1810,14 @@ impl Engine {
         map: usize,
         err: StoreError,
     ) {
+        let sh = &*self.shared;
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
-            let Some(info) = inner.attempts.remove(&attempt) else {
+            let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
                 return;
             };
-            self.log.push(
+            sh.log.push(
                 sim.now(),
                 EngineEventKind::FetchFailed {
                     stage: info.stage,
@@ -1536,7 +1825,7 @@ impl Engine {
                     shuffle,
                 },
             );
-            self.log.push(
+            sh.log.push(
                 sim.now(),
                 EngineEventKind::TaskFailed {
                     stage: info.stage,
@@ -1546,23 +1835,18 @@ impl Engine {
                 },
             );
             inner.tracker.unregister_output(shuffle, map);
-            if let Some(meta) = inner.exec_mut(info.exec) {
-                meta.running = None;
+            if let Some(slot) = inner.exec_slot(info.exec) {
+                inner.update_exec(slot, |meta| meta.running = None);
             }
-            if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                self.tele.task_failed(
-                    sim.now(),
-                    job.metrics_mut(),
-                    info.span,
-                    info.stage,
-                    info.part,
-                    FailureKind::FetchFailed,
-                );
-                let st = &mut job.status[info.stage.0 as usize];
-                st.running.remove(&info.part);
-                st.queued.insert(info.part);
-                inner.pending.push_front((info.job, info.stage, info.part));
-            }
+            sh.tele.task_failed(
+                sim.now(),
+                inner.jobs[info.job.0 as usize].metrics_mut(),
+                info.span,
+                info.stage,
+                info.part,
+                FailureKind::FetchFailed,
+            );
+            inner.requeue(&info);
         }
         self.rollback_incomplete_stages(sim);
         self.progress_all_jobs(sim);
@@ -1570,13 +1854,14 @@ impl Engine {
 
     /// A map-output write failed (e.g. store capacity): requeue the task.
     fn task_write_failed(&self, sim: &mut Sim, attempt: AttemptId, err: StoreError) {
+        let sh = &*self.shared;
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
-            let Some(info) = inner.attempts.remove(&attempt) else {
+            let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
                 return;
             };
-            self.log.push(
+            sh.log.push(
                 sim.now(),
                 EngineEventKind::TaskFailed {
                     stage: info.stage,
@@ -1585,24 +1870,50 @@ impl Engine {
                     reason: err.to_string(),
                 },
             );
-            if let Some(meta) = inner.exec_mut(info.exec) {
-                meta.running = None;
+            if let Some(slot) = inner.exec_slot(info.exec) {
+                inner.update_exec(slot, |meta| meta.running = None);
             }
-            if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                self.tele.task_failed(
-                    sim.now(),
-                    job.metrics_mut(),
-                    info.span,
-                    info.stage,
-                    info.part,
-                    FailureKind::WriteFailed,
-                );
-                let st = &mut job.status[info.stage.0 as usize];
-                st.running.remove(&info.part);
-                st.queued.insert(info.part);
-                inner.pending.push_front((info.job, info.stage, info.part));
-            }
+            sh.tele.task_failed(
+                sim.now(),
+                inner.jobs[info.job.0 as usize].metrics_mut(),
+                info.span,
+                info.stage,
+                info.part,
+                FailureKind::WriteFailed,
+            );
+            inner.requeue(&info);
         }
         self.dispatch(sim);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BitSet;
+
+    #[test]
+    fn bit_set_spans_the_inline_word_and_the_spill() {
+        let mut set = BitSet::default();
+        assert!(set.is_empty() && !set.contains(0) && !set.remove(200));
+        assert_eq!(set.first(), None);
+        for part in [0, 63, 64, 127, 128, 1_000] {
+            set.insert(part);
+            set.insert(part); // idempotent
+            assert!(set.contains(part));
+        }
+        assert_eq!(set.len, 6);
+        assert!(!set.contains(1) && !set.contains(65) && !set.contains(5_000));
+        assert_eq!(set.first(), Some(0));
+        assert!(set.remove(64) && !set.remove(64) && !set.contains(64));
+        assert!(set.remove(0) && set.contains(63));
+        assert_eq!(set.len, 4);
+        assert_eq!(set.first(), Some(63));
+        assert!(set.remove(63) && set.remove(127));
+        assert_eq!(set.first(), Some(128));
+        set.insert(63);
+        set.clear();
+        assert!(set.is_empty() && !set.contains(63) && !set.contains(1_000));
+        set.insert(1_000);
+        assert_eq!(set.len, 1);
     }
 }

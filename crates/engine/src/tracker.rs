@@ -19,6 +19,10 @@ pub struct MapStatus {
 }
 
 /// Driver-side shuffle metadata.
+///
+/// Entries last as long as the scheduler keeps them: it forgets a shuffle
+/// ([`MapOutputTracker::forget_shuffle`]) once no live job and no
+/// caller-held `Dataset` can reach the shuffle's dependency any more.
 #[derive(Debug, Default)]
 pub struct MapOutputTracker {
     shuffles: FastMap<ShuffleId, Vec<Option<MapStatus>>>,
@@ -38,6 +42,17 @@ impl MapOutputTracker {
     /// `true` if the shuffle is known.
     pub fn has_shuffle(&self, id: ShuffleId) -> bool {
         self.shuffles.contains_key(&id)
+    }
+
+    /// Drops everything known about shuffle `id`; registering it again
+    /// starts from no outputs.
+    pub fn forget_shuffle(&mut self, id: ShuffleId) {
+        self.shuffles.remove(&id);
+    }
+
+    /// Number of shuffles currently tracked.
+    pub fn shuffle_count(&self) -> usize {
+        self.shuffles.len()
     }
 
     /// Records a completed map task's output.
@@ -60,18 +75,15 @@ impl MapOutputTracker {
             .is_some_and(|m| m.iter().all(Option::is_some))
     }
 
-    /// Map partitions of `id` with no (surviving) output.
-    pub fn missing(&self, id: ShuffleId) -> Vec<usize> {
+    /// Map partitions of `id` with no (surviving) output, ascending (none
+    /// for an unknown shuffle).
+    pub fn missing(&self, id: ShuffleId) -> impl Iterator<Item = usize> + '_ {
         self.shuffles
             .get(&id)
-            .map(|m| {
-                m.iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.is_none())
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|m| m.iter().enumerate())
+            .filter(|(_, s)| s.is_none())
+            .map(|(i, _)| i)
     }
 
     /// The non-empty blocks a reduce task for partition `reduce` must
@@ -118,6 +130,7 @@ impl MapOutputTracker {
             .shuffles
             .get(&id)
             .unwrap_or_else(|| panic!("unknown shuffle {id}"));
+        plan.reserve(maps.len());
         for (m, s) in maps.iter().enumerate() {
             let s = s
                 .as_ref()
@@ -197,10 +210,10 @@ mod tests {
         let s = ShuffleId(1);
         t.register_shuffle(s, 3);
         assert!(!t.is_complete(s));
-        assert_eq!(t.missing(s), vec![0, 1, 2]);
+        assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![0, 1, 2]);
         t.register_output(s, 0, status("e1", vec![10, 0]));
         t.register_output(s, 2, status("e2", vec![5, 5]));
-        assert_eq!(t.missing(s), vec![1]);
+        assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![1]);
         t.register_output(s, 1, status("e1", vec![0, 7]));
         assert!(t.is_complete(s));
     }
@@ -212,7 +225,21 @@ mod tests {
         t.register_shuffle(s, 2);
         t.register_output(s, 0, status("e1", vec![1]));
         t.register_shuffle(s, 2); // must not wipe
-        assert_eq!(t.missing(s), vec![1]);
+        assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn forgotten_shuffle_starts_over() {
+        let mut t = MapOutputTracker::new();
+        let s = ShuffleId(4);
+        t.register_shuffle(s, 1);
+        t.register_output(s, 0, status("e1", vec![1]));
+        assert_eq!(t.shuffle_count(), 1);
+        t.forget_shuffle(s);
+        assert!(!t.has_shuffle(s) && !t.is_complete(s));
+        assert_eq!(t.shuffle_count(), 0);
+        t.register_shuffle(s, 1);
+        assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -244,11 +271,11 @@ mod tests {
         t.register_output(s2, 0, status("dead", vec![1]));
         let affected = t.unregister_executor(&ExecutorId::new("dead"));
         assert_eq!(affected, vec![(s1, 1), (s2, 1)]);
-        assert_eq!(t.missing(s1), vec![0]);
+        assert_eq!(t.missing(s1).collect::<Vec<_>>(), vec![0]);
         assert!(!t.is_complete(s2));
         assert!(!t.is_complete(s1));
         // Survivor intact.
-        assert_eq!(t.missing(s1).len(), 1);
+        assert_eq!(t.missing(s1).count(), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use std::rc::Rc;
 
 use splitserve_des::{Fabric, Sim, SimDuration, SimTime};
 use splitserve_engine::{
-    collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, JobOutput,
+    collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, JobId,
+    JobOutput, LiveState,
 };
 use splitserve_storage::{HdfsSpec, HdfsStore, LocalDiskStore};
 
@@ -348,4 +349,136 @@ fn late_registered_executor_picks_up_work() {
         "late executor contributed: {by_exec:?}"
     );
     assert_eq!(out.metrics.tasks_total(), 10);
+}
+
+// ----- state lifetime: what the scheduler holds follows the live work -----
+
+#[test]
+fn finished_jobs_leave_no_scheduler_state_behind() {
+    let mut rig = hdfs_rig(2);
+    for round in 0..500u64 {
+        // Like a driver program, the caller keeps no handle on the plan
+        // once it is submitted.
+        let ds = Dataset::parallelize((0..40u64).map(|i| (i % 5, round)).collect(), 2)
+            .reduce_by_key(2, |a, b| a + b);
+        let rows = Rc::new(RefCell::new(0));
+        let r = Rc::clone(&rows);
+        rig.engine.submit_job(&mut rig.sim, ds.node(), move |_, out| {
+            *r.borrow_mut() = collect_partitions::<(u64, u64)>(out.partitions).len();
+        });
+        drop(ds);
+        rig.sim.run();
+        assert_eq!(*rows.borrow(), 5);
+    }
+    assert_eq!(
+        rig.engine.live_state(),
+        LiveState {
+            jobs: 0,
+            shuffles: 0,
+            attempts: 0
+        }
+    );
+    assert!(!rig.engine.has_active_jobs());
+    // What is kept per finished job is its metrics, queryable as before.
+    let done = rig.engine.completed_job_metrics();
+    assert_eq!(done.len(), 500);
+    assert!(done.iter().all(|m| m.tasks_total() == 4));
+    assert_eq!(rig.engine.job_metrics(JobId(499)).expect("known job").job, JobId(499));
+}
+
+#[test]
+fn resubmitted_dataset_skips_its_map_stage_while_it_is_held() {
+    let mut rig = hdfs_rig(2);
+    let ds = Dataset::parallelize((0..400u64).map(|i| (i % 10, 1u64)).collect(), 8)
+        .reduce_by_key(4, |a, b| a + b);
+    let (mut first, m1) = run_job(&mut rig, &ds);
+    assert_eq!(m1.tasks_total(), 8 + 4);
+    // The first job is retired, but `ds` still reaches its shuffle, so the
+    // map outputs stay registered …
+    assert_eq!(
+        rig.engine.live_state(),
+        LiveState {
+            jobs: 0,
+            shuffles: 1,
+            attempts: 0
+        }
+    );
+    // … and the second submission runs the result stage only.
+    let (mut second, m2) = run_job(&mut rig, &ds);
+    assert_eq!(m2.tasks_total(), 4, "map stage must be skipped");
+    assert_eq!(m2.shuffle_bytes_written, 0);
+    assert_eq!(m2.shuffle_bytes_read, m1.shuffle_bytes_read);
+    first.sort();
+    second.sort();
+    assert_eq!(first, second);
+    // Once the caller lets go, the next retirement forgets the shuffle.
+    drop(ds);
+    let other = Dataset::parallelize(vec![1u64, 2, 3], 1);
+    run_job(&mut rig, &other);
+    assert_eq!(rig.engine.live_state().shuffles, 0);
+}
+
+/// A job can finish while one of its own tasks is still running: kill an
+/// executor holding local map output *after* the reduce tasks fetched it,
+/// and the rolled-back map task is re-run although nobody will read its
+/// output. The job's state must outlive its completion until that stale
+/// attempt lands — and not a moment longer.
+#[test]
+fn stale_attempt_of_a_finished_job_lands_safely() {
+    let mut rig = local_rig(4);
+    // Three 5 s map tasks (e-vm-0..2), then two ~9 s reduce tasks (e-vm-0
+    // and e-vm-1); e-vm-3 stays idle until the rollback needs it.
+    let ds = Dataset::<u64>::generate(3, |p| (0..1_000u64).map(|i| i * 3 + p as u64).collect())
+        .map_with_cost(|x| (*x, 1u64), Some(5e-3))
+        .reduce_by_key(2, |a, b| a + b)
+        .map_with_cost(|kv| *kv, Some(6e-3));
+    let finished_at: Rc<RefCell<Option<(SimTime, LiveState)>>> = Rc::new(RefCell::new(None));
+    let f = Rc::clone(&finished_at);
+    let engine = rig.engine.clone();
+    rig.engine.submit_job(&mut rig.sim, ds.node(), move |sim, out| {
+        assert_eq!(collect_partitions::<(u64, u64)>(out.partitions).len(), 3_000);
+        *f.borrow_mut() = Some((sim.now(), engine.live_state()));
+    });
+    drop(ds);
+    let engine = rig.engine.clone();
+    rig.sim.schedule_at(SimTime::from_secs(11), move |sim| {
+        // The reducers hold their fetched inputs and are computing.
+        assert_eq!(engine.live_state().attempts, 2);
+        engine.kill_executor(sim, &"e-vm-2".into());
+    });
+    rig.sim.run();
+
+    let (job_done, at_completion) = finished_at.borrow_mut().take().expect("job completes");
+    assert_eq!(
+        at_completion,
+        LiveState {
+            jobs: 1,
+            shuffles: 1,
+            attempts: 1
+        },
+        "the finished job is held while its re-run map task is in flight"
+    );
+    let events = rig.engine.event_log().snapshot();
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.kind, EngineEventKind::StageRolledBack { missing: 1, .. })));
+    let rerun_done = events
+        .iter()
+        .rev()
+        .find_map(|e| match e.kind {
+            EngineEventKind::TaskFinished { exec, .. } if exec.as_str() == "e-vm-3" => Some(e.at),
+            _ => None,
+        })
+        .expect("the re-run map task ran to the end on the spare executor");
+    assert!(rerun_done > job_done, "{rerun_done} vs {job_done}");
+    let spare = rig.engine.executor_info(&"e-vm-3".into()).expect("registered");
+    assert!(spare.alive && !spare.busy && spare.tasks_done == 1);
+    assert_eq!(
+        rig.engine.live_state(),
+        LiveState {
+            jobs: 0,
+            shuffles: 0,
+            attempts: 0
+        }
+    );
 }

@@ -14,10 +14,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use splitserve_rt::{Bytes, FastMap};
-use splitserve_des::{Dist, Fabric, LinkId, Sim, SimDuration};
+use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration};
 
 use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::{delay_then_flow, link_path};
+use crate::util::delay_then_flow;
 
 /// Placement and behaviour knobs for [`HdfsStore`].
 #[derive(Debug, Clone)]
@@ -43,11 +43,46 @@ struct DataNode {
     disk: LinkId,
 }
 
+/// A block's replica set. Placement is round-robin, so the set is always
+/// `count` consecutive datanodes (modulo the datanode count at write
+/// time) starting at `first` — two integers instead of a list per block.
+#[derive(Debug, Clone, Copy)]
+struct Replicas {
+    first: usize,
+    count: usize,
+}
+
+/// Where a put's completion callback waits for its replica flows.
+enum Landing {
+    /// The only replica's flow owns the callback outright.
+    Sole(PutCallback),
+    /// Several flows share a countdown; the last to land fires it.
+    Shared(Rc<RefCell<(usize, Option<PutCallback>)>>),
+}
+
+impl Landing {
+    /// One replica flow finished.
+    fn landed(self, sim: &mut Sim) {
+        let cb = match self {
+            Landing::Sole(cb) => cb,
+            Landing::Shared(state) => {
+                let mut state = state.borrow_mut();
+                state.0 -= 1;
+                if state.0 > 0 {
+                    return;
+                }
+                state.1.take().expect("callback present at last replica")
+            }
+        };
+        cb(sim, Ok(()));
+    }
+}
+
 struct Inner {
     spec: HdfsSpec,
     datanodes: Vec<DataNode>,
-    /// block → datanode indices holding replicas, plus the bytes.
-    blocks: FastMap<BlockId, (Vec<usize>, Bytes)>,
+    /// block → the datanodes holding its replicas, plus the bytes.
+    blocks: FastMap<BlockId, (Replicas, Bytes)>,
     next_dn: usize,
     used_bytes: u64,
     stats: StoreStats,
@@ -120,19 +155,19 @@ impl HdfsStore {
     }
 
     fn sample_nn_latency(&self, sim: &mut Sim) -> SimDuration {
-        let d = self.inner.borrow().spec.namenode_latency.clone();
-        SimDuration::from_secs_f64(d.sample(sim.rng()))
+        let inner = self.inner.borrow();
+        SimDuration::from_secs_f64(inner.spec.namenode_latency.sample(sim.rng()))
     }
 
     /// Chooses replica targets round-robin (deterministic).
-    fn pick_targets(&self) -> Vec<usize> {
+    fn pick_targets(&self) -> Replicas {
         let mut inner = self.inner.borrow_mut();
         let n = inner.datanodes.len();
         assert!(n > 0, "HDFS has no datanodes");
-        let r = inner.spec.replication.min(n).max(1);
-        let start = inner.next_dn;
+        let count = inner.spec.replication.min(n).max(1);
+        let first = inner.next_dn;
         inner.next_dn = (inner.next_dn + 1) % n;
-        (0..r).map(|i| (start + i) % n).collect()
+        Replicas { first, count }
     }
 }
 
@@ -150,31 +185,31 @@ impl BlockStore for HdfsStore {
         let len = data.len() as u64;
         let latency = self.sample_nn_latency(sim);
 
-        // One flow per replica, all in parallel; completion when all land.
-        let remaining = Rc::new(RefCell::new((targets.len(), Some(cb))));
-        for (i, dn_idx) in targets.iter().enumerate() {
-            let dn = self.inner.borrow().datanodes[*dn_idx];
-            let links = link_path(&[client.nic, Some(dn.nic), Some(dn.disk)]);
-            let this = self.clone();
-            let data = data.clone();
-            let remaining = Rc::clone(&remaining);
-            let targets = targets.clone();
-            let record = i == 0;
+        // One flow per replica, all in parallel; completion when all
+        // land. The first replica's flow records the block.
+        let mut cb = Some(cb);
+        let shared = (targets.count > 1)
+            .then(|| Rc::new(RefCell::new((targets.count, cb.take()))));
+        for i in 0..targets.count {
+            let dn = {
+                let inner = self.inner.borrow();
+                inner.datanodes[(targets.first + i) % inner.datanodes.len()]
+            };
+            let links = LinkPath::dedup(&[client.nic, Some(dn.nic), Some(dn.disk)]);
+            let landing = match &shared {
+                Some(state) => Landing::Shared(Rc::clone(state)),
+                None => Landing::Sole(cb.take().expect("a sole replica lands once")),
+            };
+            let record = (i == 0).then(|| (self.clone(), data.clone()));
             delay_then_flow(sim, &self.fabric, latency, links, len, move |sim| {
-                if record {
+                if let Some((this, data)) = record {
                     let mut inner = this.inner.borrow_mut();
-                    inner.used_bytes += len * targets.len() as u64;
+                    inner.used_bytes += len * targets.count as u64;
                     inner.blocks.insert(block, (targets, data));
                     inner.stats.puts += 1;
                     inner.stats.bytes_in += len;
                 }
-                let mut r = remaining.borrow_mut();
-                r.0 -= 1;
-                if r.0 == 0 {
-                    let cb = r.1.take().expect("callback present at last replica");
-                    drop(r);
-                    cb(sim, Ok(()));
-                }
+                landing.landed(sim);
             });
         }
     }
@@ -182,15 +217,15 @@ impl BlockStore for HdfsStore {
     fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
         let found = {
             let inner = self.inner.borrow();
-            inner.blocks.get(&block).map(|(dns, data)| {
+            inner.blocks.get(&block).map(|(replicas, data)| {
                 // Read from the first replica (deterministic).
-                (inner.datanodes[dns[0]], data.clone())
+                (inner.datanodes[replicas.first], data.clone())
             })
         };
         match found {
             Some((dn, data)) => {
                 let latency = self.sample_nn_latency(sim);
-                let links = link_path(&[Some(dn.disk), Some(dn.nic), client.nic]);
+                let links = LinkPath::dedup(&[Some(dn.disk), Some(dn.nic), client.nic]);
                 let len = data.len() as u64;
                 let this = self.clone();
                 delay_then_flow(sim, &self.fabric, latency, links, len, move |sim| {

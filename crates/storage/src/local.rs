@@ -11,10 +11,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use splitserve_rt::{Bytes, FastMap, Interned};
-use splitserve_des::{Fabric, LinkId, Sim};
+use splitserve_des::{Fabric, LinkId, LinkPath, Sim};
 
 use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::{delay_then_flow, link_path};
+use crate::util::delay_then_flow;
 
 #[derive(Debug, Clone, Copy)]
 struct ExecutorLoc {
@@ -113,7 +113,7 @@ impl BlockStore for LocalDiskStore {
     fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
         let len = data.len() as u64;
         // Writes land on the *writer's* disk.
-        let links = link_path(&[client.disk]);
+        let links = LinkPath::dedup(&[client.disk]);
         let this = self.clone();
         delay_then_flow(
             sim,
@@ -142,11 +142,11 @@ impl BlockStore for LocalDiskStore {
         match (owner, data) {
             (Some(loc), Some(data)) if loc.alive => {
                 // Serve from the owner's disk; traverse NICs when remote.
-                // If the client *is* the owner, `link_path` dedups the
+                // If the client *is* the owner, `LinkPath::dedup` drops the
                 // shared links so no network hop is charged.
-                let links = link_path(&[loc.disk, loc.nic, client.nic]);
+                let links = LinkPath::dedup(&[loc.disk, loc.nic, client.nic]);
                 let links = if client.nic == loc.nic && client.disk == loc.disk {
-                    link_path(&[loc.disk])
+                    LinkPath::dedup(&[loc.disk])
                 } else {
                     links
                 };

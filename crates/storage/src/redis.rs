@@ -8,10 +8,10 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use splitserve_rt::Bytes;
-use splitserve_des::{Dist, Fabric, LinkId, Sim, SimDuration};
+use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration};
 
 use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::{delay_then_flow, link_path};
+use crate::util::delay_then_flow;
 
 /// Behaviour knobs for [`RedisStore`].
 #[derive(Debug, Clone)]
@@ -111,7 +111,7 @@ impl BlockStore for RedisStore {
             }
         }
         let delay = self.latency(sim);
-        let links = link_path(&[client.nic, Some(self.server_nic)]);
+        let links = LinkPath::dedup(&[client.nic, Some(self.server_nic)]);
         let this = self.clone();
         delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {
             {
@@ -130,7 +130,7 @@ impl BlockStore for RedisStore {
         match data {
             Some(data) => {
                 let delay = self.latency(sim);
-                let links = link_path(&[Some(self.server_nic), client.nic]);
+                let links = LinkPath::dedup(&[Some(self.server_nic), client.nic]);
                 let len = data.len() as u64;
                 let this = self.clone();
                 delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {

@@ -13,10 +13,10 @@ use std::rc::Rc;
 
 use splitserve_rt::Bytes;
 use splitserve_cloud::{Category, Cloud};
-use splitserve_des::{Dist, Fabric, LinkId, Sim, SimDuration, TokenBucket};
+use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration, TokenBucket};
 
 use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::{delay_then_flow, link_path};
+use crate::util::delay_then_flow;
 
 /// Behaviour knobs for [`S3Store`].
 #[derive(Debug, Clone)]
@@ -161,7 +161,7 @@ impl BlockStore for S3Store {
         };
         let latency = SimDuration::from_secs_f64(latency.sample(sim.rng()));
         let conn = self.next_conn();
-        let links = link_path(&[client.nic, Some(conn)]);
+        let links = LinkPath::dedup(&[client.nic, Some(conn)]);
         let len = data.len() as u64;
         let this = self.clone();
         delay_then_flow(sim, &self.fabric, throttle + latency, links, len, move |sim| {
@@ -197,7 +197,7 @@ impl BlockStore for S3Store {
                 };
                 let latency = SimDuration::from_secs_f64(latency.sample(sim.rng()));
                 let conn = self.next_conn();
-                let links = link_path(&[Some(conn), client.nic]);
+                let links = LinkPath::dedup(&[Some(conn), client.nic]);
                 let len = data.len() as u64;
                 let this = self.clone();
                 delay_then_flow(

@@ -8,10 +8,10 @@ use std::rc::Rc;
 
 use splitserve_rt::Bytes;
 use splitserve_cloud::{Category, Cloud};
-use splitserve_des::{Dist, Fabric, LinkId, Sim, SimDuration, TokenBucket};
+use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration, TokenBucket};
 
 use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::{delay_then_flow, link_path};
+use crate::util::delay_then_flow;
 
 /// SQS message size limit: 256 KB.
 pub const SQS_MESSAGE_BYTES: u64 = 256 * 1024;
@@ -140,7 +140,7 @@ impl BlockStore for SqsStore {
         self.bill(sim, messages, "send");
         let delay = self.admit(sim, messages);
         let conn = self.next_conn();
-        let links = link_path(&[client.nic, Some(conn)]);
+        let links = LinkPath::dedup(&[client.nic, Some(conn)]);
         let this = self.clone();
         delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {
             {
@@ -162,7 +162,7 @@ impl BlockStore for SqsStore {
                 self.bill(sim, messages, "receive");
                 let delay = self.admit(sim, messages);
                 let conn = self.next_conn();
-                let links = link_path(&[Some(conn), client.nic]);
+                let links = LinkPath::dedup(&[Some(conn), client.nic]);
                 let this = self.clone();
                 delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {
                     {

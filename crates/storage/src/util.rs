@@ -1,6 +1,6 @@
 //! Small helpers shared by the store implementations.
 
-use splitserve_des::{Fabric, LinkId, Sim, SimDuration};
+use splitserve_des::{Fabric, LinkPath, Sim, SimDuration};
 
 /// Waits `delay`, then moves `bytes` across `links`, then runs `then`.
 /// The standard shape of a storage operation: request latency followed by a
@@ -9,44 +9,23 @@ pub(crate) fn delay_then_flow(
     sim: &mut Sim,
     fabric: &Fabric,
     delay: SimDuration,
-    links: Vec<LinkId>,
+    links: LinkPath,
     bytes: u64,
     then: impl FnOnce(&mut Sim) + 'static,
 ) {
-    let fabric = fabric.clone();
     if delay.is_zero() {
-        fabric.start_flow(sim, &links, bytes, then);
+        fabric.start_flow(sim, links.as_slice(), bytes, then);
     } else {
+        let fabric = fabric.clone();
         sim.schedule_in(delay, move |sim| {
-            fabric.start_flow(sim, &links, bytes, then);
+            fabric.start_flow(sim, links.as_slice(), bytes, then);
         });
     }
-}
-
-/// Collects the `Some` links, deduplicated, preserving order — transfers
-/// between colocated endpoints must not charge the same link twice.
-pub(crate) fn link_path(candidates: &[Option<LinkId>]) -> Vec<LinkId> {
-    let mut out: Vec<LinkId> = Vec::new();
-    for l in candidates.iter().flatten() {
-        if !out.contains(l) {
-            out.push(*l);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn link_path_dedups_and_drops_none() {
-        let fabric = Fabric::new();
-        let a = fabric.add_link(1.0, "a");
-        let b = fabric.add_link(1.0, "b");
-        let path = link_path(&[Some(a), None, Some(b), Some(a)]);
-        assert_eq!(path, vec![a, b]);
-    }
 
     #[test]
     fn delay_then_flow_sequences_latency_and_transfer() {
@@ -59,7 +38,7 @@ mod tests {
             &mut sim,
             &fabric,
             SimDuration::from_secs(2),
-            vec![l],
+            LinkPath::new(&[l]),
             300,
             move |sim| d.set(sim.now().as_secs_f64()),
         );

@@ -458,6 +458,12 @@ SPLITSERVE_WORKERS=4 cargo run --release --offline --example chaos_smoke \
 diff target/chaos_smoke_w1.txt target/chaos_smoke_w4.txt
 tail -1 target/chaos_smoke_w4.txt
 
+echo "==> perf ledger: harness tests + smoke run (benchmark/run.sh --quick)"
+# The benchmark is a workspace of its own that calls the public surface
+# listed in benchmark/README.md and checks its own digest-transparency
+# tests; a change that breaks either must fail here, not in the pipeline.
+bash benchmark/run.sh --quick >/dev/null
+
 echo "==> checking for non-path dependencies"
 cargo metadata --offline --format-version 1 |
     python3 -c '
