@@ -18,6 +18,32 @@ pub trait Decode: Sized {
     /// Returns an error on truncated or malformed input. Implementations
     /// must never panic on arbitrary bytes.
     fn decode(input: &mut &[u8]) -> Result<Self>;
+
+    /// Decodes `len` values back to back from the front of `input`,
+    /// advancing it: the element half of a sequence's decoding, `len`
+    /// being the already-read (and [`read_len`]-checked) prefix. `Vec<T>`
+    /// reaches its elements only through this hook, so a type whose values
+    /// can be read faster together than apart (`u8`) overrides it — with
+    /// the same values, consumption and errors as this per-element
+    /// default.
+    ///
+    /// # Errors
+    ///
+    /// The first element's error, as [`decode`](Decode::decode) reports it.
+    fn decode_vec(input: &mut &[u8], len: usize) -> Result<Vec<Self>> {
+        decode_each(input, len)
+    }
+}
+
+/// The per-element sequence reader: the default of
+/// [`Decode::decode_vec`], and what an override falls back to on input its
+/// fast path does not recognize.
+fn decode_each<T: Decode>(input: &mut &[u8], len: usize) -> Result<Vec<T>> {
+    let mut out = Vec::with_capacity(len.min(4096));
+    for _ in 0..len {
+        out.push(T::decode(input)?);
+    }
+    Ok(out)
 }
 
 /// Deserializes a value of type `T` from `bytes`, requiring the whole input
@@ -98,7 +124,23 @@ macro_rules! decode_unsigned {
         }
     )*};
 }
-decode_unsigned!(u8, u16, u32, u64, usize);
+decode_unsigned!(u16, u32, u64, usize);
+
+impl Decode for u8 {
+    fn decode(input: &mut &[u8]) -> Result<u8> {
+        let v = varint::read_u64(input)?;
+        u8::try_from(v).map_err(|_| Error::Message(format!("integer {v} out of range")))
+    }
+    fn decode_vec(input: &mut &[u8], len: usize) -> Result<Vec<u8>> {
+        match varint::read_u8s(input, len) {
+            Some(bytes) => Ok(bytes),
+            // Not the canonical encoding of `len` bytes: the per-element
+            // reader decides what it is worth (a padded varint is still
+            // accepted) and which error it is.
+            None => decode_each(input, len),
+        }
+    }
+}
 
 macro_rules! decode_signed {
     ($($ty:ty),*) => {$(
@@ -168,11 +210,7 @@ impl<T: Decode> Decode for Option<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(input: &mut &[u8]) -> Result<Vec<T>> {
         let len = read_len(input)?;
-        let mut out = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            out.push(T::decode(input)?);
-        }
-        Ok(out)
+        T::decode_vec(input, len)
     }
 }
 

@@ -219,6 +219,18 @@ mod tests {
         assert_eq!(n, 9);
     }
 
+    /// The wire format of a byte payload, pinned literally: a `u8` is a
+    /// varint, so 128 and up take two bytes. The bulk hooks must keep it.
+    #[test]
+    fn byte_payload_wire_bytes_are_pinned() {
+        let bytes = crate::to_bytes(&vec![0u8, 1, 127, 128, 255]).expect("encode");
+        assert_eq!(bytes, [5, 0, 1, 127, 128, 1, 255, 1]);
+        let record = (300u64, vec![0x7fu8, 0x80, 0xa5]);
+        let bytes = crate::to_bytes(&record).expect("encode");
+        assert_eq!(bytes, [0xac, 0x02, 3, 0x7f, 0x80, 0x01, 0xa5, 0x01]);
+        roundtrip(&record);
+    }
+
     #[test]
     fn encoded_len_is_exact_for_every_impl() {
         fn assert_exact<T: Encode + std::fmt::Debug>(v: &T) {

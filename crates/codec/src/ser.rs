@@ -34,6 +34,29 @@ pub trait Encode {
         splitserve_rt::pool::give(scratch);
         n
     }
+
+    /// Appends the encodings of `items` back to back, with no length
+    /// prefix: the element half of a sequence's encoding. `[T]` and
+    /// `Vec<T>` reach their elements only through this hook, so a type
+    /// whose values can be written faster together than apart (`u8`)
+    /// overrides it — with the same bytes as the per-element default.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// The exact number of bytes [`encode_slice`](Encode::encode_slice)
+    /// will append for `items`.
+    fn encoded_len_slice(items: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        items.iter().map(Encode::encoded_len).sum()
+    }
 }
 
 /// Serializes `value` into a fresh byte vector.
@@ -90,7 +113,25 @@ macro_rules! encode_unsigned {
         }
     )*};
 }
-encode_unsigned!(u8, u16, u32, u64, usize);
+encode_unsigned!(u16, u32, u64, usize);
+
+/// A `u8` is a varint like every other unsigned integer — values of 128
+/// and up take two bytes — so byte payloads (`Vec<u8>`) keep that layout;
+/// the slice hooks only produce it in bulk.
+impl Encode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        varint::write_u64(out, u64::from(*self));
+    }
+    fn encoded_len(&self) -> usize {
+        varint::len_u64(u64::from(*self))
+    }
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        varint::write_u8s(out, items);
+    }
+    fn encoded_len_slice(items: &[u8]) -> usize {
+        varint::len_u8s(items)
+    }
+}
 
 macro_rules! encode_signed {
     ($($ty:ty),*) => {$(
@@ -193,13 +234,10 @@ impl<T: Encode> Encode for Option<T> {
 impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.len() as u64);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn encoded_len(&self) -> usize {
-        varint::len_u64(self.len() as u64)
-            + self.iter().map(Encode::encoded_len).sum::<usize>()
+        varint::len_u64(self.len() as u64) + T::encoded_len_slice(self)
     }
 }
 

@@ -69,6 +69,109 @@ pub fn read_u64(input: &mut &[u8]) -> Result<u64> {
     }
 }
 
+/// Appends every byte of `items` as its own LEB128 varint — byte for byte
+/// what [`write_u64`] per element produces, at memory speed.
+///
+/// A `u8`'s varint is the byte itself, followed by `0x01` iff its high bit
+/// is set. So each element is one unconditional two-byte store (`b`, `1`)
+/// and the cursor advances by `1 + (b >> 7)`: when the high bit is clear
+/// the next element overwrites the spare `1`. No branch depends on the
+/// data.
+pub fn write_u8s(out: &mut Vec<u8>, items: &[u8]) {
+    // Elements scattered per round; the round's staging buffer is twice
+    // that (the worst case) plus the spare byte of the last store.
+    const CHUNK: usize = 64;
+    out.reserve(items.len());
+    let mut staged = [0u8; 2 * CHUNK + 1];
+    for chunk in items.chunks(CHUNK) {
+        let mut w = 0usize;
+        for &b in chunk {
+            // `w <= 2 * (CHUNK - 1)` here, so the mask changes nothing; it
+            // is what lets the compiler see the store is in bounds.
+            let at = w & (2 * CHUNK - 1);
+            staged[at..at + 2].copy_from_slice(&[b, 1]);
+            w += 1 + usize::from(b >> 7);
+        }
+        out.extend_from_slice(&staged[..w]);
+    }
+}
+
+/// Total encoded length of `items` as per-element varints: one byte each,
+/// plus one for every element with its high bit set.
+pub fn len_u8s(items: &[u8]) -> usize {
+    items.len() + items.iter().filter(|b| **b >= 0x80).count()
+}
+
+/// Reads `len` per-element `u8` varints from the front of `input` in one
+/// branch-free pass, advancing it — or returns `None`, with `input`
+/// untouched, when the input is anything but the canonical encoding of
+/// `len` bytes (truncated, over-long, out of range). The caller then
+/// decodes element by element, so what is accepted and which error is
+/// reported never depends on this path.
+///
+/// In canonical form a byte with its high bit set is always a value byte
+/// (the only continuation this type ever needs is `0x01`), so whether
+/// position `j` holds a value or a continuation depends on `input[j - 1]`
+/// alone: the pass copies every byte to the output cursor and advances the
+/// cursor only past value bytes, OR-ing "continuation byte is not `0x01`"
+/// into one flag checked at the end.
+pub fn read_u8s(input: &mut &[u8], len: usize) -> Option<Vec<u8>> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let src = *input;
+    // Every element takes at least one byte: never allocate for more
+    // elements than the input could hold.
+    if len > src.len() {
+        return None;
+    }
+    let mut out = vec![0u8; len];
+    let (mut w, mut r) = (0usize, 0usize);
+    let (mut carry, mut bad) = (0u64, 0u64);
+    // Eight source bytes per round, one per lane of a word. A round yields
+    // at most eight values, so with eight free slots it cannot overrun.
+    while out.len() - w >= 8 && src.len() - r >= 8 {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&src[r..r + 8]);
+        let word = u64::from_le_bytes(word);
+        let high = (word >> 7) & ONES;
+        // Lanes holding a continuation: those after a high byte, the first
+        // lane taking the previous round's last.
+        let continuation = (high << 8) | carry;
+        carry = high >> 56;
+        bad |= (word ^ ONES) & (continuation * 0xff);
+        let value = continuation ^ ONES;
+        // Lane i of `upto` counts the value lanes up to and including i
+        // (at most 8, so lanes never carry into each other); less the lane
+        // itself, that is the slot lane i's byte belongs in.
+        let upto = value.wrapping_mul(ONES);
+        let slot = upto - value;
+        let slots = &mut out[w..w + 8];
+        for lane in 0..8 {
+            slots[(slot >> (8 * lane)) as usize & 7] = (word >> (8 * lane)) as u8;
+        }
+        w += (upto >> 56) as usize;
+        r += 8;
+    }
+    // The last few values, a byte at a time by the same rule.
+    let mut bytes = src[r..].iter();
+    let mut continuation = carry as u8;
+    let mut bad = u8::from(bad != 0);
+    while w < out.len() {
+        let &b = bytes.next()?;
+        out[w] = b;
+        bad |= continuation.wrapping_neg() & (b ^ 1);
+        w += usize::from(continuation ^ 1);
+        continuation = b >> 7;
+    }
+    if continuation == 1 && bytes.next() != Some(&1) {
+        return None;
+    }
+    if bad != 0 {
+        return None;
+    }
+    *input = bytes.as_slice();
+    Some(out)
+}
+
 /// Reads a zigzag-encoded signed varint.
 ///
 /// # Errors
@@ -148,6 +251,31 @@ mod tests {
             let mut s = buf.as_slice();
             assert_eq!(read_i64(&mut s).expect("roundtrip"), v);
         }
+    }
+
+    #[test]
+    fn bulk_read_declines_without_consuming() {
+        for (bytes, len) in [
+            (&[0x80u8, 0x00][..], 1),    // padded zero: valid, not canonical
+            (&[0xff, 0x02], 1),          // 383
+            (&[1, 2, 0x80], 3),          // ends inside a varint
+            (&[1, 2], 3),                // ends early
+            (&[0x80, 0x80, 0x00, 4], 2), // three-byte zero
+            (&[0; 16], 17),
+        ] {
+            let mut input = bytes;
+            assert_eq!(read_u8s(&mut input, len), None, "{bytes:02x?}");
+            assert_eq!(input, bytes);
+        }
+    }
+
+    /// A length the input cannot back is turned down before anything is
+    /// allocated for it — this request would abort the process otherwise.
+    #[test]
+    fn bulk_read_never_allocates_past_the_input() {
+        let mut input: &[u8] = &[1, 2, 3];
+        assert_eq!(read_u8s(&mut input, usize::MAX / 2), None);
+        assert_eq!(input.len(), 3);
     }
 
     #[test]

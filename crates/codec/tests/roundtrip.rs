@@ -167,6 +167,141 @@ fn nested_map_of_records_roundtrips() {
     });
 }
 
+// ----- byte payloads: the bulk `u8` hooks against a per-element reference --
+
+/// `Vec<u8>` encoded the way the format defines it: length prefix, then
+/// one varint per byte, each through the scalar `u8` impl.
+fn reference_encode(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    (payload.len() as u64).encode(&mut out);
+    for b in payload {
+        b.encode(&mut out);
+    }
+    out
+}
+
+/// `Vec<u8>` decoded one element at a time through the scalar `u8` impl,
+/// behind the same plausibility check on the prefix as the codec's.
+fn reference_decode(input: &mut &[u8]) -> Result<Vec<u8>> {
+    let len = u64::decode(input)?;
+    if len > (input.len() as u64) * 8 + 64 {
+        return Err(Error::LengthOverflow(len));
+    }
+    let mut out = Vec::new();
+    for _ in 0..len {
+        out.push(u8::decode(input)?);
+    }
+    Ok(out)
+}
+
+/// Payloads of every shape the bulk paths treat differently: lengths on
+/// both sides of the eight-byte round and the 64-byte staging chunk, and
+/// fills that never, always or sometimes set the high bit.
+fn arb_payload(g: &mut Gen) -> Vec<u8> {
+    const LENGTHS: [usize; 14] = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129];
+    let len = if g.bool() {
+        LENGTHS[g.usize_in(0, LENGTHS.len())]
+    } else {
+        g.usize_in(0, 400)
+    };
+    let mut v = g.bytes(len, len);
+    match g.usize_in(0, 4) {
+        0 => v.iter_mut().for_each(|b| *b &= 0x7f),
+        1 => v.iter_mut().for_each(|b| *b |= 0x80),
+        // Runs: a high-bit stretch inside a low one.
+        2 => {
+            let (a, b) = (g.usize_in(0, len + 1), g.usize_in(0, len + 1));
+            for (i, x) in v.iter_mut().enumerate() {
+                *x = if (a.min(b)..a.max(b)).contains(&i) {
+                    *x | 0x80
+                } else {
+                    *x & 0x7f
+                };
+            }
+        }
+        _ => {}
+    }
+    v
+}
+
+#[test]
+fn bulk_byte_encoding_equals_the_per_element_reference() {
+    check::run("bulk_byte_encoding_equals_reference", 1024, |g| {
+        let payload = arb_payload(g);
+        let bytes = splitserve_codec::to_bytes(&payload).expect("encode");
+        assert_eq!(bytes, reference_encode(&payload));
+        assert_eq!(payload.encoded_len(), bytes.len());
+        assert_eq!(payload.as_slice().encoded_len(), bytes.len());
+        assert_eq!(roundtrip(&payload), payload);
+        // Appending must leave what the buffer already holds alone, and a
+        // payload must decode the same mid-stream as at the end of input.
+        let mut framed = vec![0xee];
+        (7u64, &payload, 9u64).encode(&mut framed);
+        let back: (u64, Vec<u8>, u64) = splitserve_codec::from_bytes(&framed[1..]).expect("decode");
+        assert_eq!((framed[0], back), (0xee, (7, payload, 9)));
+    });
+}
+
+/// On arbitrary *input* the bulk decoder and the per-element reference
+/// agree on everything observable: the value and how much input it took,
+/// or the error. Inputs are valid encodings, valid encodings damaged in
+/// one place, and noise.
+#[test]
+fn byte_decoding_matches_the_reference_on_hostile_input() {
+    check::run("byte_decoding_matches_reference", 4096, |g| {
+        let mut bytes = match g.usize_in(0, 4) {
+            0 => g.bytes(0, 96),
+            _ => {
+                let mut b = reference_encode(&arb_payload(g));
+                b.extend(g.bytes(0, 12));
+                b
+            }
+        };
+        if !bytes.is_empty() {
+            let at = g.usize_in(0, bytes.len());
+            match g.usize_in(0, 6) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] = g.rng().gen(),
+                2 => bytes[at] ^= 0x80,
+                // A padded (non-canonical) varint, which the format accepts.
+                3 => drop(bytes.splice(at..at, [0x80, 0x00])),
+                4 => drop(bytes.splice(at..at, [0xff, 0x02])),
+                _ => {}
+            }
+        }
+        let mut fast = bytes.as_slice();
+        let mut slow = bytes.as_slice();
+        let got = Vec::<u8>::decode(&mut fast);
+        let expect = reference_decode(&mut slow);
+        assert_eq!(got, expect, "input {bytes:02x?}");
+        if got.is_ok() {
+            assert_eq!(fast.len(), slow.len(), "bytes consumed, input {bytes:02x?}");
+        }
+    });
+}
+
+#[test]
+fn hostile_byte_payloads_keep_their_verdicts() {
+    let decode = |bytes: &[u8]| splitserve_codec::from_bytes::<Vec<u8>>(bytes);
+    // Truncated after a high byte.
+    assert_eq!(decode(&[1, 0x80]), Err(Error::UnexpectedEof));
+    assert_eq!(
+        decode(&[9, 1, 2, 3, 4, 5, 6, 7, 0xff]),
+        Err(Error::UnexpectedEof)
+    );
+    // Non-canonical zero is still zero.
+    assert_eq!(decode(&[1, 0x80, 0x00]), Ok(vec![0]));
+    assert_eq!(decode(&[2, 0x80, 0x80, 0x00, 5]), Ok(vec![0, 5]));
+    // 383 does not fit a u8.
+    assert!(
+        matches!(decode(&[1, 0xff, 0x02]), Err(Error::Message(m)) if m.contains("out of range"))
+    );
+    // A prefix the plausibility check admits (8 x remaining + 64) with
+    // nowhere near enough input behind it.
+    assert_eq!(decode(&[72, 1]), Err(Error::UnexpectedEof));
+    assert_eq!(decode(&[73, 1]), Err(Error::LengthOverflow(73)));
+}
+
 /// Arbitrary garbage input never panics — it either decodes or errors.
 #[test]
 fn fuzz_decoding_never_panics() {

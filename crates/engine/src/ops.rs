@@ -503,11 +503,13 @@ where
 /// (hash buckets here; range buckets in `sort_by_key`). Shared by every
 /// non-combining map side.
 ///
-/// Deliberately a single pass: pre-sizing each bucket with `encoded_len`
-/// was measured to cost as much as the encoding itself on byte-array
-/// payloads (CloudSort), so non-combining shuffles stream straight into
-/// recycled pool buffers, which arrive pre-grown after the first task of
-/// a stage.
+/// Deliberately a single pass into recycled pool buffers, which arrive
+/// pre-grown after a thread's first task. A sizing pass has nothing to
+/// buy here: every record is shuffled, so it walks (and bucket-chooses)
+/// the whole input a second time to save regrowth the pool has already
+/// absorbed — even with a byte payload's `encoded_len` down to a count of
+/// high bits it measured 1.3x slower on both CloudSort's records and
+/// PageRank's join (DESIGN.md §8).
 pub(crate) fn encode_buckets_by<K, V>(
     ctx: &mut TaskContext,
     records: &[(K, V)],

@@ -188,8 +188,8 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
             partitioner: Arc::new(move |ctx: &mut TaskContext, data: PartitionData| {
                 let records = rows::<(K, V)>(&data);
                 ctx.charge_records(records.len() as u64);
-                // Range buckets instead of hash buckets; the pooled
-                // exact-size encode path is shared with the hash shuffles.
+                // Range buckets instead of hash buckets; the single-pass
+                // pooled encode is shared with the hash shuffles.
                 encode_buckets_by(ctx, records, partitions, |k| match b2.binary_search(k) {
                     Ok(i) | Err(i) => i,
                 })

@@ -201,3 +201,33 @@ fn same_seed_runs_produce_byte_identical_shuffle_blocks() {
         }
     });
 }
+
+/// Rows with equal keys leave `sort_by_key` in block-arrival order: map
+/// task by map task, and within a task in input order. The reduce side
+/// sorts stably, and anything that replaces it must keep this — the
+/// payloads tell the rows apart.
+#[test]
+fn sort_by_key_keeps_equal_keys_in_arrival_order() {
+    // Three map tasks, keys 0..4 repeated, payload = (map task, position).
+    let records: Vec<(u64, Vec<u8>)> = (0..3u8)
+        .flat_map(|m| (0..40u8).map(move |i| (u64::from(i % 4), vec![m, i, 0x80 | i])))
+        .collect();
+    let sorted = Dataset::parallelize(records.clone(), 3).sort_by_key(vec![1, 2]);
+    let (got, _) = run_shuffle(&sorted);
+
+    // The reference: a stable sort of the input in map-task order.
+    let mut expect = records;
+    expect.sort_by_key(|(k, _)| *k);
+    assert_eq!(got, expect);
+    let key0: Vec<&Vec<u8>> = got
+        .iter()
+        .filter(|(k, _)| *k == 0)
+        .map(|(_, v)| v)
+        .collect();
+    assert_eq!(key0[0], &vec![0, 0, 0x80]);
+    assert_eq!(
+        key0[10],
+        &vec![1, 0, 0x80],
+        "map task 1's rows follow map task 0's"
+    );
+}

@@ -4,7 +4,15 @@
 //! buffer: cloning or slicing never copies the payload, which is what lets
 //! one map output fan out to many reduce-side readers without duplicating
 //! memory. [`BytesMut`] is the growable writer half; [`BytesMut::freeze`]
-//! converts the accumulated buffer into a [`Bytes`] without copying.
+//! turns the accumulated buffer into a [`Bytes`] with one exact-size copy.
+//!
+//! That copy is inherent to the representation: the shared buffer is an
+//! `Arc<[u8]>`, whose bytes live in the same allocation as its reference
+//! counts, so a `Vec<u8>` can only enter it by being copied — whether
+//! through [`Bytes::copy_from_slice`], `Bytes::from(Vec<u8>)` or `freeze`.
+//! It is the price of one allocation per block (an `Arc<Vec<u8>>` would
+//! adopt the vector but add a second); what it costs on the shuffle write
+//! path is measured in DESIGN.md §8.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut, RangeBounds};
@@ -120,6 +128,8 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Copies `v`'s contents into a fresh shared buffer of exactly
+    /// `v.len()` bytes and frees `v` (spare capacity included).
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
@@ -234,8 +244,9 @@ impl BytesMut {
         self.vec.is_empty()
     }
 
-    /// Converts the accumulated buffer into an immutable [`Bytes`] without
-    /// copying.
+    /// Converts the accumulated buffer into an immutable [`Bytes`]: one
+    /// copy into a shared buffer of exactly [`len`](BytesMut::len) bytes,
+    /// after which the writer's allocation is freed.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
     }
@@ -285,6 +296,23 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_slice_panics() {
         Bytes::from(vec![0u8; 4]).slice(2..9);
+    }
+
+    /// Pins what the docs say: freezing copies. The frozen view never
+    /// aliases the writer's buffer, and holds none of its spare capacity.
+    #[test]
+    fn freeze_copies_into_an_exact_size_buffer() {
+        let mut w = BytesMut::with_capacity(4096);
+        w.put_slice(b"block");
+        let source = w.as_ptr();
+        let frozen = w.freeze();
+        assert_eq!(&frozen[..], b"block");
+        assert!(!std::ptr::eq(frozen.as_ptr(), source));
+        assert_eq!(frozen.buf.len(), 5);
+
+        let v = vec![7u8; 64];
+        let source = v.as_ptr();
+        assert!(!std::ptr::eq(Bytes::from(v).as_ptr(), source));
     }
 
     #[test]

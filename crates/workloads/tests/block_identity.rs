@@ -1,0 +1,59 @@
+//! Wire-identity pins for shuffles that carry byte payloads.
+//!
+//! The constants are xxhash64 digests of every map-output block, taken
+//! before the codec's slice hooks existed (commit 0d43f73). Virtual time,
+//! `charge_ser`/`charge_deser`, store bytes and fabric flows are all
+//! functions of these bytes, so a codec or shuffle change that keeps the
+//! digests keeps the model.
+
+use std::hash::Hasher;
+
+use splitserve_engine::{input_shuffles, Dataset, TaskContext, WorkModel};
+use splitserve_rt::hash::XxHash64;
+use splitserve_workloads::{CloudSort, TpcdsTables};
+
+/// Runs the map side of `shuffled`'s single shuffle by hand and digests
+/// the blocks in map-task, then reduce-partition order, each framed by its
+/// length and record count.
+fn map_output_digest<T: Send + Sync + 'static>(shuffled: &Dataset<T>) -> (u64, u64) {
+    let deps = input_shuffles(&shuffled.node());
+    assert_eq!(deps.len(), 1, "one shuffle expected");
+    let dep = &deps[0];
+    let mut h = XxHash64::with_seed(0);
+    let mut total = 0u64;
+    for m in 0..dep.parent.num_partitions() {
+        let mut ctx = TaskContext::empty(WorkModel::default());
+        let data = dep.parent.compute(&mut ctx, m);
+        for b in (dep.partitioner)(&mut ctx, data) {
+            h.write_u64(b.bytes.len() as u64);
+            h.write_u64(b.records);
+            h.write(&b.bytes);
+            total += b.bytes.len() as u64;
+        }
+    }
+    (h.finish(), total)
+}
+
+#[test]
+fn cloudsort_range_blocks_are_wire_identical() {
+    let (digest, bytes) = map_output_digest(&CloudSort::new(20_000, 8, 5).plan());
+    assert_eq!(bytes, CLOUDSORT_BYTES);
+    assert_eq!(digest, CLOUDSORT_DIGEST, "got {digest:#018x}");
+}
+
+#[test]
+fn tpcds_store_sale_blocks_are_wire_identical() {
+    let tables = TpcdsTables {
+        pad_bytes: 257,
+        ..TpcdsTables::tiny(9)
+    };
+    let by_store = tables.store_sales().key_by(|s| s.store).group_by_key(4);
+    let (digest, bytes) = map_output_digest(&by_store);
+    assert_eq!(bytes, STORE_SALE_BYTES);
+    assert_eq!(digest, STORE_SALE_DIGEST, "got {digest:#018x}");
+}
+
+const CLOUDSORT_BYTES: u64 = 2_910_699;
+const CLOUDSORT_DIGEST: u64 = 0xe9b1_9ee1_32cc_ed38;
+const STORE_SALE_BYTES: u64 = 8_570_335;
+const STORE_SALE_DIGEST: u64 = 0xa447_fd40_f566_d92a;
