@@ -17,7 +17,7 @@ use splitserve_workloads::{KMeans, PageRank, SparkPi, TpcdsLoad, TpcdsQuery};
 use crate::report::{mean_sd, secs, usd, Table};
 
 /// Experiment fidelity: `paper` runs the full published configuration;
-/// `quick` shrinks inputs and trial counts for CI and the timing benches.
+/// `quick` shrinks inputs and trial counts for CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Full paper-scale configuration.

@@ -4,9 +4,8 @@
 //! each `fig*` function in [`experiments`] builds the workload, runs the
 //! relevant [`Scenario`](splitserve::Scenario)s on the simulated cloud and
 //! returns a results [`Table`](report::Table). The binaries in `src/bin`
-//! print the tables (and CSV with `--csv`); the `benches/` binaries use
-//! the in-tree [`timing`] harness to time reduced-fidelity variants of
-//! the same experiments, one JSON line per benchmark.
+//! print the tables (and CSV with `--csv`). Host time is measured by the
+//! repository's one perf ledger, `benchmark/`, not here.
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -26,4 +25,3 @@
 pub mod cli;
 pub mod experiments;
 pub mod report;
-pub mod timing;

@@ -306,9 +306,8 @@ pub fn policy_json(r: &FleetOutcome, tenants: &[TenantSpec], fingerprint: u64) -
 }
 
 /// Renders the whole sweep artifact. `workers` is a display label only —
-/// callers comparing artifacts across worker counts can pass a fixed
-/// value (`scripts/verify.sh` instead normalizes the field with `sed`,
-/// like the SLO dashboard).
+/// callers comparing artifacts across worker counts pass a fixed
+/// value, as `tests/artifact_pins.rs` does.
 pub fn render_fleet_json(
     workers: usize,
     tenants: &[TenantSpec],

@@ -50,7 +50,7 @@ pub use fleet::{
 };
 pub use policy_sweep::{
     coldstart_arms, recurrent_fleet_jobs, recurrent_microtrace, render_coldstart_sweep_json,
-    run_coldstart_sweep, ColdstartArm,
+    run_coldstart_arm, run_coldstart_sweep, ColdstartArm,
 };
 pub use server::{
     combined_fingerprint, fleet_workload, run_tenant_fleet, run_tenant_fleet_with, tenant_slice,

@@ -5,8 +5,8 @@
 //! `crates/cloud/tests/policy_properties.rs`.
 //!
 //! `examples/coldstart_sweep.rs` renders both into one deterministic
-//! JSON artifact (`target/coldstart_sweep.json`); `scripts/verify.sh`
-//! diffs it across runs and worker counts and asserts the hybrid arm's
+//! JSON artifact (`target/coldstart_sweep.json`); `tests/artifact_pins.rs`
+//! pins it across runs and worker counts and asserts the hybrid arm's
 //! microtrace cold fraction never exceeds the fixed arm's.
 
 use std::fmt::Write as _;
@@ -94,6 +94,32 @@ pub fn recurrent_fleet_jobs(
     jobs
 }
 
+/// Runs one sweep arm: the splitserve-policy fleet with
+/// `cloud.coldstart` set to `spec` and nothing else changed.
+pub fn run_coldstart_arm(
+    workers: usize,
+    tenants: &[TenantSpec],
+    jobs: &[FleetJob],
+    pool_cores: u32,
+    spec: &ColdStartSpec,
+) -> ColdstartArm {
+    let mut cfg =
+        TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants.to_vec(), pool_cores);
+    cfg.engine.workers = workers;
+    cfg.cloud.coldstart = spec.clone();
+    // No seeded warm pool: every warm start must be earned by the
+    // policy under test.
+    cfg.cloud.prewarmed_lambdas = 0;
+    let (wl, sink) = fleet_workload(8);
+    let outcome = run_tenant_fleet(&cfg, jobs, wl);
+    let fingerprint = combined_fingerprint(&sink.borrow());
+    ColdstartArm {
+        selector: spec.selector(),
+        outcome,
+        fingerprint,
+    }
+}
+
 /// Runs the full sweep: one splitserve-policy fleet per cold-start arm,
 /// identical tenants/jobs/seed, only `cloud.coldstart` varying.
 pub fn run_coldstart_sweep(
@@ -103,24 +129,8 @@ pub fn run_coldstart_sweep(
     pool_cores: u32,
 ) -> Vec<ColdstartArm> {
     coldstart_arms()
-        .into_iter()
-        .map(|spec| {
-            let mut cfg =
-                TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants.to_vec(), pool_cores);
-            cfg.engine.workers = workers;
-            cfg.cloud.coldstart = spec.clone();
-            // No seeded warm pool: every warm start must be earned by the
-            // policy under test.
-            cfg.cloud.prewarmed_lambdas = 0;
-            let (wl, sink) = fleet_workload(8);
-            let outcome = run_tenant_fleet(&cfg, jobs, wl);
-            let fingerprint = combined_fingerprint(&sink.borrow());
-            ColdstartArm {
-                selector: spec.selector(),
-                outcome,
-                fingerprint,
-            }
-        })
+        .iter()
+        .map(|spec| run_coldstart_arm(workers, tenants, jobs, pool_cores, spec))
         .collect()
 }
 
@@ -143,9 +153,7 @@ fn pool_block(out: &mut String, selector: &str, policy: &'static str, stats: &Po
 }
 
 /// Renders the sweep artifact. `workers` is a display label only —
-/// callers comparing across worker counts pass a fixed value or
-/// normalize the field like `scripts/verify.sh` does for the fleet
-/// artifact.
+/// callers comparing across worker counts pass a fixed value.
 pub fn render_coldstart_sweep_json(
     workers: usize,
     tenants: &[TenantSpec],
@@ -201,35 +209,6 @@ pub fn render_coldstart_sweep_json(
 mod tests {
     use super::*;
     use crate::tenancy::fleet::default_tenant_specs;
-
-    /// The microtrace orderings `verify.sh` gates on, checked at the
-    /// exact sweep parameters the example uses.
-    #[test]
-    fn microtrace_orderings_hold_at_example_scale() {
-        let arms = coldstart_arms();
-        let stats: Vec<PoolStats> = arms
-            .iter()
-            .map(|s| recurrent_microtrace(s, 30, 45))
-            .collect();
-        let by_selector = |sel: &str| {
-            arms.iter()
-                .position(|a| a.selector() == sel)
-                .unwrap_or_else(|| panic!("arm {sel} missing"))
-        };
-        let forever = &stats[by_selector("forever")];
-        let fixed = &stats[by_selector("fixed:15")];
-        let hybrid = &stats[by_selector("hybrid:15")];
-        assert_eq!(forever.cold_starts, 1, "forever pool misses only round 0");
-        assert_eq!(fixed.cold_starts, 30, "45s gap defeats the 15s window");
-        assert!(
-            hybrid.cold_fraction() <= fixed.cold_fraction(),
-            "hybrid {:.3} vs fixed {:.3}",
-            hybrid.cold_fraction(),
-            fixed.cold_fraction()
-        );
-        assert!(hybrid.cold_starts < fixed.cold_starts);
-        assert!(hybrid.prewarm_starts > 0, "the histogram must converge");
-    }
 
     /// A reduced sweep is deterministic and arm outcomes actually
     /// diverge (the policy knob reaches the warm pool).

@@ -8,18 +8,10 @@
 //! printed in the assertion message and justify the byte change in
 //! review.
 
-use std::hash::Hasher;
-
 use splitserve::tenancy::{
     default_tenant_specs, recurrent_fleet_jobs, render_coldstart_sweep_json, run_coldstart_sweep,
 };
-use splitserve_rt::hash::XxHash64;
-
-fn digest(bytes: &str) -> u64 {
-    let mut h = XxHash64::with_seed(0);
-    h.write(bytes.as_bytes());
-    h.finish()
-}
+use splitserve_rt::hash::assert_pinned;
 
 /// The reduced sweep: 4 tenants, 3 bursts of 10 every 40 s, 4-core
 /// pool — small enough for debug-mode CI, big enough that every arm
@@ -39,19 +31,6 @@ fn sweep_json(workers: usize) -> String {
 #[test]
 fn coldstart_sweep_digest_is_pinned_at_w1_and_w4() {
     const PIN: u64 = 0x8dfa_c80f_1512_b3a8;
-    let w1 = sweep_json(1);
-    assert_eq!(
-        digest(&w1),
-        PIN,
-        "coldstart sweep artifact drifted at workers=1: digest {:016x} (len {})",
-        digest(&w1),
-        w1.len()
-    );
-    let w4 = sweep_json(4);
-    assert_eq!(
-        digest(&w4),
-        PIN,
-        "coldstart sweep artifact drifted at workers=4: digest {:016x}",
-        digest(&w4)
-    );
+    assert_pinned("reduced coldstart sweep at workers=1", sweep_json(1).as_bytes(), PIN);
+    assert_pinned("reduced coldstart sweep at workers=4", sweep_json(4).as_bytes(), PIN);
 }

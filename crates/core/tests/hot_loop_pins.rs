@@ -3,25 +3,17 @@
 //! output byte*: these tests pin the reduced-scale fleet artifact and
 //! the Prometheus exposition to hard xxhash64 constants, at both 1 and
 //! 4 engine worker threads. Any drift — a reordered map, a changed
-//! float path, a renamed label — fails here first, in debug mode, long
-//! before `scripts/verify.sh` re-derives the full-scale pins.
+//! float path, a renamed label — fails here first, seconds before
+//! `tests/artifact_pins.rs` re-derives the full-scale pins.
 //!
 //! Updating a pin is a deliberate act: rerun with the new value printed
 //! in the assertion message and justify the byte change in review.
-
-use std::hash::Hasher;
 
 use splitserve::tenancy::{
     combined_fingerprint, default_fleet_jobs, default_tenant_specs, fleet_workload,
     render_fleet_json, run_tenant_fleet, FleetPolicy, TenantFleetConfig,
 };
-use splitserve_rt::hash::XxHash64;
-
-fn digest(bytes: &str) -> u64 {
-    let mut h = XxHash64::with_seed(0);
-    h.write(bytes.as_bytes());
-    h.finish()
-}
+use splitserve_rt::hash::assert_pinned;
 
 /// The reduced fleet: 5 tenants, 45 jobs, 120 s horizon, all three
 /// policies — the same machinery as `examples/tenant_fleet.rs`, small
@@ -45,21 +37,8 @@ fn fleet_json(workers: usize) -> String {
 #[test]
 fn fleet_artifact_digest_is_pinned_at_w1_and_w4() {
     const PIN: u64 = 0x15ce_aee7_5e06_1437;
-    let w1 = fleet_json(1);
-    assert_eq!(
-        digest(&w1),
-        PIN,
-        "fleet artifact drifted at workers=1: digest {:016x} (len {})",
-        digest(&w1),
-        w1.len()
-    );
-    let w4 = fleet_json(4);
-    assert_eq!(
-        digest(&w4),
-        PIN,
-        "fleet artifact drifted at workers=4: digest {:016x}",
-        digest(&w4)
-    );
+    assert_pinned("reduced fleet artifact at workers=1", fleet_json(1).as_bytes(), PIN);
+    assert_pinned("reduced fleet artifact at workers=4", fleet_json(4).as_bytes(), PIN);
 }
 
 /// One obs-enabled reduced fleet run; returns the full Prometheus
@@ -96,18 +75,10 @@ fn prometheus_exposition_is_pinned_at_w1_and_w4() {
         w1.contains("admission_wait_seconds"),
         "fleet run must populate the pre-resolved admission histograms:\n{w1}"
     );
-    assert_eq!(
-        digest(&w1),
+    assert_pinned("prometheus exposition at workers=1", w1.as_bytes(), PIN);
+    assert_pinned(
+        "prometheus exposition at workers=4",
+        prometheus_render(4).as_bytes(),
         PIN,
-        "prometheus exposition drifted at workers=1: digest {:016x} (len {})",
-        digest(&w1),
-        w1.len()
-    );
-    let w4 = prometheus_render(4);
-    assert_eq!(
-        digest(&w4),
-        PIN,
-        "prometheus exposition drifted at workers=4: digest {:016x}",
-        digest(&w4)
     );
 }

@@ -196,6 +196,35 @@ pub fn shuffle_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
+/// One-shot XXH64 of `bytes` under `seed`.
+///
+/// # Examples
+///
+/// ```
+/// use splitserve_rt::hash::xxh64;
+///
+/// assert_eq!(xxh64(0, b"abc"), 0x44bc_2cf5_ad77_0999);
+/// ```
+pub fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = XxHash64::with_seed(seed);
+    h.write(bytes);
+    h.finish()
+}
+
+/// The workspace's one pin mechanism: panics unless `xxh64(0, bytes)`
+/// equals `pin`. The message names the artifact and carries the new
+/// digest and length, so a deliberate byte change is one copy-paste and
+/// an accidental one says what moved.
+#[track_caller]
+pub fn assert_pinned(name: &str, bytes: &[u8], pin: u64) {
+    let got = xxh64(0, bytes);
+    assert!(
+        got == pin,
+        "{name} drifted from its pin {pin:016x}: digest {got:016x} (len {})",
+        bytes.len()
+    );
+}
+
 /// A fast, fixed-seed multiplicative hasher for small integer keys
 /// (FxHash-style word folding).
 ///
@@ -282,12 +311,6 @@ pub type FastSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 mod tests {
     use super::*;
 
-    fn xxh(seed: u64, bytes: &[u8]) -> u64 {
-        let mut h = XxHash64::with_seed(seed);
-        h.write(bytes);
-        h.finish()
-    }
-
     /// Golden values freeze the byte streams forever: any change to the
     /// algorithm (or its constants) re-partitions every recorded shuffle
     /// and must fail loudly here.
@@ -305,7 +328,7 @@ mod tests {
         ];
         for (seed, input, expect) in golden {
             assert_eq!(
-                xxh(*seed, input),
+                xxh64(*seed, input),
                 *expect,
                 "XXH64(seed={seed}, {input:?}) drifted"
             );
@@ -315,7 +338,7 @@ mod tests {
     #[test]
     fn streaming_matches_one_shot() {
         splitserve_rt_check_split(|bytes, splits| {
-            let one_shot = xxh(SHUFFLE_HASH_SEED, bytes);
+            let one_shot = xxh64(SHUFFLE_HASH_SEED, bytes);
             let mut h = XxHash64::with_seed(SHUFFLE_HASH_SEED);
             let mut rest = bytes;
             for &s in splits {
@@ -393,8 +416,25 @@ mod tests {
 
     #[test]
     fn seed_changes_the_stream() {
-        assert_ne!(xxh(0, b"key"), xxh(1, b"key"));
-        assert_ne!(xxh(SHUFFLE_HASH_SEED, b"key"), xxh(0, b"key"));
+        assert_ne!(xxh64(0, b"key"), xxh64(1, b"key"));
+        assert_ne!(xxh64(SHUFFLE_HASH_SEED, b"key"), xxh64(0, b"key"));
+    }
+
+    #[test]
+    fn assert_pinned_passes_on_the_pin_and_reports_a_one_byte_change() {
+        let artifact = b"{\"workers\":1}";
+        let pin = xxh64(0, artifact);
+        assert_pinned("demo artifact", artifact, pin);
+        let changed = b"{\"workers\":2}";
+        let err = std::panic::catch_unwind(|| assert_pinned("demo artifact", changed, pin))
+            .expect_err("a one-byte change must fail the pin");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("demo artifact"), "names the artifact: {msg}");
+        assert!(
+            msg.contains(&format!("{:016x}", xxh64(0, changed))),
+            "carries the new digest: {msg}"
+        );
+        assert!(msg.contains("len 13"), "carries the length: {msg}");
     }
 
     #[test]

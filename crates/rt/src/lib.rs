@@ -20,7 +20,8 @@
 //! Three further modules serve the parallel shuffle data plane:
 //!
 //! * [`hash`] — a seeded XXH64 hasher with a fixed shuffle seed, so
-//!   bucket placement is fast *and* frozen across runs and toolchains.
+//!   bucket placement is fast *and* frozen across runs and toolchains;
+//!   [`hash::assert_pinned`] is the workspace's one artifact-pin helper.
 //! * [`pool`] — a bounded pool of reusable byte buffers (per-thread
 //!   lock-free free lists, process-wide aggregated stats) that damps
 //!   per-task encode allocations.

@@ -6,39 +6,38 @@
 //! functions of these bytes, so a codec or shuffle change that keeps the
 //! digests keeps the model.
 
-use std::hash::Hasher;
-
 use splitserve_engine::{input_shuffles, Dataset, TaskContext, WorkModel};
-use splitserve_rt::hash::XxHash64;
+use splitserve_rt::hash::assert_pinned;
 use splitserve_workloads::{CloudSort, TpcdsTables};
 
-/// Runs the map side of `shuffled`'s single shuffle by hand and digests
+/// Runs the map side of `shuffled`'s single shuffle by hand and returns
 /// the blocks in map-task, then reduce-partition order, each framed by its
-/// length and record count.
-fn map_output_digest<T: Send + Sync + 'static>(shuffled: &Dataset<T>) -> (u64, u64) {
+/// length and record count (native-endian, as `Hasher::write_u64` fed them
+/// when the pins were taken), plus the unframed payload byte count.
+fn framed_map_output<T: Send + Sync + 'static>(shuffled: &Dataset<T>) -> (Vec<u8>, u64) {
     let deps = input_shuffles(&shuffled.node());
     assert_eq!(deps.len(), 1, "one shuffle expected");
     let dep = &deps[0];
-    let mut h = XxHash64::with_seed(0);
+    let mut framed = Vec::new();
     let mut total = 0u64;
     for m in 0..dep.parent.num_partitions() {
         let mut ctx = TaskContext::empty(WorkModel::default());
         let data = dep.parent.compute(&mut ctx, m);
         for b in (dep.partitioner)(&mut ctx, data) {
-            h.write_u64(b.bytes.len() as u64);
-            h.write_u64(b.records);
-            h.write(&b.bytes);
+            framed.extend_from_slice(&(b.bytes.len() as u64).to_ne_bytes());
+            framed.extend_from_slice(&b.records.to_ne_bytes());
+            framed.extend_from_slice(&b.bytes);
             total += b.bytes.len() as u64;
         }
     }
-    (h.finish(), total)
+    (framed, total)
 }
 
 #[test]
 fn cloudsort_range_blocks_are_wire_identical() {
-    let (digest, bytes) = map_output_digest(&CloudSort::new(20_000, 8, 5).plan());
+    let (framed, bytes) = framed_map_output(&CloudSort::new(20_000, 8, 5).plan());
     assert_eq!(bytes, CLOUDSORT_BYTES);
-    assert_eq!(digest, CLOUDSORT_DIGEST, "got {digest:#018x}");
+    assert_pinned("cloudsort range blocks", &framed, CLOUDSORT_DIGEST);
 }
 
 #[test]
@@ -48,9 +47,9 @@ fn tpcds_store_sale_blocks_are_wire_identical() {
         ..TpcdsTables::tiny(9)
     };
     let by_store = tables.store_sales().key_by(|s| s.store).group_by_key(4);
-    let (digest, bytes) = map_output_digest(&by_store);
+    let (framed, bytes) = framed_map_output(&by_store);
     assert_eq!(bytes, STORE_SALE_BYTES);
-    assert_eq!(digest, STORE_SALE_DIGEST, "got {digest:#018x}");
+    assert_pinned("tpcds store_sale blocks", &framed, STORE_SALE_DIGEST);
 }
 
 const CLOUDSORT_BYTES: u64 = 2_910_699;

@@ -1,72 +1,16 @@
 //! Determinism smoke for the chaos plane: 16 fixed seeds × two workloads
-//! × both shuffle stores, one line per case. Run it twice and diff — the
-//! output must be byte-identical, or the fault plane has lost the
-//! determinism that makes `CHAOS_SEED=…` repro lines trustworthy
-//! (`scripts/verify.sh` does exactly that).
+//! × both shuffle stores, one line per case. The output must be
+//! byte-identical across runs and across `SPLITSERVE_WORKERS`, or the
+//! fault plane has lost the determinism that makes `CHAOS_SEED=…` repro
+//! lines trustworthy (`tests/artifact_pins.rs` pins the digest at 1 and
+//! 4 workers).
 //!
 //! ```text
 //! cargo run --release --example chaos_smoke
 //! ```
 
-use std::hash::Hasher;
-
-use splitserve::ShuffleStoreKind;
-use splitserve_chaos::workloads::{ChaosCloudSort, ChaosPageRank, ChaosWorkload};
-use splitserve_chaos::{run_case, ChaosTopology, FaultPlan};
-use splitserve_rt::hash::XxHash64;
-
-const SEEDS: u64 = 16;
+use splitserve_suite::{chaos_smoke, workers_from_env};
 
 fn main() {
-    // SPLITSERVE_WORKERS sets the engine's worker-thread count; the
-    // digest must not change with it (`scripts/verify.sh` diffs 1 vs 4).
-    let workers = std::env::var("SPLITSERVE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let topo = ChaosTopology {
-        workers,
-        ..ChaosTopology::default()
-    };
-    let workloads: [&dyn ChaosWorkload; 2] =
-        [&ChaosPageRank::small(), &ChaosCloudSort::small()];
-    // Digest over every per-case line, so the final line alone certifies
-    // the whole matrix.
-    let mut digest = XxHash64::with_seed(0);
-    let mut completed = 0u32;
-    let mut total = 0u32;
-    for w in workloads {
-        for seed in 0..SEEDS {
-            let plan = FaultPlan::generate(seed);
-            for kind in [ShuffleStoreKind::Hdfs, ShuffleStoreKind::Local] {
-                let r = run_case(w, kind, Some(&plan), &topo);
-                let line = format!(
-                    "{:<9} seed={seed:<2} store={kind:<5} fp={} rollbacks={} losses={} \
-                     recomputed={} kills={} faults={}/{}/{} done_us={}",
-                    w.name(),
-                    r.fingerprint
-                        .map_or_else(|| "-".to_string(), |fp| format!("{fp:016x}")),
-                    r.rollbacks,
-                    r.executor_losses,
-                    r.recomputed,
-                    r.kills,
-                    r.fetch_faults,
-                    r.write_faults,
-                    r.delays,
-                    r.completed_at
-                        .map_or_else(|| "-".to_string(), |t| t.as_micros().to_string()),
-                );
-                println!("{line}");
-                digest.write(line.as_bytes());
-                total += 1;
-                if r.fingerprint.is_some() {
-                    completed += 1;
-                }
-            }
-        }
-    }
-    println!(
-        "chaos-smoke: {completed}/{total} cases completed, digest={:016x}",
-        digest.finish()
-    );
+    print!("{}", chaos_smoke(workers_from_env()).text());
 }

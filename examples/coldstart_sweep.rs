@@ -8,101 +8,26 @@
 //! cargo run --release --example coldstart_sweep [out.json]
 //! ```
 //!
-//! Deterministic: byte-identical across runs and across
-//! `SPLITSERVE_WORKERS` (verify.sh diffs both, normalizing only the
-//! embedded `"workers":N` label). Set `SPLITSERVE_COLDSTART` to a
+//! Deterministic: byte-identical across runs, and `SPLITSERVE_WORKERS`
+//! changes only the embedded `"workers":N` label
+//! (`tests/artifact_pins.rs` pins both). Set `SPLITSERVE_COLDSTART` to a
 //! selector (`forever`, `fixed:<secs>`, `pressure:<cap_mb>`,
 //! `hybrid[:<fallback_secs>]`) to append one extra arm to the sweep.
 
-use std::hash::Hasher;
-
-use splitserve::tenancy::{
-    default_tenant_specs, recurrent_fleet_jobs, render_coldstart_sweep_json, run_coldstart_sweep,
-    verify_log, FleetPolicy, TenantFleetConfig,
-};
 use splitserve_cloud::ColdStartSpec;
-use splitserve_rt::hash::XxHash64;
+use splitserve_suite::{coldstart_sweep, workers_from_env, write_artifact};
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-const MICRO_ROUNDS: usize = 30;
-const MICRO_GAP_SECS: u64 = 45;
-
-fn main() {
-    let workers = env_usize("SPLITSERVE_WORKERS", 1);
+fn main() -> Result<(), String> {
+    let workers = workers_from_env();
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/coldstart_sweep.json".to_string());
-
-    let pool_cores = 8;
-    let tenants = default_tenant_specs(6);
-    let jobs = recurrent_fleet_jobs(&tenants, 6, 20, 45);
-    eprintln!(
-        "coldstart-sweep: {} tenants, {} jobs in 6 bursts of 20 every 45s, pool {pool_cores} cores",
-        tenants.len(),
-        jobs.len()
-    );
-
-    let mut arms = run_coldstart_sweep(workers, &tenants, &jobs, pool_cores);
-    if let Ok(extra) = std::env::var("SPLITSERVE_COLDSTART") {
-        let spec = ColdStartSpec::parse(&extra)
-            .unwrap_or_else(|e| panic!("SPLITSERVE_COLDSTART: {e}"));
-        eprintln!("coldstart-sweep: extra arm {}", spec.selector());
-        let mut cfg =
-            TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants.clone(), pool_cores);
-        cfg.engine.workers = workers;
-        cfg.cloud.coldstart = spec.clone();
-        cfg.cloud.prewarmed_lambdas = 0;
-        let (wl, sink) = splitserve::tenancy::fleet_workload(8);
-        let outcome = splitserve::tenancy::run_tenant_fleet(&cfg, &jobs, wl);
-        let fingerprint = splitserve::tenancy::combined_fingerprint(&sink.borrow());
-        arms.push(splitserve::tenancy::ColdstartArm {
-            selector: spec.selector(),
-            outcome,
-            fingerprint,
-        });
-    }
-
-    for arm in &arms {
-        let cfg =
-            TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants.clone(), pool_cores);
-        verify_log(cfg.slots, &tenants, &arm.outcome.admission).expect("admission invariants");
-        let p = &arm.outcome.pool;
-        eprintln!(
-            "  {:>13} ({}): {} warm / {} cold / {} prewarm, cold frac {:.3}, \
-             wasted {:.2} GB·s, evicted {}/{}/{}, attainment {:.3}, ${:.2}",
-            arm.selector,
-            arm.outcome.coldstart_policy,
-            p.warm_starts,
-            p.cold_starts,
-            p.prewarm_starts,
-            p.cold_fraction(),
-            p.wasted_gb_seconds(),
-            p.evicted_expired,
-            p.evicted_pressure,
-            p.evicted_shutdown,
-            arm.outcome.slo.fleet_attainment(),
-            arm.outcome.cost_usd,
-        );
-    }
-
-    let json =
-        render_coldstart_sweep_json(workers, &tenants, jobs.len(), MICRO_ROUNDS, MICRO_GAP_SECS, &arms);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out_path, &json).expect("write sweep artifact");
-    let mut digest = XxHash64::with_seed(0);
-    digest.write(json.as_bytes());
-    println!(
-        "coldstart-sweep: workers={workers} wrote {} ({} bytes) digest={:016x}",
-        out_path,
-        json.len(),
-        digest.finish()
-    );
+    let extra = std::env::var("SPLITSERVE_COLDSTART")
+        .ok()
+        .map(|sel| ColdStartSpec::parse(&sel).map_err(|e| format!("SPLITSERVE_COLDSTART: {e}")))
+        .transpose()?;
+    let json = coldstart_sweep(workers, extra.as_ref()).json(workers);
+    let wrote = write_artifact(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
+    println!("coldstart-sweep: workers={workers} {wrote}");
+    Ok(())
 }

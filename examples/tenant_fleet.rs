@@ -9,77 +9,17 @@
 //! ```
 //!
 //! Deterministic: run it twice and the artifact is byte-identical, and
-//! `SPLITSERVE_WORKERS` (the engine's worker-thread count) must not
-//! change a byte either — `scripts/verify.sh` diffs both (normalizing
-//! only the embedded `"workers":N` field).
-//!
-//! Sizing knobs for quick local iterations (defaults satisfy the
-//! acceptance floor): `SPLITSERVE_FLEET_TENANTS`, `SPLITSERVE_FLEET_JOBS`.
+//! `SPLITSERVE_WORKERS` (the engine's worker-thread count) changes only
+//! the embedded `"workers":N` label — `tests/artifact_pins.rs` pins both.
 
-use std::hash::Hasher;
+use splitserve_suite::{tenant_fleet, workers_from_env, write_artifact};
 
-use splitserve::tenancy::{
-    combined_fingerprint, default_fleet_jobs, default_tenant_specs, fleet_workload,
-    render_fleet_json, run_tenant_fleet, verify_log, FleetPolicy, TenantFleetConfig,
-};
-use splitserve_rt::hash::XxHash64;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn main() {
-    let workers = env_usize("SPLITSERVE_WORKERS", 1);
-    let tenants_n = env_usize("SPLITSERVE_FLEET_TENANTS", 100);
-    let target_jobs = env_usize("SPLITSERVE_FLEET_JOBS", 10_500);
+fn main() -> std::io::Result<()> {
+    let workers = workers_from_env();
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/tenant_fleet.json".to_string());
-
-    let horizon_secs = 1_200.0;
-    let pool_cores = 40;
-    let tenants = default_tenant_specs(tenants_n);
-    let jobs = default_fleet_jobs(&tenants, 11, target_jobs, horizon_secs);
-    eprintln!(
-        "tenant-fleet: {} tenants, {} jobs over {horizon_secs}s, pool {pool_cores} cores",
-        tenants.len(),
-        jobs.len()
-    );
-
-    let mut results = Vec::new();
-    for policy in FleetPolicy::all() {
-        let mut cfg = TenantFleetConfig::for_policy(policy, tenants.clone(), pool_cores);
-        cfg.engine.workers = workers;
-        let (wl, sink) = fleet_workload(8);
-        let r = run_tenant_fleet(&cfg, &jobs, wl);
-        verify_log(cfg.slots, &tenants, &r.admission).expect("admission invariants");
-        let fp = combined_fingerprint(&sink.borrow());
-        eprintln!(
-            "  {policy:>12}: attainment {:.3}, cost ${:.2}, {} lambdas, \
-             mean wait {:.2}s, hol {:.1}s",
-            r.slo.fleet_attainment(),
-            r.cost_usd,
-            r.lambdas_launched,
-            r.mean_admission_wait_secs(),
-            r.hol_blocking_secs()
-        );
-        results.push((r, fp));
-    }
-
-    let json = render_fleet_json(workers, &tenants, jobs.len(), &results);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out_path, &json).expect("write fleet artifact");
-    let mut digest = XxHash64::with_seed(0);
-    digest.write(json.as_bytes());
-    println!(
-        "tenant-fleet: workers={workers} wrote {} ({} bytes) digest={:016x}",
-        out_path,
-        json.len(),
-        digest.finish()
-    );
+    let wrote = write_artifact(&out_path, &tenant_fleet(workers).json(workers))?;
+    println!("tenant-fleet: workers={workers} {wrote}");
+    Ok(())
 }

@@ -8,46 +8,16 @@
 //!
 //! Open the JSON in `chrome://tracing` (or <https://ui.perfetto.dev>): one
 //! row per executor, with the VM lanes filling up as the Lambda lanes
-//! drain at the segue.
+//! drain at the segue. `tests/artifact_pins.rs` pins both files and
+//! asserts that shape on the recorded spans.
 
-use splitserve::{
-    plan_split, record_split_plan, run_scenario, DriverProgram, Scenario, ScenarioSpec,
-};
-use splitserve_des::{SimDuration, SimTime};
-use splitserve_workloads::CloudSort;
+use splitserve_suite::{trace_timeline, workers_from_env};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "target".into());
-
-    // The §4.2 walkthrough shape: the sort needs 16 cores, finds 3 free,
-    // bridges with 13 Lambdas. The sort is short (~1 s virtual), so the
-    // segue is scaled to land mid-job: replacement VM cores free up at
-    // 500 ms and Lambdas drain once they are 500 ms old.
-    let mut spec = ScenarioSpec {
-        required_cores: 16,
-        available_cores: 3,
-        segue_existing_cores_at: Some(SimDuration::from_millis(500)),
-        lambda_timeout: SimDuration::from_millis(500),
-        seed: 7,
-        ..ScenarioSpec::default()
-    };
-    let obs = spec.enable_observability();
-
-    // The launching facility's decision, recorded on the driver lane so
-    // the trace explains the executor mix it shows.
-    let plan = plan_split(
-        spec.required_cores,
-        spec.available_cores,
-        60.0,
-        110.0,
-        splitserve::fig1_crossover_default(),
-    );
-    record_split_plan(&obs, SimTime::from_secs(0), &plan);
-
-    let sort = CloudSort::new(300_000, 16, 7);
-    println!("running {} under Scenario::SsHybridSegue ...", sort.name());
-    let factory = move || -> Box<dyn DriverProgram> { Box::new(sort.clone()) };
-    let result = run_scenario(Scenario::SsHybridSegue, &spec, &factory);
+    let run = trace_timeline(workers_from_env());
+    println!("running {} under Scenario::SsHybridSegue ...", run.workload);
+    let result = &run.result;
     println!(
         "{}: finished in {:.1} s (virtual), {} tasks on VMs, {} on Lambdas, {} recomputed, ${:.4}",
         result.label,
@@ -58,37 +28,28 @@ fn main() {
         result.cost_usd,
     );
 
-    // The acceptance shape of the trace: both executor substrates did
-    // work, and the segue drain is visible.
-    let spans = obs.spans.finished_spans();
-    let vm_tasks = spans
-        .iter()
-        .filter(|s| s.lane == "vm" && s.name.starts_with("task "))
-        .count();
-    let lambda_tasks = spans
-        .iter()
-        .filter(|s| s.lane == "lambda" && s.name.starts_with("task "))
-        .count();
+    let spans = run.obs.spans.finished_spans();
+    let tasks_on = |lane: &str| {
+        spans
+            .iter()
+            .filter(|s| s.lane == lane && s.name.starts_with("task "))
+            .count()
+    };
     let drains = spans
         .iter()
         .filter(|s| s.name.starts_with("segue drain"))
         .count();
-    assert!(vm_tasks > 0, "trace must show VM-lane task spans");
-    assert!(lambda_tasks > 0, "trace must show Lambda-lane task spans");
-    assert!(drains > 0, "trace must show a segue-drain span");
-    assert_eq!(obs.spans.nesting_violation(), None, "spans nest cleanly");
     println!(
-        "trace: {} spans ({vm_tasks} VM tasks, {lambda_tasks} Lambda tasks, {drains} drains)",
-        spans.len()
+        "trace: {} spans ({} VM tasks, {} Lambda tasks, {drains} drains)",
+        spans.len(),
+        tasks_on("vm"),
+        tasks_on("lambda"),
     );
 
     let trace_path = format!("{out_dir}/trace_timeline.json");
     let prom_path = format!("{out_dir}/trace_timeline.prom");
-    obs.spans
-        .write_chrome_trace(&trace_path)
-        .expect("write trace");
-    obs.metrics
-        .write_prometheus(&prom_path)
-        .expect("write metrics");
+    run.obs.spans.write_chrome_trace(&trace_path)?;
+    run.obs.metrics.write_prometheus(&prom_path)?;
     println!("wrote {trace_path} (open in chrome://tracing) and {prom_path}");
+    Ok(())
 }

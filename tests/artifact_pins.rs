@@ -1,0 +1,262 @@
+//! The artifact pin table. Each of the five example artifacts is built
+//! in-process by the same `splitserve_suite` builder its example calls,
+//! and must be (a) byte-identical across two runs, (b) byte-identical
+//! across 1 and 4 engine worker threads once the embedded `"workers":N`
+//! label is rendered as a fixed value, and (c) equal to its pinned
+//! xxhash64 digest — the one the example prints as `digest=`. The
+//! paper-shape claims the artifacts exist to show are asserted here too,
+//! once, on the typed outcomes rather than on re-parsed JSON.
+//!
+//! Updating a pin is a deliberate act: `assert_pinned` prints the new
+//! digest and length; justify the byte change in review.
+
+use splitserve::tenancy::{coldstart_arms, recurrent_microtrace, SloClass};
+use splitserve_cloud::PoolStats;
+use splitserve_obs::TenantId;
+use splitserve_rt::hash::assert_pinned;
+use splitserve_suite::{
+    chaos_smoke, coldstart_sweep, slo_dashboard, tenant_fleet, trace_timeline,
+    DASHBOARD_QUANTILES, MICRO_GAP_SECS, MICRO_ROUNDS,
+};
+
+// `[workers=1, workers=4]` digests of the bytes each example writes; the
+// two differ only through the embedded label.
+const TENANT_FLEET: [u64; 2] = [0x8d89_667a_0715_385b, 0x2537_41d9_db7d_2b6f];
+const COLDSTART_SWEEP: [u64; 2] = [0xec08_39a9_91f0_ee1d, 0x681e_16f1_4653_5f03];
+const SLO_DASHBOARD: [u64; 2] = [0x4603_04c0_4d4e_696d, 0xcd3a_1bf8_03db_afde];
+// No label inside these: one digest at every worker count.
+const CHAOS_SMOKE: u64 = 0x26b7_f0f2_1a67_1813;
+const TRACE_TIMELINE_JSON: u64 = 0x386f_6f26_da97_0a2e;
+const TRACE_TIMELINE_PROM: u64 = 0x220d_2af8_8d81_19f0;
+
+/// Both sides of the ledger are exact sums of the same charges; the old
+/// check compared their 6-decimal prints and allowed one ulp of that grid.
+const USD_EPS: f64 = 2e-6;
+
+/// One artifact run three ways: workers=1, workers=1 again, workers=4.
+fn three_runs<A>(build: impl Fn(usize) -> A) -> [A; 3] {
+    [build(1), build(1), build(4)]
+}
+
+/// `render(run, label)` is the artifact's bytes with `label` embedded as
+/// its worker count.
+#[track_caller]
+fn assert_runs_pinned<A>(
+    name: &str,
+    [first, again, w4]: &[A; 3],
+    render: impl Fn(&A, usize) -> String,
+    [pin_w1, pin_w4]: [u64; 2],
+) {
+    let bytes = render(first, 1);
+    assert!(bytes == render(again, 1), "{name}: two runs differ");
+    assert!(
+        render(first, 0) == render(w4, 0),
+        "{name}: worker count reached the artifact beyond its label"
+    );
+    assert_pinned(&format!("{name} at workers=1"), bytes.as_bytes(), pin_w1);
+    assert_pinned(
+        &format!("{name} at workers=4"),
+        render(w4, 4).as_bytes(),
+        pin_w4,
+    );
+}
+
+#[test]
+fn tenant_fleet_is_pinned_settles_its_bills_and_splitserve_beats_vm_only() {
+    let runs = three_runs(tenant_fleet);
+    assert_runs_pinned("tenant_fleet", &runs, |f, label| f.json(label), TENANT_FLEET);
+
+    let fleet = &runs[0];
+    assert!(fleet.tenants.len() >= 100, "fleet below tenant floor");
+    assert!(fleet.jobs >= 10_000, "fleet below job floor");
+    let policies: Vec<String> = fleet.results.iter().map(|(r, _)| r.policy.to_string()).collect();
+    assert_eq!(policies, ["vm-only", "splitserve", "lambda-heavy"]);
+    let settle_tenant = TenantId::new("fleet");
+    for (r, fp) in &fleet.results {
+        let policy = r.policy;
+        assert_eq!(r.outcomes.len(), fleet.jobs, "{policy}: every policy runs every job");
+        assert_eq!(
+            r.admission.len(),
+            3 * fleet.jobs,
+            "{policy}: each job logs arrive/dispatch/complete"
+        );
+        assert!((0.0..=1.0).contains(&r.slo.fleet_attainment()));
+        assert!(r.cost_usd > 0.0);
+        assert_eq!(*fp, fleet.results[0].1, "{policy} computed different data");
+        for class in SloClass::all() {
+            let jobs = r.outcomes.iter().filter(|o| o.class == class).count();
+            assert!(jobs > 0, "{policy}: empty class {}", class.as_str());
+        }
+        for t in &fleet.tenants {
+            assert!(!r.slo.curve(&t.id).is_empty(), "{policy}: {} has no attainment curve", t.id);
+            assert!(!r.bill.curve(&t.id).is_empty(), "{policy}: {} has no bill curve", t.id);
+        }
+        // Per-tenant accrual plus the final settlement lands on the
+        // cloud bill.
+        let accrued: f64 = fleet.tenants.iter().map(|t| r.bill.total(&t.id)).sum();
+        let ledger = accrued + r.bill.total(&settle_tenant);
+        assert!(
+            (ledger - r.cost_usd).abs() <= USD_EPS,
+            "{policy}: ledger {ledger} != bill {}",
+            r.cost_usd
+        );
+    }
+    let attainment = |i: usize| fleet.results[i].0.slo.fleet_attainment();
+    assert!(
+        attainment(1) > attainment(0),
+        "splitserve ({}) must beat vm-only ({}) on fleet SLO attainment",
+        attainment(1),
+        attainment(0)
+    );
+}
+
+/// One arm of the sweep's microtrace, as the artifact renders it.
+fn microtrace(selector: &str) -> PoolStats {
+    let spec = coldstart_arms()
+        .into_iter()
+        .find(|s| s.selector() == selector)
+        .unwrap_or_else(|| panic!("arm {selector} missing"));
+    recurrent_microtrace(&spec, MICRO_ROUNDS, MICRO_GAP_SECS)
+}
+
+/// The recurrent microtrace is the controlled experiment: a gap beyond
+/// the fixed window, repeated until the histogram converges.
+#[test]
+fn microtrace_orderings_hold_at_example_scale() {
+    let (forever, fixed) = (microtrace("forever"), microtrace("fixed:15"));
+    let (pressure, hybrid) = (microtrace("pressure:6144"), microtrace("hybrid:15"));
+    assert_eq!(forever.cold_starts, 1, "forever pool misses only round 0");
+    assert_eq!(fixed.cold_starts, 30, "45s gap defeats the 15s window");
+    // The hybrid policy must do no worse than its own fixed fallback —
+    // and here strictly better, with prewarms doing the work.
+    assert!(
+        hybrid.cold_fraction() <= fixed.cold_fraction(),
+        "hybrid {:.3} vs fixed {:.3}",
+        hybrid.cold_fraction(),
+        fixed.cold_fraction()
+    );
+    assert!(hybrid.cold_starts < fixed.cold_starts, "hybrid never converged");
+    assert!(hybrid.prewarm_starts > 0, "the histogram must converge");
+    // The infinite pool is the cold-start lower bound of the
+    // non-prewarming arms; the capped pool trades cold starts for
+    // bounded warm memory.
+    assert!(
+        forever.wasted_gb_seconds() >= pressure.wasted_gb_seconds(),
+        "the cap must bound wasted warm memory below the infinite pool"
+    );
+}
+
+#[test]
+fn coldstart_sweep_is_pinned_and_hybrid_is_no_colder_than_fixed() {
+    let runs = three_runs(|w| coldstart_sweep(w, None));
+    assert_runs_pinned("coldstart_sweep", &runs, |s, label| s.json(label), COLDSTART_SWEEP);
+
+    let arms = &runs[0].arms;
+    let selectors: Vec<&str> = arms.iter().map(|a| a.selector.as_str()).collect();
+    assert_eq!(selectors, ["forever", "fixed:15", "pressure:6144", "hybrid:15"]);
+    for arm in arms {
+        let p = &arm.outcome.pool;
+        assert!(
+            p.warm_starts + p.cold_starts + p.prewarm_starts > 0,
+            "{}: the fleet never exercised the warm pool",
+            arm.selector
+        );
+        assert!((0.0..=1.0).contains(&p.cold_fraction()));
+        assert!(arm.outcome.cost_usd > 0.0);
+    }
+    // On the fleet itself the microtrace's ordering holds for this
+    // recurrent-burst workload: policy choice reaches attainment-relevant
+    // start latencies.
+    let (fixed, hybrid) = (&arms[1].outcome.pool, &arms[3].outcome.pool);
+    assert!(
+        hybrid.cold_fraction() <= fixed.cold_fraction(),
+        "hybrid {:.3} must not exceed fixed {:.3} cold fraction on the recurrent fleet",
+        hybrid.cold_fraction(),
+        fixed.cold_fraction()
+    );
+}
+
+#[test]
+fn slo_dashboard_is_pinned_settles_its_bill_and_splitserve_beats_the_vm_pool() {
+    let runs = three_runs(slo_dashboard);
+    assert_runs_pinned("slo_dashboard", &runs, |d, label| d.json(label), SLO_DASHBOARD);
+
+    let policies = &runs[0].policies;
+    let names: Vec<String> = policies.iter().map(|(r, _)| r.policy.to_string()).collect();
+    assert_eq!(names, ["vm-pool-only", "splitserve"]);
+    let tenant = TenantId::default();
+    for (r, _) in policies {
+        let policy = r.policy;
+        assert!(!r.jobs.is_empty());
+        assert!((0.0..=1.0).contains(&r.slo_attainment()));
+        assert!(r.cost_usd > 0.0);
+        assert!(!r.slo.curve(&tenant).is_empty(), "{policy}: no attainment curve");
+        let quantile = |q: f64| {
+            r.slo
+                .latency_quantile(&tenant, q)
+                .unwrap_or_else(|| panic!("{policy}: no latency quantile {q}"))
+        };
+        for (_, q) in DASHBOARD_QUANTILES {
+            quantile(q);
+        }
+        assert!(quantile(0.5) <= quantile(0.99), "{policy}: quantiles out of order");
+        let settled = r
+            .bill
+            .curve(&tenant)
+            .last()
+            .unwrap_or_else(|| panic!("{policy}: no bill curve"))
+            .cumulative_usd;
+        assert!(
+            (settled - r.cost_usd).abs() <= USD_EPS,
+            "{policy}: bill ledger ({settled}) must settle to the cloud bill ({})",
+            r.cost_usd
+        );
+    }
+    let (vm, ss) = (policies[0].0.slo_attainment(), policies[1].0.slo_attainment());
+    assert!(
+        ss > vm,
+        "splitserve ({ss}) must beat vm-pool-only ({vm}) on SLO attainment in the burst scenario"
+    );
+}
+
+#[test]
+fn chaos_smoke_is_pinned_and_every_case_completes() {
+    let runs = three_runs(chaos_smoke);
+    assert_runs_pinned(
+        "chaos_smoke",
+        &runs,
+        |c, _| c.digest_input(),
+        [CHAOS_SMOKE; 2],
+    );
+    assert_eq!((runs[0].completed, runs[0].lines.len()), (64, 64));
+    assert!(runs[0].text().ends_with(&format!("digest={CHAOS_SMOKE:016x}\n")));
+}
+
+#[test]
+fn trace_timeline_is_pinned_and_shows_both_substrates_and_the_segue_drain() {
+    let runs = three_runs(trace_timeline);
+    assert_runs_pinned(
+        "trace_timeline.json",
+        &runs,
+        |t, _| t.obs.spans.to_chrome_trace(),
+        [TRACE_TIMELINE_JSON; 2],
+    );
+    assert_runs_pinned(
+        "trace_timeline.prom",
+        &runs,
+        |t, _| t.obs.metrics.render_prometheus(),
+        [TRACE_TIMELINE_PROM; 2],
+    );
+
+    let spans = runs[0].obs.spans.finished_spans();
+    let count = |lane: &str, prefix: &str| {
+        spans
+            .iter()
+            .filter(|s| s.lane == lane && s.name.starts_with(prefix))
+            .count()
+    };
+    assert!(count("vm", "task ") > 0, "trace must show VM-lane task spans");
+    assert!(count("lambda", "task ") > 0, "trace must show Lambda-lane task spans");
+    assert!(count("segue", "segue drain") > 0, "trace must show a segue-drain span");
+    assert_eq!(runs[0].obs.spans.nesting_violation(), None, "spans nest cleanly");
+}
