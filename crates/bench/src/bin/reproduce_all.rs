@@ -1,39 +1,14 @@
-//! Runs every figure's experiment in order — the one-shot artifact
-//! regeneration entry point. Pass `--quick` for a reduced-fidelity pass.
+//! Regenerates every figure's tables in order, or one with `--only KEY` —
+//! the one artifact-regeneration entry point. `--quick` is the
+//! reduced-fidelity pass; a command line it cannot account for exits 2.
 
-use splitserve::ProfileMode;
-use splitserve_bench::experiments as ex;
+use splitserve_bench::cli;
 
-fn main() {
-    let f = ex::Fidelity::from_args();
-    let seed = splitserve_bench::cli::seed_from_args();
-    eprintln!("[fig1]");
-    splitserve_bench::cli::emit(&ex::fig1());
-    println!("crossover: {:.1}s", ex::fig1_crossover_secs());
-    eprintln!("[fig2]");
-    let (series, policies) = ex::fig2(seed);
-    splitserve_bench::cli::emit(&series);
-    splitserve_bench::cli::emit(&policies);
-    eprintln!("[fig4]");
-    splitserve_bench::cli::emit(&ex::fig4(ProfileMode::LambdaOnly, f, seed));
-    splitserve_bench::cli::emit(&ex::fig4(ProfileMode::VmOnly, f, seed));
-    eprintln!("[fig5]");
-    splitserve_bench::cli::emit(&ex::fig5(f, seed));
-    eprintln!("[fig6]");
-    splitserve_bench::cli::emit(&ex::fig6(f, seed));
-    eprintln!("[fig7]");
-    for tl in ex::fig7(f, seed) {
-        splitserve_bench::cli::emit(&ex::timeline_table(&tl));
-    }
-    eprintln!("[fig8]");
-    splitserve_bench::cli::emit(&ex::fig8(f, seed));
-    eprintln!("[fig9]");
-    splitserve_bench::cli::emit(&ex::fig9(f, seed));
-    eprintln!("[ablations]");
-    splitserve_bench::cli::emit(&ex::ablation_stores(f, seed));
-    splitserve_bench::cli::emit(&ex::ablation_segue_threshold(f, seed));
-    splitserve_bench::cli::emit(&ex::ablation_lambda_memory(f, seed));
-    splitserve_bench::cli::emit(&ex::ablation_cloudsort(f, seed));
-    splitserve_bench::cli::emit(&ex::ablation_controller(f, seed));
-    splitserve_bench::cli::emit(&ex::ablation_job_stream(f, seed));
+fn main() -> std::io::Result<()> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = cli::parse(&args).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    });
+    cli::run(&cli, &mut std::io::stdout().lock())
 }

@@ -1,18 +1,22 @@
 //! One function per paper figure: each builds the workload, runs the
-//! scenarios, and returns result tables. The binaries in `src/bin` are
-//! thin wrappers; the integration tests run the `quick` variants.
+//! scenarios, and returns result tables. [`EXPERIMENTS`] lists them in
+//! print order; `reproduce_all` and the integration tests walk that table.
 
+use std::rc::Rc;
+
+use splitserve::tenancy::{run_tenant_fleet, FleetJob, FleetPolicy, TenantFleetConfig};
 use splitserve::{
-    evaluate_policy, profile_sweep, run_scenario, DayModel, DriverProgram, ProfileMode,
-    ProvisionPolicy, Scenario, ScenarioResult, ScenarioSpec,
+    evaluate_policy, profile_sweep, run_job, run_scenario, start_allocator, AllocatorConfig,
+    DayModel, DriverProgram, ProfileMode, ProvisionPolicy, Scenario, ScenarioResult, ScenarioSpec,
+    ShuffleStoreKind,
 };
 use splitserve_cloud::{
-    fig1_crossover, fig1_vcpu_cost_at, CloudSpec, InstanceType, M4_10XLARGE, M4_16XLARGE,
-    M4_4XLARGE, M4_LARGE, M4_XLARGE,
+    fig1_crossover, fig1_vcpu_cost_at, Category, M4_10XLARGE, M4_16XLARGE, M4_4XLARGE, M4_LARGE,
+    M4_XLARGE,
 };
 use splitserve_des::SimDuration;
 use splitserve_engine::{EngineEvent, EngineEventKind};
-use splitserve_workloads::{KMeans, PageRank, SparkPi, TpcdsLoad, TpcdsQuery};
+use splitserve_workloads::{CloudSort, KMeans, PageRank, SparkPi, TpcdsLoad, TpcdsQuery};
 
 use crate::report::{mean_sd, secs, usd, Table};
 
@@ -26,21 +30,46 @@ pub enum Fidelity {
     Quick,
 }
 
-impl Fidelity {
-    /// Parses `--quick` from argv.
-    pub fn from_args() -> Fidelity {
-        if std::env::args().any(|a| a == "--quick") {
-            Fidelity::Quick
-        } else {
-            Fidelity::Paper
-        }
-    }
-}
+/// One experiment: its tables, in print order, at a fidelity and seed.
+pub type Experiment = fn(Fidelity, u64) -> Vec<Table>;
+
+/// Every experiment by `--only` key, in `reproduce_all` order. The full
+/// output is the concatenation of the slices.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", |_, _| vec![fig1()]),
+    ("fig2", |_, seed| {
+        let (series, policies) = fig2(seed);
+        vec![series, policies]
+    }),
+    ("fig4", |f, seed| {
+        vec![
+            fig4(ProfileMode::LambdaOnly, f, seed),
+            fig4(ProfileMode::VmOnly, f, seed),
+        ]
+    }),
+    ("fig5", |f, seed| vec![fig5(f, seed)]),
+    ("fig6", |f, seed| vec![fig6(f, seed)]),
+    ("fig7", |f, seed| {
+        fig7(f, seed).iter().map(timeline_table).collect()
+    }),
+    ("fig8", |f, seed| vec![fig8(f, seed)]),
+    ("fig9", |f, seed| vec![fig9(f, seed)]),
+    ("ablations", |f, seed| {
+        vec![
+            ablation_stores(f, seed),
+            ablation_segue_threshold(f, seed),
+            ablation_lambda_memory(f, seed),
+            ablation_cloudsort(f, seed),
+            ablation_controller(f, seed),
+            ablation_job_stream(f, seed),
+        ]
+    }),
+];
 
 // ---------------------------------------------------------------- Fig 1
 
 /// Figure 1: cost of one vCPU via a m4.large VM vs a 1 536 MB Lambda, as a
-/// function of time-in-use.
+/// function of time-in-use, with the crossover as the table's note.
 pub fn fig1() -> Table {
     let mut t = Table::new(
         "Figure 1: cost of one vCPU (m4.large vs 1536 MB Lambda)",
@@ -56,6 +85,8 @@ pub fn fig1() -> Table {
         let (vm, la) = fig1_vcpu_cost_at(&M4_LARGE, SimDuration::from_secs_f64(s));
         t.push(vec![format!("{s:.1}"), format!("{vm:.7}"), format!("{la:.7}")]);
     }
+    t.notes
+        .push(format!("crossover: {:.1}s", fig1_crossover_secs()));
     t
 }
 
@@ -167,18 +198,14 @@ pub fn fig4(mode: ProfileMode, f: Fidelity, seed: u64) -> Table {
 
 // ---------------------------------------------------------------- Fig 5
 
-/// Figure 5's seven scenarios (no segue: the queries finish in about a
-/// minute, so "no tasks needed segueing").
-pub fn fig5_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::SparkSmallVm,
-        Scenario::SparkRVm,
-        Scenario::SparkAutoscale,
-        Scenario::QuboleLambda,
-        Scenario::SsRVm,
-        Scenario::SsRLambda,
-        Scenario::SsHybrid,
-    ]
+/// The seven scenarios of Figures 5 and 8: all but the segue (the TPC-DS
+/// queries finish in about a minute, so "no tasks needed segueing"; the
+/// paper presents K-means as the case where all-Lambda beats the hybrid).
+pub fn no_segue_scenarios() -> Vec<Scenario> {
+    Scenario::all()
+        .into_iter()
+        .filter(|s| *s != Scenario::SsHybridSegue)
+        .collect()
 }
 
 /// The cluster spec of the TPC-DS experiment: R = 32, r = 8, workers and
@@ -212,31 +239,39 @@ pub fn fig5(f: Fidelity, seed: u64) -> Table {
                 },
             })
         };
-        let mut baseline = None;
-        for scenario in fig5_scenarios() {
-            let r = run_scenario(scenario, &spec, &factory);
-            if scenario == Scenario::SparkRVm {
-                baseline = Some(r.execution_secs);
-            }
-            push_scenario_row(&mut t, &query.to_string(), &r, baseline);
-        }
+        push_scenario_rows(&mut t, &query.to_string(), &no_segue_scenarios(), &spec, &factory);
     }
     t
 }
 
-fn push_scenario_row(t: &mut Table, workload: &str, r: &ScenarioResult, baseline: Option<f64>) {
-    let rel = baseline
-        .map(|b| format!("{:.2}x", r.execution_secs / b))
-        .unwrap_or_else(|| "-".into());
-    t.push(vec![
-        workload.to_string(),
-        r.label.clone(),
-        secs(r.execution_secs),
-        rel,
-        usd(r.cost_usd),
-        r.tasks_on_vm.to_string(),
-        r.tasks_on_lambda.to_string(),
-    ]);
+/// Runs `scenarios` in order and appends one row each; rows from
+/// `Spark R VM` on carry their slowdown relative to it.
+fn push_scenario_rows(
+    t: &mut Table,
+    workload: &str,
+    scenarios: &[Scenario],
+    spec: &ScenarioSpec,
+    factory: &dyn Fn() -> Box<dyn DriverProgram>,
+) {
+    let mut baseline = None;
+    for scenario in scenarios {
+        let r = run_scenario(*scenario, spec, factory);
+        if *scenario == Scenario::SparkRVm {
+            baseline = Some(r.execution_secs);
+        }
+        let rel = baseline
+            .map(|b| format!("{:.2}x", r.execution_secs / b))
+            .unwrap_or_else(|| "-".into());
+        t.push(vec![
+            workload.to_string(),
+            r.label,
+            secs(r.execution_secs),
+            rel,
+            usd(r.cost_usd),
+            r.tasks_on_vm.to_string(),
+            r.tasks_on_lambda.to_string(),
+        ]);
+    }
 }
 
 // ---------------------------------------------------------------- Fig 6
@@ -274,16 +309,8 @@ pub fn fig6(f: Fidelity, seed: u64) -> Table {
         "Figure 6: PageRank (850k pages, R=16, r=3)",
         &["workload", "scenario", "exec_s", "vs_Spark_R_VM", "cost_usd", "tasks_vm", "tasks_la"],
     );
-    let spec = fig6_spec(seed);
     let factory = move || -> Box<dyn DriverProgram> { Box::new(fig6_workload(f, seed)) };
-    let mut baseline = None;
-    for scenario in Scenario::all() {
-        let r = run_scenario(scenario, &spec, &factory);
-        if scenario == Scenario::SparkRVm {
-            baseline = Some(r.execution_secs);
-        }
-        push_scenario_row(&mut t, "PageRank", &r, baseline);
-    }
+    push_scenario_rows(&mut t, "PageRank", &Scenario::all(), &fig6_spec(seed), &factory);
     t
 }
 
@@ -416,18 +443,16 @@ pub fn fig8_spec(seed: u64) -> ScenarioSpec {
     }
 }
 
-/// Figure 8 scenario set (the paper presents the hybrid as the case where
-/// all-Lambda beats it; segue is n/a at these durations).
-pub fn fig8_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::SparkSmallVm,
-        Scenario::SparkRVm,
-        Scenario::SparkAutoscale,
-        Scenario::QuboleLambda,
-        Scenario::SsRVm,
-        Scenario::SsRLambda,
-        Scenario::SsHybrid,
-    ]
+/// The Figure 8 K-means workload (3 M × 20-d points; scaled down in quick
+/// mode).
+pub fn fig8_workload(f: Fidelity, seed: u64) -> KMeans {
+    match f {
+        Fidelity::Paper => KMeans::paper_config(16, seed),
+        Fidelity::Quick => KMeans {
+            parallelism: 16,
+            ..KMeans::small(20_000, 16, seed)
+        },
+    }
 }
 
 /// Figure 8: K-means performance *and* cost with error bars from
@@ -441,21 +466,13 @@ pub fn fig8(f: Fidelity, base_seed: u64) -> Table {
         "Figure 8: K-means (R=16, r=4), mean ± sd over trials",
         &["scenario", "exec_s_mean", "exec_s_sd", "cost_usd_mean", "cost_usd_sd"],
     );
-    for scenario in fig8_scenarios() {
+    for scenario in no_segue_scenarios() {
         let mut times = Vec::new();
         let mut costs = Vec::new();
         for trial in 0..trials {
             let seed = base_seed + trial as u64;
             let spec = fig8_spec(seed);
-            let factory = move || -> Box<dyn DriverProgram> {
-                Box::new(match f {
-                    Fidelity::Paper => KMeans::paper_config(16, seed),
-                    Fidelity::Quick => KMeans {
-                        parallelism: 16,
-                        ..KMeans::small(20_000, 16, seed)
-                    },
-                })
-            };
+            let factory = move || -> Box<dyn DriverProgram> { Box::new(fig8_workload(f, seed)) };
             let r = run_scenario(scenario, &spec, &factory);
             times.push(r.execution_secs);
             costs.push(r.cost_usd);
@@ -490,14 +507,10 @@ pub fn fig9_spec(seed: u64) -> ScenarioSpec {
 /// Figure 9 scenario set ("we did not assess the Lambdas-segue-to-VMs
 /// setup … because the job finished under 1 minute").
 pub fn fig9_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::SparkSmallVm,
-        Scenario::SparkRVm,
-        Scenario::QuboleLambda,
-        Scenario::SsRVm,
-        Scenario::SsRLambda,
-        Scenario::SsHybrid,
-    ]
+    no_segue_scenarios()
+        .into_iter()
+        .filter(|s| *s != Scenario::SparkAutoscale)
+        .collect()
 }
 
 /// Figure 9: SparkPi (10¹⁰ darts, 64 executors) across scenarios.
@@ -506,7 +519,6 @@ pub fn fig9(f: Fidelity, seed: u64) -> Table {
         "Figure 9: SparkPi (1e10 darts, R=64, r=4)",
         &["workload", "scenario", "exec_s", "vs_Spark_R_VM", "cost_usd", "tasks_vm", "tasks_la"],
     );
-    let spec = fig9_spec(seed);
     let factory = move || -> Box<dyn DriverProgram> {
         Box::new(match f {
             Fidelity::Paper => SparkPi::paper_config(64, seed),
@@ -519,62 +531,31 @@ pub fn fig9(f: Fidelity, seed: u64) -> Table {
             },
         })
     };
-    let mut baseline = None;
-    for scenario in fig9_scenarios() {
-        let r = run_scenario(scenario, &spec, &factory);
-        if scenario == Scenario::SparkRVm {
-            baseline = Some(r.execution_secs);
-        }
-        push_scenario_row(&mut t, "SparkPi", &r, baseline);
-    }
+    push_scenario_rows(&mut t, "SparkPi", &fig9_scenarios(), &fig9_spec(seed), &factory);
     t
 }
 
 /// Ablation: the same hybrid PageRank run over each shuffle substrate —
 /// the design-choice comparison behind the paper's §4.3 store discussion.
 pub fn ablation_stores(f: Fidelity, seed: u64) -> Table {
-    use splitserve::{Deployment, ShuffleStoreKind};
-    use splitserve_des::Sim;
     let mut t = Table::new(
         "Ablation: shuffle substrate under the hybrid (r VM + Δ La)",
         &["store", "exec_s", "cost_usd", "throttle_wait_s"],
     );
+    let spec = fig6_spec(seed);
     for store in [
         ShuffleStoreKind::Hdfs,
         ShuffleStoreKind::S3,
         ShuffleStoreKind::Sqs,
         ShuffleStoreKind::Redis,
     ] {
-        let mut sim = Sim::new(seed);
-        let spec = fig6_spec(seed);
-        let d = Deployment::with_engine_config(
-            &mut sim,
-            spec.cloud.clone(),
-            store,
-            spec.master_type.clone(),
-            spec.engine.clone(),
-        );
-        d.add_vm_workers(&mut sim, spec.worker_type.clone(), 3);
-        d.add_lambda_executors(&mut sim, 13);
-        let w = fig6_workload(f, seed);
-        let finished = std::rc::Rc::new(std::cell::Cell::new(None));
-        let fin = std::rc::Rc::clone(&finished);
-        let d2 = d.clone();
-        w.submit(
-            &mut sim,
-            d.engine(),
-            Box::new(move |sim| {
-                fin.set(Some(sim.now().as_secs_f64()));
-                d2.shutdown(sim);
-            }),
-        );
-        sim.run();
-        let stats = d.engine().store().stats();
+        let setup = Scenario::SsHybrid.setup(&spec);
+        let run = run_job(&spec, store, setup, &fig6_workload(f, seed));
         t.push(vec![
             store.to_string(),
-            secs(finished.get().expect("completed")),
-            usd(d.cloud().total_cost()),
-            format!("{:.1}", stats.throttle_wait_secs),
+            secs(run.execution_secs),
+            usd(run.cost_usd),
+            format!("{:.1}", run.store_stats.throttle_wait_secs),
         ]);
     }
     t
@@ -614,15 +595,7 @@ pub fn ablation_lambda_memory(f: Fidelity, seed: u64) -> Table {
             lambda_memory_mb: mem,
             ..fig8_spec(seed)
         };
-        let factory = move || -> Box<dyn DriverProgram> {
-            Box::new(match f {
-                Fidelity::Paper => KMeans::paper_config(16, seed),
-                Fidelity::Quick => KMeans {
-                    parallelism: 16,
-                    ..KMeans::small(20_000, 16, seed)
-                },
-            })
-        };
+        let factory = move || -> Box<dyn DriverProgram> { Box::new(fig8_workload(f, seed)) };
         let r = run_scenario(Scenario::SsRLambda, &spec, &factory);
         t.push(vec![mem.to_string(), secs(r.execution_secs), usd(r.cost_usd)]);
     }
@@ -633,10 +606,6 @@ pub fn ablation_lambda_memory(f: Fidelity, seed: u64) -> Table {
 /// the paper's §2 point that per-request S3 pricing explodes for
 /// shuffle-write-heavy jobs while HDFS (tenant-owned) adds none.
 pub fn ablation_cloudsort(f: Fidelity, seed: u64) -> Table {
-    use splitserve::{Deployment, ShuffleStoreKind};
-    use splitserve_cloud::Category;
-    use splitserve_des::Sim;
-    use splitserve_workloads::CloudSort;
     let records = match f {
         Fidelity::Paper => 400_000u64,
         Fidelity::Quick => 40_000u64,
@@ -645,38 +614,29 @@ pub fn ablation_cloudsort(f: Fidelity, seed: u64) -> Table {
         "Ablation: CloudSort shuffle-cost by substrate",
         &["store", "exec_s", "total_usd", "request_usd", "requests"],
     );
+    let spec = ScenarioSpec {
+        seed,
+        ..ScenarioSpec::default()
+    };
     for store in [ShuffleStoreKind::Hdfs, ShuffleStoreKind::S3, ShuffleStoreKind::Sqs] {
-        let mut sim = Sim::new(seed);
-        let d = Deployment::new(
-            &mut sim,
-            CloudSpec::default(),
+        let run = run_job(
+            &spec,
             store,
-            M4_XLARGE,
+            |sim, d| {
+                d.add_lambda_executors(sim, 16);
+            },
+            &CloudSort::new(records, 64, seed),
         );
-        d.add_lambda_executors(&mut sim, 16);
-        let w = CloudSort::new(records, 64, seed);
-        let finished = std::rc::Rc::new(std::cell::Cell::new(None));
-        let fin = std::rc::Rc::clone(&finished);
-        let d2 = d.clone();
-        w.submit(
-            &mut sim,
-            d.engine(),
-            Box::new(move |sim| {
-                fin.set(Some(sim.now().as_secs_f64()));
-                d2.shutdown(sim);
-            }),
-        );
-        sim.run();
-        let stats = d.engine().store().stats();
-        let request_usd = d.cloud().cost_for(Category::S3Put)
-            + d.cloud().cost_for(Category::S3Get)
-            + d.cloud().cost_for(Category::SqsRequest);
+        let cloud = run.deployment.cloud();
+        let request_usd = cloud.cost_for(Category::S3Put)
+            + cloud.cost_for(Category::S3Get)
+            + cloud.cost_for(Category::SqsRequest);
         t.push(vec![
             store.to_string(),
-            secs(finished.get().expect("completed")),
-            usd(d.cloud().total_cost()),
+            secs(run.execution_secs),
+            usd(run.cost_usd),
             format!("{request_usd:.5}"),
-            (stats.puts + stats.gets).to_string(),
+            (run.store_stats.puts + run.store_stats.gets).to_string(),
         ]);
     }
     t
@@ -686,13 +646,12 @@ pub fn ablation_cloudsort(f: Fidelity, seed: u64) -> Table {
 /// closed-loop dynamic-allocation controller that discovers the backlog
 /// by itself — the autonomous version of the launching facility.
 pub fn ablation_controller(f: Fidelity, seed: u64) -> Table {
-    use splitserve::{start_allocator, AllocatorConfig, Deployment};
-    use splitserve_des::Sim;
     let mut t = Table::new(
         "Ablation: scripted hybrid vs dynamic-allocation controller",
         &["mode", "exec_s", "cost_usd", "lambdas_used"],
     );
     let spec = fig6_spec(seed);
+    let delta = spec.required_cores - spec.available_cores;
 
     // Scripted: the Fig. 6 hybrid scenario.
     let factory = move || -> Box<dyn DriverProgram> { Box::new(fig6_workload(f, seed)) };
@@ -701,47 +660,30 @@ pub fn ablation_controller(f: Fidelity, seed: u64) -> Table {
         "scripted (r VM + Δ La)".into(),
         secs(scripted.execution_secs),
         usd(scripted.cost_usd),
-        "13".into(),
+        delta.to_string(),
     ]);
 
-    // Controller: start with just the r VM cores; the allocator bridges.
-    let mut sim = Sim::new(seed);
-    let d = Deployment::with_engine_config(
-        &mut sim,
-        spec.cloud.clone(),
-        splitserve::ShuffleStoreKind::Hdfs,
-        spec.master_type.clone(),
-        spec.engine.clone(),
-    );
-    d.add_vm_workers(&mut sim, spec.worker_type.clone(), spec.available_cores);
-    let handle = start_allocator(
-        &mut sim,
-        &d,
-        AllocatorConfig {
-            max_lambdas: spec.required_cores - spec.available_cores,
-            ..AllocatorConfig::default()
+    // Controller: start with just the r VM cores; the allocator bridges
+    // (and ends with the deployment when the job completes).
+    let mut allocator = None;
+    let run = run_job(
+        &spec,
+        ShuffleStoreKind::Hdfs,
+        |sim, d| {
+            d.add_vm_cores(sim, &spec.worker_type, spec.available_cores);
+            let cfg = AllocatorConfig {
+                max_lambdas: delta,
+                ..AllocatorConfig::default()
+            };
+            allocator = Some(start_allocator(sim, d, cfg));
         },
+        &fig6_workload(f, seed),
     );
-    let w = fig6_workload(f, seed);
-    let finished = std::rc::Rc::new(std::cell::Cell::new(None));
-    let fin = std::rc::Rc::clone(&finished);
-    let d2 = d.clone();
-    let h2 = handle.clone();
-    w.submit(
-        &mut sim,
-        d.engine(),
-        Box::new(move |sim| {
-            fin.set(Some(sim.now().as_secs_f64()));
-            h2.stop();
-            d2.shutdown(sim);
-        }),
-    );
-    sim.run();
     t.push(vec![
         "controller (auto La)".into(),
-        secs(finished.get().expect("completed")),
-        usd(d.cloud().total_cost()),
-        handle.lambdas_launched().to_string(),
+        secs(run.execution_secs),
+        usd(run.cost_usd),
+        allocator.expect("setup ran").lambdas_launched().to_string(),
     ]);
     t
 }
@@ -750,8 +692,6 @@ pub fn ablation_controller(f: Fidelity, seed: u64) -> Table {
 /// without SplitServe's Lambda bridging — the inter-job composition of
 /// paper §4.1 (Fig. 2's lean-provisioning story, measured end to end).
 pub fn ablation_job_stream(f: Fidelity, seed: u64) -> Table {
-    use splitserve::{run_job_stream, StreamJob, StreamPolicy};
-    use splitserve_workloads::PageRank;
     let mut t = Table::new(
         "Ablation: bursty job stream — fixed VM pool vs SplitServe bridging",
         &["policy", "slo_attainment", "mean_latency_s", "cost_usd", "lambdas"],
@@ -761,37 +701,35 @@ pub fn ablation_job_stream(f: Fidelity, seed: u64) -> Table {
         Fidelity::Quick => (15_000u64, 12.0),
     };
     // Three bursts of three overlapping 8-core jobs.
-    let jobs: Vec<StreamJob> = (0..9)
-        .map(|i| StreamJob {
-            arrive_at_secs: (i / 3) as f64 * 240.0 + (i % 3) as f64 * 3.0,
-            cores: 8,
-            slo_secs: slo,
+    let jobs: Vec<FleetJob> = (0..9)
+        .map(|i| {
+            let at = (i / 3) as f64 * 240.0 + (i % 3) as f64 * 3.0;
+            FleetJob::in_stream(i, at, 8, slo)
         })
         .collect();
     let spec = ScenarioSpec {
         seed,
         ..ScenarioSpec::default()
     };
-    let workload = move |cores: u32| -> Box<dyn DriverProgram> {
-        Box::new(PageRank::new(pages, 3, cores as usize * 2, seed).with_contrib_cost(2.0e-4))
-    };
-    for policy in [StreamPolicy::VmPoolOnly, StreamPolicy::SplitServe] {
-        let out = run_job_stream(policy, 8, M4_4XLARGE, &spec, &jobs, &workload);
+    for (label, policy) in [
+        ("vm-pool-only", FleetPolicy::VmOnly),
+        ("splitserve", FleetPolicy::SplitServe),
+    ] {
+        let out = run_tenant_fleet(
+            &TenantFleetConfig::single_tenant(policy, &spec, 8),
+            &jobs,
+            Rc::new(move |fj: &FleetJob| -> Box<dyn DriverProgram> {
+                let parts = fj.cores as usize * 2;
+                Box::new(PageRank::new(pages, 3, parts, seed).with_contrib_cost(2.0e-4))
+            }),
+        );
         t.push(vec![
-            policy.to_string(),
-            format!("{:.2}", out.slo_attainment()),
-            secs(out.mean_latency()),
+            label.into(),
+            format!("{:.2}", out.slo.fleet_attainment()),
+            secs(out.mean_latency_secs()),
             usd(out.cost_usd),
             out.lambdas_launched.to_string(),
         ]);
     }
     t
-}
-
-/// Resolves the worker instance for `cores` (documentation helper).
-pub fn worker_for_cores(cores: u32) -> InstanceType {
-    splitserve_cloud::fewest_instances_for_cores(cores)
-        .into_iter()
-        .next()
-        .expect("non-empty fleet")
 }

@@ -1,4 +1,4 @@
-//! Plain-text/markdown/CSV reporting for the experiment binaries.
+//! Plain-text/CSV reporting for the experiment binary.
 
 use std::fmt::Write as _;
 
@@ -11,6 +11,8 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
+    /// Free-text lines printed after the table (Figure 1's crossover).
+    pub notes: Vec<String>,
 }
 
 impl Table {
@@ -20,6 +22,7 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -62,6 +65,17 @@ impl Table {
         );
         for row in &self.rows {
             let _ = writeln!(out, "{}", line(row, &widths));
+        }
+        out
+    }
+
+    /// The table's block of the experiment output: text or CSV, a blank
+    /// line, then the notes one per line.
+    pub fn render(&self, csv: bool) -> String {
+        let mut out = if csv { self.to_csv() } else { self.to_text() };
+        out.push('\n');
+        for note in &self.notes {
+            let _ = writeln!(out, "{note}");
         }
         out
     }
@@ -133,6 +147,9 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("a,b\n"));
         assert!(csv.contains("\"two, quoted\""));
+        t.notes.push("a note".into());
+        assert_eq!(t.render(false), format!("{text}\na note\n"));
+        assert_eq!(t.render(true), format!("{csv}\na note\n"));
     }
 
     #[test]

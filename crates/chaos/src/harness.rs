@@ -158,9 +158,7 @@ pub fn run_case(
         cfg,
         move |store| FaultStore::wrap(store, wrapped),
     );
-    if topo.vm_cores > 0 {
-        d.add_vm_workers(&mut sim, M4_4XLARGE, topo.vm_cores.min(M4_4XLARGE.vcpus));
-    }
+    d.add_vm_cores(&mut sim, &M4_4XLARGE, topo.vm_cores);
     if topo.initial_lambdas > 0 {
         d.add_lambda_executors(&mut sim, topo.initial_lambdas);
     }
@@ -172,14 +170,9 @@ pub fn run_case(
         });
     }
     if topo.rescue_cores > 0 {
-        let d2 = d.clone();
-        let mut left = topo.rescue_cores;
+        let (d2, cores) = (d.clone(), topo.rescue_cores);
         sim.schedule_at(SimTime::from_secs(topo.rescue_at_s), move |sim| {
-            while left > 0 {
-                let chunk = left.min(M4_4XLARGE.vcpus);
-                d2.add_vm_workers(sim, M4_4XLARGE, chunk);
-                left -= chunk;
-            }
+            d2.add_vm_cores(sim, &M4_4XLARGE, cores);
         });
     }
     let report = match plan {

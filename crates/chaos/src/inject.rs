@@ -177,12 +177,7 @@ pub fn arm(sim: &mut Sim, deployment: &Deployment, plan: &FaultPlan) -> Injectio
             }),
             FaultEvent::AddVmCores { at_us, cores } => at(sim, at_us, move |sim| {
                 r.inner.borrow_mut().capacity_adds += 1;
-                let mut left = cores;
-                while left > 0 {
-                    let chunk = left.min(M4_4XLARGE.vcpus);
-                    d.add_vm_workers(sim, M4_4XLARGE, chunk);
-                    left -= chunk;
-                }
+                d.add_vm_cores(sim, &M4_4XLARGE, cores);
             }),
             // Storage-side events live in the store decorator.
             FaultEvent::FetchFail { .. }

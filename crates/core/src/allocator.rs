@@ -73,8 +73,9 @@ impl AllocatorHandle {
 }
 
 /// Starts the control loop on `deployment`. The loop runs until
-/// [`AllocatorHandle::stop`] — schedule jobs before or after; the
-/// controller reacts to whatever backlog appears.
+/// [`AllocatorHandle::stop`] or the deployment's shutdown, whichever comes
+/// first — schedule jobs before or after; the controller reacts to
+/// whatever backlog appears.
 pub fn start_allocator(
     sim: &mut Sim,
     deployment: &Deployment,
@@ -89,7 +90,7 @@ pub fn start_allocator(
 }
 
 fn tick(sim: &mut Sim, d: Deployment, cfg: AllocatorConfig, handle: AllocatorHandle) {
-    if !handle.active.get() {
+    if !handle.active.get() || d.is_shut_down() {
         return;
     }
     let engine = d.engine().clone();

@@ -53,6 +53,16 @@ struct Inner {
     next_lambda: u64,
     next_vm_exec: u64,
     lambda_memory_mb: u64,
+    shut_down: bool,
+}
+
+/// Splits `cores` over as few `itype` instances as possible: full
+/// instances first, the remainder on the last. The one place that packing
+/// rule lives; [`Deployment::add_vm_cores`] and the background requests of
+/// the autoscale and segue paths all iterate it.
+pub(crate) fn vm_batches(itype: &InstanceType, cores: u32) -> impl Iterator<Item = u32> {
+    let per_vm = itype.vcpus;
+    (0..cores.div_ceil(per_vm)).map(move |i| per_vm.min(cores - i * per_vm))
 }
 
 /// A running SplitServe deployment: cloud + store + engine + the
@@ -100,22 +110,18 @@ impl Deployment {
         store_kind: ShuffleStoreKind,
         master_type: InstanceType,
     ) -> Self {
-        Self::with_engine_config(sim, cloud_spec, store_kind, master_type, EngineConfig::default())
+        Self::with_wrapped_store(
+            sim,
+            cloud_spec,
+            store_kind,
+            master_type,
+            EngineConfig::default(),
+            |s| s,
+        )
     }
 
-    /// Like [`Deployment::new`] with a custom engine configuration.
-    pub fn with_engine_config(
-        sim: &mut Sim,
-        cloud_spec: CloudSpec,
-        store_kind: ShuffleStoreKind,
-        master_type: InstanceType,
-        engine_cfg: EngineConfig,
-    ) -> Self {
-        Self::with_wrapped_store(sim, cloud_spec, store_kind, master_type, engine_cfg, |s| s)
-    }
-
-    /// Like [`Deployment::with_engine_config`], additionally threading the
-    /// freshly built store through `wrap` before instrumentation. This is
+    /// Like [`Deployment::new`] with a custom engine configuration, threading
+    /// the freshly built store through `wrap` before instrumentation. This is
     /// the seam the chaos plane uses to interpose its fault-injecting
     /// decorator *underneath* the metrics layer, so injected latency and
     /// errors are visible in `store_op_seconds` / `store_ops_total` like
@@ -172,6 +178,7 @@ impl Deployment {
                 next_lambda: 0,
                 next_vm_exec: 0,
                 lambda_memory_mb: 1_536,
+                shut_down: false,
             })),
         }
     }
@@ -236,6 +243,15 @@ impl Deployment {
         self.inner.borrow_mut().worker_vms.push(vm);
         let execs = self.add_executors_on_vm(sim, vm, cores);
         (vm, execs)
+    }
+
+    /// Provisions `cores` ready VM executor cores on as few `itype`
+    /// instances as possible (any core count; [`Deployment::add_vm_workers`]
+    /// is the one-instance step).
+    pub fn add_vm_cores(&self, sim: &mut Sim, itype: &InstanceType, cores: u32) {
+        for batch in vm_batches(itype, cores) {
+            self.add_vm_workers(sim, itype.clone(), batch);
+        }
     }
 
     /// Registers `cores` additional executors on an existing, running VM —
@@ -398,6 +414,11 @@ impl Deployment {
         });
     }
 
+    /// Whether [`Deployment::shutdown`] has run.
+    pub fn is_shut_down(&self) -> bool {
+        self.inner.borrow().shut_down
+    }
+
     /// Drains every Lambda executor (the end state of a full segue).
     pub fn drain_all_lambdas(&self, sim: &mut Sim) {
         for exec in self.lambda_executors() {
@@ -410,8 +431,10 @@ impl Deployment {
     /// metrics are final — `lambda_cold_start_fraction` (gauge),
     /// `lambda_wasted_memory_seconds_total` (GB·s of idle warm memory,
     /// gauge) and `lambda_pool_evictions_total{reason}` land on the obs
-    /// registry here, labelled with the active policy.
+    /// registry here, labelled with the active policy. Control loops
+    /// watching the deployment ([`crate::start_allocator`]) end with it.
     pub fn shutdown(&self, sim: &mut Sim) {
+        self.inner.borrow_mut().shut_down = true;
         self.cloud.shutdown_all(sim);
         let stats = self.cloud.pool_stats();
         let policy = self.cloud.policy_name();

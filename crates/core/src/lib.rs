@@ -19,9 +19,12 @@
 //!   HDFS layer colocated with the master that both VM- and Lambda-based
 //!   executors read and write, keyed by their unique executor ids.
 //!
-//! The evaluation machinery is here too: the eight [`Scenario`]s of §5,
-//! the offline [`profiler`](profile_sweep) of Figure 4, and the inter-job
-//! demand [`forecast`](DayModel) of Figure 2.
+//! The evaluation machinery is here too, on two drivers: [`run_job`] runs
+//! one job against one `(store, cluster setup)` pair — the eight
+//! [`Scenario`]s of §5 and the offline [`profiler`](profile_sweep) of
+//! Figure 4 are tables of such pairs — and
+//! [`run_tenant_fleet`] runs a stream of jobs through admission control.
+//! The inter-job demand [`forecast`](DayModel) of Figure 2 sits beside them.
 //!
 //! # Examples
 //!
@@ -48,9 +51,9 @@ mod deploy;
 mod forecast;
 mod planner;
 mod profiler;
+mod run;
 mod scenario;
 mod segue;
-mod stream;
 pub mod tenancy;
 
 pub use allocator::{start_allocator, AllocatorConfig, AllocatorHandle};
@@ -61,13 +64,9 @@ pub use planner::{
     record_split_plan, SplitPlan,
 };
 pub use profiler::{optimal_parallelism, profile_once, profile_sweep, ProfileMode, ProfilePoint};
-pub use scenario::{
-    run_scenario, run_scenarios, DriverProgram, Scenario, ScenarioResult, ScenarioSpec,
-};
+pub use run::{run_job, JobRun};
+pub use scenario::{run_scenario, DriverProgram, Scenario, ScenarioResult, ScenarioSpec};
 pub use segue::{arm_segue, ReplacementSource, SegueConfig};
-pub use stream::{
-    bursty_arrivals, run_job_stream, JobOutcome, StreamJob, StreamOutcome, StreamPolicy,
-};
 pub use tenancy::{
     run_tenant_fleet, run_tenant_fleet_with, AdmissionController, FleetJob, FleetOutcome,
     FleetPolicy, SloClass, TenantFleetConfig, TenantJobOutcome, TenantSpec,

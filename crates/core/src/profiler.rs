@@ -5,9 +5,9 @@
 //! overheads.
 
 use splitserve_cloud::fewest_instances_for_cores;
-use splitserve_des::Sim;
 
-use crate::deploy::{Deployment, ShuffleStoreKind};
+use crate::deploy::ShuffleStoreKind;
+use crate::run::run_job;
 use crate::scenario::{DriverProgram, ScenarioSpec};
 
 /// One profiling measurement.
@@ -41,51 +41,35 @@ pub fn profile_once(
     spec: &ScenarioSpec,
     workload: &dyn Fn(u32) -> Box<dyn DriverProgram>,
 ) -> ProfilePoint {
-    let mut sim = Sim::new(spec.seed);
     let store = match mode {
         ProfileMode::LambdaOnly => ShuffleStoreKind::Hdfs,
         ProfileMode::VmOnly => ShuffleStoreKind::Local,
     };
-    let d = Deployment::with_engine_config(
-        &mut sim,
-        spec.cloud.clone(),
+    let run = run_job(
+        spec,
         store,
-        spec.master_type.clone(),
-        spec.engine.clone(),
-    );
-    d.set_lambda_memory_mb(spec.lambda_memory_mb);
-    match mode {
-        ProfileMode::LambdaOnly => {
-            d.add_lambda_executors(&mut sim, parallelism);
-        }
-        ProfileMode::VmOnly => {
-            // "For each degree of parallelism, we use the fewest number of
-            // instances that provide the required number of cores."
-            let mut remaining = parallelism;
-            for itype in fewest_instances_for_cores(parallelism) {
-                let batch = remaining.min(itype.vcpus);
-                d.add_vm_workers(&mut sim, itype, batch);
-                remaining -= batch;
+        |sim, d| match mode {
+            ProfileMode::LambdaOnly => {
+                d.add_lambda_executors(sim, parallelism);
             }
-        }
-    }
-    let program = workload(parallelism);
-    let done = std::rc::Rc::new(std::cell::Cell::new(None));
-    let f = std::rc::Rc::clone(&done);
-    let d2 = d.clone();
-    program.submit(
-        &mut sim,
-        d.engine(),
-        Box::new(move |sim| {
-            f.set(Some(sim.now().as_secs_f64()));
-            d2.shutdown(sim);
-        }),
+            ProfileMode::VmOnly => {
+                // "For each degree of parallelism, we use the fewest number of
+                // instances that provide the required number of cores" — across
+                // the whole m4 family, so the fleet may mix instance types.
+                let mut remaining = parallelism;
+                for itype in fewest_instances_for_cores(parallelism) {
+                    let batch = remaining.min(itype.vcpus);
+                    d.add_vm_workers(sim, itype, batch);
+                    remaining -= batch;
+                }
+            }
+        },
+        workload(parallelism).as_ref(),
     );
-    sim.run();
     ProfilePoint {
         parallelism,
-        execution_secs: done.get().expect("profiled workload must complete"),
-        cost_usd: d.cloud().total_cost(),
+        execution_secs: run.execution_secs,
+        cost_usd: run.cost_usd,
     }
 }
 
@@ -121,7 +105,7 @@ mod tests {
     use super::*;
     use crate::scenario::DriverProgram;
     use splitserve_cloud::CloudSpec;
-    use splitserve_des::Dist;
+    use splitserve_des::{Dist, Sim};
     use splitserve_engine::{Dataset, Engine};
 
     /// A parallel workload with a serial aggregation component and

@@ -2,15 +2,13 @@
 //! ways a latency-critical job can meet the cluster, from vanilla Spark on
 //! too-few VMs to SplitServe's hybrid-with-segue.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use splitserve_cloud::{CloudSpec, InstanceType, M4_4XLARGE, M4_XLARGE};
 use splitserve_des::{Sim, SimDuration};
 use splitserve_engine::{Engine, EngineConfig, EngineEvent, JobMetrics};
 use splitserve_storage::StoreStats;
 
-use crate::deploy::{Deployment, ShuffleStoreKind};
+use crate::deploy::{vm_batches, Deployment, ShuffleStoreKind};
+use crate::run::run_job;
 use crate::segue::{arm_segue, ReplacementSource, SegueConfig};
 
 /// A workload's driver program: submits one or more jobs to the engine and
@@ -69,8 +67,10 @@ impl Scenario {
         ]
     }
 
-    /// The paper's label for this scenario given `R` and `r`.
+    /// The paper's label for this scenario given `R` and `r` (`r` clamped
+    /// to `R`, as [`Scenario::setup`] provisions it).
     pub fn label(&self, required: u32, available: u32) -> String {
+        let available = available.min(required);
         let delta = required - available;
         match self {
             Scenario::SparkSmallVm => format!("Spark {available} VM"),
@@ -95,6 +95,55 @@ impl Scenario {
             | Scenario::SsRLambda
             | Scenario::SsHybrid
             | Scenario::SsHybridSegue => ShuffleStoreKind::Hdfs,
+        }
+    }
+
+    /// The cluster the job meets under this scenario, as a [`run_job`]
+    /// setup: the initial executors, then the control action (autoscale
+    /// request, segue) the scenario arms. Independent of the store, so an
+    /// ablation pairs it with any [`ShuffleStoreKind`].
+    pub fn setup(self, spec: &ScenarioSpec) -> impl FnOnce(&mut Sim, &Deployment) + '_ {
+        let big_r = spec.required_cores;
+        let small_r = spec.available_cores.min(big_r);
+        let delta = big_r - small_r;
+        let itype = &spec.worker_type;
+        move |sim, d| match self {
+            Scenario::SparkRVm | Scenario::SsRVm => d.add_vm_cores(sim, itype, big_r),
+            Scenario::SparkSmallVm => d.add_vm_cores(sim, itype, small_r),
+            Scenario::SparkAutoscale => {
+                d.add_vm_cores(sim, itype, small_r);
+                // After the detection delay, request VMs for the missing cores.
+                let (d, itype) = (d.clone(), itype.clone());
+                sim.schedule_in(spec.autoscale_detect_delay, move |sim| {
+                    for batch in vm_batches(&itype, delta) {
+                        d.request_vm_workers(sim, itype.clone(), batch, |_, _| {});
+                    }
+                });
+            }
+            Scenario::QuboleLambda | Scenario::SsRLambda => {
+                d.add_lambda_executors(sim, big_r);
+            }
+            Scenario::SsHybrid | Scenario::SsHybridSegue => {
+                d.add_vm_cores(sim, itype, small_r);
+                d.add_lambda_executors(sim, delta);
+                if self == Scenario::SsHybridSegue {
+                    let replacement = match spec.segue_existing_cores_at {
+                        Some(at) => ReplacementSource::ExistingVmCores {
+                            cores: delta,
+                            available_in: at,
+                        },
+                        None => ReplacementSource::NewVms {
+                            itype: itype.clone(),
+                            cores: delta,
+                        },
+                    };
+                    let cfg = SegueConfig {
+                        lambda_timeout: spec.lambda_timeout,
+                        replacement,
+                    };
+                    arm_segue(sim, d, cfg);
+                }
+            }
         }
     }
 }
@@ -186,151 +235,36 @@ pub struct ScenarioResult {
     pub events: Vec<EngineEvent>,
 }
 
-impl ScenarioResult {
-    /// Slowdown of this run relative to a baseline execution time.
-    pub fn slowdown_vs(&self, baseline_secs: f64) -> f64 {
-        self.execution_secs / baseline_secs
-    }
-}
-
-/// Runs `scenario` with the given spec and workload.
+/// Runs `scenario` with the given spec and workload: [`run_job`] over the
+/// scenario's own store and [`Scenario::setup`].
 ///
-/// The workload is built fresh inside the run (datasets are per-run), the
-/// deployment is constructed per the scenario, the driver program is
-/// submitted at t=0, and on completion all resources are shut down so the
-/// bill is final.
+/// The workload is built fresh per run (datasets are per-run), the driver
+/// program is submitted at t=0, and on completion all resources are shut
+/// down so the bill is final.
 pub fn run_scenario(
     scenario: Scenario,
     spec: &ScenarioSpec,
     workload: &dyn Fn() -> Box<dyn DriverProgram>,
 ) -> ScenarioResult {
-    let mut sim = Sim::new(spec.seed);
-    let d = Deployment::with_engine_config(
-        &mut sim,
-        spec.cloud.clone(),
+    let run = run_job(
+        spec,
         scenario.store_kind(),
-        spec.master_type.clone(),
-        spec.engine.clone(),
+        scenario.setup(spec),
+        workload().as_ref(),
     );
-    d.set_lambda_memory_mb(spec.lambda_memory_mb);
-    let big_r = spec.required_cores;
-    let small_r = spec.available_cores.min(big_r);
-    let delta = big_r - small_r;
-
-    // Initial executors.
-    match scenario {
-        Scenario::SparkRVm | Scenario::SsRVm => provision_vm_cores(&mut sim, &d, spec, big_r),
-        Scenario::SparkSmallVm | Scenario::SparkAutoscale => {
-            provision_vm_cores(&mut sim, &d, spec, small_r)
-        }
-        Scenario::QuboleLambda | Scenario::SsRLambda => {
-            d.add_lambda_executors(&mut sim, big_r);
-        }
-        Scenario::SsHybrid | Scenario::SsHybridSegue => {
-            provision_vm_cores(&mut sim, &d, spec, small_r);
-            d.add_lambda_executors(&mut sim, delta);
-        }
-    }
-
-    // Scenario-specific control actions.
-    match scenario {
-        Scenario::SparkAutoscale => {
-            // After the detection delay, request VMs for the missing cores.
-            let d2 = d.clone();
-            let itype = spec.worker_type.clone();
-            sim.schedule_in(spec.autoscale_detect_delay, move |sim| {
-                let mut remaining = delta;
-                while remaining > 0 {
-                    let batch = remaining.min(itype.vcpus);
-                    remaining -= batch;
-                    d2.request_vm_workers(sim, itype.clone(), batch, |_, _| {});
-                }
-            });
-        }
-        Scenario::SsHybridSegue => {
-            let replacement = match spec.segue_existing_cores_at {
-                Some(at) => ReplacementSource::ExistingVmCores {
-                    cores: delta,
-                    available_in: at,
-                },
-                None => ReplacementSource::NewVms {
-                    itype: spec.worker_type.clone(),
-                    cores: delta,
-                },
-            };
-            arm_segue(
-                &mut sim,
-                &d,
-                SegueConfig {
-                    lambda_timeout: spec.lambda_timeout,
-                    replacement,
-                },
-            );
-        }
-        _ => {}
-    }
-
-    // Run the workload.
-    let program = workload();
-    let name = program.name();
-    let finished_at: Rc<RefCell<Option<f64>>> = Rc::new(RefCell::new(None));
-    let f = Rc::clone(&finished_at);
-    let d2 = d.clone();
-    let start = sim.now();
-    program.submit(
-        &mut sim,
-        d.engine(),
-        Box::new(move |sim| {
-            *f.borrow_mut() = Some(sim.now().saturating_since(start).as_secs_f64());
-            d2.shutdown(sim);
-        }),
-    );
-    sim.run();
-
-    let execution_secs = finished_at
-        .borrow()
-        .expect("workload must complete — deadlocked scenario?");
-    let jobs = d.engine().completed_job_metrics();
-    let tasks_on_vm = jobs.iter().map(|j| j.tasks_on_vm).sum();
-    let tasks_on_lambda = jobs.iter().map(|j| j.tasks_on_lambda).sum();
-    let tasks_recomputed = jobs.iter().map(|j| j.tasks_recomputed).sum();
     ScenarioResult {
         scenario,
-        label: scenario.label(big_r, small_r),
-        workload: name,
-        execution_secs,
-        cost_usd: d.cloud().total_cost(),
-        jobs,
-        tasks_on_vm,
-        tasks_on_lambda,
-        tasks_recomputed,
-        store_stats: d.engine().store().stats(),
-        events: d.engine().event_log().snapshot(),
+        label: scenario.label(spec.required_cores, spec.available_cores),
+        workload: run.workload,
+        execution_secs: run.execution_secs,
+        cost_usd: run.cost_usd,
+        jobs: run.jobs,
+        tasks_on_vm: run.tasks_on_vm,
+        tasks_on_lambda: run.tasks_on_lambda,
+        tasks_recomputed: run.tasks_recomputed,
+        store_stats: run.store_stats,
+        events: run.events,
     }
-}
-
-/// Provisions `cores` VM executor cores using as few `worker_type`
-/// instances as possible.
-fn provision_vm_cores(sim: &mut Sim, d: &Deployment, spec: &ScenarioSpec, cores: u32) {
-    let mut remaining = cores;
-    while remaining > 0 {
-        let batch = remaining.min(spec.worker_type.vcpus);
-        d.add_vm_workers(sim, spec.worker_type.clone(), batch);
-        remaining -= batch;
-    }
-}
-
-/// Convenience: run every scenario in `scenarios` and return the results
-/// in order.
-pub fn run_scenarios(
-    scenarios: &[Scenario],
-    spec: &ScenarioSpec,
-    workload: &dyn Fn() -> Box<dyn DriverProgram>,
-) -> Vec<ScenarioResult> {
-    scenarios
-        .iter()
-        .map(|s| run_scenario(*s, spec, workload))
-        .collect()
 }
 
 #[cfg(test)]
@@ -394,9 +328,8 @@ mod tests {
     #[test]
     fn all_eight_scenarios_complete() {
         let spec = quiet_spec();
-        let results = run_scenarios(&Scenario::all(), &spec, &load());
-        assert_eq!(results.len(), 8);
-        for r in &results {
+        for scenario in Scenario::all() {
+            let r = run_scenario(scenario, &spec, &load());
             assert!(r.execution_secs > 0.0, "{}: no time elapsed", r.label);
             assert!(r.cost_usd > 0.0, "{}: no cost", r.label);
         }
@@ -412,6 +345,9 @@ mod tests {
             Scenario::SsHybridSegue.label(16, 3),
             "SS 3 VM / 13 La Segue"
         );
+        // More free cores than the job needs: r clamps to R, nothing underflows.
+        assert_eq!(Scenario::SsHybrid.label(8, 32), "SS 8 VM / 0 La");
+        assert_eq!(Scenario::SparkSmallVm.label(8, 32), "Spark 8 VM");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use splitserve_cloud::InstanceType;
 use splitserve_des::{Sim, SimDuration, SimTime};
 use splitserve_engine::EngineEventKind;
 
-use crate::deploy::Deployment;
+use crate::deploy::{vm_batches, Deployment};
 
 /// Where the replacement VM cores come from.
 #[derive(Debug, Clone)]
@@ -84,14 +84,10 @@ pub fn arm_segue(sim: &mut Sim, deployment: &Deployment, cfg: SegueConfig) {
     let timeout = cfg.lambda_timeout;
     match cfg.replacement {
         ReplacementSource::NewVms { itype, cores } => {
-            let d = deployment.clone();
-            let mut remaining = cores;
-            while remaining > 0 {
-                let batch = remaining.min(itype.vcpus);
-                remaining -= batch;
-                let d2 = d.clone();
+            for batch in vm_batches(&itype, cores) {
+                let d = deployment.clone();
                 deployment.request_vm_workers(sim, itype.clone(), batch, move |sim, _ids| {
-                    commence_drain(sim, &d2, timeout);
+                    commence_drain(sim, &d, timeout);
                 });
             }
         }

@@ -14,6 +14,8 @@ use splitserve_rt::hash::XxHash64;
 use splitserve_rt::Rng;
 use std::hash::Hasher;
 
+use crate::tenancy::server::FleetJob;
+
 /// Domain separator: arrival generation must not correlate with the sim
 /// clock, fault plans, or workload data derived from the same seed.
 pub const ARRIVAL_STREAM: u64 = 0xA221_7A1C_7E57_0002;
@@ -248,6 +250,19 @@ pub fn generate_jobs(spec: &ArrivalSpec, seed: u64) -> Vec<JobTemplate> {
     jobs
 }
 
+/// A bursty single-tenant stream: `n` 8-core jobs in `waves` clusters
+/// over `window_secs`, two seconds apart within a wave (deterministic,
+/// for reproducible stream experiments).
+pub fn bursty_arrivals(n: usize, waves: usize, window_secs: f64, slo_secs: f64) -> Vec<FleetJob> {
+    assert!(waves > 0 && n > 0);
+    (0..n)
+        .map(|i| {
+            let at = (i % waves) as f64 * (window_secs / waves as f64) + (i / waves) as f64 * 2.0;
+            FleetJob::in_stream(i as u64, at, 8, slo_secs)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,6 +305,15 @@ mod tests {
             assert!(j.slo_us >= 2_000_000);
             prev = j.arrive_at_us;
         }
+    }
+
+    #[test]
+    fn bursty_arrivals_are_deterministic_and_ordered() {
+        let a = bursty_arrivals(12, 3, 300.0, 30.0);
+        assert_eq!(a, bursty_arrivals(12, 3, 300.0, 30.0));
+        assert_eq!(a.len(), 12);
+        assert!(a.iter().enumerate().all(|(i, j)| j.job == i as u64));
+        assert!(a.iter().all(|j| j.arrive_at_us < 324_000_000));
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub use admission::{
     Dispatch, SloClass, TenantSpec,
 };
 pub use arrivals::{
-    generate_jobs, schedule_bytes, schedule_digest, tenant_seed, ArrivalProcess, ArrivalSpec,
-    BurstSpec, DurationModel, JobTemplate,
+    bursty_arrivals, generate_jobs, schedule_bytes, schedule_digest, tenant_seed, ArrivalProcess,
+    ArrivalSpec, BurstSpec, DurationModel, JobTemplate,
 };
 pub use fleet::{
     class_arrival_spec, default_fleet_jobs, default_tenant_specs, policy_json, render_fleet_json,
@@ -61,6 +61,7 @@ pub use server::{
 mod tests {
     use super::*;
     use crate::tenancy::admission::verify_log;
+    use crate::ScenarioSpec;
 
     /// End-to-end smoke: a 3-tenant fleet runs through admission onto a
     /// real deployment, every job completes, and the admission log
@@ -91,5 +92,58 @@ mod tests {
             .map(|t| r.bill.total(t))
             .sum();
         assert!((billed - r.cost_usd).abs() < 1e-9);
+    }
+
+    /// A single-tenant stream (paper §4.1) of 16-task jobs whose map tasks
+    /// take one second each, from `(arrive_at_secs, slo_secs)` pairs.
+    fn run_stream(policy: FleetPolicy, pool_cores: u32, arrivals: &[(f64, f64)]) -> FleetOutcome {
+        let spec = ScenarioSpec {
+            // The fleet's quiet cloud: constant boot and start latencies.
+            cloud: TenantFleetConfig::for_policy(policy, Vec::new(), pool_cores).cloud,
+            ..ScenarioSpec::default()
+        };
+        let jobs: Vec<FleetJob> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, (at, slo))| FleetJob {
+                duration_us: 1_000_000,
+                ..FleetJob::in_stream(i as u64, *at, 16, *slo)
+            })
+            .collect();
+        let cfg = TenantFleetConfig::single_tenant(policy, &spec, pool_cores);
+        run_tenant_fleet(&cfg, &jobs, fleet_workload(8).0)
+    }
+
+    #[test]
+    fn splitserve_policy_lifts_slo_attainment_on_bursts() {
+        // 3 overlapping jobs of 16 tasks each against a 8-core pool.
+        let burst = [(1.0, 8.0), (1.5, 8.0), (2.0, 8.0)];
+        let vm_only = run_stream(FleetPolicy::VmOnly, 8, &burst);
+        let ss = run_stream(FleetPolicy::SplitServe, 8, &burst);
+        assert_eq!(vm_only.lambdas_launched, 0);
+        assert!(ss.lambdas_launched > 0, "bridging must have happened");
+        assert!(
+            ss.mean_latency_secs() < vm_only.mean_latency_secs(),
+            "SplitServe {:.1}s vs VM-only {:.1}s",
+            ss.mean_latency_secs(),
+            vm_only.mean_latency_secs()
+        );
+        assert!(ss.slo.fleet_attainment() >= vm_only.slo.fleet_attainment());
+        // Unlimited slots: nothing ever waits in admission.
+        assert!(ss.outcomes.iter().all(|o| o.dispatched_us == o.arrived_us));
+    }
+
+    #[test]
+    fn quiet_stream_needs_no_lambdas() {
+        // Jobs spaced far apart fit the pool; the controller stays idle.
+        let ss = run_stream(FleetPolicy::SplitServe, 16, &[(0.0, 60.0), (100.0, 60.0)]);
+        assert_eq!(ss.slo.fleet_attainment(), 1.0);
+        // With 16 cores for a 16-task job the backlog never exceeds the
+        // live capacity enough to trigger scale-out.
+        assert!(
+            ss.lambdas_launched <= 8,
+            "quiet stream should barely bridge: {}",
+            ss.lambdas_launched
+        );
     }
 }

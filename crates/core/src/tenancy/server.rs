@@ -25,7 +25,7 @@ use splitserve_storage::SharedStore;
 
 use crate::allocator::{start_allocator, AllocatorConfig, AllocatorHandle};
 use crate::deploy::{Deployment, ShuffleStoreKind};
-use crate::scenario::DriverProgram;
+use crate::scenario::{DriverProgram, ScenarioSpec};
 use crate::tenancy::admission::{
     AdmissionController, AdmissionEvent, AdmissionRequest, Dispatch, SloClass, TenantSpec,
 };
@@ -85,6 +85,23 @@ pub struct FleetJob {
     pub cores: u32,
     /// Latency SLO, microseconds.
     pub slo_us: u64,
+}
+
+impl FleetJob {
+    /// Job `job` of a [`TenantFleetConfig::single_tenant`] stream, from
+    /// seconds. The SLO doubles as the service estimate: with unlimited
+    /// slots the estimate never orders anything.
+    pub fn in_stream(job: u64, arrive_at_secs: f64, cores: u32, slo_secs: f64) -> Self {
+        let slo_us = SimTime::from_secs_f64(slo_secs).as_micros();
+        FleetJob {
+            job,
+            tenant_idx: 0,
+            arrive_at_us: SimTime::from_secs_f64(arrive_at_secs).as_micros(),
+            duration_us: slo_us,
+            cores,
+            slo_us,
+        }
+    }
 }
 
 /// Configuration of one fleet run.
@@ -188,6 +205,40 @@ impl TenantFleetConfig {
             settle_tenant: TenantId::new("fleet"),
         }
     }
+
+    /// The inter-job view of paper §4.1 — a stream of latency-critical
+    /// jobs meeting a fixed `pool_cores` VM pool — as a fleet: the default
+    /// tenant alone, unlimited slots and no concurrency cap, so every job
+    /// dispatches the instant it arrives. Cluster, cloud, engine and seed
+    /// come from `spec`; any policy but `VmOnly` bridges backlog with up
+    /// to 128 Lambdas, retired after 5 s idle.
+    pub fn single_tenant(policy: FleetPolicy, spec: &ScenarioSpec, pool_cores: u32) -> Self {
+        let tenant = TenantId::default();
+        TenantFleetConfig {
+            seed: spec.seed,
+            policy,
+            tenants: vec![TenantSpec {
+                id: tenant.clone(),
+                class: SloClass::Standard,
+                weight: 1,
+                max_concurrent: u32::MAX,
+            }],
+            slots: u32::MAX,
+            pool_cores,
+            worker_type: spec.worker_type.clone(),
+            master_type: spec.master_type.clone(),
+            store: ShuffleStoreKind::Hdfs,
+            cloud: spec.cloud.clone(),
+            engine: spec.engine.clone(),
+            lambda_memory_mb: spec.lambda_memory_mb,
+            allocator: (policy != FleetPolicy::VmOnly).then(|| AllocatorConfig {
+                max_lambdas: 128,
+                idle_timeout: SimDuration::from_secs(5),
+                ..AllocatorConfig::default()
+            }),
+            settle_tenant: tenant,
+        }
+    }
 }
 
 /// One job's outcome, integer-timestamped for canonical serialization.
@@ -266,16 +317,22 @@ impl FleetOutcome {
             .sum()
     }
 
-    /// Mean admission wait in seconds across all jobs.
-    pub fn mean_admission_wait_secs(&self) -> f64 {
+    fn mean_over_jobs(&self, secs: fn(&TenantJobOutcome) -> f64) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;
         }
-        self.outcomes
-            .iter()
-            .map(TenantJobOutcome::queue_wait_secs)
-            .sum::<f64>()
-            / self.outcomes.len() as f64
+        self.outcomes.iter().map(secs).sum::<f64>() / self.outcomes.len() as f64
+    }
+
+    /// Mean response time (arrival to completion) in seconds across all
+    /// jobs.
+    pub fn mean_latency_secs(&self) -> f64 {
+        self.mean_over_jobs(TenantJobOutcome::latency_secs)
+    }
+
+    /// Mean admission wait in seconds across all jobs.
+    pub fn mean_admission_wait_secs(&self) -> f64 {
+        self.mean_over_jobs(TenantJobOutcome::queue_wait_secs)
     }
 
     /// A tenant's outcome rows in canonical per-tenant form: jobs
@@ -451,9 +508,6 @@ fn dispatch_all(sim: &mut Sim, ctx: &Rc<Ctx>, dispatches: Vec<Dispatch>) {
                     .on_complete(finished.as_micros(), fj.job);
                 dispatch_all(sim, &ctx2, more);
                 if ctx2.remaining.get() == 0 {
-                    if let Some(h) = &ctx2.handle {
-                        h.stop();
-                    }
                     ctx2.d.shutdown(sim);
                 }
             }),
@@ -500,12 +554,7 @@ pub fn run_tenant_fleet_with(
         wrap,
     );
     d.set_lambda_memory_mb(cfg.lambda_memory_mb);
-    let mut remaining_cores = cfg.pool_cores;
-    while remaining_cores > 0 {
-        let batch = remaining_cores.min(cfg.worker_type.vcpus);
-        d.add_vm_workers(&mut sim, cfg.worker_type.clone(), batch);
-        remaining_cores -= batch;
-    }
+    d.add_vm_cores(&mut sim, &cfg.worker_type, cfg.pool_cores);
     let handle = cfg
         .allocator
         .clone()

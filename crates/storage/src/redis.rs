@@ -100,7 +100,6 @@ impl BlockStore for RedisStore {
             let inner = self.inner.borrow();
             if inner.used + len > inner.spec.capacity_bytes {
                 drop(inner);
-                self.inner.borrow_mut().stats.failed_gets += 0; // no-op; put failure tracked via error
                 cb(
                     sim,
                     Err(StoreError::Rejected(format!(

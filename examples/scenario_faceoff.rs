@@ -5,7 +5,7 @@
 //! cargo run --release --example scenario_faceoff
 //! ```
 
-use splitserve::{run_scenarios, DriverProgram, Scenario, ScenarioSpec};
+use splitserve::{run_scenario, DriverProgram, Scenario, ScenarioResult, ScenarioSpec};
 use splitserve_workloads::{TpcdsLoad, TpcdsQuery};
 
 fn main() {
@@ -28,7 +28,10 @@ fn main() {
         "{:<24} {:>9} {:>10} {:>9} {:>9}",
         "scenario", "exec (s)", "cost ($)", "vm tasks", "la tasks"
     );
-    let results = run_scenarios(&Scenario::all(), &spec, &workload);
+    let results: Vec<ScenarioResult> = Scenario::all()
+        .iter()
+        .map(|s| run_scenario(*s, &spec, &workload))
+        .collect();
     let baseline = results
         .iter()
         .find(|r| r.scenario == Scenario::SparkRVm)

@@ -23,5 +23,7 @@ bash benchmark/run.sh --quick >/dev/null
 echo "==> paper tables: reproduce_all must match results_paper.txt (~95 s)"
 cargo run --release --offline -q -p splitserve-bench --bin reproduce_all |
     diff - results_paper.txt
+rc=0; target/release/reproduce_all --only nope 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] # a command line the bench CLI cannot account for is a usage error
 
 echo "==> verify.sh passed"

@@ -7,19 +7,21 @@
 
 use std::fmt::Write as _;
 
+use std::rc::Rc;
+
 use splitserve::tenancy::{
-    combined_fingerprint, default_fleet_jobs, default_tenant_specs, fleet_workload,
-    recurrent_fleet_jobs, render_coldstart_sweep_json, render_fleet_json, run_coldstart_arm,
-    run_coldstart_sweep, run_tenant_fleet, verify_log, ColdstartArm, FleetOutcome, FleetPolicy,
-    TenantFleetConfig, TenantSpec,
+    bursty_arrivals, combined_fingerprint, default_fleet_jobs, default_tenant_specs,
+    fleet_workload, recurrent_fleet_jobs, render_coldstart_sweep_json, render_fleet_json,
+    run_coldstart_arm, run_coldstart_sweep, run_tenant_fleet, verify_log, ColdstartArm, FleetJob,
+    FleetOutcome, FleetPolicy, TenantFleetConfig, TenantSpec,
 };
 use splitserve::{
-    bursty_arrivals, plan_split, record_split_plan, run_job_stream, run_scenario, DriverProgram,
-    Scenario, ScenarioResult, ScenarioSpec, ShuffleStoreKind, StreamOutcome, StreamPolicy,
+    plan_split, record_split_plan, run_scenario, DriverProgram, Scenario, ScenarioResult,
+    ScenarioSpec, ShuffleStoreKind,
 };
 use splitserve_chaos::workloads::{ChaosCloudSort, ChaosPageRank, ChaosWorkload};
 use splitserve_chaos::{run_case, ChaosTopology, FaultPlan};
-use splitserve_cloud::{CloudSpec, ColdStartSpec, M4_4XLARGE};
+use splitserve_cloud::{CloudSpec, ColdStartSpec};
 use splitserve_des::{Dist, Sim, SimDuration, SimTime};
 use splitserve_engine::{Dataset, Engine};
 use splitserve_obs::{Obs, SloLedger, TenantId};
@@ -233,8 +235,18 @@ pub const DASHBOARD_QUANTILES: [(&str, f64); 4] =
 pub struct SloDashboard {
     /// Jobs in the stream.
     pub jobs: usize,
-    /// Per stream policy: the outcome and that run's own telemetry.
-    pub policies: Vec<(StreamOutcome, Obs)>,
+    /// Per policy (vm-only, splitserve): the single-tenant fleet outcome
+    /// and that run's own telemetry.
+    pub policies: Vec<(FleetOutcome, Obs)>,
+}
+
+/// The dashboard's name for a policy: its fixed pool is "vm-pool-only",
+/// as the pinned artifact has always spelled it.
+pub fn dashboard_policy_label(policy: FleetPolicy) -> &'static str {
+    match policy {
+        FleetPolicy::VmOnly => "vm-pool-only",
+        other => other.as_str(),
+    }
 }
 
 fn quantile_block(out: &mut String, slo: &SloLedger) {
@@ -256,15 +268,15 @@ fn quantile_block(out: &mut String, slo: &SloLedger) {
     out.push('}');
 }
 
-fn policy_block(out: &mut String, r: &StreamOutcome, obs: &Obs) {
+fn policy_block(out: &mut String, r: &FleetOutcome, obs: &Obs) {
     let tenant = TenantId::default();
     let _ = write!(
         out,
         "{{\"policy\":\"{}\",\"jobs\":{},\"slo_attainment\":{:.6},\"cost_usd\":{:.6},\
          \"lambdas_launched\":{},",
-        r.policy,
-        r.jobs.len(),
-        r.slo_attainment(),
+        dashboard_policy_label(r.policy),
+        r.outcomes.len(),
+        r.slo.fleet_attainment(),
         r.cost_usd,
         r.lambdas_launched
     );
@@ -332,13 +344,13 @@ impl SloDashboard {
     }
 }
 
-/// Runs the dashboard's two stream policies on `workers` engine threads.
+/// Runs the dashboard's two policies on `workers` engine threads.
 pub fn slo_dashboard(workers: usize) -> SloDashboard {
     // Bursty arrivals with an SLO tight enough that the fixed pool
     // misses some bursts and the launching facility's bridging shows up
     // in the attainment curve.
     let jobs = bursty_arrivals(9, 3, 60.0, 4.0);
-    let policies = [StreamPolicy::VmPoolOnly, StreamPolicy::SplitServe]
+    let policies = [FleetPolicy::VmOnly, FleetPolicy::SplitServe]
         .into_iter()
         .map(|policy| {
             // Fresh telemetry per policy so curves and rollups don't mix.
@@ -354,9 +366,13 @@ pub fn slo_dashboard(workers: usize) -> SloDashboard {
             };
             spec.engine.workers = workers;
             let obs = spec.enable_observability();
-            let r = run_job_stream(policy, 8, M4_4XLARGE, &spec, &jobs, &|cores| {
-                Box::new(BurstLoad { cores }) as Box<dyn DriverProgram>
-            });
+            let r = run_tenant_fleet(
+                &TenantFleetConfig::single_tenant(policy, &spec, 8),
+                &jobs,
+                Rc::new(|fj: &FleetJob| -> Box<dyn DriverProgram> {
+                    Box::new(BurstLoad { cores: fj.cores })
+                }),
+            );
             (r, obs)
         })
         .collect();

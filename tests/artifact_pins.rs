@@ -15,8 +15,8 @@ use splitserve_cloud::PoolStats;
 use splitserve_obs::TenantId;
 use splitserve_rt::hash::assert_pinned;
 use splitserve_suite::{
-    chaos_smoke, coldstart_sweep, slo_dashboard, tenant_fleet, trace_timeline,
-    DASHBOARD_QUANTILES, MICRO_GAP_SECS, MICRO_ROUNDS,
+    chaos_smoke, coldstart_sweep, dashboard_policy_label, slo_dashboard, tenant_fleet,
+    trace_timeline, DASHBOARD_QUANTILES, MICRO_GAP_SECS, MICRO_ROUNDS,
 };
 
 // `[workers=1, workers=4]` digests of the bytes each example writes; the
@@ -182,13 +182,16 @@ fn slo_dashboard_is_pinned_settles_its_bill_and_splitserve_beats_the_vm_pool() {
     assert_runs_pinned("slo_dashboard", &runs, |d, label| d.json(label), SLO_DASHBOARD);
 
     let policies = &runs[0].policies;
-    let names: Vec<String> = policies.iter().map(|(r, _)| r.policy.to_string()).collect();
+    let names: Vec<&str> = policies
+        .iter()
+        .map(|(r, _)| dashboard_policy_label(r.policy))
+        .collect();
     assert_eq!(names, ["vm-pool-only", "splitserve"]);
     let tenant = TenantId::default();
     for (r, _) in policies {
         let policy = r.policy;
-        assert!(!r.jobs.is_empty());
-        assert!((0.0..=1.0).contains(&r.slo_attainment()));
+        assert!(!r.outcomes.is_empty());
+        assert!((0.0..=1.0).contains(&r.slo.fleet_attainment()));
         assert!(r.cost_usd > 0.0);
         assert!(!r.slo.curve(&tenant).is_empty(), "{policy}: no attainment curve");
         let quantile = |q: f64| {
@@ -212,7 +215,7 @@ fn slo_dashboard_is_pinned_settles_its_bill_and_splitserve_beats_the_vm_pool() {
             r.cost_usd
         );
     }
-    let (vm, ss) = (policies[0].0.slo_attainment(), policies[1].0.slo_attainment());
+    let [vm, ss] = [0, 1].map(|i| policies[i].0.slo.fleet_attainment());
     assert!(
         ss > vm,
         "splitserve ({ss}) must beat vm-pool-only ({vm}) on SLO attainment in the burst scenario"

@@ -1,10 +1,45 @@
 //! Guards the experiment harness itself: every figure's quick-fidelity
 //! variant must run and produce structurally sane tables, so the paper's
-//! artifacts stay regenerable.
+//! artifacts stay regenerable — and the quick text `reproduce_all` prints,
+//! whole or in `--only` slices, is pinned so a drifting figure fails here.
 
 use splitserve::ProfileMode;
+use splitserve_bench::cli::{self, Cli};
 use splitserve_bench::experiments as ex;
 use splitserve_bench::experiments::Fidelity;
+use splitserve_rt::hash::assert_pinned;
+
+/// xxhash64 of `reproduce_all --quick` (seed 42, text): 606 lines.
+const QUICK_TEXT: u64 = 0xe753_bab0_a44d_a432;
+
+/// What `reproduce_all --quick [--only KEY]` writes to stdout, through the
+/// library entry its `main` calls.
+fn quick_text(only: Option<&'static str>) -> String {
+    let cli = Cli {
+        fidelity: Fidelity::Quick,
+        csv: false,
+        seed: 42,
+        only,
+    };
+    let mut out = Vec::new();
+    cli::run(&cli, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("tables are UTF-8")
+}
+
+#[test]
+fn only_slices_concatenate_to_the_pinned_quick_text() {
+    let keys: Vec<&'static str> = ex::EXPERIMENTS.iter().map(|(key, _)| *key).collect();
+    for (i, key) in keys.iter().enumerate() {
+        assert!(!keys[..i].contains(key), "--only key {key} listed twice");
+    }
+    let slices: String = keys.iter().map(|key| quick_text(Some(key))).collect();
+    let full = quick_text(None);
+    assert!(
+        slices == full,
+        "the --only slices no longer concatenate to the full output"
+    );
+    assert_pinned("reproduce_all --quick", full.as_bytes(), QUICK_TEXT);
+}
 
 #[test]
 fn fig1_curve_has_the_crossover_shape() {
@@ -55,7 +90,7 @@ fn fig4_sweeps_produce_u_shaped_lambda_curve() {
 #[test]
 fn fig5_quick_has_all_queries_and_scenarios() {
     let t = ex::fig5(Fidelity::Quick, 2);
-    assert_eq!(t.rows.len(), 4 * ex::fig5_scenarios().len());
+    assert_eq!(t.rows.len(), 4 * ex::no_segue_scenarios().len());
     for q in ["Q5", "Q16", "Q94", "Q95"] {
         assert!(t.rows.iter().any(|r| r[0] == q), "{q} missing");
     }
@@ -86,7 +121,7 @@ fn fig7_timelines_show_the_segue() {
 #[test]
 fn fig8_reports_mean_and_sd_per_scenario() {
     let t = ex::fig8(Fidelity::Quick, 40);
-    assert_eq!(t.rows.len(), ex::fig8_scenarios().len());
+    assert_eq!(t.rows.len(), ex::no_segue_scenarios().len());
     for row in &t.rows {
         let mean: f64 = row[1].parse().expect("mean");
         let sd: f64 = row[2].parse().expect("sd");
