@@ -15,7 +15,7 @@ use splitserve_cloud::{
     M4_XLARGE,
 };
 use splitserve_des::SimDuration;
-use splitserve_engine::{EngineEvent, EngineEventKind};
+use splitserve_engine::{EngineEvent, EngineEventKind, TaskRef};
 use splitserve_workloads::{CloudSort, KMeans, PageRank, SparkPi, TpcdsLoad, TpcdsQuery};
 
 use crate::report::{mean_sd, secs, usd, Table};
@@ -360,7 +360,7 @@ pub fn timeline_of(r: &ScenarioResult) -> Timeline {
             EngineEventKind::ExecutorRegistered { exec, kind } => {
                 kinds.insert(exec.as_str().to_string(), kind.to_string());
             }
-            EngineEventKind::TaskStarted { exec, .. } => {
+            EngineEventKind::TaskStarted { task: TaskRef { exec, .. }, .. } => {
                 let lane = lanes.entry(exec.as_str().to_string()).or_insert_with(|| TimelineLane {
                     executor: exec.as_str().to_string(),
                     kind: kinds.get(exec.as_str()).cloned().unwrap_or_default(),
@@ -370,14 +370,14 @@ pub fn timeline_of(r: &ScenarioResult) -> Timeline {
                 });
                 lane.first_start = lane.first_start.min(at);
             }
-            EngineEventKind::TaskFinished { exec, .. } => {
+            EngineEventKind::TaskFinished { task: TaskRef { exec, .. }, .. } => {
                 if let Some(lane) = lanes.get_mut(exec.as_str()) {
                     lane.last_end = lane.last_end.max(at);
                     lane.tasks += 1;
                 }
             }
             EngineEventKind::StageCompleted { .. } => stage_completions.push(at),
-            EngineEventKind::Marker(m) if m == "segue commences" => segue_at = Some(at),
+            EngineEventKind::Marker("segue commences") => segue_at = Some(at),
             _ => {}
         }
     }

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use splitserve::{Deployment, ShuffleStoreKind};
 use splitserve_cloud::{CloudSpec, M4_4XLARGE, M4_XLARGE};
 use splitserve_des::{Dist, Sim, SimDuration, SimTime};
-use splitserve_engine::{EngineConfig, EngineEventKind};
+use splitserve_engine::{flight_dump, EngineConfig, EngineEvent, EngineEventKind};
 use splitserve_obs::Obs;
 use splitserve_storage::{FaultStore, StoreFaults};
 
@@ -128,6 +128,16 @@ pub struct CaseResult {
     /// The case's observability handle, for asserting on
     /// `faults_injected_total` and friends.
     pub obs: Obs,
+    /// The run's engine events, injected faults inline.
+    pub events: Vec<EngineEvent>,
+}
+
+impl CaseResult {
+    /// The post-mortem dump of this run (see [`flight_dump`]): the tail
+    /// of its event stream with `reason` and the `repro` line embedded.
+    pub fn flight_dump(&self, reason: &str, repro: &str) -> String {
+        flight_dump(&self.events, reason, Some(repro))
+    }
 }
 
 /// Runs `workload` under `kind` with the given plan (None = fault-free)
@@ -222,6 +232,7 @@ pub fn run_case(
         drains: report.drains(),
         expected_rollback: report.expected_rollback(),
         obs,
+        events,
     }
 }
 
@@ -238,10 +249,11 @@ pub struct ChaosFailure {
     pub reason: String,
     /// The plan that provoked it (possibly shrunk).
     pub plan: FaultPlan,
-    /// The violating run's flight-recorder dump — a replayable JSON
-    /// snapshot of its recent task transitions, rollbacks and injected
-    /// faults, with [`ChaosFailure::repro_line`] embedded. `None` only
-    /// for failures constructed without a run (e.g. in tests).
+    /// The violating run's post-mortem dump — a replayable JSON snapshot
+    /// of its most recent engine events (task transitions, executor
+    /// churn, rollbacks, injected faults), with
+    /// [`ChaosFailure::repro_line`] embedded. `None` only for failures
+    /// constructed without a run (e.g. in tests).
     pub flight_dump: Option<String>,
 }
 
@@ -344,14 +356,10 @@ impl<'a> Oracle<'a> {
             plan: plan.clone(),
             flight_dump: None,
         };
-        // Dump the violating run's flight ring with the repro line
-        // embedded: the dump is both post-mortem evidence and, via the
-        // line, a deterministic test vector.
-        failure.flight_dump = Some(
-            r.obs
-                .flight
-                .dump_json(&failure.reason, Some(&failure.repro_line())),
-        );
+        // Dump the tail of the violating run's events with the repro
+        // line embedded: the dump is both post-mortem evidence and, via
+        // the line, a deterministic test vector.
+        failure.flight_dump = Some(r.flight_dump(&failure.reason, &failure.repro_line()));
         Box::new(failure)
     }
 

@@ -9,9 +9,10 @@
 //! [`splitserve_storage::StoreFaults`] *before* the deployment is built —
 //! see [`FaultPlan::arm_store_faults`].
 //!
-//! Every performed fault bumps `faults_injected_total{kind}` on the
-//! engine's observability handle so a metrics dump distinguishes injected
-//! trouble from organic trouble.
+//! Every performed fault is emitted onto the engine's event stream as
+//! `FaultInjected { kind }`, so the `faults_injected_total{kind}` series
+//! distinguishes injected trouble from organic trouble and a post-mortem
+//! dump shows it inline with the task transitions it caused.
 //!
 //! [`Engine::kill_executor`]: splitserve_engine::Engine::kill_executor
 
@@ -21,7 +22,7 @@ use std::rc::Rc;
 use splitserve::Deployment;
 use splitserve_cloud::M4_4XLARGE;
 use splitserve_des::{Sim, SimDuration, SimTime};
-use splitserve_engine::ExecutorId;
+use splitserve_engine::{EngineEventKind, ExecutorId};
 
 use crate::plan::{FaultEvent, FaultPlan};
 
@@ -90,6 +91,11 @@ fn at(sim: &mut Sim, at_us: u64, f: impl FnOnce(&mut Sim) + 'static) {
     sim.schedule_at(t, f);
 }
 
+fn injected(sim: &Sim, d: &Deployment, kind: &'static str) {
+    d.engine()
+        .emit(sim.now(), EngineEventKind::FaultInjected { kind });
+}
+
 fn kill_one(sim: &mut Sim, d: &Deployment, report: &InjectionReport, id: &ExecutorId) {
     let Some(info) = d.engine().executor_info(id) else {
         return;
@@ -100,7 +106,7 @@ fn kill_one(sim: &mut Sim, d: &Deployment, report: &InjectionReport, id: &Execut
     if d.engine().would_rollback_on_loss(id) {
         report.inner.borrow_mut().expected_rollback = true;
     }
-    d.engine().obs().fault_event(sim.now(), "kill");
+    injected(sim, d, "kill");
     report.inner.borrow_mut().kills += 1;
     d.engine().kill_executor(sim, id);
 }
@@ -141,7 +147,7 @@ pub fn arm(sim: &mut Sim, deployment: &Deployment, plan: &FaultPlan) -> Injectio
                     Some(info) if info.alive && !info.draining => {}
                     _ => return,
                 }
-                d.engine().obs().fault_event(sim.now(), "drain");
+                injected(sim, &d, "drain");
                 r.inner.borrow_mut().drains += 1;
                 d.drain_lambda_executor(sim, &id);
             }),
@@ -158,7 +164,7 @@ pub fn arm(sim: &mut Sim, deployment: &Deployment, plan: &FaultPlan) -> Injectio
                     Some(info) if info.alive => {}
                     _ => return,
                 }
-                d.engine().obs().fault_event(sim.now(), "straggle");
+                injected(sim, &d, "straggle");
                 r.inner.borrow_mut().straggles += 1;
                 // Tasks launched during the window run slower; the factor
                 // is sampled at launch, so an in-flight task keeps its

@@ -122,11 +122,9 @@ fn tick(sim: &mut Sim, d: Deployment, cfg: AllocatorConfig, handle: AllocatorHan
         if add > 0 {
             d.add_lambda_executors(sim, add);
             handle.launched.set(handle.launched.get() + add);
-            obs.metrics.counter_add(
-                "allocator_scale_out_lambdas_total",
-                &[],
-                u64::from(add),
-            );
+            obs.metrics
+                .counter_handle("allocator_scale_out_lambdas_total", &[])
+                .add(u64::from(add));
         }
     } else {
         // Scale in: retire Lambdas idle past the timeout.
@@ -135,7 +133,8 @@ fn tick(sim: &mut Sim, d: Deployment, cfg: AllocatorConfig, handle: AllocatorHan
             if !e.busy && now.saturating_since(e.idle_since) >= cfg.idle_timeout {
                 d.drain_lambda_executor(sim, &e.id);
                 obs.metrics
-                    .counter_add("allocator_scale_in_lambdas_total", &[], 1);
+                    .counter_handle("allocator_scale_in_lambdas_total", &[])
+                    .inc();
             }
         }
     }

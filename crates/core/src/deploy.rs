@@ -342,11 +342,10 @@ impl Deployment {
                 memory_mb,
                 move |sim, lambda| {
                     obs_ready.spans.close(span_ready.get(), sim.now());
-                    obs_ready.metrics.record_quantile(
-                        "lambda_start_seconds",
-                        &[("policy", policy)],
-                        sim.now().saturating_since(invoked_at).as_secs_f64(),
-                    );
+                    obs_ready
+                        .metrics
+                        .quantile_handle("lambda_start_seconds", &[("policy", policy)])
+                        .record(sim.now().saturating_since(invoked_at).as_secs_f64());
                     let desc = ExecutorDesc::lambda(
                         exec_ready.as_str(),
                         this_ready.cloud.lambda_nic(lambda),
@@ -366,7 +365,8 @@ impl Deployment {
             };
             start_span.set(obs.spans.open(invoked_at, "lambda", exec_id.as_str(), start));
             obs.metrics
-                .counter_add("lambda_starts_total", &[("start", start)], 1);
+                .counter_handle("lambda_starts_total", &[("start", start)])
+                .inc();
             self.inner.borrow_mut().lambda_execs.insert(exec_id, lambda);
         }
         ids
@@ -405,11 +405,9 @@ impl Deployment {
             .open(drain_started, "segue", exec.as_str(), &format!("segue drain {exec}"));
         self.engine.drain_executor(sim, exec, move |sim, _| {
             obs.spans.close(span, sim.now());
-            obs.metrics.observe(
-                "segue_drain_seconds",
-                &[],
-                sim.now().saturating_since(drain_started).as_secs_f64(),
-            );
+            obs.metrics
+                .histogram_handle("segue_drain_seconds", &[])
+                .observe(sim.now().saturating_since(drain_started).as_secs_f64());
             cloud.release_lambda(sim, lambda);
         });
     }
@@ -452,7 +450,8 @@ impl Deployment {
             ("shutdown", stats.evicted_shutdown),
         ] {
             if n > 0 {
-                m.counter_add("lambda_pool_evictions_total", &[("reason", reason)], n);
+                m.counter_handle("lambda_pool_evictions_total", &[("reason", reason)])
+                    .add(n);
             }
         }
     }

@@ -105,19 +105,9 @@ pub fn arm_segue(sim: &mut Sim, deployment: &Deployment, cfg: SegueConfig) {
 /// Replacement cores are in place: drain each Lambda executor once it has
 /// exceeded the timeout (immediately, if it already has).
 fn commence_drain(sim: &mut Sim, deployment: &Deployment, timeout: SimDuration) {
-    deployment.engine().event_log().push(
-        sim.now(),
-        EngineEventKind::Marker("segue commences".to_string()),
-    );
     deployment
         .engine()
-        .obs()
-        .mark(sim.now(), "driver", "segue", "segue commences");
-    deployment
-        .engine()
-        .obs()
-        .flight
-        .record(sim.now(), "segue-commences", &[]);
+        .emit(sim.now(), EngineEventKind::Marker("segue commences"));
     for exec in deployment.lambda_executors() {
         let Some(info) = deployment.engine().executor_info(&exec) else {
             continue;
@@ -223,7 +213,7 @@ mod tests {
         let events = d.engine().event_log().snapshot();
         let marker_at = events
             .iter()
-            .find(|e| matches!(&e.kind, EngineEventKind::Marker(s) if s == "segue commences"))
+            .find(|e| matches!(&e.kind, EngineEventKind::Marker("segue commences")))
             .expect("segue marker present")
             .at;
         assert!(marker_at.as_secs_f64() >= 110.0);

@@ -106,10 +106,6 @@ pub struct EngineConfig {
     /// Record every engine event (task start/finish, executor churn) for
     /// timeline figures. Cheap; on by default.
     pub event_log: bool,
-    /// Optional cap on the event log: past this many events, pushes are
-    /// dropped and counted (`event_log_dropped_total`) instead of
-    /// growing the log — the safety valve for long streaming scenarios.
-    pub event_log_capacity: Option<usize>,
     /// The straggler watch's quantile/multiple/arming knobs.
     pub straggler: StragglerConfig,
     /// The observability handle ([`splitserve_obs::Obs`]): metrics
@@ -137,7 +133,6 @@ impl Default for EngineConfig {
         EngineConfig {
             work: WorkModel::default(),
             event_log: true,
-            event_log_capacity: None,
             straggler: StragglerConfig::default(),
             obs: splitserve_obs::Obs::disabled(),
             max_fetch_concurrency: 8,

@@ -1,10 +1,40 @@
 //! Per-task execution context: shuffle inputs and CPU-work accounting.
 
-use splitserve_obs::Obs;
+use splitserve_obs::{CounterHandle, HistogramHandle, MetricsRegistry, QuantileHandle};
 use splitserve_rt::{Bytes, FastMap};
 
 use crate::config::WorkModel;
 use crate::node::ShuffleId;
+
+/// Histogram bounds for `shuffle_combine_seconds` (virtual CPU seconds
+/// of one map task's combine phase — much finer than request latencies).
+const COMBINE_BUCKETS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
+
+/// The registry series task bodies record into, resolved once per engine
+/// so a map task builds no metric key. Bodies may run on worker threads:
+/// the quantile handle records into the calling thread's digest shard.
+/// The [`Default`] (what a stand-alone [`TaskContext`] carries) is inert.
+#[derive(Debug, Clone, Default)]
+pub struct TaskSeries {
+    pub(crate) shuffle_encode_bytes: CounterHandle,
+    pub(crate) shuffle_combine_seconds: HistogramHandle,
+    pub(crate) shuffle_combine_quantile: QuantileHandle,
+}
+
+impl TaskSeries {
+    /// Resolves the series on `metrics` (inert when it is disabled).
+    pub fn resolve(metrics: &MetricsRegistry) -> Self {
+        TaskSeries {
+            shuffle_encode_bytes: metrics.counter_handle("shuffle_encode_bytes_total", &[]),
+            shuffle_combine_seconds: metrics.histogram_handle_with(
+                "shuffle_combine_seconds",
+                &[],
+                COMBINE_BUCKETS,
+            ),
+            shuffle_combine_quantile: metrics.quantile_handle("shuffle_combine_seconds", &[]),
+        }
+    }
+}
 
 /// Handed to [`PlanNode::compute`](crate::PlanNode::compute): provides the
 /// fetched shuffle inputs and accumulates the task's CPU work and memory
@@ -16,7 +46,7 @@ pub struct TaskContext {
     cpu_secs: f64,
     bytes_in: u64,
     bytes_out: u64,
-    obs: Obs,
+    series: TaskSeries,
 }
 
 impl TaskContext {
@@ -40,23 +70,21 @@ impl TaskContext {
             cpu_secs: 0.0,
             bytes_in,
             bytes_out: 0,
-            obs: Obs::disabled(),
+            series: TaskSeries::default(),
         };
         ctx.charge_deser(bytes_in);
         ctx
     }
 
-    /// Attaches an observability handle so shuffle operators can record
-    /// their metrics (the scheduler passes the engine's; stand-alone
-    /// contexts keep the disabled default, which records nothing).
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+    /// Attaches the series shuffle operators record into (the scheduler
+    /// passes the engine's; stand-alone contexts keep the inert default).
+    pub fn with_series(mut self, series: TaskSeries) -> Self {
+        self.series = series;
         self
     }
 
-    /// The observability handle in force.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    pub(crate) fn series(&self) -> &TaskSeries {
+        &self.series
     }
 
     /// An empty context (source stages with no shuffle inputs).

@@ -1,7 +1,16 @@
-//! The engine event log — the raw material for the paper's execution
-//! timelines (Figure 7) and per-executor work-distribution analyses.
+//! The engine's typed events — the one description of everything that
+//! happens in a run — and the log that keeps them: the raw material for
+//! the paper's execution timelines (Figure 7), the per-executor
+//! work-distribution analyses and the post-mortem dump
+//! ([`flight_dump`](crate::flight_dump)).
+//!
+//! The scheduler reports each occurrence once, through
+//! `Telemetry::emit`; per-job metrics, registry series, spans, rollups and
+//! this log are all derived there from the same value. No per-task variant
+//! owns heap memory, so building one while every view is off allocates
+//! nothing.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use splitserve_des::SimTime;
@@ -18,6 +27,61 @@ impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job-{}", self.0)
     }
+}
+
+/// The two shuffle I/O phases of a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShufflePhase {
+    /// A reduce-side fetch of map-output blocks, before compute.
+    Fetch,
+    /// A map-side write of the task's buckets, after compute.
+    Write,
+}
+
+impl ShufflePhase {
+    /// `"fetch"` / `"write"` — the `phase` label of
+    /// `shuffle_phase_seconds` and the dump's `phase` field.
+    pub fn label(self) -> &'static str {
+        match self {
+            ShufflePhase::Fetch => "fetch",
+            ShufflePhase::Write => "write",
+        }
+    }
+}
+
+/// Why a task attempt ended without producing its output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureKind {
+    /// The executor died mid-flight.
+    ExecutorLost,
+    /// A shuffle-input block could not be fetched.
+    FetchFailed,
+    /// A map-output write was rejected by the store.
+    WriteFailed,
+}
+
+impl FailureKind {
+    /// The `reason` label of `tasks_failed_total` and of the dump.
+    pub fn label(self) -> &'static str {
+        match self {
+            FailureKind::ExecutorLost => "executor-lost",
+            FailureKind::FetchFailed => "fetch-failed",
+            FailureKind::WriteFailed => "write-failed",
+        }
+    }
+}
+
+/// Which task, where: the coordinates every task event carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskRef {
+    /// The job the task belongs to.
+    pub job: JobId,
+    /// Stage the task belongs to.
+    pub stage: StageId,
+    /// Partition index.
+    pub part: usize,
+    /// The executor this attempt runs on.
+    pub exec: ExecutorId,
 }
 
 /// What happened.
@@ -59,6 +123,8 @@ pub enum EngineEventKind {
     },
     /// A stage's tasks entered the pending queue.
     StageSubmitted {
+        /// The job the stage belongs to.
+        job: JobId,
         /// The stage.
         stage: StageId,
         /// Tasks queued (may be fewer than the stage's width when map
@@ -67,12 +133,16 @@ pub enum EngineEventKind {
     },
     /// All of a stage's outputs are available.
     StageCompleted {
+        /// The job the stage belongs to.
+        job: JobId,
         /// The stage.
         stage: StageId,
     },
     /// A completed stage lost map outputs and was resubmitted — the
     /// "execution rollback" SplitServe's graceful segue avoids.
     StageRolledBack {
+        /// The job the stage belongs to.
+        job: JobId,
         /// The stage.
         stage: StageId,
         /// Map partitions that must be recomputed.
@@ -80,46 +150,92 @@ pub enum EngineEventKind {
     },
     /// A task began on an executor.
     TaskStarted {
-        /// Stage the task belongs to.
-        stage: StageId,
-        /// Partition index.
-        part: usize,
-        /// Where it runs.
-        exec: ExecutorId,
+        /// Which task, where.
+        task: TaskRef,
+        /// VM- or Lambda-backed.
+        kind: ExecutorKind,
     },
-    /// A task finished.
-    TaskFinished {
-        /// Stage the task belongs to.
-        stage: StageId,
-        /// Partition index.
-        part: usize,
-        /// Where it ran.
-        exec: ExecutorId,
+    /// A task's modeled CPU time has elapsed; its output is ready to be
+    /// persisted (map task) or handed to the driver (result task).
+    TaskComputed {
+        /// Which task, where.
+        task: TaskRef,
         /// Reference-core CPU seconds it charged.
         cpu_secs: f64,
     },
-    /// A task failed (executor death mid-flight).
+    /// A task finished.
+    TaskFinished {
+        /// Which task, where.
+        task: TaskRef,
+        /// VM- or Lambda-backed.
+        kind: ExecutorKind,
+        /// Reference-core CPU seconds it charged.
+        cpu_secs: f64,
+        /// Virtual seconds from dispatch to completion.
+        run_secs: f64,
+    },
+    /// A task attempt failed and was re-queued.
     TaskFailed {
-        /// Stage the task belongs to.
-        stage: StageId,
-        /// Partition index.
-        part: usize,
-        /// Where it ran.
-        exec: ExecutorId,
-        /// Why.
+        /// Which task, where.
+        task: TaskRef,
+        /// Which way it failed.
+        why: FailureKind,
+        /// The store's error text, or `"executor lost"`.
         reason: String,
     },
     /// A reduce task could not fetch a map output block.
     FetchFailed {
-        /// The consuming stage.
-        stage: StageId,
-        /// The consuming partition.
-        part: usize,
+        /// The consuming task.
+        task: TaskRef,
         /// The shuffle whose block was missing.
         shuffle: ShuffleId,
     },
-    /// Free-form marker pushed by higher layers (e.g. "segue commences").
-    Marker(String),
+    /// A task began fetching its shuffle inputs or writing its buckets.
+    ShufflePhaseStarted {
+        /// Which task, where.
+        task: TaskRef,
+        /// VM- or Lambda-backed.
+        kind: ExecutorKind,
+        /// Fetch or write.
+        phase: ShufflePhase,
+        /// Serialized bytes the phase sets out to move.
+        bytes: u64,
+    },
+    /// Every block of a shuffle phase landed.
+    ShufflePhaseFinished {
+        /// Which task, where.
+        task: TaskRef,
+        /// Fetch or write.
+        phase: ShufflePhase,
+        /// Serialized bytes moved.
+        bytes: u64,
+        /// Virtual seconds the phase took.
+        secs: f64,
+    },
+    /// A shuffle phase ended without completing (store error, or a block
+    /// landing after its attempt died — by then nobody knows whose).
+    ShufflePhaseAborted {
+        /// Fetch or write.
+        phase: ShufflePhase,
+    },
+    /// A running task has outlived the configured multiple of its stage's
+    /// live completion-time quantile. Detection only.
+    StragglerSuspected {
+        /// Which task, where.
+        task: TaskRef,
+        /// Virtual seconds since the attempt was dispatched.
+        elapsed_secs: f64,
+        /// The threshold it crossed.
+        threshold_secs: f64,
+    },
+    /// The chaos plane performed a fault (`"kill"`, `"drain"`,
+    /// `"straggle"`).
+    FaultInjected {
+        /// Which fault.
+        kind: &'static str,
+    },
+    /// A marker emitted by a higher layer (e.g. `"segue commences"`).
+    Marker(&'static str),
 }
 
 /// A timestamped engine event.
@@ -131,23 +247,18 @@ pub struct EngineEvent {
     pub kind: EngineEventKind,
 }
 
-/// Shared, cloneable event log.
-///
-/// Optionally bounded: a log created with [`EventLog::bounded`] stops
-/// recording at its capacity and counts the overflow instead, so long
-/// streaming scenarios cannot grow the log without bound.
+/// Shared, cloneable event log. Unbounded while enabled: a run that must
+/// not grow one (the fleet) switches it off with
+/// [`EngineConfig::event_log`](crate::EngineConfig::event_log).
 #[derive(Debug, Clone)]
 pub struct EventLog {
     events: Rc<RefCell<Vec<EngineEvent>>>,
     enabled: bool,
-    capacity: Option<usize>,
-    dropped: Rc<Cell<u64>>,
-    registry: splitserve_obs::MetricsRegistry,
 }
 
 /// The default log is **disabled** — it drops every push. This mirrors
 /// observability being opt-in everywhere in the workspace; construct via
-/// [`EventLog::new`]/[`EventLog::bounded`] to actually record.
+/// [`EventLog::new`] to actually record.
 impl Default for EventLog {
     fn default() -> Self {
         EventLog::disabled()
@@ -155,10 +266,12 @@ impl Default for EventLog {
 }
 
 impl EventLog {
-    /// Creates an unbounded log; when `enabled` is false, pushes are
-    /// dropped.
+    /// Creates a log; when `enabled` is false, pushes are dropped.
     pub fn new(enabled: bool) -> Self {
-        EventLog::bounded(enabled, None, splitserve_obs::MetricsRegistry::disabled())
+        EventLog {
+            events: Rc::new(RefCell::new(Vec::new())),
+            enabled,
+        }
     }
 
     /// A log that explicitly records nothing (also the [`Default`]).
@@ -166,48 +279,11 @@ impl EventLog {
         EventLog::new(false)
     }
 
-    /// Creates a log holding at most `capacity` events (unbounded when
-    /// `None`). Events past the cap are dropped and counted — locally
-    /// (see [`EventLog::dropped`]) and on `registry` as the
-    /// `event_log_dropped_total` counter.
-    pub fn bounded(
-        enabled: bool,
-        capacity: Option<usize>,
-        registry: splitserve_obs::MetricsRegistry,
-    ) -> Self {
-        EventLog {
-            events: Rc::new(RefCell::new(Vec::new())),
-            enabled,
-            capacity,
-            dropped: Rc::new(Cell::new(0)),
-            registry,
-        }
-    }
-
     /// Appends an event.
-    pub fn push(&self, at: SimTime, kind: EngineEventKind) {
-        if !self.enabled {
-            return;
+    pub(crate) fn push(&self, at: SimTime, kind: EngineEventKind) {
+        if self.enabled {
+            self.events.borrow_mut().push(EngineEvent { at, kind });
         }
-        if let Some(cap) = self.capacity {
-            if self.events.borrow().len() >= cap {
-                self.dropped.set(self.dropped.get() + 1);
-                self.registry
-                    .counter_add("event_log_dropped_total", &[], 1);
-                return;
-            }
-        }
-        self.events.borrow_mut().push(EngineEvent { at, kind });
-    }
-
-    /// Events dropped because the log was at capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// The configured capacity, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Snapshot of all events so far.
@@ -238,14 +314,14 @@ mod tests {
     #[test]
     fn push_and_snapshot() {
         let log = EventLog::new(true);
-        log.push(SimTime::ZERO, EngineEventKind::Marker("hi".into()));
+        log.push(SimTime::ZERO, EngineEventKind::Marker("hi"));
         log.push(
             SimTime::from_secs(1),
             EngineEventKind::JobCompleted { job: JobId(0) },
         );
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].kind, EngineEventKind::Marker("hi".into()));
+        assert_eq!(snap[0].kind, EngineEventKind::Marker("hi"));
         log.clear();
         assert!(log.is_empty());
     }
@@ -253,38 +329,14 @@ mod tests {
     #[test]
     fn disabled_log_drops_events() {
         let log = EventLog::new(false);
-        log.push(SimTime::ZERO, EngineEventKind::Marker("dropped".into()));
+        log.push(SimTime::ZERO, EngineEventKind::Marker("dropped"));
         assert!(log.is_empty());
     }
 
     #[test]
     fn default_is_the_disabled_log() {
         let log = EventLog::default();
-        log.push(SimTime::ZERO, EngineEventKind::Marker("dropped".into()));
+        log.push(SimTime::ZERO, EngineEventKind::Marker("dropped"));
         assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0, "disabled pushes are not capacity drops");
-    }
-
-    #[test]
-    fn bounded_log_drops_overflow_and_counts_it() {
-        let registry = splitserve_obs::MetricsRegistry::enabled();
-        let log = EventLog::bounded(true, Some(2), registry.clone());
-        assert_eq!(log.capacity(), Some(2));
-        for i in 0..5 {
-            log.push(
-                SimTime::from_secs(i),
-                EngineEventKind::Marker(format!("m{i}")),
-            );
-        }
-        assert_eq!(log.len(), 2, "capacity respected");
-        assert_eq!(log.dropped(), 3);
-        assert_eq!(
-            registry.counter_value("event_log_dropped_total", &[]),
-            3
-        );
-        // The retained events are the earliest ones, in order.
-        let snap = log.snapshot();
-        assert_eq!(snap[0].kind, EngineEventKind::Marker("m0".into()));
-        assert_eq!(snap[1].kind, EngineEventKind::Marker("m1".into()));
     }
 }

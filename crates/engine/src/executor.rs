@@ -92,12 +92,20 @@ pub enum ExecutorKind {
     Lambda,
 }
 
+impl ExecutorKind {
+    /// `"vm"` / `"lambda"`: the `kind` label of the registry series, the
+    /// executor's span lane and the [`Display`](std::fmt::Display) form.
+    pub fn label(self) -> &'static str {
+        match self {
+            ExecutorKind::Vm => "vm",
+            ExecutorKind::Lambda => "lambda",
+        }
+    }
+}
+
 impl std::fmt::Display for ExecutorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutorKind::Vm => f.write_str("vm"),
-            ExecutorKind::Lambda => f.write_str("lambda"),
-        }
+        f.write_str(self.label())
     }
 }
 

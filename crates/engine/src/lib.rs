@@ -30,6 +30,7 @@ mod config;
 mod context;
 mod events;
 mod executor;
+mod flight;
 mod metrics;
 mod node;
 mod ops;
@@ -40,9 +41,12 @@ mod telemetry;
 mod tracker;
 
 pub use config::{EngineConfig, StragglerConfig, WorkModel};
-pub use context::TaskContext;
-pub use events::{EngineEvent, EngineEventKind, EventLog, JobId};
+pub use context::{TaskContext, TaskSeries};
+pub use events::{
+    EngineEvent, EngineEventKind, EventLog, FailureKind, JobId, ShufflePhase, TaskRef,
+};
 pub use executor::{ExecutorDesc, ExecutorId, ExecutorKind};
+pub use flight::{flight_dump, FLIGHT_TAIL};
 pub use metrics::{JobMetrics, JobOutput};
 pub use node::{
     input_shuffles, next_node_id, next_shuffle_id, Dep, NodeId, PartitionData, PlanNode,

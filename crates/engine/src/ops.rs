@@ -436,10 +436,6 @@ pub(crate) fn decode_stream<K: Decode, V: Decode>(blocks: Vec<Bytes>) -> DecodeS
 /// aggregation.
 type CombineFn<V> = Arc<dyn Fn(&V, &V) -> V + Send + Sync>;
 
-/// Histogram bounds for `shuffle_combine_seconds` (virtual CPU seconds
-/// of one map task's combine phase — much finer than request latencies).
-const COMBINE_BUCKETS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
-
 /// Freezes filled per-bucket scratch buffers into exact-sized [`Bytes`]
 /// blocks, charges the serialization work, returns the scratch to the
 /// pool and records the encoded volume (when observability is enabled).
@@ -457,9 +453,7 @@ fn finish_buckets(ctx: &mut TaskContext, bufs: Vec<Vec<u8>>, counts: Vec<u64>) -
         })
         .collect();
     if encoded_total > 0 {
-        ctx.obs()
-            .metrics
-            .counter_add("shuffle_encode_bytes_total", &[], encoded_total);
+        ctx.series().shuffle_encode_bytes.add(encoded_total);
     }
     buckets
 }
@@ -557,18 +551,12 @@ pub(crate) fn make_partitioner<K: ShuffleKey, V: ShuffleValue>(
                     }
                 }
                 let combine_secs = ctx.cpu_secs() - combine_started;
-                ctx.obs().metrics.observe_with(
-                    "shuffle_combine_seconds",
-                    &[],
-                    COMBINE_BUCKETS,
-                    combine_secs,
-                );
+                let series = ctx.series();
+                series.shuffle_combine_seconds.observe(combine_secs);
                 // Worker-thread path: exercises the sharded digest store
                 // (per-thread shard, merged at snapshot), so recording
                 // here never contends with the simulation thread.
-                ctx.obs()
-                    .metrics
-                    .record_quantile("shuffle_combine_seconds", &[], combine_secs);
+                series.shuffle_combine_quantile.record(combine_secs);
                 encode_grouped(ctx, num, &groups)
             }
             None => encode_buckets_by(ctx, records, num, |k| bucket_of(k, num)),

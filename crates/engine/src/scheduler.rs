@@ -28,12 +28,13 @@ use splitserve_storage::{BlockId, BlockStore, ClientLoc, StoreError};
 
 use crate::config::EngineConfig;
 use crate::context::TaskContext;
-use crate::events::{EngineEventKind, EventLog, JobId};
+use crate::events::{EngineEventKind, EngineEventKind as E, EventLog, FailureKind, JobId};
+use crate::events::{ShufflePhase, TaskRef};
 use crate::executor::{ExecutorDesc, ExecutorId, ExecutorKind};
 use crate::metrics::{JobMetrics, JobOutput};
 use crate::node::{PartitionData, PlanNode, ShuffleBucket, ShuffleDep, ShuffleId};
 use crate::stage::{build_stages, Stage, StageGraph, StageId, StageKind};
-use crate::telemetry::{FailureKind, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::tracker::{MapOutputTracker, MapStatus};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,10 +66,7 @@ impl ExecMeta {
 
 #[derive(Debug, Clone, Copy)]
 struct AttemptInfo {
-    job: JobId,
-    stage: StageId,
-    part: usize,
-    exec: ExecutorId,
+    task: TaskRef,
     /// The task's executor-lane span (no-op id when obs is disabled).
     span: SpanId,
     /// When the attempt was dispatched (the span's open instant) — the
@@ -239,26 +237,12 @@ struct LiveJob {
 }
 
 /// One row of the job table. The row itself stays for the engine's
-/// lifetime (metrics remain queryable); `live` is dropped when the job
-/// is over — see [`Inner::retire_if_over`].
+/// lifetime; `live` is dropped when the job is over — see
+/// [`Inner::retire_if_over`]. (The job's metrics are a view of its
+/// events and live with the other views, in [`Telemetry`].)
 struct JobSlot {
-    /// Uniquely owned while the job runs; once it completes, accessors
-    /// hand out cheap `Arc` clones instead of deep-copying the block.
-    metrics: Arc<JobMetrics>,
     done: bool,
     live: Option<LiveJob>,
-}
-
-impl JobSlot {
-    /// Mutable metrics access for the in-flight paths. The `Arc` is only
-    /// ever shared *after* `done` is set, so for a running job this is a
-    /// plain borrow. A stale attempt of a finished job may still report
-    /// here; if a caller holds the block by then, it keeps the snapshot
-    /// it was given and the table's copy moves on.
-    #[inline]
-    fn metrics_mut(&mut self) -> &mut JobMetrics {
-        Arc::make_mut(&mut self.metrics)
-    }
 }
 
 /// Sentinel in the symbol→slot side table for "no executor with this
@@ -371,7 +355,7 @@ impl Inner {
     /// Removes an attempt, releasing its hold on its job.
     fn take_attempt(&mut self, id: AttemptId) -> Option<Attempt> {
         let attempt = self.attempts.remove(&id)?;
-        self.jobs[attempt.info.job.0 as usize]
+        self.jobs[attempt.info.task.job.0 as usize]
             .live
             .as_mut()
             .expect("an attempt pins its job")
@@ -382,14 +366,14 @@ impl Inner {
     /// Puts a failed attempt's task back at the head of the dispatch
     /// queue.
     fn requeue(&mut self, info: &AttemptInfo) {
-        let job = self.jobs[info.job.0 as usize]
+        let job = self.jobs[info.task.job.0 as usize]
             .live
             .as_mut()
             .expect("a requeued task keeps its job live");
-        let st = &mut job.status[info.stage.0 as usize];
-        st.running.remove(info.part);
-        st.queued.insert(info.part);
-        self.pending.push_front((info.job, info.stage, info.part));
+        let st = &mut job.status[info.task.stage.0 as usize];
+        st.running.remove(info.task.part);
+        st.queued.insert(info.task.part);
+        self.pending.push_front((info.task.job, info.task.stage, info.task.part));
     }
 
     /// Retires `job_id` if it is over: done, with no attempt left in
@@ -475,7 +459,8 @@ pub struct LiveState {
 struct Shared {
     inner: RefCell<Inner>,
     store: Rc<dyn BlockStore>,
-    log: EventLog,
+    /// Every view of what happens in here: the scheduler reports each
+    /// occurrence with one `emit` and touches no view itself.
     tele: Telemetry,
     /// Worker threads for task bodies; `None` runs bodies inline on the
     /// simulation thread (`workers <= 1`). The pool joins its threads
@@ -567,12 +552,7 @@ fn task_inputs(
 impl Engine {
     /// Creates an engine over the given shuffle store.
     pub fn new(cfg: EngineConfig, store: Rc<dyn BlockStore>) -> Self {
-        let log = EventLog::bounded(
-            cfg.event_log,
-            cfg.event_log_capacity,
-            cfg.obs.metrics.clone(),
-        );
-        let tele = Telemetry::new(cfg.obs.clone());
+        let tele = Telemetry::new(cfg.obs.clone(), EventLog::new(cfg.event_log));
         let pool = (cfg.workers >= 2).then(|| WorkerPool::new(cfg.workers));
         Engine {
             shared: Rc::new(Shared {
@@ -595,7 +575,6 @@ impl Engine {
                     held_shuffles: FastMap::default(),
                 }),
                 store,
-                log,
                 tele,
             }),
         }
@@ -603,7 +582,13 @@ impl Engine {
 
     /// The engine's event log.
     pub fn event_log(&self) -> &EventLog {
-        &self.shared.log
+        self.shared.tele.log()
+    }
+
+    /// Reports an occurrence the engine cannot see itself — the segue
+    /// marker, an injected fault — to the same views as its own events.
+    pub fn emit(&self, at: SimTime, event: EngineEventKind) {
+        self.shared.tele.emit(at, event);
     }
 
     /// The observability handle the engine records into (the one passed
@@ -654,11 +639,7 @@ impl Engine {
                 speed_factor: 1.0,
             });
             assert!(fresh, "duplicate executor {id}");
-            sh.tele.executor_registered(sim.now(), id, kind);
-            sh.log.push(
-                sim.now(),
-                EngineEventKind::ExecutorRegistered { exec: id, kind },
-            );
+            sh.tele.emit(sim.now(), E::ExecutorRegistered { exec: id, kind });
         }
         self.dispatch(sim);
     }
@@ -734,9 +715,7 @@ impl Engine {
                 meta.on_drained = Some(Box::new(on_drained));
                 meta.running.is_none()
             });
-            self.shared
-                .log
-                .push(sim.now(), EngineEventKind::ExecutorDraining { exec: *id });
+            self.shared.tele.emit(sim.now(), E::ExecutorDraining { exec: *id });
             idle
         };
         if finish_now {
@@ -763,27 +742,10 @@ impl Engine {
                 meta.alive = false;
                 meta.running.take()
             });
-            sh.log
-                .push(sim.now(), EngineEventKind::ExecutorLost { exec: *id });
+            sh.tele.emit(sim.now(), E::ExecutorLost { exec: *id });
             if let Some(Attempt { info, .. }) = running.and_then(|a| inner.take_attempt(a)) {
-                sh.log.push(
-                    sim.now(),
-                    EngineEventKind::TaskFailed {
-                        stage: info.stage,
-                        part: info.part,
-                        exec: *id,
-                        reason: "executor lost".into(),
-                    },
-                );
-                sh.tele.task_failed(
-                    sim.now(),
-                    inner.jobs[info.job.0 as usize].metrics_mut(),
-                    info.span,
-                    info.stage,
-                    info.part,
-                    FailureKind::ExecutorLost,
-                );
-                inner.requeue(&info);
+                let reason = "executor lost".into();
+                self.attempt_failed(sim.now(), inner, &info, FailureKind::ExecutorLost, reason);
             }
         }
         sh.store.on_executor_lost(sim, id.as_str());
@@ -854,10 +816,7 @@ impl Engine {
                 meta.alive = false;
                 meta.on_drained.take()
             });
-            sh.log.push(
-                sim.now(),
-                EngineEventKind::ExecutorDecommissioned { exec: id },
-            );
+            sh.tele.emit(sim.now(), E::ExecutorDecommissioned { exec: id });
             cb
         };
         // A decommissioned executor's node is gone; local blocks with it.
@@ -892,14 +851,8 @@ impl Engine {
                     if st.state == Some(StageState::Done) && !inner.tracker.is_complete(dep.id) {
                         let missing = inner.tracker.missing(dep.id).count();
                         st.state = Some(StageState::Waiting);
-                        sh.tele.stage_rolled_back(sim.now(), stage.id, missing);
-                        sh.log.push(
-                            sim.now(),
-                            EngineEventKind::StageRolledBack {
-                                stage: stage.id,
-                                missing,
-                            },
-                        );
+                        let (job, stage) = (job_id, stage.id);
+                        sh.tele.emit(sim.now(), E::StageRolledBack { job, stage, missing });
                     }
                 }
                 // Any stage whose inputs are no longer complete must not
@@ -948,17 +901,11 @@ impl Engine {
                         .register_shuffle(dep.id, dep.parent.num_partitions());
                 }
             }
-            self.shared.log.push(
-                sim.now(),
-                EngineEventKind::JobSubmitted {
-                    job: id,
-                    stages: graph.len(),
-                },
-            );
             let n_stages = graph.len();
+            let submitted = E::JobSubmitted { job: id, stages: n_stages };
+            self.shared.tele.emit(sim.now(), submitted);
             let result_width = graph.stage(graph.result).num_tasks;
             inner.jobs.push(JobSlot {
-                metrics: Arc::new(JobMetrics::start(id, sim.now())),
                 done: false,
                 live: Some(LiveJob {
                     graph,
@@ -993,10 +940,6 @@ impl Engine {
                 inner.retire_if_over(job_id);
                 return;
             }
-            // `metrics` and `live` are disjoint fields: the stage walk
-            // holds the graph borrowed while it counts into the metrics.
-            let metrics =
-                Arc::get_mut(&mut slot.metrics).expect("in-flight job metrics are uniquely owned");
             let job = slot.live.as_mut().expect("a running job is live");
             // Iterate stages in topological (id) order.
             for stage in &job.graph.stages {
@@ -1015,11 +958,8 @@ impl Engine {
                 if complete {
                     if st.state != Some(StageState::Done) {
                         st.state = Some(StageState::Done);
-                        sh.tele.stage_completed(metrics);
-                        sh.log.push(
-                            sim.now(),
-                            EngineEventKind::StageCompleted { stage: stage.id },
-                        );
+                        let completed = E::StageCompleted { job: job_id, stage: stage.id };
+                        sh.tele.emit(sim.now(), completed);
                     }
                     continue;
                 }
@@ -1047,13 +987,8 @@ impl Engine {
                         .for_each(|(part, _)| queue_part(part)),
                 }
                 if queued_now > 0 {
-                    sh.log.push(
-                        sim.now(),
-                        EngineEventKind::StageSubmitted {
-                            stage: stage.id,
-                            tasks: queued_now,
-                        },
-                    );
+                    let (job, stage, tasks) = (job_id, stage.id, queued_now);
+                    sh.tele.emit(sim.now(), E::StageSubmitted { job, stage, tasks });
                 }
                 st.state = Some(StageState::Running);
             }
@@ -1061,10 +996,7 @@ impl Engine {
             // Job completion.
             if job.result_parts.iter().all(Option::is_some) {
                 slot.done = true;
-                metrics.completed_at = sim.now();
-                sh.tele.job_completed(sim.now(), job_id, &slot.metrics);
-                sh.log
-                    .push(sim.now(), EngineEventKind::JobCompleted { job: job_id });
+                sh.tele.emit(sim.now(), E::JobCompleted { job: job_id });
                 // Hand the job's only references over: `collect_partitions`
                 // can then move the rows out instead of cloning them (the
                 // done flag above keeps this arm from running twice).
@@ -1076,7 +1008,7 @@ impl Engine {
                 let output = JobOutput {
                     partitions,
                     // From here on the metrics block is frozen; share it.
-                    metrics: Arc::clone(&slot.metrics),
+                    metrics: sh.tele.job_metrics(job_id).expect("submitted above"),
                 };
                 if let Some(cb) = job.on_done.take() {
                     finished = Some((cb, output));
@@ -1108,25 +1040,16 @@ impl Engine {
     /// order. The returned `Arc`s share the scheduler's own metrics
     /// blocks — no per-job deep copy.
     pub fn completed_job_metrics(&self) -> Vec<Arc<JobMetrics>> {
-        self.shared
-            .inner
-            .borrow()
-            .jobs
-            .iter()
-            .filter(|j| j.done)
-            .map(|j| Arc::clone(&j.metrics))
+        let inner = self.shared.inner.borrow();
+        let done = inner.jobs.iter().enumerate().filter(|(_, j)| j.done);
+        done.filter_map(|(id, _)| self.job_metrics(JobId(id as u64)))
             .collect()
     }
 
     /// A completed job's metrics (available after `on_done` fired),
     /// shared rather than cloned.
     pub fn job_metrics(&self, job: JobId) -> Option<Arc<JobMetrics>> {
-        self.shared
-            .inner
-            .borrow()
-            .jobs
-            .get(job.0 as usize)
-            .map(|j| Arc::clone(&j.metrics))
+        self.shared.tele.job_metrics(job)
     }
 
     // ----- dispatch and the task state machine ---------------------------
@@ -1202,17 +1125,15 @@ impl Engine {
                 job.attempts += 1;
                 let attempt = AttemptId(inner.next_attempt);
                 inner.next_attempt += 1;
+                let task = TaskRef {
+                    job: job_id,
+                    stage: stage_id,
+                    part,
+                    exec: exec_id,
+                };
                 let span = sh
                     .tele
-                    .task_started(sim.now(), exec_id, kind, stage_id, part);
-                sh.log.push(
-                    sim.now(),
-                    EngineEventKind::TaskStarted {
-                        stage: stage_id,
-                        part,
-                        exec: exec_id,
-                    },
-                );
+                    .emit_span(sim.now(), SpanId::NONE, E::TaskStarted { task, kind });
                 // Build the fetch plan: (shuffle, map index, writer, size).
                 // Blocks are identified lazily at fetch time — the plan
                 // carries only `Copy` handles, no per-block strings.
@@ -1227,10 +1148,7 @@ impl Engine {
                     attempt,
                     Attempt {
                         info: AttemptInfo {
-                            job: job_id,
-                            stage: stage_id,
-                            part,
-                            exec: exec_id,
+                            task,
                             span,
                             started_at: sim.now(),
                             straggler_flagged: false,
@@ -1262,19 +1180,21 @@ impl Engine {
             };
             let (info, blocks) = (a.info, a.plan.len());
             if blocks == 0 {
-                let job = inner.jobs[info.job.0 as usize]
+                let job = inner.jobs[info.task.job.0 as usize]
                     .live
                     .as_ref()
                     .expect("an attempt pins its job");
-                Err(task_inputs(job.graph.stage(info.stage), &[], Vec::new()))
+                Err(task_inputs(job.graph.stage(info.task.stage), &[], Vec::new()))
             } else {
-                let meta = inner.exec(info.exec).expect("executor of live attempt");
-                let span = sh.tele.shuffle_phase_started(
-                    sim.now(),
-                    info.exec,
-                    meta.desc.kind,
-                    "shuffle fetch",
-                );
+                let bytes = a.plan.iter().map(|(_, _, _, size)| size).sum();
+                let meta = inner.exec(info.task.exec).expect("executor of live attempt");
+                let started = E::ShufflePhaseStarted {
+                    task: info.task,
+                    kind: meta.desc.kind,
+                    phase: ShufflePhase::Fetch,
+                    bytes,
+                };
+                let span = sh.tele.emit_span(sim.now(), SpanId::NONE, started);
                 let client = meta.desc.client_loc();
                 let a = inner.attempts.get_mut(&attempt).expect("seen above");
                 a.io = ShuffleIo::Fetch(FetchWindow {
@@ -1290,7 +1210,7 @@ impl Engine {
         };
         match gets {
             Ok(window) => (0..window).for_each(|_| self.fetch_next(sim, attempt)),
-            Err(no_inputs) => self.run_compute(sim, attempt, no_inputs, 0),
+            Err(no_inputs) => self.run_compute(sim, attempt, no_inputs),
         }
     }
 
@@ -1313,7 +1233,7 @@ impl Engine {
             let at = f.next;
             f.next += 1;
             f.outstanding += 1;
-            let block = BlockId::shuffle(writer, shuffle.0, map as u64, a.info.part as u64);
+            let block = BlockId::shuffle(writer, shuffle.0, map as u64, a.info.task.part as u64);
             (f.client, block, at, f.span)
         };
         let engine = self.clone();
@@ -1336,16 +1256,18 @@ impl Engine {
     ) {
         enum Next {
             Fetch,
-            Compute(FastMap<ShuffleId, Vec<Bytes>>, u64, SimTime),
+            /// Inputs in hand, and the event of the fetch finishing.
+            Compute(FastMap<ShuffleId, Vec<Bytes>>, EngineEventKind),
             Failed(ShuffleId, usize, StoreError),
         }
+        let aborted = E::ShufflePhaseAborted { phase: ShufflePhase::Fetch };
         let sh = &*self.shared;
         let next = {
             let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
             match (inner.attempts.get_mut(&attempt), result) {
                 (None, _) => {
-                    sh.tele.shuffle_phase_aborted(sim.now(), span);
+                    sh.tele.emit_span(sim.now(), span, aborted);
                     return;
                 }
                 (Some(a), Ok(bytes)) => {
@@ -1362,14 +1284,18 @@ impl Engine {
                             unreachable!("matched above");
                         };
                         let plan = std::mem::take(&mut a.plan);
-                        let job = inner.jobs[a.info.job.0 as usize]
+                        let job = inner.jobs[a.info.task.job.0 as usize]
                             .live
                             .as_ref()
                             .expect("an attempt pins its job");
                         Next::Compute(
-                            task_inputs(job.graph.stage(a.info.stage), &plan, f.blocks),
-                            plan.iter().map(|(_, _, _, size)| size).sum(),
-                            f.started,
+                            task_inputs(job.graph.stage(a.info.task.stage), &plan, f.blocks),
+                            E::ShufflePhaseFinished {
+                                task: a.info.task,
+                                phase: ShufflePhase::Fetch,
+                                bytes: plan.iter().map(|(_, _, _, size)| size).sum(),
+                                secs: sim.now().saturating_since(f.started).as_secs_f64(),
+                            },
                         )
                     }
                 }
@@ -1381,13 +1307,12 @@ impl Engine {
         };
         match next {
             Next::Fetch => self.fetch_next(sim, attempt),
-            Next::Compute(inputs, fetched_bytes, started) => {
-                sh.tele
-                    .shuffle_phase_finished(sim.now(), span, "fetch", started);
-                self.run_compute(sim, attempt, inputs, fetched_bytes);
+            Next::Compute(inputs, finished) => {
+                sh.tele.emit_span(sim.now(), span, finished);
+                self.run_compute(sim, attempt, inputs);
             }
             Next::Failed(shuffle, map, err) => {
-                sh.tele.shuffle_phase_aborted(sim.now(), span);
+                sh.tele.emit_span(sim.now(), span, aborted);
                 self.fetch_failed(sim, attempt, shuffle, map, err);
             }
         }
@@ -1415,31 +1340,30 @@ impl Engine {
         sim: &mut Sim,
         attempt: AttemptId,
         inputs: FastMap<ShuffleId, Vec<Bytes>>,
-        fetched_bytes: u64,
     ) {
         let sh = &*self.shared;
         let (terminal, kind, part, work, speed, mem_bytes) = {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
+            let inner = sh.inner.borrow();
             let Some(a) = inner.attempts.get(&attempt) else {
                 return;
             };
             let info = a.info;
             let (speed, mem_bytes) = {
-                let meta = inner.exec(info.exec).expect("executor of live attempt");
+                let meta = inner.exec(info.task.exec).expect("executor of live attempt");
                 (
                     meta.desc.core_speed * meta.speed_factor,
                     meta.desc.memory_bytes(),
                 )
             };
-            let slot = &mut inner.jobs[info.job.0 as usize];
-            sh.tele.shuffle_read(slot.metrics_mut(), fetched_bytes);
-            let job = slot.live.as_ref().expect("an attempt pins its job");
-            let stage = job.graph.stage(info.stage);
+            let job = inner.jobs[info.task.job.0 as usize]
+                .live
+                .as_ref()
+                .expect("an attempt pins its job");
+            let stage = job.graph.stage(info.task.stage);
             (
                 Arc::clone(&stage.terminal),
                 stage.kind.clone(),
-                info.part,
+                info.task.part,
                 inner.cfg.work.clone(),
                 speed,
                 mem_bytes,
@@ -1451,10 +1375,10 @@ impl Engine {
             .map(|b| b.len() as u64)
             .sum::<u64>() as f64
             * work.deser_secs_per_byte;
-        let obs = sh.tele.obs().clone();
+        let series = sh.tele.task_series().clone();
         let body_work = work.clone();
         let body = move || {
-            let mut ctx = TaskContext::new(body_work, inputs).with_obs(obs);
+            let mut ctx = TaskContext::new(body_work, inputs).with_series(series);
             let data = terminal.compute(&mut ctx, part);
             let payload = match &kind {
                 StageKind::ShuffleMap(dep) => {
@@ -1524,12 +1448,13 @@ impl Engine {
                         return; // executor died while "computing"
                     };
                     let info = a.info;
-                    let slot = &mut inner.jobs[info.job.0 as usize];
-                    slot.live
+                    inner.jobs[info.task.job.0 as usize]
+                        .live
                         .as_mut()
                         .expect("an attempt pins its job")
-                        .result_parts[info.part] = Some(data);
-                    self.shared.tele.task_cpu(slot.metrics_mut(), cpu);
+                        .result_parts[info.task.part] = Some(data);
+                    let (task, cpu_secs) = (info.task, cpu);
+                    self.shared.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs });
                 }
                 self.task_done(sim, attempt, cpu);
             }
@@ -1554,27 +1479,29 @@ impl Engine {
                 return; // executor died while "computing"
             };
             let info = a.info;
-            let slot = &mut inner.jobs[info.job.0 as usize];
-            let job = slot.live.as_ref().expect("an attempt pins its job");
-            let StageKind::ShuffleMap(dep) = &job.graph.stage(info.stage).kind else {
+            let job = inner.jobs[info.task.job.0 as usize]
+                .live
+                .as_ref()
+                .expect("an attempt pins its job");
+            let StageKind::ShuffleMap(dep) = &job.graph.stage(info.task.stage).kind else {
                 unreachable!("map payload implies map stage");
             };
             let shuffle = dep.id;
             let sizes: Vec<u64> = buckets.iter().map(|b| b.bytes.len() as u64).collect();
-            sh.tele.task_cpu(slot.metrics_mut(), cpu);
-            sh.tele
-                .shuffle_written(slot.metrics_mut(), sizes.iter().sum::<u64>());
+            let (task, cpu_secs) = (info.task, cpu);
+            sh.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs });
             let unsent = sizes.iter().filter(|size| **size > 0).count();
             if unsent == 0 {
                 Err((shuffle, sizes))
             } else {
-                let meta = inner.exec(info.exec).expect("executor of live attempt");
-                let span = sh.tele.shuffle_phase_started(
-                    sim.now(),
-                    info.exec,
-                    meta.desc.kind,
-                    "shuffle write",
-                );
+                let meta = inner.exec(info.task.exec).expect("executor of live attempt");
+                let started = E::ShufflePhaseStarted {
+                    task,
+                    kind: meta.desc.kind,
+                    phase: ShufflePhase::Write,
+                    bytes: sizes.iter().sum(),
+                };
+                let span = sh.tele.emit_span(sim.now(), SpanId::NONE, started);
                 let client = meta.desc.client_loc();
                 let a = inner.attempts.get_mut(&attempt).expect("seen above");
                 a.io = ShuffleIo::Write(WriteWindow {
@@ -1620,8 +1547,8 @@ impl Engine {
             w.next += 1;
             w.unsent -= 1;
             w.outstanding += 1;
-            let block =
-                BlockId::shuffle(a.info.exec, w.shuffle.0, a.info.part as u64, reduce as u64);
+            let TaskRef { exec, part, .. } = a.info.task;
+            let block = BlockId::shuffle(exec, w.shuffle.0, part as u64, reduce as u64);
             let bytes = w.buckets[reduce].bytes.clone();
             (w.client, block, bytes, w.span)
         };
@@ -1644,12 +1571,13 @@ impl Engine {
         result: Result<(), StoreError>,
     ) {
         let sh = &*self.shared;
+        let aborted = E::ShufflePhaseAborted { phase: ShufflePhase::Write };
         // `None`: more to write; `Some(Ok)`: all landed; `Some(Err)`: failed.
         let next = {
             let mut inner = sh.inner.borrow_mut();
             match (inner.attempts.get_mut(&attempt), result) {
                 (None, _) => {
-                    sh.tele.shuffle_phase_aborted(sim.now(), span);
+                    sh.tele.emit_span(sim.now(), span, aborted);
                     return;
                 }
                 (Some(a), Ok(())) => {
@@ -1664,7 +1592,7 @@ impl Engine {
                         else {
                             unreachable!("matched above");
                         };
-                        Some(Ok(w))
+                        Some(Ok((w, a.info.task)))
                     }
                 }
                 (Some(_), Err(err)) => Some(Err(err)),
@@ -1672,13 +1600,18 @@ impl Engine {
         };
         match next {
             None => self.write_next(sim, attempt),
-            Some(Ok(w)) => {
-                sh.tele
-                    .shuffle_phase_finished(sim.now(), span, "write", w.started);
+            Some(Ok((w, task))) => {
+                let finished = E::ShufflePhaseFinished {
+                    task,
+                    phase: ShufflePhase::Write,
+                    bytes: w.sizes.iter().sum(),
+                    secs: sim.now().saturating_since(w.started).as_secs_f64(),
+                };
+                sh.tele.emit_span(sim.now(), span, finished);
                 self.map_outputs_done(sim, attempt, w.shuffle, w.sizes, w.cpu);
             }
             Some(Err(err)) => {
-                sh.tele.shuffle_phase_aborted(sim.now(), span);
+                sh.tele.emit_span(sim.now(), span, aborted);
                 self.task_write_failed(sim, attempt, err);
             }
         }
@@ -1700,9 +1633,9 @@ impl Engine {
             let info = a.info;
             inner.tracker.register_output(
                 sid,
-                info.part,
+                info.task.part,
                 MapStatus {
-                    executor: info.exec,
+                    executor: info.task.exec,
                     sizes,
                 },
             );
@@ -1720,7 +1653,7 @@ impl Engine {
                 return;
             };
             let slot = inner
-                .exec_slot(info.exec)
+                .exec_slot(info.task.exec)
                 .expect("executor of live attempt");
             let (kind, drain) = inner.update_exec(slot, |meta| {
                 meta.running = None;
@@ -1729,33 +1662,20 @@ impl Engine {
                 (meta.desc.kind, meta.draining && meta.alive)
             });
             let run_secs = sim.now().saturating_since(info.started_at).as_secs_f64();
-            let slot = &mut inner.jobs[info.job.0 as usize];
-            sh.tele.task_finished(
-                sim.now(),
-                slot.metrics_mut(),
-                kind,
-                info.span,
-                info.stage,
-                info.part,
-                cpu,
-                run_secs,
-            );
-            slot.live.as_mut().expect("an attempt pins its job").status[info.stage.0 as usize]
+            let (task, cpu_secs) = (info.task, cpu);
+            let finished = E::TaskFinished { task, kind, cpu_secs, run_secs };
+            sh.tele.emit_span(sim.now(), info.span, finished);
+            inner.jobs[info.task.job.0 as usize]
+                .live
+                .as_mut()
+                .expect("an attempt pins its job")
+                .status[info.task.stage.0 as usize]
                 .running
-                .remove(info.part);
+                .remove(info.task.part);
             if sh.tele.obs().is_enabled() {
                 self.straggler_watch(sim.now(), inner, &info, run_secs);
             }
-            sh.log.push(
-                sim.now(),
-                EngineEventKind::TaskFinished {
-                    stage: info.stage,
-                    part: info.part,
-                    exec: info.exec,
-                    cpu_secs: cpu,
-                },
-            );
-            (info.job, drain.then_some(info.exec))
+            (info.task.job, drain.then_some(info.task.exec))
         };
         if let Some(exec) = decommission_target {
             self.decommission(sim, exec);
@@ -1766,15 +1686,15 @@ impl Engine {
     /// The straggler watch: fold the just-completed attempt's run time
     /// into its stage's live completion digest, then compare every
     /// still-running attempt of the same stage against a configurable
-    /// multiple of the digest's quantile. Detection only — suspects get a
-    /// counter, a span annotation and a flight-recorder breadcrumb, never
-    /// a speculative re-launch. Runs only while observability is enabled,
-    /// so the disabled path stays one branch.
+    /// multiple of the digest's quantile. Detection only — a suspect is
+    /// reported as one `StragglerSuspected` event, never re-launched
+    /// speculatively. Runs only while observability is enabled, so the
+    /// disabled path stays one branch.
     fn straggler_watch(&self, now: SimTime, inner: &mut Inner, done: &AttemptInfo, run_secs: f64) {
         let threshold = {
             let digest = inner
                 .stage_runtimes
-                .entry((done.job, done.stage))
+                .entry((done.task.job, done.task.stage))
                 .or_default();
             digest.record(run_secs);
             let sc = &inner.cfg.straggler;
@@ -1787,17 +1707,42 @@ impl Engine {
             }
         };
         for Attempt { info, .. } in inner.attempts.values_mut() {
-            if info.job != done.job || info.stage != done.stage || info.straggler_flagged {
+            let same_stage = (info.task.job, info.task.stage) == (done.task.job, done.task.stage);
+            if !same_stage || info.straggler_flagged {
                 continue;
             }
             let elapsed = now.saturating_since(info.started_at).as_secs_f64();
             if elapsed > threshold {
                 info.straggler_flagged = true;
-                self.shared
-                    .tele
-                    .straggler_suspected(now, info.span, info.stage, info.part, elapsed, threshold);
+                let suspected = E::StragglerSuspected {
+                    task: info.task,
+                    elapsed_secs: elapsed,
+                    threshold_secs: threshold,
+                };
+                self.shared.tele.emit_span(now, info.span, suspected);
             }
         }
+    }
+
+    /// An attempt (already out of the table) ended without its output:
+    /// free its executor (a no-op on a dead one), report the failure and
+    /// put the task back at the head of the queue.
+    fn attempt_failed(
+        &self,
+        now: SimTime,
+        inner: &mut Inner,
+        info: &AttemptInfo,
+        why: FailureKind,
+        reason: String,
+    ) {
+        let task = info.task;
+        if let Some(slot) = inner.exec_slot(task.exec) {
+            inner.update_exec(slot, |meta| meta.running = None);
+        }
+        self.shared
+            .tele
+            .emit_span(now, info.span, E::TaskFailed { task, why, reason });
+        inner.requeue(info);
     }
 
     /// A shuffle fetch failed: requeue the task, invalidate the lost map
@@ -1817,36 +1762,10 @@ impl Engine {
             let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
                 return;
             };
-            sh.log.push(
-                sim.now(),
-                EngineEventKind::FetchFailed {
-                    stage: info.stage,
-                    part: info.part,
-                    shuffle,
-                },
-            );
-            sh.log.push(
-                sim.now(),
-                EngineEventKind::TaskFailed {
-                    stage: info.stage,
-                    part: info.part,
-                    exec: info.exec,
-                    reason: err.to_string(),
-                },
-            );
+            let task = info.task;
+            sh.tele.emit(sim.now(), E::FetchFailed { task, shuffle });
             inner.tracker.unregister_output(shuffle, map);
-            if let Some(slot) = inner.exec_slot(info.exec) {
-                inner.update_exec(slot, |meta| meta.running = None);
-            }
-            sh.tele.task_failed(
-                sim.now(),
-                inner.jobs[info.job.0 as usize].metrics_mut(),
-                info.span,
-                info.stage,
-                info.part,
-                FailureKind::FetchFailed,
-            );
-            inner.requeue(&info);
+            self.attempt_failed(sim.now(), inner, &info, FailureKind::FetchFailed, err.to_string());
         }
         self.rollback_incomplete_stages(sim);
         self.progress_all_jobs(sim);
@@ -1854,34 +1773,13 @@ impl Engine {
 
     /// A map-output write failed (e.g. store capacity): requeue the task.
     fn task_write_failed(&self, sim: &mut Sim, attempt: AttemptId, err: StoreError) {
-        let sh = &*self.shared;
         {
-            let mut inner = sh.inner.borrow_mut();
+            let mut inner = self.shared.inner.borrow_mut();
             let inner = &mut *inner;
             let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
                 return;
             };
-            sh.log.push(
-                sim.now(),
-                EngineEventKind::TaskFailed {
-                    stage: info.stage,
-                    part: info.part,
-                    exec: info.exec,
-                    reason: err.to_string(),
-                },
-            );
-            if let Some(slot) = inner.exec_slot(info.exec) {
-                inner.update_exec(slot, |meta| meta.running = None);
-            }
-            sh.tele.task_failed(
-                sim.now(),
-                inner.jobs[info.job.0 as usize].metrics_mut(),
-                info.span,
-                info.stage,
-                info.part,
-                FailureKind::WriteFailed,
-            );
-            inner.requeue(&info);
+            self.attempt_failed(sim.now(), inner, &info, FailureKind::WriteFailed, err.to_string());
         }
         self.dispatch(sim);
     }

@@ -1,79 +1,39 @@
-//! The engine's single telemetry path.
+//! One emit per occurrence: [`Telemetry::emit`] is the only place an
+//! engine event turns into telemetry. It matches on the event once and
+//! derives every view in a fixed order — the per-job [`JobMetrics`] fold
+//! (always on: the ledger's exact counts come from it), the registry
+//! series, the executor-lane spans of the Chrome trace, the rollups, and
+//! finally the event log — so the views agree by construction.
 //!
-//! Every measurement the scheduler takes — task completions, failures,
-//! recomputations, shuffle bytes, stage transitions — flows through one
-//! [`Telemetry`] method, which updates the per-job [`JobMetrics`] *and*
-//! the cluster-wide [`MetricsRegistry`](splitserve_obs::MetricsRegistry)
-//! in lock-step, and opens/closes the executor-lane spans the Chrome
-//! trace export turns into Figure-7-style timelines. The scheduler itself
-//! never touches a metrics field directly, so the two views cannot drift.
-//!
-//! Registry series the hot loop hits are resolved once at construction
-//! into [`CounterHandle`]/[`HistogramHandle`]/[`QuantileHandle`] cells —
-//! the per-task cost with observability on is atomic bumps, not key
-//! builds. Span and flight recording (and the `format!` arguments they
-//! consume) are gated on their recorders being enabled, so a run without
-//! observability pays one branch per event, not a pile of `String`s.
+//! Registry series are resolved once at construction into handles; span
+//! names and annotations are only formatted while the span recorder is
+//! on. A run without observability pays one branch per view.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use splitserve_des::SimTime;
 use splitserve_obs::{CounterHandle, HistogramHandle, Obs, QuantileHandle, SpanId};
 
-use crate::events::JobId;
-use crate::executor::{ExecutorId, ExecutorKind};
+use crate::context::TaskSeries;
+use crate::events::{EngineEventKind, EventLog, FailureKind, JobId, ShufflePhase};
+use crate::executor::ExecutorKind;
 use crate::metrics::JobMetrics;
-use crate::stage::StageId;
-
-/// Why a task attempt ended without producing its output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FailureKind {
-    /// The executor died mid-flight.
-    ExecutorLost,
-    /// A shuffle-input block could not be fetched.
-    FetchFailed,
-    /// A map-output write was rejected by the store.
-    WriteFailed,
-}
-
-impl FailureKind {
-    fn label(self) -> &'static str {
-        match self {
-            FailureKind::ExecutorLost => "executor-lost",
-            FailureKind::FetchFailed => "fetch-failed",
-            FailureKind::WriteFailed => "write-failed",
-        }
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            FailureKind::ExecutorLost => 0,
-            FailureKind::FetchFailed => 1,
-            FailureKind::WriteFailed => 2,
-        }
-    }
-}
-
-fn kind_label(kind: ExecutorKind) -> &'static str {
-    match kind {
-        ExecutorKind::Vm => "vm",
-        ExecutorKind::Lambda => "lambda",
-    }
-}
-
-fn kind_idx(kind: ExecutorKind) -> usize {
-    match kind {
-        ExecutorKind::Vm => 0,
-        ExecutorKind::Lambda => 1,
-    }
-}
 
 /// Buckets for whole-job execution times (seconds).
 const JOB_EXECUTION_BUCKETS: &[f64] = &[1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0];
 
-/// Every registry series the scheduler records on its steady-state path,
-/// resolved once. Indexed arrays follow [`kind_idx`] (vm, lambda),
-/// [`FailureKind::idx`], or fetch/write phase order.
+const KINDS: [ExecutorKind; 2] = [ExecutorKind::Vm, ExecutorKind::Lambda];
+const FAILURES: [FailureKind; 3] = [
+    FailureKind::ExecutorLost,
+    FailureKind::FetchFailed,
+    FailureKind::WriteFailed,
+];
+const PHASES: [ShufflePhase; 2] = [ShufflePhase::Fetch, ShufflePhase::Write];
+
+/// Every registry series the scheduler's steady-state events feed,
+/// resolved once. Arrays are indexed by the discriminant of
+/// [`ExecutorKind`], [`FailureKind`] or [`ShufflePhase`] (`as usize`).
 #[derive(Debug, Default)]
 struct Handles {
     executors_registered: [CounterHandle; 2],
@@ -97,32 +57,23 @@ struct Handles {
 impl Handles {
     fn resolve(obs: &Obs) -> Self {
         let m = &obs.metrics;
-        let per_kind_counter =
-            |name: &str| [0, 1].map(|i| m.counter_handle(name, &[("kind", ["vm", "lambda"][i])]));
+        let per_kind = |name: &str| KINDS.map(|k| m.counter_handle(name, &[("kind", k.label())]));
         Handles {
-            executors_registered: per_kind_counter("executors_registered_total"),
-            tasks_completed: per_kind_counter("tasks_completed_total"),
-            task_cpu_seconds: [0, 1].map(|i| {
-                m.histogram_handle("task_cpu_seconds", &[("kind", ["vm", "lambda"][i])])
-            }),
-            task_run_seconds: [0, 1].map(|i| {
-                m.quantile_handle("task_run_seconds", &[("kind", ["vm", "lambda"][i])])
-            }),
-            tasks_failed: [
-                FailureKind::ExecutorLost,
-                FailureKind::FetchFailed,
-                FailureKind::WriteFailed,
-            ]
-            .map(|why| m.counter_handle("tasks_failed_total", &[("reason", why.label())])),
+            executors_registered: per_kind("executors_registered_total"),
+            tasks_completed: per_kind("tasks_completed_total"),
+            task_cpu_seconds: KINDS
+                .map(|k| m.histogram_handle("task_cpu_seconds", &[("kind", k.label())])),
+            task_run_seconds: KINDS
+                .map(|k| m.quantile_handle("task_run_seconds", &[("kind", k.label())])),
+            tasks_failed: FAILURES
+                .map(|why| m.counter_handle("tasks_failed_total", &[("reason", why.label())])),
             stragglers_suspected: m.counter_handle("stragglers_suspected_total", &[]),
             shuffle_bytes_read: m.counter_handle("shuffle_bytes_read_total", &[]),
             shuffle_bytes_written: m.counter_handle("shuffle_bytes_written_total", &[]),
-            shuffle_phase_seconds_hist: [0, 1].map(|i| {
-                m.histogram_handle("shuffle_phase_seconds", &[("phase", ["fetch", "write"][i])])
-            }),
-            shuffle_phase_seconds_quant: [0, 1].map(|i| {
-                m.quantile_handle("shuffle_phase_seconds", &[("phase", ["fetch", "write"][i])])
-            }),
+            shuffle_phase_seconds_hist: PHASES
+                .map(|p| m.histogram_handle("shuffle_phase_seconds", &[("phase", p.label())])),
+            shuffle_phase_seconds_quant: PHASES
+                .map(|p| m.quantile_handle("shuffle_phase_seconds", &[("phase", p.label())])),
             stages_completed: m.counter_handle("stages_completed_total", &[]),
             stage_rollbacks: m.counter_handle("stage_rollbacks_total", &[]),
             stage_rollback_missing: m.counter_handle("stage_rollback_missing_partitions_total", &[]),
@@ -137,270 +88,187 @@ impl Handles {
     }
 }
 
-/// Shared recorder for everything the engine measures.
-#[derive(Debug, Clone, Default)]
+/// The views of the engine's event stream.
+#[derive(Debug)]
 pub(crate) struct Telemetry {
     obs: Obs,
-    h: Arc<Handles>,
+    h: Handles,
+    log: EventLog,
+    /// One block per submitted job, indexed by `JobId.0`. Uniquely owned
+    /// while nobody asked for it; once a caller holds a block it keeps the
+    /// snapshot it was given and the table's copy moves on.
+    jobs: RefCell<Vec<Arc<JobMetrics>>>,
+    task_series: TaskSeries,
 }
 
 impl Telemetry {
-    pub fn new(obs: Obs) -> Self {
-        let h = Arc::new(Handles::resolve(&obs));
-        Telemetry { obs, h }
+    pub fn new(obs: Obs, log: EventLog) -> Self {
+        Telemetry {
+            h: Handles::resolve(&obs),
+            task_series: TaskSeries::resolve(&obs.metrics),
+            obs,
+            log,
+            jobs: RefCell::default(),
+        }
     }
 
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
 
-    pub fn executor_registered(&self, at: SimTime, exec: ExecutorId, kind: ExecutorKind) {
-        self.h.executors_registered[kind_idx(kind)].inc();
-        self.obs
-            .spans
-            .instant(at, kind_label(kind), exec.as_str(), "registered");
+    pub fn log(&self) -> &EventLog {
+        &self.log
     }
 
-    /// Opens the task's executor-lane span; the returned id rides in the
-    /// attempt table until the task ends one way or another.
-    pub fn task_started(
-        &self,
-        at: SimTime,
-        exec: ExecutorId,
-        kind: ExecutorKind,
-        stage: StageId,
-        part: usize,
-    ) -> SpanId {
-        let span = if self.obs.spans.is_enabled() {
-            let span = self.obs.spans.open(
-                at,
-                kind_label(kind),
-                exec.as_str(),
-                &format!("task s{}.{}", stage.0, part),
-            );
-            self.obs.spans.annotate(span, "stage", &stage.0.to_string());
-            span
-        } else {
-            SpanId::NONE
-        };
-        if self.obs.flight.is_enabled() {
-            self.obs.flight.record(
-                at,
-                "task-started",
-                &[
-                    ("exec", exec.as_str()),
-                    ("stage", &stage.0.to_string()),
-                    ("part", &part.to_string()),
-                ],
-            );
+    /// The series task bodies record into (they run off this thread).
+    pub fn task_series(&self) -> &TaskSeries {
+        &self.task_series
+    }
+
+    /// A job's metrics block, shared rather than cloned.
+    pub fn job_metrics(&self, job: JobId) -> Option<Arc<JobMetrics>> {
+        self.jobs.borrow().get(job.0 as usize).cloned()
+    }
+
+    fn fold(&self, job: JobId, f: impl FnOnce(&mut JobMetrics)) {
+        f(Arc::make_mut(&mut self.jobs.borrow_mut()[job.0 as usize]))
+    }
+
+    /// Reports an occurrence that neither continues nor opens a span.
+    pub fn emit(&self, at: SimTime, event: EngineEventKind) {
+        self.emit_span(at, SpanId::NONE, event);
+    }
+
+    /// Reports one occurrence to every view. `span` is the correlation
+    /// token of the span the event annotates or closes (the attempt keeps
+    /// it, so a block landing after its attempt died still finds its
+    /// span); the return value is the token of the span the event opens.
+    /// Both are [`SpanId::NONE`] for events without one.
+    pub fn emit_span(&self, at: SimTime, span: SpanId, event: EngineEventKind) -> SpanId {
+        use EngineEventKind as E;
+        let (h, spans) = (&self.h, &self.obs.spans);
+        let mut opened = SpanId::NONE;
+        match &event {
+            E::ExecutorRegistered { exec, kind } => {
+                h.executors_registered[*kind as usize].inc();
+                spans.instant(at, kind.label(), exec.as_str(), "registered");
+            }
+            E::ExecutorDraining { .. }
+            | E::ExecutorDecommissioned { .. }
+            | E::ExecutorLost { .. }
+            | E::StageSubmitted { .. }
+            | E::FetchFailed { .. } => {}
+            E::JobSubmitted { job, .. } => {
+                let mut jobs = self.jobs.borrow_mut();
+                debug_assert_eq!(job.0 as usize, jobs.len(), "job ids are dense");
+                jobs.push(Arc::new(JobMetrics::start(*job, at)));
+            }
+            E::JobCompleted { job } => {
+                let mut secs = 0.0;
+                self.fold(*job, |m| {
+                    m.completed_at = at;
+                    secs = m.execution_time().as_secs_f64();
+                });
+                h.jobs_completed.inc();
+                h.job_execution_seconds_hist.observe(secs);
+                h.job_execution_seconds_quant.record(secs);
+                if spans.is_enabled() {
+                    spans.instant(at, "driver", "driver", &format!("{job} completed"));
+                }
+                self.obs.rollups.record("job_execution_seconds", &[], at, secs);
+            }
+            E::StageCompleted { job, .. } => {
+                self.fold(*job, |m| m.stages_run += 1);
+                h.stages_completed.inc();
+            }
+            E::StageRolledBack { stage, missing, .. } => {
+                h.stage_rollbacks.inc();
+                h.stage_rollback_missing.add(*missing as u64);
+                if spans.is_enabled() {
+                    spans.instant(at, "driver", "driver", &format!("rollback s{}", stage.0));
+                }
+            }
+            E::TaskStarted { task, kind } => {
+                if spans.is_enabled() {
+                    let name = format!("task s{}.{}", task.stage.0, task.part);
+                    opened = spans.open(at, kind.label(), task.exec.as_str(), &name);
+                    spans.annotate(opened, "stage", &task.stage.0.to_string());
+                }
+            }
+            E::TaskComputed { task, cpu_secs } => {
+                self.fold(task.job, |m| m.cpu_secs_total += cpu_secs);
+            }
+            E::TaskFinished { task, kind, cpu_secs, run_secs } => {
+                self.fold(task.job, |m| m.count_task(*kind));
+                let k = *kind as usize;
+                h.tasks_completed[k].inc();
+                h.task_cpu_seconds[k].observe(*cpu_secs);
+                h.task_run_seconds[k].record(*run_secs);
+                if spans.is_enabled() {
+                    spans.annotate(span, "cpu_secs", &format!("{cpu_secs:.6}"));
+                    spans.close(span, at);
+                }
+                self.obs
+                    .rollups
+                    .record("task_run_seconds", &[("kind", kind.label())], at, *run_secs);
+            }
+            E::TaskFailed { task, why, .. } => {
+                self.fold(task.job, |m| m.tasks_recomputed += 1);
+                h.tasks_failed[*why as usize].inc();
+                spans.annotate(span, "failed", why.label());
+                spans.close(span, at);
+            }
+            // A map task's bytes count once it sets out to write them, a
+            // reduce task's once its fetch completes.
+            E::ShufflePhaseStarted { task, kind, phase, bytes } => {
+                if *phase == ShufflePhase::Write {
+                    self.fold(task.job, |m| m.shuffle_bytes_written += bytes);
+                    h.shuffle_bytes_written.add(*bytes);
+                }
+                let name = ["shuffle fetch", "shuffle write"][*phase as usize];
+                opened = spans.open(at, kind.label(), task.exec.as_str(), name);
+            }
+            E::ShufflePhaseFinished { task, phase, bytes, secs } => {
+                if *phase == ShufflePhase::Fetch {
+                    self.fold(task.job, |m| m.shuffle_bytes_read += bytes);
+                    h.shuffle_bytes_read.add(*bytes);
+                }
+                // Successful phases only: an aborted one observes nothing.
+                h.shuffle_phase_seconds_hist[*phase as usize].observe(*secs);
+                h.shuffle_phase_seconds_quant[*phase as usize].record(*secs);
+                spans.close(span, at);
+            }
+            E::ShufflePhaseAborted { .. } => {
+                spans.annotate(span, "aborted", "true");
+                spans.close(span, at);
+            }
+            E::StragglerSuspected { elapsed_secs, threshold_secs, .. } => {
+                h.stragglers_suspected.inc();
+                if spans.is_enabled() {
+                    let note =
+                        format!("elapsed {elapsed_secs:.6}s > threshold {threshold_secs:.6}s");
+                    spans.annotate(span, "straggler", &note);
+                }
+            }
+            // The two higher-layer events are rare: their series are
+            // resolved on the spot.
+            E::FaultInjected { kind } => self
+                .obs
+                .metrics
+                .counter_handle("faults_injected_total", &[("kind", *kind)])
+                .inc(),
+            &E::Marker(name) => {
+                self.obs
+                    .metrics
+                    .counter_handle("obs_marks_total", &[("name", name)])
+                    .inc();
+                // A marker's track on the driver lane is its subject, the
+                // first word: "segue commences" lands on driver/segue.
+                let track = name.split_once(' ').map_or(name, |(subject, _)| subject);
+                spans.instant(at, "driver", track, name);
+            }
         }
-        span
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn task_finished(
-        &self,
-        at: SimTime,
-        metrics: &mut JobMetrics,
-        kind: ExecutorKind,
-        span: SpanId,
-        stage: StageId,
-        part: usize,
-        cpu_secs: f64,
-        run_secs: f64,
-    ) {
-        metrics.count_task(kind);
-        let k = kind_idx(kind);
-        self.h.tasks_completed[k].inc();
-        self.h.task_cpu_seconds[k].observe(cpu_secs);
-        self.h.task_run_seconds[k].record(run_secs);
-        self.obs.rollups.record(
-            "task_run_seconds",
-            &[("kind", kind_label(kind))],
-            at,
-            run_secs,
-        );
-        if self.obs.spans.is_enabled() {
-            self.obs
-                .spans
-                .annotate(span, "cpu_secs", &format!("{cpu_secs:.6}"));
-            self.obs.spans.close(span, at);
-        }
-        if self.obs.flight.is_enabled() {
-            self.obs.flight.record(
-                at,
-                "task-finished",
-                &[
-                    ("kind", kind_label(kind)),
-                    ("stage", &stage.0.to_string()),
-                    ("part", &part.to_string()),
-                    ("run_secs", &format!("{run_secs:.6}")),
-                ],
-            );
-        }
-    }
-
-    /// A task attempt failed and will be re-queued: count the recompute
-    /// and close its span as failed.
-    pub fn task_failed(
-        &self,
-        at: SimTime,
-        metrics: &mut JobMetrics,
-        span: SpanId,
-        stage: StageId,
-        part: usize,
-        why: FailureKind,
-    ) {
-        metrics.tasks_recomputed += 1;
-        self.h.tasks_failed[why.idx()].inc();
-        if self.obs.spans.is_enabled() {
-            self.obs.spans.annotate(span, "failed", why.label());
-            self.obs.spans.close(span, at);
-        }
-        if self.obs.flight.is_enabled() {
-            self.obs.flight.record(
-                at,
-                "task-failed",
-                &[
-                    ("stage", &stage.0.to_string()),
-                    ("part", &part.to_string()),
-                    ("reason", why.label()),
-                ],
-            );
-        }
-    }
-
-    /// A running task has outlived the configured multiple of its stage's
-    /// live completion-time quantile: count it, annotate its span and
-    /// leave a flight-recorder breadcrumb. Detection only — the scheduler
-    /// takes no action.
-    pub fn straggler_suspected(
-        &self,
-        at: SimTime,
-        span: SpanId,
-        stage: StageId,
-        part: usize,
-        elapsed_secs: f64,
-        threshold_secs: f64,
-    ) {
-        self.h.stragglers_suspected.inc();
-        if self.obs.spans.is_enabled() {
-            self.obs.spans.annotate(
-                span,
-                "straggler",
-                &format!("elapsed {elapsed_secs:.6}s > threshold {threshold_secs:.6}s"),
-            );
-        }
-        if self.obs.flight.is_enabled() {
-            self.obs.flight.record(
-                at,
-                "straggler-suspected",
-                &[
-                    ("stage", &stage.0.to_string()),
-                    ("part", &part.to_string()),
-                    ("elapsed_secs", &format!("{elapsed_secs:.6}")),
-                    ("threshold_secs", &format!("{threshold_secs:.6}")),
-                ],
-            );
-        }
-    }
-
-    pub fn task_cpu(&self, metrics: &mut JobMetrics, cpu_secs: f64) {
-        metrics.cpu_secs_total += cpu_secs;
-    }
-
-    pub fn shuffle_read(&self, metrics: &mut JobMetrics, bytes: u64) {
-        metrics.shuffle_bytes_read += bytes;
-        self.h.shuffle_bytes_read.add(bytes);
-    }
-
-    pub fn shuffle_written(&self, metrics: &mut JobMetrics, bytes: u64) {
-        metrics.shuffle_bytes_written += bytes;
-        self.h.shuffle_bytes_written.add(bytes);
-    }
-
-    /// Opens a nested span for a task's shuffle fetch or write phase.
-    pub fn shuffle_phase_started(
-        &self,
-        at: SimTime,
-        exec: ExecutorId,
-        kind: ExecutorKind,
-        phase: &str,
-    ) -> SpanId {
-        self.obs
-            .spans
-            .open(at, kind_label(kind), exec.as_str(), phase)
-    }
-
-    /// `phase` must be `"fetch"` or `"write"` — the two shuffle phases.
-    pub fn shuffle_phase_finished(&self, at: SimTime, span: SpanId, phase: &str, started: SimTime) {
-        self.obs.spans.close(span, at);
-        let secs = at.saturating_since(started).as_secs_f64();
-        let p = match phase {
-            "fetch" => 0,
-            "write" => 1,
-            other => panic!("unknown shuffle phase {other:?}"),
-        };
-        self.h.shuffle_phase_seconds_hist[p].observe(secs);
-        self.h.shuffle_phase_seconds_quant[p].record(secs);
-    }
-
-    /// A shuffle phase ended without completing (store error, executor
-    /// death). The span closes marked aborted; no latency is observed, so
-    /// the `shuffle_phase_seconds` histogram stays successful-ops-only.
-    pub fn shuffle_phase_aborted(&self, at: SimTime, span: SpanId) {
-        self.obs.spans.annotate(span, "aborted", "true");
-        self.obs.spans.close(span, at);
-    }
-
-    pub fn stage_completed(&self, metrics: &mut JobMetrics) {
-        metrics.stages_run += 1;
-        self.h.stages_completed.inc();
-    }
-
-    pub fn stage_rolled_back(&self, at: SimTime, stage: StageId, missing: usize) {
-        self.h.stage_rollbacks.inc();
-        self.h.stage_rollback_missing.add(missing as u64);
-        if self.obs.spans.is_enabled() {
-            self.obs.spans.instant(
-                at,
-                "driver",
-                "driver",
-                &format!("rollback s{}", stage.0),
-            );
-        }
-        if self.obs.flight.is_enabled() {
-            self.obs.flight.record(
-                at,
-                "stage-rollback",
-                &[
-                    ("stage", &stage.0.to_string()),
-                    ("missing", &missing.to_string()),
-                ],
-            );
-        }
-    }
-
-    pub fn job_completed(&self, at: SimTime, job: JobId, metrics: &JobMetrics) {
-        self.h.jobs_completed.inc();
-        let secs = metrics.execution_time().as_secs_f64();
-        self.h.job_execution_seconds_hist.observe(secs);
-        self.h.job_execution_seconds_quant.record(secs);
-        self.obs.rollups.record("job_execution_seconds", &[], at, secs);
-        if self.obs.spans.is_enabled() {
-            self.obs
-                .spans
-                .instant(at, "driver", "driver", &format!("{job} completed"));
-        }
-        if self.obs.flight.is_enabled() {
-            self.obs.flight.record(
-                at,
-                "job-completed",
-                &[
-                    ("job", &job.to_string()),
-                    ("execution_secs", &format!("{secs:.6}")),
-                ],
-            );
-        }
+        self.log.push(at, event);
+        opened
     }
 }

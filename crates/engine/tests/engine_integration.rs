@@ -466,7 +466,7 @@ fn stale_attempt_of_a_finished_job_lands_safely() {
         .iter()
         .rev()
         .find_map(|e| match e.kind {
-            EngineEventKind::TaskFinished { exec, .. } if exec.as_str() == "e-vm-3" => Some(e.at),
+            EngineEventKind::TaskFinished { task, .. } if task.exec.as_str() == "e-vm-3" => Some(e.at),
             _ => None,
         })
         .expect("the re-run map task ran to the end on the spare executor");

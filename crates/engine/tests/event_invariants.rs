@@ -9,7 +9,7 @@ use std::rc::Rc;
 use splitserve_des::{Fabric, Sim, SimTime};
 use splitserve_engine::{
     collect_partitions, Dataset, Engine, EngineConfig, EngineEvent, EngineEventKind, ExecutorDesc,
-    JobOutput,
+    JobId, JobOutput, ShufflePhase, TaskRef,
 };
 use splitserve_obs::Obs;
 use splitserve_storage::LocalDiskStore;
@@ -20,6 +20,11 @@ struct Rig {
 }
 
 fn observed_rig(executors: usize) -> Rig {
+    observed_rig_on(executors, 1e9)
+}
+
+/// `executors` VM executors whose NIC and disk links carry `link_bps`.
+fn observed_rig_on(executors: usize, link_bps: f64) -> Rig {
     let fabric = Fabric::new();
     let store = Rc::new(LocalDiskStore::new(fabric.clone()));
     let cfg = EngineConfig {
@@ -29,8 +34,8 @@ fn observed_rig(executors: usize) -> Rig {
     let engine = Engine::new(cfg, store);
     let mut sim = Sim::new(11);
     for i in 0..executors {
-        let nic = fabric.add_link(1e9, format!("nic-{i}"));
-        let disk = fabric.add_link(1e9, format!("disk-{i}"));
+        let nic = fabric.add_link(link_bps, format!("nic-{i}"));
+        let disk = fabric.add_link(link_bps, format!("disk-{i}"));
         engine.register_executor(&mut sim, ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192));
     }
     Rig { sim, engine }
@@ -69,7 +74,7 @@ fn assert_tasks_paired(events: &[EngineEvent]) {
     let mut open: HashMap<(u64, usize, splitserve_engine::ExecutorId), u64> = HashMap::new();
     for e in events {
         match &e.kind {
-            EngineEventKind::TaskStarted { stage, part, exec } => {
+            EngineEventKind::TaskStarted { task: TaskRef { stage, part, exec, .. }, .. } => {
                 let slot = open.entry((stage.0, *part, *exec)).or_insert(0);
                 assert_eq!(
                     *slot, 0,
@@ -78,8 +83,8 @@ fn assert_tasks_paired(events: &[EngineEvent]) {
                 );
                 *slot = 1;
             }
-            EngineEventKind::TaskFinished { stage, part, exec, .. }
-            | EngineEventKind::TaskFailed { stage, part, exec, .. } => {
+            EngineEventKind::TaskFinished { task: TaskRef { stage, part, exec, .. }, .. }
+            | EngineEventKind::TaskFailed { task: TaskRef { stage, part, exec, .. }, .. } => {
                 let slot = open.entry((stage.0, *part, *exec)).or_insert(0);
                 assert_eq!(
                     *slot, 1,
@@ -138,9 +143,10 @@ fn happy_path_run_upholds_all_invariants() {
     assert_eq!(obs.metrics.counter_total("jobs_completed_total"), 1);
 }
 
-#[test]
-fn invariants_survive_executor_kill_and_rollback() {
-    let mut rig = observed_rig(3);
+/// Runs the 6×3 shuffle job on 100 kB/s links, killing `e-vm-1` at
+/// `kill_at` when given; returns the rig and the job's completion instant.
+fn run_with_kill(kill_at: Option<SimTime>) -> (Rig, SimTime) {
+    let mut rig = observed_rig_on(3, 1e5);
     let ds = Dataset::parallelize((0..3_000u64).map(|i| (i % 30, 1u64)).collect(), 6)
         .reduce_by_key(3, |a, b| a + b);
     let slot: Rc<RefCell<Option<JobOutput>>> = Rc::new(RefCell::new(None));
@@ -148,87 +154,98 @@ fn invariants_survive_executor_kill_and_rollback() {
     rig.engine.submit_job(&mut rig.sim, ds.node(), move |_, out| {
         *s.borrow_mut() = Some(out);
     });
-    let engine = rig.engine.clone();
-    rig.sim.schedule_at(SimTime::from_millis(15), move |sim| {
-        engine.kill_executor(sim, &"e-vm-1".into());
-    });
+    if let Some(at) = kill_at {
+        let engine = rig.engine.clone();
+        rig.sim.schedule_at(at, move |sim| {
+            engine.kill_executor(sim, &"e-vm-1".into());
+        });
+    }
     rig.sim.run();
     let out = slot.borrow_mut().take().expect("job survives the kill");
-    assert!(out.metrics.tasks_recomputed > 0, "the kill must bite");
-
-    let events = rig.engine.event_log().snapshot();
-    assert_monotone(&events);
-    assert_tasks_paired(&events);
-
-    let obs = rig.engine.obs().clone();
-    assert_eq!(obs.spans.nesting_violation(), None);
-    // Failed attempts close their spans too: closed task spans = finishes
-    // + failures, and the registry's failure counter matches the metrics'
-    // recompute count.
-    let finished = obs.spans.finished_spans();
-    let task_spans = finished.iter().filter(|s| s.name.starts_with("task ")).count();
-    let ends = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                EngineEventKind::TaskFinished { .. } | EngineEventKind::TaskFailed { .. }
-            )
-        })
-        .count();
-    assert_eq!(task_spans, ends);
-    assert_eq!(
-        obs.metrics.counter_total("tasks_failed_total"),
-        out.metrics.tasks_recomputed
-    );
-    // Rollbacks may or may not fire depending on where the kill lands in
-    // the timeline; whatever happened, registry and event log must agree.
-    let rollbacks = events
-        .iter()
-        .filter(|e| matches!(e.kind, EngineEventKind::StageRolledBack { .. }))
-        .count() as u64;
-    assert_eq!(obs.metrics.counter_total("stage_rollbacks_total"), rollbacks);
+    (rig, out.metrics.completed_at)
 }
 
 #[test]
-fn event_log_overflow_is_surfaced_as_a_drop_counter() {
-    // A capacity far below what one shuffle job emits: the log must hold
-    // exactly `cap` events and surface every dropped push as
-    // `event_log_dropped_total`, so a truncated timeline is detectable
-    // from a metrics dump alone.
-    let cap = 8;
-    let mut rig = {
-        let fabric = Fabric::new();
-        let store = Rc::new(LocalDiskStore::new(fabric.clone()));
-        let cfg = EngineConfig {
-            obs: Obs::enabled(),
-            event_log_capacity: Some(cap),
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(cfg, store);
-        let mut sim = Sim::new(11);
-        for i in 0..2 {
-            let nic = fabric.add_link(1e9, format!("nic-{i}"));
-            let disk = fabric.add_link(1e9, format!("disk-{i}"));
-            engine
-                .register_executor(&mut sim, ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192));
-        }
-        Rig { sim, engine }
-    };
-    run_shuffle_job(&mut rig);
-    let events = rig.engine.event_log().snapshot();
-    assert_eq!(events.len(), cap, "log must stop at its capacity");
-    let dropped = rig
-        .engine
-        .obs()
-        .metrics
-        .counter_total("event_log_dropped_total");
-    assert!(dropped > 0, "overflow must be counted, not silent");
-    // Retained + dropped = everything an uncapped run would have logged.
-    let mut uncapped = observed_rig(2);
-    run_shuffle_job(&mut uncapped);
-    let full = uncapped.engine.event_log().snapshot().len() as u64;
-    assert_eq!(cap as u64 + dropped, full, "drop count must be exact");
+fn invariants_survive_executor_kill_and_rollback() {
+    // A kill every 3 ms across the job: on links this slow the instants
+    // land in fetch, compute and write phases alike. Whatever a kill
+    // hits, every view of the run must tell the same story.
+    let (_, done_at) = run_with_kill(None);
+    let instants: Vec<u64> = (1..)
+        .map(|i| i * 3)
+        .take_while(|ms| *ms * 1_000 < done_at.as_micros())
+        .collect();
+    assert!(instants.len() >= 20, "the sweep must cover the job: {instants:?}");
+    let (mut recomputes, mut rollbacks, mut aborts) = (0, 0, 0);
+    for ms in instants {
+        let (rig, _) = run_with_kill(Some(SimTime::from_millis(ms)));
+        let events = rig.engine.event_log().snapshot();
+        assert_monotone(&events);
+        assert_tasks_paired(&events);
+        let obs = rig.engine.obs();
+        assert_eq!(obs.spans.nesting_violation(), None, "kill at {ms} ms");
+        assert_eq!(obs.spans.open_spans(), 0, "kill at {ms} ms leaves a span open");
+
+        // Log-derived counts == registry counters == JobMetrics. (The
+        // table's block, not the one handed to `on_done`: an attempt of a
+        // rolled-back stage may outlive the job.)
+        use EngineEventKind as E;
+        let count =
+            |f: &dyn Fn(&E) -> u64| -> u64 { events.iter().map(|e| f(&e.kind)).sum() };
+        let m = rig.engine.job_metrics(JobId(0)).expect("submitted");
+        let finished = count(&|k| matches!(k, E::TaskFinished { .. }) as u64);
+        let failed = count(&|k| matches!(k, E::TaskFailed { .. }) as u64);
+        let stages = count(&|k| matches!(k, E::StageCompleted { .. }) as u64);
+        let rolled = count(&|k| matches!(k, E::StageRolledBack { .. }) as u64);
+        let read = count(&|k| match k {
+            E::ShufflePhaseFinished { phase: ShufflePhase::Fetch, bytes, .. } => *bytes,
+            _ => 0,
+        });
+        let written = count(&|k| match k {
+            E::ShufflePhaseStarted { phase: ShufflePhase::Write, bytes, .. } => *bytes,
+            _ => 0,
+        });
+        let counter = |name| obs.metrics.counter_total(name);
+        assert_eq!((finished, counter("tasks_completed_total")), (m.tasks_total(), finished));
+        assert_eq!((failed, counter("tasks_failed_total")), (m.tasks_recomputed, failed));
+        assert_eq!((stages, counter("stages_completed_total")), (m.stages_run as u64, stages));
+        assert_eq!(rolled, counter("stage_rollbacks_total"));
+        assert_eq!((read, counter("shuffle_bytes_read_total")), (m.shuffle_bytes_read, read));
+        assert_eq!(
+            (written, counter("shuffle_bytes_written_total")),
+            (m.shuffle_bytes_written, written)
+        );
+        // Failed attempts close their spans too.
+        let spans = obs.spans.finished_spans();
+        let task_spans = spans.iter().filter(|s| s.name.starts_with("task ")).count();
+        assert_eq!(task_spans as u64, finished + failed);
+
+        recomputes += failed;
+        rollbacks += rolled;
+        aborts += count(&|k| matches!(k, E::ShufflePhaseAborted { .. }) as u64);
+    }
+    assert!(recomputes > 0 && rollbacks > 0, "the kills must bite");
+    assert!(aborts > 0, "some kill must land inside a shuffle phase");
+}
+
+#[test]
+fn a_marker_feeds_the_log_the_counter_and_the_driver_lane() {
+    let rig = observed_rig(1);
+    rig.engine
+        .emit(SimTime::from_secs(1), EngineEventKind::Marker("segue commences"));
+    assert_eq!(
+        rig.engine.event_log().snapshot().last().map(|e| &e.kind),
+        Some(&EngineEventKind::Marker("segue commences"))
+    );
+    let obs = rig.engine.obs();
+    assert_eq!(
+        obs.metrics
+            .counter_value("obs_marks_total", &[("name", "segue commences")]),
+        1
+    );
+    let trace = obs.spans.to_chrome_trace();
+    assert!(trace.contains("\"name\":\"segue commences\""), "{trace}");
+    assert!(trace.contains("{\"name\":\"segue\"}"), "on the driver lane's segue track");
 }
 
 #[test]

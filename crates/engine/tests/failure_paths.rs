@@ -10,7 +10,8 @@ use std::rc::Rc;
 
 use splitserve_des::{Fabric, Sim, SimTime};
 use splitserve_engine::{
-    collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, JobOutput,
+    collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, FailureKind,
+    JobOutput,
 };
 use splitserve_obs::Obs;
 use splitserve_storage::{FaultStore, HdfsSpec, HdfsStore, SharedStore, StoreFaults};
@@ -86,9 +87,10 @@ fn injected_fetch_failure_drives_the_fetch_failed_path() {
     assert!(
         events.iter().any(|e| matches!(
             &e.kind,
-            EngineEventKind::TaskFailed { reason, .. } if reason.contains("injected")
+            EngineEventKind::TaskFailed { why: FailureKind::FetchFailed, reason, .. }
+                if reason.contains("injected")
         )),
-        "the failed task carries the injected-fault reason"
+        "the failed task carries the typed kind and the injected-fault reason"
     );
     // A fetch failure pinpoints a lost map output, so even shared-store
     // shuffle must re-run that producer: rollback machinery fires.
@@ -125,9 +127,10 @@ fn injected_write_failure_requeues_without_rollback() {
     assert!(
         events.iter().any(|e| matches!(
             &e.kind,
-            EngineEventKind::TaskFailed { reason, .. } if reason.contains("injected")
+            EngineEventKind::TaskFailed { why: FailureKind::WriteFailed, reason, .. }
+                if reason.contains("injected")
         )),
-        "the failed writer is logged"
+        "the failed writer is logged with its typed kind"
     );
     assert!(
         !events
@@ -165,6 +168,13 @@ fn executor_loss_failure_is_labelled_executor_lost() {
     });
     rig.sim.run();
     slot.borrow_mut().take().expect("job survives the kill");
+    assert!(
+        rig.engine.event_log().snapshot().iter().any(|e| matches!(
+            e.kind,
+            EngineEventKind::TaskFailed { why: FailureKind::ExecutorLost, .. }
+        )),
+        "the event carries the typed kind"
+    );
     assert!(
         rig.obs
             .metrics

@@ -13,7 +13,8 @@ use splitserve_rt::FastMap;
 use std::sync::Arc;
 
 use splitserve_engine::{
-    collect_partitions, input_shuffles, Dataset, PartitionData, ShuffleDep, TaskContext, WorkModel,
+    collect_partitions, input_shuffles, Dataset, PartitionData, ShuffleDep, TaskContext,
+    TaskSeries, WorkModel,
 };
 use splitserve_obs::Obs;
 use splitserve_rt::check::{self, Gen};
@@ -23,8 +24,8 @@ fn ctx() -> TaskContext {
     TaskContext::empty(WorkModel::default())
 }
 
-/// The combine/encode instrumentation records only through an enabled
-/// `Obs` handle; the default (disabled) handle must stay silent.
+/// The combine/encode instrumentation records only through series
+/// resolved on an enabled registry; a disabled one must stay silent.
 #[test]
 fn shuffle_metrics_record_only_when_enabled() {
     let run = |obs: Obs| {
@@ -32,7 +33,7 @@ fn shuffle_metrics_record_only_when_enabled() {
             .reduce_by_key(4, |a, b| a + b);
         let deps = input_shuffles(&ds.node());
         let dep = &deps[0];
-        let mut c = ctx().with_obs(obs.clone());
+        let mut c = ctx().with_series(TaskSeries::resolve(&obs.metrics));
         let data = dep.parent.compute(&mut c, 0);
         (dep.partitioner)(&mut c, data);
         obs

@@ -15,8 +15,10 @@ use std::fmt::Write;
 
 use crate::span::SpanRecorder;
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal — shared by
+/// every hand-rolled JSON writer in the workspace (hermetic build, no
+/// JSON library).
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

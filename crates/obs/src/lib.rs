@@ -17,23 +17,29 @@
 //!
 //! Everything hangs off an [`Obs`] handle. The handle is **off by
 //! default**: a disabled handle holds no allocation and every record call
-//! is a single branch on an `Option`, so instrumented hot paths cost
-//! nothing measurable when observability is not requested (see the
-//! `obs_overhead` benchmark in `splitserve-bench`).
+//! is a single branch on an `Option` (the perf ledger's
+//! `obs.disabled_record_ns`). Switched on it is not free — the ledger's
+//! `obs.enabled_overhead_frac` reports what a whole run pays, and
+//! DESIGN.md §7 carries the measured values.
+//!
+//! Series are recorded through handles resolved once
+//! ([`MetricsRegistry::counter_handle`] and friends): the key is built at
+//! wiring time, a record is an atomic bump or one uncontended lock.
 //!
 //! ```
 //! use splitserve_des::SimTime;
 //! use splitserve_obs::Obs;
 //!
 //! let obs = Obs::enabled();
-//! obs.metrics.counter_add("tasks_completed_total", &[("kind", "vm")], 1);
+//! let done = obs.metrics.counter_handle("tasks_completed_total", &[("kind", "vm")]);
+//! done.inc();
 //! let span = obs.spans.open(SimTime::ZERO, "vm", "exec-0", "task 0.0");
 //! obs.spans.close(span, SimTime::from_secs(2));
 //! assert!(obs.spans.to_chrome_trace().contains("traceEvents"));
 //!
 //! // Disabled: same calls, no effect, no allocation.
 //! let off = Obs::disabled();
-//! off.metrics.counter_add("tasks_completed_total", &[("kind", "vm")], 1);
+//! off.metrics.counter_handle("tasks_completed_total", &[("kind", "vm")]).inc();
 //! assert_eq!(off.metrics.counter_value("tasks_completed_total", &[("kind", "vm")]), 0);
 //! ```
 
@@ -41,24 +47,21 @@
 
 mod chrome;
 mod digest;
-mod flight;
 mod ledger;
 mod prometheus;
 mod registry;
 mod span;
 mod timeseries;
 
+pub use chrome::escape_json;
 pub use digest::{QuantileDigest, DEFAULT_DIGEST_ALPHA, MIN_TRACKABLE};
-pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use ledger::{BillLedger, BillPoint, SloLedger, SloPoint, TenantId};
 pub use registry::{
     CounterHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry, QuantileHandle,
     DEFAULT_LATENCY_BUCKETS,
 };
 pub use span::{Span, SpanId, SpanRecorder};
-pub use timeseries::{RollupSpec, Rollups, WindowSnapshot};
-
-use splitserve_des::SimTime;
+pub use timeseries::{Rollups, WindowSnapshot};
 
 /// The bundle instrumented layers carry: a metrics registry plus a span
 /// recorder, both sharing one enabled/disabled state.
@@ -72,9 +75,6 @@ pub struct Obs {
     pub spans: SpanRecorder,
     /// Windowed time-series rollups over virtual time.
     pub rollups: Rollups,
-    /// Bounded ring of recent structured events, dumpable as a
-    /// replayable JSON snapshot on failure.
-    pub flight: FlightRecorder,
 }
 
 impl Obs {
@@ -90,73 +90,33 @@ impl Obs {
             metrics: MetricsRegistry::enabled(),
             spans: SpanRecorder::enabled(),
             rollups: Rollups::enabled(),
-            flight: FlightRecorder::enabled(),
         }
     }
 
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.metrics.is_enabled()
-            || self.spans.is_enabled()
-            || self.rollups.is_enabled()
-            || self.flight.is_enabled()
-    }
-
-    /// Convenience: an instant marker on the spans plus a counter bump —
-    /// the shape of "something notable happened once" telemetry.
-    pub fn mark(&self, at: SimTime, lane: &str, track: &str, name: &str) {
-        self.spans.instant(at, lane, track, name);
-        self.metrics.counter_add("obs_marks_total", &[("name", name)], 1);
-    }
-
-    /// Records one injected fault of `kind` as
-    /// `faults_injected_total{kind}` — the counter the chaos plane bumps
-    /// for every kill, drain, straggle, latency window and storage fault
-    /// it performs, so a metrics dump distinguishes injected trouble from
-    /// organic trouble.
-    pub fn count_fault(&self, kind: &str) {
-        self.metrics
-            .counter_add("faults_injected_total", &[("kind", kind)], 1);
-    }
-
-    /// [`Obs::count_fault`] plus a flight-recorder event, for injectors
-    /// that know *when* the fault fired — so a post-mortem dump shows
-    /// injected trouble inline with the task transitions it caused.
-    pub fn fault_event(&self, at: SimTime, kind: &str) {
-        self.count_fault(kind);
-        self.flight.record(at, "fault-injected", &[("kind", kind)]);
+        self.metrics.is_enabled() || self.spans.is_enabled() || self.rollups.is_enabled()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splitserve_des::SimTime;
 
     #[test]
     fn default_is_disabled() {
         let obs = Obs::default();
         assert!(!obs.is_enabled());
-        obs.mark(SimTime::ZERO, "driver", "driver", "noop");
-        assert!(obs.spans.finished_spans().is_empty());
-    }
-
-    #[test]
-    fn enabled_records_marks() {
-        let obs = Obs::enabled();
-        obs.mark(SimTime::from_secs(1), "driver", "driver", "segue");
-        assert_eq!(
-            obs.metrics.counter_value("obs_marks_total", &[("name", "segue")]),
-            1
-        );
-        let trace = obs.spans.to_chrome_trace();
-        assert!(trace.contains("\"segue\""));
+        obs.spans.instant(SimTime::ZERO, "driver", "driver", "noop");
+        assert!(obs.spans.to_chrome_trace().ends_with("[]}"));
     }
 
     #[test]
     fn clones_share_state() {
         let obs = Obs::enabled();
         let clone = obs.clone();
-        clone.metrics.counter_add("x_total", &[], 3);
+        clone.metrics.counter_handle("x_total", &[]).add(3);
         assert_eq!(obs.metrics.counter_value("x_total", &[]), 3);
     }
 }

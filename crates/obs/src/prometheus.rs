@@ -150,8 +150,8 @@ mod tests {
     #[test]
     fn counters_and_gauges_render() {
         let r = MetricsRegistry::enabled();
-        r.counter_add("tasks_completed_total", &[("kind", "vm")], 3);
-        r.counter_add("tasks_completed_total", &[("kind", "lambda")], 5);
+        r.counter_handle("tasks_completed_total", &[("kind", "vm")]).add(3);
+        r.counter_handle("tasks_completed_total", &[("kind", "lambda")]).add(5);
         r.gauge_set("pending_tasks", &[], 7.0);
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE tasks_completed_total counter"));
@@ -166,10 +166,10 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_with_inf() {
         let r = MetricsRegistry::enabled();
-        let bounds = [0.1, 1.0];
-        r.observe_with("op_latency_seconds", &[("store", "hdfs")], &bounds, 0.05);
-        r.observe_with("op_latency_seconds", &[("store", "hdfs")], &bounds, 0.5);
-        r.observe_with("op_latency_seconds", &[("store", "hdfs")], &bounds, 9.0);
+        let h = r.histogram_handle_with("op_latency_seconds", &[("store", "hdfs")], &[0.1, 1.0]);
+        h.observe(0.05);
+        h.observe(0.5);
+        h.observe(9.0);
         let text = r.render_prometheus();
         assert!(text.contains("op_latency_seconds_bucket{store=\"hdfs\",le=\"0.1\"} 1"));
         assert!(text.contains("op_latency_seconds_bucket{store=\"hdfs\",le=\"1\"} 2"));
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let r = MetricsRegistry::enabled();
-        r.counter_add("weird_total", &[("p", "a\"b\\c")], 1);
+        r.counter_handle("weird_total", &[("p", "a\"b\\c")]).inc();
         assert!(r.render_prometheus().contains("p=\"a\\\"b\\\\c\""));
     }
 
@@ -192,10 +192,10 @@ mod tests {
         // would split the sample line and corrupt the whole scrape.
         let hostile = "a\\b\"c\nd";
         let r = MetricsRegistry::enabled();
-        r.counter_add("h_total", &[("p", hostile)], 1);
+        r.counter_handle("h_total", &[("p", hostile)]).inc();
         r.gauge_set("h_gauge", &[("p", hostile)], 2.0);
-        r.observe_with("h_seconds", &[("p", hostile)], &[1.0], 0.5);
-        r.record_quantile("h_digest_seconds", &[("p", hostile)], 0.5);
+        r.histogram_handle_with("h_seconds", &[("p", hostile)], &[1.0]).observe(0.5);
+        r.quantile_handle("h_digest_seconds", &[("p", hostile)]).record(0.5);
         let text = r.render_prometheus();
         let escaped = "p=\"a\\\\b\\\"c\\nd\"";
         assert!(text.contains(&format!("h_total{{{escaped}}} 1")));
@@ -216,8 +216,9 @@ mod tests {
     #[test]
     fn digest_quantiles_render_as_gauges() {
         let r = MetricsRegistry::enabled();
+        let run = r.quantile_handle("task_run_seconds", &[("kind", "vm")]);
         for i in 1..=100 {
-            r.record_quantile("task_run_seconds", &[("kind", "vm")], i as f64 * 0.01);
+            run.record(i as f64 * 0.01);
         }
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE task_run_seconds_quantile gauge"));
@@ -232,7 +233,7 @@ mod tests {
     #[test]
     fn histogram_sum_uses_prometheus_float_format() {
         let r = MetricsRegistry::enabled();
-        r.observe_with("inf_seconds", &[], &[1.0], f64::INFINITY);
+        r.histogram_handle_with("inf_seconds", &[], &[1.0]).observe(f64::INFINITY);
         let text = r.render_prometheus();
         assert!(text.contains("inf_seconds_sum +Inf"), "got: {text}");
     }

@@ -70,8 +70,7 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Default)]
 pub(crate) struct RegistryInner {
     /// Counter cells are `Arc`-shared so a [`CounterHandle`] can alias
-    /// one and bump it with a single atomic add, bypassing the key
-    /// build + map walk of [`MetricsRegistry::counter_add`].
+    /// one and bump it with a single atomic add.
     pub counters: BTreeMap<MetricKey, Arc<AtomicU64>>,
     pub gauges: BTreeMap<MetricKey, f64>,
     /// Histograms are `Arc<Mutex<_>>` for the same reason (see
@@ -123,14 +122,6 @@ impl DigestShards {
         cell.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn record(&self, key: MetricKey, value: f64) {
-        let idx = SHARD_IDX.with(|i| *i);
-        let mut shard = Self::shard_lock(&self.shards[idx]);
-        let cell = Arc::clone(shard.entry(key).or_default());
-        drop(shard);
-        Self::cell_lock(&cell).record(value);
-    }
-
     /// The merged digest for one key, if any shard recorded it.
     fn merged_for(&self, key: &MetricKey) -> Option<QuantileDigest> {
         let mut out: Option<QuantileDigest> = None;
@@ -151,8 +142,7 @@ impl DigestShards {
 
     /// All digests, merged across shards, sorted by key. Cells a handle
     /// materialized but never recorded into are skipped, so resolving a
-    /// handle is invisible until the first record — exactly like the
-    /// string path, where the entry only exists once something recorded.
+    /// handle is invisible until the first record.
     pub(crate) fn merged(&self) -> BTreeMap<MetricKey, QuantileDigest> {
         let mut out: BTreeMap<MetricKey, QuantileDigest> = BTreeMap::new();
         for shard in &self.shards {
@@ -255,9 +245,8 @@ struct HistogramCore {
 }
 
 /// A pre-resolved histogram: [`observe`](HistogramHandle::observe) after
-/// the first is one uncontended mutex lock plus a bucket increment. The
-/// cell is shared with the string path, so mixing `observe_with` calls
-/// and handle observations lands in the same series.
+/// the first is one uncontended mutex lock plus a bucket increment. Two
+/// handles resolved for the same series share its cell.
 #[derive(Debug, Clone, Default)]
 pub struct HistogramHandle(Option<Arc<HistogramCore>>);
 
@@ -283,16 +272,15 @@ struct QuantileCore {
     shards: Arc<DigestShards>,
     key: MetricKey,
     /// One lazily-materialized cell per digest shard — each recording
-    /// thread touches only its own shard's cell, preserving the
-    /// contention-free property of the sharded string path.
+    /// thread touches only its own shard's cell, so worker-pool task
+    /// bodies never contend with the simulation thread.
     cells: [OnceLock<Arc<Mutex<QuantileDigest>>>; DIGEST_SHARDS],
 }
 
 /// A pre-resolved streaming-quantile digest:
 /// [`record`](QuantileHandle::record) after the first is one uncontended
 /// mutex lock on the calling thread's shard cell plus the digest bucket
-/// bump. Merged reads are unchanged — handle records and
-/// [`MetricsRegistry::record_quantile`] land in the same shard maps.
+/// bump; reads merge every shard.
 #[derive(Debug, Clone, Default)]
 pub struct QuantileHandle(Option<Arc<QuantileCore>>);
 
@@ -341,19 +329,6 @@ impl MetricsRegistry {
         self.inner.is_some()
     }
 
-    /// Adds `delta` to the counter `name{labels}` (created at zero on
-    /// first touch). This is the slow path: it builds and sorts a key on
-    /// every call — hot loops should resolve a
-    /// [`CounterHandle`](MetricsRegistry::counter_handle) once instead.
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        lock(inner)
-            .counters
-            .entry(key(name, labels))
-            .or_default()
-            .fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value of a counter (zero if never touched or disabled).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
@@ -389,26 +364,6 @@ impl MetricsRegistry {
         lock(inner).gauges.get(&key(name, labels)).copied()
     }
 
-    /// Records `value` into the histogram `name{labels}` using
-    /// [`DEFAULT_LATENCY_BUCKETS`].
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.observe_with(name, labels, DEFAULT_LATENCY_BUCKETS, value);
-    }
-
-    /// Records `value` into the histogram `name{labels}`, creating it with
-    /// `bounds` on first touch (later observations reuse the original
-    /// bounds — a histogram's buckets are fixed at birth).
-    pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64], value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let cell = Arc::clone(
-            lock(inner)
-                .histograms
-                .entry(key(name, labels))
-                .or_insert_with(|| Arc::new(Mutex::new(Histogram::new(bounds)))),
-        );
-        hist_lock(&cell).observe(value);
-    }
-
     /// Snapshot of one histogram, if it exists.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
         let inner = self.inner.as_ref()?;
@@ -431,7 +386,7 @@ impl MetricsRegistry {
 
     /// Resolves the histogram `name{labels}` to a reusable
     /// [`HistogramHandle`], creating it with `bounds` on its first
-    /// observation (string-path and handle observations share the cell).
+    /// observation (a histogram's buckets are fixed at birth).
     pub fn histogram_handle_with(
         &self,
         name: &str,
@@ -448,19 +403,11 @@ impl MetricsRegistry {
         }))
     }
 
-    /// Records `value` into the streaming quantile digest `name{labels}`
-    /// (created with [`crate::DEFAULT_DIGEST_ALPHA`] on first touch).
-    /// Unlike [`MetricsRegistry::observe`], the digest answers arbitrary
-    /// quantiles within a documented relative error instead of bucket
-    /// resolution, and records shard per thread so worker-pool task
-    /// bodies do not contend with the simulation thread.
-    pub fn record_quantile(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let Some(shards) = &self.digests else { return };
-        shards.record(key(name, labels), value);
-    }
-
-    /// Resolves the digest `name{labels}` to a reusable [`QuantileHandle`]
-    /// that records straight into the calling thread's shard cell.
+    /// Resolves the streaming quantile digest `name{labels}` (created with
+    /// [`crate::DEFAULT_DIGEST_ALPHA`] on first record) to a reusable
+    /// [`QuantileHandle`] that records straight into the calling thread's
+    /// shard cell. Unlike a histogram, the digest answers arbitrary
+    /// quantiles within a documented relative error.
     pub fn quantile_handle(&self, name: &str, labels: &[(&str, &str)]) -> QuantileHandle {
         QuantileHandle(self.digests.as_ref().map(|shards| {
             Arc::new(QuantileCore {
@@ -514,9 +461,9 @@ mod tests {
     #[test]
     fn disabled_registry_is_inert() {
         let r = MetricsRegistry::disabled();
-        r.counter_add("a_total", &[], 5);
+        r.counter_handle("a_total", &[]).add(5);
         r.gauge_set("g", &[], 1.0);
-        r.observe("h", &[], 0.5);
+        r.histogram_handle("h", &[]).observe(0.5);
         assert_eq!(r.counter_value("a_total", &[]), 0);
         assert_eq!(r.gauge_value("g", &[]), None);
         assert_eq!(r.histogram("h", &[]), None);
@@ -526,9 +473,9 @@ mod tests {
     #[test]
     fn counters_accumulate_per_label_set() {
         let r = MetricsRegistry::enabled();
-        r.counter_add("tasks_total", &[("kind", "vm")], 2);
-        r.counter_add("tasks_total", &[("kind", "vm")], 1);
-        r.counter_add("tasks_total", &[("kind", "lambda")], 7);
+        r.counter_handle("tasks_total", &[("kind", "vm")]).add(2);
+        r.counter_handle("tasks_total", &[("kind", "vm")]).add(1);
+        r.counter_handle("tasks_total", &[("kind", "lambda")]).add(7);
         assert_eq!(r.counter_value("tasks_total", &[("kind", "vm")]), 3);
         assert_eq!(r.counter_value("tasks_total", &[("kind", "lambda")]), 7);
         assert_eq!(r.counter_total("tasks_total"), 10);
@@ -537,18 +484,18 @@ mod tests {
     #[test]
     fn label_order_does_not_matter() {
         let r = MetricsRegistry::enabled();
-        r.counter_add("x_total", &[("a", "1"), ("b", "2")], 1);
+        r.counter_handle("x_total", &[("a", "1"), ("b", "2")]).inc();
         assert_eq!(r.counter_value("x_total", &[("b", "2"), ("a", "1")]), 1);
     }
 
     #[test]
     fn histogram_buckets_count_correctly() {
         let r = MetricsRegistry::enabled();
-        let bounds = [1.0, 10.0];
-        r.observe_with("lat", &[], &bounds, 0.5); // bucket 0
-        r.observe_with("lat", &[], &bounds, 1.0); // bucket 0 (le)
-        r.observe_with("lat", &[], &bounds, 5.0); // bucket 1
-        r.observe_with("lat", &[], &bounds, 99.0); // +Inf
+        let lat = r.histogram_handle_with("lat", &[], &[1.0, 10.0]);
+        lat.observe(0.5); // bucket 0
+        lat.observe(1.0); // bucket 0 (le)
+        lat.observe(5.0); // bucket 1
+        lat.observe(99.0); // +Inf
         let h = r.histogram("lat", &[]).expect("exists");
         assert_eq!(h.counts, vec![2, 1, 1]);
         assert_eq!(h.count, 4);
@@ -565,10 +512,12 @@ mod tests {
 
     #[test]
     fn counter_handle_shares_the_string_path_series() {
+        // Two resolutions of one series, labels in either order, alias
+        // one cell — and the string-keyed read side sees their sum.
         let r = MetricsRegistry::enabled();
         let h = r.counter_handle("mixed_total", &[("kind", "vm")]);
         h.add(2);
-        r.counter_add("mixed_total", &[("kind", "vm")], 3);
+        r.counter_handle("mixed_total", &[("kind", "vm")]).add(3);
         h.inc();
         assert_eq!(r.counter_value("mixed_total", &[("kind", "vm")]), 6);
         assert_eq!(r.counter_total("mixed_total"), 6);
@@ -579,7 +528,8 @@ mod tests {
         let r = MetricsRegistry::enabled();
         let h = r.histogram_handle_with("lat", &[], &[1.0, 10.0]);
         h.observe(0.5);
-        r.observe_with("lat", &[], &[1.0, 10.0], 5.0);
+        // A second resolution keeps the bounds the series was born with.
+        r.histogram_handle_with("lat", &[], &[7.0]).observe(5.0);
         h.observe(99.0);
         let snap = r.histogram("lat", &[]).expect("exists");
         assert_eq!(snap.counts, vec![1, 1, 1]);
@@ -593,8 +543,9 @@ mod tests {
         for i in 1..=50 {
             h.record(i as f64);
         }
+        let again = r.quantile_handle("run_seconds", &[("kind", "vm")]);
         for i in 51..=100 {
-            r.record_quantile("run_seconds", &[("kind", "vm")], i as f64);
+            again.record(i as f64);
         }
         let d = r.quantile_digest("run_seconds", &[("kind", "vm")]).expect("recorded");
         assert_eq!(d.count(), 100);
@@ -606,7 +557,7 @@ mod tests {
         // output of a run that never records through them — the pinned
         // byte-identity of `render_prometheus` depends on it.
         let r = MetricsRegistry::enabled();
-        r.counter_add("real_total", &[], 1);
+        r.counter_handle("real_total", &[]).inc();
         let before = r.render_prometheus();
         let _c = r.counter_handle("never_total", &[("k", "v")]);
         let _h = r.histogram_handle("never_seconds", &[]);

@@ -4,10 +4,8 @@
 //! and latency *over the day* — so point-in-time counters are not enough.
 //! [`Rollups`] keeps, per registered metric, a ring of tumbling windows
 //! on the simulation clock: each window aggregates sum/count/min/max of
-//! everything recorded inside it. Sliding views are derived at query time
-//! by combining `k` adjacent tumbling windows, so the record path stays
-//! O(1): one map lookup plus one slot update, no allocation after the
-//! series exists.
+//! everything recorded inside it. The record path is O(1): one map lookup
+//! plus one slot update, no allocation after the series exists.
 //!
 //! Like the rest of the observability layer, a disabled handle is one
 //! branch per record call and holds no storage.
@@ -20,25 +18,12 @@ use splitserve_des::{SimDuration, SimTime};
 use crate::chrome::escape_json;
 use crate::registry::MetricKey;
 
-/// Window shape for one rolled-up series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RollupSpec {
-    /// Width of one tumbling window in virtual time.
-    pub width: SimDuration,
-    /// Ring capacity in windows. Each window index owns slot
-    /// `index % retention`, so a slot holds its most recent window —
-    /// at least the last `retention` *active* windows are retained.
-    pub retention: usize,
-}
-
-impl Default for RollupSpec {
-    fn default() -> Self {
-        RollupSpec {
-            width: SimDuration::from_secs(1),
-            retention: 512,
-        }
-    }
-}
+/// Width of one tumbling window in virtual time, every series.
+const WIDTH: SimDuration = SimDuration::from_secs(1);
+/// Ring capacity in windows. Each window index owns slot
+/// `index % RETENTION`, so a slot holds its most recent window — at least
+/// the last `RETENTION` *active* windows are retained.
+const RETENTION: usize = 512;
 
 /// Sentinel for a never-touched ring slot.
 const EMPTY: u64 = u64::MAX;
@@ -89,11 +74,9 @@ struct Series {
 }
 
 impl Series {
-    fn new(spec: RollupSpec) -> Self {
-        let width_us = spec.width.as_micros().max(1);
-        let retention = spec.retention.max(1);
+    fn new(width: SimDuration, retention: usize) -> Self {
         Series {
-            width_us,
+            width_us: width.as_micros().max(1),
             ring: vec![
                 Window {
                     index: EMPTY,
@@ -102,7 +85,7 @@ impl Series {
                     min: f64::INFINITY,
                     max: f64::NEG_INFINITY,
                 };
-                retention
+                retention.max(1)
             ],
         }
     }
@@ -144,8 +127,8 @@ struct RollupsInner {
     series: BTreeMap<MetricKey, Series>,
 }
 
-/// Tumbling/sliding windowed rollups over virtual time, keyed like
-/// registry metrics by `(name, labels)`.
+/// Tumbling windowed rollups over virtual time, keyed like registry
+/// metrics by `(name, labels)`.
 ///
 /// Cloneable handle; clones share storage. The [`Default`] is disabled.
 #[derive(Debug, Clone, Default)]
@@ -184,18 +167,6 @@ impl Rollups {
         self.inner.is_some()
     }
 
-    /// Registers `name{labels}` with an explicit window shape. Without
-    /// this, the first record call creates the series with
-    /// [`RollupSpec::default`]. Registering an existing series is a
-    /// no-op (window shape is fixed at birth).
-    pub fn register(&self, name: &str, labels: &[(&str, &str)], spec: RollupSpec) {
-        let Some(inner) = &self.inner else { return };
-        lock(inner)
-            .series
-            .entry(key(name, labels))
-            .or_insert_with(|| Series::new(spec));
-    }
-
     /// Records `value` at virtual instant `at` into the tumbling window
     /// it falls in. O(1): one map lookup plus one slot update.
     pub fn record(&self, name: &str, labels: &[(&str, &str)], at: SimTime, value: f64) {
@@ -203,7 +174,7 @@ impl Rollups {
         lock(inner)
             .series
             .entry(key(name, labels))
-            .or_insert_with(|| Series::new(RollupSpec::default()))
+            .or_insert_with(|| Series::new(WIDTH, RETENTION))
             .record(at, value);
     }
 
@@ -218,35 +189,6 @@ impl Rollups {
             .get(&key(name, labels))
             .map(Series::windows)
             .unwrap_or_default()
-    }
-
-    /// Sliding view: for each retained window, the aggregate over the `k`
-    /// tumbling windows ending at it (fewer at the series' leading edge —
-    /// absent windows contribute nothing).
-    pub fn sliding(&self, name: &str, labels: &[(&str, &str)], k: u64) -> Vec<WindowSnapshot> {
-        let base = self.windows(name, labels);
-        let k = k.max(1);
-        base.iter()
-            .map(|end| {
-                let mut agg = WindowSnapshot {
-                    index: end.index,
-                    start_us: end.start_us,
-                    sum: 0.0,
-                    count: 0,
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                };
-                for w in &base {
-                    if w.index <= end.index && end.index - w.index < k {
-                        agg.sum += w.sum;
-                        agg.count += w.count;
-                        agg.min = agg.min.min(w.min);
-                        agg.max = agg.max.max(w.max);
-                    }
-                }
-                agg
-            })
-            .collect()
     }
 
     /// Renders every series as a deterministic, self-contained JSON
@@ -316,31 +258,14 @@ mod tests {
 
     #[test]
     fn ring_retention_reuses_slots() {
-        let r = Rollups::enabled();
-        let spec = RollupSpec {
-            width: SimDuration::from_secs(1),
-            retention: 4,
-        };
-        r.register("x", &[], spec);
+        let mut x = Series::new(SimDuration::from_secs(1), 4);
         for s in 0..10u64 {
-            r.record("x", &[], SimTime::from_secs(s), s as f64);
+            x.record(SimTime::from_secs(s), s as f64);
         }
-        let w = r.windows("x", &[]);
+        let w = x.windows();
         assert_eq!(w.len(), 4, "only the ring capacity is retained");
         assert_eq!(w.first().unwrap().index, 6);
         assert_eq!(w.last().unwrap().index, 9);
-    }
-
-    #[test]
-    fn sliding_combines_adjacent_windows() {
-        let r = Rollups::enabled();
-        for s in 0..4u64 {
-            r.record("x", &[], SimTime::from_secs(s), 1.0);
-        }
-        let sl = r.sliding("x", &[], 2);
-        assert_eq!(sl.len(), 4);
-        assert_eq!(sl[0].count, 1, "leading edge has one window");
-        assert!(sl[1..].iter().all(|w| w.count == 2));
     }
 
     #[test]

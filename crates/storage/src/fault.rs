@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use splitserve_des::{Sim, SimDuration, SimTime};
-use splitserve_obs::MetricsRegistry;
+use splitserve_obs::{CounterHandle, MetricsRegistry};
 use splitserve_rt::Bytes;
 
 use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
@@ -42,7 +42,8 @@ struct FaultState {
     gets_failed: u64,
     puts_failed: u64,
     ops_delayed: u64,
-    metrics: MetricsRegistry,
+    /// `faults_injected_total{kind}` for fetch-fail, write-fail, latency.
+    injected: [CounterHandle; 3],
 }
 
 /// A shared, deterministic schedule of storage faults.
@@ -63,7 +64,8 @@ impl StoreFaults {
     /// Attaches a metrics registry so injections are also counted as
     /// `faults_injected_total{kind}`.
     pub fn with_metrics(self, metrics: MetricsRegistry) -> Self {
-        self.inner.borrow_mut().metrics = metrics;
+        self.inner.borrow_mut().injected = ["fetch-fail", "write-fail", "latency"]
+            .map(|kind| metrics.counter_handle("faults_injected_total", &[("kind", kind)]));
         self
     }
 
@@ -120,8 +122,7 @@ impl StoreFaults {
         let n = s.gets_seen;
         if s.fail_gets.contains(&n) {
             s.gets_failed += 1;
-            s.metrics
-                .counter_add("faults_injected_total", &[("kind", "fetch-fail")], 1);
+            s.injected[0].inc();
             return Err(n);
         }
         Ok(Self::extra_latency(&mut s, now))
@@ -133,8 +134,7 @@ impl StoreFaults {
         let n = s.puts_seen;
         if s.fail_puts.contains(&n) {
             s.puts_failed += 1;
-            s.metrics
-                .counter_add("faults_injected_total", &[("kind", "write-fail")], 1);
+            s.injected[1].inc();
             return Err(n);
         }
         Ok(Self::extra_latency(&mut s, now))
@@ -149,8 +149,7 @@ impl StoreFaults {
             .fold(SimDuration::ZERO, |a, b| a + b);
         if extra > SimDuration::ZERO {
             s.ops_delayed += 1;
-            s.metrics
-                .counter_add("faults_injected_total", &[("kind", "latency")], 1);
+            s.injected[2].inc();
         }
         extra
     }

@@ -66,7 +66,7 @@ fn main() {
             EngineEventKind::ExecutorDecommissioned { exec } => {
                 println!("  {at:7.2}s  - decommissioned {exec}");
             }
-            EngineEventKind::StageCompleted { stage } => {
+            EngineEventKind::StageCompleted { stage, .. } => {
                 println!("  {at:7.2}s  stage {stage} complete");
             }
             _ => {}

@@ -20,7 +20,7 @@ use splitserve_chaos::{
 };
 use splitserve_cloud::{CloudSpec, M4_4XLARGE, M4_XLARGE};
 use splitserve_des::{Sim, SimDuration};
-use splitserve_engine::EngineEventKind;
+use splitserve_engine::{EngineEventKind, TaskRef};
 use splitserve_workloads::PageRank;
 
 /// Sweeps 64 generated plans for one workload. Each workload uses its own
@@ -229,7 +229,7 @@ fn segue_drain_never_rolls_back_and_never_reschedules_onto_drained_executors() {
             EngineEventKind::ExecutorDraining { exec } => {
                 draining.insert(exec.to_string());
             }
-            EngineEventKind::TaskStarted { exec, stage, part } => {
+            EngineEventKind::TaskStarted { task: TaskRef { exec, stage, part, .. }, .. } => {
                 assert!(
                     !draining.contains(&exec.to_string()),
                     "task {stage:?}/{part} started on draining executor {exec} at {:?}",

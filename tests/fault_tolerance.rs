@@ -129,7 +129,7 @@ fn same_churn_with_local_shuffle_triggers_rollback_but_still_finishes() {
     let map_stage_finishes = events
         .iter()
         .filter(|e| {
-            matches!(&e.kind, EngineEventKind::TaskFinished { stage, .. } if stage.0 == 0)
+            matches!(&e.kind, EngineEventKind::TaskFinished { task, .. } if task.stage.0 == 0)
         })
         .count();
     assert!(
