@@ -329,11 +329,6 @@ impl<'a> Oracle<'a> {
         }
     }
 
-    /// The pinned fault-free fingerprint.
-    pub fn reference_fingerprint(&self) -> u64 {
-        self.reference
-    }
-
     /// The topology cases run on.
     pub fn topology(&self) -> &ChaosTopology {
         &self.topo

@@ -304,13 +304,6 @@ impl FaultPlan {
             .any(|e| matches!(e, FaultEvent::FetchFail { .. }))
     }
 
-    /// Whether any event fails shuffle writes.
-    pub fn has_write_faults(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::WriteFail { .. }))
-    }
-
     /// Arms the storage-side events (fetch/write failures, latency
     /// windows) on `faults`. The executor-side events are armed by the
     /// injector against a live deployment.

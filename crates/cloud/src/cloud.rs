@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use splitserve_des::{Dist, Fabric, LinkId, Sim, SimDuration, SimTime};
 
-use crate::billing::{Category, Charge, Ledger};
+use crate::billing::{Category, Ledger};
 use crate::coldstart::{ColdStartPolicy, ColdStartSpec, PoolDecision, PoolEvent, PoolStats, WarmPool};
 use crate::instance::InstanceType;
 use crate::pricing;
@@ -522,11 +522,6 @@ impl Cloud {
         pricing::lambda_cpu_share(self.lambda_memory_mb(id))
     }
 
-    /// When this Lambda became ready, if it has.
-    pub fn lambda_started_at(&self, id: LambdaId) -> Option<SimTime> {
-        self.inner.borrow().lambdas[id.0 as usize].started_at
-    }
-
     /// Counts of (warm, cold) starts so far.
     pub fn start_counts(&self) -> (u64, u64) {
         let s = self.inner.borrow().pool.stats();
@@ -546,11 +541,6 @@ impl Cloud {
     /// Containers currently parked warm.
     pub fn warm_pool_len(&self) -> usize {
         self.inner.borrow().pool.warm_len()
-    }
-
-    /// Aggregate reserved memory of the warm pool, in MB.
-    pub fn warm_pool_memory_mb(&self) -> u64 {
-        self.inner.borrow().pool.warm_memory_mb()
     }
 
     /// The warm-pool input stream so far — what the policy oracle replays.
@@ -591,11 +581,6 @@ impl Cloud {
     /// Per-category rollup of finalized spend.
     pub fn cost_by_category(&self) -> Vec<(Category, f64)> {
         self.inner.borrow().ledger.by_category()
-    }
-
-    /// All individual charges recorded so far.
-    pub fn ledger_charges(&self) -> Vec<Charge> {
-        self.inner.borrow().ledger.charges().to_vec()
     }
 
     /// Finalized spend *plus* the accrued cost of everything still running

@@ -89,12 +89,6 @@ impl Dist {
         Dist::Normal { mean, sd }
     }
 
-    /// Log-normal whose *median* is `exp(mu)`.
-    pub fn log_normal(mu: f64, sigma: f64) -> Dist {
-        assert!(sigma >= 0.0, "negative sigma: {sigma}");
-        Dist::LogNormal { mu, sigma }
-    }
-
     /// Log-normal parameterized by the desired mean and standard deviation
     /// of the *resulting* distribution (convenient for latency models).
     ///

@@ -29,8 +29,7 @@ pub struct LinkId(usize);
 pub struct FlowId(u64);
 
 struct Link {
-    capacity: f64, // bytes per second
-    label: String,
+    capacity: f64,    // bytes per second
     active: Vec<u64>, // flow ids (kept sorted-by-insertion; deterministic)
 }
 
@@ -186,12 +185,13 @@ impl Fabric {
         Fabric::default()
     }
 
-    /// Adds a link with `capacity` bytes/second and a debugging label.
+    /// Adds a link with `capacity` bytes/second. The label names the link
+    /// where it is created; the fabric keeps no copy.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is not strictly positive and finite.
-    pub fn add_link(&self, capacity: f64, label: impl Into<String>) -> LinkId {
+    pub fn add_link(&self, capacity: f64, _label: impl Into<String>) -> LinkId {
         assert!(
             capacity > 0.0 && capacity.is_finite(),
             "link capacity must be positive and finite: {capacity}"
@@ -200,7 +200,6 @@ impl Fabric {
         let id = inner.links.len();
         inner.links.push(Link {
             capacity,
-            label: label.into(),
             active: Vec::new(),
         });
         LinkId(id)
@@ -209,11 +208,6 @@ impl Fabric {
     /// The capacity of `link` in bytes/second.
     pub fn link_capacity(&self, link: LinkId) -> f64 {
         self.inner.borrow().links[link.0].capacity
-    }
-
-    /// The label given to `link` at creation.
-    pub fn link_label(&self, link: LinkId) -> String {
-        self.inner.borrow().links[link.0].label.clone()
     }
 
     /// Number of flows currently in flight.

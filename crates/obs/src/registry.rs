@@ -425,12 +425,6 @@ impl MetricsRegistry {
         self.digests.as_ref()?.merged_for(&key(name, labels))
     }
 
-    /// The value at quantile `q` of the digest `name{labels}`, within the
-    /// digest's relative-error bound. `None` when nothing was recorded.
-    pub fn quantile_value(&self, name: &str, labels: &[(&str, &str)], q: f64) -> Option<f64> {
-        self.quantile_digest(name, labels)?.quantile(q)
-    }
-
     /// Sum of a counter across all label sets sharing `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
         let Some(inner) = &self.inner else { return 0 };

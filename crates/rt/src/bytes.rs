@@ -3,19 +3,19 @@
 //! [`Bytes`] is an immutable, cheaply-clonable view into a reference-counted
 //! buffer: cloning or slicing never copies the payload, which is what lets
 //! one map output fan out to many reduce-side readers without duplicating
-//! memory. [`BytesMut`] is the growable writer half; [`BytesMut::freeze`]
-//! turns the accumulated buffer into a [`Bytes`] with one exact-size copy.
+//! memory. A writer's `Vec<u8>` becomes a [`Bytes`] with one exact-size
+//! copy.
 //!
 //! That copy is inherent to the representation: the shared buffer is an
 //! `Arc<[u8]>`, whose bytes live in the same allocation as its reference
 //! counts, so a `Vec<u8>` can only enter it by being copied — whether
-//! through [`Bytes::copy_from_slice`], `Bytes::from(Vec<u8>)` or `freeze`.
+//! through [`Bytes::copy_from_slice`] or `Bytes::from(Vec<u8>)`.
 //! It is the price of one allocation per block (an `Arc<Vec<u8>>` would
 //! adopt the vector but add a second); what it costs on the shuffle write
 //! path is measured in DESIGN.md §8.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut, RangeBounds};
+use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// An immutable, reference-counted byte buffer. Clones and slices share
@@ -171,106 +171,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer: the writer half of [`Bytes`].
-///
-/// # Examples
-///
-/// ```
-/// use splitserve_rt::BytesMut;
-///
-/// let mut w = BytesMut::with_capacity(16);
-/// w.put_slice(b"shuffle");
-/// w.put_u8(b'!');
-/// let frozen = w.freeze();
-/// assert_eq!(&frozen[..], b"shuffle!");
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BytesMut {
-    vec: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty writer.
-    pub fn new() -> BytesMut {
-        BytesMut { vec: Vec::new() }
-    }
-
-    /// An empty writer with `cap` bytes pre-allocated.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            vec: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Appends a slice.
-    pub fn put_slice(&mut self, bytes: &[u8]) {
-        self.vec.extend_from_slice(bytes);
-    }
-
-    /// Reserves room for at least `additional` more bytes, so a caller
-    /// with a size hint pays one allocation instead of doubling growth.
-    pub fn reserve(&mut self, additional: usize) {
-        self.vec.reserve(additional);
-    }
-
-    /// Clears the contents, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.vec.clear();
-    }
-
-    /// Bytes the writer can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.vec.capacity()
-    }
-
-    /// Unwraps the underlying vector (e.g. to return it to
-    /// [`crate::pool`]).
-    pub fn into_vec(self) -> Vec<u8> {
-        self.vec
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, b: u8) {
-        self.vec.push(b);
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
-    /// Converts the accumulated buffer into an immutable [`Bytes`]: one
-    /// copy into a shared buffer of exactly [`len`](BytesMut::len) bytes,
-    /// after which the writer's allocation is freed.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.vec
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(vec: Vec<u8>) -> BytesMut {
-        BytesMut { vec }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,29 +198,17 @@ mod tests {
         Bytes::from(vec![0u8; 4]).slice(2..9);
     }
 
-    /// Pins what the docs say: freezing copies. The frozen view never
-    /// aliases the writer's buffer, and holds none of its spare capacity.
+    /// Pins what the docs say: a vector enters by copy. The shared view
+    /// never aliases the writer's buffer, and holds none of its spare
+    /// capacity.
     #[test]
-    fn freeze_copies_into_an_exact_size_buffer() {
-        let mut w = BytesMut::with_capacity(4096);
-        w.put_slice(b"block");
+    fn from_vec_copies_into_an_exact_size_buffer() {
+        let mut w = Vec::with_capacity(4096);
+        w.extend_from_slice(b"block");
         let source = w.as_ptr();
-        let frozen = w.freeze();
-        assert_eq!(&frozen[..], b"block");
-        assert!(!std::ptr::eq(frozen.as_ptr(), source));
-        assert_eq!(frozen.buf.len(), 5);
-
-        let v = vec![7u8; 64];
-        let source = v.as_ptr();
-        assert!(!std::ptr::eq(Bytes::from(v).as_ptr(), source));
-    }
-
-    #[test]
-    fn freeze_preserves_contents() {
-        let mut w = BytesMut::new();
-        w.put_slice(b"abc");
-        w.put_u8(b'd');
-        assert_eq!(w.len(), 4);
-        assert_eq!(&w.freeze()[..], b"abcd");
+        let shared = Bytes::from(w);
+        assert_eq!(&shared[..], b"block");
+        assert!(!std::ptr::eq(shared.as_ptr(), source));
+        assert_eq!(shared.buf.len(), 5);
     }
 }

@@ -84,17 +84,6 @@ impl Gen {
         f32::from_bits(self.rng.gen())
     }
 
-    /// A finite `f64` drawn from random bits (resampled until non-NaN and
-    /// finite) — for properties comparing with `==`.
-    pub fn f64_finite(&mut self) -> f64 {
-        loop {
-            let v = self.f64_bits();
-            if v.is_finite() {
-                return v;
-            }
-        }
-    }
-
     /// A `Vec` of `len ∈ [lo, hi)` elements drawn by `f`.
     pub fn vec<T>(&mut self, lo: usize, hi: usize, mut f: impl FnMut(&mut Gen) -> T) -> Vec<T> {
         let n = self.usize_in(lo, hi.max(lo + 1));

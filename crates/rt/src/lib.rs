@@ -11,8 +11,8 @@
 //!   surface the simulator, workloads and benches draw from. Unlike an
 //!   external `rand`, its streams are frozen forever: a seed recorded in
 //!   `results_paper.txt` replays identically on any toolchain.
-//! * [`bytes`] — a cheap-to-clone shared byte buffer ([`bytes::Bytes`]) and
-//!   a growable writer ([`bytes::BytesMut`]) used for shuffle blocks.
+//! * [`bytes`] — a cheap-to-clone shared byte buffer ([`bytes::Bytes`])
+//!   used for shuffle blocks.
 //! * [`check`] — a deterministic property-testing harness (seeded case
 //!   generation, fixed iteration budget, failing-seed reporting) that the
 //!   workspace's property suites run on.
@@ -44,7 +44,7 @@ pub mod pool;
 pub mod rng;
 pub mod worker;
 
-pub use bytes::{Bytes, BytesMut};
+pub use bytes::Bytes;
 pub use hash::{FastMap, FastSet};
 pub use intern::Interned;
 pub use rng::Rng;

@@ -176,15 +176,6 @@ impl Rng {
         }
     }
 
-    /// Picks a uniformly random element, or `None` if `xs` is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.bounded_u64(xs.len() as u64) as usize])
-        }
-    }
-
     /// Fills `dest` with uniformly random bytes.
     pub fn fill(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);

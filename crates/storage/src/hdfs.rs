@@ -9,21 +9,14 @@
 //! the shuffle bottleneck they analyze — reproduced here by registering one
 //! datanode whose links are that VM's NIC and EBS links.
 
-use std::cell::RefCell;
+use splitserve_des::{Dist, Fabric, LinkId, LinkPath};
 
-use std::rc::Rc;
+use crate::api::StoreError;
+use crate::store::{Admitted, Request, Store, Substrate};
 
-use splitserve_rt::{Bytes, FastMap};
-use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration};
-
-use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::delay_then_flow;
-
-/// Placement and behaviour knobs for [`HdfsStore`].
+/// Behaviour knobs for [`HdfsStore`].
 #[derive(Debug, Clone)]
 pub struct HdfsSpec {
-    /// Replication factor (the paper's single-node setup implies 1).
-    pub replication: usize,
     /// Namenode metadata round-trip latency in seconds.
     pub namenode_latency: Dist,
 }
@@ -31,7 +24,6 @@ pub struct HdfsSpec {
 impl Default for HdfsSpec {
     fn default() -> Self {
         HdfsSpec {
-            replication: 1,
             namenode_latency: Dist::log_normal_mean_sd(0.002, 0.001).clamped(0.0005, 0.05),
         }
     }
@@ -43,49 +35,13 @@ struct DataNode {
     disk: LinkId,
 }
 
-/// A block's replica set. Placement is round-robin, so the set is always
-/// `count` consecutive datanodes (modulo the datanode count at write
-/// time) starting at `first` — two integers instead of a list per block.
-#[derive(Debug, Clone, Copy)]
-struct Replicas {
-    first: usize,
-    count: usize,
-}
-
-/// Where a put's completion callback waits for its replica flows.
-enum Landing {
-    /// The only replica's flow owns the callback outright.
-    Sole(PutCallback),
-    /// Several flows share a countdown; the last to land fires it.
-    Shared(Rc<RefCell<(usize, Option<PutCallback>)>>),
-}
-
-impl Landing {
-    /// One replica flow finished.
-    fn landed(self, sim: &mut Sim) {
-        let cb = match self {
-            Landing::Sole(cb) => cb,
-            Landing::Shared(state) => {
-                let mut state = state.borrow_mut();
-                state.0 -= 1;
-                if state.0 > 0 {
-                    return;
-                }
-                state.1.take().expect("callback present at last replica")
-            }
-        };
-        cb(sim, Ok(()));
-    }
-}
-
-struct Inner {
+/// A namenode and its datanodes: the cost model behind [`HdfsStore`]. A
+/// block lives on one datanode (the paper's single-node set-up implies
+/// replication 1), chosen round-robin at write time.
+pub struct Hdfs {
     spec: HdfsSpec,
     datanodes: Vec<DataNode>,
-    /// block → the datanodes holding its replicas, plus the bytes.
-    blocks: FastMap<BlockId, (Replicas, Bytes)>,
     next_dn: usize,
-    used_bytes: u64,
-    stats: StoreStats,
 }
 
 /// Shared HDFS-like block store.
@@ -103,168 +59,68 @@ struct Inner {
 /// hdfs.add_datanode(nic, ebs);
 /// assert_eq!(hdfs.datanode_count(), 1);
 /// ```
-#[derive(Clone)]
-pub struct HdfsStore {
-    inner: Rc<RefCell<Inner>>,
-    fabric: Fabric,
-}
+pub type HdfsStore = Store<Hdfs>;
 
-impl std::fmt::Debug for HdfsStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("HdfsStore")
-            .field("datanodes", &inner.datanodes.len())
-            .field("blocks", &inner.blocks.len())
-            .field("used_bytes", &inner.used_bytes)
-            .finish()
-    }
-}
-
-impl HdfsStore {
+impl Store<Hdfs> {
     /// Creates an HDFS with no datanodes yet.
     pub fn new(spec: HdfsSpec, fabric: Fabric) -> Self {
-        HdfsStore {
-            inner: Rc::new(RefCell::new(Inner {
-                spec,
-                datanodes: Vec::new(),
-                blocks: FastMap::default(),
-                next_dn: 0,
-                used_bytes: 0,
-                stats: StoreStats::default(),
-            })),
-            fabric,
-        }
+        let model = Hdfs {
+            spec,
+            datanodes: Vec::new(),
+            next_dn: 0,
+        };
+        Store::over(model, fabric)
     }
 
     /// Adds a datanode reachable over `nic` whose disk writes go through
     /// `disk` (typically a VM's dedicated EBS link).
     pub fn add_datanode(&self, nic: LinkId, disk: LinkId) -> usize {
-        let mut inner = self.inner.borrow_mut();
-        inner.datanodes.push(DataNode { nic, disk });
-        inner.datanodes.len() - 1
+        let mut model = self.model();
+        model.datanodes.push(DataNode { nic, disk });
+        model.datanodes.len() - 1
     }
 
     /// Number of datanodes registered.
     pub fn datanode_count(&self) -> usize {
-        self.inner.borrow().datanodes.len()
-    }
-
-    /// Total bytes currently stored (across replicas).
-    pub fn used_bytes(&self) -> u64 {
-        self.inner.borrow().used_bytes
-    }
-
-    fn sample_nn_latency(&self, sim: &mut Sim) -> SimDuration {
-        let inner = self.inner.borrow();
-        SimDuration::from_secs_f64(inner.spec.namenode_latency.sample(sim.rng()))
-    }
-
-    /// Chooses replica targets round-robin (deterministic).
-    fn pick_targets(&self) -> Replicas {
-        let mut inner = self.inner.borrow_mut();
-        let n = inner.datanodes.len();
-        assert!(n > 0, "HDFS has no datanodes");
-        let count = inner.spec.replication.min(n).max(1);
-        let first = inner.next_dn;
-        inner.next_dn = (inner.next_dn + 1) % n;
-        Replicas { first, count }
+        self.model().datanodes.len()
     }
 }
 
-impl BlockStore for HdfsStore {
-    fn kind(&self) -> &'static str {
-        "hdfs"
+impl Substrate for Hdfs {
+    /// Index of the datanode holding the block.
+    type Placement = usize;
+    const KIND: &'static str = "hdfs";
+    const SURVIVES_EXECUTOR_LOSS: bool = true;
+
+    fn admit_put(&mut self, req: &mut Request<'_>, _len: u64) -> Admitted<usize> {
+        // Round-robin placement (deterministic), then the namenode trip.
+        assert!(!self.datanodes.is_empty(), "HDFS has no datanodes");
+        let at = self.next_dn;
+        self.next_dn = (at + 1) % self.datanodes.len();
+        let dn = self.datanodes[at];
+        let route = LinkPath::dedup(&[req.client.nic, Some(dn.nic), Some(dn.disk)]);
+        Ok((req.draw(&self.spec.namenode_latency), route, at))
     }
 
-    fn survives_executor_loss(&self) -> bool {
-        true
-    }
-
-    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
-        let targets = self.pick_targets();
-        let len = data.len() as u64;
-        let latency = self.sample_nn_latency(sim);
-
-        // One flow per replica, all in parallel; completion when all
-        // land. The first replica's flow records the block.
-        let mut cb = Some(cb);
-        let shared = (targets.count > 1)
-            .then(|| Rc::new(RefCell::new((targets.count, cb.take()))));
-        for i in 0..targets.count {
-            let dn = {
-                let inner = self.inner.borrow();
-                inner.datanodes[(targets.first + i) % inner.datanodes.len()]
-            };
-            let links = LinkPath::dedup(&[client.nic, Some(dn.nic), Some(dn.disk)]);
-            let landing = match &shared {
-                Some(state) => Landing::Shared(Rc::clone(state)),
-                None => Landing::Sole(cb.take().expect("a sole replica lands once")),
-            };
-            let record = (i == 0).then(|| (self.clone(), data.clone()));
-            delay_then_flow(sim, &self.fabric, latency, links, len, move |sim| {
-                if let Some((this, data)) = record {
-                    let mut inner = this.inner.borrow_mut();
-                    inner.used_bytes += len * targets.count as u64;
-                    inner.blocks.insert(block, (targets, data));
-                    inner.stats.puts += 1;
-                    inner.stats.bytes_in += len;
-                }
-                landing.landed(sim);
-            });
-        }
-    }
-
-    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
-        let found = {
-            let inner = self.inner.borrow();
-            inner.blocks.get(&block).map(|(replicas, data)| {
-                // Read from the first replica (deterministic).
-                (inner.datanodes[replicas.first], data.clone())
-            })
-        };
-        match found {
-            Some((dn, data)) => {
-                let latency = self.sample_nn_latency(sim);
-                let links = LinkPath::dedup(&[Some(dn.disk), Some(dn.nic), client.nic]);
-                let len = data.len() as u64;
-                let this = self.clone();
-                delay_then_flow(sim, &self.fabric, latency, links, len, move |sim| {
-                    {
-                        let mut inner = this.inner.borrow_mut();
-                        inner.stats.gets += 1;
-                        inner.stats.bytes_out += len;
-                    }
-                    cb(sim, Ok(data));
-                });
-            }
-            None => {
-                self.inner.borrow_mut().stats.failed_gets += 1;
-                cb(sim, Err(StoreError::NotFound(block)));
-            }
-        }
-    }
-
-    fn on_executor_lost(&self, _sim: &mut Sim, _executor: &str) {
-        // Shared store: executor death loses nothing.
-    }
-
-    fn contains(&self, block: &BlockId) -> bool {
-        self.inner.borrow().blocks.contains_key(block)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats
+    fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, usize)>) -> Admitted<()> {
+        let (_, at) = hit.ok_or(StoreError::NotFound(req.block))?;
+        let dn = self.datanodes[at];
+        let route = LinkPath::dedup(&[Some(dn.disk), Some(dn.nic), req.client.nic]);
+        Ok((req.draw(&self.spec.namenode_latency), route, ()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockId, BlockStore, ClientLoc};
+    use splitserve_des::Sim;
+    use splitserve_rt::Bytes;
     use std::cell::Cell;
+    use std::rc::Rc;
 
     fn fixed_spec() -> HdfsSpec {
         HdfsSpec {
-            replication: 1,
             namenode_latency: Dist::constant(0.0),
         }
     }
@@ -351,33 +207,6 @@ mod tests {
         hdfs.on_executor_lost(&mut sim, "lambda-1");
         assert!(hdfs.contains(&block), "HDFS keeps dead executors' blocks");
         assert!(hdfs.survives_executor_loss());
-    }
-
-    #[test]
-    fn replication_multiplies_usage_and_flows() {
-        let mut sim = Sim::new(0);
-        let fabric = Fabric::new();
-        let hdfs = HdfsStore::new(
-            HdfsSpec {
-                replication: 2,
-                namenode_latency: Dist::constant(0.0),
-            },
-            fabric.clone(),
-        );
-        for i in 0..2 {
-            let nic = fabric.add_link(1e9, format!("nic{i}"));
-            let ebs = fabric.add_link(1e9, format!("ebs{i}"));
-            hdfs.add_datanode(nic, ebs);
-        }
-        hdfs.put(
-            &mut sim,
-            ClientLoc::default(),
-            BlockId::shuffle("e", 0, 0, 0),
-            Bytes::from(vec![1u8; 100]),
-            Box::new(|_, r| r.expect("put")),
-        );
-        sim.run();
-        assert_eq!(hdfs.used_bytes(), 200);
     }
 
     #[test]

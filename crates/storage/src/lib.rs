@@ -3,16 +3,18 @@
 //! The paper's central storage question is *where intermediate shuffle data
 //! lives* when executors are fleeting:
 //!
-//! | Store | Used by | Survives executor loss? | Catch |
-//! |---|---|---|---|
-//! | [`LocalDiskStore`] | vanilla Spark dynamic allocation | **no** → lineage rollback | executor death loses blocks |
-//! | [`HdfsStore`] | **SplitServe** (§4.3) | yes | bottlenecked by the HDFS node's EBS pipe |
-//! | [`S3Store`] | Qubole Spark-on-Lambda, PyWren | yes | throttled, high-latency, per-request cost |
-//! | [`SqsStore`] | Flint | yes | 256 KB chunking, steep request cost |
-//! | [`RedisStore`] | Locus | yes | needs an expensive always-on VM |
+//! | Store | Used by | Fee | Throttle | Latency | Route | On executor loss |
+//! |---|---|---|---|---|---|---|
+//! | [`LocalDiskStore`] | vanilla Spark dynamic allocation | — | — | — | put: the writer's disk; get: the owner's disk and both NICs, the disk alone when the owner reads | the executor's blocks are dropped, reads fail `ExecutorLost` → lineage rollback |
+//! | [`HdfsStore`] | **SplitServe** (§4.3) | — | — | namenode round trip | client NIC ↔ the block's datanode NIC + EBS pipe (the bottleneck); datanode picked round-robin at write | kept |
+//! | [`S3Store`] | Qubole Spark-on-Lambda, PyWren | per request, hit or miss | one token per request, wait × client back-off | first byte (put / get) | client NIC ↔ next service connection | kept |
+//! | [`SqsStore`] | Flint | per 256 KB message, hits only | one token per message | per batch | client NIC ↔ next service connection | kept |
+//! | [`RedisStore`] | Locus | — (an always-on VM bills instead) | — (over capacity → `Rejected`) | in-memory | client NIC ↔ server NIC | kept |
 //!
-//! All stores implement [`BlockStore`]: asynchronous `put`/`get` that charge
-//! the right fabric links, latencies, throttles and dollars.
+//! Those five columns are the whole difference. All five are one
+//! [`Store`] — one block table, one set of counters, one asynchronous
+//! `put`/`get` path behind [`BlockStore`] — over a cost model that answers
+//! them per request.
 
 #![warn(missing_docs)]
 
@@ -24,7 +26,7 @@ mod obs;
 mod redis;
 mod s3;
 mod sqs;
-mod util;
+mod store;
 
 pub use api::{
     BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats,
@@ -36,6 +38,7 @@ pub use obs::InstrumentedStore;
 pub use redis::{RedisSpec, RedisStore};
 pub use s3::{S3Spec, S3Store};
 pub use sqs::{SqsSpec, SqsStore, SQS_MESSAGE_BYTES};
+pub use store::Store;
 
 use std::rc::Rc;
 

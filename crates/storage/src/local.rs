@@ -7,27 +7,17 @@
 //! the engine must recompute from lineage — the rollback cascade SplitServe
 //! is designed to avoid.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use splitserve_des::{Fabric, LinkPath, SimDuration};
+use splitserve_rt::{FastMap, Interned};
 
-use splitserve_rt::{Bytes, FastMap, Interned};
-use splitserve_des::{Fabric, LinkId, LinkPath, Sim};
+use crate::api::{ClientLoc, StoreError};
+use crate::store::{Admitted, Request, Store, Substrate};
 
-use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::delay_then_flow;
-
-#[derive(Debug, Clone, Copy)]
-struct ExecutorLoc {
-    nic: Option<LinkId>,
-    disk: Option<LinkId>,
-    alive: bool,
-}
-
+/// Executor-local disks: the cost model behind [`LocalDiskStore`].
 #[derive(Default)]
-struct Inner {
-    executors: FastMap<Interned, ExecutorLoc>,
-    blocks: FastMap<BlockId, Bytes>,
-    stats: StoreStats,
+pub struct LocalDisk {
+    /// Each registered executor's links and whether it is still alive.
+    executors: FastMap<Interned, (ClientLoc, bool)>,
 }
 
 /// Per-executor local-disk block store.
@@ -43,170 +33,85 @@ struct Inner {
 /// let fabric = Fabric::new();
 /// let store = LocalDiskStore::new(fabric.clone());
 /// let disk = fabric.add_link(1e9, "disk");
-/// store.register_executor("exec-1", None, Some(disk));
+/// let loc = ClientLoc { nic: None, disk: Some(disk) };
+/// store.register_executor("exec-1", loc);
 /// store.put(
 ///     &mut sim,
-///     ClientLoc { nic: None, disk: Some(disk) },
+///     loc,
 ///     BlockId::shuffle("exec-1", 0, 0, 0),
 ///     Bytes::from_static(b"data"),
 ///     Box::new(|_, r| r.expect("write succeeds")),
 /// );
 /// sim.run();
 /// ```
-#[derive(Clone)]
-pub struct LocalDiskStore {
-    inner: Rc<RefCell<Inner>>,
-    fabric: Fabric,
-}
+pub type LocalDiskStore = Store<LocalDisk>;
 
-impl std::fmt::Debug for LocalDiskStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("LocalDiskStore")
-            .field("executors", &inner.executors.len())
-            .field("blocks", &inner.blocks.len())
-            .finish()
-    }
-}
-
-impl LocalDiskStore {
-    /// Creates an empty store over `fabric`.
+impl Store<LocalDisk> {
+    /// Creates an empty store over `fabric`. An executor must be
+    /// registered ([`BlockStore::register_executor`](crate::BlockStore))
+    /// before its blocks can be served.
     pub fn new(fabric: Fabric) -> Self {
-        LocalDiskStore {
-            inner: Rc::new(RefCell::new(Inner::default())),
-            fabric,
-        }
-    }
-
-    /// Registers an executor's links so its blocks can be located. Must be
-    /// called before the executor writes or serves blocks.
-    pub fn register_executor(
-        &self,
-        executor: impl Into<Interned>,
-        nic: Option<LinkId>,
-        disk: Option<LinkId>,
-    ) {
-        self.inner.borrow_mut().executors.insert(
-            executor.into(),
-            ExecutorLoc {
-                nic,
-                disk,
-                alive: true,
-            },
-        );
-    }
-
-    fn executor_loc(&self, executor: Interned) -> Option<ExecutorLoc> {
-        self.inner.borrow().executors.get(&executor).copied()
+        Store::over(LocalDisk::default(), fabric)
     }
 }
 
-impl BlockStore for LocalDiskStore {
-    fn kind(&self) -> &'static str {
-        "local-disk"
-    }
+impl Substrate for LocalDisk {
+    type Placement = ();
+    const KIND: &'static str = "local-disk";
+    const SURVIVES_EXECUTOR_LOSS: bool = false;
 
-    fn survives_executor_loss(&self) -> bool {
-        false
-    }
-
-    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
-        let len = data.len() as u64;
+    fn admit_put(&mut self, req: &mut Request<'_>, _len: u64) -> Admitted<()> {
         // Writes land on the *writer's* disk.
-        let links = LinkPath::dedup(&[client.disk]);
-        let this = self.clone();
-        delay_then_flow(
-            sim,
-            &self.fabric,
-            splitserve_des::SimDuration::ZERO,
-            links,
-            len,
-            move |sim| {
-                {
-                    let mut inner = this.inner.borrow_mut();
-                    inner.blocks.insert(block, data);
-                    inner.stats.puts += 1;
-                    inner.stats.bytes_in += len;
-                }
-                cb(sim, Ok(()));
-            },
-        );
+        Ok((SimDuration::ZERO, LinkPath::dedup(&[req.client.disk]), ()))
     }
 
-    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
-        let owner = self.executor_loc(block.executor);
-        let (data, owner) = {
-            let inner = self.inner.borrow();
-            (inner.blocks.get(&block).cloned(), owner)
-        };
-        match (owner, data) {
-            (Some(loc), Some(data)) if loc.alive => {
-                // Serve from the owner's disk; traverse NICs when remote.
-                // If the client *is* the owner, `LinkPath::dedup` drops the
-                // shared links so no network hop is charged.
-                let links = LinkPath::dedup(&[loc.disk, loc.nic, client.nic]);
-                let links = if client.nic == loc.nic && client.disk == loc.disk {
-                    LinkPath::dedup(&[loc.disk])
+    fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, ())>) -> Admitted<()> {
+        let (client, block) = (req.client, req.block);
+        match (self.executors.get(&block.executor), hit) {
+            (Some(&(owner, true)), Some(_)) => {
+                // Serve from the owner's disk; traverse both NICs when
+                // remote, the disk alone when the client *is* the owner.
+                let route = if client.nic == owner.nic && client.disk == owner.disk {
+                    LinkPath::dedup(&[owner.disk])
                 } else {
-                    links
+                    LinkPath::dedup(&[owner.disk, owner.nic, client.nic])
                 };
-                let len = data.len() as u64;
-                let this = self.clone();
-                delay_then_flow(
-                    sim,
-                    &self.fabric,
-                    splitserve_des::SimDuration::ZERO,
-                    links,
-                    len,
-                    move |sim| {
-                        {
-                            let mut inner = this.inner.borrow_mut();
-                            inner.stats.gets += 1;
-                            inner.stats.bytes_out += len;
-                        }
-                        cb(sim, Ok(data));
-                    },
-                );
+                Ok((SimDuration::ZERO, route, ()))
             }
-            (Some(loc), _) if !loc.alive => {
-                self.inner.borrow_mut().stats.failed_gets += 1;
-                let executor = block.executor.to_string();
-                cb(sim, Err(StoreError::ExecutorLost { executor, block }));
-            }
-            _ => {
-                self.inner.borrow_mut().stats.failed_gets += 1;
-                cb(sim, Err(StoreError::NotFound(block)));
-            }
+            (Some((_, false)), _) => Err(StoreError::ExecutorLost {
+                executor: block.executor.to_string(),
+                block,
+            }),
+            _ => Err(StoreError::NotFound(block)),
         }
     }
 
-    fn register_executor(&self, executor: &str, loc: ClientLoc) {
-        LocalDiskStore::register_executor(self, executor, loc.nic, loc.disk);
+    fn register_executor(&mut self, executor: &str, loc: ClientLoc) {
+        self.executors.insert(Interned::new(executor), (loc, true));
     }
 
-    fn on_executor_lost(&self, _sim: &mut Sim, executor: &str) {
+    fn executor_lost(&mut self, executor: &str) -> Option<Interned> {
         let executor = Interned::new(executor);
-        let mut inner = self.inner.borrow_mut();
-        if let Some(loc) = inner.executors.get_mut(&executor) {
-            loc.alive = false;
+        // The bytes go; the entry stays so reads report ExecutorLost.
+        if let Some((_, alive)) = self.executors.get_mut(&executor) {
+            *alive = false;
         }
-        // Drop the bytes; metadata stays so reads report ExecutorLost.
-        inner.blocks.retain(|b, _| b.executor != executor);
+        Some(executor)
     }
 
-    fn contains(&self, block: &BlockId) -> bool {
-        self.inner.borrow().blocks.contains_key(block)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats
+    fn holds_blocks_of(&self, writer: Interned) -> bool {
+        self.executors.get(&writer).is_none_or(|&(_, alive)| alive)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockId, BlockStore};
+    use splitserve_des::Sim;
+    use splitserve_rt::Bytes;
     use std::cell::Cell;
+    use std::rc::Rc;
 
     struct Rig {
         sim: Sim,
@@ -238,11 +143,11 @@ mod tests {
     fn local_write_charges_disk_bandwidth() {
         let mut rig = rig();
         let disk = rig.fabric.add_link(100.0, "disk");
-        rig.store.register_executor("e1", None, Some(disk));
         let client = ClientLoc {
             nic: None,
             disk: Some(disk),
         };
+        rig.store.register_executor("e1", client);
         put_ok(&mut rig, client, BlockId::shuffle("e1", 0, 0, 0), 500);
         rig.sim.run();
         assert_eq!(rig.sim.now().as_secs_f64(), 5.0);
@@ -257,8 +162,8 @@ mod tests {
         let n1 = rig.fabric.add_link(100.0, "n1");
         let d2 = rig.fabric.add_link(1e9, "d2");
         let n2 = rig.fabric.add_link(1e9, "n2");
-        rig.store.register_executor("e1", Some(n1), Some(d1));
-        rig.store.register_executor("e2", Some(n2), Some(d2));
+        rig.store.register_executor("e1", ClientLoc::vm(n1, d1));
+        rig.store.register_executor("e2", ClientLoc::vm(n2, d2));
         let owner = ClientLoc::vm(n1, d1);
         put_ok(&mut rig, owner, BlockId::shuffle("e1", 0, 0, 0), 1000);
         rig.sim.run();
@@ -286,7 +191,7 @@ mod tests {
         let mut rig = rig();
         let d1 = rig.fabric.add_link(1e9, "d1");
         let n1 = rig.fabric.add_link(1.0, "n1"); // 1 B/s: would take forever
-        rig.store.register_executor("e1", Some(n1), Some(d1));
+        rig.store.register_executor("e1", ClientLoc::vm(n1, d1));
         let loc = ClientLoc::vm(n1, d1);
         put_ok(&mut rig, loc, BlockId::shuffle("e1", 0, 0, 0), 100);
         rig.sim.run();
@@ -310,11 +215,11 @@ mod tests {
     fn executor_loss_loses_blocks() {
         let mut rig = rig();
         let d1 = rig.fabric.add_link(1e9, "d1");
-        rig.store.register_executor("e1", None, Some(d1));
         let loc = ClientLoc {
             nic: None,
             disk: Some(d1),
         };
+        rig.store.register_executor("e1", loc);
         put_ok(&mut rig, loc, BlockId::shuffle("e1", 1, 2, 3), 10);
         rig.sim.run();
         assert!(rig.store.contains(&BlockId::shuffle("e1", 1, 2, 3)));
@@ -336,6 +241,27 @@ mod tests {
         assert!(errored.get());
         assert_eq!(rig.store.stats().failed_gets, 1);
         assert!(!rig.store.survives_executor_loss());
+    }
+
+    #[test]
+    fn put_landing_after_its_writer_died_is_not_retained() {
+        let mut rig = rig();
+        let disk = rig.fabric.add_link(100.0, "slow-disk");
+        let loc = ClientLoc {
+            nic: None,
+            disk: Some(disk),
+        };
+        rig.store.register_executor("e1", loc);
+        let block = BlockId::shuffle("e1", 0, 0, 0);
+        put_ok(&mut rig, loc, block, 500); // lands at t = 5 s
+        rig.store.on_executor_lost(&mut rig.sim, "e1");
+        rig.sim.run();
+        // The write is still counted (the ledger's `bytes_in` is exact) and
+        // its callback saw Ok, but the dead executor's disk holds nothing.
+        assert_eq!(rig.store.stats().puts, 1);
+        assert_eq!(rig.store.stats().bytes_in, 500);
+        assert!(!rig.store.contains(&block));
+        assert_eq!(rig.store.used_bytes(), 0);
     }
 
     #[test]

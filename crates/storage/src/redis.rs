@@ -3,15 +3,10 @@
 //! use of large VMs". The expense shows up automatically because the
 //! backing VM accrues normal EC2 charges for the whole job.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use splitserve_des::{Dist, Fabric, LinkId, LinkPath};
 
-use splitserve_rt::Bytes;
-use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration};
-
-use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::delay_then_flow;
+use crate::api::StoreError;
+use crate::store::{Admitted, Request, Store, Substrate};
 
 /// Behaviour knobs for [`RedisStore`].
 #[derive(Debug, Clone)]
@@ -32,137 +27,56 @@ impl Default for RedisSpec {
     }
 }
 
-struct Inner {
+/// An in-memory server behind one NIC: the cost model behind
+/// [`RedisStore`].
+pub struct Redis {
     spec: RedisSpec,
-    objects: HashMap<BlockId, Bytes>,
-    used: u64,
-    stats: StoreStats,
-}
-
-/// Simulated Redis cluster node reachable over the backing VM's NIC.
-#[derive(Clone)]
-pub struct RedisStore {
-    inner: Rc<RefCell<Inner>>,
-    fabric: Fabric,
     server_nic: LinkId,
 }
 
-impl std::fmt::Debug for RedisStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("RedisStore")
-            .field("objects", &inner.objects.len())
-            .field("used", &inner.used)
-            .finish()
-    }
-}
+/// Simulated Redis cluster node reachable over the backing VM's NIC.
+pub type RedisStore = Store<Redis>;
 
-impl RedisStore {
+impl Store<Redis> {
     /// Creates a Redis store served from a VM whose NIC is `server_nic`.
     /// The caller is responsible for having provisioned (and paying for)
     /// that VM.
     pub fn new(spec: RedisSpec, fabric: Fabric, server_nic: LinkId) -> Self {
-        RedisStore {
-            inner: Rc::new(RefCell::new(Inner {
-                spec,
-                objects: HashMap::new(),
-                used: 0,
-                stats: StoreStats::default(),
-            })),
-            fabric,
-            server_nic,
-        }
-    }
-
-    /// Bytes currently resident.
-    pub fn used_bytes(&self) -> u64 {
-        self.inner.borrow().used
-    }
-
-    fn latency(&self, sim: &mut Sim) -> SimDuration {
-        let d = self.inner.borrow().spec.latency.clone();
-        SimDuration::from_secs_f64(d.sample(sim.rng()))
+        Store::over(Redis { spec, server_nic }, fabric)
     }
 }
 
-impl BlockStore for RedisStore {
-    fn kind(&self) -> &'static str {
-        "redis"
-    }
+impl Substrate for Redis {
+    type Placement = ();
+    const KIND: &'static str = "redis";
+    const SURVIVES_EXECUTOR_LOSS: bool = true;
 
-    fn survives_executor_loss(&self) -> bool {
-        true
-    }
-
-    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
-        let len = data.len() as u64;
-        {
-            let inner = self.inner.borrow();
-            if inner.used + len > inner.spec.capacity_bytes {
-                drop(inner);
-                cb(
-                    sim,
-                    Err(StoreError::Rejected(format!(
-                        "redis out of memory storing {block} ({len} bytes)"
-                    ))),
-                );
-                return;
-            }
+    fn admit_put(&mut self, req: &mut Request<'_>, len: u64) -> Admitted<()> {
+        if req.resident + len > self.spec.capacity_bytes {
+            let block = req.block;
+            return Err(StoreError::Rejected(format!(
+                "redis out of memory storing {block} ({len} bytes)"
+            )));
         }
-        let delay = self.latency(sim);
-        let links = LinkPath::dedup(&[client.nic, Some(self.server_nic)]);
-        let this = self.clone();
-        delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {
-            {
-                let mut inner = this.inner.borrow_mut();
-                inner.used += len;
-                inner.objects.insert(block, data);
-                inner.stats.puts += 1;
-                inner.stats.bytes_in += len;
-            }
-            cb(sim, Ok(()));
-        });
+        let route = LinkPath::dedup(&[req.client.nic, Some(self.server_nic)]);
+        Ok((req.draw(&self.spec.latency), route, ()))
     }
 
-    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
-        let data = self.inner.borrow().objects.get(&block).cloned();
-        match data {
-            Some(data) => {
-                let delay = self.latency(sim);
-                let links = LinkPath::dedup(&[Some(self.server_nic), client.nic]);
-                let len = data.len() as u64;
-                let this = self.clone();
-                delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {
-                    {
-                        let mut inner = this.inner.borrow_mut();
-                        inner.stats.gets += 1;
-                        inner.stats.bytes_out += len;
-                    }
-                    cb(sim, Ok(data));
-                });
-            }
-            None => {
-                self.inner.borrow_mut().stats.failed_gets += 1;
-                cb(sim, Err(StoreError::NotFound(block)));
-            }
-        }
-    }
-
-    fn on_executor_lost(&self, _sim: &mut Sim, _executor: &str) {}
-
-    fn contains(&self, block: &BlockId) -> bool {
-        self.inner.borrow().objects.contains_key(block)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats
+    fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, ())>) -> Admitted<()> {
+        hit.ok_or(StoreError::NotFound(req.block))?;
+        let route = LinkPath::dedup(&[Some(self.server_nic), req.client.nic]);
+        Ok((req.draw(&self.spec.latency), route, ()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockId, BlockStore, ClientLoc};
+    use splitserve_des::Sim;
+    use splitserve_rt::Bytes;
     use std::cell::Cell;
+    use std::rc::Rc;
 
     fn rig(capacity: u64) -> (Sim, Fabric, RedisStore) {
         let sim = Sim::new(0);

@@ -7,16 +7,11 @@
 //! a few thousands of requests per second") and notes that jobs like
 //! CloudSort with ~10¹⁰ shuffle writes incur enormous request costs.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use splitserve_cloud::{Category, Cloud, S3_USD_PER_GET, S3_USD_PER_PUT};
+use splitserve_des::{Dist, Fabric, LinkId, LinkPath, SimDuration, TokenBucket};
 
-use splitserve_rt::Bytes;
-use splitserve_cloud::{Category, Cloud};
-use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration, TokenBucket};
-
-use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::delay_then_flow;
+use crate::api::StoreError;
+use crate::store::{Admitted, Request, Store, Substrate};
 
 /// Behaviour knobs for [`S3Store`].
 #[derive(Debug, Clone)]
@@ -59,14 +54,36 @@ impl Default for S3Spec {
     }
 }
 
-struct Inner {
+/// The modeled parallel service connections of a request-billed
+/// service, handed out round-robin.
+pub(crate) struct Connections {
+    links: Vec<LinkId>,
+    next: usize,
+}
+
+impl Connections {
+    /// `n` links of `bytes_per_sec` each, labelled `<service>-conn-<i>`.
+    pub(crate) fn new(fabric: &Fabric, service: &str, n: usize, bytes_per_sec: f64) -> Self {
+        let links = (0..n)
+            .map(|i| fabric.add_link(bytes_per_sec, format!("{service}-conn-{i}")))
+            .collect();
+        Connections { links, next: 0 }
+    }
+
+    pub(crate) fn next(&mut self) -> LinkId {
+        let link = self.links[self.next % self.links.len()];
+        self.next += 1;
+        link
+    }
+}
+
+/// A throttled, request-billed bucket: the cost model behind [`S3Store`].
+pub struct S3 {
     spec: S3Spec,
-    objects: HashMap<BlockId, Bytes>,
     put_bucket: TokenBucket,
     get_bucket: TokenBucket,
-    conn_links: Vec<LinkId>,
-    next_conn: usize,
-    stats: StoreStats,
+    connections: Connections,
+    cloud: Cloud,
 }
 
 /// Simulated S3 bucket.
@@ -84,161 +101,79 @@ struct Inner {
 /// assert_eq!(s3.kind(), "s3");
 /// # use splitserve_storage::BlockStore;
 /// ```
-#[derive(Clone)]
-pub struct S3Store {
-    inner: Rc<RefCell<Inner>>,
-    fabric: Fabric,
-    cloud: Cloud,
-}
+pub type S3Store = Store<S3>;
 
-impl std::fmt::Debug for S3Store {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("S3Store")
-            .field("objects", &inner.objects.len())
-            .field("stats", &inner.stats)
-            .finish()
-    }
-}
-
-impl S3Store {
+impl Store<S3> {
     /// Creates a bucket; request fees are charged to `cloud`'s ledger.
     pub fn new(spec: S3Spec, fabric: Fabric, cloud: Cloud) -> Self {
-        let conn_links = (0..spec.connections)
-            .map(|i| fabric.add_link(spec.connection_bytes_per_sec, format!("s3-conn-{i}")))
-            .collect();
-        let put_bucket = TokenBucket::new(spec.put_rate, spec.burst);
-        let get_bucket = TokenBucket::new(spec.get_rate, spec.burst);
-        S3Store {
-            inner: Rc::new(RefCell::new(Inner {
-                spec,
-                objects: HashMap::new(),
-                put_bucket,
-                get_bucket,
-                conn_links,
-                next_conn: 0,
-                stats: StoreStats::default(),
-            })),
-            fabric,
+        let model = S3 {
+            put_bucket: TokenBucket::new(spec.put_rate, spec.burst),
+            get_bucket: TokenBucket::new(spec.get_rate, spec.burst),
+            connections: Connections::new(
+                &fabric,
+                "s3",
+                spec.connections,
+                spec.connection_bytes_per_sec,
+            ),
+            spec,
             cloud,
-        }
-    }
-
-    fn next_conn(&self) -> LinkId {
-        let mut inner = self.inner.borrow_mut();
-        let l = inner.conn_links[inner.next_conn % inner.conn_links.len()];
-        inner.next_conn += 1;
-        l
+        };
+        Store::over(model, fabric)
     }
 }
 
-impl BlockStore for S3Store {
-    fn kind(&self) -> &'static str {
-        "s3"
+impl S3 {
+    /// Bills one `verb` request on the block to the cloud's ledger.
+    fn bill(&self, req: &Request<'_>, category: Category, usd: f64, verb: &str) {
+        let note = format!("{verb} {}", req.block);
+        self.cloud.charge(req.sim.now(), category, usd, note);
     }
 
-    fn survives_executor_loss(&self) -> bool {
-        true
+    /// Takes one token from `bucket`; the client's back-off stretches the
+    /// wait, which is booked on the request and returned.
+    fn throttle(bucket: &mut TokenBucket, req: &mut Request<'_>, backoff: f64) -> SimDuration {
+        let raw = bucket.reserve(req.sim.now(), 1.0);
+        let wait = SimDuration::from_secs_f64(raw.as_secs_f64() * backoff);
+        *req.throttle_wait_secs += wait.as_secs_f64();
+        wait
+    }
+}
+
+impl Substrate for S3 {
+    type Placement = ();
+    const KIND: &'static str = "s3";
+    const SURVIVES_EXECUTOR_LOSS: bool = true;
+
+    // Order: fee, token, latency draw, connection.
+    fn admit_put(&mut self, req: &mut Request<'_>, _len: u64) -> Admitted<()> {
+        self.bill(req, Category::S3Put, S3_USD_PER_PUT, "put");
+        let wait = S3::throttle(&mut self.put_bucket, req, self.spec.backoff_multiplier);
+        let latency = req.draw(&self.spec.put_latency);
+        let route = LinkPath::dedup(&[req.client.nic, Some(self.connections.next())]);
+        Ok((wait + latency, route, ()))
     }
 
-    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
-        let now = sim.now();
-        self.cloud.charge(
-            now,
-            Category::S3Put,
-            splitserve_cloud::S3_USD_PER_PUT,
-            format!("put {block}"),
-        );
-        let (throttle, latency) = {
-            let mut inner = self.inner.borrow_mut();
-            let raw = inner.put_bucket.reserve(now, 1.0);
-            let throttle = SimDuration::from_secs_f64(
-                raw.as_secs_f64() * inner.spec.backoff_multiplier,
-            );
-            inner.stats.throttle_wait_secs += throttle.as_secs_f64();
-            let lat = inner.spec.put_latency.clone();
-            (throttle, lat)
-        };
-        let latency = SimDuration::from_secs_f64(latency.sample(sim.rng()));
-        let conn = self.next_conn();
-        let links = LinkPath::dedup(&[client.nic, Some(conn)]);
-        let len = data.len() as u64;
-        let this = self.clone();
-        delay_then_flow(sim, &self.fabric, throttle + latency, links, len, move |sim| {
-            {
-                let mut inner = this.inner.borrow_mut();
-                inner.objects.insert(block, data);
-                inner.stats.puts += 1;
-                inner.stats.bytes_in += len;
-            }
-            cb(sim, Ok(()));
-        });
-    }
-
-    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
-        let now = sim.now();
-        self.cloud.charge(
-            now,
-            Category::S3Get,
-            splitserve_cloud::S3_USD_PER_GET,
-            format!("get {block}"),
-        );
-        let data = self.inner.borrow().objects.get(&block).cloned();
-        match data {
-            Some(data) => {
-                let (throttle, latency) = {
-                    let mut inner = self.inner.borrow_mut();
-                    let raw = inner.get_bucket.reserve(now, 1.0);
-                    let throttle = SimDuration::from_secs_f64(
-                        raw.as_secs_f64() * inner.spec.backoff_multiplier,
-                    );
-                    inner.stats.throttle_wait_secs += throttle.as_secs_f64();
-                    (throttle, inner.spec.get_latency.clone())
-                };
-                let latency = SimDuration::from_secs_f64(latency.sample(sim.rng()));
-                let conn = self.next_conn();
-                let links = LinkPath::dedup(&[Some(conn), client.nic]);
-                let len = data.len() as u64;
-                let this = self.clone();
-                delay_then_flow(
-                    sim,
-                    &self.fabric,
-                    throttle + latency,
-                    links,
-                    len,
-                    move |sim| {
-                        {
-                            let mut inner = this.inner.borrow_mut();
-                            inner.stats.gets += 1;
-                            inner.stats.bytes_out += len;
-                        }
-                        cb(sim, Ok(data));
-                    },
-                );
-            }
-            None => {
-                self.inner.borrow_mut().stats.failed_gets += 1;
-                cb(sim, Err(StoreError::NotFound(block)));
-            }
-        }
-    }
-
-    fn on_executor_lost(&self, _sim: &mut Sim, _executor: &str) {}
-
-    fn contains(&self, block: &BlockId) -> bool {
-        self.inner.borrow().objects.contains_key(block)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats
+    // A GET is billed whether or not the key exists — S3 charges the
+    // request, not the object — but only a hit takes a token.
+    fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, ())>) -> Admitted<()> {
+        self.bill(req, Category::S3Get, S3_USD_PER_GET, "get");
+        hit.ok_or(StoreError::NotFound(req.block))?;
+        let wait = S3::throttle(&mut self.get_bucket, req, self.spec.backoff_multiplier);
+        let latency = req.draw(&self.spec.get_latency);
+        let route = LinkPath::dedup(&[Some(self.connections.next()), req.client.nic]);
+        Ok((wait + latency, route, ()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockId, BlockStore, ClientLoc};
     use splitserve_cloud::CloudSpec;
+    use splitserve_des::Sim;
+    use splitserve_rt::Bytes;
     use std::cell::Cell;
+    use std::rc::Rc;
 
     fn fixed_spec() -> S3Spec {
         S3Spec {

@@ -2,16 +2,12 @@
 //! better request throughput than S3 for many small writes, but a 256 KB
 //! message limit forces chunking, and the per-request price is steeper.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use splitserve_cloud::{Category, Cloud, SQS_USD_PER_REQUEST};
+use splitserve_des::{Dist, Fabric, LinkPath, SimDuration, TokenBucket};
 
-use splitserve_rt::Bytes;
-use splitserve_cloud::{Category, Cloud};
-use splitserve_des::{Dist, Fabric, LinkId, LinkPath, Sim, SimDuration, TokenBucket};
-
-use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
-use crate::util::delay_then_flow;
+use crate::api::StoreError;
+use crate::s3::Connections;
+use crate::store::{Admitted, Request, Store, Substrate};
 
 /// SQS message size limit: 256 KB.
 pub const SQS_MESSAGE_BYTES: u64 = 256 * 1024;
@@ -43,159 +39,87 @@ impl Default for SqsSpec {
     }
 }
 
-struct Inner {
+/// A paced, per-message-billed queue: the cost model behind [`SqsStore`].
+pub struct Sqs {
     spec: SqsSpec,
-    objects: HashMap<BlockId, Bytes>,
     bucket: TokenBucket,
-    conn_links: Vec<LinkId>,
-    next_conn: usize,
-    stats: StoreStats,
+    connections: Connections,
+    cloud: Cloud,
 }
 
 /// Simulated SQS-backed block store: a block of `n` bytes becomes
 /// `ceil(n / 256 KB)` messages, each a billable request on write *and* on
 /// read.
-#[derive(Clone)]
-pub struct SqsStore {
-    inner: Rc<RefCell<Inner>>,
-    fabric: Fabric,
-    cloud: Cloud,
-}
+pub type SqsStore = Store<Sqs>;
 
-impl std::fmt::Debug for SqsStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("SqsStore")
-            .field("objects", &inner.objects.len())
-            .field("stats", &inner.stats)
-            .finish()
-    }
-}
-
-impl SqsStore {
+impl Store<Sqs> {
     /// Creates a queue-backed store; request fees go to `cloud`'s ledger.
     pub fn new(spec: SqsSpec, fabric: Fabric, cloud: Cloud) -> Self {
-        let conn_links = (0..spec.connections)
-            .map(|i| fabric.add_link(spec.connection_bytes_per_sec, format!("sqs-conn-{i}")))
-            .collect();
-        let bucket = TokenBucket::new(spec.message_rate, spec.burst);
-        SqsStore {
-            inner: Rc::new(RefCell::new(Inner {
-                spec,
-                objects: HashMap::new(),
-                bucket,
-                conn_links,
-                next_conn: 0,
-                stats: StoreStats::default(),
-            })),
-            fabric,
+        let model = Sqs {
+            bucket: TokenBucket::new(spec.message_rate, spec.burst),
+            connections: Connections::new(
+                &fabric,
+                "sqs",
+                spec.connections,
+                spec.connection_bytes_per_sec,
+            ),
+            spec,
             cloud,
-        }
+        };
+        Store::over(model, fabric)
     }
 
     /// Number of SQS messages a block of `len` bytes occupies.
     pub fn messages_for(len: u64) -> u64 {
         len.div_ceil(SQS_MESSAGE_BYTES).max(1)
     }
+}
 
-    fn admit(&self, sim: &mut Sim, messages: u64) -> SimDuration {
-        let now = sim.now();
-        let mut inner = self.inner.borrow_mut();
-        let throttle = inner.bucket.reserve(now, messages as f64);
-        inner.stats.throttle_wait_secs += throttle.as_secs_f64();
-        let lat = inner.spec.latency.clone();
-        drop(inner);
-        throttle + SimDuration::from_secs_f64(lat.sample(sim.rng()))
-    }
-
-    fn next_conn(&self) -> LinkId {
-        let mut inner = self.inner.borrow_mut();
-        let l = inner.conn_links[inner.next_conn % inner.conn_links.len()];
-        inner.next_conn += 1;
-        l
-    }
-
-    fn bill(&self, sim: &Sim, messages: u64, what: &str) {
-        self.cloud.charge(
-            sim.now(),
-            Category::SqsRequest,
-            messages as f64 * splitserve_cloud::SQS_USD_PER_REQUEST,
-            format!("{what} x{messages}"),
-        );
+impl Sqs {
+    /// One request of `len` bytes: its delay. Order: message count, fee,
+    /// tokens, latency draw.
+    fn admit(&mut self, req: &mut Request<'_>, what: &str, len: u64) -> SimDuration {
+        let messages = SqsStore::messages_for(len);
+        let now = req.sim.now();
+        let fee = messages as f64 * SQS_USD_PER_REQUEST;
+        let note = format!("{what} x{messages}");
+        self.cloud.charge(now, Category::SqsRequest, fee, note);
+        let wait = self.bucket.reserve(now, messages as f64);
+        *req.throttle_wait_secs += wait.as_secs_f64();
+        wait + req.draw(&self.spec.latency)
     }
 }
 
-impl BlockStore for SqsStore {
-    fn kind(&self) -> &'static str {
-        "sqs"
+impl Substrate for Sqs {
+    type Placement = ();
+    const KIND: &'static str = "sqs";
+    const SURVIVES_EXECUTOR_LOSS: bool = true;
+
+    fn admit_put(&mut self, req: &mut Request<'_>, len: u64) -> Admitted<()> {
+        let delay = self.admit(req, "send", len);
+        let route = LinkPath::dedup(&[req.client.nic, Some(self.connections.next())]);
+        Ok((delay, route, ()))
     }
 
-    fn survives_executor_loss(&self) -> bool {
-        true
-    }
-
-    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
-        let len = data.len() as u64;
-        let messages = Self::messages_for(len);
-        self.bill(sim, messages, "send");
-        let delay = self.admit(sim, messages);
-        let conn = self.next_conn();
-        let links = LinkPath::dedup(&[client.nic, Some(conn)]);
-        let this = self.clone();
-        delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {
-            {
-                let mut inner = this.inner.borrow_mut();
-                inner.objects.insert(block, data);
-                inner.stats.puts += 1;
-                inner.stats.bytes_in += len;
-            }
-            cb(sim, Ok(()));
-        });
-    }
-
-    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
-        let data = self.inner.borrow().objects.get(&block).cloned();
-        match data {
-            Some(data) => {
-                let len = data.len() as u64;
-                let messages = Self::messages_for(len);
-                self.bill(sim, messages, "receive");
-                let delay = self.admit(sim, messages);
-                let conn = self.next_conn();
-                let links = LinkPath::dedup(&[Some(conn), client.nic]);
-                let this = self.clone();
-                delay_then_flow(sim, &self.fabric, delay, links, len, move |sim| {
-                    {
-                        let mut inner = this.inner.borrow_mut();
-                        inner.stats.gets += 1;
-                        inner.stats.bytes_out += len;
-                    }
-                    cb(sim, Ok(data));
-                });
-            }
-            None => {
-                self.inner.borrow_mut().stats.failed_gets += 1;
-                cb(sim, Err(StoreError::NotFound(block)));
-            }
-        }
-    }
-
-    fn on_executor_lost(&self, _sim: &mut Sim, _executor: &str) {}
-
-    fn contains(&self, block: &BlockId) -> bool {
-        self.inner.borrow().objects.contains_key(block)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats
+    // Unlike an S3 GET, receiving from a queue that holds no such block
+    // sends no billable request: a miss is free.
+    fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, ())>) -> Admitted<()> {
+        let (len, ()) = hit.ok_or(StoreError::NotFound(req.block))?;
+        let delay = self.admit(req, "receive", len);
+        let route = LinkPath::dedup(&[Some(self.connections.next()), req.client.nic]);
+        Ok((delay, route, ()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockId, BlockStore, ClientLoc};
     use splitserve_cloud::CloudSpec;
+    use splitserve_des::Sim;
+    use splitserve_rt::Bytes;
     use std::cell::Cell;
+    use std::rc::Rc;
 
     fn rig() -> (Sim, Fabric, Cloud, SqsStore) {
         let sim = Sim::new(0);

@@ -1,27 +1,28 @@
 //! Conformance property tests: every store implementation must present
 //! the same observable semantics — writes are durable, reads return the
-//! exact bytes, only local stores lose data with their executor.
+//! exact (newest) bytes, the counters add up, only local stores lose data
+//! with their executor — and the one deliberate asymmetry stays: an S3
+//! miss is billed, an SQS miss is not.
 
 use splitserve_rt::{check, Bytes};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use splitserve_cloud::{Cloud, CloudSpec};
+use splitserve_cloud::{Category, Cloud, CloudSpec, S3_USD_PER_GET};
 use splitserve_des::{Fabric, Sim};
 use splitserve_storage::{
     BlockId, BlockStore, ClientLoc, HdfsSpec, HdfsStore, LocalDiskStore, RedisSpec, RedisStore,
-    S3Spec, S3Store, SqsSpec, SqsStore,
+    S3Spec, S3Store, SqsSpec, SqsStore, StoreStats,
 };
 
-fn all_stores(fabric: &Fabric, sim: &mut Sim) -> Vec<(&'static str, Rc<dyn BlockStore>)> {
-    let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+/// One store of each kind over `fabric`; request fees go to `cloud`.
+fn all_stores(fabric: &Fabric, cloud: &Cloud) -> Vec<(&'static str, Rc<dyn BlockStore>)> {
     let local = LocalDiskStore::new(fabric.clone());
     let hdfs = HdfsStore::new(HdfsSpec::default(), fabric.clone());
     let nn = fabric.add_link(1e9, "hdfs-nic");
     let ebs = fabric.add_link(1e9, "hdfs-ebs");
     hdfs.add_datanode(nn, ebs);
     let redis_nic = fabric.add_link(1e9, "redis-nic");
-    let _ = sim;
     vec![
         ("local", Rc::new(local) as Rc<dyn BlockStore>),
         ("hdfs", Rc::new(hdfs)),
@@ -41,21 +42,30 @@ fn all_stores(fabric: &Fabric, sim: &mut Sim) -> Vec<(&'static str, Rc<dyn Block
 }
 
 /// put → get roundtrips exact bytes on every store, for arbitrary
-/// block contents and ids.
+/// block contents and ids — a zero-length block and an overwritten one
+/// included — and the byte counters equal the payload sums.
 #[test]
 fn every_store_roundtrips_blocks() {
     check::run("every_store_roundtrips_blocks", 12, |g| {
-        let payloads = g.vec(1, 8, |g| g.bytes(0, 4_096));
+        let mut payloads = g.vec(1, 8, |g| g.bytes(0, 4_096));
+        payloads.push(Vec::new());
+        let overwritten = std::mem::replace(&mut payloads[0], g.bytes(1, 4_096));
         let seed = g.u64();
         let mut sim = Sim::new(seed);
         let fabric = Fabric::new();
-        for (name, store) in all_stores(&fabric, &mut sim) {
+        let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+        for (name, store) in all_stores(&fabric, &cloud) {
             let nic = fabric.add_link(1e9, format!("client-{name}"));
             let disk = fabric.add_link(1e9, format!("disk-{name}"));
             let client = ClientLoc::vm(nic, disk);
             store.register_executor("exec-0", client);
-            // Write all blocks.
-            for (i, p) in payloads.iter().enumerate() {
+            // Write block 0's first version, then — once it has landed —
+            // all blocks at once: block 0 is overwritten.
+            let versions = std::iter::once((0, &overwritten)).chain(payloads.iter().enumerate());
+            for (nth, (i, p)) in versions.enumerate() {
+                if nth == 1 {
+                    sim.run();
+                }
                 store.put(
                     &mut sim,
                     client,
@@ -90,8 +100,13 @@ fn every_store_roundtrips_blocks() {
                 assert_eq!(&bytes, &payloads[i], "store {name} block {i}");
             }
             let stats = store.stats();
-            assert_eq!(stats.puts as usize, payloads.len());
+            let payload_bytes = payloads.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(stats.puts as usize, payloads.len() + 1);
             assert_eq!(stats.gets as usize, payloads.len());
+            let written = payload_bytes + overwritten.len();
+            assert_eq!(stats.bytes_in as usize, written, "store {name}");
+            assert_eq!(stats.bytes_out as usize, payload_bytes, "store {name}");
+            assert_eq!(stats.failed_gets, 0, "store {name}");
         }
     });
 }
@@ -103,7 +118,8 @@ fn only_local_store_loses_blocks_on_executor_death() {
         let seed = g.u64();
         let mut sim = Sim::new(seed);
         let fabric = Fabric::new();
-        for (name, store) in all_stores(&fabric, &mut sim) {
+        let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+        for (name, store) in all_stores(&fabric, &cloud) {
             let nic = fabric.add_link(1e9, format!("c-{name}"));
             let disk = fabric.add_link(1e9, format!("d-{name}"));
             let client = ClientLoc::vm(nic, disk);
@@ -133,14 +149,17 @@ fn only_local_store_loses_blocks_on_executor_death() {
 }
 
 /// Missing blocks consistently report NotFound (never panic, never
-/// hang) on every store.
+/// hang) on every store, and a miss bumps `failed_gets` and nothing else.
+/// What a miss *costs* is the one place the substrates differ on purpose:
+/// S3 bills the GET, SQS sends no request.
 #[test]
 fn missing_blocks_error_uniformly() {
     check::run("missing_blocks_error_uniformly", 8, |g| {
         let seed = g.u64();
         let mut sim = Sim::new(seed);
         let fabric = Fabric::new();
-        for (name, store) in all_stores(&fabric, &mut sim) {
+        let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+        for (name, store) in all_stores(&fabric, &cloud) {
             let nic = fabric.add_link(1e9, format!("cl-{name}"));
             let client = ClientLoc::net(nic);
             let outcome = Rc::new(RefCell::new(None));
@@ -153,6 +172,14 @@ fn missing_blocks_error_uniformly() {
             );
             sim.run();
             assert_eq!(*outcome.borrow(), Some(true), "store {name}");
+            let only_a_failed_get = StoreStats {
+                failed_gets: 1,
+                ..StoreStats::default()
+            };
+            assert_eq!(store.stats(), only_a_failed_get, "store {name}");
         }
+        assert_eq!(cloud.cost_for(Category::S3Get), S3_USD_PER_GET);
+        assert_eq!(cloud.cost_for(Category::SqsRequest), 0.0);
+        assert_eq!(cloud.total_cost(), S3_USD_PER_GET);
     });
 }

@@ -68,12 +68,6 @@ impl PageRank {
         self
     }
 
-    /// Overrides the in-link skew exponent (1.0 = uniform destinations).
-    pub fn with_dst_skew(mut self, skew: f64) -> Self {
-        self.dst_skew = skew;
-        self
-    }
-
     /// Stage count of the single multi-iteration job.
     pub fn expected_stages(&self) -> usize {
         3 * self.iterations + 1

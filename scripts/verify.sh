@@ -27,3 +27,6 @@ rc=0; target/release/reproduce_all --only nope 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] # a command line the bench CLI cannot account for is a usage error
 
 echo "==> verify.sh passed"
+
+echo "==> non-test lines per crate (scripts/loc.sh; informational)"
+bash scripts/loc.sh
