@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use splitserve_des::SimTime;
-
 /// What a charge was for. Categories mirror the cost components the paper
 /// reports: VM time, Lambda time, Lambda invocations, and storage-service
 /// requests.
@@ -44,23 +42,11 @@ impl fmt::Display for Category {
     }
 }
 
-/// One ledger line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Charge {
-    /// When the charge was finalized.
-    pub at: SimTime,
-    /// What kind of spend.
-    pub category: Category,
-    /// Amount in USD.
-    pub usd: f64,
-    /// Human-readable description (resource id etc.).
-    pub note: String,
-}
-
-/// An append-only record of spend with per-category rollups.
+/// Spend so far, per category. A charge is folded into its category's
+/// total and not kept: a run makes one per storage request, and nothing
+/// reads them back one by one.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    charges: Vec<Charge>,
     totals: BTreeMap<Category, f64>,
 }
 
@@ -76,15 +62,9 @@ impl Ledger {
     ///
     /// Panics if `usd` is negative or not finite — refunds don't exist in
     /// this model and NaNs would silently poison totals.
-    pub fn charge(&mut self, at: SimTime, category: Category, usd: f64, note: impl Into<String>) {
+    pub fn charge(&mut self, category: Category, usd: f64) {
         assert!(usd.is_finite() && usd >= 0.0, "invalid charge: {usd}");
         *self.totals.entry(category).or_insert(0.0) += usd;
-        self.charges.push(Charge {
-            at,
-            category,
-            usd,
-            note: note.into(),
-        });
     }
 
     /// Total spend across all categories.
@@ -101,21 +81,6 @@ impl Ledger {
     pub fn by_category(&self) -> Vec<(Category, f64)> {
         self.totals.iter().map(|(c, v)| (*c, *v)).collect()
     }
-
-    /// Every individual charge, in the order recorded.
-    pub fn charges(&self) -> &[Charge] {
-        &self.charges
-    }
-
-    /// Number of charges recorded.
-    pub fn len(&self) -> usize {
-        self.charges.len()
-    }
-
-    /// `true` when nothing has been charged.
-    pub fn is_empty(&self) -> bool {
-        self.charges.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -125,21 +90,20 @@ mod tests {
     #[test]
     fn totals_accumulate_per_category() {
         let mut l = Ledger::new();
-        l.charge(SimTime::ZERO, Category::VmCompute, 1.0, "vm-1");
-        l.charge(SimTime::from_secs(5), Category::VmCompute, 2.0, "vm-2");
-        l.charge(SimTime::from_secs(6), Category::S3Get, 0.5, "get");
+        l.charge(Category::VmCompute, 1.0);
+        l.charge(Category::VmCompute, 2.0);
+        l.charge(Category::S3Get, 0.5);
         assert_eq!(l.total_for(Category::VmCompute), 3.0);
         assert_eq!(l.total_for(Category::S3Get), 0.5);
         assert_eq!(l.total_for(Category::SqsRequest), 0.0);
         assert_eq!(l.total(), 3.5);
-        assert_eq!(l.len(), 3);
     }
 
     #[test]
     fn rollup_is_ordered_and_complete() {
         let mut l = Ledger::new();
-        l.charge(SimTime::ZERO, Category::S3Put, 0.1, "");
-        l.charge(SimTime::ZERO, Category::LambdaCompute, 0.2, "");
+        l.charge(Category::S3Put, 0.1);
+        l.charge(Category::LambdaCompute, 0.2);
         let roll = l.by_category();
         assert_eq!(roll.len(), 2);
         assert_eq!(roll[0].0, Category::LambdaCompute);
@@ -149,14 +113,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid charge")]
     fn negative_charge_panics() {
-        Ledger::new().charge(SimTime::ZERO, Category::Other, -1.0, "refund");
+        Ledger::new().charge(Category::Other, -1.0);
     }
 
     #[test]
     fn empty_ledger_reports_zero() {
         let l = Ledger::new();
-        assert!(l.is_empty());
         assert_eq!(l.total(), 0.0);
-        assert!(l.charges().is_empty());
+        assert!(l.by_category().is_empty());
     }
 }

@@ -282,11 +282,8 @@ impl Cloud {
             _ => None,
         };
         vm.state = VmState::Terminated;
-        let name = vm.itype.name;
         if let Some(usd) = charge {
-            inner
-                .ledger
-                .charge(now, Category::VmCompute, usd, format!("{id} {name}"));
+            inner.ledger.charge(Category::VmCompute, usd);
         }
     }
 
@@ -358,12 +355,9 @@ impl Cloud {
         let (start_dist, lifetime) = {
             let mut inner = self.inner.borrow_mut();
             let now = sim.now();
-            inner.ledger.charge(
-                now,
-                Category::LambdaInvocation,
-                pricing::LAMBDA_USD_PER_INVOCATION,
-                "invoke",
-            );
+            inner
+                .ledger
+                .charge(Category::LambdaInvocation, pricing::LAMBDA_USD_PER_INVOCATION);
             // The pool decision is pure virtual-time bookkeeping: exactly
             // one start sample and one jitter sample are drawn per invoke
             // regardless of the warm/cold outcome, so policy choice never
@@ -435,9 +429,7 @@ impl Cloud {
             let runtime = now.saturating_since(lam.started_at.expect("running lambda started"));
             let usd = pricing::lambda_compute_cost(lam.memory_mb, runtime);
             let cb = lam.on_killed.take();
-            inner
-                .ledger
-                .charge(now, Category::LambdaCompute, usd, format!("{id} killed"));
+            inner.ledger.charge(Category::LambdaCompute, usd);
             cb
         };
         if let Some(cb) = cb {
@@ -466,12 +458,7 @@ impl Cloud {
                     let ev = lam.kill_event.take();
                     let mem = lam.memory_mb;
                     let func = lam.func;
-                    inner.ledger.charge(
-                        now,
-                        Category::LambdaCompute,
-                        usd,
-                        format!("{id} {mem}MB released"),
-                    );
+                    inner.ledger.charge(Category::LambdaCompute, usd);
                     inner.pool.release(now.as_micros(), func, mem);
                     ev
                 }
@@ -484,12 +471,7 @@ impl Cloud {
                     );
                     let mem = lam.memory_mb;
                     let func = lam.func;
-                    inner.ledger.charge(
-                        now,
-                        Category::LambdaCompute,
-                        usd,
-                        format!("{id} aborted"),
-                    );
+                    inner.ledger.charge(Category::LambdaCompute, usd);
                     inner.pool.release(now.as_micros(), func, mem);
                     None
                 }
@@ -564,8 +546,8 @@ impl Cloud {
     // ----- Billing ---------------------------------------------------
 
     /// Records an arbitrary charge (used by the storage services).
-    pub fn charge(&self, at: SimTime, category: Category, usd: f64, note: impl Into<String>) {
-        self.inner.borrow_mut().ledger.charge(at, category, usd, note);
+    pub fn charge(&self, category: Category, usd: f64) {
+        self.inner.borrow_mut().ledger.charge(category, usd);
     }
 
     /// Total *finalized* spend so far.

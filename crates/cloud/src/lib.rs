@@ -43,7 +43,7 @@ pub mod coldstart;
 mod instance;
 mod pricing;
 
-pub use billing::{Category, Charge, Ledger};
+pub use billing::{Category, Ledger};
 pub use cloud::{Cloud, CloudSpec, LambdaId, LambdaState, VmId, VmState, PREWARMED_LAMBDA_MB};
 pub use coldstart::{
     ColdStartPolicy, ColdStartSpec, EvictReason, FixedKeepalive, HybridHistogram,

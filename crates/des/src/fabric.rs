@@ -4,37 +4,60 @@
 //! bytes/second. A [`Flow`] is a bulk transfer that traverses one or more
 //! links; at any instant every active flow receives its *max–min fair*
 //! rate (computed by water-filling across all links it touches). When flows
-//! start or finish, rates are recomputed and the simulated completion times
-//! of the remaining flows are rescheduled.
+//! start or finish, rates are recomputed and with them every remaining
+//! flow's completion time.
 //!
 //! This is the standard fluid approximation for bulk data movement in
 //! cluster simulators: it captures the contention effects the SplitServe
 //! paper measures (e.g. the single HDFS node's 750 Mbps EBS pipe shared by
 //! 16 shuffling executors) without per-packet simulation.
+//!
+//! # One completion timer
+//!
+//! The fabric keeps a single pending event: the completion of the flow that
+//! finishes first. Every arrival and departure recomputes *all* completion
+//! times, so of one event per flow only the earliest — the first started,
+//! among flows due at the same microsecond — could ever fire before the
+//! next recomputation replaced them all; arming just that one, at the same
+//! point in the program, leaves its place among the run's other events (its
+//! instant, and its sequence number relative to everything scheduled before
+//! and after) exactly what it was, and so every result. What changes is
+//! the queue traffic per arrival or departure: one cancel and one push
+//! instead of one of each per live flow.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use splitserve_rt::FastMap;
+use splitserve_rt::Slab;
 
-use crate::sim::{EventId, Sim};
+use crate::sim::{Action, EventHandler, EventId, Sim};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a link within a [`Fabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId(usize);
 
-/// Identifies an in-flight flow within a [`Fabric`].
+/// Identifies an in-flight flow within a [`Fabric`]: its slot in the flow
+/// table and which start, fabric-wide, it was — so a handle kept past its
+/// flow's end never names the slot's next tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowId(u64);
+pub struct FlowId {
+    slot: u32,
+    serial: u64,
+}
+
+impl FlowId {
+    /// The id of a transfer that needed no flow; never live.
+    const NEVER_LIVE: FlowId = FlowId {
+        slot: u32::MAX,
+        serial: u64::MAX,
+    };
+}
 
 struct Link {
     capacity: f64,    // bytes per second
-    active: Vec<u64>, // flow ids (kept sorted-by-insertion; deterministic)
+    active: Vec<u32>, // flow slots (kept sorted-by-insertion; deterministic)
 }
-
-/// Completion continuation of a flow.
-type FlowComplete = Box<dyn FnOnce(&mut Sim)>;
 
 /// The links a transfer crosses, stored inline: every real path is at
 /// most NIC → peer NIC → disk, so a heap `Vec` per flow (flows are created
@@ -113,6 +136,7 @@ impl LinkPath {
 }
 
 struct Flow {
+    serial: u64,
     total: f64,     // bytes
     remaining: f64, // bytes
     rate: f64,      // bytes per second
@@ -120,15 +144,19 @@ struct Flow {
     links: LinkPath,
     /// Water-fill round this flow was last frozen in (see [`Inner::water_fill`]).
     frozen_round: u64,
-    event: Option<EventId>,
-    on_complete: Option<FlowComplete>,
+    /// What runs when the last byte arrives.
+    done: Action,
 }
 
 #[derive(Default)]
 struct Inner {
     links: Vec<Link>,
-    flows: FastMap<u64, Flow>,
-    order: Vec<u64>, // deterministic iteration order of live flows
+    flows: Slab<Flow>,
+    /// Slots of the live flows in start order: the deterministic iteration
+    /// order, and the tie-break among flows due at the same instant.
+    order: Vec<u32>,
+    /// The one pending completion event (see the module docs).
+    timer: Option<EventId>,
     /// Indices of the links that carry at least one flow, ascending — all
     /// that water-filling has to look at, however many links were ever
     /// added (one per VM NIC/disk and per Lambda launched).
@@ -223,7 +251,7 @@ impl Fabric {
     /// The instantaneous rate of `flow` in bytes/second, or `None` if it
     /// already completed or was cancelled.
     pub fn flow_rate(&self, flow: FlowId) -> Option<f64> {
-        self.inner.borrow().flows.get(&flow.0).map(|f| f.rate)
+        self.inner.borrow().live(flow).map(|f| f.rate)
     }
 
     /// Starts a bulk transfer of `bytes` across `links`, invoking
@@ -240,44 +268,58 @@ impl Fabric {
         bytes: u64,
         on_complete: impl FnOnce(&mut Sim) + 'static,
     ) -> FlowId {
+        self.start(sim, links, bytes, Action::Call(Box::new(on_complete)))
+    }
+
+    /// [`Fabric::start_flow`] for an [`EventHandler`]: when the last byte
+    /// arrives, `handler.on_event(sim, token)` is called where the
+    /// closure would be — and nothing is allocated for the flow.
+    pub fn start_flow_notify(
+        &self,
+        sim: &mut Sim,
+        links: &[LinkId],
+        bytes: u64,
+        handler: Rc<dyn EventHandler>,
+        token: u64,
+    ) -> FlowId {
+        self.start(sim, links, bytes, Action::Notify(handler, token))
+    }
+
+    fn start(&self, sim: &mut Sim, links: &[LinkId], bytes: u64, done: Action) -> FlowId {
         if links.is_empty() || bytes == 0 {
-            let mut inner = self.inner.borrow_mut();
-            inner.bytes_completed += bytes as f64;
-            drop(inner);
-            sim.schedule_now(on_complete);
-            // A pseudo-id that is never live; cancel on it is a no-op.
-            return FlowId(u64::MAX);
+            self.inner.borrow_mut().bytes_completed += bytes as f64;
+            sim.schedule(sim.now(), done);
+            return FlowId::NEVER_LIVE;
         }
         let id = {
             let mut inner = self.inner.borrow_mut();
-            let id = inner.next_flow;
+            let serial = inner.next_flow;
             inner.next_flow += 1;
-            let now = sim.now();
-            inner.flows.insert(
-                id,
-                Flow {
-                    total: bytes as f64,
-                    remaining: bytes as f64,
-                    rate: 0.0,
-                    last_update: now,
-                    links: LinkPath::new(links),
-                    frozen_round: 0,
-                    event: None,
-                    on_complete: Some(Box::new(on_complete)),
-                },
-            );
-            inner.order.push(id);
+            let slot = inner.flows.insert(Flow {
+                serial,
+                total: bytes as f64,
+                remaining: bytes as f64,
+                rate: 0.0,
+                last_update: sim.now(),
+                links: LinkPath::new(links),
+                frozen_round: 0,
+                done,
+            });
+            inner.order.push(slot);
             for l in links {
                 if inner.links[l.0].active.is_empty() {
-                    let at = inner.busy.binary_search(&l.0).expect_err("idle link is not busy");
+                    let at = inner
+                        .busy
+                        .binary_search(&l.0)
+                        .expect_err("idle link is not busy");
                     inner.busy.insert(at, l.0);
                 }
-                inner.links[l.0].active.push(id);
+                inner.links[l.0].active.push(slot);
             }
-            id
+            FlowId { slot, serial }
         };
         self.rebalance(sim);
-        FlowId(id)
+        id
     }
 
     /// Cancels an in-flight flow without invoking its completion callback.
@@ -285,17 +327,8 @@ impl Fabric {
     pub fn cancel_flow(&self, sim: &mut Sim, flow: FlowId) -> bool {
         let existed = {
             let mut inner = self.inner.borrow_mut();
-            let now = sim.now();
-            inner.settle(now);
-            match inner.remove_flow(flow.0) {
-                Some(f) => {
-                    if let Some(ev) = f.event {
-                        sim.cancel(ev);
-                    }
-                    true
-                }
-                None => false,
-            }
+            inner.settle(sim.now());
+            inner.live(flow).is_some() && inner.remove_flow(flow.slot).is_some()
         };
         if existed {
             self.rebalance(sim);
@@ -303,65 +336,79 @@ impl Fabric {
         existed
     }
 
-    /// Called by the completion event of `flow_id`.
-    fn complete(&self, sim: &mut Sim, flow_id: u64) {
-        let cb = {
+    /// The completion timer fired: the flow in `slot` is done.
+    fn complete(&self, sim: &mut Sim, slot: u32) {
+        let done = {
             let mut inner = self.inner.borrow_mut();
-            let now = sim.now();
-            inner.settle(now);
-            match inner.remove_flow(flow_id) {
-                Some(mut f) => {
-                    inner.bytes_completed += f.total;
-                    f.on_complete.take()
-                }
-                None => None,
-            }
+            inner.timer = None;
+            inner.settle(sim.now());
+            let flow = inner
+                .remove_flow(slot)
+                .expect("the timer names a live flow");
+            inner.bytes_completed += flow.total;
+            flow.done
         };
         self.rebalance(sim);
-        if let Some(cb) = cb {
-            cb(sim);
-        }
+        done.run(sim);
     }
 
-    /// Recomputes max–min fair rates and reschedules completion events.
+    /// Recomputes max–min fair rates and re-arms the completion timer for
+    /// the flow that now finishes first (the first started, on ties).
     fn rebalance(&self, sim: &mut Sim) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let now = sim.now();
         inner.settle(now);
         inner.water_fill();
-        // Scheduling only queues the event, so the borrow can stay held.
-        for id in &inner.order {
-            let flow = inner.flows.get_mut(id).expect("live flow in order list");
-            if let Some(ev) = flow.event.take() {
-                sim.cancel(ev);
-            }
+        if let Some(timer) = inner.timer.take() {
+            sim.cancel(timer);
+        }
+        let mut first: Option<(SimTime, u32)> = None;
+        for &slot in &inner.order {
+            let flow = inner.flows.get(slot).expect("live flow in order list");
             debug_assert!(flow.rate > 0.0, "water-fill left a flow with zero rate");
             let secs = (flow.remaining / flow.rate).max(0.0);
             let at = now + SimDuration::from_secs_f64(secs);
-            let (handle, id) = (self.clone(), *id);
-            flow.event = Some(sim.schedule_at(at, move |sim| handle.complete(sim, id)));
+            if first.is_none_or(|(earliest, _)| at < earliest) {
+                first = Some((at, slot));
+            }
         }
+        // Scheduling only queues the event, so the borrow can stay held.
+        if let Some((at, slot)) = first {
+            inner.timer = Some(sim.notify_at(at, self.inner.clone(), u64::from(slot)));
+        }
+    }
+}
+
+impl EventHandler for RefCell<Inner> {
+    fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
+        let slot = u32::try_from(token).expect("the timer's token is a flow slot");
+        Fabric { inner: self }.complete(sim, slot);
     }
 }
 
 impl Inner {
     /// Advances every flow's `remaining` to `now` at its current rate.
     fn settle(&mut self, now: SimTime) {
-        for id in &self.order {
-            let f = self.flows.get_mut(id).expect("live flow in order list");
+        for &slot in &self.order {
+            let f = self.flows.get_mut(slot).expect("live flow in order list");
             let dt = now.saturating_since(f.last_update).as_secs_f64();
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
             f.last_update = now;
         }
     }
 
-    fn remove_flow(&mut self, id: u64) -> Option<Flow> {
-        let f = self.flows.remove(&id)?;
-        self.order.retain(|x| *x != id);
+    /// The flow `id` names, if it is still in flight.
+    fn live(&self, id: FlowId) -> Option<&Flow> {
+        self.flows.get(id.slot).filter(|f| f.serial == id.serial)
+    }
+
+    fn remove_flow(&mut self, slot: u32) -> Option<Flow> {
+        let f = self.flows.take(slot)?;
+        self.order.retain(|x| *x != slot);
         for l in f.links.as_slice() {
             let active = &mut self.links[l.0].active;
-            active.retain(|x| *x != id);
+            active.retain(|x| *x != slot);
             // A path may name a link twice; only its first visit finds
             // the link still listed.
             if active.is_empty() {
@@ -411,13 +458,12 @@ impl Inner {
                     _ => best = Some((li, share)),
                 }
             }
-            let (bottleneck, share) =
-                best.expect("unfrozen flows remain but no link carries them");
+            let (bottleneck, share) = best.expect("unfrozen flows remain but no link carries them");
             // Freeze every unfrozen flow crossing the bottleneck at `share`.
             let frozen_before = nfrozen;
             for j in 0..self.links[bottleneck].active.len() {
-                let id = self.links[bottleneck].active[j];
-                let f = self.flows.get_mut(&id).expect("active flow is live");
+                let slot = self.links[bottleneck].active[j];
+                let f = self.flows.get_mut(slot).expect("active flow is live");
                 if f.frozen_round == round {
                     continue;
                 }

@@ -7,11 +7,12 @@
 //!
 //! The crate provides four building blocks:
 //!
-//! - [`Sim`] — the event loop: a cancellable priority queue of
-//!   `FnOnce(&mut Sim)` callbacks with deterministic FIFO tie-breaking and a
-//!   seeded RNG, so every run is reproducible from its seed. The queue
-//!   keeps pre-scheduled far-future events in an append-only sorted run,
-//!   out of the small heap the near-term events churn through.
+//! - [`Sim`] — the event loop: a cancellable priority queue of events —
+//!   `FnOnce(&mut Sim)` callbacks, or allocation-free `(handler, token)`
+//!   pairs for an [`EventHandler`] — with deterministic FIFO tie-breaking
+//!   and a seeded RNG, so every run is reproducible from its seed. The
+//!   queue keeps pre-scheduled far-future events in an append-only sorted
+//!   run, out of the small heap the near-term events churn through.
 //! - [`SimTime`] / [`SimDuration`] — exact microsecond-resolution time.
 //! - [`Fabric`] — a fluid-flow network with max–min fair bandwidth sharing,
 //!   modeling NICs, EBS pipes and Lambda uplinks under contention.
@@ -43,6 +44,6 @@ mod token;
 
 pub use dist::Dist;
 pub use fabric::{Fabric, FlowId, LinkId, LinkPath};
-pub use sim::{EventFn, EventId, Sim};
+pub use sim::{EventFn, EventHandler, EventId, Sim};
 pub use time::{SimDuration, SimTime};
 pub use token::TokenBucket;

@@ -13,13 +13,16 @@
 //! smaller of the run's front and the heap's root, so pops come out in
 //! exactly the order one sorted queue would give.
 //!
-//! Keys are `Copy` and 24 bytes; the boxed callbacks sit still in a slab
-//! while keys are sifted.
+//! Keys are `Copy` and 24 bytes; what each event runs — a boxed closure
+//! or an inline `(handler, token)` pair, see [`Action`] — sits still in a
+//! slab while keys are sifted.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::sim::EventFn;
+use splitserve_rt::Slab;
+
+use crate::sim::Action;
 use crate::time::SimTime;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -64,30 +67,15 @@ pub(crate) struct EventQueue {
     run: VecDeque<Key>,
     /// The events that arrived out of run order.
     heap: BinaryHeap<Key>,
-    /// Callbacks by slot; `free` lists the vacant slots.
-    slab: Vec<Option<EventFn>>,
-    free: Vec<u32>,
+    /// What each queued key runs, by the key's slot.
+    slab: Slab<Action>,
 }
 
 impl EventQueue {
-    pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
-    }
-
-    /// Queues `f` under `(at, seq)`. `seq` must exceed every sequence
+    /// Queues `action` under `(at, seq)`. `seq` must exceed every sequence
     /// number pushed before — the run's sortedness rests on it.
-    pub fn push(&mut self, at: SimTime, seq: u64, f: EventFn) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(f);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("event slab overflow");
-                self.slab.push(Some(f));
-                slot
-            }
-        };
+    pub fn push(&mut self, at: SimTime, seq: u64, action: Action) {
+        let slot = self.slab.insert(action);
         let key = Key { at, seq, slot };
         match self.run.back() {
             Some(back) if at < back.at => self.heap.push(key),
@@ -105,7 +93,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest pending event.
-    pub fn pop(&mut self) -> Option<(Key, EventFn)> {
+    pub fn pop(&mut self) -> Option<(Key, Action)> {
         let from_heap = match (self.run.front(), self.heap.peek()) {
             (Some(r), Some(h)) => h.before(r),
             (Some(_), None) => false,
@@ -118,17 +106,20 @@ impl EventQueue {
             self.run.pop_front()
         }
         .expect("front was just seen");
-        let f = self.slab[key.slot as usize]
-            .take()
-            .expect("queued key owns its slot");
-        self.free.push(key.slot);
-        Some((key, f))
+        let action = self.slab.take(key.slot).expect("queued key owns its slot");
+        Some((key, action))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventQueue {
+        fn len(&self) -> usize {
+            self.run.len() + self.heap.len()
+        }
+    }
 
     fn drain(q: &mut EventQueue) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| q.pop())
@@ -140,7 +131,11 @@ mod tests {
     fn ascending_pushes_stay_out_of_the_heap() {
         let mut q = EventQueue::default();
         for (seq, at) in [5u64, 5, 7, 9].into_iter().enumerate() {
-            q.push(SimTime::from_micros(at), seq as u64, Box::new(|_| {}));
+            q.push(
+                SimTime::from_micros(at),
+                seq as u64,
+                Action::Call(Box::new(|_| {})),
+            );
         }
         assert_eq!(q.heap.len(), 0);
         assert_eq!(q.len(), 4);
@@ -152,7 +147,11 @@ mod tests {
         let mut q = EventQueue::default();
         let times = [50u64, 10, 60, 10, 55, 5, 60, 1, 70, 65];
         for (seq, at) in times.into_iter().enumerate() {
-            q.push(SimTime::from_micros(at), seq as u64, Box::new(|_| {}));
+            q.push(
+                SimTime::from_micros(at),
+                seq as u64,
+                Action::Call(Box::new(|_| {})),
+            );
         }
         assert!(!q.heap.is_empty() && !q.run.is_empty());
         let mut want: Vec<(u64, u64)> = times
@@ -170,9 +169,13 @@ mod tests {
     fn slots_are_reused() {
         let mut q = EventQueue::default();
         for seq in 0..100u64 {
-            q.push(SimTime::from_micros(seq), seq, Box::new(|_| {}));
+            q.push(
+                SimTime::from_micros(seq),
+                seq,
+                Action::Call(Box::new(|_| {})),
+            );
             drop(q.pop().expect("just pushed"));
         }
-        assert_eq!(q.slab.len(), 1);
+        assert_eq!(q.slab.slots(), 1);
     }
 }

@@ -1,12 +1,25 @@
 //! The event loop: a deterministic, cancellable discrete-event scheduler.
 //!
 //! [`Sim`] owns the virtual clock and a priority queue of events (see
-//! `queue.rs` for its shape). Each event is a boxed `FnOnce(&mut Sim)`;
-//! domain components (cloud, storage, engine) live in `Rc<RefCell<…>>`
-//! handles captured by those closures. Two events scheduled for the same
+//! `queue.rs` for its shape). An event runs one of two things when it
+//! fires. The general form is a boxed `FnOnce(&mut Sim)`: domain
+//! components (cloud, storage, engine) live in `Rc<RefCell<…>>` handles
+//! captured by those closures, and [`Sim::schedule_at`] and its siblings
+//! are the one way to schedule for everything that fires a few times per
+//! job. The components that fire an event per task or per block transfer
+//! (fabric, stores, scheduler) implement [`EventHandler`] instead and
+//! schedule `(handler, token)` pairs with [`Sim::notify_at`]: the pair is
+//! stored inline in the queue's slab, so scheduling allocates nothing, and
+//! the `u64` token names state the component parked for the event.
+//!
+//! Both forms are one stream: one queue, one sequence counter, one
+//! [`Sim::cancel`], one [`Sim::step`]. Two events scheduled for the same
 //! instant fire in scheduling order (a monotonically increasing sequence
 //! number breaks ties), which makes every run with the same seed
 //! bit-for-bit reproducible.
+
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 use splitserve_rt::Rng;
 
@@ -21,39 +34,113 @@ pub struct EventId(u64);
 /// schedule follow-up events.
 pub type EventFn = Box<dyn FnOnce(&mut Sim)>;
 
-/// Liveness of scheduled events, one bit per sequence number.
+/// A component that takes events as `(handler, token)` pairs rather than
+/// closures: what [`Sim::notify_at`] schedules and what a fabric flow
+/// started with `Fabric::start_flow_notify` calls on completion.
+///
+/// The receiver is the `Rc` the event carried, handed back: a component
+/// whose public handle wraps an `Rc` of its shared state rebuilds that
+/// handle from it at no cost.
+///
+/// # Examples
+///
+/// ```
+/// use splitserve_des::{EventHandler, Sim, SimDuration};
+/// use std::{cell::RefCell, rc::Rc};
+///
+/// /// Logs `(token, seconds)` per event.
+/// struct Log(RefCell<Vec<(u64, u64)>>);
+///
+/// impl EventHandler for Log {
+///     fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
+///         self.0.borrow_mut().push((token, sim.now().as_micros() / 1_000_000));
+///     }
+/// }
+///
+/// let mut sim = Sim::new(0);
+/// let log = Rc::new(Log(RefCell::default()));
+/// sim.notify_in(SimDuration::from_secs(2), log.clone(), 7);
+/// let early = sim.notify_in(SimDuration::from_secs(1), log.clone(), 8);
+/// sim.cancel(early);
+/// sim.run();
+/// assert_eq!(*log.0.borrow(), [(7, 2)]);
+/// ```
+pub trait EventHandler {
+    /// The event scheduled under `token` fired (`sim.now()` is its time).
+    fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64);
+}
+
+/// What an event runs when it fires.
+pub(crate) enum Action {
+    /// A boxed closure: one allocation per event.
+    Call(EventFn),
+    /// A handler and the token it parked state under: stored inline.
+    Notify(Rc<dyn EventHandler>, u64),
+}
+
+impl Action {
+    #[inline]
+    pub(crate) fn run(self, sim: &mut Sim) {
+        match self {
+            Action::Call(f) => f(sim),
+            Action::Notify(handler, token) => handler.on_event(sim, token),
+        }
+    }
+}
+
+/// Liveness of scheduled events, one bit per sequence number, over the
+/// window of sequence numbers that can still be live.
 ///
 /// Sequence numbers are dense and monotonically increasing, so a bitmap
 /// beats a hash set on the scheduler's hottest edge: every event is
 /// inserted once at schedule time and cleared once at fire/cancel time,
-/// and both become single word operations instead of hashes. Memory is
-/// one bit per event ever scheduled (an 8 M-event run costs 1 MB) and is
-/// the one part of the simulator that grows with a run's length rather
-/// than with its pending events.
+/// and both become single word operations instead of hashes. And because
+/// they only grow, a leading word whose 64 numbers have all been drawn and
+/// cleared can never be set again: it is retired, so memory follows the
+/// span between the oldest pending event and the newest, not the number
+/// of events ever scheduled.
 #[derive(Default)]
 struct LiveBits {
-    words: Vec<u64>,
+    /// Word `i` holds sequence numbers `64 * (base + i) ..`.
+    words: VecDeque<u64>,
+    /// Leading words retired so far.
+    base: u64,
+    /// Bits set.
+    count: usize,
 }
 
 impl LiveBits {
+    /// Sets the bit of `seq`, which must exceed every `seq` inserted
+    /// before.
     #[inline]
     fn insert(&mut self, seq: u64) {
-        let (w, b) = ((seq >> 6) as usize, seq & 63);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        let (w, b) = (((seq >> 6) - self.base) as usize, seq & 63);
+        if w == self.words.len() {
+            self.words.push_back(0);
         }
         self.words[w] |= 1 << b;
+        self.count += 1;
     }
 
     /// Clears the bit, reporting whether it was set — the cancel
     /// contract: `true` exactly once per scheduled event, then `false`
-    /// forever (fired and cancelled events look identical).
+    /// forever (fired and cancelled events look identical, in a retired
+    /// word or a kept one).
     #[inline]
     fn remove(&mut self, seq: u64) -> bool {
-        let (w, b) = ((seq >> 6) as usize, seq & 63);
-        match self.words.get_mut(w) {
-            Some(word) if *word & (1 << b) != 0 => {
-                *word &= !(1 << b);
+        let Some(w) = (seq >> 6).checked_sub(self.base) else {
+            return false;
+        };
+        match self.words.get_mut(w as usize) {
+            Some(word) if *word & (1 << (seq & 63)) != 0 => {
+                *word &= !(1 << (seq & 63));
+                self.count -= 1;
+                // The last word is the one new sequence numbers land in;
+                // every word before it is fully drawn.
+                while self.words.len() > 1 && self.words[0] == 0 {
+                    self.words.pop_front();
+                    self.base += 1;
+                }
                 true
             }
             _ => false,
@@ -62,8 +149,10 @@ impl LiveBits {
 
     #[inline]
     fn contains(&self, seq: u64) -> bool {
-        let (w, b) = ((seq >> 6) as usize, seq & 63);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+        (seq >> 6)
+            .checked_sub(self.base)
+            .and_then(|w| self.words.get(w as usize))
+            .is_some_and(|word| word & (1 << (seq & 63)) != 0)
     }
 }
 
@@ -100,7 +189,7 @@ impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
-            .field("pending", &self.queue.len())
+            .field("pending", &self.live.count)
             .field("executed", &self.executed)
             .field("seed", &self.seed)
             .finish()
@@ -137,10 +226,19 @@ impl Sim {
         self.executed
     }
 
-    /// Number of events still pending (including cancelled tombstones not
-    /// yet reaped).
+    /// Number of events scheduled so far — fired, pending and cancelled
+    /// alike: the sequence numbers drawn. Against
+    /// [`Sim::executed_events`] it shows cancel-and-re-schedule churn that
+    /// no virtual result can.
+    pub fn scheduled_events(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Number of events still pending: scheduled, not yet fired, not
+    /// cancelled. (A cancelled event's queue entry stays behind until its
+    /// time comes and is skipped then; it is not counted here.)
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.live.count
     }
 
     /// The simulator's deterministic random number generator.
@@ -158,6 +256,38 @@ impl Sim {
     /// Panics if `at` is earlier than the current time (events cannot fire
     /// in the past).
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) -> EventId {
+        self.schedule(at, Action::Call(Box::new(f)))
+    }
+
+    /// Schedules `handler.on_event(sim, token)` at absolute time `at`,
+    /// without allocating. Ordering, ties and [`Sim::cancel`] are those of
+    /// [`Sim::schedule_at`]: the two forms draw from one sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    pub fn notify_at(&mut self, at: SimTime, handler: Rc<dyn EventHandler>, token: u64) -> EventId {
+        self.schedule(at, Action::Notify(handler, token))
+    }
+
+    /// [`Sim::notify_at`], `delay` from now.
+    pub fn notify_in(
+        &mut self,
+        delay: SimDuration,
+        handler: Rc<dyn EventHandler>,
+        token: u64,
+    ) -> EventId {
+        self.notify_at(self.after(delay), handler, token)
+    }
+
+    fn after(&self, delay: SimDuration) -> SimTime {
+        self.now
+            .checked_add(delay)
+            .expect("simulation clock overflow")
+    }
+
+    /// The one way onto the queue: draws the next sequence number.
+    pub(crate) fn schedule(&mut self, at: SimTime, action: Action) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: at={at} now={}",
@@ -166,7 +296,7 @@ impl Sim {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live.insert(seq);
-        self.queue.push(at, seq, Box::new(f));
+        self.queue.push(at, seq, action);
         EventId(seq)
     }
 
@@ -176,11 +306,7 @@ impl Sim {
         delay: SimDuration,
         f: impl FnOnce(&mut Sim) + 'static,
     ) -> EventId {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("simulation clock overflow");
-        self.schedule_at(at, f)
+        self.schedule_at(self.after(delay), f)
     }
 
     /// Schedules `f` to run at the current instant, after all callbacks
@@ -201,14 +327,14 @@ impl Sim {
     /// Executes the next pending event, advancing the clock to its time.
     /// Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        while let Some((key, f)) = self.queue.pop() {
+        while let Some((key, action)) = self.queue.pop() {
             if !self.live.remove(key.seq) {
                 continue; // cancelled
             }
             debug_assert!(key.at >= self.now, "event queue went backwards");
             self.now = key.at;
             self.executed += 1;
-            f(self);
+            action.run(self);
             return true;
         }
         false
@@ -370,5 +496,111 @@ mod tests {
         sim.step();
         assert_eq!(sim.executed_events(), 1);
         assert_eq!(sim.pending_events(), 1);
+    }
+
+    /// Pushes each token it is handed onto the shared log.
+    struct Typed(Rc<RefCell<Vec<u32>>>);
+
+    impl EventHandler for Typed {
+        fn on_event(self: Rc<Self>, _sim: &mut Sim, token: u64) {
+            self.0.borrow_mut().push(token as u32);
+        }
+    }
+
+    #[test]
+    fn counters_count_both_kinds_and_only_live_events_are_pending() {
+        let mut sim = Sim::new(0);
+        let (log, make) = recorder();
+        let typed = Rc::new(Typed(Rc::clone(&log)));
+        sim.schedule_at(SimTime::from_secs(1), make(1));
+        sim.notify_at(SimTime::from_secs(2), typed.clone(), 2);
+        let dropped = sim.notify_at(SimTime::from_secs(3), typed, 3);
+        assert_eq!((sim.scheduled_events(), sim.pending_events()), (3, 3));
+        sim.step();
+        assert_eq!((sim.executed_events(), sim.pending_events()), (1, 2));
+        // A cancelled event stops counting as pending at once.
+        sim.cancel(dropped);
+        assert_eq!(sim.pending_events(), 1);
+        sim.run();
+        assert_eq!((sim.executed_events(), sim.pending_events()), (2, 0));
+        assert_eq!(sim.scheduled_events(), 3);
+        assert_eq!(*log.borrow(), vec![1, 2]);
+    }
+
+    #[test]
+    fn typed_and_boxed_events_of_one_instant_fire_in_scheduling_order() {
+        let mut sim = Sim::new(0);
+        let (log, make) = recorder();
+        let typed = Rc::new(Typed(Rc::clone(&log)));
+        for tag in 0..10 {
+            if tag % 2 == 0 {
+                sim.schedule_at(SimTime::from_secs(1), make(tag));
+            } else {
+                sim.notify_in(SimDuration::from_secs(1), typed.clone(), u64::from(tag));
+            }
+        }
+        sim.run();
+        assert_eq!(*log.borrow(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cancel_suppresses_a_typed_event_once_and_only_once() {
+        let mut sim = Sim::new(0);
+        let (log, _make) = recorder();
+        let typed = Rc::new(Typed(Rc::clone(&log)));
+        let keep = sim.notify_at(SimTime::from_secs(1), typed.clone(), 1);
+        let drop_id = sim.notify_at(SimTime::from_secs(2), typed.clone(), 2);
+        assert!(sim.cancel(drop_id));
+        assert!(!sim.cancel(drop_id), "double-cancel reports false");
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1]);
+        assert!(!sim.cancel(keep), "cancelling a fired event reports false");
+        // The cancelled event's handler reference went with its queue entry.
+        assert_eq!(Rc::strong_count(&typed), 1);
+    }
+
+    /// The hold model: every event schedules its successor a random delay
+    /// ahead, so the pending population stays put while sequence numbers
+    /// run away from it.
+    struct Hold {
+        left: RefCell<u64>,
+    }
+
+    impl EventHandler for Hold {
+        fn on_event(self: Rc<Self>, sim: &mut Sim, _token: u64) {
+            let more = {
+                let mut left = self.left.borrow_mut();
+                *left = left.saturating_sub(1);
+                *left > 0
+            };
+            if more {
+                let delay = SimDuration::from_micros(sim.rng().gen_range(1..1_000_000u64));
+                sim.notify_in(delay, self, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn live_bits_follow_the_pending_window_not_the_run_length() {
+        let mut sim = Sim::new(1);
+        let hold = Rc::new(Hold {
+            left: RefCell::new(500_000),
+        });
+        let first = sim.notify_in(SimDuration::from_micros(1), hold.clone(), 0);
+        for _ in 1..1_000 {
+            let delay = SimDuration::from_micros(sim.rng().gen_range(1..1_000_000u64));
+            sim.notify_in(delay, hold.clone(), 0);
+        }
+        let mut peak_words = 0;
+        while sim.step() {
+            assert!(sim.pending_events() <= 1_000);
+            peak_words = peak_words.max(sim.live.words.len());
+        }
+        assert!(sim.scheduled_events() >= 500_000);
+        // One bit per event ever scheduled would be 7 813 words.
+        assert!(peak_words < 1_024, "live bitmap grew to {peak_words} words");
+        assert!(sim.live.base > 7_000 && sim.live.count == 0);
+        assert!(!sim.cancel(first), "a long-fired id, its word long retired");
+        assert!(!sim.live.contains(first.0));
     }
 }

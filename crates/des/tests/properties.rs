@@ -231,6 +231,207 @@ fn busy_link_water_fill_matches_brute_force() {
     });
 }
 
+/// The completion rule the fabric's single timer replaced, as a model of
+/// its own: every arrival and departure gives *every* live flow a fresh
+/// completion event — consecutive sequence numbers in start order — and
+/// whatever is earliest by `(instant, sequence number)` fires next, the
+/// closure-scheduled bystanders included.
+struct PerFlowEvents {
+    capacity: Vec<f64>,
+    now: SimTime,
+    /// When the flows' `remaining` was last brought up to date.
+    settled: SimTime,
+    seq: u64,
+    /// Live flows in start order.
+    flows: Vec<ModelFlow>,
+    /// Pending bystander events: `(instant, seq, tag)`.
+    bystanders: Vec<(SimTime, u64, usize)>,
+    bytes_completed: f64,
+    log: Vec<Fired>,
+}
+
+struct ModelFlow {
+    tag: usize,
+    links: Vec<usize>,
+    total: f64,
+    remaining: f64,
+    rate: f64,
+    due: (SimTime, u64),
+}
+
+/// `(bystander?, flow tag, microsecond)`.
+type Fired = (bool, usize, u64);
+
+impl PerFlowEvents {
+    /// Advances every flow to the clock at its current rate.
+    fn settle(&mut self) {
+        let dt = self.now.saturating_since(self.settled).as_secs_f64();
+        for f in &mut self.flows {
+            f.remaining = (f.remaining - f.rate * dt).max(0.0);
+        }
+        self.settled = self.now;
+    }
+
+    fn rebalance(&mut self) {
+        let live: Vec<RefFlow> = self.flows.iter().map(|f| (f.tag, f.links.clone())).collect();
+        let rates = brute_force_rates(&self.capacity, &live);
+        for (f, (_, rate)) in self.flows.iter_mut().zip(rates) {
+            f.rate = rate;
+            let secs = (f.remaining / f.rate).max(0.0);
+            f.due = (self.now + SimDuration::from_secs_f64(secs), self.seq);
+            self.seq += 1;
+        }
+    }
+
+    fn start(&mut self, tag: usize, links: Vec<usize>, bytes: u64) {
+        self.settle();
+        let (total, due) = (bytes as f64, (self.now, 0));
+        self.flows.push(ModelFlow { tag, links, total, remaining: total, rate: 0.0, due });
+        self.rebalance();
+    }
+
+    fn cancel(&mut self, tag: usize) -> bool {
+        self.settle();
+        let live = self.flows.iter().position(|f| f.tag == tag);
+        if let Some(i) = live {
+            self.flows.remove(i);
+            self.rebalance();
+        }
+        live.is_some()
+    }
+
+    /// Fires everything due by `deadline`, then moves the clock there.
+    fn run_until(&mut self, deadline: SimTime) {
+        loop {
+            let flow = self.flows.iter().map(|f| f.due).min();
+            let bystander = self.bystanders.iter().map(|b| (b.0, b.1)).min();
+            match (flow, bystander) {
+                (Some(due), b) if due.0 <= deadline && b.is_none_or(|b| due < b) => {
+                    let i = self.flows.iter().position(|f| f.due == due).expect("just seen");
+                    self.now = due.0;
+                    self.settle();
+                    let done = self.flows.remove(i);
+                    self.bytes_completed += done.total;
+                    self.rebalance();
+                    self.log.push((false, done.tag, due.0.as_micros()));
+                    self.bystanders.push((self.now, self.seq, done.tag));
+                    self.seq += 1;
+                }
+                (_, Some(due)) if due.0 <= deadline => {
+                    let i = self.bystanders.iter().position(|b| (b.0, b.1) == due);
+                    let (at, _, tag) = self.bystanders.remove(i.expect("just seen"));
+                    self.now = at;
+                    self.log.push((true, tag, at.as_micros()));
+                }
+                _ => break,
+            }
+        }
+        self.now = self.now.max(deadline);
+    }
+}
+
+/// One armed timer — the earliest completion, the first-started flow's on
+/// ties — fires the same completions at the same microseconds, in the
+/// same order among themselves and among non-fabric events of the same
+/// instants, as one event per flow did; `bytes_completed` adds up in the
+/// same order, so it is equal to the bit.
+#[test]
+fn single_timer_fires_what_per_flow_events_would() {
+    check::run("single_timer_fires_what_per_flow_events_would", 96, |g| {
+        let mut sim = Sim::new(0);
+        let fabric = Fabric::new();
+        // Round capacities and sizes make same-microsecond completions common.
+        let capacity: Vec<f64> = (0..g.usize_in(1, 6))
+            .map(|_| [1_000.0, 2_000.0, 8_000.0][g.usize_in(0, 3)])
+            .collect();
+        let links: Vec<_> = capacity.iter().map(|c| fabric.add_link(*c, "l")).collect();
+        let mut model = PerFlowEvents {
+            capacity,
+            now: SimTime::ZERO,
+            settled: SimTime::ZERO,
+            seq: 0,
+            flows: Vec::new(),
+            bystanders: Vec::new(),
+            bytes_completed: 0.0,
+            log: Vec::new(),
+        };
+        let log: Rc<RefCell<Vec<Fired>>> = Rc::new(RefCell::new(Vec::new()));
+        let mut handles = Vec::new();
+        let mut at = SimTime::ZERO;
+        for _ in 0..g.usize_in(1, 80) {
+            // Often act again within the same instant.
+            if g.bool() {
+                at += SimDuration::from_millis(g.u64_in(0, 4) * 250);
+            }
+            sim.run_until(at);
+            model.run_until(at);
+            if handles.is_empty() || g.u64_in(0, 4) > 0 {
+                let mut path: Vec<usize> = Vec::new();
+                for _ in 0..g.usize_in(1, 4) {
+                    let l = g.usize_in(0, links.len());
+                    if !path.contains(&l) {
+                        path.push(l);
+                    }
+                }
+                let bytes = [500, 1_000, 1_000, 4_000][g.usize_in(0, 4)] * g.u64_in(1, 4);
+                let tag = handles.len();
+                let ids: Vec<_> = path.iter().map(|l| links[*l]).collect();
+                let l = Rc::clone(&log);
+                handles.push(fabric.start_flow(&mut sim, &ids, bytes, move |sim| {
+                    let now = sim.now().as_micros();
+                    l.borrow_mut().push((false, tag, now));
+                    let l = Rc::clone(&l);
+                    sim.schedule_now(move |_| l.borrow_mut().push((true, tag, now)));
+                }));
+                model.start(tag, path, bytes);
+            } else {
+                let tag = g.usize_in(0, handles.len());
+                assert_eq!(fabric.cancel_flow(&mut sim, handles[tag]), model.cancel(tag));
+            }
+            assert_eq!(fabric.active_flows(), model.flows.len());
+            assert_eq!(*log.borrow(), model.log);
+        }
+        sim.run();
+        model.run_until(SimTime::from_secs(1_000_000));
+        assert!(model.flows.is_empty() && model.bystanders.is_empty());
+        assert_eq!(*log.borrow(), model.log);
+        assert_eq!(
+            fabric.bytes_completed().to_bits(),
+            model.bytes_completed.to_bits()
+        );
+    });
+}
+
+/// The queue holds one fabric event however many flows are live, and drew
+/// one sequence number per arrival; and a handle kept past its flow's end
+/// does not reach the flow that took over its slot.
+#[test]
+fn one_pending_event_per_fabric_and_stale_flow_ids_stay_dead() {
+    let mut sim = Sim::new(0);
+    let fabric = Fabric::new();
+    let link = fabric.add_link(1_000.0, "l");
+    let first = fabric.start_flow(&mut sim, &[link], 10, |_| {});
+    for _ in 1..256 {
+        fabric.start_flow(&mut sim, &[link], 1_000_000, |_| {});
+    }
+    // One event per live flow, re-made per arrival, was 256 live events
+    // over 32 896 scheduled.
+    assert_eq!((sim.pending_events(), sim.scheduled_events()), (1, 256));
+    assert!(sim.step(), "the small flow finishes");
+    assert_eq!((fabric.active_flows(), sim.pending_events()), (255, 1));
+    assert_eq!(fabric.flow_rate(first), None);
+
+    // The newcomer takes the vacated slot; the old handle stays dead.
+    let newcomer = fabric.start_flow(&mut sim, &[link], 1_000_000, |_| {});
+    assert_eq!(fabric.active_flows(), 256);
+    assert_eq!(fabric.flow_rate(first), None);
+    assert!(!fabric.cancel_flow(&mut sim, first));
+    assert_eq!(fabric.active_flows(), 256);
+    assert_eq!(fabric.flow_rate(newcomer), Some(1_000.0 / 256.0));
+    assert!(fabric.cancel_flow(&mut sim, newcomer));
+    assert_eq!((fabric.active_flows(), sim.pending_events()), (255, 1));
+}
+
 /// With a single shared link, total transfer time equals total bytes /
 /// capacity regardless of how the bytes are split across flows
 /// (work conservation of max–min fair sharing).

@@ -21,13 +21,13 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::{Arc, Weak};
 
-use splitserve_des::{Sim, SimDuration, SimTime};
+use splitserve_des::{EventHandler, Sim, SimDuration, SimTime};
 use splitserve_obs::SpanId;
-use splitserve_rt::{Bytes, FastMap, FastSet, WorkerPool};
+use splitserve_rt::{Bytes, FastMap, FastSet, Slab, TaskHandle, WorkerPool};
 use splitserve_storage::{BlockId, BlockStore, ClientLoc, StoreError};
 
-use crate::config::EngineConfig;
-use crate::context::TaskContext;
+use crate::config::{EngineConfig, WorkModel};
+use crate::context::{TaskContext, TaskSeries};
 use crate::events::{EngineEventKind, EngineEventKind as E, EventLog, FailureKind, JobId};
 use crate::events::{ShufflePhase, TaskRef};
 use crate::executor::{ExecutorDesc, ExecutorId, ExecutorKind};
@@ -134,6 +134,44 @@ struct WriteWindow {
     span: SpanId,
     started: SimTime,
 }
+
+/// A task body between its launch and its completion event, named by
+/// slot in the two events of its life. Deliberately *not* part of the
+/// [`Attempt`] record: the join runs the body and schedules the completion
+/// even when the attempt died mid-flight (the completion then finds no
+/// attempt and stops), so the run's event structure never depends on fault
+/// timing.
+enum Compute {
+    /// Until the join event.
+    Launched {
+        attempt: AttemptId,
+        launched_at: SimTime,
+        /// Effective core speed and memory of the executor, as of launch.
+        speed: f64,
+        mem_bytes: u64,
+        body: Body,
+    },
+    /// From the join event to the completion event: what the body made and
+    /// the CPU seconds it charged.
+    Joined(AttemptId, ComputePayload, f64),
+}
+
+/// A launched body: already running on a worker thread, or — inline mode —
+/// what it needs to run on the simulation thread when the join fires.
+enum Body {
+    Pooled(TaskHandle<BodyResult>),
+    Inline {
+        terminal: Arc<dyn PlanNode>,
+        kind: StageKind,
+        part: usize,
+        inputs: FastMap<ShuffleId, Vec<Bytes>>,
+    },
+}
+
+/// Token bit of a task's join and completion events, which carry a
+/// [`Compute`] slot (what is parked there tells the two apart); clear on
+/// its launch event, which carries the attempt id.
+const COMPUTE: u64 = 1 << 63;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StageState {
@@ -277,6 +315,8 @@ struct Inner {
     /// and rollback walk instead of the whole table.
     active: Vec<JobId>,
     attempts: FastMap<AttemptId, Attempt>,
+    /// Launched task bodies waiting for their join or completion event.
+    computes: Slab<Compute>,
     pending: VecDeque<(JobId, StageId, usize)>,
     next_attempt: u64,
     tracker: MapOutputTracker,
@@ -453,6 +493,9 @@ pub struct LiveState {
     pub shuffles: usize,
     /// Task attempts in flight.
     pub attempts: usize,
+    /// Task bodies launched whose completion event has not fired — live
+    /// attempts' and dead ones' alike.
+    pub parked_computes: usize,
 }
 
 /// What every [`Engine`] handle shares.
@@ -526,6 +569,46 @@ enum ComputePayload {
 /// charge and working-set size (the inputs of the duration model).
 type BodyResult = (ComputePayload, f64, u64);
 
+/// A task's real computation (map compute, shuffle combine+encode, reduce
+/// decode+merge), on whichever thread runs it.
+fn run_body(
+    terminal: &dyn PlanNode,
+    kind: &StageKind,
+    part: usize,
+    work: WorkModel,
+    inputs: FastMap<ShuffleId, Vec<Bytes>>,
+    series: TaskSeries,
+) -> BodyResult {
+    let mut ctx = TaskContext::new(work, inputs).with_series(series);
+    let data = terminal.compute(&mut ctx, part);
+    let payload = match kind {
+        StageKind::ShuffleMap(dep) => ComputePayload::MapOut((dep.partitioner)(&mut ctx, data)),
+        StageKind::Result => ComputePayload::ResultOut(data),
+    };
+    (payload, ctx.cpu_secs(), ctx.working_set_bytes())
+}
+
+impl EventHandler for Shared {
+    fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
+        let engine = Engine { shared: self };
+        if token & COMPUTE == 0 {
+            return engine.begin_fetch(sim, AttemptId(token));
+        }
+        let slot = u32::try_from(token & !COMPUTE).expect("a compute token carries a slot");
+        // Out of the table before anything runs: the body's inputs and
+        // outputs are held exactly as long as the events need them.
+        let parked = engine.shared.inner.borrow_mut().computes.take(slot);
+        match parked.expect("a compute event names a parked body") {
+            Compute::Launched { attempt, launched_at, speed, mem_bytes, body } => {
+                engine.join_compute(sim, attempt, launched_at, speed, mem_bytes, body)
+            }
+            Compute::Joined(attempt, payload, cpu) => {
+                engine.after_compute(sim, attempt, payload, cpu)
+            }
+        }
+    }
+}
+
 /// The task inputs a finished fetch hands to compute: every input shuffle
 /// of `stage` gets an entry (even when this reduce partition received no
 /// bytes from it), holding its blocks in map order — the plan's order.
@@ -567,6 +650,7 @@ impl Engine {
                     jobs: Vec::new(),
                     active: Vec::new(),
                     attempts: FastMap::default(),
+                    computes: Slab::default(),
                     pending: VecDeque::new(),
                     next_attempt: 0,
                     tracker: MapOutputTracker::new(),
@@ -609,6 +693,7 @@ impl Engine {
             jobs: inner.jobs.iter().filter(|j| j.live.is_some()).count(),
             shuffles: inner.tracker.shuffle_count(),
             attempts: inner.attempts.len(),
+            parked_computes: inner.computes.len(),
         }
     }
 
@@ -1163,8 +1248,7 @@ impl Engine {
                 inner.driver_free_at = start_at;
                 (attempt, start_at)
             };
-            let engine = self.clone();
-            sim.schedule_at(start_at, move |sim| engine.begin_fetch(sim, attempt));
+            sim.notify_at(start_at, self.shared.clone(), attempt.0);
         }
     }
 
@@ -1342,100 +1426,85 @@ impl Engine {
         inputs: FastMap<ShuffleId, Vec<Bytes>>,
     ) {
         let sh = &*self.shared;
-        let (terminal, kind, part, work, speed, mem_bytes) = {
-            let inner = sh.inner.borrow();
-            let Some(a) = inner.attempts.get(&attempt) else {
-                return;
-            };
-            let info = a.info;
-            let (speed, mem_bytes) = {
-                let meta = inner.exec(info.task.exec).expect("executor of live attempt");
-                (
-                    meta.desc.core_speed * meta.speed_factor,
-                    meta.desc.memory_bytes(),
-                )
-            };
-            let job = inner.jobs[info.task.job.0 as usize]
-                .live
-                .as_ref()
-                .expect("an attempt pins its job");
-            let stage = job.graph.stage(info.task.stage);
-            (
-                Arc::clone(&stage.terminal),
-                stage.kind.clone(),
-                info.task.part,
-                inner.cfg.work.clone(),
-                speed,
-                mem_bytes,
-            )
+        let mut inner = sh.inner.borrow_mut();
+        let inner = &mut *inner;
+        let Some(a) = inner.attempts.get(&attempt) else {
+            return;
         };
+        let task = a.info.task;
+        let meta = inner.exec(task.exec).expect("executor of live attempt");
+        let (speed, mem_bytes) = (meta.desc.core_speed * meta.speed_factor, meta.desc.memory_bytes());
+        let job = inner.jobs[task.job.0 as usize]
+            .live
+            .as_ref()
+            .expect("an attempt pins its job");
+        let stage = job.graph.stage(task.stage);
+        let (terminal, kind, part) = (Arc::clone(&stage.terminal), stage.kind.clone(), task.part);
+        let work = &inner.cfg.work;
         let deser_secs = inputs
             .values()
             .flat_map(|v| v.iter())
             .map(|b| b.len() as u64)
             .sum::<u64>() as f64
             * work.deser_secs_per_byte;
-        let series = sh.tele.task_series().clone();
-        let body_work = work.clone();
-        let body = move || {
-            let mut ctx = TaskContext::new(body_work, inputs).with_series(series);
-            let data = terminal.compute(&mut ctx, part);
-            let payload = match &kind {
-                StageKind::ShuffleMap(dep) => {
-                    ComputePayload::MapOut((dep.partitioner)(&mut ctx, data))
-                }
-                StageKind::Result => ComputePayload::ResultOut(data),
-            };
-            (payload, ctx.cpu_secs(), ctx.working_set_bytes())
-        };
         let launched_at = sim.now();
         let join_at =
             launched_at + work.task_overhead + SimDuration::from_secs_f64(deser_secs / speed);
-        let engine = self.clone();
         // One event either way: a pooled body is already running on a
-        // worker thread and is collected at the join; an inline body rides
-        // in the join event and runs when it fires.
-        match &sh.pool {
+        // worker thread and is collected at the join; an inline body is
+        // parked as its ingredients and runs when the join fires.
+        let body = match &sh.pool {
             Some(pool) => {
-                let running = pool.submit(body);
-                sim.schedule_at(join_at, move |sim| {
-                    let done = running.join();
-                    engine.join_compute(sim, attempt, done, launched_at, work, speed, mem_bytes);
-                });
+                let (work, series) = (work.clone(), sh.tele.task_series().clone());
+                Body::Pooled(pool.submit(move || {
+                    run_body(&*terminal, &kind, part, work, inputs, series)
+                }))
             }
-            None => {
-                sim.schedule_at(join_at, move |sim| {
-                    let done = body();
-                    engine.join_compute(sim, attempt, done, launched_at, work, speed, mem_bytes);
-                });
-            }
-        }
+            None => Body::Inline { terminal, kind, part, inputs },
+        };
+        let slot = inner.computes.insert(Compute::Launched {
+            attempt,
+            launched_at,
+            speed,
+            mem_bytes,
+            body,
+        });
+        sim.notify_at(join_at, self.shared.clone(), COMPUTE | u64::from(slot));
     }
 
-    /// The join event, once it holds the task body's result: schedules the
-    /// completion at the instant the duration model dictates. Runs even
-    /// when the attempt died mid-flight (`after_compute` discards dead
-    /// attempts) so the event structure never depends on fault timing.
-    #[allow(clippy::too_many_arguments)]
+    /// The join event: collects the task body's result — running it now,
+    /// if it was parked inline — and schedules the completion at the
+    /// instant the duration model dictates. Runs even when the attempt
+    /// died mid-flight (`after_compute` discards dead attempts) so the
+    /// event structure never depends on fault timing.
     fn join_compute(
         &self,
         sim: &mut Sim,
         attempt: AttemptId,
-        (payload, cpu, working_set): BodyResult,
         launched_at: SimTime,
-        work: crate::config::WorkModel,
         speed: f64,
         mem_bytes: u64,
+        body: Body,
     ) {
+        let sh = &*self.shared;
+        // The body runs with the scheduler's state released.
+        let (payload, cpu, working_set) = match body {
+            Body::Pooled(running) => running.join(),
+            Body::Inline { terminal, kind, part, inputs } => {
+                let work = sh.inner.borrow().cfg.work.clone();
+                let series = sh.tele.task_series().clone();
+                run_body(&*terminal, &kind, part, work, inputs, series)
+            }
+        };
+        let mut inner = sh.inner.borrow_mut();
+        let work = &inner.cfg.work;
         let pressure = working_set as f64 / mem_bytes as f64;
         let gc = work.gc_factor(pressure);
         let dur = work.task_overhead + SimDuration::from_secs_f64(cpu / speed * gc);
-        let engine = self.clone();
+        let slot = inner.computes.insert(Compute::Joined(attempt, payload, cpu));
         // `cpu >= deser_bound` (charged at context construction) and
         // `gc >= 1`, so `launched_at + dur >= now`: never in the past.
-        sim.schedule_at(launched_at + dur, move |sim| {
-            engine.after_compute(sim, attempt, payload, cpu);
-        });
+        sim.notify_at(launched_at + dur, self.shared.clone(), COMPUTE | u64::from(slot));
     }
 
     /// The task's modeled CPU time has elapsed; persist outputs.

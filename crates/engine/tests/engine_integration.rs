@@ -375,7 +375,8 @@ fn finished_jobs_leave_no_scheduler_state_behind() {
         LiveState {
             jobs: 0,
             shuffles: 0,
-            attempts: 0
+            attempts: 0,
+            parked_computes: 0
         }
     );
     assert!(!rig.engine.has_active_jobs());
@@ -400,7 +401,8 @@ fn resubmitted_dataset_skips_its_map_stage_while_it_is_held() {
         LiveState {
             jobs: 0,
             shuffles: 1,
-            attempts: 0
+            attempts: 0,
+            parked_computes: 0
         }
     );
     // … and the second submission runs the result stage only.
@@ -454,7 +456,8 @@ fn stale_attempt_of_a_finished_job_lands_safely() {
         LiveState {
             jobs: 1,
             shuffles: 1,
-            attempts: 1
+            attempts: 1,
+            parked_computes: 1
         },
         "the finished job is held while its re-run map task is in flight"
     );
@@ -478,7 +481,8 @@ fn stale_attempt_of_a_finished_job_lands_safely() {
         LiveState {
             jobs: 0,
             shuffles: 0,
-            attempts: 0
+            attempts: 0,
+            parked_computes: 0
         }
     );
 }

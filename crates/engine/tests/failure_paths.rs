@@ -7,11 +7,13 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use splitserve_des::{Fabric, Sim, SimTime};
 use splitserve_engine::{
     collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, FailureKind,
-    JobOutput,
+    JobOutput, LiveState,
 };
 use splitserve_obs::Obs;
 use splitserve_storage::{FaultStore, HdfsSpec, HdfsStore, SharedStore, StoreFaults};
@@ -26,6 +28,10 @@ struct Rig {
 /// interposed; shared shuffle keeps the focus on *injected* failures
 /// (nothing is lost organically when an executor dies).
 fn faulty_hdfs_rig(executors: usize, faults: StoreFaults) -> Rig {
+    faulty_hdfs_rig_with_workers(executors, faults, 1)
+}
+
+fn faulty_hdfs_rig_with_workers(executors: usize, faults: StoreFaults, workers: usize) -> Rig {
     let fabric = Fabric::new();
     let hdfs = HdfsStore::new(HdfsSpec::default(), fabric.clone());
     let nn_nic = fabric.add_link(1e9, "hdfs-nic");
@@ -35,6 +41,7 @@ fn faulty_hdfs_rig(executors: usize, faults: StoreFaults) -> Rig {
     let obs = Obs::enabled();
     let cfg = EngineConfig {
         obs: obs.clone(),
+        workers,
         ..EngineConfig::default()
     };
     let engine = Engine::new(cfg, FaultStore::wrap(store, faults));
@@ -211,4 +218,52 @@ fn repeated_injected_fetch_failures_still_converge() {
         .metrics
         .counter_value("tasks_failed_total", &[("reason", "fetch-failed")]);
     assert!((1..=2).contains(&seen), "got {seen} fetch-failed tasks");
+}
+
+/// The compute events of an attempt that died mid-flight belong to the
+/// run's event structure, not to the attempt: a kill between a task's
+/// launch (8 ms) and its join (20 ms) still runs the body, still fires the
+/// join and the completion, and leaves nothing parked — inline and pooled.
+#[test]
+fn a_kill_between_launch_and_join_still_runs_the_body_and_fires_both_compute_events() {
+    /// `Sim::executed_events` of this run, recorded on the commit before
+    /// the compute events moved off closures.
+    const EXECUTED: u64 = 103;
+    for workers in [1, 2] {
+        let mut rig = faulty_hdfs_rig_with_workers(3, StoreFaults::new(), workers);
+        let mapped = Arc::new(AtomicUsize::new(0));
+        let m = Arc::clone(&mapped);
+        let ds = Dataset::parallelize((0..3_000u64).collect(), 6)
+            .map(move |i| {
+                m.fetch_add(1, Ordering::Relaxed);
+                (i % 30, 1u64)
+            })
+            .reduce_by_key(3, |a, b| a + b);
+        let engine = rig.engine.clone();
+        rig.sim.schedule_at(SimTime::from_millis(15), move |sim| {
+            assert!(
+                engine.executor_info(&"e-vm-1".into()).expect("registered").busy,
+                "the kill must strike a launched task"
+            );
+            engine.kill_executor(sim, &"e-vm-1".into());
+        });
+        run_to_completion(&mut rig, &ds);
+        assert_eq!(
+            mapped.load(Ordering::Relaxed),
+            3_000 + 500,
+            "workers={workers}: the dead attempt's body ran, and its partition ran again"
+        );
+        assert_eq!(rig.sim.executed_events(), EXECUTED, "workers={workers}");
+        assert_eq!(
+            rig.engine.live_state(),
+            LiveState {
+                jobs: 0,
+                // `ds` is still reachable, so its map outputs stay known.
+                shuffles: 1,
+                attempts: 0,
+                parked_computes: 0
+            },
+            "workers={workers}"
+        );
+    }
 }

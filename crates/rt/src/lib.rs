@@ -32,6 +32,11 @@
 //!   `u32` symbols ([`Interned`]); executor ids and other hot-loop names
 //!   ride on it so the scheduler's steady-state path never clones a
 //!   `String`.
+//!
+//! And one serves the event loop:
+//!
+//! * [`slab`] — a slot table ([`Slab`]) for state parked until an event
+//!   names it by index: event payloads, flows, store requests, task bodies.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -42,10 +47,12 @@ pub mod hash;
 pub mod intern;
 pub mod pool;
 pub mod rng;
+pub mod slab;
 pub mod worker;
 
 pub use bytes::Bytes;
 pub use hash::{FastMap, FastSet};
 pub use intern::Interned;
 pub use rng::Rng;
+pub use slab::Slab;
 pub use worker::{TaskHandle, WorkerPool};

@@ -255,7 +255,11 @@ mod tests {
         let block = BlockId::shuffle("e1", 0, 0, 0);
         put_ok(&mut rig, loc, block, 500); // lands at t = 5 s
         rig.store.on_executor_lost(&mut rig.sim, "e1");
+        // The request is parked in the store, not in its writer: it
+        // still lands.
+        assert_eq!(rig.store.parked_ops(), 1);
         rig.sim.run();
+        assert_eq!(rig.store.parked_ops(), 0);
         // The write is still counted (the ledger's `bytes_in` is exact) and
         // its callback saw Ok, but the dead executor's disk holds nothing.
         assert_eq!(rig.store.stats().puts, 1);

@@ -123,12 +123,6 @@ impl Store<S3> {
 }
 
 impl S3 {
-    /// Bills one `verb` request on the block to the cloud's ledger.
-    fn bill(&self, req: &Request<'_>, category: Category, usd: f64, verb: &str) {
-        let note = format!("{verb} {}", req.block);
-        self.cloud.charge(req.sim.now(), category, usd, note);
-    }
-
     /// Takes one token from `bucket`; the client's back-off stretches the
     /// wait, which is booked on the request and returned.
     fn throttle(bucket: &mut TokenBucket, req: &mut Request<'_>, backoff: f64) -> SimDuration {
@@ -146,7 +140,7 @@ impl Substrate for S3 {
 
     // Order: fee, token, latency draw, connection.
     fn admit_put(&mut self, req: &mut Request<'_>, _len: u64) -> Admitted<()> {
-        self.bill(req, Category::S3Put, S3_USD_PER_PUT, "put");
+        self.cloud.charge(Category::S3Put, S3_USD_PER_PUT);
         let wait = S3::throttle(&mut self.put_bucket, req, self.spec.backoff_multiplier);
         let latency = req.draw(&self.spec.put_latency);
         let route = LinkPath::dedup(&[req.client.nic, Some(self.connections.next())]);
@@ -156,7 +150,7 @@ impl Substrate for S3 {
     // A GET is billed whether or not the key exists — S3 charges the
     // request, not the object — but only a hit takes a token.
     fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, ())>) -> Admitted<()> {
-        self.bill(req, Category::S3Get, S3_USD_PER_GET, "get");
+        self.cloud.charge(Category::S3Get, S3_USD_PER_GET);
         hit.ok_or(StoreError::NotFound(req.block))?;
         let wait = S3::throttle(&mut self.get_bucket, req, self.spec.backoff_multiplier);
         let latency = req.draw(&self.spec.get_latency);

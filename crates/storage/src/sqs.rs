@@ -78,13 +78,11 @@ impl Store<Sqs> {
 impl Sqs {
     /// One request of `len` bytes: its delay. Order: message count, fee,
     /// tokens, latency draw.
-    fn admit(&mut self, req: &mut Request<'_>, what: &str, len: u64) -> SimDuration {
+    fn admit(&mut self, req: &mut Request<'_>, len: u64) -> SimDuration {
         let messages = SqsStore::messages_for(len);
-        let now = req.sim.now();
         let fee = messages as f64 * SQS_USD_PER_REQUEST;
-        let note = format!("{what} x{messages}");
-        self.cloud.charge(now, Category::SqsRequest, fee, note);
-        let wait = self.bucket.reserve(now, messages as f64);
+        self.cloud.charge(Category::SqsRequest, fee);
+        let wait = self.bucket.reserve(req.sim.now(), messages as f64);
         *req.throttle_wait_secs += wait.as_secs_f64();
         wait + req.draw(&self.spec.latency)
     }
@@ -96,7 +94,7 @@ impl Substrate for Sqs {
     const SURVIVES_EXECUTOR_LOSS: bool = true;
 
     fn admit_put(&mut self, req: &mut Request<'_>, len: u64) -> Admitted<()> {
-        let delay = self.admit(req, "send", len);
+        let delay = self.admit(req, len);
         let route = LinkPath::dedup(&[req.client.nic, Some(self.connections.next())]);
         Ok((delay, route, ()))
     }
@@ -105,7 +103,7 @@ impl Substrate for Sqs {
     // sends no billable request: a miss is free.
     fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, ())>) -> Admitted<()> {
         let (len, ()) = hit.ok_or(StoreError::NotFound(req.block))?;
-        let delay = self.admit(req, "receive", len);
+        let delay = self.admit(req, len);
         let route = LinkPath::dedup(&[Some(self.connections.next()), req.client.nic]);
         Ok((delay, route, ()))
     }

@@ -9,13 +9,18 @@
 //! in the loss rule. An admit call does its side effects (fee, token
 //! reservation, RNG draw, connection pick) in one fixed order per
 //! substrate: event sequence numbers, and so every digest, depend on it.
+//!
+//! An admitted request waits in a slab inside the store ([`Parked`]) and
+//! both events of its life name it by slot: the latency event, scheduled in
+//! `put` / `get` themselves, and the fabric's completion notice. Neither
+//! allocates; the only box on the path is the caller's callback.
 
 use std::cell::{RefCell, RefMut};
 use std::fmt;
 use std::rc::Rc;
 
-use splitserve_des::{Dist, Fabric, LinkPath, Sim, SimDuration};
-use splitserve_rt::{Bytes, FastMap, Interned};
+use splitserve_des::{Dist, EventHandler, Fabric, LinkPath, Sim, SimDuration};
+use splitserve_rt::{Bytes, FastMap, Interned, Slab};
 
 use crate::api::{
     BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats,
@@ -86,12 +91,33 @@ pub trait Substrate: 'static {
     }
 }
 
+/// An admitted request between its admission and its landing.
+struct Parked<P> {
+    block: BlockId,
+    route: LinkPath,
+    data: Bytes,
+    op: Op<P>,
+}
+
+/// What landing does with the bytes, and whom it tells.
+enum Op<P> {
+    Put(P, PutCallback),
+    Get(GetCallback),
+}
+
+/// Token bit of a parked request's second event: the flow's completion
+/// (set) rather than the end of the request latency (clear). The slot is
+/// the rest of the token.
+const FLOW_DONE: u64 = 1;
+
 struct Inner<S: Substrate> {
     model: S,
     blocks: FastMap<BlockId, (Bytes, S::Placement)>,
     /// Sum of the lengths in `blocks`.
     resident_bytes: u64,
     stats: StoreStats,
+    /// Requests in flight, by the slot their events carry.
+    parked: Slab<Parked<S::Placement>>,
 }
 
 impl<S: Substrate> Inner<S> {
@@ -113,16 +139,21 @@ impl<S: Substrate> Inner<S> {
     }
 }
 
+/// What every handle to a store, and every event of its requests, shares.
+struct Core<S: Substrate> {
+    inner: RefCell<Inner<S>>,
+    fabric: Fabric,
+}
+
 /// A block store: one block table and one request path over the cost
 /// model `S`. The five public stores are aliases of this type.
 pub struct Store<S: Substrate> {
-    inner: Rc<RefCell<Inner<S>>>,
-    fabric: Fabric,
+    core: Rc<Core<S>>,
 }
 
 impl<S: Substrate> fmt::Debug for Store<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.core.inner.borrow();
         f.debug_struct("Store")
             .field("kind", &S::KIND)
             .field("blocks", &inner.blocks.len())
@@ -140,21 +171,102 @@ impl<S: Substrate> Store<S> {
             blocks: FastMap::default(),
             resident_bytes: 0,
             stats: StoreStats::default(),
+            parked: Slab::default(),
         };
         Store {
-            inner: Rc::new(RefCell::new(inner)),
-            fabric,
+            core: Rc::new(Core {
+                inner: RefCell::new(inner),
+                fabric,
+            }),
         }
     }
 
     pub(crate) fn model(&self) -> RefMut<'_, S> {
-        RefMut::map(self.inner.borrow_mut(), |inner| &mut inner.model)
+        RefMut::map(self.core.inner.borrow_mut(), |inner| &mut inner.model)
     }
 
     /// Bytes currently resident: an overwrite replaces the block it
     /// overwrites, a lost executor's dropped blocks no longer count.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.borrow().resident_bytes
+        self.core.inner.borrow().resident_bytes
+    }
+
+    /// Parks an admitted request and starts its clock: the latency event
+    /// is scheduled here, at the caller's point in the program, and a
+    /// request with no latency starts its transfer at once.
+    fn launch(&self, sim: &mut Sim, delay: SimDuration, request: Parked<S::Placement>) {
+        let slot = self.core.inner.borrow_mut().parked.insert(request);
+        if delay.is_zero() {
+            self.core.transfer(sim, slot);
+        } else {
+            sim.notify_in(delay, self.core.clone(), u64::from(slot) << 1);
+        }
+    }
+}
+
+impl<S: Substrate> Core<S> {
+    /// The request's latency is over: its bytes start across the fabric,
+    /// whose completion notice is the request's second event. (With no
+    /// route, or no bytes, that notice is an event at the current instant.)
+    fn transfer(self: &Rc<Self>, sim: &mut Sim, slot: u32) {
+        let (route, len) = {
+            let inner = self.inner.borrow();
+            let request = inner
+                .parked
+                .get(slot)
+                .expect("a parked request waits for its latency");
+            (request.route, request.data.len() as u64)
+        };
+        let done = u64::from(slot) << 1 | FLOW_DONE;
+        self.fabric
+            .start_flow_notify(sim, route.as_slice(), len, self.clone(), done);
+    }
+
+    /// The request's bytes have arrived: it leaves the slab, is counted
+    /// and — a put — enters the block table, and its caller hears. It is
+    /// out of the slab before the callback runs, so the slab holds bytes
+    /// no longer than the request is in flight.
+    fn land(&self, sim: &mut Sim, slot: u32) {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let landed = inner.parked.take(slot);
+        let Parked {
+            block, data, op, ..
+        } = landed.expect("a parked request waits for its bytes");
+        let len = data.len() as u64;
+        match op {
+            Op::Put(placement, cb) => {
+                inner.stats.puts += 1;
+                inner.stats.bytes_in += len;
+                // The write happened either way; the bytes stay only if
+                // the substrate can still hold them.
+                if inner.model.holds_blocks_of(block.executor) {
+                    inner.resident_bytes += len;
+                    if let Some((old, _)) = inner.blocks.insert(block, (data, placement)) {
+                        inner.resident_bytes -= old.len() as u64;
+                    }
+                }
+                drop(guard);
+                cb(sim, Ok(()));
+            }
+            Op::Get(cb) => {
+                inner.stats.gets += 1;
+                inner.stats.bytes_out += len;
+                drop(guard);
+                cb(sim, Ok(data));
+            }
+        }
+    }
+}
+
+impl<S: Substrate> EventHandler for Core<S> {
+    fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
+        let slot = u32::try_from(token >> 1).expect("a store token is a slot and a phase bit");
+        if token & FLOW_DONE == 0 {
+            self.transfer(sim, slot);
+        } else {
+            self.land(sim, slot);
+        }
     }
 }
 
@@ -168,38 +280,32 @@ impl<S: Substrate> BlockStore for Store<S> {
     }
 
     fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
-        let len = data.len() as u64;
         let admitted = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.core.inner.borrow_mut();
             let (model, mut req) = inner.request(sim, client, block);
-            model.admit_put(&mut req, len)
+            model.admit_put(&mut req, data.len() as u64)
         };
-        let (delay, route, placement) = match admitted {
-            Ok(admitted) => admitted,
-            Err(e) => return cb(sim, Err(e)),
-        };
-        let inner = Rc::clone(&self.inner);
-        delay_then_flow(sim, &self.fabric, delay, route, len, move |sim| {
-            {
-                let inner = &mut *inner.borrow_mut();
-                inner.stats.puts += 1;
-                inner.stats.bytes_in += len;
-                // The write happened either way; the bytes stay only if
-                // the substrate can still hold them.
-                if inner.model.holds_blocks_of(block.executor) {
-                    inner.resident_bytes += len;
-                    if let Some((old, _)) = inner.blocks.insert(block, (data, placement)) {
-                        inner.resident_bytes -= old.len() as u64;
-                    }
-                }
+        match admitted {
+            Ok((delay, route, placement)) => {
+                let op = Op::Put(placement, cb);
+                self.launch(
+                    sim,
+                    delay,
+                    Parked {
+                        block,
+                        route,
+                        data,
+                        op,
+                    },
+                );
             }
-            cb(sim, Ok(()));
-        });
+            Err(e) => cb(sim, Err(e)),
+        }
     }
 
     fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
         let admitted = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.core.inner.borrow_mut();
             let found = inner.blocks.get(&block).cloned();
             let hit = found.as_ref().map(|(data, at)| (data.len() as u64, *at));
             let (model, mut req) = inner.request(sim, client, block);
@@ -212,24 +318,26 @@ impl<S: Substrate> BlockStore for Store<S> {
                 }
             }
         };
-        let (delay, route, data) = match admitted {
-            Ok(admitted) => admitted,
-            Err(e) => return cb(sim, Err(e)),
-        };
-        let len = data.len() as u64;
-        let inner = Rc::clone(&self.inner);
-        delay_then_flow(sim, &self.fabric, delay, route, len, move |sim| {
-            {
-                let mut inner = inner.borrow_mut();
-                inner.stats.gets += 1;
-                inner.stats.bytes_out += len;
+        match admitted {
+            Ok((delay, route, data)) => {
+                let op = Op::Get(cb);
+                self.launch(
+                    sim,
+                    delay,
+                    Parked {
+                        block,
+                        route,
+                        data,
+                        op,
+                    },
+                );
             }
-            cb(sim, Ok(data));
-        });
+            Err(e) => cb(sim, Err(e)),
+        }
     }
 
     fn on_executor_lost(&self, _sim: &mut Sim, executor: &str) {
-        let inner = &mut *self.inner.borrow_mut();
+        let inner = &mut *self.core.inner.borrow_mut();
         if let Some(dead) = inner.model.executor_lost(executor) {
             let resident = &mut inner.resident_bytes;
             inner.blocks.retain(|block, (data, _)| {
@@ -247,32 +355,11 @@ impl<S: Substrate> BlockStore for Store<S> {
     }
 
     fn contains(&self, block: &BlockId) -> bool {
-        self.inner.borrow().blocks.contains_key(block)
+        self.core.inner.borrow().blocks.contains_key(block)
     }
 
     fn stats(&self) -> StoreStats {
-        self.inner.borrow().stats
-    }
-}
-
-/// Waits `delay`, then moves `bytes` across `links`, then runs `then`.
-/// The shape of every storage operation: request latency followed by a
-/// bandwidth-constrained transfer.
-fn delay_then_flow(
-    sim: &mut Sim,
-    fabric: &Fabric,
-    delay: SimDuration,
-    links: LinkPath,
-    bytes: u64,
-    then: impl FnOnce(&mut Sim) + 'static,
-) {
-    if delay.is_zero() {
-        fabric.start_flow(sim, links.as_slice(), bytes, then);
-    } else {
-        let fabric = fabric.clone();
-        sim.schedule_in(delay, move |sim| {
-            fabric.start_flow(sim, links.as_slice(), bytes, then);
-        });
+        self.core.inner.borrow().stats
     }
 }
 
@@ -280,6 +367,13 @@ fn delay_then_flow(
 mod tests {
     use super::*;
     use crate::{HdfsSpec, HdfsStore, RedisSpec, RedisStore};
+
+    impl<S: Substrate> Store<S> {
+        /// Requests admitted and not yet landed.
+        pub(crate) fn parked_ops(&self) -> usize {
+            self.core.inner.borrow().parked.len()
+        }
+    }
 
     fn put_ok<S: Substrate>(store: &Store<S>, sim: &mut Sim, block: BlockId, len: usize) {
         let data = Bytes::from(vec![0u8; len]);
@@ -318,22 +412,77 @@ mod tests {
         assert_eq!(redis.used_bytes(), 140);
     }
 
+    /// Admits everything after a fixed latency over a fixed route.
+    struct Fixed(SimDuration, LinkPath);
+
+    impl Substrate for Fixed {
+        type Placement = ();
+        const KIND: &'static str = "fixed";
+        const SURVIVES_EXECUTOR_LOSS: bool = true;
+
+        fn admit_put(&mut self, _req: &mut Request<'_>, _len: u64) -> Admitted<()> {
+            Ok((self.0, self.1, ()))
+        }
+
+        fn admit_get(&mut self, req: &mut Request<'_>, hit: Option<(u64, ())>) -> Admitted<()> {
+            hit.map(|_| (self.0, self.1, ()))
+                .ok_or(StoreError::NotFound(req.block))
+        }
+    }
+
+    /// When `op` on a fresh store of `latency` over `route` calls back;
+    /// a put of 300 bytes, or that put and then a get of it.
+    fn landing_secs(latency: u64, route: LinkPath, fabric: Fabric, get: bool) -> f64 {
+        let mut sim = Sim::new(0);
+        let store = Store::over(Fixed(SimDuration::from_secs(latency), route), fabric);
+        let block = BlockId::shuffle("e", 0, 0, 0);
+        let done = Rc::new(std::cell::Cell::new(f64::NAN));
+        let d = Rc::clone(&done);
+        let data = Bytes::from(vec![0u8; 300]);
+        store.put(
+            &mut sim,
+            ClientLoc::default(),
+            block,
+            data,
+            Box::new(move |sim, r| {
+                r.expect("put");
+                d.set(sim.now().as_secs_f64());
+            }),
+        );
+        assert_eq!(store.parked_ops(), 1, "admitted, not yet landed");
+        sim.run();
+        if get {
+            let (d, start) = (Rc::clone(&done), sim.now().as_secs_f64());
+            store.get(
+                &mut sim,
+                ClientLoc::default(),
+                block,
+                Box::new(move |sim, r| {
+                    assert_eq!(r.expect("get").len(), 300);
+                    d.set(sim.now().as_secs_f64() - start);
+                }),
+            );
+            sim.run();
+        }
+        assert_eq!(store.parked_ops(), 0, "a run-dry store holds no request");
+        done.get()
+    }
+
     #[test]
     fn delay_then_flow_sequences_latency_and_transfer() {
-        let mut sim = Sim::new(0);
         let fabric = Fabric::new();
         let l = fabric.add_link(100.0, "l");
-        let done = std::rc::Rc::new(std::cell::Cell::new(0.0));
-        let d = std::rc::Rc::clone(&done);
-        delay_then_flow(
-            &mut sim,
-            &fabric,
-            SimDuration::from_secs(2),
-            LinkPath::new(&[l]),
-            300,
-            move |sim| d.set(sim.now().as_secs_f64()),
+        let route = LinkPath::new(&[l]);
+        // 2 s latency + 3 s for 300 bytes at 100 B/s, writes and reads alike.
+        assert_eq!(landing_secs(2, route, fabric.clone(), false), 5.0);
+        assert_eq!(landing_secs(2, route, fabric.clone(), true), 5.0);
+        // No latency: the transfer starts inside `put` itself.
+        assert_eq!(landing_secs(0, route, fabric.clone(), false), 3.0);
+        // No route: the landing is an event at the instant the latency ends.
+        assert_eq!(
+            landing_secs(2, LinkPath::new(&[]), fabric.clone(), true),
+            2.0
         );
-        sim.run();
-        assert_eq!(done.get(), 5.0); // 2 s latency + 3 s transfer
+        assert_eq!(landing_secs(0, LinkPath::new(&[]), fabric, false), 0.0);
     }
 }

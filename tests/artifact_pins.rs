@@ -10,10 +10,19 @@
 //! Updating a pin is a deliberate act: `assert_pinned` prints the new
 //! digest and length; justify the byte change in review.
 
-use splitserve::tenancy::{coldstart_arms, recurrent_microtrace, SloClass};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use splitserve::tenancy::{
+    coldstart_arms, default_fleet_jobs, default_tenant_specs, fleet_workload,
+    recurrent_microtrace, run_tenant_fleet_with, FleetPolicy, SloClass, TenantFleetConfig,
+};
+use splitserve::{run_job, Scenario, ScenarioSpec};
 use splitserve_cloud::PoolStats;
+use splitserve_des::{Sim, SimDuration};
 use splitserve_obs::TenantId;
 use splitserve_rt::hash::assert_pinned;
+use splitserve_workloads::PageRank;
 use splitserve_suite::{
     chaos_smoke, coldstart_sweep, dashboard_policy_label, slo_dashboard, tenant_fleet,
     trace_timeline, DASHBOARD_QUANTILES, MICRO_GAP_SECS, MICRO_ROUNDS,
@@ -262,4 +271,101 @@ fn trace_timeline_is_pinned_and_shows_both_substrates_and_the_segue_drain() {
     assert!(count("lambda", "task ") > 0, "trace must show Lambda-lane task spans");
     assert!(count("segue", "segue drain") > 0, "trace must show a segue-drain span");
     assert_eq!(runs[0].obs.spans.nesting_violation(), None, "spans nest cleanly");
+}
+
+// ----- event budgets -------------------------------------------------------
+//
+// Cancel-and-re-schedule churn moves no virtual result, so no digest above
+// can see it. These two pins can: `executed` is the run's exact event count
+// (recorded on the commit before the fabric went to one completion timer),
+// and `scheduled` — every sequence number the run drew, cancelled events
+// included — may exceed it only by the stated factor.
+
+/// `(scheduled, executed)` of a run whose `Sim` the test does not own,
+/// sampled once per virtual second by an event armed from the driver's
+/// setup hook; the sampler's own events are subtracted. Its last firing
+/// is the run's last event, so the counts are final.
+#[derive(Default)]
+struct EventCount {
+    fires: u64,
+    scheduled: u64,
+    executed: u64,
+}
+
+impl EventCount {
+    fn arm(sim: &mut Sim, count: Rc<RefCell<EventCount>>) {
+        sim.schedule_in(SimDuration::from_secs(1), move |sim| {
+            {
+                let mut c = count.borrow_mut();
+                c.fires += 1;
+                c.scheduled = sim.scheduled_events();
+                c.executed = sim.executed_events();
+            }
+            if sim.pending_events() > 0 {
+                EventCount::arm(sim, count);
+            }
+        });
+    }
+
+    fn totals(&self) -> (u64, u64) {
+        (self.scheduled - self.fires, self.executed - self.fires)
+    }
+}
+
+#[track_caller]
+fn assert_event_budget(name: &str, (scheduled, executed): (u64, u64), pin: u64, factor: f64) {
+    assert_eq!(executed, pin, "{name}: executed events moved (scheduled {scheduled})");
+    assert!(
+        scheduled as f64 <= factor * executed as f64,
+        "{name}: scheduled {scheduled} events to execute {executed}, over {factor}x"
+    );
+}
+
+/// The reduced fleet of `crates/core/tests/hot_loop_pins.rs`, all three
+/// policies: almost nothing is ever cancelled.
+#[test]
+fn reduced_fleet_stays_inside_its_event_budget() {
+    const EXECUTED: u64 = 4_737;
+    let tenants = default_tenant_specs(5);
+    let jobs = default_fleet_jobs(&tenants, 11, 45, 120.0);
+    let mut total = (0, 0);
+    for policy in FleetPolicy::all() {
+        let cfg = TenantFleetConfig::for_policy(policy, tenants.clone(), 8);
+        let count = Rc::new(RefCell::new(EventCount::default()));
+        let (wl, _sink) = fleet_workload(8);
+        let armed = Rc::clone(&count);
+        run_tenant_fleet_with(&cfg, &jobs, wl, |s| s, |sim, _| EventCount::arm(sim, armed));
+        let (scheduled, executed) = count.borrow().totals();
+        total = (total.0 + scheduled, total.1 + executed);
+    }
+    assert_event_budget("reduced fleet", total, EXECUTED, 1.05);
+}
+
+/// `Spark R VM` at the `scenario_claims` scale: executor-local disk, whose
+/// zero-latency gets open a task's whole fetch window in one instant — the
+/// most flow overlap, so the most timer re-arms per transfer.
+#[test]
+fn local_disk_scenario_stays_inside_its_event_budget() {
+    const EXECUTED: u64 = 4_128;
+    let spec = ScenarioSpec {
+        required_cores: 16,
+        available_cores: 4,
+        seed: 3,
+        ..ScenarioSpec::default()
+    };
+    let scenario = Scenario::SparkRVm;
+    let count = Rc::new(RefCell::new(EventCount::default()));
+    let armed = Rc::clone(&count);
+    let setup = scenario.setup(&spec);
+    run_job(
+        &spec,
+        scenario.store_kind(),
+        |sim, d| {
+            setup(sim, d);
+            EventCount::arm(sim, armed);
+        },
+        &PageRank::new(30_000, 3, 16, 3).with_contrib_cost(2.0e-4),
+    );
+    let totals = count.borrow().totals();
+    assert_event_budget("Spark R VM", totals, EXECUTED, 2.5);
 }
