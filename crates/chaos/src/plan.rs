@@ -138,6 +138,11 @@ impl FaultEvent {
         let u32_of = |key: &str| -> Result<u32, String> {
             u32::try_from(v.num(key)?).map_err(|_| format!("field {key:?} out of u32 range"))
         };
+        // Store-op ordinals are 1-based; `StoreFaults` asserts it.
+        let ordinal = |key: &str| match v.num(key)? {
+            0 => Err(format!("field {key:?} is a 1-based ordinal, got 0")),
+            n => Ok(n),
+        };
         Ok(match kind {
             "kill" => FaultEvent::Kill {
                 at_us: v.num("at_us")?,
@@ -151,8 +156,8 @@ impl FaultEvent {
                 at_us: v.num("at_us")?,
                 lambda: u32_of("lambda")?,
             },
-            "fetch-fail" => FaultEvent::FetchFail { nth: v.num("nth")? },
-            "write-fail" => FaultEvent::WriteFail { nth: v.num("nth")? },
+            "fetch-fail" => FaultEvent::FetchFail { nth: ordinal("nth")? },
+            "write-fail" => FaultEvent::WriteFail { nth: ordinal("nth")? },
             "latency" => FaultEvent::Latency {
                 from_us: v.num("from_us")?,
                 until_us: v.num("until_us")?,
@@ -434,6 +439,11 @@ mod tests {
                 .is_err(),
             "kill without lambda index must not parse"
         );
+        for kind in ["fetch-fail", "write-fail"] {
+            let zeroth = format!("{{\"seed\":0,\"events\":[{{\"type\":\"{kind}\",\"nth\":0}}]}}");
+            let err = FaultPlan::from_json(&zeroth).expect_err("ordinals are 1-based");
+            assert!(err.contains("\"nth\""), "{kind}: {err} should name the field");
+        }
     }
 
     #[test]

@@ -372,7 +372,10 @@ impl Deployment {
         ids
     }
 
-    /// Executor ids of all Lambdas launched so far (registration order).
+    /// Executor ids of all Lambdas launched so far, sorted by name
+    /// (`lambda-0000`, `lambda-0001`, …). The names are zero-padded to four
+    /// digits, so this is launch order up to `lambda-9999` and plain
+    /// lexicographic order past it.
     pub fn lambda_executors(&self) -> Vec<ExecutorId> {
         let inner = self.inner.borrow();
         let mut v: Vec<ExecutorId> = inner.lambda_execs.keys().cloned().collect();

@@ -49,8 +49,7 @@ pub use executor::{ExecutorDesc, ExecutorId, ExecutorKind};
 pub use flight::{flight_dump, FLIGHT_TAIL};
 pub use metrics::{JobMetrics, JobOutput};
 pub use node::{
-    input_shuffles, next_node_id, next_shuffle_id, Dep, NodeId, PartitionData, PlanNode,
-    ShuffleBucket, ShuffleDep, ShuffleId,
+    input_shuffles, Dep, NodeId, PartitionData, PlanNode, ShuffleBucket, ShuffleDep, ShuffleId,
 };
 pub use ops::{bucket_of, collect_partitions, Dataset, ShuffleKey, ShuffleValue};
 pub use ops_ext::{sample_sort_bounds, Cogrouped, SortKey};

@@ -39,12 +39,12 @@ static NEXT_NODE: AtomicU64 = AtomicU64::new(0);
 static NEXT_SHUFFLE: AtomicU64 = AtomicU64::new(0);
 
 /// Allocates a fresh node id (process-unique).
-pub fn next_node_id() -> NodeId {
+fn next_node_id() -> NodeId {
     NodeId(NEXT_NODE.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Allocates a fresh shuffle id (process-unique).
-pub fn next_shuffle_id() -> ShuffleId {
+fn next_shuffle_id() -> ShuffleId {
     ShuffleId(NEXT_SHUFFLE.fetch_add(1, Ordering::Relaxed))
 }
 
@@ -82,6 +82,28 @@ pub struct ShuffleDep {
     pub partitioner: Partitioner,
 }
 
+impl ShuffleDep {
+    /// A fresh shuffle of `parent` into `num_partitions` buckets — the one
+    /// place a shuffle edge is made, so the one place its width is checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_partitions` is zero.
+    pub fn new(
+        parent: Arc<dyn PlanNode>,
+        num_partitions: usize,
+        partitioner: Partitioner,
+    ) -> Arc<ShuffleDep> {
+        assert!(num_partitions > 0, "need at least one partition");
+        Arc::new(ShuffleDep {
+            id: next_shuffle_id(),
+            parent,
+            num_partitions,
+            partitioner,
+        })
+    }
+}
+
 impl std::fmt::Debug for ShuffleDep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShuffleDep")
@@ -110,8 +132,8 @@ impl std::fmt::Debug for Dep {
     }
 }
 
-/// A lineage node. Implementations are the operator library in
-/// [`crate::ops`]; workloads interact through the typed
+/// A lineage node. The operator library in [`crate::ops`] builds every
+/// one of them through [`op`]; workloads interact through the typed
 /// [`Dataset`](crate::Dataset) wrapper instead.
 ///
 /// `Send + Sync` because `compute` runs on worker threads.
@@ -123,30 +145,83 @@ pub trait PlanNode: Send + Sync {
     /// Number of partitions this node produces.
     fn num_partitions(&self) -> usize;
     /// Dependency edges.
-    fn deps(&self) -> Vec<Dep>;
+    fn deps(&self) -> &[Dep];
     /// Computes partition `part`, performing the *real* data
     /// transformation and charging its CPU work to `ctx`.
     fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData;
 }
 
+/// The one operator type: what a scheduler needs to know about a node is
+/// stored as data (id, label, width, the `N` edges inline), and what the
+/// node *does* is one closure holding the user's function — and whatever
+/// else the body reads, such as its parent or a cache's slots — by value.
+struct Op<F, const N: usize> {
+    id: NodeId,
+    label: &'static str,
+    num_partitions: usize,
+    deps: [Dep; N],
+    compute: F,
+}
+
+impl<F, const N: usize> PlanNode for Op<F, N>
+where
+    F: Fn(&mut TaskContext, usize) -> PartitionData + Send + Sync,
+{
+    fn id(&self) -> NodeId {
+        self.id
+    }
+    fn label(&self) -> &str {
+        self.label
+    }
+    fn num_partitions(&self) -> usize {
+        self.num_partitions
+    }
+    fn deps(&self) -> &[Dep] {
+        &self.deps
+    }
+    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
+        (self.compute)(ctx, part)
+    }
+}
+
+/// A fresh plan node (one allocation): `compute(ctx, part)` produces
+/// partition `part` of `num_partitions`, reading the nodes and shuffles
+/// named by `deps`.
+pub(crate) fn op<const N: usize>(
+    label: &'static str,
+    num_partitions: usize,
+    deps: [Dep; N],
+    compute: impl Fn(&mut TaskContext, usize) -> PartitionData + Send + Sync + 'static,
+) -> Arc<dyn PlanNode> {
+    Arc::new(Op {
+        id: next_node_id(),
+        label,
+        num_partitions,
+        deps,
+        compute,
+    })
+}
+
 /// Walks the narrow-dependency closure of `node` (the nodes that execute
-/// within its stage) and returns every [`ShuffleDep`] feeding that stage.
+/// within its stage) and returns every [`ShuffleDep`] feeding that stage,
+/// in shuffle-id order.
 pub fn input_shuffles(node: &Arc<dyn PlanNode>) -> Vec<Arc<ShuffleDep>> {
-    let mut out = Vec::new();
-    let mut stack = vec![Arc::clone(node)];
-    let mut seen = std::collections::HashSet::new();
-    while let Some(n) = stack.pop() {
-        if !seen.insert(n.id()) {
-            continue;
+    // `seen` keeps a diamond (a union of two views of one parent) from
+    // being walked once per path; a stage's closure is a handful of nodes.
+    fn walk(node: &dyn PlanNode, seen: &mut Vec<NodeId>, out: &mut Vec<Arc<ShuffleDep>>) {
+        if seen.contains(&node.id()) {
+            return;
         }
-        for d in n.deps() {
-            match d {
-                Dep::Narrow(p) => stack.push(p),
-                Dep::Shuffle(s) => out.push(s),
+        seen.push(node.id());
+        for dep in node.deps() {
+            match dep {
+                Dep::Narrow(parent) => walk(&**parent, seen, out),
+                Dep::Shuffle(shuffle) => out.push(Arc::clone(shuffle)),
             }
         }
     }
-    // Deterministic order.
+    let mut out = Vec::new();
+    walk(&**node, &mut Vec::new(), &mut out);
     out.sort_by_key(|s| s.id);
     out.dedup_by_key(|s| s.id);
     out

@@ -1,5 +1,6 @@
-//! The typed operator library: [`Dataset<T>`] and its plan-node
-//! implementations.
+//! The typed operator library: [`Dataset<T>`], whose every method builds
+//! its edges and hands one closure to [`crate::node`]'s single operator
+//! type.
 //!
 //! Narrow operators (`map`, `filter`, `flat_map`, …) pipeline inside one
 //! task by recursively computing their parent. Wide operators
@@ -31,12 +32,8 @@ use splitserve_rt::hash::shuffle_hash;
 use splitserve_rt::{pool, Bytes};
 
 use crate::combine::HashGroup;
-
 use crate::context::TaskContext;
-use crate::node::{
-    next_node_id, next_shuffle_id, Dep, NodeId, Partitioner, PartitionData, PlanNode,
-    ShuffleBucket, ShuffleDep,
-};
+use crate::node::{op, Dep, PartitionData, Partitioner, PlanNode, ShuffleBucket, ShuffleDep};
 
 /// A typed, lazily-evaluated distributed dataset — the engine's RDD.
 ///
@@ -90,13 +87,25 @@ pub(crate) fn bucket_of_hash(hash: u64, num_partitions: usize) -> usize {
     (hash % num_partitions as u64) as usize
 }
 
-fn rows<T: 'static>(data: &PartitionData) -> &Vec<T> {
+pub(crate) fn rows<T: 'static>(data: &PartitionData) -> &Vec<T> {
     data.downcast_ref::<Vec<T>>()
         .expect("partition type mismatch: engine invariant violated")
 }
 
 fn wrap<T: Send + Sync + 'static>(v: Vec<T>) -> PartitionData {
     Arc::new(v)
+}
+
+/// One memoized partition: the rows plus the work-model deltas the fill
+/// charged, replayed verbatim to every later reader. Without the replay,
+/// whichever task happened to fill the cache first would be the only one
+/// charged for the parent's work — a real-time race once tasks run on
+/// worker threads, and a determinism hole in accounted durations.
+struct CacheSlot {
+    data: PartitionData,
+    cpu_secs: f64,
+    bytes_in: u64,
+    bytes_out: u64,
 }
 
 impl<T: Send + Sync + 'static> Dataset<T> {
@@ -117,6 +126,22 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         self.node.num_partitions()
     }
 
+    /// A one-parent narrow operator: partition for partition, `body` turns
+    /// the parent's rows into this node's inside the same task.
+    fn narrow<U: Send + Sync + 'static>(
+        &self,
+        label: &'static str,
+        body: impl Fn(&mut TaskContext, &[T]) -> Vec<U> + Send + Sync + 'static,
+    ) -> Dataset<U> {
+        let parent = self.node();
+        let edge = Dep::Narrow(Arc::clone(&parent));
+        let compute = move |ctx: &mut TaskContext, part: usize| {
+            let input = parent.compute(ctx, part);
+            wrap(body(ctx, rows::<T>(&input)))
+        };
+        Dataset::from_node(op(label, self.num_partitions(), [edge], compute))
+    }
+
     /// Distributes driver-resident data over `partitions` partitions.
     ///
     /// # Panics
@@ -131,10 +156,11 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             parts[(i / chunk).min(partitions - 1)].push(x);
         }
         let parts: Vec<Arc<Vec<T>>> = parts.into_iter().map(Arc::new).collect();
-        Dataset::from_node(Arc::new(ParallelizeNode {
-            id: next_node_id(),
-            parts,
-            bytes_per_record: std::mem::size_of::<T>().max(8) as u64,
+        let bytes_per_record = std::mem::size_of::<T>().max(8) as u64;
+        Dataset::from_node(op("parallelize", partitions, [], move |ctx, part| {
+            let p = &parts[part];
+            ctx.charge_scan(p.len() as u64 * bytes_per_record);
+            Arc::clone(p) as PartitionData
         }))
     }
 
@@ -142,16 +168,20 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// `gen(partition_index)` — the way workload inputs are materialized
     /// without the driver holding them. `gen` must be deterministic in its
     /// argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is zero.
     pub fn generate(
         partitions: usize,
         gen: impl Fn(usize) -> Vec<T> + Send + Sync + 'static,
     ) -> Self {
         assert!(partitions > 0, "need at least one partition");
-        Dataset::from_node(Arc::new(GenerateNode {
-            id: next_node_id(),
-            partitions,
-            gen: Arc::new(gen),
-            bytes_per_record: std::mem::size_of::<T>().max(8) as u64,
+        let bytes_per_record = std::mem::size_of::<T>().max(8) as u64;
+        Dataset::from_node(op("generate", partitions, [], move |ctx, part| {
+            let v = gen(part);
+            ctx.charge_scan(v.len() as u64 * bytes_per_record);
+            wrap(v)
         }))
     }
 
@@ -171,12 +201,13 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         f: impl Fn(&T) -> U + Send + Sync + 'static,
         cost_secs_per_record: Option<f64>,
     ) -> Dataset<U> {
-        Dataset::from_node(Arc::new(MapNode {
-            id: next_node_id(),
-            parent: self.node(),
-            f: Arc::new(f),
-            cost: cost_secs_per_record,
-        }))
+        self.narrow("map", move |ctx, rows| {
+            match cost_secs_per_record {
+                Some(c) => ctx.charge_secs(rows.len() as f64 * c),
+                None => ctx.charge_records(rows.len() as u64),
+            }
+            rows.iter().map(&f).collect()
+        })
     }
 
     /// Keeps the records for which `f` is true.
@@ -184,11 +215,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: Clone,
     {
-        Dataset::from_node(Arc::new(FilterNode {
-            id: next_node_id(),
-            parent: self.node(),
-            f: Arc::new(f),
-        }))
+        self.narrow("filter", move |ctx, rows| {
+            ctx.charge_records(rows.len() as u64);
+            rows.iter().filter(|t| f(t)).cloned().collect()
+        })
     }
 
     /// Maps each record to zero or more outputs.
@@ -196,11 +226,14 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         &self,
         f: impl Fn(&T) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        Dataset::from_node(Arc::new(FlatMapNode {
-            id: next_node_id(),
-            parent: self.node(),
-            f: Arc::new(f),
-        }))
+        self.narrow("flatMap", move |ctx, rows| {
+            let mut out = Vec::new();
+            for t in rows {
+                out.extend(f(t));
+            }
+            ctx.charge_records(rows.len() as u64 + out.len() as u64);
+            out
+        })
     }
 
     /// Whole-partition transformation with direct access to the context
@@ -209,11 +242,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         &self,
         f: impl Fn(&mut TaskContext, &[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        Dataset::from_node(Arc::new(MapPartitionsNode {
-            id: next_node_id(),
-            parent: self.node(),
-            f: Arc::new(f),
-        }))
+        self.narrow("mapPartitions", f)
     }
 
     /// Pairs each record with a key.
@@ -229,25 +258,63 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Concatenates two datasets (partitions are appended, no shuffle).
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
-        Dataset::from_node(Arc::new(UnionNode::<T> {
-            id: next_node_id(),
-            parents: vec![self.node(), other.node()],
-            _t: PhantomData,
-        }))
+        let (first, second) = (self.node(), other.node());
+        let edges = [&first, &second].map(|parent| Dep::Narrow(Arc::clone(parent)));
+        let split = first.num_partitions();
+        let partitions = split + second.num_partitions();
+        let compute = move |ctx: &mut TaskContext, part: usize| match part.checked_sub(split) {
+            None => first.compute(ctx, part),
+            Some(rest) => second.compute(ctx, rest),
+        };
+        Dataset::from_node(op("union", partitions, edges, compute))
     }
 
     /// Memoizes computed partitions so repeated jobs over the same lineage
     /// skip recomputation (an idealized `.cache()`: the cache is not
     /// invalidated by executor loss — documented simplification).
     pub fn cache(&self) -> Dataset<T> {
-        let n = self.num_partitions();
-        Dataset::from_node(Arc::new(CacheNode::<T> {
-            id: next_node_id(),
-            parent: self.node(),
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            _t: PhantomData,
+        let parent = self.node();
+        let partitions = parent.num_partitions();
+        let empty: Vec<Option<CacheSlot>> = (0..partitions).map(|_| None).collect();
+        let slots = Mutex::new(empty);
+        let edge = Dep::Narrow(Arc::clone(&parent));
+        Dataset::from_node(op("cache", partitions, [edge], move |ctx, part| {
+            // Hold the lock across the fill so concurrent readers of one
+            // partition compute it exactly once; losers replay the stored
+            // charges and see identical accounted cost.
+            let mut slots = slots.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(slot) = &slots[part] {
+                ctx.replay_charges(slot.cpu_secs, slot.bytes_in, slot.bytes_out);
+                return Arc::clone(&slot.data);
+            }
+            let (cpu0, in0, out0) = (ctx.cpu_secs(), ctx.bytes_in(), ctx.bytes_out());
+            let data = parent.compute(ctx, part);
+            slots[part] = Some(CacheSlot {
+                data: Arc::clone(&data),
+                cpu_secs: ctx.cpu_secs() - cpu0,
+                bytes_in: ctx.bytes_in() - in0,
+                bytes_out: ctx.bytes_out() - out0,
+            });
+            data
         }))
     }
+}
+
+/// A wide operator over `N` co-partitioned shuffles: each task takes the
+/// blocks the scheduler fetched for its partition, one list per edge in
+/// edge order, and `merge` decodes and combines them.
+pub(crate) fn wide<C: Send + Sync + 'static, const N: usize>(
+    label: &'static str,
+    deps: [Arc<ShuffleDep>; N],
+    merge: impl Fn(&mut TaskContext, [Vec<Bytes>; N]) -> Vec<C> + Send + Sync + 'static,
+) -> Dataset<C> {
+    let ids = deps.each_ref().map(|dep| dep.id);
+    let partitions = deps[0].num_partitions;
+    let compute = move |ctx: &mut TaskContext, _part: usize| {
+        let blocks = ids.map(|id| ctx.shuffle_input(id));
+        wrap(merge(ctx, blocks))
+    };
+    Dataset::from_node(op(label, partitions, deps.map(Dep::Shuffle), compute))
 }
 
 /// Bound bundle for keys crossing a shuffle.
@@ -259,21 +326,29 @@ pub trait ShuffleValue: Clone + Encode + Decode + Send + Sync + 'static {}
 impl<V: Clone + Encode + Decode + Send + Sync + 'static> ShuffleValue for V {}
 
 impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
+    /// A fresh hash shuffle of `self` into `partitions` buckets, without
+    /// map-side combine.
+    pub(crate) fn hash_shuffled(&self, partitions: usize) -> Arc<ShuffleDep> {
+        let by_hash = partitioner_by::<K, V>(partitions, move |k| bucket_of(k, partitions));
+        ShuffleDep::new(self.node(), partitions, by_hash)
+    }
+
     /// Merges values per key with `f`, shuffling into `partitions`
     /// partitions. Applies map-side combine (Spark's `reduceByKey`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is zero (as does every shuffling operator).
     pub fn reduce_by_key(
         &self,
         partitions: usize,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> Dataset<(K, V)> {
-        let f: CombineFn<V> = Arc::new(f);
-        let dep = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: self.node(),
-            num_partitions: partitions,
-            partitioner: make_partitioner::<K, V>(partitions, Some(Arc::clone(&f))),
-        });
-        let merge: MergeFn<(K, V)> = Arc::new(move |ctx: &mut TaskContext, blocks: Vec<Bytes>| {
+        // Shared by the map-side combine and the reduce-side merge.
+        let f = Arc::new(f);
+        let map_side = combining_partitioner::<K, V>(partitions, Arc::clone(&f));
+        let dep = ShuffleDep::new(self.node(), partitions, map_side);
+        wide("reduceByKey", [dep], move |ctx, [blocks]| {
             let mut acc: HashGroup<K, V> = HashGroup::with_capacity(64);
             for (k, v) in decode_stream::<K, V>(blocks) {
                 let h = shuffle_hash(&k);
@@ -285,39 +360,22 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
                     ctx.charge_combine(1);
                 }
             }
-            acc.into_pairs().collect::<Vec<(K, V)>>()
-        });
-        Dataset::from_node(Arc::new(ShuffledNode {
-            id: next_node_id(),
-            label: "reduceByKey",
-            dep,
-            merge,
-        }))
+            acc.into_pairs().collect()
+        })
     }
 
     /// Groups all values per key (Spark's `groupByKey`; no map-side
     /// combine, so it shuffles every record).
     pub fn group_by_key(&self, partitions: usize) -> Dataset<(K, Vec<V>)> {
-        let dep = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: self.node(),
-            num_partitions: partitions,
-            partitioner: make_partitioner::<K, V>(partitions, None),
-        });
-        let merge: MergeFn<(K, Vec<V>)> = Arc::new(move |ctx: &mut TaskContext, blocks: Vec<Bytes>| {
+        let dep = self.hash_shuffled(partitions);
+        wide("groupByKey", [dep], |ctx, [blocks]| {
             let mut acc: HashGroup<K, Vec<V>> = HashGroup::with_capacity(64);
             for (k, v) in decode_stream::<K, V>(blocks) {
                 ctx.charge_combine(1);
                 acc.upsert_owned(shuffle_hash(&k), k, v, |v| vec![v], |a, v| a.push(v));
             }
-            acc.into_pairs().collect::<Vec<(K, Vec<V>)>>()
-        });
-        Dataset::from_node(Arc::new(ShuffledNode {
-            id: next_node_id(),
-            label: "groupByKey",
-            dep,
-            merge,
-        }))
+            acc.into_pairs().collect()
+        })
     }
 
     /// Inner hash join on the key, shuffling both sides into `partitions`
@@ -327,24 +385,27 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
         other: &Dataset<(K, W)>,
         partitions: usize,
     ) -> Dataset<(K, (V, W))> {
-        let left = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: self.node(),
-            num_partitions: partitions,
-            partitioner: make_partitioner::<K, V>(partitions, None),
-        });
-        let right = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: other.node(),
-            num_partitions: partitions,
-            partitioner: make_partitioner::<K, W>(partitions, None),
-        });
-        Dataset::from_node(Arc::new(JoinNode::<K, V, W> {
-            id: next_node_id(),
-            left,
-            right,
-            _t: PhantomData,
-        }))
+        let left = self.hash_shuffled(partitions);
+        let right = other.hash_shuffled(partitions);
+        wide("join", [left, right], |ctx, [left_blocks, right_blocks]| {
+            // Hash join: build a table from the left stream, probe with the
+            // right stream — records never sit in an intermediate Vec.
+            let mut table: HashGroup<K, Vec<V>> = HashGroup::with_capacity(64);
+            for (k, v) in decode_stream::<K, V>(left_blocks) {
+                ctx.charge_combine(1);
+                table.upsert_owned(shuffle_hash(&k), k, v, |v| vec![v], |a, v| a.push(v));
+            }
+            let mut out: Vec<(K, (V, W))> = Vec::new();
+            for (k, w) in decode_stream::<K, W>(right_blocks) {
+                ctx.charge_combine(1);
+                if let Some(vs) = table.get(shuffle_hash(&k), &k) {
+                    for v in vs {
+                        out.push((k.clone(), (v.clone(), w.clone())));
+                    }
+                }
+            }
+            out
+        })
     }
 
     /// Transforms values, keeping keys (no shuffle).
@@ -432,10 +493,6 @@ pub(crate) fn decode_stream<K: Decode, V: Decode>(blocks: Vec<Bytes>) -> DecodeS
     }
 }
 
-/// Commutative/associative combiner used by map-side and reduce-side
-/// aggregation.
-type CombineFn<V> = Arc<dyn Fn(&V, &V) -> V + Send + Sync>;
-
 /// Freezes filled per-bucket scratch buffers into exact-sized [`Bytes`]
 /// blocks, charges the serialization work, returns the scratch to the
 /// pool and records the encoded volume (when observability is enabled).
@@ -504,7 +561,7 @@ where
 /// absorbed — even with a byte payload's `encoded_len` down to a count of
 /// high bits it measured 1.3x slower on both CloudSort's records and
 /// PageRank's join (DESIGN.md §8).
-pub(crate) fn encode_buckets_by<K, V>(
+fn encode_buckets_by<K, V>(
     ctx: &mut TaskContext,
     records: &[(K, V)],
     num: usize,
@@ -525,385 +582,52 @@ where
     finish_buckets(ctx, bufs, counts)
 }
 
-pub(crate) fn make_partitioner<K: ShuffleKey, V: ShuffleValue>(
+/// The map side of a shuffle without combine: charges the scan and sends
+/// every record to the bucket `bucket_fn` names.
+pub(crate) fn partitioner_by<K: ShuffleKey, V: ShuffleValue>(
     num: usize,
-    combine: Option<CombineFn<V>>,
+    bucket_fn: impl Fn(&K) -> usize + Send + Sync + 'static,
 ) -> Partitioner {
     Arc::new(move |ctx: &mut TaskContext, data: PartitionData| {
         let records = rows::<(K, V)>(&data);
         ctx.charge_records(records.len() as u64);
-        match &combine {
-            Some(f) => {
-                // Map-side combine: one hash of each key serves both the
-                // grouping table and (via the stored hash) bucket choice,
-                // since equal keys share a hash and therefore a bucket.
-                let combine_started = ctx.cpu_secs();
-                let mut groups: HashGroup<K, V> =
-                    HashGroup::with_capacity(records.len().min(1024));
-                for (k, v) in records {
-                    let h = shuffle_hash(k);
-                    let merged = groups.upsert(h, k, v, V::clone, |a, v| {
-                        let m = f(a, v);
-                        *a = m;
-                    });
-                    if merged {
-                        ctx.charge_combine(1);
-                    }
-                }
-                let combine_secs = ctx.cpu_secs() - combine_started;
-                let series = ctx.series();
-                series.shuffle_combine_seconds.observe(combine_secs);
-                // Worker-thread path: exercises the sharded digest store
-                // (per-thread shard, merged at snapshot), so recording
-                // here never contends with the simulation thread.
-                series.shuffle_combine_quantile.record(combine_secs);
-                encode_grouped(ctx, num, &groups)
-            }
-            None => encode_buckets_by(ctx, records, num, |k| bucket_of(k, num)),
-        }
+        encode_buckets_by(ctx, records, num, &bucket_fn)
     })
 }
 
-// ----- node implementations --------------------------------------------
-
-struct ParallelizeNode<T> {
-    id: NodeId,
-    parts: Vec<Arc<Vec<T>>>,
-    bytes_per_record: u64,
-}
-
-impl<T: Send + Sync + 'static> PlanNode for ParallelizeNode<T> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "parallelize"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-    fn deps(&self) -> Vec<Dep> {
-        Vec::new()
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        let p = &self.parts[part];
-        ctx.charge_scan(p.len() as u64 * self.bytes_per_record);
-        Arc::clone(p) as PartitionData
-    }
-}
-
-struct GenerateNode<T> {
-    id: NodeId,
-    partitions: usize,
-    gen: Arc<dyn Fn(usize) -> Vec<T> + Send + Sync>,
-    bytes_per_record: u64,
-}
-
-impl<T: Send + Sync + 'static> PlanNode for GenerateNode<T> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "generate"
-    }
-    fn num_partitions(&self) -> usize {
-        self.partitions
-    }
-    fn deps(&self) -> Vec<Dep> {
-        Vec::new()
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        let v = (self.gen)(part);
-        ctx.charge_scan(v.len() as u64 * self.bytes_per_record);
-        wrap(v)
-    }
-}
-
-struct MapNode<T, U> {
-    id: NodeId,
-    parent: Arc<dyn PlanNode>,
-    f: Arc<dyn Fn(&T) -> U + Send + Sync>,
-    cost: Option<f64>,
-}
-
-impl<T: Send + Sync + 'static, U: Send + Sync + 'static> PlanNode for MapNode<T, U> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "map"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Narrow(Arc::clone(&self.parent))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        let input = self.parent.compute(ctx, part);
-        let rows = rows::<T>(&input);
-        match self.cost {
-            Some(c) => ctx.charge_secs(rows.len() as f64 * c),
-            None => ctx.charge_records(rows.len() as u64),
-        }
-        wrap(rows.iter().map(|t| (self.f)(t)).collect::<Vec<U>>())
-    }
-}
-
-struct FilterNode<T> {
-    id: NodeId,
-    parent: Arc<dyn PlanNode>,
-    f: Arc<dyn Fn(&T) -> bool + Send + Sync>,
-}
-
-impl<T: Clone + Send + Sync + 'static> PlanNode for FilterNode<T> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "filter"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Narrow(Arc::clone(&self.parent))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        let input = self.parent.compute(ctx, part);
-        let rows = rows::<T>(&input);
-        ctx.charge_records(rows.len() as u64);
-        wrap(
-            rows.iter()
-                .filter(|t| (self.f)(t))
-                .cloned()
-                .collect::<Vec<T>>(),
-        )
-    }
-}
-
-/// Per-record expansion function of `flat_map`.
-type FlatMapFn<T, U> = Arc<dyn Fn(&T) -> Vec<U> + Send + Sync>;
-
-struct FlatMapNode<T, U> {
-    id: NodeId,
-    parent: Arc<dyn PlanNode>,
-    f: FlatMapFn<T, U>,
-}
-
-impl<T: Send + Sync + 'static, U: Send + Sync + 'static> PlanNode for FlatMapNode<T, U> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "flatMap"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Narrow(Arc::clone(&self.parent))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        let input = self.parent.compute(ctx, part);
-        let rows = rows::<T>(&input);
-        let mut out = Vec::new();
-        for t in rows {
-            out.extend((self.f)(t));
-        }
-        ctx.charge_records(rows.len() as u64 + out.len() as u64);
-        wrap(out)
-    }
-}
-
-/// Whole-partition transformation of `map_partitions`.
-type MapPartitionsFn<T, U> = Arc<dyn Fn(&mut TaskContext, &[T]) -> Vec<U> + Send + Sync>;
-
-struct MapPartitionsNode<T, U> {
-    id: NodeId,
-    parent: Arc<dyn PlanNode>,
-    f: MapPartitionsFn<T, U>,
-}
-
-impl<T: Send + Sync + 'static, U: Send + Sync + 'static> PlanNode for MapPartitionsNode<T, U> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "mapPartitions"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Narrow(Arc::clone(&self.parent))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        let input = self.parent.compute(ctx, part);
-        let rows = rows::<T>(&input);
-        wrap((self.f)(ctx, rows))
-    }
-}
-
-struct UnionNode<T> {
-    id: NodeId,
-    parents: Vec<Arc<dyn PlanNode>>,
-    _t: PhantomData<fn() -> T>,
-}
-
-impl<T: Send + Sync + 'static> PlanNode for UnionNode<T> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "union"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parents.iter().map(|p| p.num_partitions()).sum()
-    }
-    fn deps(&self) -> Vec<Dep> {
-        self.parents
-            .iter()
-            .map(|p| Dep::Narrow(Arc::clone(p)))
-            .collect()
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        let mut idx = part;
-        for p in &self.parents {
-            if idx < p.num_partitions() {
-                return p.compute(ctx, idx);
-            }
-            idx -= p.num_partitions();
-        }
-        panic!("union partition {part} out of range");
-    }
-}
-
-/// One memoized partition: the rows plus the work-model deltas the fill
-/// charged, replayed verbatim to every later reader. Without the replay,
-/// whichever task happened to fill the cache first would be the only one
-/// charged for the parent's work — a real-time race once tasks run on
-/// worker threads, and a determinism hole in accounted durations.
-struct CacheSlot {
-    data: PartitionData,
-    cpu_secs: f64,
-    bytes_in: u64,
-    bytes_out: u64,
-}
-
-struct CacheNode<T> {
-    id: NodeId,
-    parent: Arc<dyn PlanNode>,
-    slots: Mutex<Vec<Option<CacheSlot>>>,
-    _t: PhantomData<fn() -> T>,
-}
-
-impl<T: Send + Sync + 'static> PlanNode for CacheNode<T> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "cache"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Narrow(Arc::clone(&self.parent))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        // Hold the lock across the fill so concurrent readers of one
-        // partition compute it exactly once; losers replay the stored
-        // charges and see identical accounted cost.
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = &slots[part] {
-            ctx.replay_charges(slot.cpu_secs, slot.bytes_in, slot.bytes_out);
-            return Arc::clone(&slot.data);
-        }
-        let (cpu0, in0, out0) = (ctx.cpu_secs(), ctx.bytes_in(), ctx.bytes_out());
-        let data = self.parent.compute(ctx, part);
-        slots[part] = Some(CacheSlot {
-            data: Arc::clone(&data),
-            cpu_secs: ctx.cpu_secs() - cpu0,
-            bytes_in: ctx.bytes_in() - in0,
-            bytes_out: ctx.bytes_out() - out0,
-        });
-        data
-    }
-}
-
-/// Reduce-side merge: decodes this partition's blocks and merges records.
-type MergeFn<C> = Arc<dyn Fn(&mut TaskContext, Vec<Bytes>) -> Vec<C> + Send + Sync>;
-
-struct ShuffledNode<C> {
-    id: NodeId,
-    label: &'static str,
-    dep: Arc<ShuffleDep>,
-    merge: MergeFn<C>,
-}
-
-impl<C: Send + Sync + 'static> PlanNode for ShuffledNode<C> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        self.label
-    }
-    fn num_partitions(&self) -> usize {
-        self.dep.num_partitions
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Shuffle(Arc::clone(&self.dep))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, _part: usize) -> PartitionData {
-        let blocks = ctx.shuffle_input(self.dep.id);
-        wrap((self.merge)(ctx, blocks))
-    }
-}
-
-type JoinMarker<K, V, W> = PhantomData<fn() -> (K, V, W)>;
-
-struct JoinNode<K, V, W> {
-    id: NodeId,
-    left: Arc<ShuffleDep>,
-    right: Arc<ShuffleDep>,
-    _t: JoinMarker<K, V, W>,
-}
-
-impl<K: ShuffleKey, V: ShuffleValue, W: ShuffleValue> PlanNode for JoinNode<K, V, W> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "join"
-    }
-    fn num_partitions(&self) -> usize {
-        self.left.num_partitions
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Shuffle(Arc::clone(&self.left)), Dep::Shuffle(Arc::clone(&self.right))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, _part: usize) -> PartitionData {
-        let left_blocks = ctx.shuffle_input(self.left.id);
-        let right_blocks = ctx.shuffle_input(self.right.id);
-        // Hash join: build a table from the left stream, probe with the
-        // right stream — records never sit in an intermediate Vec.
-        let mut table: HashGroup<K, Vec<V>> = HashGroup::with_capacity(64);
-        for (k, v) in decode_stream::<K, V>(left_blocks) {
-            ctx.charge_combine(1);
-            table.upsert_owned(shuffle_hash(&k), k, v, |v| vec![v], |a, v| a.push(v));
-        }
-        let mut out: Vec<(K, (V, W))> = Vec::new();
-        for (k, w) in decode_stream::<K, W>(right_blocks) {
-            ctx.charge_combine(1);
-            if let Some(vs) = table.get(shuffle_hash(&k), &k) {
-                for v in vs {
-                    out.push((k.clone(), (v.clone(), w.clone())));
-                }
+/// The map side of `reduce_by_key`: combines values per key with `f`
+/// before hash-bucketing what is left.
+fn combining_partitioner<K: ShuffleKey, V: ShuffleValue>(
+    num: usize,
+    f: Arc<impl Fn(&V, &V) -> V + Send + Sync + 'static>,
+) -> Partitioner {
+    Arc::new(move |ctx: &mut TaskContext, data: PartitionData| {
+        let records = rows::<(K, V)>(&data);
+        ctx.charge_records(records.len() as u64);
+        // One hash of each key serves both the grouping table and (via the
+        // stored hash) bucket choice, since equal keys share a hash and
+        // therefore a bucket.
+        let combine_started = ctx.cpu_secs();
+        let mut groups: HashGroup<K, V> = HashGroup::with_capacity(records.len().min(1024));
+        for (k, v) in records {
+            let h = shuffle_hash(k);
+            let merged = groups.upsert(h, k, v, V::clone, |a, v| {
+                let m = f(a, v);
+                *a = m;
+            });
+            if merged {
+                ctx.charge_combine(1);
             }
         }
-        wrap(out)
-    }
+        let combine_secs = ctx.cpu_secs() - combine_started;
+        let series = ctx.series();
+        series.shuffle_combine_seconds.observe(combine_secs);
+        // Worker-thread path: exercises the sharded digest store
+        // (per-thread shard, merged at snapshot), so recording
+        // here never contends with the simulation thread.
+        series.shuffle_combine_quantile.record(combine_secs);
+        encode_grouped(ctx, num, &groups)
+    })
 }
 
 #[cfg(test)]
@@ -1160,6 +884,28 @@ mod tests {
                 (3, ("z".into(), 30)),
             ]
         );
+    }
+
+    /// A zero-width shuffle used to build fine and die inside a task body
+    /// on `hash % 0`; the one `ShuffleDep` constructor rejects it.
+    #[test]
+    fn zero_partition_shuffles_are_rejected_where_the_plan_is_built() {
+        type Build = fn(&Dataset<(u64, u64)>);
+        let cases: [(&str, Build); 5] = [
+            ("reduce_by_key", |d| drop(d.reduce_by_key(0, |a, b| a + b))),
+            ("group_by_key", |d| drop(d.group_by_key(0))),
+            ("join", |d| drop(d.join(d, 0))),
+            ("cogroup", |d| drop(d.cogroup(d, 0))),
+            ("aggregate_by_key", |d| {
+                drop(d.aggregate_by_key(0, 0u64, |a, v| a + v, |a, b| a + b))
+            }),
+        ];
+        for (name, build) in cases {
+            let panic = std::panic::catch_unwind(|| build(&Dataset::parallelize(vec![(1, 1)], 1)))
+                .expect_err(name);
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(message, "need at least one partition", "{name}");
+        }
     }
 
     #[test]

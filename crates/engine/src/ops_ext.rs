@@ -2,23 +2,11 @@
 //! range-partitioned sort — the rest of the RDD API surface a Spark user
 //! would expect, built on the same shuffle machinery as `ops`.
 
-use std::sync::Arc;
-
 use splitserve_rt::hash::shuffle_hash;
 
 use crate::combine::HashGroup;
-use crate::context::TaskContext;
-use crate::node::{
-    next_node_id, next_shuffle_id, Dep, NodeId, PartitionData, PlanNode, ShuffleDep,
-};
-use crate::ops::{
-    decode_stream, encode_buckets_by, make_partitioner, Dataset, ShuffleKey, ShuffleValue,
-};
-
-fn rows<T: 'static>(data: &PartitionData) -> &Vec<T> {
-    data.downcast_ref::<Vec<T>>()
-        .expect("partition type mismatch: engine invariant violated")
-}
+use crate::node::ShuffleDep;
+use crate::ops::{decode_stream, partitioner_by, wide, Dataset, ShuffleKey, ShuffleValue};
 
 /// A serializable record usable as a sort key with a total order.
 pub trait SortKey: ShuffleKey {}
@@ -49,50 +37,15 @@ impl<T: Send + Sync + 'static> Dataset<(u8, T)> {
         T: ShuffleValue,
         A: Clone + Send + Sync + 'static,
     {
-        let dep = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: self.node(),
-            num_partitions: 1,
-            partitioner: make_partitioner::<u8, T>(1, None),
-        });
-        let fold = Arc::new(fold);
-        Dataset::from_node(Arc::new(FoldNode {
-            id: next_node_id(),
-            dep,
-            init,
-            fold,
-        }))
-    }
-}
-
-struct FoldNode<T, A> {
-    id: NodeId,
-    dep: Arc<ShuffleDep>,
-    init: A,
-    fold: Arc<dyn Fn(A, T) -> A + Send + Sync>,
-}
-
-impl<T: ShuffleValue, A: Clone + Send + Sync + 'static> PlanNode for FoldNode<T, A> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "fold"
-    }
-    fn num_partitions(&self) -> usize {
-        1
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Shuffle(Arc::clone(&self.dep))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, _part: usize) -> PartitionData {
-        let blocks = ctx.shuffle_input(self.dep.id);
-        let mut acc = self.init.clone();
-        for (_, v) in decode_stream::<u8, T>(blocks) {
-            ctx.charge_combine(1);
-            acc = (self.fold)(acc, v);
-        }
-        Arc::new(vec![acc])
+        let dep = self.hash_shuffled(1);
+        wide("fold", [dep], move |ctx, [blocks]| {
+            let mut acc = init.clone();
+            for (_, v) in decode_stream::<u8, T>(blocks) {
+                ctx.charge_combine(1);
+                acc = fold(acc, v);
+            }
+            vec![acc]
+        })
     }
 }
 
@@ -112,8 +65,6 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
     {
         // Map side: fold raw values into accumulators, then shuffle the
         // (K, A) pairs with combiner `comb`.
-        let init2 = init.clone();
-        let seq = Arc::new(seq);
         let pre: Dataset<(K, A)> = self.map_partitions(move |ctx, records: &[(K, V)]| {
             ctx.charge_combine(records.len() as u64);
             // Group by reference: keys are cloned once per distinct key at
@@ -124,7 +75,7 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
                     shuffle_hash(k),
                     k,
                     v,
-                    |v| seq(&init2, v),
+                    |v| seq(&init, v),
                     |a, v| {
                         let m = seq(a, v);
                         *a = m;
@@ -150,24 +101,32 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
         other: &Dataset<(K, W)>,
         partitions: usize,
     ) -> Cogrouped<K, V, W> {
-        let left = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: self.node(),
-            num_partitions: partitions,
-            partitioner: make_partitioner::<K, V>(partitions, None),
-        });
-        let right = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: other.node(),
-            num_partitions: partitions,
-            partitioner: make_partitioner::<K, W>(partitions, None),
-        });
-        Dataset::from_node(Arc::new(CogroupNode::<K, V, W> {
-            id: next_node_id(),
-            left,
-            right,
-            _t: std::marker::PhantomData,
-        }))
+        let left = self.hash_shuffled(partitions);
+        let right = other.hash_shuffled(partitions);
+        wide("cogroup", [left, right], |ctx, [lefts, rights]| {
+            let mut groups: HashGroup<K, (Vec<V>, Vec<W>)> = HashGroup::with_capacity(64);
+            for (k, v) in decode_stream::<K, V>(lefts) {
+                ctx.charge_combine(1);
+                groups.upsert_owned(
+                    shuffle_hash(&k),
+                    k,
+                    v,
+                    |v| (vec![v], Vec::new()),
+                    |a, v| a.0.push(v),
+                );
+            }
+            for (k, w) in decode_stream::<K, W>(rights) {
+                ctx.charge_combine(1);
+                groups.upsert_owned(
+                    shuffle_hash(&k),
+                    k,
+                    w,
+                    |w| (Vec::new(), vec![w]),
+                    |a, w| a.1.push(w),
+                );
+            }
+            groups.into_pairs().collect()
+        })
     }
 
     /// Globally sorts by key via range partitioning: partition `i` holds
@@ -179,110 +138,20 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
     /// [`sample_sort_bounds`]).
     pub fn sort_by_key(&self, bounds: Vec<K>) -> Dataset<(K, V)> {
         let partitions = bounds.len() + 1;
-        let bounds = Arc::new(bounds);
-        let b2 = Arc::clone(&bounds);
-        let dep = Arc::new(ShuffleDep {
-            id: next_shuffle_id(),
-            parent: self.node(),
-            num_partitions: partitions,
-            partitioner: Arc::new(move |ctx: &mut TaskContext, data: PartitionData| {
-                let records = rows::<(K, V)>(&data);
-                ctx.charge_records(records.len() as u64);
-                // Range buckets instead of hash buckets; the single-pass
-                // pooled encode is shared with the hash shuffles.
-                encode_buckets_by(ctx, records, partitions, |k| match b2.binary_search(k) {
-                    Ok(i) | Err(i) => i,
-                })
-            }),
+        // Range buckets instead of hash buckets; the single-pass pooled
+        // encode is shared with the hash shuffles.
+        let by_range = partitioner_by::<K, V>(partitions, move |k| match bounds.binary_search(k) {
+            Ok(i) | Err(i) => i,
         });
-        Dataset::from_node(Arc::new(SortedNode {
-            id: next_node_id(),
-            dep,
-            _t: std::marker::PhantomData::<fn() -> (K, V)>,
-        }))
-    }
-}
-
-type CogroupMarker<K, V, W> = std::marker::PhantomData<fn() -> (K, V, W)>;
-
-struct CogroupNode<K, V, W> {
-    id: NodeId,
-    left: Arc<ShuffleDep>,
-    right: Arc<ShuffleDep>,
-    _t: CogroupMarker<K, V, W>,
-}
-
-impl<K: ShuffleKey, V: ShuffleValue, W: ShuffleValue> PlanNode for CogroupNode<K, V, W> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "cogroup"
-    }
-    fn num_partitions(&self) -> usize {
-        self.left.num_partitions
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![
-            Dep::Shuffle(Arc::clone(&self.left)),
-            Dep::Shuffle(Arc::clone(&self.right)),
-        ]
-    }
-    fn compute(&self, ctx: &mut TaskContext, _part: usize) -> PartitionData {
-        let lb = ctx.shuffle_input(self.left.id);
-        let rb = ctx.shuffle_input(self.right.id);
-        let mut groups: HashGroup<K, (Vec<V>, Vec<W>)> = HashGroup::with_capacity(64);
-        for (k, v) in decode_stream::<K, V>(lb) {
-            ctx.charge_combine(1);
-            groups.upsert_owned(
-                shuffle_hash(&k),
-                k,
-                v,
-                |v| (vec![v], Vec::new()),
-                |a, v| a.0.push(v),
-            );
-        }
-        for (k, w) in decode_stream::<K, W>(rb) {
-            ctx.charge_combine(1);
-            groups.upsert_owned(
-                shuffle_hash(&k),
-                k,
-                w,
-                |w| (Vec::new(), vec![w]),
-                |a, w| a.1.push(w),
-            );
-        }
-        Arc::new(groups.into_pairs().collect::<Vec<(K, (Vec<V>, Vec<W>))>>())
-    }
-}
-
-struct SortedNode<K, V> {
-    id: NodeId,
-    dep: Arc<ShuffleDep>,
-    _t: std::marker::PhantomData<fn() -> (K, V)>,
-}
-
-impl<K: ShuffleKey, V: ShuffleValue> PlanNode for SortedNode<K, V> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-    fn label(&self) -> &str {
-        "sortByKey"
-    }
-    fn num_partitions(&self) -> usize {
-        self.dep.num_partitions
-    }
-    fn deps(&self) -> Vec<Dep> {
-        vec![Dep::Shuffle(Arc::clone(&self.dep))]
-    }
-    fn compute(&self, ctx: &mut TaskContext, _part: usize) -> PartitionData {
-        let blocks = ctx.shuffle_input(self.dep.id);
-        let mut records: Vec<(K, V)> = decode_stream::<K, V>(blocks).collect();
-        let n = records.len() as u64;
-        // n log n comparison charge.
-        ctx.charge_combine(n.max(1).ilog2() as u64 * n);
-        records.sort_by(|a, b| a.0.cmp(&b.0));
-        Arc::new(records)
+        let dep = ShuffleDep::new(self.node(), partitions, by_range);
+        wide("sortByKey", [dep], |ctx, [blocks]| {
+            let mut records: Vec<(K, V)> = decode_stream::<K, V>(blocks).collect();
+            let n = records.len() as u64;
+            // n log n comparison charge.
+            ctx.charge_combine(n.max(1).ilog2() as u64 * n);
+            records.sort_by(|a, b| a.0.cmp(&b.0));
+            records
+        })
     }
 }
 
@@ -304,7 +173,10 @@ pub fn sample_sort_bounds<K: Ord + Clone>(mut sample: Vec<K>, partitions: usize)
 mod tests {
     use super::*;
     use crate::config::WorkModel;
+    use crate::context::TaskContext;
+    use crate::ops::rows;
     use splitserve_rt::Bytes;
+    use std::sync::Arc;
 
     /// Runs an arbitrary one-or-two-shuffle plan to completion by hand.
     fn run_plan<T: Clone + Send + Sync + 'static>(ds: &Dataset<T>) -> Vec<T> {

@@ -1,7 +1,6 @@
 //! Stage construction: splitting a plan DAG at its shuffle boundaries, the
 //! job of Spark's `DAGScheduler::getOrCreateShuffleMapStage`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::node::{input_shuffles, PlanNode, ShuffleDep, ShuffleId};
@@ -89,61 +88,51 @@ impl StageGraph {
         self.stages.is_empty()
     }
 
-    /// The stage that *produces* shuffle `id`, if any.
+    /// The stage that *produces* shuffle `id`, if any. A scan: a job has a
+    /// handful of stages, and this is the one shuffle → stage index.
     pub fn producer_of(&self, id: ShuffleId) -> Option<StageId> {
         self.stages.iter().find_map(|s| match &s.kind {
             StageKind::ShuffleMap(dep) if dep.id == id => Some(s.id),
             _ => None,
         })
     }
+
+    /// Appends the stage whose tasks compute `terminal`, after the map
+    /// stage of every shuffle it reads that has none yet (depth first, in
+    /// shuffle-id order), so parents always precede children.
+    fn add_stage(&mut self, kind: StageKind, terminal: Arc<dyn PlanNode>) -> StageId {
+        let input_shuffles = input_shuffles(&terminal);
+        let parents = input_shuffles
+            .iter()
+            .map(|dep| match self.producer_of(dep.id) {
+                Some(stage) => stage,
+                None => self.add_stage(
+                    StageKind::ShuffleMap(Arc::clone(dep)),
+                    Arc::clone(&dep.parent),
+                ),
+            })
+            .collect();
+        let id = StageId(self.stages.len() as u64);
+        self.stages.push(Stage {
+            id,
+            kind,
+            num_tasks: terminal.num_partitions(),
+            terminal,
+            parents,
+            input_shuffles,
+        });
+        id
+    }
 }
 
 /// Builds the stage DAG for a job ending at `final_node`.
 pub fn build_stages(final_node: Arc<dyn PlanNode>) -> StageGraph {
-    let mut stages: Vec<Stage> = Vec::new();
-    let mut by_shuffle: HashMap<ShuffleId, StageId> = HashMap::new();
-
-    fn stage_for_shuffle(
-        dep: &Arc<ShuffleDep>,
-        stages: &mut Vec<Stage>,
-        by_shuffle: &mut HashMap<ShuffleId, StageId>,
-    ) -> StageId {
-        if let Some(id) = by_shuffle.get(&dep.id) {
-            return *id;
-        }
-        let inputs = input_shuffles(&dep.parent);
-        let parents: Vec<StageId> = inputs
-            .iter()
-            .map(|d| stage_for_shuffle(d, stages, by_shuffle))
-            .collect();
-        let id = StageId(stages.len() as u64);
-        stages.push(Stage {
-            id,
-            kind: StageKind::ShuffleMap(Arc::clone(dep)),
-            terminal: Arc::clone(&dep.parent),
-            num_tasks: dep.parent.num_partitions(),
-            parents,
-            input_shuffles: inputs,
-        });
-        by_shuffle.insert(dep.id, id);
-        id
-    }
-
-    let inputs = input_shuffles(&final_node);
-    let parents: Vec<StageId> = inputs
-        .iter()
-        .map(|d| stage_for_shuffle(d, &mut stages, &mut by_shuffle))
-        .collect();
-    let result = StageId(stages.len() as u64);
-    stages.push(Stage {
-        id: result,
-        kind: StageKind::Result,
-        terminal: Arc::clone(&final_node),
-        num_tasks: final_node.num_partitions(),
-        parents,
-        input_shuffles: inputs,
-    });
-    StageGraph { stages, result }
+    let mut graph = StageGraph {
+        stages: Vec::new(),
+        result: StageId(0),
+    };
+    graph.result = graph.add_stage(StageKind::Result, final_node);
+    graph
 }
 
 #[cfg(test)]
