@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use splitserve::{Deployment, ShuffleStoreKind};
 use splitserve_cloud::{CloudSpec, M4_4XLARGE, M4_XLARGE};
-use splitserve_des::{Dist, Sim, SimDuration, SimTime};
+use splitserve_des::{Dist, Sim, SimTime};
 use splitserve_engine::{flight_dump, EngineConfig, EngineEvent, EngineEventKind};
 use splitserve_obs::Obs;
 use splitserve_storage::{FaultStore, StoreFaults};
@@ -28,31 +28,13 @@ use crate::inject::{self, InjectionReport};
 use crate::plan::FaultPlan;
 use crate::workloads::ChaosWorkload;
 
-/// The fixed cluster shape chaos cases run on: a couple of VM cores, an
+/// What a caller may vary about a chaos case's cluster. The shape itself
+/// is fixed (the constants of [`run_case`]): a couple of VM cores, an
 /// initial Lambda fleet, periodic replacement waves, and a late VM rescue
 /// so every plan the generator can produce still completes — shrinking
 /// must never deadlock on a case that starved itself of executors.
 #[derive(Debug, Clone)]
 pub struct ChaosTopology {
-    /// Simulation seed (independent of the plan seed).
-    pub sim_seed: u64,
-    /// VM executor cores registered up front.
-    pub vm_cores: u32,
-    /// Lambda executors launched at t=0.
-    pub initial_lambdas: u32,
-    /// Replacement waves: `wave_count` waves of `wave_size` Lambdas…
-    pub wave_count: u32,
-    /// …one wave every this many seconds (first at that instant)…
-    pub wave_every_s: u64,
-    /// …of this many Lambdas each.
-    pub wave_size: u32,
-    /// When the VM rescue arrives, seconds.
-    pub rescue_at_s: u64,
-    /// VM cores in the rescue (0 disables it).
-    pub rescue_cores: u32,
-    /// Lambda platform lifetime in seconds; 0 keeps the spec default
-    /// (long enough to never fire in a chaos case).
-    pub lambda_lifetime_s: u64,
     /// Worker threads for the engine's task data plane (1 = inline).
     /// Virtual-time results are byte-identical at any setting, which the
     /// differential harness exploits to cross-check the parallel path.
@@ -61,39 +43,40 @@ pub struct ChaosTopology {
 
 impl Default for ChaosTopology {
     fn default() -> Self {
-        ChaosTopology {
-            sim_seed: 11,
-            vm_cores: 2,
-            initial_lambdas: 4,
-            wave_count: 10,
-            wave_every_s: 5,
-            wave_size: 2,
-            rescue_at_s: 60,
-            rescue_cores: 8,
-            lambda_lifetime_s: 0,
-            workers: 1,
-        }
+        ChaosTopology { workers: 1 }
     }
 }
 
-impl ChaosTopology {
-    /// The cloud spec: constant start/jitter distributions so a case's
-    /// timeline depends only on (sim seed, plan, store kind).
-    pub fn cloud_spec(&self) -> CloudSpec {
-        let mut spec = CloudSpec {
-            vm_boot: Dist::constant(110.0),
-            lambda_warm_start: Dist::constant(0.1),
-            lambda_cold_start: Dist::constant(3.0),
-            lambda_net_jitter: Dist::constant(1.0),
-            // The 64-case chaos digest is pinned against the legacy
-            // infinite warm pool.
-            coldstart: splitserve_cloud::ColdStartSpec::forever(),
-            ..CloudSpec::default()
-        };
-        if self.lambda_lifetime_s > 0 {
-            spec.lambda_lifetime = SimDuration::from_secs(self.lambda_lifetime_s);
-        }
-        spec
+/// Simulation seed (independent of the plan seed).
+const SIM_SEED: u64 = 11;
+/// VM executor cores registered up front.
+const VM_CORES: u32 = 2;
+/// Lambda executors launched at t=0.
+const INITIAL_LAMBDAS: u32 = 4;
+/// Replacement waves: this many waves …
+const WAVE_COUNT: u64 = 10;
+/// … one every this many seconds (first at that instant) …
+const WAVE_EVERY_S: u64 = 5;
+/// … of this many Lambdas each.
+const WAVE_SIZE: u32 = 2;
+/// When the VM rescue arrives, seconds …
+const RESCUE_AT_S: u64 = 60;
+/// … and its VM cores.
+const RESCUE_CORES: u32 = 8;
+
+/// The cloud spec: constant start/jitter distributions so a case's
+/// timeline depends only on (plan, store kind). The Lambda lifetime is
+/// the spec default, long enough to never fire in a chaos case.
+fn cloud_spec() -> CloudSpec {
+    CloudSpec {
+        vm_boot: Dist::constant(110.0),
+        lambda_warm_start: Dist::constant(0.1),
+        lambda_cold_start: Dist::constant(3.0),
+        lambda_net_jitter: Dist::constant(1.0),
+        // The 64-case chaos digest is pinned against the legacy
+        // infinite warm pool.
+        coldstart: splitserve_cloud::ColdStartSpec::forever(),
+        ..CloudSpec::default()
     }
 }
 
@@ -148,7 +131,7 @@ pub fn run_case(
     plan: Option<&FaultPlan>,
     topo: &ChaosTopology,
 ) -> CaseResult {
-    let mut sim = Sim::new(topo.sim_seed);
+    let mut sim = Sim::new(SIM_SEED);
     let obs = Obs::enabled();
     let faults = StoreFaults::new().with_metrics(obs.metrics.clone());
     if let Some(p) = plan {
@@ -162,29 +145,24 @@ pub fn run_case(
     let wrapped = faults.clone();
     let d = Deployment::with_wrapped_store(
         &mut sim,
-        topo.cloud_spec(),
+        cloud_spec(),
         kind,
         M4_XLARGE,
         cfg,
         move |store| FaultStore::wrap(store, wrapped),
     );
-    d.add_vm_cores(&mut sim, &M4_4XLARGE, topo.vm_cores);
-    if topo.initial_lambdas > 0 {
-        d.add_lambda_executors(&mut sim, topo.initial_lambdas);
-    }
-    for wave in 1..=u64::from(topo.wave_count) {
+    d.add_vm_cores(&mut sim, &M4_4XLARGE, VM_CORES);
+    d.add_lambda_executors(&mut sim, INITIAL_LAMBDAS);
+    for wave in 1..=WAVE_COUNT {
         let d2 = d.clone();
-        let n = topo.wave_size;
-        sim.schedule_at(SimTime::from_secs(wave * topo.wave_every_s), move |sim| {
-            d2.add_lambda_executors(sim, n);
+        sim.schedule_at(SimTime::from_secs(wave * WAVE_EVERY_S), move |sim| {
+            d2.add_lambda_executors(sim, WAVE_SIZE);
         });
     }
-    if topo.rescue_cores > 0 {
-        let (d2, cores) = (d.clone(), topo.rescue_cores);
-        sim.schedule_at(SimTime::from_secs(topo.rescue_at_s), move |sim| {
-            d2.add_vm_cores(sim, &M4_4XLARGE, cores);
-        });
-    }
+    let d2 = d.clone();
+    sim.schedule_at(SimTime::from_secs(RESCUE_AT_S), move |sim| {
+        d2.add_vm_cores(sim, &M4_4XLARGE, RESCUE_CORES);
+    });
     let report = match plan {
         Some(p) => inject::arm(&mut sim, &d, p),
         None => InjectionReport::default(),

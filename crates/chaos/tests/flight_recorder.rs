@@ -17,10 +17,7 @@ const REASON: &str = "kill-induced rollback";
 /// repro line.
 fn first_rollback_case(workers: usize) -> (FaultPlan, String, CaseResult) {
     let w = ChaosPageRank::small();
-    let topo = ChaosTopology {
-        workers,
-        ..ChaosTopology::default()
-    };
+    let topo = ChaosTopology { workers };
     for seed in 0..64u64 {
         let plan = FaultPlan::generate(seed);
         let r = run_case(&w, ShuffleStoreKind::Local, Some(&plan), &topo);

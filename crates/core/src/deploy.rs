@@ -7,13 +7,13 @@
 //! on both VMs and Lambdas and divide a single job's tasks across them".
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use splitserve_cloud::{Cloud, CloudSpec, InstanceType, LambdaId, VmId};
 use splitserve_des::{Fabric, Sim};
 use splitserve_engine::{Engine, EngineConfig, ExecutorDesc, ExecutorId};
 use splitserve_obs::SpanId;
+use splitserve_rt::FastMap;
 use splitserve_storage::{
     HdfsSpec, HdfsStore, InstrumentedStore, LocalDiskStore, RedisSpec, RedisStore, S3Spec, S3Store,
     SharedStore, SqsSpec, SqsStore,
@@ -48,7 +48,7 @@ impl std::fmt::Display for ShuffleStoreKind {
 }
 
 struct Inner {
-    lambda_execs: HashMap<ExecutorId, LambdaId>,
+    lambda_execs: FastMap<ExecutorId, LambdaId>,
     worker_vms: Vec<VmId>,
     next_lambda: u64,
     next_vm_exec: u64,
@@ -173,7 +173,7 @@ impl Deployment {
             store_kind,
             master_vm,
             inner: Rc::new(RefCell::new(Inner {
-                lambda_execs: HashMap::new(),
+                lambda_execs: FastMap::default(),
                 worker_vms: Vec::new(),
                 next_lambda: 0,
                 next_vm_exec: 0,

@@ -9,36 +9,19 @@
 //! Updating a pin is a deliberate act: rerun with the new value printed
 //! in the assertion message and justify the byte change in review.
 
+mod common;
+
+use common::{fleet_json, FLEET_PIN};
 use splitserve::tenancy::{
-    combined_fingerprint, default_fleet_jobs, default_tenant_specs, fleet_workload,
-    render_fleet_json, run_tenant_fleet, FleetPolicy, TenantFleetConfig,
+    default_fleet_jobs, default_tenant_specs, fleet_workload, run_tenant_fleet, FleetPolicy,
+    TenantFleetConfig,
 };
 use splitserve_rt::hash::assert_pinned;
 
-/// The reduced fleet: 5 tenants, 45 jobs, 120 s horizon, all three
-/// policies — the same machinery as `examples/tenant_fleet.rs`, small
-/// enough for debug-mode CI. `workers` is rendered as a fixed label so
-/// both counts must produce the same bytes.
-fn fleet_json(workers: usize) -> String {
-    let tenants = default_tenant_specs(5);
-    let jobs = default_fleet_jobs(&tenants, 11, 45, 120.0);
-    let mut results = Vec::new();
-    for policy in FleetPolicy::all() {
-        let mut cfg = TenantFleetConfig::for_policy(policy, tenants.clone(), 8);
-        cfg.engine.workers = workers;
-        let (wl, sink) = fleet_workload(8);
-        let r = run_tenant_fleet(&cfg, &jobs, wl);
-        let fp = combined_fingerprint(&sink.borrow());
-        results.push((r, fp));
-    }
-    render_fleet_json(0, &tenants, jobs.len(), &results)
-}
-
 #[test]
 fn fleet_artifact_digest_is_pinned_at_w1_and_w4() {
-    const PIN: u64 = 0x15ce_aee7_5e06_1437;
-    assert_pinned("reduced fleet artifact at workers=1", fleet_json(1).as_bytes(), PIN);
-    assert_pinned("reduced fleet artifact at workers=4", fleet_json(4).as_bytes(), PIN);
+    assert_pinned("reduced fleet artifact at workers=1", fleet_json(1).as_bytes(), FLEET_PIN);
+    assert_pinned("reduced fleet artifact at workers=4", fleet_json(4).as_bytes(), FLEET_PIN);
 }
 
 /// One obs-enabled reduced fleet run; returns the full Prometheus

@@ -71,33 +71,6 @@ impl WorkModel {
     }
 }
 
-/// Knobs of the straggler watch (detection only, no speculative
-/// re-launch): on every task completion the scheduler folds the run time
-/// into a per-stage streaming quantile digest and flags still-running
-/// attempts of the same stage whose elapsed virtual time exceeds
-/// `quantile`'s value times `multiple`. Active only while observability
-/// is enabled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StragglerConfig {
-    /// Which quantile of completed-task run time anchors the threshold.
-    pub quantile: f64,
-    /// Threshold = quantile value × this multiple.
-    pub multiple: f64,
-    /// Minimum completed tasks in a stage before the watch arms — too few
-    /// samples make the quantile meaningless.
-    pub min_samples: u64,
-}
-
-impl Default for StragglerConfig {
-    fn default() -> Self {
-        StragglerConfig {
-            quantile: 0.95,
-            multiple: 2.0,
-            min_samples: 4,
-        }
-    }
-}
-
 /// Scheduler-level configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -106,19 +79,10 @@ pub struct EngineConfig {
     /// Record every engine event (task start/finish, executor churn) for
     /// timeline figures. Cheap; on by default.
     pub event_log: bool,
-    /// The straggler watch's quantile/multiple/arming knobs.
-    pub straggler: StragglerConfig,
     /// The observability handle ([`splitserve_obs::Obs`]): metrics
     /// registry plus span recorder, shared with the policy and storage
     /// layers. Disabled by default — every record call is one branch.
     pub obs: splitserve_obs::Obs,
-    /// Maximum concurrent block fetches per task during shuffle reads
-    /// (Spark's `spark.reducer.maxReqsInFlight` spiritual cousin).
-    pub max_fetch_concurrency: usize,
-    /// Serialized driver work per task launch (closure serialization +
-    /// RPC on the single-threaded scheduler loop). This is what bends the
-    /// profiling curve back up at high degrees of parallelism (Fig. 4).
-    pub driver_dispatch: SimDuration,
     /// Worker threads executing task bodies (map compute, shuffle
     /// combine+encode, reduce decode+merge). `1` (the default) runs task
     /// bodies inline on the simulation thread; `>= 2` offloads them to a
@@ -133,10 +97,7 @@ impl Default for EngineConfig {
         EngineConfig {
             work: WorkModel::default(),
             event_log: true,
-            straggler: StragglerConfig::default(),
             obs: splitserve_obs::Obs::disabled(),
-            max_fetch_concurrency: 8,
-            driver_dispatch: SimDuration::from_millis(4),
             workers: 1,
         }
     }
@@ -170,6 +131,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = EngineConfig::default();
         assert!(c.work.record_secs > 0.0);
-        assert!(c.max_fetch_concurrency > 0);
+        assert_eq!(c.workers, 1);
     }
 }

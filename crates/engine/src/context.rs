@@ -1,40 +1,9 @@
 //! Per-task execution context: shuffle inputs and CPU-work accounting.
 
-use splitserve_obs::{CounterHandle, HistogramHandle, MetricsRegistry, QuantileHandle};
 use splitserve_rt::{Bytes, FastMap};
 
 use crate::config::WorkModel;
 use crate::node::ShuffleId;
-
-/// Histogram bounds for `shuffle_combine_seconds` (virtual CPU seconds
-/// of one map task's combine phase — much finer than request latencies).
-const COMBINE_BUCKETS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
-
-/// The registry series task bodies record into, resolved once per engine
-/// so a map task builds no metric key. Bodies may run on worker threads:
-/// the quantile handle records into the calling thread's digest shard.
-/// The [`Default`] (what a stand-alone [`TaskContext`] carries) is inert.
-#[derive(Debug, Clone, Default)]
-pub struct TaskSeries {
-    pub(crate) shuffle_encode_bytes: CounterHandle,
-    pub(crate) shuffle_combine_seconds: HistogramHandle,
-    pub(crate) shuffle_combine_quantile: QuantileHandle,
-}
-
-impl TaskSeries {
-    /// Resolves the series on `metrics` (inert when it is disabled).
-    pub fn resolve(metrics: &MetricsRegistry) -> Self {
-        TaskSeries {
-            shuffle_encode_bytes: metrics.counter_handle("shuffle_encode_bytes_total", &[]),
-            shuffle_combine_seconds: metrics.histogram_handle_with(
-                "shuffle_combine_seconds",
-                &[],
-                COMBINE_BUCKETS,
-            ),
-            shuffle_combine_quantile: metrics.quantile_handle("shuffle_combine_seconds", &[]),
-        }
-    }
-}
 
 /// Handed to [`PlanNode::compute`](crate::PlanNode::compute): provides the
 /// fetched shuffle inputs and accumulates the task's CPU work and memory
@@ -46,7 +15,7 @@ pub struct TaskContext {
     cpu_secs: f64,
     bytes_in: u64,
     bytes_out: u64,
-    series: TaskSeries,
+    combine_secs: Option<f64>,
 }
 
 impl TaskContext {
@@ -70,21 +39,10 @@ impl TaskContext {
             cpu_secs: 0.0,
             bytes_in,
             bytes_out: 0,
-            series: TaskSeries::default(),
+            combine_secs: None,
         };
         ctx.charge_deser(bytes_in);
         ctx
-    }
-
-    /// Attaches the series shuffle operators record into (the scheduler
-    /// passes the engine's; stand-alone contexts keep the inert default).
-    pub fn with_series(mut self, series: TaskSeries) -> Self {
-        self.series = series;
-        self
-    }
-
-    pub(crate) fn series(&self) -> &TaskSeries {
-        &self.series
     }
 
     /// An empty context (source stages with no shuffle inputs).
@@ -162,6 +120,18 @@ impl TaskContext {
     /// Bytes produced by this task (shuffle writes).
     pub fn bytes_out(&self) -> u64 {
         self.bytes_out
+    }
+
+    /// CPU seconds of this task's map-side combine, if it ran one.
+    pub(crate) fn combine_secs(&self) -> Option<f64> {
+        self.combine_secs
+    }
+
+    /// Notes the CPU seconds of the task's map-side combine. A body
+    /// records nothing itself: what it measured is read off the context
+    /// once it has returned, like the CPU charge and the byte counts.
+    pub(crate) fn note_combine(&mut self, secs: f64) {
+        self.combine_secs = Some(secs);
     }
 
     /// Applies charge deltas recorded by an earlier task verbatim — used

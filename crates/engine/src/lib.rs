@@ -40,8 +40,8 @@ mod stage;
 mod telemetry;
 mod tracker;
 
-pub use config::{EngineConfig, StragglerConfig, WorkModel};
-pub use context::{TaskContext, TaskSeries};
+pub use config::{EngineConfig, WorkModel};
+pub use context::TaskContext;
 pub use events::{
     EngineEvent, EngineEventKind, EventLog, FailureKind, JobId, ShufflePhase, TaskRef,
 };

@@ -33,7 +33,9 @@ use splitserve_rt::{pool, Bytes};
 
 use crate::combine::HashGroup;
 use crate::context::TaskContext;
-use crate::node::{op, Dep, PartitionData, Partitioner, PlanNode, ShuffleBucket, ShuffleDep};
+use crate::node::{
+    input_shuffles, op, Dep, PartitionData, Partitioner, PlanNode, ShuffleBucket, ShuffleDep,
+};
 
 /// A typed, lazily-evaluated distributed dataset — the engine's RDD.
 ///
@@ -257,8 +259,21 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 
     /// Concatenates two datasets (partitions are appended, no shuffle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stage of either side reads a shuffle, as in
+    /// `a.reduce_by_key(2, f).union(&b)`: a task fetches its stage's
+    /// shuffles at its own partition index, and a union computes its
+    /// second side at a shifted one, so the engine cannot run that stage
+    /// until narrow edges carry a partition mapping. Union the inputs
+    /// ahead of the shuffle instead.
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
         let (first, second) = (self.node(), other.node());
+        assert!(
+            input_shuffles(&first).is_empty() && input_shuffles(&second).is_empty(),
+            "union of a dataset whose stage reads a shuffle cannot run: union ahead of the shuffle"
+        );
         let edges = [&first, &second].map(|parent| Dep::Narrow(Arc::clone(parent)));
         let split = first.num_partitions();
         let partitions = split + second.num_partitions();
@@ -494,25 +509,18 @@ pub(crate) fn decode_stream<K: Decode, V: Decode>(blocks: Vec<Bytes>) -> DecodeS
 }
 
 /// Freezes filled per-bucket scratch buffers into exact-sized [`Bytes`]
-/// blocks, charges the serialization work, returns the scratch to the
-/// pool and records the encoded volume (when observability is enabled).
+/// blocks, charges the serialization work (which counts the encoded
+/// volume as task output) and returns the scratch to the pool.
 fn finish_buckets(ctx: &mut TaskContext, bufs: Vec<Vec<u8>>, counts: Vec<u64>) -> Vec<ShuffleBucket> {
-    let mut encoded_total = 0u64;
-    let buckets = bufs
-        .into_iter()
+    bufs.into_iter()
         .zip(counts)
         .map(|(buf, records)| {
             ctx.charge_ser(buf.len() as u64);
-            encoded_total += buf.len() as u64;
             let bytes = Bytes::copy_from_slice(&buf);
             pool::give(buf);
             ShuffleBucket { bytes, records }
         })
-        .collect();
-    if encoded_total > 0 {
-        ctx.series().shuffle_encode_bytes.add(encoded_total);
-    }
-    buckets
+        .collect()
 }
 
 /// Encodes a combined [`HashGroup`] into one bucket per reduce partition,
@@ -619,13 +627,7 @@ fn combining_partitioner<K: ShuffleKey, V: ShuffleValue>(
                 ctx.charge_combine(1);
             }
         }
-        let combine_secs = ctx.cpu_secs() - combine_started;
-        let series = ctx.series();
-        series.shuffle_combine_seconds.observe(combine_secs);
-        // Worker-thread path: exercises the sharded digest store
-        // (per-thread shard, merged at snapshot), so recording
-        // here never contends with the simulation thread.
-        series.shuffle_combine_quantile.record(combine_secs);
+        ctx.note_combine(ctx.cpu_secs() - combine_started);
         encode_grouped(ctx, num, &groups)
     })
 }
@@ -634,7 +636,6 @@ fn combining_partitioner<K: ShuffleKey, V: ShuffleValue>(
 mod tests {
     use super::*;
     use crate::config::WorkModel;
-    use crate::node::input_shuffles;
 
     fn ctx() -> TaskContext {
         TaskContext::empty(WorkModel::default())

@@ -27,7 +27,7 @@ use splitserve_rt::{Bytes, FastMap, FastSet, Slab, TaskHandle, WorkerPool};
 use splitserve_storage::{BlockId, BlockStore, ClientLoc, StoreError};
 
 use crate::config::{EngineConfig, WorkModel};
-use crate::context::{TaskContext, TaskSeries};
+use crate::context::TaskContext;
 use crate::events::{EngineEventKind, EngineEventKind as E, EventLog, FailureKind, JobId};
 use crate::events::{ShufflePhase, TaskRef};
 use crate::executor::{ExecutorDesc, ExecutorId, ExecutorKind};
@@ -98,7 +98,26 @@ enum ShuffleIo {
     Write(WriteWindow),
 }
 
-/// A reduce-side fetch in flight: at most `max_fetch_concurrency` gets
+/// Maximum concurrent block requests per task, for shuffle reads and
+/// writes alike (Spark's `spark.reducer.maxReqsInFlight` spiritual cousin).
+const MAX_FETCH_CONCURRENCY: usize = 8;
+
+/// Serialized driver work per task launch (closure serialization + RPC on
+/// the single-threaded scheduler loop). This is what bends the profiling
+/// curve back up at high degrees of parallelism (Fig. 4).
+const DRIVER_DISPATCH: SimDuration = SimDuration::from_millis(4);
+
+/// The straggler watch (detection only, see [`Engine::straggler_watch`])
+/// flags a still-running attempt whose elapsed virtual time exceeds this
+/// quantile of its stage's completed run times …
+const STRAGGLER_QUANTILE: f64 = 0.95;
+/// … times this multiple.
+const STRAGGLER_MULTIPLE: f64 = 2.0;
+/// Completed tasks a stage needs before the watch arms — too few samples
+/// make the quantile meaningless.
+const STRAGGLER_MIN_SAMPLES: u64 = 4;
+
+/// A reduce-side fetch in flight: at most [`MAX_FETCH_CONCURRENCY`] gets
 /// outstanding, issued in plan order.
 struct FetchWindow {
     /// Next plan entry to request.
@@ -565,9 +584,10 @@ enum ComputePayload {
     ResultOut(PartitionData),
 }
 
-/// What a task body hands back to the simulation: its output, total CPU
-/// charge and working-set size (the inputs of the duration model).
-type BodyResult = (ComputePayload, f64, u64);
+/// What a task body hands back to the simulation: its output, and the
+/// context it ran in — total CPU charge and working-set size (the inputs
+/// of the duration model) plus what it measured for the registry.
+type BodyResult = (ComputePayload, TaskContext);
 
 /// A task's real computation (map compute, shuffle combine+encode, reduce
 /// decode+merge), on whichever thread runs it.
@@ -577,15 +597,14 @@ fn run_body(
     part: usize,
     work: WorkModel,
     inputs: FastMap<ShuffleId, Vec<Bytes>>,
-    series: TaskSeries,
 ) -> BodyResult {
-    let mut ctx = TaskContext::new(work, inputs).with_series(series);
+    let mut ctx = TaskContext::new(work, inputs);
     let data = terminal.compute(&mut ctx, part);
     let payload = match kind {
         StageKind::ShuffleMap(dep) => ComputePayload::MapOut((dep.partitioner)(&mut ctx, data)),
         StageKind::Result => ComputePayload::ResultOut(data),
     };
-    (payload, ctx.cpu_secs(), ctx.working_set_bytes())
+    (payload, ctx)
 }
 
 impl EventHandler for Shared {
@@ -1244,7 +1263,7 @@ impl Engine {
                 );
                 // The driver is a single-threaded dispatcher: task
                 // launches serialize through it.
-                let start_at = inner.driver_free_at.max(sim.now()) + inner.cfg.driver_dispatch;
+                let start_at = inner.driver_free_at.max(sim.now()) + DRIVER_DISPATCH;
                 inner.driver_free_at = start_at;
                 (attempt, start_at)
             };
@@ -1289,7 +1308,7 @@ impl Engine {
                     span,
                     started: sim.now(),
                 });
-                Ok(inner.cfg.max_fetch_concurrency.max(1).min(blocks))
+                Ok(MAX_FETCH_CONCURRENCY.min(blocks))
             }
         };
         match gets {
@@ -1455,10 +1474,8 @@ impl Engine {
         // parked as its ingredients and runs when the join fires.
         let body = match &sh.pool {
             Some(pool) => {
-                let (work, series) = (work.clone(), sh.tele.task_series().clone());
-                Body::Pooled(pool.submit(move || {
-                    run_body(&*terminal, &kind, part, work, inputs, series)
-                }))
+                let work = work.clone();
+                Body::Pooled(pool.submit(move || run_body(&*terminal, &kind, part, work, inputs)))
             }
             None => Body::Inline { terminal, kind, part, inputs },
         };
@@ -1488,14 +1505,17 @@ impl Engine {
     ) {
         let sh = &*self.shared;
         // The body runs with the scheduler's state released.
-        let (payload, cpu, working_set) = match body {
+        let (payload, ctx) = match body {
             Body::Pooled(running) => running.join(),
             Body::Inline { terminal, kind, part, inputs } => {
                 let work = sh.inner.borrow().cfg.work.clone();
-                let series = sh.tele.task_series().clone();
-                run_body(&*terminal, &kind, part, work, inputs, series)
+                run_body(&*terminal, &kind, part, work, inputs)
             }
         };
+        // Every body that ran reports here, whether or not its attempt
+        // is still alive, in join order: the order of `workers = 1`.
+        sh.tele.record_body(&ctx);
+        let (cpu, working_set) = (ctx.cpu_secs(), ctx.working_set_bytes());
         let mut inner = sh.inner.borrow_mut();
         let work = &inner.cfg.work;
         let pressure = working_set as f64 / mem_bytes as f64;
@@ -1585,7 +1605,7 @@ impl Engine {
                     span,
                     started: sim.now(),
                 });
-                Ok(inner.cfg.max_fetch_concurrency.max(1).min(unsent))
+                Ok(MAX_FETCH_CONCURRENCY.min(unsent))
             }
         };
         match puts {
@@ -1754,10 +1774,10 @@ impl Engine {
 
     /// The straggler watch: fold the just-completed attempt's run time
     /// into its stage's live completion digest, then compare every
-    /// still-running attempt of the same stage against a configurable
-    /// multiple of the digest's quantile. Detection only — a suspect is
-    /// reported as one `StragglerSuspected` event, never re-launched
-    /// speculatively. Runs only while observability is enabled, so the
+    /// still-running attempt of the same stage against
+    /// [`STRAGGLER_MULTIPLE`] × the digest's [`STRAGGLER_QUANTILE`].
+    /// Detection only — a suspect is reported as one
+    /// `StragglerSuspected` event, never re-launched speculatively. Runs only while observability is enabled, so the
     /// disabled path stays one branch.
     fn straggler_watch(&self, now: SimTime, inner: &mut Inner, done: &AttemptInfo, run_secs: f64) {
         let threshold = {
@@ -1766,12 +1786,11 @@ impl Engine {
                 .entry((done.task.job, done.task.stage))
                 .or_default();
             digest.record(run_secs);
-            let sc = &inner.cfg.straggler;
-            if digest.count() < sc.min_samples {
+            if digest.count() < STRAGGLER_MIN_SAMPLES {
                 return;
             }
-            match digest.quantile(sc.quantile) {
-                Some(q) if q * sc.multiple > 0.0 => q * sc.multiple,
+            match digest.quantile(STRAGGLER_QUANTILE) {
+                Some(q) if q * STRAGGLER_MULTIPLE > 0.0 => q * STRAGGLER_MULTIPLE,
                 _ => return,
             }
         };

@@ -15,10 +15,14 @@ use std::sync::Arc;
 use splitserve_des::SimTime;
 use splitserve_obs::{CounterHandle, HistogramHandle, Obs, QuantileHandle, SpanId};
 
-use crate::context::TaskSeries;
+use crate::context::TaskContext;
 use crate::events::{EngineEventKind, EventLog, FailureKind, JobId, ShufflePhase};
 use crate::executor::ExecutorKind;
 use crate::metrics::JobMetrics;
+
+/// Histogram bounds for `shuffle_combine_seconds` (virtual CPU seconds
+/// of one map task's combine phase — much finer than request latencies).
+const COMBINE_BUCKETS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
 
 /// Buckets for whole-job execution times (seconds).
 const JOB_EXECUTION_BUCKETS: &[f64] = &[1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0];
@@ -52,6 +56,9 @@ struct Handles {
     jobs_completed: CounterHandle,
     job_execution_seconds_hist: HistogramHandle,
     job_execution_seconds_quant: QuantileHandle,
+    shuffle_encode_bytes: CounterHandle,
+    shuffle_combine_seconds_hist: HistogramHandle,
+    shuffle_combine_seconds_quant: QuantileHandle,
 }
 
 impl Handles {
@@ -84,6 +91,13 @@ impl Handles {
                 JOB_EXECUTION_BUCKETS,
             ),
             job_execution_seconds_quant: m.quantile_handle("job_execution_seconds", &[]),
+            shuffle_encode_bytes: m.counter_handle("shuffle_encode_bytes_total", &[]),
+            shuffle_combine_seconds_hist: m.histogram_handle_with(
+                "shuffle_combine_seconds",
+                &[],
+                COMBINE_BUCKETS,
+            ),
+            shuffle_combine_seconds_quant: m.quantile_handle("shuffle_combine_seconds", &[]),
         }
     }
 }
@@ -98,14 +112,12 @@ pub(crate) struct Telemetry {
     /// while nobody asked for it; once a caller holds a block it keeps the
     /// snapshot it was given and the table's copy moves on.
     jobs: RefCell<Vec<Arc<JobMetrics>>>,
-    task_series: TaskSeries,
 }
 
 impl Telemetry {
     pub fn new(obs: Obs, log: EventLog) -> Self {
         Telemetry {
             h: Handles::resolve(&obs),
-            task_series: TaskSeries::resolve(&obs.metrics),
             obs,
             log,
             jobs: RefCell::default(),
@@ -120,11 +132,6 @@ impl Telemetry {
         &self.log
     }
 
-    /// The series task bodies record into (they run off this thread).
-    pub fn task_series(&self) -> &TaskSeries {
-        &self.task_series
-    }
-
     /// A job's metrics block, shared rather than cloned.
     pub fn job_metrics(&self, job: JobId) -> Option<Arc<JobMetrics>> {
         self.jobs.borrow().get(job.0 as usize).cloned()
@@ -132,6 +139,21 @@ impl Telemetry {
 
     fn fold(&self, job: JobId, f: impl FnOnce(&mut JobMetrics)) {
         f(Arc::make_mut(&mut self.jobs.borrow_mut()[job.0 as usize]))
+    }
+
+    /// Records what a finished task body measured — its encoded shuffle
+    /// bytes and the CPU seconds of its map-side combine — read off the
+    /// body's context at the join, on the simulation thread, so the series
+    /// fill in join order at every worker count. A recorder call, not a
+    /// logged event: it feeds the registry only.
+    pub fn record_body(&self, body: &TaskContext) {
+        if body.bytes_out() > 0 {
+            self.h.shuffle_encode_bytes.add(body.bytes_out());
+        }
+        if let Some(secs) = body.combine_secs() {
+            self.h.shuffle_combine_seconds_hist.observe(secs);
+            self.h.shuffle_combine_seconds_quant.record(secs);
+        }
     }
 
     /// Reports an occurrence that neither continues nor opens a span.

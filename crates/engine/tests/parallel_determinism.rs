@@ -2,15 +2,19 @@
 //! **byte-identical at any worker count**. The scheduler keeps its
 //! deterministic event order; only wall-clock changes when task bodies
 //! move to the worker-thread pool (see DESIGN.md "Parallel task data
-//! plane"). These tests pin that contract three ways:
+//! plane"). These tests pin that contract four ways:
 //!
 //! 1. Same seed at `workers` = 1, 2 and 8 → identical job outputs,
 //!    identical engine event logs, and byte-identical serialized shuffle
 //!    blocks (captured at the store boundary).
-//! 2. A 16-seed fault-plan sweep at `workers` = 4 passes the differential
+//! 2. The Prometheus exposition too: what task bodies measure rides
+//!    their result to the simulation thread, so even the `f64` sum of
+//!    `shuffle_combine_seconds` over uneven map tasks is the
+//!    `workers = 1` text byte for byte on every one of 40 pooled runs.
+//! 3. A 16-seed fault-plan sweep at `workers` = 4 passes the differential
 //!    chaos oracle — parallel execution changes nothing the fault plane
 //!    can observe.
-//! 3. A kill-time sweep across the driver-dispatch window: an executor
+//! 4. A kill-time sweep across the driver-dispatch window: an executor
 //!    dying between task selection and launch must requeue the task (the
 //!    dispatch path once held an `.expect("dispatch picked a live
 //!    executor")`), never panic, and still produce exact results.
@@ -73,16 +77,17 @@ struct Footprint {
     events: Vec<EngineEvent>,
     blocks: BTreeMap<String, Vec<u8>>,
     exec_secs: f64,
-    /// Canonical bytes of the run's quantile digests — including
-    /// `shuffle_combine_seconds`, which worker-pool threads record into
-    /// the sharded digest store. Merged snapshots must not depend on how
-    /// records landed on shards.
+    /// Canonical bytes of the run's quantile digests, including
+    /// `shuffle_combine_seconds`, which task bodies measure.
     digest_bytes: Vec<u8>,
+    /// The full Prometheus exposition of the run's registry.
+    prometheus: String,
 }
 
 /// Runs `plan` (shared across calls so shuffle ids coincide) on a fresh
-/// 4-executor rig with the given worker count and captures everything.
-fn run_with_workers(plan: &Dataset<(u64, u64)>, workers: usize) -> Footprint {
+/// rig of `execs` VM executors with the given worker count and captures
+/// everything.
+fn run_with_workers(plan: &Dataset<(u64, u64)>, execs: usize, workers: usize) -> Footprint {
     let fabric = Fabric::new();
     let puts = Rc::new(RefCell::new(BTreeMap::new()));
     let store = Rc::new(RecordingStore {
@@ -97,7 +102,7 @@ fn run_with_workers(plan: &Dataset<(u64, u64)>, workers: usize) -> Footprint {
     };
     let engine = Engine::new(cfg, store);
     let mut sim = Sim::new(7);
-    for i in 0..4 {
+    for i in 0..execs {
         let nic = fabric.add_link(1e9, format!("nic-{i}"));
         let disk = fabric.add_link(1e9, format!("disk-{i}"));
         engine.register_executor(&mut sim, ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192));
@@ -129,6 +134,7 @@ fn run_with_workers(plan: &Dataset<(u64, u64)>, workers: usize) -> Footprint {
         blocks,
         exec_secs: out.metrics.execution_time().as_secs_f64(),
         digest_bytes,
+        prometheus: obs.metrics.render_prometheus(),
     }
 }
 
@@ -146,11 +152,11 @@ fn worker_count_never_changes_bytes_events_or_rows() {
     // One shared plan instance: shuffle/block ids coincide across runs,
     // so the block maps are comparable key-by-key.
     let plan = three_stage_plan();
-    let base = run_with_workers(&plan, 1);
+    let base = run_with_workers(&plan, 4, 1);
     assert_eq!(base.rows.len(), 8);
     assert!(!base.blocks.is_empty(), "plan must write shuffle blocks");
     for workers in [2, 8] {
-        let got = run_with_workers(&plan, workers);
+        let got = run_with_workers(&plan, 4, workers);
         assert_eq!(got.rows, base.rows, "rows differ at workers={workers}");
         assert_eq!(
             got.events, base.events,
@@ -164,6 +170,10 @@ fn worker_count_never_changes_bytes_events_or_rows() {
         assert_eq!(
             got.digest_bytes, base.digest_bytes,
             "quantile-digest snapshot differs at workers={workers}"
+        );
+        assert_eq!(
+            got.prometheus, base.prometheus,
+            "Prometheus text differs at workers={workers}"
         );
         assert_eq!(
             got.blocks.len(),
@@ -181,11 +191,25 @@ fn worker_count_never_changes_bytes_events_or_rows() {
 }
 
 #[test]
+fn prometheus_text_of_uneven_combines_is_the_one_worker_text() {
+    // 64 map tasks of uneven size: their combine seconds differ, so the
+    // histogram's `f64` sum depends on the order they are added in —
+    // thread-arrival order if bodies recorded for themselves.
+    let plan = Dataset::generate(64, |p| {
+        (0..1000 + 137 * p as u64).map(|i| (i % 64, 1u64)).collect()
+    })
+    .reduce_by_key(8, |a, b| a + b);
+    let base = run_with_workers(&plan, 8, 1).prometheus;
+    assert!(base.contains("shuffle_combine_seconds_sum"));
+    for run in 0..40 {
+        let got = run_with_workers(&plan, 8, 4).prometheus;
+        assert_eq!(got, base, "workers=4 run {run} renders another text");
+    }
+}
+
+#[test]
 fn chaos_sweep_at_four_workers_passes_the_differential_oracle() {
-    let topo = ChaosTopology {
-        workers: 4,
-        ..ChaosTopology::default()
-    };
+    let topo = ChaosTopology { workers: 4 };
     let w = ChaosPageRank::small();
     let oracle = Oracle::new(&w, topo);
     for seed in 0..16 {
@@ -204,10 +228,7 @@ fn chaos_case_results_match_across_worker_counts() {
     for seed in [0u64, 5, 11] {
         let plan = FaultPlan::generate(seed);
         let run = |workers: usize| {
-            let topo = ChaosTopology {
-                workers,
-                ..ChaosTopology::default()
-            };
+            let topo = ChaosTopology { workers };
             run_case(&w, splitserve::ShuffleStoreKind::Local, Some(&plan), &topo)
         };
         let a = run(1);
@@ -224,7 +245,7 @@ fn chaos_case_results_match_across_worker_counts() {
 #[test]
 fn kill_inside_the_dispatch_window_requeues_instead_of_panicking() {
     // Sweep the kill across every millisecond of the early dispatch
-    // window (driver_dispatch serializes launches 4 ms apart, so this
+    // window (the driver serializes launches 4 ms apart, so this
     // covers selection-to-launch gaps at every alignment), at both
     // worker settings. The job must always complete with exact results.
     for workers in [1usize, 4] {

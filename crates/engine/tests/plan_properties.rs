@@ -68,9 +68,9 @@ fn arb_step(g: &mut Gen) -> Step {
 /// The steps the engine can run. A union whose stage reads a shuffle
 /// cannot run yet: every task fetches the shuffle's blocks at its *own*
 /// partition index, and a union's second half computes its parent at a
-/// shifted one (a known gap, ROADMAP item 7; on the parent commit too).
-/// So `UnionSelf` is kept only ahead of the first wide step; the stage-cut
-/// oracle below, which runs nothing, takes the steps as generated.
+/// shifted one (a known gap, ROADMAP item 7). `Dataset::union` rejects the
+/// shape where the plan is built (`union_downstream_of_a_shuffle_is_rejected`),
+/// so `UnionSelf` is kept only ahead of the first wide step.
 fn runnable(steps: Vec<Step>) -> Vec<Step> {
     let mut shuffled = false;
     steps
@@ -244,6 +244,13 @@ fn run_on_engine(
     rows
 }
 
+#[test]
+#[should_panic(expected = "union of a dataset whose stage reads a shuffle")]
+fn union_downstream_of_a_shuffle_is_rejected() {
+    let a = Dataset::parallelize((0..8u64).map(|i| (i % 4, i)).collect(), 2);
+    a.reduce_by_key(2, |x, y| x + y).union(&a);
+}
+
 /// Distributed == sequential, for any random pipeline.
 #[test]
 fn random_pipelines_match_reference() {
@@ -335,7 +342,7 @@ fn render_stages(node: Arc<dyn PlanNode>) -> String {
 #[test]
 fn stage_cut_matches_the_reference_walk_and_its_pins() {
     check::run("stage_cut_matches_the_reference_walk", 64, |g| {
-        let steps = g.vec(0, 8, arb_step);
+        let steps = runnable(g.vec(0, 8, arb_step));
         let plan = build_plan(arb_data(g, 8, KEY_RANGE, None), g.usize_in(1, 4), &steps);
         let graph = build_stages(plan.node());
         for stage in &graph.stages {
@@ -350,12 +357,14 @@ fn stage_cut_matches_the_reference_walk_and_its_pins() {
     let b = Dataset::parallelize((0..10u64).map(|i| (i, i * 2)).collect(), 2);
     let two_shuffle_join = a.join(&b, 4);
 
-    let base = Dataset::parallelize((0..40u64).map(|i| (i % 8, i)).collect(), 4)
-        .reduce_by_key(3, |a, b| a + b)
-        .cache();
+    // A union reaches `base` twice; it sits ahead of the shuffles it feeds
+    // (the engine rejects one downstream of a shuffle).
+    let base = Dataset::parallelize((0..40u64).map(|i| (i % 8, i)).collect(), 4).cache();
     let union_diamond = base
         .map(|(k, v)| (*k, v + 1))
         .union(&base.filter(|(k, _)| k % 2 == 0))
+        .reduce_by_key(3, |a, b| a + b)
+        .map(|(k, v)| (k % 2, *v))
         .reduce_by_key(2, |a, b| a + b);
 
     let points = Dataset::generate(4, |p| (0..16u64).map(|i| (i % 3, i + p as u64)).collect())
@@ -370,7 +379,7 @@ fn stage_cut_matches_the_reference_walk_and_its_pins() {
 
     for (name, plan, pin) in [
         ("two-shuffle join stages", two_shuffle_join.node(), 0x824f2655dcfe7ad0),
-        ("union diamond stages", union_diamond.node(), 0x15665ce663b5f1e7),
+        ("union diamond stages", union_diamond.node(), 0x28e1ef9b6b3c1e72),
         ("iterative chain stages", centroids.node(), 0xf6c865574a391cb0),
     ] {
         assert_pinned(name, render_stages(plan).as_bytes(), pin);

@@ -7,16 +7,20 @@
 //!    plan instances — must serialize byte-identical shuffle blocks, so
 //!    replays and cross-substrate reruns stay reproducible.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use splitserve_rt::FastMap;
 use std::sync::Arc;
 
+use splitserve_des::{Fabric, Sim};
 use splitserve_engine::{
-    collect_partitions, input_shuffles, Dataset, PartitionData, ShuffleDep, TaskContext,
-    TaskSeries, WorkModel,
+    collect_partitions, input_shuffles, Dataset, Engine, EngineConfig, ExecutorDesc,
+    PartitionData, ShuffleDep, TaskContext, WorkModel,
 };
 use splitserve_obs::Obs;
+use splitserve_storage::LocalDiskStore;
 use splitserve_rt::check::{self, Gen};
 use splitserve_rt::Bytes;
 
@@ -24,18 +28,27 @@ fn ctx() -> TaskContext {
     TaskContext::empty(WorkModel::default())
 }
 
-/// The combine/encode instrumentation records only through series
-/// resolved on an enabled registry; a disabled one must stay silent.
+/// What a map body measured (encoded bytes, combine seconds) reaches the
+/// registry of a job run through the engine; a disabled one stays silent.
 #[test]
 fn shuffle_metrics_record_only_when_enabled() {
     let run = |obs: Obs| {
         let ds = Dataset::parallelize((0..1_000u64).map(|i| (i % 16, 1u64)).collect(), 1)
             .reduce_by_key(4, |a, b| a + b);
-        let deps = input_shuffles(&ds.node());
-        let dep = &deps[0];
-        let mut c = ctx().with_series(TaskSeries::resolve(&obs.metrics));
-        let data = dep.parent.compute(&mut c, 0);
-        (dep.partitioner)(&mut c, data);
+        let fabric = Fabric::new();
+        let cfg = EngineConfig {
+            obs: obs.clone(),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(cfg, Rc::new(LocalDiskStore::new(fabric.clone())));
+        let mut sim = Sim::new(7);
+        let (nic, disk) = (fabric.add_link(1e9, "nic"), fabric.add_link(1e9, "disk"));
+        engine.register_executor(&mut sim, ExecutorDesc::vm("e-vm-0", nic, disk, 8192));
+        let done = Rc::new(Cell::new(false));
+        let d = Rc::clone(&done);
+        engine.submit_job(&mut sim, ds.node(), move |_, _| d.set(true));
+        sim.run();
+        assert!(done.get(), "job completes");
         obs
     };
 

@@ -12,11 +12,10 @@
 //! sketches are insertion-order sensitive, so per-worker sketches merged
 //! in different orders yield different summaries. Here a bucket is a pure
 //! count, merging is count addition, and therefore **merge is exactly
-//! commutative, associative and partition-independent** — per-worker
-//! digests merged at snapshot time are byte-identical to a single-thread
-//! digest over the same multiset ([`QuantileDigest::canonical_bytes`]),
-//! which is what lets the engine's parallel data plane keep its
-//! "identical at any worker count" contract.
+//! commutative, associative and partition-independent** — digests merged
+//! in any order are byte-identical to one digest over the same multiset
+//! ([`QuantileDigest::canonical_bytes`]), which is what lets the ledgers
+//! merge per-tenant digests into class and fleet digests.
 
 use std::collections::BTreeMap;
 

@@ -86,7 +86,7 @@ pub(crate) fn render(reg: &MetricsRegistry) -> String {
 
     last_name = "";
     for ((name, labels), cell) in &inner.histograms {
-        let h = crate::registry::hist_lock(cell);
+        let h = crate::registry::cell_lock(cell);
         if name != last_name {
             let _ = writeln!(out, "# TYPE {name} histogram");
             last_name = name;
@@ -119,25 +119,21 @@ pub(crate) fn render(reg: &MetricsRegistry) -> String {
     // with a `quantile` label) so they cannot collide with a histogram of
     // the same base name. Values are within the digest's relative-error
     // bound (see the `digest` module).
-    if let Some(shards) = &reg.digests {
-        last_name = "";
-        for ((name, labels), d) in &shards.merged() {
-            if d.is_empty() {
-                continue;
-            }
-            if name != last_name {
-                let _ = writeln!(out, "# TYPE {name}_quantile gauge");
-                last_name = name;
-            }
-            for q in [0.5, 0.9, 0.95, 0.99] {
-                let Some(v) = d.quantile(q) else { continue };
-                let _ = writeln!(
-                    out,
-                    "{name}_quantile{} {}",
-                    labels_block(labels, Some(("quantile", &fmt_value(q)))),
-                    fmt_value(v)
-                );
-            }
+    last_name = "";
+    for ((name, labels), d) in &inner.digests {
+        let d = crate::registry::cell_lock(d);
+        if name != last_name {
+            let _ = writeln!(out, "# TYPE {name}_quantile gauge");
+            last_name = name;
+        }
+        for q in [0.5, 0.9, 0.95, 0.99] {
+            let Some(v) = d.quantile(q) else { continue };
+            let _ = writeln!(
+                out,
+                "{name}_quantile{} {}",
+                labels_block(labels, Some(("quantile", &fmt_value(q)))),
+                fmt_value(v)
+            );
         }
     }
     out

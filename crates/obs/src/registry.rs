@@ -2,7 +2,7 @@
 //! histograms, each keyed by a label set.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::digest::QuantileDigest;
@@ -76,91 +76,9 @@ pub(crate) struct RegistryInner {
     /// Histograms are `Arc<Mutex<_>>` for the same reason (see
     /// [`HistogramHandle`]).
     pub histograms: BTreeMap<MetricKey, Arc<Mutex<Histogram>>>,
-}
-
-/// Shard count for quantile-digest recording. Each recording thread is
-/// pinned to one shard, so worker-pool task bodies recording digest
-/// samples contend (almost) only with themselves, never with the
-/// simulation thread — the parallel data plane stays contention-free.
-pub(crate) const DIGEST_SHARDS: usize = 8;
-
-/// Round-robin shard assignment: each thread grabs the next shard index
-/// the first time it records and keeps it for its lifetime.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static SHARD_IDX: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % DIGEST_SHARDS;
-}
-
-/// Per-thread-sharded quantile digests. Records go to the calling
-/// thread's shard; reads merge all shards. Digest merging is exactly
-/// commutative/associative (count addition), so the merged view depends
-/// only on the multiset of recorded values — never on which thread
-/// recorded what.
-#[derive(Debug)]
-pub(crate) struct DigestShards {
-    /// Digest cells are `Arc<Mutex<_>>` so a [`QuantileHandle`] can alias
-    /// its per-shard cell and record without the shard-map walk. Lock
-    /// order is always shard map → digest cell; handles lock the cell
-    /// alone, never the map, so the orders cannot interleave.
-    shards: [Mutex<BTreeMap<MetricKey, Arc<Mutex<QuantileDigest>>>>; DIGEST_SHARDS],
-}
-
-type ShardMap = BTreeMap<MetricKey, Arc<Mutex<QuantileDigest>>>;
-
-impl DigestShards {
-    fn new() -> Self {
-        DigestShards {
-            shards: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    fn shard_lock(shard: &Mutex<ShardMap>) -> MutexGuard<'_, ShardMap> {
-        shard.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn cell_lock(cell: &Mutex<QuantileDigest>) -> MutexGuard<'_, QuantileDigest> {
-        cell.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The merged digest for one key, if any shard recorded it.
-    fn merged_for(&self, key: &MetricKey) -> Option<QuantileDigest> {
-        let mut out: Option<QuantileDigest> = None;
-        for shard in &self.shards {
-            if let Some(d) = Self::shard_lock(shard).get(key) {
-                let d = Self::cell_lock(d);
-                if d.is_empty() {
-                    continue;
-                }
-                match &mut out {
-                    Some(m) => m.merge(&d),
-                    None => out = Some(d.clone()),
-                }
-            }
-        }
-        out
-    }
-
-    /// All digests, merged across shards, sorted by key. Cells a handle
-    /// materialized but never recorded into are skipped, so resolving a
-    /// handle is invisible until the first record.
-    pub(crate) fn merged(&self) -> BTreeMap<MetricKey, QuantileDigest> {
-        let mut out: BTreeMap<MetricKey, QuantileDigest> = BTreeMap::new();
-        for shard in &self.shards {
-            for (k, d) in Self::shard_lock(shard).iter() {
-                let d = Self::cell_lock(d);
-                if d.is_empty() {
-                    continue;
-                }
-                match out.get_mut(k) {
-                    Some(m) => m.merge(&d),
-                    None => {
-                        out.insert(k.clone(), d.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
+    /// Streaming quantile digests, one cell per series (see
+    /// [`QuantileHandle`]).
+    pub digests: BTreeMap<MetricKey, Arc<Mutex<QuantileDigest>>>,
 }
 
 /// Named counters, gauges and fixed-bucket histograms.
@@ -170,16 +88,15 @@ impl DigestShards {
 /// handle can be threaded through engine, policy and storage layers while
 /// one exporter reads the aggregate.
 ///
-/// Storage is behind a `Mutex`, so clones may record from worker threads
-/// (task bodies running on the engine's worker pool) concurrently with
-/// the simulation thread. Counter and histogram updates commute, so the
-/// aggregate is independent of thread interleaving.
+/// Storage is behind a `Mutex` and handles are `Send + Sync`, so clones
+/// may record from any thread. Counts, bucket counts and digests commute;
+/// a histogram's `f64` sum does not (addition lands in call order), so a
+/// series whose rendered text must repeat is recorded from one thread in
+/// a deterministic order — the engine records everything, including what
+/// task bodies measured, on the simulation thread.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     pub(crate) inner: Option<Arc<Mutex<RegistryInner>>>,
-    /// Streaming quantile digests, sharded per recording thread (see
-    /// [`DigestShards`]); merged lazily at snapshot/export time.
-    pub(crate) digests: Option<Arc<DigestShards>>,
 }
 
 /// Locks a registry's storage, recovering from poison: a panicking task
@@ -188,8 +105,9 @@ pub(crate) fn lock(inner: &Arc<Mutex<RegistryInner>>) -> MutexGuard<'_, Registry
     inner.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Locks one histogram cell, recovering from poison like [`lock`].
-pub(crate) fn hist_lock(cell: &Mutex<Histogram>) -> MutexGuard<'_, Histogram> {
+/// Locks one histogram or digest cell, recovering from poison like
+/// [`lock`].
+pub(crate) fn cell_lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
     cell.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -263,41 +181,38 @@ impl HistogramHandle {
                     .or_insert_with(|| Arc::new(Mutex::new(Histogram::new(&core.bounds)))),
             )
         });
-        hist_lock(cell).observe(value);
+        cell_lock(cell).observe(value);
     }
 }
 
 #[derive(Debug)]
 struct QuantileCore {
-    shards: Arc<DigestShards>,
+    registry: Arc<Mutex<RegistryInner>>,
     key: MetricKey,
-    /// One lazily-materialized cell per digest shard — each recording
-    /// thread touches only its own shard's cell, so worker-pool task
-    /// bodies never contend with the simulation thread.
-    cells: [OnceLock<Arc<Mutex<QuantileDigest>>>; DIGEST_SHARDS],
+    cell: OnceLock<Arc<Mutex<QuantileDigest>>>,
 }
 
 /// A pre-resolved streaming-quantile digest:
 /// [`record`](QuantileHandle::record) after the first is one uncontended
-/// mutex lock on the calling thread's shard cell plus the digest bucket
-/// bump; reads merge every shard.
+/// mutex lock plus the digest bucket bump. Two handles resolved for the
+/// same series share its cell.
 #[derive(Debug, Clone, Default)]
 pub struct QuantileHandle(Option<Arc<QuantileCore>>);
 
 impl QuantileHandle {
-    /// Records `value` into the calling thread's shard.
+    /// Records `value`.
     #[inline]
     pub fn record(&self, value: f64) {
         let Some(core) = &self.0 else { return };
-        let idx = SHARD_IDX.with(|i| *i);
-        let cell = core.cells[idx].get_or_init(|| {
+        let cell = core.cell.get_or_init(|| {
             Arc::clone(
-                DigestShards::shard_lock(&core.shards.shards[idx])
+                lock(&core.registry)
+                    .digests
                     .entry(core.key.clone())
                     .or_default(),
             )
         });
-        DigestShards::cell_lock(cell).record(value);
+        cell_lock(cell).record(value);
     }
 }
 
@@ -315,7 +230,6 @@ impl MetricsRegistry {
     pub fn enabled() -> Self {
         MetricsRegistry {
             inner: Some(Arc::new(Mutex::new(RegistryInner::default()))),
-            digests: Some(Arc::new(DigestShards::new())),
         }
     }
 
@@ -368,7 +282,7 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
         let inner = self.inner.as_ref()?;
         let cell = lock(inner).histograms.get(&key(name, labels)).cloned()?;
-        let h = hist_lock(&cell);
+        let h = cell_lock(&cell);
         Some(HistogramSnapshot {
             bounds: h.bounds.clone(),
             counts: h.counts.clone(),
@@ -405,24 +319,25 @@ impl MetricsRegistry {
 
     /// Resolves the streaming quantile digest `name{labels}` (created with
     /// [`crate::DEFAULT_DIGEST_ALPHA`] on first record) to a reusable
-    /// [`QuantileHandle`] that records straight into the calling thread's
-    /// shard cell. Unlike a histogram, the digest answers arbitrary
-    /// quantiles within a documented relative error.
+    /// [`QuantileHandle`]. Unlike a histogram, the digest answers
+    /// arbitrary quantiles within a documented relative error.
     pub fn quantile_handle(&self, name: &str, labels: &[(&str, &str)]) -> QuantileHandle {
-        QuantileHandle(self.digests.as_ref().map(|shards| {
+        QuantileHandle(self.inner.as_ref().map(|inner| {
             Arc::new(QuantileCore {
-                shards: Arc::clone(shards),
+                registry: Arc::clone(inner),
                 key: key(name, labels),
-                cells: std::array::from_fn(|_| OnceLock::new()),
+                cell: OnceLock::new(),
             })
         }))
     }
 
-    /// The merged (cross-shard) digest for `name{labels}`, if anything
-    /// was recorded. The result depends only on the recorded multiset —
-    /// byte-identical at any worker count.
+    /// A copy of the digest for `name{labels}`, if anything was recorded.
+    /// It depends only on the recorded multiset, not on recording order.
     pub fn quantile_digest(&self, name: &str, labels: &[(&str, &str)]) -> Option<QuantileDigest> {
-        self.digests.as_ref()?.merged_for(&key(name, labels))
+        let inner = self.inner.as_ref()?;
+        let cell = lock(inner).digests.get(&key(name, labels)).cloned()?;
+        let digest = cell_lock(&cell).clone();
+        Some(digest)
     }
 
     /// Sum of a counter across all label sets sharing `name`.

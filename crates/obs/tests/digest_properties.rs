@@ -8,9 +8,8 @@
 //!    including on adversarial (heavy-tailed, clustered, mixed-sign)
 //!    distributions.
 //! 3. **Partition independence** — splitting a stream across 1 or 4
-//!    "workers" and merging yields byte-identical snapshots, the invariant
-//!    that lets per-worker digests merge at snapshot time without breaking
-//!    the engine's any-worker-count determinism contract.
+//!    partitions and merging yields byte-identical snapshots, the
+//!    invariant the ledgers' per-tenant → fleet merges stand on.
 
 use splitserve_obs::QuantileDigest;
 use splitserve_rt::check::{self, Gen};

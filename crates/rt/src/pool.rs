@@ -1,4 +1,4 @@
-//! A per-thread pool of reusable byte buffers with cross-thread stats.
+//! A per-thread pool of reusable byte buffers.
 //!
 //! Every shuffle map task encodes its output into freshly grown `Vec`s,
 //! and a wide stage runs thousands of tasks — under the old path the
@@ -13,11 +13,7 @@
 //!
 //! - the buffer free lists are **thread-local and lock-free**: with task
 //!   bodies running on a worker pool, every worker recycles its own
-//!   buffers with no cross-thread contention on the hot path;
-//! - the **counters are aggregated across threads**: [`stats`] sums the
-//!   per-thread atomic counters of every thread that ever touched the
-//!   pool, and [`reset`] zeroes them all — so tests and benches measure
-//!   the whole process, not whichever thread happened to call;
+//!   buffers and shares nothing with any other thread;
 //! - at most [`MAX_POOLED_BUFFERS`] buffers retained per thread, each at
 //!   most [`MAX_BUFFER_CAPACITY`] bytes, so a one-off giant record
 //!   cannot pin memory forever.
@@ -27,8 +23,6 @@
 //! the bytes written through it, so determinism is unaffected.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Most buffers the pool retains per thread.
 pub const MAX_POOLED_BUFFERS: usize = 32;
@@ -37,83 +31,8 @@ pub const MAX_POOLED_BUFFERS: usize = 32;
 /// `give` and fall back to the allocator).
 pub const MAX_BUFFER_CAPACITY: usize = 8 << 20;
 
-/// Counters describing pool effectiveness, for tests and benches.
-/// Aggregated over every thread that used the pool since the last
-/// [`reset`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// `take` calls served from the pool.
-    pub hits: u64,
-    /// `take` calls that had to allocate fresh.
-    pub misses: u64,
-    /// Buffers returned and retained.
-    pub returns: u64,
-    /// Buffers rejected on return (pool full or buffer oversized).
-    pub rejects: u64,
-}
-
-/// One thread's counters, shared with the global registry so [`stats`]
-/// can sum them and [`reset`] can zero them from any thread. The free
-/// list itself never leaves its owning thread.
-#[derive(Default)]
-struct ThreadStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    returns: AtomicU64,
-    rejects: AtomicU64,
-}
-
-impl ThreadStats {
-    fn zero(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.returns.store(0, Ordering::Relaxed);
-        self.rejects.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Every thread's stats block, registered on that thread's first pool
-/// use. Entries outlive their threads (a handful of `AtomicU64`s each),
-/// which keeps `stats()` sums stable after workers exit.
-static REGISTRY: Mutex<Vec<Arc<ThreadStats>>> = Mutex::new(Vec::new());
-
-/// Bumped by [`reset`]; threads drop their pooled buffers lazily when
-/// they notice the generation moved, so `reset` empties every thread's
-/// free list without touching another thread's `RefCell`.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-struct Pool {
-    bufs: Vec<Vec<u8>>,
-    stats: Arc<ThreadStats>,
-    generation: u64,
-}
-
-impl Pool {
-    fn new() -> Pool {
-        let stats = Arc::new(ThreadStats::default());
-        REGISTRY
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&stats));
-        Pool {
-            bufs: Vec::new(),
-            stats,
-            generation: GENERATION.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops stale buffers after a cross-thread [`reset`].
-    fn sync_generation(&mut self) {
-        let current = GENERATION.load(Ordering::Relaxed);
-        if self.generation != current {
-            self.bufs.clear();
-            self.generation = current;
-        }
-    }
-}
-
 thread_local! {
-    static POOL: RefCell<Pool> = RefCell::new(Pool::new());
+    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Takes a cleared buffer with `capacity() >= min_capacity`.
@@ -132,24 +51,16 @@ thread_local! {
 /// ```
 pub fn take(min_capacity: usize) -> Vec<u8> {
     POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.sync_generation();
-        let best = p
-            .bufs
+        let mut bufs = p.borrow_mut();
+        let best = bufs
             .iter()
             .enumerate()
             .filter(|(_, b)| b.capacity() >= min_capacity)
             .min_by_key(|(_, b)| b.capacity())
             .map(|(i, _)| i);
         match best {
-            Some(i) => {
-                p.stats.hits.fetch_add(1, Ordering::Relaxed);
-                p.bufs.swap_remove(i)
-            }
-            None => {
-                p.stats.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(min_capacity)
-            }
+            Some(i) => bufs.swap_remove(i),
+            None => Vec::with_capacity(min_capacity),
         }
     })
 }
@@ -161,157 +72,84 @@ pub fn take(min_capacity: usize) -> Vec<u8> {
 /// back), so the pool's resident memory stays bounded.
 pub fn give(mut buf: Vec<u8>) {
     POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.sync_generation();
+        let mut bufs = p.borrow_mut();
         if buf.capacity() == 0
             || buf.capacity() > MAX_BUFFER_CAPACITY
-            || p.bufs.len() >= MAX_POOLED_BUFFERS
+            || bufs.len() >= MAX_POOLED_BUFFERS
         {
-            p.stats.rejects.fetch_add(1, Ordering::Relaxed);
             return;
         }
         buf.clear();
-        p.stats.returns.fetch_add(1, Ordering::Relaxed);
-        p.bufs.push(buf);
+        bufs.push(buf);
     });
-}
-
-/// The pool counters summed across every thread that used the pool.
-pub fn stats() -> PoolStats {
-    let registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let mut total = PoolStats::default();
-    for t in registry.iter() {
-        total.hits += t.hits.load(Ordering::Relaxed);
-        total.misses += t.misses.load(Ordering::Relaxed);
-        total.returns += t.returns.load(Ordering::Relaxed);
-        total.rejects += t.rejects.load(Ordering::Relaxed);
-    }
-    total
-}
-
-/// Zeroes the counters of **all** registered threads and schedules every
-/// thread's pooled buffers for release (each thread drops its free list
-/// on its next pool operation; the calling thread drops its own
-/// immediately). Test isolation across a whole worker pool.
-pub fn reset() {
-    GENERATION.fetch_add(1, Ordering::Relaxed);
-    {
-        let registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-        for t in registry.iter() {
-            t.zero();
-        }
-    }
-    POOL.with(|p| p.borrow_mut().sync_generation());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Stats are process-global now, so tests touching them must not
-    /// interleave with each other.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    /// Each test runs on a thread of its own, whose free list starts
+    /// empty: `cargo test` reuses its threads.
+    fn on_fresh_thread(test: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(test).join().expect("test thread");
     }
 
     #[test]
     fn round_trip_reuses_the_allocation() {
-        let _guard = serial();
-        reset();
-        let mut a = take(100);
-        a.extend_from_slice(b"scratch");
-        let cap = a.capacity();
-        let ptr = a.as_ptr();
-        give(a);
-        let b = take(50);
-        assert_eq!(b.as_ptr(), ptr, "same allocation must come back");
-        assert!(b.capacity() >= cap.min(100));
-        assert!(b.is_empty(), "pooled buffers are cleared");
-        let s = stats();
-        assert_eq!((s.hits, s.misses, s.returns), (1, 1, 1));
+        on_fresh_thread(|| {
+            let mut a = take(100);
+            a.extend_from_slice(b"scratch");
+            let (cap, ptr) = (a.capacity(), a.as_ptr());
+            give(a);
+            let b = take(50);
+            assert_eq!(b.as_ptr(), ptr, "same allocation must come back");
+            assert_eq!(b.capacity(), cap);
+            assert!(b.is_empty(), "pooled buffers are cleared");
+            let c = take(50);
+            assert_ne!(c.as_ptr(), ptr, "a taken buffer has left the pool");
+        });
     }
 
     #[test]
     fn undersized_buffers_are_skipped_not_grown() {
-        let _guard = serial();
-        reset();
-        give(Vec::with_capacity(16));
-        let big = take(1 << 16);
-        assert!(big.capacity() >= 1 << 16);
-        assert_eq!(stats().misses, 1, "small pooled buffer must not serve");
-        // The 16-byte buffer is still pooled for a fitting request.
-        let small = take(8);
-        assert_eq!(stats().hits, 1);
-        assert!(small.capacity() >= 8);
+        on_fresh_thread(|| {
+            let small = Vec::with_capacity(16);
+            let ptr = small.as_ptr();
+            give(small);
+            let big = take(1 << 16);
+            assert!(big.capacity() >= 1 << 16);
+            assert_ne!(big.as_ptr(), ptr, "small pooled buffer must not serve");
+            // The 16-byte buffer is still pooled for a fitting request.
+            let fitting = take(8);
+            assert_eq!(fitting.as_ptr(), ptr);
+        });
     }
 
     #[test]
     fn pool_is_bounded() {
-        let _guard = serial();
-        reset();
-        for _ in 0..MAX_POOLED_BUFFERS + 5 {
-            give(Vec::with_capacity(64));
-        }
-        let s = stats();
-        assert_eq!(s.returns, MAX_POOLED_BUFFERS as u64);
-        assert_eq!(s.rejects, 5);
-        // Oversized buffers are never retained.
-        give(Vec::with_capacity(MAX_BUFFER_CAPACITY + 1));
-        assert_eq!(stats().rejects, 6);
+        on_fresh_thread(|| {
+            // Oversized buffers are never retained.
+            give(Vec::with_capacity(MAX_BUFFER_CAPACITY + 1));
+            assert!(take(8).capacity() <= MAX_BUFFER_CAPACITY);
+            for _ in 0..MAX_POOLED_BUFFERS + 5 {
+                give(Vec::with_capacity(1024));
+            }
+            // Exactly MAX_POOLED_BUFFERS of the returns come back; a take
+            // the pool cannot serve allocates what was asked for and no more.
+            let served = (0..MAX_POOLED_BUFFERS + 5)
+                .filter(|_| take(8).capacity() >= 1024)
+                .count();
+            assert_eq!(served, MAX_POOLED_BUFFERS);
+        });
     }
 
     #[test]
     fn best_fit_prefers_tightest_capacity() {
-        let _guard = serial();
-        reset();
-        give(Vec::with_capacity(4096));
-        give(Vec::with_capacity(256));
-        let b = take(100);
-        assert!(b.capacity() < 4096, "tightest fitting buffer serves first");
-    }
-
-    #[test]
-    fn stats_aggregate_across_threads() {
-        let _guard = serial();
-        reset();
-        give(Vec::with_capacity(64)); // this thread: 1 return
-        std::thread::spawn(|| {
-            let buf = take(32); // other thread: 1 miss (its pool is empty)
-            give(buf); // …and 1 return
-        })
-        .join()
-        .expect("helper thread");
-        let s = stats();
-        assert_eq!(s.misses, 1, "other thread's miss must be visible");
-        assert_eq!(s.returns, 2, "returns sum over both threads");
-    }
-
-    #[test]
-    fn reset_clears_other_threads_counters_and_buffers() {
-        let _guard = serial();
-        reset();
-        // Seed another thread's pool, then reset from this one; the other
-        // thread must observe zeroed stats and an emptied free list.
-        let (seed_tx, seed_rx) = std::sync::mpsc::channel();
-        let (reset_tx, reset_rx) = std::sync::mpsc::channel();
-        let helper = std::thread::spawn(move || {
-            give(Vec::with_capacity(64));
-            seed_tx.send(()).unwrap();
-            reset_rx.recv().unwrap();
-            // After the cross-thread reset the pooled buffer is gone, so
-            // this take must miss.
-            let buf = take(8);
-            assert!(buf.capacity() >= 8);
+        on_fresh_thread(|| {
+            give(Vec::with_capacity(4096));
+            give(Vec::with_capacity(256));
+            let b = take(100);
+            assert!(b.capacity() < 4096, "tightest fitting buffer serves first");
         });
-        seed_rx.recv().unwrap();
-        assert_eq!(stats().returns, 1);
-        reset();
-        assert_eq!(stats(), PoolStats::default(), "reset zeroes every thread");
-        reset_tx.send(()).unwrap();
-        helper.join().expect("helper thread");
-        let s = stats();
-        assert_eq!((s.hits, s.misses), (0, 1), "post-reset take missed");
     }
 }

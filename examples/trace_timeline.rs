@@ -6,9 +6,10 @@
 //! cargo run --release --example trace_timeline [out-dir]
 //! ```
 //!
-//! Open the JSON in `chrome://tracing` (or <https://ui.perfetto.dev>): one
-//! row per executor, with the VM lanes filling up as the Lambda lanes
-//! drain at the segue. `tests/artifact_pins.rs` pins both files and
+//! Open `<out-dir>/trace_timeline.json` (default `target/`) in
+//! `chrome://tracing` (or <https://ui.perfetto.dev>): one row per
+//! executor, with the VM lanes filling up as the Lambda lanes drain at
+//! the segue. `tests/artifact_pins.rs` pins both files and
 //! asserts that shape on the recorded spans.
 
 use splitserve_suite::{trace_timeline, workers_from_env};
@@ -46,10 +47,8 @@ fn main() -> std::io::Result<()> {
         tasks_on("lambda"),
     );
 
-    let trace_path = format!("{out_dir}/trace_timeline.json");
-    let prom_path = format!("{out_dir}/trace_timeline.prom");
-    run.obs.spans.write_chrome_trace(&trace_path)?;
-    run.obs.metrics.write_prometheus(&prom_path)?;
-    println!("wrote {trace_path} (open in chrome://tracing) and {prom_path}");
+    for wrote in run.write(&out_dir)? {
+        println!("trace: {wrote}");
+    }
     Ok(())
 }

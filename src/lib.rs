@@ -419,10 +419,7 @@ impl ChaosSmoke {
 /// Runs the chaos matrix on `workers` engine threads.
 pub fn chaos_smoke(workers: usize) -> ChaosSmoke {
     const SEEDS: u64 = 16;
-    let topo = ChaosTopology {
-        workers,
-        ..ChaosTopology::default()
-    };
+    let topo = ChaosTopology { workers };
     let workloads: [&dyn ChaosWorkload; 2] = [&ChaosPageRank::small(), &ChaosCloudSort::small()];
     let mut smoke = ChaosSmoke {
         lines: Vec::new(),
@@ -466,6 +463,20 @@ pub struct TraceTimeline {
     /// The run's telemetry: `obs.spans` exports the Chrome trace,
     /// `obs.metrics` the Prometheus snapshot.
     pub obs: Obs,
+}
+
+impl TraceTimeline {
+    /// Writes `<out_dir>/trace_timeline.json` (the Chrome trace) and
+    /// `<out_dir>/trace_timeline.prom` (the Prometheus snapshot) through
+    /// [`write_artifact`]; returns their two `wrote …` lines.
+    pub fn write(&self, out_dir: &str) -> std::io::Result<[String; 2]> {
+        let json = self.obs.spans.to_chrome_trace();
+        let prom = self.obs.metrics.render_prometheus();
+        Ok([
+            write_artifact(&format!("{out_dir}/trace_timeline.json"), &json)?,
+            write_artifact(&format!("{out_dir}/trace_timeline.prom"), &prom)?,
+        ])
+    }
 }
 
 /// Runs the traced CloudSort on `workers` engine threads.

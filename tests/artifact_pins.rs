@@ -271,6 +271,15 @@ fn trace_timeline_is_pinned_and_shows_both_substrates_and_the_segue_drain() {
     assert!(count("lambda", "task ") > 0, "trace must show Lambda-lane task spans");
     assert!(count("segue", "segue drain") > 0, "trace must show a segue-drain span");
     assert_eq!(runs[0].obs.spans.nesting_violation(), None, "spans nest cleanly");
+
+    // The example's write path creates the directory it is pointed at.
+    let dir = format!("{}/trace-timeline/not/yet", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let [json, prom] = runs[0].write(&dir).expect("a new directory is created");
+    assert!(json.ends_with(&format!("digest={TRACE_TIMELINE_JSON:016x}")), "{json}");
+    assert!(prom.ends_with(&format!("digest={TRACE_TIMELINE_PROM:016x}")), "{prom}");
+    let written = std::fs::read_to_string(format!("{dir}/trace_timeline.prom"));
+    assert_eq!(written.expect("file exists"), runs[0].obs.metrics.render_prometheus());
 }
 
 // ----- event budgets -------------------------------------------------------

@@ -14,35 +14,70 @@ fn lockfiles_name_no_registry_or_git_source() {
     }
 }
 
-/// The engine and the event core are where iteration order reaches a
-/// digest and where per-job hashing is hot: std's `HashMap` / `HashSet`
-/// (SipHash, randomised order) stay out of their non-test lines —
-/// `FastMap` / `FastSet` or plain vectors only. "Non-test" is what
-/// `scripts/loc.sh` counts: a file up to its first `#[cfg(test)]`.
-#[test]
-fn engine_and_des_sources_name_no_std_hash_collection() {
-    fn scan(dir: &std::path::Path, hits: &mut Vec<String>) {
+/// Every non-test, non-comment line under `dirs` (relative to the repo
+/// root) as `(path:line, text)`. "Non-test" is what `scripts/loc.sh`
+/// counts: a file up to its first `#[cfg(test)]`.
+fn source_lines(dirs: &[&str]) -> Vec<(String, String)> {
+    fn scan(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
         for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
             let path = entry.expect("directory entry").path();
             if path.is_dir() {
-                scan(&path, hits);
+                scan(&path, out);
             } else if path.extension().is_some_and(|ext| ext == "rs") {
                 let text = std::fs::read_to_string(&path).expect("source file is UTF-8");
                 let code = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
                 for (i, line) in code.enumerate() {
-                    let is_comment = line.trim_start().starts_with("//");
-                    if !is_comment && (line.contains("HashMap") || line.contains("HashSet")) {
-                        hits.push(format!("{}:{}", path.display(), i + 1));
+                    if !line.trim_start().starts_with("//") {
+                        out.push((format!("{}:{}", path.display(), i + 1), line.to_string()));
                     }
                 }
             }
         }
     }
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut hits = Vec::new();
-    for dir in ["crates/engine/src", "crates/des/src"] {
-        scan(&root.join(dir), &mut hits);
+    let mut out = Vec::new();
+    for dir in dirs {
+        scan(&root.join(dir), &mut out);
     }
-    hits.sort();
+    out.sort();
+    out
+}
+
+/// The engine, the event core, the cloud model and the deployment layer
+/// are where iteration order reaches a digest and where per-job hashing is
+/// hot: std's `HashMap` / `HashSet` (SipHash, randomised order) stay out
+/// of their non-test lines — `FastMap` / `FastSet` or plain vectors only.
+#[test]
+fn engine_and_des_sources_name_no_std_hash_collection() {
+    let dirs = ["crates/engine/src", "crates/des/src", "crates/core/src", "crates/cloud/src"];
+    let hits: Vec<String> = source_lines(&dirs)
+        .into_iter()
+        .filter(|(_, line)| line.contains("HashMap") || line.contains("HashSet"))
+        .map(|(at, _)| at)
+        .collect();
     assert!(hits.is_empty(), "std hash collections in {hits:?}");
+}
+
+/// Process-global state is what keeps independent `Sim`s from running
+/// side by side (ROADMAP item 3), so it can only go down: the `static`s
+/// (a `thread_local!` declares one) in the crates' non-test lines are
+/// these four —
+/// the plan-node and shuffle id counters, the interner's tables and the
+/// buffer pool's per-thread free list — none of which orders anything an
+/// artifact shows.
+#[test]
+fn process_global_state_is_the_four_known_statics() {
+    let mut names: Vec<String> = source_lines(&["crates"])
+        .into_iter()
+        .filter(|(at, _)| at.contains("/src/"))
+        .filter_map(|(_, line)| {
+            let decl = line.trim_start();
+            let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
+            let decl = decl.strip_prefix("pub ").unwrap_or(decl);
+            let (name, _) = decl.strip_prefix("static ")?.split_once(':')?;
+            Some(name.trim_start_matches("mut ").to_string())
+        })
+        .collect();
+    names.sort();
+    assert_eq!(names, ["NEXT_NODE", "NEXT_SHUFFLE", "POOL", "TABLES"]);
 }
