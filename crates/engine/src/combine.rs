@@ -33,9 +33,12 @@ pub(crate) struct HashGroup<K, A> {
 }
 
 impl<K: Eq, A> HashGroup<K, A> {
-    /// An empty group sized for roughly `cap` distinct keys.
+    /// An empty group that holds `cap` distinct keys without growing: the
+    /// index gets the first power of two strictly above `cap · 8/7`, so the
+    /// `cap`-th insert is still under the 7/8 load check. Callers size it
+    /// from what the task already holds (DESIGN.md §8 "Combine").
     pub fn with_capacity(cap: usize) -> Self {
-        let slots = (cap.max(8) * 8 / 7).next_power_of_two();
+        let slots = (cap.max(8) * 8 / 7 + 1).next_power_of_two();
         HashGroup {
             entries: Vec::with_capacity(cap),
             table: vec![EMPTY; slots],
@@ -140,12 +143,18 @@ impl<K: Eq, A> HashGroup<K, A> {
         }
     }
 
-    /// The accumulator for `key`, if present (the join probe side).
-    pub fn get(&self, hash: u64, key: &K) -> Option<&A> {
+    /// Where `key`'s entry sits, if present (the join probe side). Entries
+    /// never move, so the position stays good for the life of the group.
+    pub fn find(&self, hash: u64, key: &K) -> Option<usize> {
         match self.table[self.probe(hash, key)] {
             EMPTY => None,
-            e => Some(&self.entries[e as usize].2),
+            e => Some(e as usize),
         }
+    }
+
+    /// The accumulator at a position [`find`](Self::find) returned.
+    pub fn acc_mut(&mut self, at: usize) -> &mut A {
+        &mut self.entries[at].2
     }
 
     /// Entries as `(hash, key, accumulator)` in first-insertion order —
@@ -167,6 +176,10 @@ mod tests {
     use super::*;
     use splitserve_rt::hash::shuffle_hash;
 
+    fn get(g: &mut HashGroup<u64, u64>, hash: u64, key: u64) -> Option<u64> {
+        g.find(hash, &key).map(|at| *g.acc_mut(at))
+    }
+
     fn count_all(keys: &[u64]) -> HashGroup<u64, u64> {
         let mut g = HashGroup::with_capacity(4);
         for k in keys {
@@ -177,11 +190,11 @@ mod tests {
 
     #[test]
     fn groups_and_counts() {
-        let g = count_all(&[3, 1, 3, 2, 1, 3]);
+        let mut g = count_all(&[3, 1, 3, 2, 1, 3]);
         assert_eq!(g.len(), 3);
-        assert_eq!(g.get(shuffle_hash(&3u64), &3), Some(&3));
-        assert_eq!(g.get(shuffle_hash(&1u64), &1), Some(&2));
-        assert_eq!(g.get(shuffle_hash(&9u64), &9), None);
+        assert_eq!(get(&mut g, shuffle_hash(&3u64), 3), Some(3));
+        assert_eq!(get(&mut g, shuffle_hash(&1u64), 1), Some(2));
+        assert_eq!(get(&mut g, shuffle_hash(&9u64), 9), None);
     }
 
     #[test]
@@ -205,6 +218,24 @@ mod tests {
         }
     }
 
+    /// `with_capacity(n)` is a promise: `n` distinct keys never re-thread
+    /// the index — including the `n` for which `n · 8/7` is itself a power
+    /// of two (14, 896, 7168, …), where the `n`-th insert used to.
+    #[test]
+    fn with_capacity_holds_its_capacity_without_growing() {
+        let mut grows = 0;
+        for n in 1..=4096u64 {
+            let mut g: HashGroup<u64, ()> = HashGroup::with_capacity(n as usize);
+            let slots = g.table.len();
+            for k in 0..n {
+                g.upsert(shuffle_hash(&k), &k, (), |()| (), |(), ()| ());
+            }
+            assert_eq!(g.len(), n as usize);
+            grows += usize::from(g.table.len() != slots);
+        }
+        assert_eq!(grows, 0, "capacities that re-threaded before holding n keys");
+    }
+
     #[test]
     fn colliding_hashes_stay_distinct_keys() {
         // Force every key onto one slot chain: correctness must come from
@@ -216,7 +247,7 @@ mod tests {
         }
         assert_eq!(g.len(), 64);
         for k in 0..64u64 {
-            assert_eq!(g.get(7, &k), Some(&2));
+            assert_eq!(get(&mut g, 7, k), Some(2));
         }
     }
 

@@ -49,7 +49,7 @@ fn next_shuffle_id() -> ShuffleId {
 }
 
 /// One serialized shuffle bucket produced by a map task: the bytes bound
-/// for one reduce partition, plus how many records they contain.
+/// for one reduce partition.
 ///
 /// The payload is an immutable [`Bytes`] snapshot sized exactly to its
 /// contents: the partitioner encodes into pooled scratch and freezes the
@@ -59,8 +59,6 @@ fn next_shuffle_id() -> ShuffleId {
 pub struct ShuffleBucket {
     /// Serialized records.
     pub bytes: Bytes,
-    /// Record count (for metrics and cost accounting).
-    pub records: u64,
 }
 
 /// The map side of a shuffle, type-erased: takes the parent's computed

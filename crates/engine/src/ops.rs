@@ -332,6 +332,28 @@ pub(crate) fn wide<C: Send + Sync + 'static, const N: usize>(
     Dataset::from_node(op(label, partitions, deps.map(Dep::Shuffle), compute))
 }
 
+/// The sizing rule of every reduce-side table (DESIGN.md §8 "Combine"):
+/// the records a task can expect in the blocks it fetched, taken as their
+/// bytes over a record's size in memory — a little low for varint-encoded
+/// fixed-size records, high for heap-carrying values, and always within a
+/// small factor of the bytes the task already holds.
+pub(crate) fn fetched_records<K, V>(blocks: &[Bytes]) -> usize {
+    let bytes: usize = blocks.iter().map(|b| b.len()).sum();
+    bytes / std::mem::size_of::<(K, V)>().max(1)
+}
+
+/// End of a [`Chain`].
+const NIL: u32 = u32::MAX;
+
+/// One key of `join`'s build table: its left values as a chain through
+/// the arena (`head` → … → `tail`, arrival order) and how many matched
+/// right records have not been emitted yet.
+struct Chain {
+    head: u32,
+    tail: u32,
+    pending: u32,
+}
+
 /// Bound bundle for keys crossing a shuffle.
 pub trait ShuffleKey: Ord + Hash + Clone + Encode + Decode + Send + Sync + 'static {}
 impl<K: Ord + Hash + Clone + Encode + Decode + Send + Sync + 'static> ShuffleKey for K {}
@@ -364,7 +386,7 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
         let map_side = combining_partitioner::<K, V>(partitions, Arc::clone(&f));
         let dep = ShuffleDep::new(self.node(), partitions, map_side);
         wide("reduceByKey", [dep], move |ctx, [blocks]| {
-            let mut acc: HashGroup<K, V> = HashGroup::with_capacity(64);
+            let mut acc: HashGroup<K, V> = HashGroup::with_capacity(fetched_records::<K, V>(&blocks));
             for (k, v) in decode_stream::<K, V>(blocks) {
                 let h = shuffle_hash(&k);
                 let merged = acc.upsert_owned(h, k, v, |v| v, |a, v| {
@@ -384,7 +406,8 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
     pub fn group_by_key(&self, partitions: usize) -> Dataset<(K, Vec<V>)> {
         let dep = self.hash_shuffled(partitions);
         wide("groupByKey", [dep], |ctx, [blocks]| {
-            let mut acc: HashGroup<K, Vec<V>> = HashGroup::with_capacity(64);
+            let mut acc: HashGroup<K, Vec<V>> =
+                HashGroup::with_capacity(fetched_records::<K, V>(&blocks));
             for (k, v) in decode_stream::<K, V>(blocks) {
                 ctx.charge_combine(1);
                 acc.upsert_owned(shuffle_hash(&k), k, v, |v| vec![v], |a, v| a.push(v));
@@ -403,20 +426,52 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
         let left = self.hash_shuffled(partitions);
         let right = other.hash_shuffled(partitions);
         wide("join", [left, right], |ctx, [left_blocks, right_blocks]| {
-            // Hash join: build a table from the left stream, probe with the
-            // right stream — records never sit in an intermediate Vec.
-            let mut table: HashGroup<K, Vec<V>> = HashGroup::with_capacity(64);
+            // Build: every left value sits in one arena, chained per key in
+            // arrival order; the table holds each chain's two ends.
+            let lefts = fetched_records::<K, V>(&left_blocks);
+            let mut arena: Vec<(Option<V>, u32)> = Vec::with_capacity(lefts);
+            let mut table: HashGroup<K, Chain> = HashGroup::with_capacity(lefts);
+            let first = |at| Chain { head: at, tail: at, pending: 0 };
             for (k, v) in decode_stream::<K, V>(left_blocks) {
                 ctx.charge_combine(1);
-                table.upsert_owned(shuffle_hash(&k), k, v, |v| vec![v], |a, v| a.push(v));
+                let at = arena.len() as u32;
+                arena.push((Some(v), NIL));
+                table.upsert_owned(shuffle_hash(&k), k, at, first, |chain, at| {
+                    arena[chain.tail as usize].1 = at;
+                    chain.tail = at;
+                });
             }
-            let mut out: Vec<(K, (V, W))> = Vec::new();
+            // Probe: one pass over the right stream keeps the records that
+            // match and counts them per key, so the emit below knows each
+            // left value's last use.
+            let mut matched: Vec<(usize, K, W)> =
+                Vec::with_capacity(fetched_records::<K, W>(&right_blocks));
             for (k, w) in decode_stream::<K, W>(right_blocks) {
                 ctx.charge_combine(1);
-                if let Some(vs) = table.get(shuffle_hash(&k), &k) {
-                    for v in vs {
-                        out.push((k.clone(), (v.clone(), w.clone())));
+                if let Some(entry) = table.find(shuffle_hash(&k), &k) {
+                    table.acc_mut(entry).pending += 1;
+                    matched.push((entry, k, w));
+                }
+            }
+            // Emit in right-stream order, left arrival order within a key:
+            // a left value is cloned for every match but its key's last,
+            // which moves it out; the right record ends in its last row.
+            // Every match yields at least one row, exactly one on a 1:1 join.
+            let mut out: Vec<(K, (V, W))> = Vec::with_capacity(matched.len());
+            for (entry, k, w) in matched {
+                let chain = table.acc_mut(entry);
+                chain.pending -= 1;
+                let (last_match, mut at) = (chain.pending == 0, chain.head);
+                loop {
+                    let (slot, next) = &mut arena[at as usize];
+                    let v = if last_match { slot.take() } else { slot.clone() }
+                        .expect("a left value moves out on its key's last match only");
+                    if *next == NIL {
+                        out.push((k, (v, w)));
+                        break;
                     }
+                    out.push((k.clone(), (v, w.clone())));
+                    at = *next;
                 }
             }
             out
@@ -511,14 +566,13 @@ pub(crate) fn decode_stream<K: Decode, V: Decode>(blocks: Vec<Bytes>) -> DecodeS
 /// Freezes filled per-bucket scratch buffers into exact-sized [`Bytes`]
 /// blocks, charges the serialization work (which counts the encoded
 /// volume as task output) and returns the scratch to the pool.
-fn finish_buckets(ctx: &mut TaskContext, bufs: Vec<Vec<u8>>, counts: Vec<u64>) -> Vec<ShuffleBucket> {
+fn finish_buckets(ctx: &mut TaskContext, bufs: Vec<Vec<u8>>) -> Vec<ShuffleBucket> {
     bufs.into_iter()
-        .zip(counts)
-        .map(|(buf, records)| {
+        .map(|buf| {
             ctx.charge_ser(buf.len() as u64);
             let bytes = Bytes::copy_from_slice(&buf);
             pool::give(buf);
-            ShuffleBucket { bytes, records }
+            ShuffleBucket { bytes }
         })
         .collect()
 }
@@ -537,11 +591,8 @@ where
     V: Encode,
 {
     let mut totals = vec![0usize; num];
-    let mut counts = vec![0u64; num];
     for (h, k, v) in groups.entries() {
-        let b = bucket_of_hash(*h, num);
-        totals[b] += k.encoded_len() + v.encoded_len();
-        counts[b] += 1;
+        totals[bucket_of_hash(*h, num)] += k.encoded_len() + v.encoded_len();
     }
     let mut bufs: Vec<Vec<u8>> = totals.iter().map(|t| pool::take(*t)).collect();
     for (h, k, v) in groups.entries() {
@@ -555,7 +606,7 @@ where
         bufs.iter().zip(&totals).all(|(buf, t)| buf.len() == *t),
         "encoded_len must match encode exactly"
     );
-    finish_buckets(ctx, bufs, counts)
+    finish_buckets(ctx, bufs)
 }
 
 /// Partitions `records` into `num` serialized buckets by `bucket_fn`
@@ -579,15 +630,13 @@ where
     K: Encode + 'static,
     V: Encode + 'static,
 {
-    let mut counts = vec![0u64; num];
     let mut bufs: Vec<Vec<u8>> = (0..num).map(|_| pool::take(0)).collect();
     for (k, v) in records {
         let b = bucket_fn(k);
-        counts[b] += 1;
         k.encode(&mut bufs[b]);
         v.encode(&mut bufs[b]);
     }
-    finish_buckets(ctx, bufs, counts)
+    finish_buckets(ctx, bufs)
 }
 
 /// The map side of a shuffle without combine: charges the scan and sends
@@ -616,7 +665,7 @@ fn combining_partitioner<K: ShuffleKey, V: ShuffleValue>(
         // stored hash) bucket choice, since equal keys share a hash and
         // therefore a bucket.
         let combine_started = ctx.cpu_secs();
-        let mut groups: HashGroup<K, V> = HashGroup::with_capacity(records.len().min(1024));
+        let mut groups: HashGroup<K, V> = HashGroup::with_capacity(records.len());
         for (k, v) in records {
             let h = shuffle_hash(k);
             let merged = groups.upsert(h, k, v, V::clone, |a, v| {
@@ -628,6 +677,8 @@ fn combining_partitioner<K: ShuffleKey, V: ShuffleValue>(
             }
         }
         ctx.note_combine(ctx.cpu_secs() - combine_started);
+        // The table owns what it kept: the input goes before the blocks come.
+        drop(data);
         encode_grouped(ctx, num, &groups)
     })
 }
@@ -795,7 +846,8 @@ mod tests {
         let mut c = ctx();
         let data = deps[0].parent.compute(&mut c, 0);
         let buckets = (deps[0].partitioner)(&mut c, data);
-        let total_records: u64 = buckets.iter().map(|b| b.records).sum();
+        let blocks = buckets.into_iter().map(|b| b.bytes).collect();
+        let total_records = decode_stream::<u64, u64>(blocks).count();
         assert_eq!(total_records, 4, "combined down to one record per key");
     }
 

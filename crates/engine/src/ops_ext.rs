@@ -6,7 +6,9 @@ use splitserve_rt::hash::shuffle_hash;
 
 use crate::combine::HashGroup;
 use crate::node::ShuffleDep;
-use crate::ops::{decode_stream, partitioner_by, wide, Dataset, ShuffleKey, ShuffleValue};
+use crate::ops::{
+    decode_stream, fetched_records, partitioner_by, wide, Dataset, ShuffleKey, ShuffleValue,
+};
 
 /// A serializable record usable as a sort key with a total order.
 pub trait SortKey: ShuffleKey {}
@@ -69,7 +71,7 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
             ctx.charge_combine(records.len() as u64);
             // Group by reference: keys are cloned once per distinct key at
             // the very end, not on every record.
-            let mut acc: HashGroup<&K, A> = HashGroup::with_capacity(records.len().min(1024));
+            let mut acc: HashGroup<&K, A> = HashGroup::with_capacity(records.len());
             for (k, v) in records {
                 acc.upsert_owned(
                     shuffle_hash(k),
@@ -104,7 +106,8 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
         let left = self.hash_shuffled(partitions);
         let right = other.hash_shuffled(partitions);
         wide("cogroup", [left, right], |ctx, [lefts, rights]| {
-            let mut groups: HashGroup<K, (Vec<V>, Vec<W>)> = HashGroup::with_capacity(64);
+            let expected = fetched_records::<K, V>(&lefts) + fetched_records::<K, W>(&rights);
+            let mut groups: HashGroup<K, (Vec<V>, Vec<W>)> = HashGroup::with_capacity(expected);
             for (k, v) in decode_stream::<K, V>(lefts) {
                 ctx.charge_combine(1);
                 groups.upsert_owned(

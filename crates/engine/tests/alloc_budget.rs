@@ -1,0 +1,174 @@
+//! Allocation budgets for the reduce side's two hot bodies.
+//!
+//! Heap allocations are counted per thread by this binary's own global
+//! allocator, so a count is a pure function of the body and its input: it
+//! repeats exactly from run to run, whatever else the test harness is
+//! doing. The budgets are what the bodies cost when they were last
+//! changed; they may only go down.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use splitserve_engine::{input_shuffles, Dataset, ShuffleDep, TaskContext, WorkModel};
+use splitserve_rt::{Bytes, FastMap};
+
+thread_local! {
+    /// Allocation calls made by this thread (no destructor, const
+    /// initializer: touching it never allocates).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` and `layout` come from this allocator, which is
+        // `System` underneath, so they are valid for `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` through one of the methods
+        // above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes inside `body`.
+fn allocs_in<R>(body: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = body();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const RECORDS: u64 = 50_000;
+const MAPS: usize = 4;
+const REDUCES: usize = 4;
+
+/// The map side of `dep`, all map tasks: the blocks each reduce partition
+/// fetches, and the allocations of the partitioner bodies alone.
+fn map_side(dep: &Arc<ShuffleDep>) -> (Vec<Vec<Bytes>>, u64) {
+    let mut fetched: Vec<Vec<Bytes>> = vec![Vec::new(); dep.num_partitions];
+    let mut allocs = 0;
+    for m in 0..dep.parent.num_partitions() {
+        let mut ctx = TaskContext::empty(WorkModel::default());
+        let data = dep.parent.compute(&mut ctx, m);
+        let (buckets, n) = allocs_in(|| (dep.partitioner)(&mut ctx, data));
+        allocs += n;
+        for (r, b) in buckets.into_iter().enumerate() {
+            fetched[r].push(b.bytes);
+        }
+    }
+    (fetched, allocs)
+}
+
+/// The reduce bodies of `wide` over what its shuffles' map sides produced:
+/// `(map-side allocations, reduce-side allocations)`. Contexts are built
+/// and results dropped outside the counted region.
+fn shuffle_allocs<T: Send + Sync + 'static>(wide: &Dataset<T>) -> (u64, u64) {
+    let node = wide.node();
+    let mut map_allocs = 0;
+    let mut inputs: Vec<FastMap<_, Vec<Bytes>>> = (0..REDUCES).map(|_| FastMap::default()).collect();
+    for dep in input_shuffles(&node) {
+        let (fetched, n) = map_side(&dep);
+        map_allocs += n;
+        for (r, blocks) in fetched.into_iter().enumerate() {
+            inputs[r].insert(dep.id, blocks);
+        }
+    }
+    let mut reduce_allocs = 0;
+    for (r, fetched) in inputs.into_iter().enumerate() {
+        let mut ctx = TaskContext::new(WorkModel::default(), fetched);
+        let (rows, n) = allocs_in(|| node.compute(&mut ctx, r));
+        reduce_allocs += n;
+        drop(rows);
+    }
+    (map_allocs, reduce_allocs)
+}
+
+/// PageRank's join: every page's adjacency list against its rank, 1:1.
+/// The one allocation a left record needs is its decoded `Vec<u64>`; the
+/// table, the arena, the matched list and the output are a handful per
+/// task. (Three per left record before the arena join: the decoded list, a
+/// `vec![v]` per key and a `v.clone()` per match.)
+#[test]
+fn one_to_one_join_reduce_allocates_once_per_left_record() {
+    let links: Vec<(u64, Vec<u64>)> = (0..RECORDS)
+        .map(|page| (page, (0..1 + page % 7).map(|i| (page * 31 + i) % RECORDS).collect()))
+        .collect();
+    let ranks: Vec<(u64, f64)> = (0..RECORDS).map(|page| (page, 1.0)).collect();
+    let joined =
+        Dataset::parallelize(links, MAPS).join(&Dataset::parallelize(ranks, MAPS), REDUCES);
+
+    let (_, first) = shuffle_allocs(&joined);
+    let (_, again) = shuffle_allocs(&joined);
+    assert_eq!(first, again, "allocation counts repeat exactly");
+    println!("join reduce: {first} allocations, {:.4} per left record", first as f64 / RECORDS as f64);
+    assert!(
+        first <= RECORDS + JOIN_REDUCE_OVERHEAD,
+        "join reduce bodies made {first} allocations for {RECORDS} left records; \
+         the budget is one each plus {JOIN_REDUCE_OVERHEAD}"
+    );
+}
+
+/// PageRank's combine: skewed `(page, share)` contributions summed per
+/// page. Neither side allocates per record: tables and buffers are sized
+/// once from the input each task holds.
+#[test]
+fn reduce_by_key_allocates_per_task_not_per_record() {
+    let mut rng = splitserve_rt::Rng::seed_from_u64(7);
+    let contribs: Vec<(u64, f64)> = (0..RECORDS)
+        .map(|_| {
+            let u = rng.next_f64();
+            ((RECORDS as f64 * u * u * u) as u64, u)
+        })
+        .collect();
+    let summed = Dataset::parallelize(contribs, MAPS).reduce_by_key(REDUCES, |a, b| a + b);
+
+    // The first pass also fills this thread's buffer pool; the budget is
+    // the steady state a worker thread runs in.
+    shuffle_allocs(&summed);
+    let (map, reduce) = shuffle_allocs(&summed);
+    assert_eq!((map, reduce), shuffle_allocs(&summed), "allocation counts repeat exactly");
+    println!(
+        "reduce_by_key: {map} map + {reduce} reduce allocations, {:.5} per record",
+        (map + reduce) as f64 / RECORDS as f64
+    );
+    assert!(
+        map <= COMBINE_MAP_BUDGET && reduce <= COMBINE_REDUCE_BUDGET,
+        "reduce_by_key over {RECORDS} records made {map} map-side and {reduce} reduce-side \
+         allocations; the budgets are {COMBINE_MAP_BUDGET} and {COMBINE_REDUCE_BUDGET}"
+    );
+}
+
+/// Allocations of the four join reduce bodies beyond one per left record
+/// (twelve a task: arena, table, matched list and output, four of them
+/// grown once because varint-encoded records run under their in-memory
+/// size). 100 124 beyond, 3.0025 per left record, before the arena join.
+const JOIN_REDUCE_OVERHEAD: u64 = 48;
+/// Allocations of the four combining map bodies (nine a task: table,
+/// index, sizes, buffer list, four frozen blocks and their list); 68
+/// when the table started at 1024 keys and doubled.
+const COMBINE_MAP_BUDGET: u64 = 36;
+/// Allocations of the four `reduce_by_key` reduce bodies (four a task:
+/// table, index, rows and their `Arc`); 64 when the table started at 64.
+const COMBINE_REDUCE_BUDGET: u64 = 16;

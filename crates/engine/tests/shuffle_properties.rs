@@ -6,17 +6,21 @@
 //! 2. **Byte-determinism.** Two same-seed runs — even through different
 //!    plan instances — must serialize byte-identical shuffle blocks, so
 //!    replays and cross-substrate reruns stay reproducible.
+//! 3. **Join ≡ nested loop, row for row**, cloning a left value only
+//!    ahead of its key's last match.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-
-use splitserve_rt::FastMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use splitserve_codec::{Decode, Encode};
+use splitserve_rt::FastMap;
 
 use splitserve_des::{Fabric, Sim};
 use splitserve_engine::{
-    collect_partitions, input_shuffles, Dataset, Engine, EngineConfig, ExecutorDesc,
+    bucket_of, collect_partitions, input_shuffles, Dataset, Engine, EngineConfig, ExecutorDesc,
     PartitionData, ShuffleDep, TaskContext, WorkModel,
 };
 use splitserve_obs::Obs;
@@ -75,39 +79,42 @@ fn shuffle_metrics_record_only_when_enabled() {
         .is_none());
 }
 
-/// Runs the map and reduce sides of a single-shuffle plan by hand and
-/// returns the reduce output, plus every serialized block (in map-task,
-/// then reduce-partition order) for byte-level comparison.
-fn run_shuffle<K, C>(shuffled: &Dataset<(K, C)>) -> (Vec<(K, C)>, Vec<Bytes>)
-where
-    K: Clone + Send + Sync + 'static,
-    C: Clone + Send + Sync + 'static,
-{
-    let node = shuffled.node();
-    let deps = input_shuffles(&node);
-    assert_eq!(deps.len(), 1);
-    let dep: &Arc<ShuffleDep> = &deps[0];
-    let reduces = dep.num_partitions;
+/// Runs the map side of every shuffle `wide` reads and then its reduce
+/// side, by hand, and returns the reduce partitions in order, plus every
+/// serialized block (shuffle by shuffle, in map-task, then
+/// reduce-partition order) for byte-level comparison.
+fn run_wide<T: Send + Sync + 'static>(wide: &Dataset<T>) -> (Vec<PartitionData>, Vec<Bytes>) {
+    let node = wide.node();
+    let deps: Vec<Arc<ShuffleDep>> = input_shuffles(&node);
+    let reduces = deps[0].num_partitions;
     let mut blocks_flat = Vec::new();
-    let mut buckets: Vec<Vec<Bytes>> = vec![Vec::new(); reduces];
-    for m in 0..dep.parent.num_partitions() {
-        let mut c = ctx();
-        let data = dep.parent.compute(&mut c, m);
-        for (r, b) in (dep.partitioner)(&mut c, data).into_iter().enumerate() {
-            blocks_flat.push(b.bytes.clone());
-            if !b.bytes.is_empty() {
-                buckets[r].push(b.bytes);
+    let mut inputs: Vec<FastMap<_, Vec<Bytes>>> = (0..reduces).map(|_| FastMap::default()).collect();
+    for dep in &deps {
+        for m in 0..dep.parent.num_partitions() {
+            let mut c = ctx();
+            let data = dep.parent.compute(&mut c, m);
+            for (r, b) in (dep.partitioner)(&mut c, data).into_iter().enumerate() {
+                blocks_flat.push(b.bytes.clone());
+                let fetched = inputs[r].entry(dep.id).or_default();
+                if !b.bytes.is_empty() {
+                    fetched.push(b.bytes);
+                }
             }
         }
     }
-    let mut parts: Vec<PartitionData> = Vec::new();
-    for (r, blocks) in buckets.into_iter().enumerate() {
-        let mut inputs = FastMap::default();
-        inputs.insert(dep.id, blocks);
-        let mut c = TaskContext::new(WorkModel::default(), inputs);
-        parts.push(node.compute(&mut c, r));
-    }
-    (collect_partitions::<(K, C)>(parts), blocks_flat)
+    let parts = inputs
+        .into_iter()
+        .enumerate()
+        .map(|(r, fetched)| node.compute(&mut TaskContext::new(WorkModel::default(), fetched), r))
+        .collect();
+    (parts, blocks_flat)
+}
+
+/// [`run_wide`] for a single-shuffle plan, with the reduce output collected.
+fn run_shuffle<T: Clone + Send + Sync + 'static>(shuffled: &Dataset<T>) -> (Vec<T>, Vec<Bytes>) {
+    assert_eq!(input_shuffles(&shuffled.node()).len(), 1);
+    let (parts, blocks) = run_wide(shuffled);
+    (collect_partitions(parts), blocks)
 }
 
 fn random_records(g: &mut Gen) -> Vec<(u64, u64)> {
@@ -157,34 +164,140 @@ fn group_by_key_matches_btreemap_reference() {
             .collect();
 
         let ds = Dataset::parallelize(records, maps).group_by_key(partitions);
-        let node = ds.node();
-        let deps = input_shuffles(&node);
-        let dep = &deps[0];
-        let mut buckets: Vec<Vec<Bytes>> = vec![Vec::new(); dep.num_partitions];
-        for m in 0..dep.parent.num_partitions() {
-            let mut c = ctx();
-            let data = dep.parent.compute(&mut c, m);
-            for (r, b) in (dep.partitioner)(&mut c, data).into_iter().enumerate() {
-                if !b.bytes.is_empty() {
-                    buckets[r].push(b.bytes);
-                }
-            }
-        }
-        let mut got: Vec<(u64, Vec<u64>)> = Vec::new();
-        for (r, blocks) in buckets.into_iter().enumerate() {
-            let mut inputs = FastMap::default();
-            inputs.insert(dep.id, blocks);
-            let mut c = TaskContext::new(WorkModel::default(), inputs);
-            got.extend(collect_partitions::<(u64, Vec<u64>)>(vec![
-                node.compute(&mut c, r),
-            ]));
-        }
+        let (mut got, _) = run_shuffle(&ds);
         got.sort_unstable_by_key(|(k, _)| *k);
         for (_, vs) in &mut got {
             vs.sort_unstable();
         }
         assert_eq!(got, expect, "hash grouping must equal ordered reference");
     });
+}
+
+#[test]
+fn cogroup_matches_btreemap_reference() {
+    check::run("cogroup_matches_reference", 40, |g| {
+        let (left, right) = (random_records(g), random_records(g));
+        let partitions = g.usize_in(1, 5);
+        let (left_maps, right_maps) = (g.usize_in(1, 4), g.usize_in(1, 4));
+
+        // Within a key, values arrive map task by map task in input order,
+        // which for `parallelize`'s contiguous chunks is input order.
+        let mut expect: BTreeMap<u64, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+        for (k, v) in &left {
+            expect.entry(*k).or_default().0.push(*v);
+        }
+        for (k, w) in &right {
+            expect.entry(*k).or_default().1.push(*w);
+        }
+
+        let ds = Dataset::parallelize(left, left_maps)
+            .cogroup(&Dataset::parallelize(right, right_maps), partitions);
+        let mut got = collect_partitions(run_wide(&ds).0);
+        got.sort_unstable_by_key(|(k, _)| *k);
+        assert_eq!(got, expect.into_iter().collect::<Vec<_>>());
+    });
+}
+
+/// What `join` must produce, row for row: reduce partition by reduce
+/// partition, the right records of that partition in stream order (map
+/// task by map task, so input order), each against the left records of
+/// its key in their arrival order.
+fn nested_loop_join<V: Clone, W: Clone>(
+    left: &[(u64, V)],
+    right: &[(u64, W)],
+    partitions: usize,
+) -> Vec<(u64, (V, W))> {
+    let mut rows = Vec::new();
+    for part in 0..partitions {
+        for (k, w) in right.iter().filter(|(k, _)| bucket_of(k, partitions) == part) {
+            for (_, v) in left.iter().filter(|(lk, _)| lk == k) {
+                rows.push((*k, (v.clone(), w.clone())));
+            }
+        }
+    }
+    rows
+}
+
+#[test]
+fn join_matches_nested_loop_reference_in_exact_row_order() {
+    check::run("join_matches_nested_loop", 60, |g| {
+        // Narrow key spaces that only partly overlap: duplicate keys on
+        // both sides, and keys without a partner on both sides.
+        let (left_keys, right_keys) = (g.u64_in(1, 24), g.u64_in(1, 24));
+        let left: Vec<(u64, String)> =
+            g.vec(0, 120, |g| (g.u64_in(0, left_keys), format!("l{}", g.u64_in(0, 1_000))));
+        let right: Vec<(u64, String)> =
+            g.vec(0, 120, |g| (g.u64_in(6, 6 + right_keys), format!("r{}", g.u64_in(0, 1_000))));
+        let partitions = g.usize_in(1, 5);
+        let expect = nested_loop_join(&left, &right, partitions);
+
+        let joined = Dataset::parallelize(left, g.usize_in(1, 4))
+            .join(&Dataset::parallelize(right, g.usize_in(1, 4)), partitions);
+        let got: Vec<(u64, (String, String))> = collect_partitions(run_wide(&joined).0);
+        assert_eq!(got, expect, "same rows in the same order");
+    });
+}
+
+/// A left value whose `clone()`s are counted. One test owns the counter.
+#[derive(Debug, PartialEq)]
+struct Counted(u64);
+static COUNTED_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        COUNTED_CLONES.fetch_add(1, Ordering::Relaxed);
+        Counted(self.0)
+    }
+}
+
+impl Encode for Counted {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+}
+
+impl Decode for Counted {
+    fn decode(input: &mut &[u8]) -> splitserve_codec::Result<Self> {
+        u64::decode(input).map(Counted)
+    }
+}
+
+/// `join` moves a left value out on its key's last match and clones it
+/// only before that: nothing on a 1:1 join, `(m − 1) · n` for a key with
+/// `n` left and `m` right records — and the rows are still all there.
+#[test]
+fn join_clones_a_left_value_only_before_its_last_match() {
+    let census = |left: Vec<(u64, Counted)>, right: Vec<(u64, u64)>| {
+        let expect = nested_loop_join(&left, &right, 3);
+        let joined = Dataset::parallelize(left, 2).join(&Dataset::parallelize(right, 2), 3);
+        let before = COUNTED_CLONES.load(Ordering::Relaxed);
+        let (parts, _) = run_wide(&joined);
+        let clones = COUNTED_CLONES.load(Ordering::Relaxed) - before;
+        // Each partition has one owner here, so collecting moves the rows.
+        assert_eq!(collect_partitions::<(u64, (Counted, u64))>(parts), expect);
+        clones
+    };
+
+    let one_to_one = census(
+        (0..500).map(|k| (k, Counted(k * 3))).collect(),
+        (0..600).rev().map(|k| (k, k)).collect(),
+    );
+    assert_eq!(one_to_one, 0, "a 1:1 join clones no left value");
+
+    // `(key, records)` per side, the keys interleaved: key 7 is 4 × 3, key 8
+    // is 2 × 1, key 9 is 1 × 5, and keys 10 and 11 have no partner.
+    let side = |counts: &[(u64, u64)]| -> Vec<(u64, u64)> {
+        let mut rows: Vec<(u64, u64)> =
+            counts.iter().flat_map(|&(k, n)| (0..n).map(move |i| (k, i))).collect();
+        rows.sort_by_key(|&(k, i)| (i, k));
+        rows
+    };
+    let left = side(&[(7, 4), (8, 2), (9, 1), (10, 3)]);
+    let n_to_m = census(
+        left.into_iter().map(|(k, i)| (k, Counted(k * 100 + i))).collect(),
+        side(&[(7, 3), (8, 1), (9, 5), (11, 2)]),
+    );
+    assert_eq!(n_to_m, 8 + 4, "(m − 1) · n: 2 · 4 for key 7, none for key 8, 4 · 1 for key 9");
 }
 
 #[test]
