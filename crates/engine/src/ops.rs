@@ -334,9 +334,12 @@ pub(crate) fn wide<C: Send + Sync + 'static, const N: usize>(
 
 /// The sizing rule of every reduce-side table (DESIGN.md §8 "Combine"):
 /// the records a task can expect in the blocks it fetched, taken as their
-/// bytes over a record's size in memory — a little low for varint-encoded
-/// fixed-size records, high for heap-carrying values, and always within a
-/// small factor of the bytes the task already holds.
+/// bytes over a record's size in memory, and always within a small factor
+/// of the bytes the task already holds. Low wherever a record encodes
+/// shorter than it sits in memory: a little for varint-encoded fixed-size
+/// records, ≈ 3× for PageRank's `(u64, Vec<u64>)` join build side (≈ 10 B
+/// on the wire, 32 B in memory, the `Vec` counted by its header). High
+/// only for heap-carrying values longer on the wire than their header.
 pub(crate) fn fetched_records<K, V>(blocks: &[Bytes]) -> usize {
     let bytes: usize = blocks.iter().map(|b| b.len()).sum();
     bytes / std::mem::size_of::<(K, V)>().max(1)

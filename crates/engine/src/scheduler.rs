@@ -62,6 +62,19 @@ impl ExecMeta {
     fn takes_tasks(&self) -> bool {
         self.alive && !self.draining && self.running.is_none()
     }
+
+    fn info(&self) -> ExecutorInfo {
+        ExecutorInfo {
+            id: self.desc.id,
+            kind: self.desc.kind,
+            registered_at: self.registered_at,
+            alive: self.alive,
+            draining: self.draining,
+            busy: self.running.is_some(),
+            idle_since: self.idle_since,
+            tasks_done: self.tasks_done,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -441,12 +454,14 @@ impl Inner {
     /// when the result stage finishes, and it indexes the graph when it
     /// lands.) Retiring drops the stage graph with its plan nodes, the
     /// per-stage status and straggler digests, and forgets every shuffle
-    /// whose dependency nobody can reach any more. A `Dataset` the caller
-    /// still holds keeps its `ShuffleDep` alive, so resubmitting it finds
-    /// its map outputs registered and skips the map stage, exactly as
-    /// while the first job's state was around; its tracker entry goes at
-    /// the first retirement after the caller lets go.
-    fn retire_if_over(&mut self, job_id: JobId) {
+    /// whose dependency nobody can reach any more — in the tracker and in
+    /// `store`, whose blocks of it go too. A `Dataset` the caller still
+    /// holds keeps its `ShuffleDep` alive, so resubmitting it finds its
+    /// map outputs registered and its blocks stored and skips the map
+    /// stage, exactly as while the first job's state was around; its
+    /// tracker entry and blocks go at the first retirement after the
+    /// caller lets go.
+    fn retire_if_over(&mut self, job_id: JobId, store: &dyn BlockStore) {
         let slot = &mut self.jobs[job_id.0 as usize];
         if !slot.done {
             return;
@@ -470,6 +485,7 @@ impl Inner {
             let reachable = dep.strong_count() > 0;
             if !reachable {
                 tracker.forget_shuffle(*id);
+                store.forget_shuffle(id.0);
             }
             reachable
         });
@@ -478,7 +494,7 @@ impl Inner {
 
 /// A snapshot of one executor's state, for policy layers (SplitServe's
 /// launching and segueing facilities live above this API).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorInfo {
     /// The executor.
     pub id: ExecutorId,
@@ -754,25 +770,13 @@ impl Engine {
         inner
             .execs_by_name
             .iter()
-            .map(|&slot| {
-                let m = &inner.execs[slot as usize];
-                ExecutorInfo {
-                    id: m.desc.id,
-                    kind: m.desc.kind,
-                    registered_at: m.registered_at,
-                    alive: m.alive,
-                    draining: m.draining,
-                    busy: m.running.is_some(),
-                    idle_since: m.idle_since,
-                    tasks_done: m.tasks_done,
-                }
-            })
+            .map(|&slot| inner.execs[slot as usize].info())
             .collect()
     }
 
     /// Snapshot of one executor.
     pub fn executor_info(&self, id: &ExecutorId) -> Option<ExecutorInfo> {
-        self.executors().into_iter().find(|e| &e.id == id)
+        self.shared.inner.borrow().exec(*id).map(ExecMeta::info)
     }
 
     /// Number of tasks waiting in the dispatch queue (the backlog a
@@ -1041,7 +1045,7 @@ impl Engine {
             if slot.done {
                 // A stale attempt of a finished job just ended; it may
                 // have been the last thing holding the job's state.
-                inner.retire_if_over(job_id);
+                inner.retire_if_over(job_id, &*sh.store);
                 return;
             }
             let job = slot.live.as_mut().expect("a running job is live");
@@ -1122,7 +1126,7 @@ impl Engine {
                     .binary_search(&job_id)
                     .expect("a running job is active");
                 inner.active.remove(at);
-                inner.retire_if_over(job_id);
+                inner.retire_if_over(job_id, &*sh.store);
             }
         }
         if let Some((cb, output)) = finished {
@@ -1210,7 +1214,7 @@ impl Engine {
                 {
                     // Dropped, not re-queued: if that was a finished job's
                     // last queued task, nothing holds the job any more.
-                    inner.retire_if_over(job_id);
+                    inner.retire_if_over(job_id, &*sh.store);
                     continue;
                 }
                 // Re-validate the executor chosen at the top of this

@@ -1,7 +1,7 @@
 //! End-to-end engine tests: real jobs over simulated clusters, exercising
 //! scheduling, shuffles, executor churn and fault recovery.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use splitserve_des::{Fabric, Sim, SimDuration, SimTime};
@@ -9,19 +9,22 @@ use splitserve_engine::{
     collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, JobId,
     JobOutput, LiveState,
 };
-use splitserve_storage::{HdfsSpec, HdfsStore, LocalDiskStore};
+use splitserve_rt::Bytes;
+use splitserve_storage::{
+    BlockId, BlockStore, ClientLoc, FaultStore, GetCallback, HdfsSpec, HdfsStore, LocalDiskStore,
+    PutCallback, StoreFaults, StoreStats,
+};
 
 struct Rig {
     sim: Sim,
-    // Kept so rigs can grow links mid-test even though no current test does.
-    #[allow(dead_code)]
-    fabric: Fabric,
     engine: Engine,
+    /// The bare store under the engine, when it is HDFS.
+    hdfs: Option<Rc<HdfsStore>>,
 }
 
-fn local_rig(executors: usize) -> Rig {
-    let fabric = Fabric::new();
-    let store = Rc::new(LocalDiskStore::new(fabric.clone()));
+/// `executors` VM executors on `fabric`, registered with a fresh engine
+/// over `store`.
+fn rig_over(fabric: &Fabric, store: Rc<dyn BlockStore>, executors: usize) -> (Sim, Engine) {
     let engine = Engine::new(EngineConfig::default(), store);
     let mut sim = Sim::new(7);
     for i in 0..executors {
@@ -29,23 +32,29 @@ fn local_rig(executors: usize) -> Rig {
         let disk = fabric.add_link(1e9, format!("disk-{i}"));
         engine.register_executor(&mut sim, ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192));
     }
-    Rig { sim, fabric, engine }
+    (sim, engine)
 }
 
-fn hdfs_rig(executors: usize) -> Rig {
+fn local_rig(executors: usize) -> Rig {
     let fabric = Fabric::new();
+    let store = Rc::new(LocalDiskStore::new(fabric.clone()));
+    let (sim, engine) = rig_over(&fabric, store, executors);
+    Rig { sim, engine, hdfs: None }
+}
+
+fn hdfs_store(fabric: &Fabric) -> Rc<HdfsStore> {
     let hdfs = HdfsStore::new(HdfsSpec::default(), fabric.clone());
     let nn_nic = fabric.add_link(1e9, "hdfs-nic");
     let nn_disk = fabric.add_link(1e9, "hdfs-disk");
     hdfs.add_datanode(nn_nic, nn_disk);
-    let engine = Engine::new(EngineConfig::default(), Rc::new(hdfs));
-    let mut sim = Sim::new(7);
-    for i in 0..executors {
-        let nic = fabric.add_link(1e9, format!("nic-{i}"));
-        let disk = fabric.add_link(1e9, format!("disk-{i}"));
-        engine.register_executor(&mut sim, ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192));
-    }
-    Rig { sim, fabric, engine }
+    Rc::new(hdfs)
+}
+
+fn hdfs_rig(executors: usize) -> Rig {
+    let fabric = Fabric::new();
+    let hdfs = hdfs_store(&fabric);
+    let (sim, engine) = rig_over(&fabric, hdfs.clone(), executors);
+    Rig { sim, engine, hdfs: Some(hdfs) }
 }
 
 fn run_job<T: Clone + Send + Sync + 'static>(
@@ -240,7 +249,7 @@ fn lambda_memory_pressure_slows_tasks() {
         // ~1.6 GB working set in one partition (100M records ≈ 8B each... use generate with large bytes).
         let ds = Dataset::<u64>::generate(1, |_| (0..1_000_000u64).collect())
             .map_with_cost(|x| x + 1, Some(1e-6));
-        let mut rig = Rig { sim, fabric, engine };
+        let mut rig = Rig { sim, engine, hdfs: None };
         let (_, m) = run_job(&mut rig, &ds);
         m.execution_time().as_secs_f64()
     };
@@ -351,6 +360,22 @@ fn late_registered_executor_picks_up_work() {
     assert_eq!(out.metrics.tasks_total(), 10);
 }
 
+#[test]
+fn executor_info_is_the_matching_snapshot_entry() {
+    let mut rig = local_rig(3);
+    let ds = Dataset::parallelize((0..300u64).map(|i| (i % 7, i)).collect(), 5)
+        .reduce_by_key(2, |a, b| a + b);
+    run_job(&mut rig, &ds);
+    rig.engine.kill_executor(&mut rig.sim, &"e-vm-1".into());
+    let all = rig.engine.executors();
+    assert_eq!(all.len(), 3);
+    for e in &all {
+        assert_eq!(rig.engine.executor_info(&e.id).as_ref(), Some(e));
+    }
+    assert!(all.iter().any(|e| !e.alive) && all.iter().any(|e| e.tasks_done > 0));
+    assert_eq!(rig.engine.executor_info(&"e-vm-9".into()), None);
+}
+
 // ----- state lifetime: what the scheduler holds follows the live work -----
 
 #[test]
@@ -380,6 +405,10 @@ fn finished_jobs_leave_no_scheduler_state_behind() {
         }
     );
     assert!(!rig.engine.has_active_jobs());
+    let hdfs = rig.hdfs.as_ref().expect("an HDFS rig");
+    let held = (hdfs.block_count(), hdfs.used_bytes());
+    assert_eq!(held, (0, 0), "blocks leave with their shuffle");
+    assert_eq!(hdfs.stats().puts, 500 * 4, "every block was written");
     // What is kept per finished job is its metrics, queryable as before.
     let done = rig.engine.completed_job_metrics();
     assert_eq!(done.len(), 500);
@@ -395,7 +424,7 @@ fn resubmitted_dataset_skips_its_map_stage_while_it_is_held() {
     let (mut first, m1) = run_job(&mut rig, &ds);
     assert_eq!(m1.tasks_total(), 8 + 4);
     // The first job is retired, but `ds` still reaches its shuffle, so the
-    // map outputs stay registered …
+    // map outputs stay registered and their blocks stored …
     assert_eq!(
         rig.engine.live_state(),
         LiveState {
@@ -405,19 +434,128 @@ fn resubmitted_dataset_skips_its_map_stage_while_it_is_held() {
             parked_computes: 0
         }
     );
-    // … and the second submission runs the result stage only.
+    let hdfs = rig.hdfs.clone().expect("an HDFS rig");
+    let (blocks, bytes) = (hdfs.block_count(), hdfs.used_bytes());
+    assert!(blocks > 0, "the held shuffle's blocks stay");
+    assert_eq!(bytes, m1.shuffle_bytes_written);
+    // … and the second submission runs the result stage only, reading
+    // those very blocks.
     let (mut second, m2) = run_job(&mut rig, &ds);
     assert_eq!(m2.tasks_total(), 4, "map stage must be skipped");
     assert_eq!(m2.shuffle_bytes_written, 0);
     assert_eq!(m2.shuffle_bytes_read, m1.shuffle_bytes_read);
+    assert_eq!((hdfs.block_count(), hdfs.used_bytes()), (blocks, bytes));
+    assert_eq!(hdfs.stats().failed_gets, 0);
     first.sort();
     second.sort();
     assert_eq!(first, second);
-    // Once the caller lets go, the next retirement forgets the shuffle.
+    // Once the caller lets go, the next retirement forgets the shuffle,
+    // in the tracker and in the store.
     drop(ds);
     let other = Dataset::parallelize(vec![1u64, 2, 3], 1);
     run_job(&mut rig, &other);
     assert_eq!(rig.engine.live_state().shuffles, 0);
+    assert_eq!((hdfs.block_count(), hdfs.used_bytes()), (0, 0));
+}
+
+/// Forwards every call to the store under test and notes, as each put
+/// lands, the most blocks the bare store has held.
+struct PeakBlocks {
+    inner: Rc<dyn BlockStore>,
+    bare: Rc<HdfsStore>,
+    peak: Rc<Cell<usize>>,
+}
+
+impl BlockStore for PeakBlocks {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn survives_executor_loss(&self) -> bool {
+        self.inner.survives_executor_loss()
+    }
+    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
+        let (bare, peak) = (Rc::clone(&self.bare), Rc::clone(&self.peak));
+        let noted: PutCallback = Box::new(move |sim, r| {
+            peak.set(peak.get().max(bare.block_count()));
+            cb(sim, r)
+        });
+        self.inner.put(sim, client, block, data, noted);
+    }
+    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
+        self.inner.get(sim, client, block, cb);
+    }
+    fn on_executor_lost(&self, sim: &mut Sim, executor: &str) {
+        self.inner.on_executor_lost(sim, executor);
+    }
+    fn register_executor(&self, executor: &str, loc: ClientLoc) {
+        self.inner.register_executor(executor, loc);
+    }
+    fn forget_shuffle(&self, shuffle: u64) {
+        self.inner.forget_shuffle(shuffle);
+    }
+    fn contains(&self, block: &BlockId) -> bool {
+        self.inner.contains(block)
+    }
+    fn stats(&self) -> StoreStats {
+        self.inner.stats()
+    }
+}
+
+/// A soak of `jobs` small aggregations arriving every 150 ms on two
+/// executors over HDFS — behind a `FaultStore` failing every 13th put
+/// when `write_faults` — each plan dropped once submitted. Returns the
+/// most blocks the store held at once and the bare store.
+fn soak(jobs: u64, write_faults: bool) -> (usize, Rc<HdfsStore>) {
+    let fabric = Fabric::new();
+    let hdfs = hdfs_store(&fabric);
+    let faults = StoreFaults::new();
+    if write_faults {
+        (1..=jobs * 4 / 13).for_each(|n| faults.fail_nth_put(13 * n));
+    }
+    let peak = Rc::new(Cell::new(0));
+    let store = Rc::new(PeakBlocks {
+        inner: FaultStore::wrap(hdfs.clone(), faults.clone()),
+        bare: hdfs.clone(),
+        peak: Rc::clone(&peak),
+    });
+    let (mut sim, engine) = rig_over(&fabric, store, 2);
+    let done = Rc::new(Cell::new(0));
+    for job in 0..jobs {
+        let (engine, done) = (engine.clone(), Rc::clone(&done));
+        sim.schedule_at(SimTime::from_millis(150 * job), move |sim| {
+            let ds = Dataset::parallelize((0..40u64).map(|i| (i % 5, job)).collect(), 2)
+                .reduce_by_key(2, |a, b| a + b);
+            engine.submit_job(sim, ds.node(), move |_, out| {
+                let rows = collect_partitions::<(u64, u64)>(out.partitions);
+                let exact = rows.iter().all(|&(_, sum)| sum == 8 * job);
+                assert!(exact, "job {job}: {rows:?}");
+                done.set(done.get() + 1);
+            });
+        });
+    }
+    sim.run();
+    assert_eq!(done.get(), jobs, "every job completes");
+    let struck = if write_faults { jobs * 4 / 13 } else { 0 };
+    assert_eq!(faults.puts_failed(), struck);
+    assert_eq!(engine.live_state().shuffles, 0);
+    (peak.get(), hdfs)
+}
+
+/// The store's memory follows the live jobs: a run of N jobs and one of
+/// 4N end holding no block, and the larger one never held more at once —
+/// with and without write faults failing map tasks mid-write.
+#[test]
+fn store_blocks_follow_live_jobs_not_finished_ones() {
+    for write_faults in [false, true] {
+        let (peak_n, end_n) = soak(25, write_faults);
+        let (peak_4n, end_4n) = soak(100, write_faults);
+        for end in [&end_n, &end_4n] {
+            let held = (end.block_count(), end.used_bytes());
+            assert_eq!(held, (0, 0), "faults: {write_faults}");
+        }
+        assert!(peak_n > 0, "faults: {write_faults}");
+        assert_eq!(peak_4n, peak_n, "faults: {write_faults}");
+    }
 }
 
 /// A job can finish while one of its own tasks is still running: kill an

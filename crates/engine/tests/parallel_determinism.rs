@@ -63,6 +63,9 @@ impl BlockStore for RecordingStore {
     fn register_executor(&self, executor: &str, loc: ClientLoc) {
         BlockStore::register_executor(&self.inner, executor, loc);
     }
+    fn forget_shuffle(&self, shuffle: u64) {
+        self.inner.forget_shuffle(shuffle);
+    }
     fn contains(&self, block: &BlockId) -> bool {
         self.inner.contains(block)
     }

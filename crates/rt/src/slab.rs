@@ -80,6 +80,11 @@ impl<T> Slab<T> {
         self.slots.get_mut(slot as usize)?.as_mut()
     }
 
+    /// Every parked value, in slot order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
+
     /// Number of occupied slots.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -116,5 +121,11 @@ mod tests {
         *slab.get_mut(1).expect("occupied") += 1;
         assert_eq!(slab.get(1), Some(&7));
         assert_eq!((slab.len(), slab.slots()), (5, 5));
+        slab.take(3);
+        slab.values_mut().for_each(|v| *v += 100);
+        assert_eq!(
+            slab.values_mut().map(|v| *v).collect::<Vec<_>>(),
+            [100, 107, 105, 107]
+        );
     }
 }

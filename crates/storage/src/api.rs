@@ -58,6 +58,11 @@ impl BlockId {
             name: name.into(),
         }
     }
+
+    /// Whether this is a block of shuffle `shuffle`.
+    pub fn in_shuffle(&self, shuffle: u64) -> bool {
+        matches!(self.name, BlockName::Shuffle { shuffle: s, .. } if s == shuffle)
+    }
 }
 
 impl From<Interned> for BlockName {
@@ -214,6 +219,15 @@ pub trait BlockStore {
     /// blocks. Shared substrates don't care; the default is a no-op.
     fn register_executor(&self, executor: &str, loc: ClientLoc) {
         let _ = (executor, loc);
+    }
+
+    /// Drops every block of shuffle `shuffle`, on every executor: its
+    /// reader is gone. Costs no simulated time and moves no counter. A put
+    /// of that shuffle still in flight lands and is counted, but its block
+    /// is not kept. The default keeps everything; a decorator must forward
+    /// the call.
+    fn forget_shuffle(&self, shuffle: u64) {
+        let _ = shuffle;
     }
 
     /// Whether the block currently exists.

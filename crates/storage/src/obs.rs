@@ -152,6 +152,10 @@ impl BlockStore for InstrumentedStore {
         self.inner.register_executor(executor, loc)
     }
 
+    fn forget_shuffle(&self, shuffle: u64) {
+        self.inner.forget_shuffle(shuffle)
+    }
+
     fn contains(&self, block: &BlockId) -> bool {
         self.inner.contains(block)
     }

@@ -101,7 +101,12 @@ struct Parked<P> {
 
 /// What landing does with the bytes, and whom it tells.
 enum Op<P> {
-    Put(P, PutCallback),
+    /// `keep` turns false when the block's shuffle is forgotten in flight.
+    Put {
+        at: P,
+        keep: bool,
+        cb: PutCallback,
+    },
     Get(GetCallback),
 }
 
@@ -136,6 +141,18 @@ impl<S: Substrate> Inner<S> {
             throttle_wait_secs: &mut self.stats.throttle_wait_secs,
         };
         (&mut self.model, req)
+    }
+
+    /// Drops the blocks `gone` picks, and their bytes from the total.
+    fn drop_blocks(&mut self, gone: impl Fn(&BlockId) -> bool) {
+        let resident = &mut self.resident_bytes;
+        self.blocks.retain(|block, (data, _)| {
+            let keep = !gone(block);
+            if !keep {
+                *resident -= data.len() as u64;
+            }
+            keep
+        });
     }
 }
 
@@ -186,9 +203,15 @@ impl<S: Substrate> Store<S> {
     }
 
     /// Bytes currently resident: an overwrite replaces the block it
-    /// overwrites, a lost executor's dropped blocks no longer count.
+    /// overwrites, a lost executor's or a forgotten shuffle's dropped
+    /// blocks no longer count.
     pub fn used_bytes(&self) -> u64 {
         self.core.inner.borrow().resident_bytes
+    }
+
+    /// Blocks currently held.
+    pub fn block_count(&self) -> usize {
+        self.core.inner.borrow().blocks.len()
     }
 
     /// Parks an admitted request and starts its clock: the latency event
@@ -235,14 +258,15 @@ impl<S: Substrate> Core<S> {
         } = landed.expect("a parked request waits for its bytes");
         let len = data.len() as u64;
         match op {
-            Op::Put(placement, cb) => {
+            Op::Put { at, keep, cb } => {
                 inner.stats.puts += 1;
                 inner.stats.bytes_in += len;
                 // The write happened either way; the bytes stay only if
-                // the substrate can still hold them.
-                if inner.model.holds_blocks_of(block.executor) {
+                // someone can still read them and the substrate can still
+                // hold them.
+                if keep && inner.model.holds_blocks_of(block.executor) {
                     inner.resident_bytes += len;
-                    if let Some((old, _)) = inner.blocks.insert(block, (data, placement)) {
+                    if let Some((old, _)) = inner.blocks.insert(block, (data, at)) {
                         inner.resident_bytes -= old.len() as u64;
                     }
                 }
@@ -286,8 +310,8 @@ impl<S: Substrate> BlockStore for Store<S> {
             model.admit_put(&mut req, data.len() as u64)
         };
         match admitted {
-            Ok((delay, route, placement)) => {
-                let op = Op::Put(placement, cb);
+            Ok((delay, route, at)) => {
+                let op = Op::Put { at, keep: true, cb };
                 self.launch(
                     sim,
                     delay,
@@ -339,19 +363,22 @@ impl<S: Substrate> BlockStore for Store<S> {
     fn on_executor_lost(&self, _sim: &mut Sim, executor: &str) {
         let inner = &mut *self.core.inner.borrow_mut();
         if let Some(dead) = inner.model.executor_lost(executor) {
-            let resident = &mut inner.resident_bytes;
-            inner.blocks.retain(|block, (data, _)| {
-                let keep = block.executor != dead;
-                if !keep {
-                    *resident -= data.len() as u64;
-                }
-                keep
-            });
+            inner.drop_blocks(|block| block.executor == dead);
         }
     }
 
     fn register_executor(&self, executor: &str, loc: ClientLoc) {
         self.model().register_executor(executor, loc);
+    }
+
+    fn forget_shuffle(&self, shuffle: u64) {
+        let inner = &mut *self.core.inner.borrow_mut();
+        inner.drop_blocks(|block| block.in_shuffle(shuffle));
+        for parked in inner.parked.values_mut() {
+            if let Op::Put { keep, .. } = &mut parked.op {
+                *keep &= !parked.block.in_shuffle(shuffle);
+            }
+        }
     }
 
     fn contains(&self, block: &BlockId) -> bool {
@@ -484,5 +511,43 @@ mod tests {
             2.0
         );
         assert_eq!(landing_secs(0, LinkPath::new(&[]), fabric, false), 0.0);
+    }
+
+    #[test]
+    fn a_put_in_flight_when_its_shuffle_is_forgotten_lands_unkept() {
+        let mut sim = Sim::new(0);
+        let store = Store::over(
+            Fixed(SimDuration::from_secs(1), LinkPath::new(&[])),
+            Fabric::new(),
+        );
+        let (doomed, other) = (
+            BlockId::shuffle("e", 3, 0, 0),
+            BlockId::shuffle("e", 4, 0, 0),
+        );
+        let landed = Rc::new(std::cell::Cell::new(0));
+        for block in [doomed, other] {
+            let l = Rc::clone(&landed);
+            let cb = Box::new(move |_: &mut Sim, r: Result<(), StoreError>| {
+                r.expect("put");
+                l.set(l.get() + 1);
+            });
+            store.put(
+                &mut sim,
+                ClientLoc::default(),
+                block,
+                Bytes::from(vec![0u8; 10]),
+                cb,
+            );
+        }
+        store.forget_shuffle(3);
+        assert_eq!(store.parked_ops(), 2, "forgetting cancels nothing");
+        sim.run();
+        assert_eq!(landed.get(), 2, "both callers hear");
+        assert!(!store.contains(&doomed) && store.contains(&other));
+        assert_eq!((store.used_bytes(), store.block_count()), (10, 1));
+        assert_eq!((store.stats().puts, store.stats().bytes_in), (2, 20));
+        // Nothing remembers the id: a later write of that shuffle is kept.
+        put_ok(&store, &mut sim, doomed, 5);
+        assert!(store.contains(&doomed));
     }
 }

@@ -10,9 +10,11 @@ use std::rc::Rc;
 
 use splitserve_cloud::{Category, Cloud, CloudSpec, S3_USD_PER_GET};
 use splitserve_des::{Fabric, Sim};
+use splitserve_obs::MetricsRegistry;
 use splitserve_storage::{
-    BlockId, BlockStore, ClientLoc, HdfsSpec, HdfsStore, LocalDiskStore, RedisSpec, RedisStore,
-    S3Spec, S3Store, SqsSpec, SqsStore, StoreStats,
+    BlockId, BlockStore, ClientLoc, FaultStore, HdfsSpec, HdfsStore, InstrumentedStore,
+    LocalDiskStore, RedisSpec, RedisStore, S3Spec, S3Store, SqsSpec, SqsStore, StoreFaults,
+    StoreStats,
 };
 
 /// One store of each kind over `fabric`; request fees go to `cloud`.
@@ -144,6 +146,72 @@ fn only_local_store_loses_blocks_on_executor_death() {
                 "store {name} contradicts its own contract"
             );
             assert_eq!(name == "local", !survives);
+        }
+    });
+}
+
+/// `forget_shuffle` drops exactly that shuffle's blocks, whichever
+/// executor wrote them, on every store — bare and under each decorator,
+/// which must forward the call. Other shuffles and named blocks stay, an
+/// unknown id changes nothing, and no counter moves.
+#[test]
+fn forget_shuffle_drops_exactly_that_shuffles_blocks() {
+    type Wrap = fn(Rc<dyn BlockStore>) -> Rc<dyn BlockStore>;
+    let wraps: [(&str, Wrap); 3] = [
+        ("bare", |s| s),
+        ("instrumented", |s| InstrumentedStore::wrap(s, MetricsRegistry::enabled())),
+        ("fault", |s| {
+            let faults = StoreFaults::new();
+            faults.fail_nth_get(u64::MAX); // armed, never strikes
+            FaultStore::wrap(s, faults)
+        }),
+    ];
+    check::run("forget_shuffle_drops_exactly_that_shuffles_blocks", 6, |g| {
+        let mut sim = Sim::new(g.u64());
+        let fabric = Fabric::new();
+        let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+        let maps = g.u64_in(1, 5);
+        for (layer, wrap) in wraps {
+            for (name, bare) in all_stores(&fabric, &cloud) {
+                let store = wrap(Rc::clone(&bare));
+                assert_eq!(Rc::ptr_eq(&store, &bare), layer == "bare", "{layer} wraps");
+                let execs = ["exec-0", "exec-1"];
+                let clients = execs.map(|e| {
+                    let nic = fabric.add_link(1e9, format!("n-{e}-{name}-{layer}"));
+                    let disk = fabric.add_link(1e9, format!("d-{e}-{name}-{layer}"));
+                    let client = ClientLoc::vm(nic, disk);
+                    store.register_executor(e, client);
+                    client
+                });
+                let mut blocks = Vec::new();
+                for (exec, client) in execs.into_iter().zip(clients) {
+                    for shuffle in [1, 2] {
+                        for map in 0..maps {
+                            blocks.push((client, BlockId::shuffle(exec, shuffle, map, 0)));
+                        }
+                    }
+                    blocks.push((client, BlockId::named(exec, "broadcast_1")));
+                }
+                for &(client, block) in &blocks {
+                    let data = Bytes::from(vec![7u8; 16]);
+                    store.put(&mut sim, client, block, data, Box::new(|_, r| r.expect("put")));
+                }
+                sim.run();
+                let held = |store: &Rc<dyn BlockStore>| {
+                    blocks.iter().filter(|(_, b)| store.contains(b)).count()
+                };
+                assert_eq!(held(&store), blocks.len(), "{name}/{layer}");
+                let stats = store.stats();
+                store.forget_shuffle(99);
+                assert_eq!(held(&store), blocks.len(), "{name}/{layer}: unknown id");
+                store.forget_shuffle(1);
+                for (_, block) in &blocks {
+                    let kept = !block.in_shuffle(1);
+                    assert_eq!(store.contains(block), kept, "{name}/{layer}: {block}");
+                    assert_eq!(bare.contains(block), kept, "{name}/{layer}: {block}");
+                }
+                assert_eq!(store.stats(), stats, "{name}/{layer}: forgetting is free");
+            }
         }
     });
 }

@@ -14,23 +14,16 @@ fn lockfiles_name_no_registry_or_git_source() {
     }
 }
 
-/// Every non-test, non-comment line under `dirs` (relative to the repo
-/// root) as `(path:line, text)`. "Non-test" is what `scripts/loc.sh`
-/// counts: a file up to its first `#[cfg(test)]`.
-fn source_lines(dirs: &[&str]) -> Vec<(String, String)> {
-    fn scan(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+/// Every `.rs` file under `dirs` (relative to the repo root) with its text.
+fn rust_files(dirs: &[&str]) -> Vec<(std::path::PathBuf, String)> {
+    fn scan(dir: &std::path::Path, out: &mut Vec<(std::path::PathBuf, String)>) {
         for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
             let path = entry.expect("directory entry").path();
             if path.is_dir() {
                 scan(&path, out);
             } else if path.extension().is_some_and(|ext| ext == "rs") {
                 let text = std::fs::read_to_string(&path).expect("source file is UTF-8");
-                let code = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
-                for (i, line) in code.enumerate() {
-                    if !line.trim_start().starts_with("//") {
-                        out.push((format!("{}:{}", path.display(), i + 1), line.to_string()));
-                    }
-                }
+                out.push((path, text));
             }
         }
     }
@@ -41,6 +34,59 @@ fn source_lines(dirs: &[&str]) -> Vec<(String, String)> {
     }
     out.sort();
     out
+}
+
+/// Every file under `dirs` (relative to the repo root) with its non-test
+/// lines as `(path:line, text)`, comments dropped.
+///
+/// "Non-test" is what `scripts/loc.sh` counts: a file up to its first
+/// `#[cfg(test)]`.
+fn source_lines(dirs: &[&str]) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (path, text) in rust_files(dirs) {
+        let code = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        for (i, line) in code.enumerate() {
+            if !line.trim_start().starts_with("//") {
+                out.push((format!("{}:{}", path.display(), i + 1), line.to_string()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A store decorator that does not forward `forget_shuffle` inherits the
+/// trait's no-op and silently keeps every block of every finished job.
+/// Every `BlockStore` impl outside `benchmark/` (a frozen tree) defines it,
+/// test doubles included.
+#[test]
+fn every_block_store_impl_defines_forget_shuffle() {
+    let mut impls = Vec::new();
+    for (path, text) in rust_files(&["crates", "src", "tests", "examples"]) {
+        let lines: Vec<&str> = text.lines().collect();
+        for (at, line) in lines.iter().enumerate() {
+            let head = line.trim_start();
+            if !(head.starts_with("impl") && head.contains(" BlockStore for ")) {
+                continue;
+            }
+            // The impl's body: up to the line where its braces balance.
+            let mut depth = 0i32;
+            let mut body = String::new();
+            for line in &lines[at..] {
+                body.push_str(line);
+                body.push('\n');
+                depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
+                if depth == 0 && body.contains('{') {
+                    break;
+                }
+            }
+            let at = format!("{}:{}", path.display(), at + 1);
+            impls.push((at, body.contains("fn forget_shuffle(")));
+        }
+    }
+    assert!(impls.len() >= 4, "the census found too few impls: {impls:?}");
+    let missing: Vec<&String> = impls.iter().filter(|(_, ok)| !ok).map(|(at, _)| at).collect();
+    assert!(missing.is_empty(), "`BlockStore` impls without `forget_shuffle`: {missing:?}");
 }
 
 /// The engine, the event core, the cloud model and the deployment layer
