@@ -17,7 +17,7 @@ use std::hash::Hasher;
 use std::rc::Rc;
 
 use splitserve_cloud::{CloudSpec, ColdStartSpec, InstanceType, PoolStats, M4_4XLARGE, M4_XLARGE};
-use splitserve_des::{Dist, Sim, SimDuration, SimTime};
+use splitserve_des::{Dist, EventHandler, Sim, SimDuration, SimTime};
 use splitserve_engine::{collect_partitions, Dataset, Engine, EngineConfig};
 use splitserve_obs::{BillLedger, SloLedger, TenantId};
 use splitserve_rt::hash::XxHash64;
@@ -465,6 +465,21 @@ struct Ctx {
     handle: Option<AllocatorHandle>,
 }
 
+/// A job's arrival, queued for every job up front: the token is its id.
+impl EventHandler for Ctx {
+    fn on_event(self: Rc<Self>, sim: &mut Sim, job: u64) {
+        let j = &self.jobs[job as usize];
+        let req = AdmissionRequest {
+            job,
+            tenant: self.specs[j.tenant_idx].id.clone(),
+            cores: j.cores,
+            service_estimate_us: j.duration_us,
+        };
+        let ds = self.ctrl.borrow_mut().on_arrival(sim.now().as_micros(), req);
+        dispatch_all(sim, &self, ds);
+    }
+}
+
 fn dispatch_all(sim: &mut Sim, ctx: &Rc<Ctx>, dispatches: Vec<Dispatch>) {
     for dsp in dispatches {
         let fj = ctx.jobs[dsp.job as usize];
@@ -587,18 +602,7 @@ pub fn run_tenant_fleet_with(
         handle,
     });
     for j in jobs {
-        let ctx2 = Rc::clone(&ctx);
-        let req = AdmissionRequest {
-            job: j.job,
-            tenant: cfg.tenants[j.tenant_idx].id.clone(),
-            cores: j.cores,
-            service_estimate_us: j.duration_us,
-        };
-        sim.schedule_at(SimTime::from_micros(j.arrive_at_us), move |sim| {
-            let now_us = sim.now().as_micros();
-            let ds = ctx2.ctrl.borrow_mut().on_arrival(now_us, req);
-            dispatch_all(sim, &ctx2, ds);
-        });
+        sim.notify_at(SimTime::from_micros(j.arrive_at_us), ctx.clone(), j.job);
     }
     sim.run();
 

@@ -24,7 +24,7 @@ use std::sync::{Arc, Weak};
 use splitserve_des::{EventHandler, Sim, SimDuration, SimTime};
 use splitserve_obs::SpanId;
 use splitserve_rt::{Bytes, FastMap, FastSet, Slab, TaskHandle, WorkerPool};
-use splitserve_storage::{BlockId, BlockStore, ClientLoc, StoreError};
+use splitserve_storage::{BlockId, BlockStore, ClientLoc, StoreClient, StoreError};
 
 use crate::config::{EngineConfig, WorkModel};
 use crate::context::TaskContext;
@@ -91,10 +91,10 @@ struct AttemptInfo {
 
 /// Everything the scheduler holds for one task attempt: who and where it
 /// is, plus the window state of whichever shuffle phase it is in. The
-/// store callbacks of that phase carry only `Copy` handles and look the
-/// window up here — so an attempt that dies (its entry removed) takes its
-/// fetch plan and unwritten buckets with it, and a callback that arrives
-/// afterwards finds nothing and stops.
+/// store requests of that phase name the attempt by id ([`BlockRequest`])
+/// and look the window up here — so an attempt that dies (its entry
+/// removed) takes its fetch plan and unwritten buckets with it, and a
+/// request that lands afterwards finds nothing and stops.
 struct Attempt {
     info: AttemptInfo,
     /// The blocks the task must fetch before it computes, as
@@ -165,6 +165,16 @@ struct WriteWindow {
     client: ClientLoc,
     span: SpanId,
     started: SimTime,
+}
+
+/// A block get or put the store holds for an attempt, parked under the
+/// token the store answers with: whose it is, which plan entry (a get) or
+/// bucket (a put) it moves, and the span of its shuffle phase, which a
+/// dead attempt's landing still closes.
+struct BlockRequest {
+    attempt: AttemptId,
+    at: usize,
+    span: SpanId,
 }
 
 /// A task body between its launch and its completion event, named by
@@ -349,6 +359,8 @@ struct Inner {
     attempts: FastMap<AttemptId, Attempt>,
     /// Launched task bodies waiting for their join or completion event.
     computes: Slab<Compute>,
+    /// Block requests handed to the store and not yet answered.
+    requests: Slab<BlockRequest>,
     pending: VecDeque<(JobId, StageId, usize)>,
     next_attempt: u64,
     tracker: MapOutputTracker,
@@ -531,6 +543,9 @@ pub struct LiveState {
     /// Task bodies launched whose completion event has not fired — live
     /// attempts' and dead ones' alike.
     pub parked_computes: usize,
+    /// Block gets and puts handed to the store and not yet answered —
+    /// live attempts' and dead ones' alike.
+    pub store_ops: usize,
 }
 
 /// What every [`Engine`] handle shares.
@@ -644,6 +659,28 @@ impl EventHandler for Shared {
     }
 }
 
+impl Shared {
+    /// The block request the store answers under `token`, out of the
+    /// table before the landing runs.
+    fn take_request(&self, token: u64) -> BlockRequest {
+        let slot = u32::try_from(token).expect("a store token is a request slot");
+        let taken = self.inner.borrow_mut().requests.take(slot);
+        taken.expect("the store answers a parked request once")
+    }
+}
+
+impl StoreClient for Shared {
+    fn put_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<(), StoreError>) {
+        let BlockRequest { attempt, span, .. } = self.take_request(token);
+        Engine { shared: self }.write_landed(sim, attempt, span, result);
+    }
+
+    fn get_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<Bytes, StoreError>) {
+        let BlockRequest { attempt, at, span } = self.take_request(token);
+        Engine { shared: self }.fetch_landed(sim, attempt, at, span, result);
+    }
+}
+
 /// The task inputs a finished fetch hands to compute: every input shuffle
 /// of `stage` gets an entry (even when this reduce partition received no
 /// bytes from it), holding its blocks in map order — the plan's order.
@@ -686,6 +723,7 @@ impl Engine {
                     active: Vec::new(),
                     attempts: FastMap::default(),
                     computes: Slab::default(),
+                    requests: Slab::default(),
                     pending: VecDeque::new(),
                     next_attempt: 0,
                     tracker: MapOutputTracker::new(),
@@ -729,6 +767,7 @@ impl Engine {
             shuffles: inner.tracker.shuffle_count(),
             attempts: inner.attempts.len(),
             parked_computes: inner.computes.len(),
+            store_ops: inner.requests.len(),
         }
     }
 
@@ -1326,8 +1365,9 @@ impl Engine {
     /// attempt down while its window is still being opened.
     fn fetch_next(&self, sim: &mut Sim, attempt: AttemptId) {
         let sh = &*self.shared;
-        let (client, block, at, span) = {
+        let (client, block, token) = {
             let mut inner = sh.inner.borrow_mut();
+            let inner = &mut *inner;
             let Some(a) = inner.attempts.get_mut(&attempt) else {
                 return;
             };
@@ -1341,15 +1381,11 @@ impl Engine {
             f.next += 1;
             f.outstanding += 1;
             let block = BlockId::shuffle(writer, shuffle.0, map as u64, a.info.task.part as u64);
-            (f.client, block, at, f.span)
+            let span = f.span;
+            (f.client, block, inner.requests.insert(BlockRequest { attempt, at, span }))
         };
-        let engine = self.clone();
-        sh.store.get(
-            sim,
-            client,
-            block,
-            Box::new(move |sim, result| engine.fetch_landed(sim, attempt, at, span, result)),
-        );
+        sh.store
+            .get_to(sim, client, block, self.shared.clone(), u64::from(token));
     }
 
     /// A get of plan entry `at` came back.
@@ -1622,8 +1658,9 @@ impl Engine {
     /// left; a no-op for a dead attempt, like [`Engine::fetch_next`].
     fn write_next(&self, sim: &mut Sim, attempt: AttemptId) {
         let sh = &*self.shared;
-        let (client, block, bytes, span) = {
+        let (client, block, bytes, token) = {
             let mut inner = sh.inner.borrow_mut();
+            let inner = &mut *inner;
             let Some(a) = inner.attempts.get_mut(&attempt) else {
                 return;
             };
@@ -1643,16 +1680,11 @@ impl Engine {
             let TaskRef { exec, part, .. } = a.info.task;
             let block = BlockId::shuffle(exec, w.shuffle.0, part as u64, reduce as u64);
             let bytes = w.buckets[reduce].bytes.clone();
-            (w.client, block, bytes, w.span)
+            let request = BlockRequest { attempt, at: reduce, span: w.span };
+            (w.client, block, bytes, inner.requests.insert(request))
         };
-        let engine = self.clone();
-        sh.store.put(
-            sim,
-            client,
-            block,
-            bytes,
-            Box::new(move |sim, result| engine.write_landed(sim, attempt, span, result)),
-        );
+        sh.store
+            .put_to(sim, client, block, bytes, self.shared.clone(), u64::from(token));
     }
 
     /// A bucket write came back.

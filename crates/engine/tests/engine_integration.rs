@@ -395,15 +395,7 @@ fn finished_jobs_leave_no_scheduler_state_behind() {
         rig.sim.run();
         assert_eq!(*rows.borrow(), 5);
     }
-    assert_eq!(
-        rig.engine.live_state(),
-        LiveState {
-            jobs: 0,
-            shuffles: 0,
-            attempts: 0,
-            parked_computes: 0
-        }
-    );
+    assert_eq!(rig.engine.live_state(), IDLE);
     assert!(!rig.engine.has_active_jobs());
     let hdfs = rig.hdfs.as_ref().expect("an HDFS rig");
     let held = (hdfs.block_count(), hdfs.used_bytes());
@@ -431,7 +423,8 @@ fn resubmitted_dataset_skips_its_map_stage_while_it_is_held() {
             jobs: 0,
             shuffles: 1,
             attempts: 0,
-            parked_computes: 0
+            parked_computes: 0,
+            store_ops: 0
         }
     );
     let hdfs = rig.hdfs.clone().expect("an HDFS rig");
@@ -454,7 +447,7 @@ fn resubmitted_dataset_skips_its_map_stage_while_it_is_held() {
     drop(ds);
     let other = Dataset::parallelize(vec![1u64, 2, 3], 1);
     run_job(&mut rig, &other);
-    assert_eq!(rig.engine.live_state().shuffles, 0);
+    assert_eq!(rig.engine.live_state(), IDLE);
     assert_eq!((hdfs.block_count(), hdfs.used_bytes()), (0, 0));
 }
 
@@ -502,15 +495,23 @@ impl BlockStore for PeakBlocks {
 }
 
 /// A soak of `jobs` small aggregations arriving every 150 ms on two
-/// executors over HDFS — behind a `FaultStore` failing every 13th put
-/// when `write_faults` — each plan dropped once submitted. Returns the
+/// executors over HDFS, each plan dropped once submitted, behind a
+/// `FaultStore` that, with `write_faults`, fails every 13th put and, with
+/// `slow_windows`, holds back by [`SLOW_BY`] every op started in a
+/// [`SLOW_FOR`] window [`SLOW_FROM`] into each arrival period. Returns the
 /// most blocks the store held at once and the bare store.
-fn soak(jobs: u64, write_faults: bool) -> (usize, Rc<HdfsStore>) {
+fn soak(jobs: u64, write_faults: bool, slow_windows: bool) -> (usize, Rc<HdfsStore>) {
     let fabric = Fabric::new();
     let hdfs = hdfs_store(&fabric);
     let faults = StoreFaults::new();
     if write_faults {
         (1..=jobs * 4 / 13).for_each(|n| faults.fail_nth_put(13 * n));
+    }
+    if slow_windows {
+        for job in 0..jobs {
+            let from = SimTime::from_millis(150 * job) + SLOW_FROM;
+            faults.add_latency_window(from, from + SLOW_FOR, SLOW_BY);
+        }
     }
     let peak = Rc::new(Cell::new(0));
     let store = Rc::new(PeakBlocks {
@@ -537,24 +538,43 @@ fn soak(jobs: u64, write_faults: bool) -> (usize, Rc<HdfsStore>) {
     assert_eq!(done.get(), jobs, "every job completes");
     let struck = if write_faults { jobs * 4 / 13 } else { 0 };
     assert_eq!(faults.puts_failed(), struck);
-    assert_eq!(engine.live_state().shuffles, 0);
+    assert_eq!(faults.ops_delayed() > 0, slow_windows);
+    assert_eq!(engine.live_state(), IDLE);
     (peak.get(), hdfs)
 }
 
+/// The latency windows of a soak: long enough after each arrival to catch
+/// a failed writer's sibling put, short enough that its retry is not
+/// held back.
+const SLOW_FROM: SimDuration = SimDuration::from_millis(10);
+const SLOW_FOR: SimDuration = SimDuration::from_millis(10);
+const SLOW_BY: SimDuration = SimDuration::from_millis(100);
+
+/// What an idle engine holds, however many jobs it ran.
+const IDLE: LiveState = LiveState {
+    jobs: 0,
+    shuffles: 0,
+    attempts: 0,
+    parked_computes: 0,
+    store_ops: 0,
+};
+
 /// The store's memory follows the live jobs: a run of N jobs and one of
 /// 4N end holding no block, and the larger one never held more at once —
-/// with and without write faults failing map tasks mid-write.
+/// without faults, with write faults failing map tasks mid-write, and with
+/// those and latency windows on top, which hold a failed writer's other
+/// puts back until after its job is over.
 #[test]
 fn store_blocks_follow_live_jobs_not_finished_ones() {
-    for write_faults in [false, true] {
-        let (peak_n, end_n) = soak(25, write_faults);
-        let (peak_4n, end_4n) = soak(100, write_faults);
+    for plan @ (write_faults, slow_windows) in [(false, false), (true, false), (true, true)] {
+        let (peak_n, end_n) = soak(25, write_faults, slow_windows);
+        let (peak_4n, end_4n) = soak(100, write_faults, slow_windows);
         for end in [&end_n, &end_4n] {
             let held = (end.block_count(), end.used_bytes());
-            assert_eq!(held, (0, 0), "faults: {write_faults}");
+            assert_eq!(held, (0, 0), "faults: {plan:?}");
         }
-        assert!(peak_n > 0, "faults: {write_faults}");
-        assert_eq!(peak_4n, peak_n, "faults: {write_faults}");
+        assert!(peak_n > 0, "faults: {plan:?}");
+        assert_eq!(peak_4n, peak_n, "faults: {plan:?}");
     }
 }
 
@@ -595,7 +615,8 @@ fn stale_attempt_of_a_finished_job_lands_safely() {
             jobs: 1,
             shuffles: 1,
             attempts: 1,
-            parked_computes: 1
+            parked_computes: 1,
+            store_ops: 0
         },
         "the finished job is held while its re-run map task is in flight"
     );
@@ -614,13 +635,5 @@ fn stale_attempt_of_a_finished_job_lands_safely() {
     assert!(rerun_done > job_done, "{rerun_done} vs {job_done}");
     let spare = rig.engine.executor_info(&"e-vm-3".into()).expect("registered");
     assert!(spare.alive && !spare.busy && spare.tasks_done == 1);
-    assert_eq!(
-        rig.engine.live_state(),
-        LiveState {
-            jobs: 0,
-            shuffles: 0,
-            attempts: 0,
-            parked_computes: 0
-        }
-    );
+    assert_eq!(rig.engine.live_state(), IDLE);
 }

@@ -5,12 +5,12 @@
 //! failure must requeue the task *without* any rollback, and each path
 //! must label its `tasks_failed_total` telemetry with the right reason.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use splitserve_des::{Fabric, Sim, SimTime};
+use splitserve_des::{Fabric, Sim, SimDuration, SimTime};
 use splitserve_engine::{
     collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, FailureKind,
     JobOutput, LiveState,
@@ -261,9 +261,52 @@ fn a_kill_between_launch_and_join_still_runs_the_body_and_fires_both_compute_eve
                 // `ds` is still reachable, so its map outputs stay known.
                 shuffles: 1,
                 attempts: 0,
-                parked_computes: 0
+                parked_computes: 0,
+                store_ops: 0
             },
             "workers={workers}"
         );
     }
+}
+
+/// A kill that strikes while the dead attempt's block requests are still
+/// out (a latency window holds every op back 500 ms) leaves none of them
+/// parked: the store answers each one, the landing finds no attempt and
+/// closes its span, and the engine ends holding no request.
+#[test]
+fn a_kill_with_store_requests_in_flight_leaves_none_parked() {
+    let faults = StoreFaults::new();
+    faults.add_latency_window(
+        SimTime::ZERO,
+        SimTime::from_secs(10),
+        SimDuration::from_millis(500),
+    );
+    let mut rig = faulty_hdfs_rig(3, faults);
+    let out_at_kill = Rc::new(Cell::new(0));
+    let (engine, seen) = (rig.engine.clone(), Rc::clone(&out_at_kill));
+    rig.sim.schedule_at(SimTime::from_millis(300), move |sim| {
+        let busy = engine.executor_info(&"e-vm-1".into()).expect("registered").busy;
+        assert!(busy, "the kill must strike a running attempt");
+        seen.set(engine.live_state().store_ops);
+        engine.kill_executor(sim, &"e-vm-1".into());
+    });
+    let ds = two_stage_job();
+    run_to_completion(&mut rig, &ds);
+    assert!(out_at_kill.get() > 0, "the kill struck with requests out");
+    assert!(
+        rig.obs
+            .metrics
+            .counter_value("tasks_failed_total", &[("reason", "executor-lost")])
+            >= 1
+    );
+    assert_eq!(
+        rig.engine.live_state(),
+        LiveState {
+            jobs: 0,
+            shuffles: 1,
+            attempts: 0,
+            parked_computes: 0,
+            store_ops: 0
+        }
+    );
 }

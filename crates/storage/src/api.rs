@@ -1,6 +1,7 @@
 //! The common block-store API all shuffle/state substrates implement.
 
 use std::fmt;
+use std::rc::Rc;
 
 use splitserve_rt::{Bytes, Interned};
 use splitserve_des::{LinkId, Sim};
@@ -171,6 +172,22 @@ pub type PutCallback = Box<dyn FnOnce(&mut Sim, Result<(), StoreError>)>;
 /// Completion continuation for reads.
 pub type GetCallback = Box<dyn FnOnce(&mut Sim, Result<Bytes, StoreError>)>;
 
+/// A component that hears its store requests land as `(client, token)`
+/// answers rather than through a boxed callback: what
+/// [`BlockStore::put_to`] / [`BlockStore::get_to`] report to. The token is
+/// the caller's own — typically a slot where it parked what the request
+/// needs back — and comes back unchanged with the result.
+///
+/// (`splitserve_des::EventHandler` carries a token only; a store has to
+/// hand back bytes or an error as well.)
+pub trait StoreClient {
+    /// The put issued under `token` landed (or was refused).
+    fn put_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<(), StoreError>);
+
+    /// The get issued under `token` landed (or failed).
+    fn get_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<Bytes, StoreError>);
+}
+
 /// Aggregate counters a store keeps about its own traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreStats {
@@ -210,6 +227,37 @@ pub trait BlockStore {
 
     /// Reads `block`, invoking `cb` with the bytes or an error.
     fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback);
+
+    /// [`BlockStore::put`], answered by `to.put_landed(sim, token, ..)`
+    /// at the instant and program point `put` would call its callback.
+    /// The default boxes that call into `put`; a store that parks requests
+    /// itself answers without the box.
+    fn put_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        data: Bytes,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        let cb: PutCallback = Box::new(move |sim, result| to.put_landed(sim, token, result));
+        self.put(sim, client, block, data, cb);
+    }
+
+    /// [`BlockStore::get`], answered by `to.get_landed(sim, token, ..)`;
+    /// see [`BlockStore::put_to`].
+    fn get_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        let cb: GetCallback = Box::new(move |sim, result| to.get_landed(sim, token, result));
+        self.get(sim, client, block, cb);
+    }
 
     /// Reacts to the death of `executor`: a local store drops its blocks;
     /// shared stores keep them.

@@ -7,7 +7,10 @@
 //! - fail the Nth `get` / Nth `put` with [`StoreError::Injected`] — the
 //!   deterministic stand-in for a flaky fetch or a rejected shuffle write;
 //! - inflate operation latency inside configured virtual-time windows —
-//!   an HDFS node under pressure, an S3 throttling episode.
+//!   an HDFS node under pressure, an S3 throttling episode. A delayed put
+//!   waits here, not in the wrapped store; if its shuffle is forgotten
+//!   meanwhile, it still reaches the store, is counted and calls back, but
+//!   its block is not kept.
 //!
 //! All decisions are made from the shared [`StoreFaults`] schedule, so a
 //! run is bit-reproducible: the Nth operation of a seeded simulation is
@@ -23,7 +26,7 @@ use std::rc::Rc;
 
 use splitserve_des::{Sim, SimDuration, SimTime};
 use splitserve_obs::{CounterHandle, MetricsRegistry};
-use splitserve_rt::Bytes;
+use splitserve_rt::{Bytes, Slab};
 
 use crate::api::{BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats};
 use crate::SharedStore;
@@ -155,12 +158,25 @@ impl StoreFaults {
     }
 }
 
+/// A put a latency window holds back until its delay is over.
+struct Delayed {
+    client: ClientLoc,
+    block: BlockId,
+    data: Bytes,
+    cb: PutCallback,
+    /// The block's shuffle, once it is forgotten during the delay: the put
+    /// still reaches the store, but lands unkept.
+    forgotten: Option<u64>,
+}
+
 /// A [`BlockStore`] decorator that injects the faults scheduled on a
 /// [`StoreFaults`] handle.
 pub struct FaultStore {
     inner: SharedStore,
     faults: StoreFaults,
     kind: &'static str,
+    /// Puts waiting out an injected delay, by the slot their event names.
+    delayed: Rc<RefCell<Slab<Delayed>>>,
 }
 
 impl FaultStore {
@@ -175,6 +191,7 @@ impl FaultStore {
             inner,
             faults,
             kind,
+            delayed: Rc::default(),
         })
     }
 }
@@ -197,8 +214,23 @@ impl BlockStore for FaultStore {
                 });
             }
             Ok(extra) if extra > SimDuration::ZERO => {
-                let inner = Rc::clone(&self.inner);
-                sim.schedule_in(extra, move |sim| inner.put(sim, client, block, data, cb));
+                let put = Delayed {
+                    client,
+                    block,
+                    data,
+                    cb,
+                    forgotten: None,
+                };
+                let slot = self.delayed.borrow_mut().insert(put);
+                let (inner, delayed) = (Rc::clone(&self.inner), Rc::clone(&self.delayed));
+                sim.schedule_in(extra, move |sim| {
+                    let put = delayed.borrow_mut().take(slot);
+                    let put = put.expect("a delayed put waits out its delay once");
+                    inner.put(sim, put.client, put.block, put.data, put.cb);
+                    if let Some(shuffle) = put.forgotten {
+                        inner.forget_shuffle(shuffle);
+                    }
+                });
             }
             Ok(_) => self.inner.put(sim, client, block, data, cb),
         }
@@ -228,6 +260,11 @@ impl BlockStore for FaultStore {
     }
 
     fn forget_shuffle(&self, shuffle: u64) {
+        for put in self.delayed.borrow_mut().values_mut() {
+            if put.block.in_shuffle(shuffle) {
+                put.forgotten = Some(shuffle);
+            }
+        }
         self.inner.forget_shuffle(shuffle)
     }
 
@@ -355,6 +392,44 @@ mod tests {
         });
         sim2.run();
         assert_eq!(faults.ops_delayed(), 1, "no extra delay outside the window");
+    }
+
+    /// A put still waiting out a latency window when its shuffle is
+    /// forgotten reaches the store after the window, is counted and calls
+    /// back, but leaves no block behind.
+    #[test]
+    fn a_delayed_put_whose_shuffle_is_forgotten_lands_unkept() {
+        let faults = StoreFaults::new();
+        faults.add_latency_window(
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+            SimDuration::from_secs(5),
+        );
+        let fabric = Fabric::new();
+        let bare = Rc::new(LocalDiskStore::new(fabric.clone()));
+        let store = FaultStore::wrap(bare.clone(), faults.clone());
+        let client = ClientLoc::vm(fabric.add_link(1e9, "nic"), fabric.add_link(1e9, "disk"));
+        store.register_executor("e-0", client);
+        let mut sim = Sim::new(1);
+        let block = BlockId::shuffle("e-0", 3, 0, 0);
+        let heard = Rc::new(RefCell::new(None));
+        let h = Rc::clone(&heard);
+        store.put(
+            &mut sim,
+            client,
+            block,
+            Bytes::from(vec![0u8; 32]),
+            Box::new(move |sim, r| *h.borrow_mut() = Some((sim.now(), r))),
+        );
+        store.forget_shuffle(3);
+        sim.run();
+        let (at, result) = heard.borrow_mut().take().expect("the caller hears");
+        assert_eq!(result, Ok(()));
+        assert!(at >= SimTime::from_secs(5), "the put waited out the window");
+        assert_eq!(faults.ops_delayed(), 1);
+        assert!(!store.contains(&block));
+        assert_eq!((bare.used_bytes(), bare.block_count()), (0, 0));
+        assert_eq!((store.stats().puts, store.stats().bytes_in), (1, 32));
     }
 
     /// Satellite check for the chaos plane: stacking the instrumentation

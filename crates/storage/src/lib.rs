@@ -29,7 +29,7 @@ mod sqs;
 mod store;
 
 pub use api::{
-    BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats,
+    BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreClient, StoreError, StoreStats,
 };
 pub use fault::{FaultStore, StoreFaults};
 pub use hdfs::{HdfsSpec, HdfsStore};

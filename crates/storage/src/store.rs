@@ -13,7 +13,10 @@
 //! An admitted request waits in a slab inside the store ([`Parked`]) and
 //! both events of its life name it by slot: the latency event, scheduled in
 //! `put` / `get` themselves, and the fabric's completion notice. Neither
-//! allocates; the only box on the path is the caller's callback.
+//! allocates. A request answers whoever asked ([`Reply`]): a boxed
+//! callback through `put` / `get`, or a [`StoreClient`] and its token
+//! through `put_to` / `get_to`, which is the engine's path and allocates
+//! nothing.
 
 use std::cell::{RefCell, RefMut};
 use std::fmt;
@@ -23,7 +26,7 @@ use splitserve_des::{Dist, EventHandler, Fabric, LinkPath, Sim, SimDuration};
 use splitserve_rt::{Bytes, FastMap, Interned, Slab};
 
 use crate::api::{
-    BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreError, StoreStats,
+    BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, StoreClient, StoreError, StoreStats,
 };
 
 /// One request as a substrate sees it.
@@ -105,9 +108,34 @@ enum Op<P> {
     Put {
         at: P,
         keep: bool,
-        cb: PutCallback,
+        reply: Reply<PutCallback>,
     },
-    Get(GetCallback),
+    Get(Reply<GetCallback>),
+}
+
+/// Whom a request answers: the caller's boxed callback `C`, or a client
+/// and the caller's token.
+enum Reply<C> {
+    Call(C),
+    To(Rc<dyn StoreClient>, u64),
+}
+
+impl Reply<PutCallback> {
+    fn answer(self, sim: &mut Sim, result: Result<(), StoreError>) {
+        match self {
+            Reply::Call(cb) => cb(sim, result),
+            Reply::To(client, token) => client.put_landed(sim, token, result),
+        }
+    }
+}
+
+impl Reply<GetCallback> {
+    fn answer(self, sim: &mut Sim, result: Result<Bytes, StoreError>) {
+        match self {
+            Reply::Call(cb) => cb(sim, result),
+            Reply::To(client, token) => client.get_landed(sim, token, result),
+        }
+    }
 }
 
 /// Token bit of a parked request's second event: the flow's completion
@@ -225,6 +253,83 @@ impl<S: Substrate> Store<S> {
             sim.notify_in(delay, self.core.clone(), u64::from(slot) << 1);
         }
     }
+
+    /// Admits a write and launches it; a refusal answers `reply` at once.
+    fn put_with(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        data: Bytes,
+        reply: Reply<PutCallback>,
+    ) {
+        let admitted = {
+            let mut inner = self.core.inner.borrow_mut();
+            let (model, mut req) = inner.request(sim, client, block);
+            model.admit_put(&mut req, data.len() as u64)
+        };
+        match admitted {
+            Ok((delay, route, at)) => {
+                let op = Op::Put {
+                    at,
+                    keep: true,
+                    reply,
+                };
+                self.launch(
+                    sim,
+                    delay,
+                    Parked {
+                        block,
+                        route,
+                        data,
+                        op,
+                    },
+                );
+            }
+            Err(e) => reply.answer(sim, Err(e)),
+        }
+    }
+
+    /// Admits a read and launches it; a miss or a refusal answers `reply`
+    /// at once.
+    fn get_with(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        reply: Reply<GetCallback>,
+    ) {
+        let admitted = {
+            let mut inner = self.core.inner.borrow_mut();
+            let found = inner.blocks.get(&block).cloned();
+            let hit = found.as_ref().map(|(data, at)| (data.len() as u64, *at));
+            let (model, mut req) = inner.request(sim, client, block);
+            match (model.admit_get(&mut req, hit), found) {
+                (Ok((delay, route, ())), Some((data, _))) => Ok((delay, route, data)),
+                (Ok(_), None) => unreachable!("a substrate admitted a read of a missing block"),
+                (Err(e), _) => {
+                    inner.stats.failed_gets += 1;
+                    Err(e)
+                }
+            }
+        };
+        match admitted {
+            Ok((delay, route, data)) => {
+                let op = Op::Get(reply);
+                self.launch(
+                    sim,
+                    delay,
+                    Parked {
+                        block,
+                        route,
+                        data,
+                        op,
+                    },
+                );
+            }
+            Err(e) => reply.answer(sim, Err(e)),
+        }
+    }
 }
 
 impl<S: Substrate> Core<S> {
@@ -247,7 +352,7 @@ impl<S: Substrate> Core<S> {
 
     /// The request's bytes have arrived: it leaves the slab, is counted
     /// and — a put — enters the block table, and its caller hears. It is
-    /// out of the slab before the callback runs, so the slab holds bytes
+    /// out of the slab before the caller hears, so the slab holds bytes
     /// no longer than the request is in flight.
     fn land(&self, sim: &mut Sim, slot: u32) {
         let mut guard = self.inner.borrow_mut();
@@ -258,7 +363,7 @@ impl<S: Substrate> Core<S> {
         } = landed.expect("a parked request waits for its bytes");
         let len = data.len() as u64;
         match op {
-            Op::Put { at, keep, cb } => {
+            Op::Put { at, keep, reply } => {
                 inner.stats.puts += 1;
                 inner.stats.bytes_in += len;
                 // The write happened either way; the bytes stay only if
@@ -271,13 +376,13 @@ impl<S: Substrate> Core<S> {
                     }
                 }
                 drop(guard);
-                cb(sim, Ok(()));
+                reply.answer(sim, Ok(()));
             }
-            Op::Get(cb) => {
+            Op::Get(reply) => {
                 inner.stats.gets += 1;
                 inner.stats.bytes_out += len;
                 drop(guard);
-                cb(sim, Ok(data));
+                reply.answer(sim, Ok(data));
             }
         }
     }
@@ -304,60 +409,34 @@ impl<S: Substrate> BlockStore for Store<S> {
     }
 
     fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
-        let admitted = {
-            let mut inner = self.core.inner.borrow_mut();
-            let (model, mut req) = inner.request(sim, client, block);
-            model.admit_put(&mut req, data.len() as u64)
-        };
-        match admitted {
-            Ok((delay, route, at)) => {
-                let op = Op::Put { at, keep: true, cb };
-                self.launch(
-                    sim,
-                    delay,
-                    Parked {
-                        block,
-                        route,
-                        data,
-                        op,
-                    },
-                );
-            }
-            Err(e) => cb(sim, Err(e)),
-        }
+        self.put_with(sim, client, block, data, Reply::Call(cb));
     }
 
     fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
-        let admitted = {
-            let mut inner = self.core.inner.borrow_mut();
-            let found = inner.blocks.get(&block).cloned();
-            let hit = found.as_ref().map(|(data, at)| (data.len() as u64, *at));
-            let (model, mut req) = inner.request(sim, client, block);
-            match (model.admit_get(&mut req, hit), found) {
-                (Ok((delay, route, ())), Some((data, _))) => Ok((delay, route, data)),
-                (Ok(_), None) => unreachable!("a substrate admitted a read of a missing block"),
-                (Err(e), _) => {
-                    inner.stats.failed_gets += 1;
-                    Err(e)
-                }
-            }
-        };
-        match admitted {
-            Ok((delay, route, data)) => {
-                let op = Op::Get(cb);
-                self.launch(
-                    sim,
-                    delay,
-                    Parked {
-                        block,
-                        route,
-                        data,
-                        op,
-                    },
-                );
-            }
-            Err(e) => cb(sim, Err(e)),
-        }
+        self.get_with(sim, client, block, Reply::Call(cb));
+    }
+
+    fn put_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        data: Bytes,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        self.put_with(sim, client, block, data, Reply::To(to, token));
+    }
+
+    fn get_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        self.get_with(sim, client, block, Reply::To(to, token));
     }
 
     fn on_executor_lost(&self, _sim: &mut Sim, executor: &str) {

@@ -9,6 +9,9 @@
 //! `StoreStats` and, where requests carry a fee, the cloud's total cost.
 //! Only what reaches artifacts is recorded — callback results, times,
 //! stats, cost — never `contains` or `used_bytes`.
+//!
+//! Every script runs twice, asking through `put` / `get` callbacks and
+//! through `put_to` / `get_to` tokens: both must give the pinned trace.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -20,18 +23,57 @@ use splitserve_rt::hash::assert_pinned;
 use splitserve_rt::Bytes;
 use splitserve_storage::{
     BlockId, BlockStore, ClientLoc, HdfsSpec, HdfsStore, LocalDiskStore, RedisSpec, RedisStore,
-    S3Spec, S3Store, SqsSpec, SqsStore,
+    S3Spec, S3Store, SqsSpec, SqsStore, StoreClient, StoreError,
 };
 
 const SEED: u64 = 18;
 
-/// The script's driver: issues ops against one store and records each
-/// completion as a trace line.
+/// The trace: one line per completion. It is also the client the typed
+/// path answers, with the op index as the token.
+#[derive(Default)]
+struct Trace(RefCell<String>);
+
+impl Trace {
+    fn put(&self, sim: &Sim, op: u64, r: Result<(), StoreError>) {
+        let at = sim.now().as_micros();
+        match r {
+            Ok(()) => writeln!(self.0.borrow_mut(), "{op} {at} Ok(put)"),
+            Err(e) => writeln!(self.0.borrow_mut(), "{op} {at} {e}"),
+        }
+        .expect("write to a String");
+    }
+
+    fn get(&self, sim: &Sim, op: u64, r: Result<Bytes, StoreError>) {
+        let at = sim.now().as_micros();
+        match r {
+            Ok(data) => {
+                let first = data.first().copied().unwrap_or(0);
+                writeln!(self.0.borrow_mut(), "{op} {at} Ok({} of {first})", data.len())
+            }
+            Err(e) => writeln!(self.0.borrow_mut(), "{op} {at} {e}"),
+        }
+        .expect("write to a String");
+    }
+}
+
+impl StoreClient for Trace {
+    fn put_landed(self: Rc<Self>, sim: &mut Sim, token: u64, r: Result<(), StoreError>) {
+        self.put(sim, token, r);
+    }
+
+    fn get_landed(self: Rc<Self>, sim: &mut Sim, token: u64, r: Result<Bytes, StoreError>) {
+        self.get(sim, token, r);
+    }
+}
+
+/// Runs the script: issues ops against one store — by callback, or by
+/// token when `typed` — and records each completion as a trace line.
 struct Script {
     sim: Sim,
     store: Rc<dyn BlockStore>,
-    trace: Rc<RefCell<String>>,
-    next_op: usize,
+    trace: Rc<Trace>,
+    typed: bool,
+    next_op: u64,
 }
 
 impl Script {
@@ -39,54 +81,37 @@ impl Script {
         let (op, trace) = self.next();
         // Contents depend on the op so an overwrite is distinguishable.
         let data = Bytes::from(vec![op as u8; len]);
-        self.store.put(
-            &mut self.sim,
-            client,
-            block,
-            data,
-            Box::new(move |sim, r| {
-                let at = sim.now().as_micros();
-                match r {
-                    Ok(()) => writeln!(trace.borrow_mut(), "{op} {at} Ok(put)"),
-                    Err(e) => writeln!(trace.borrow_mut(), "{op} {at} {e}"),
-                }
-                .expect("write to a String");
-            }),
-        );
+        if self.typed {
+            self.store.put_to(&mut self.sim, client, block, data, trace, op);
+        } else {
+            let cb = Box::new(move |sim: &mut Sim, r| trace.put(sim, op, r));
+            self.store.put(&mut self.sim, client, block, data, cb);
+        }
     }
 
     fn get(&mut self, client: ClientLoc, block: BlockId) {
         let (op, trace) = self.next();
-        self.store.get(
-            &mut self.sim,
-            client,
-            block,
-            Box::new(move |sim, r| {
-                let at = sim.now().as_micros();
-                match r {
-                    Ok(data) => {
-                        let first = data.first().copied().unwrap_or(0);
-                        writeln!(
-                            trace.borrow_mut(),
-                            "{op} {at} Ok({} of {first})",
-                            data.len()
-                        )
-                    }
-                    Err(e) => writeln!(trace.borrow_mut(), "{op} {at} {e}"),
-                }
-                .expect("write to a String");
-            }),
-        );
+        if self.typed {
+            self.store.get_to(&mut self.sim, client, block, trace, op);
+        } else {
+            let cb = Box::new(move |sim: &mut Sim, r| trace.get(sim, op, r));
+            self.store.get(&mut self.sim, client, block, cb);
+        }
     }
 
-    fn next(&mut self) -> (usize, Rc<RefCell<String>>) {
+    fn next(&mut self) -> (u64, Rc<Trace>) {
         self.next_op += 1;
         (self.next_op - 1, Rc::clone(&self.trace))
     }
 }
 
 /// Runs the ~40-op script against `store` and returns its trace.
-fn trace_of(fabric: &Fabric, store: Rc<dyn BlockStore>, cloud: Option<&Cloud>) -> String {
+fn trace_of(
+    fabric: &Fabric,
+    store: Rc<dyn BlockStore>,
+    cloud: Option<&Cloud>,
+    typed: bool,
+) -> String {
     // Two VM executors with modest links (so transfers overlap and share),
     // a Lambda with a NIC only, and a writer nobody registers.
     let e1 = ClientLoc::vm(
@@ -104,7 +129,8 @@ fn trace_of(fabric: &Fabric, store: Rc<dyn BlockStore>, cloud: Option<&Cloud>) -
     let mut s = Script {
         sim: Sim::new(SEED),
         store,
-        trace: Rc::new(RefCell::new(String::new())),
+        trace: Rc::default(),
+        typed,
         next_op: 0,
     };
     let a0 = BlockId::shuffle("e1", 0, 0, 0);
@@ -172,7 +198,7 @@ fn trace_of(fabric: &Fabric, store: Rc<dyn BlockStore>, cloud: Option<&Cloud>) -
     s.get(e2, BlockId::shuffle("e1", 7, 7, 7));
     s.sim.run();
 
-    let mut trace = s.trace.borrow().clone();
+    let mut trace = s.trace.0.borrow().clone();
     writeln!(trace, "{:?}", s.store.stats()).expect("write to a String");
     if let Some(cloud) = cloud {
         writeln!(trace, "cost {:?}", cloud.total_cost()).expect("write to a String");
@@ -182,81 +208,91 @@ fn trace_of(fabric: &Fabric, store: Rc<dyn BlockStore>, cloud: Option<&Cloud>) -
 
 #[test]
 fn local_disk_op_trace_is_pinned() {
-    let fabric = Fabric::new();
-    let store = Rc::new(LocalDiskStore::new(fabric.clone()));
-    let trace = trace_of(&fabric, store, None);
-    assert!(trace.contains("executor e1 lost"), "{trace}");
-    assert_pinned("local-disk op trace", trace.as_bytes(), LOCAL_DIGEST);
+    for typed in [false, true] {
+        let fabric = Fabric::new();
+        let store = Rc::new(LocalDiskStore::new(fabric.clone()));
+        let trace = trace_of(&fabric, store, None, typed);
+        assert!(trace.contains("executor e1 lost"), "{trace}");
+        assert_pinned("local-disk op trace", trace.as_bytes(), LOCAL_DIGEST);
+    }
 }
 
 #[test]
 fn hdfs_op_trace_is_pinned() {
-    let fabric = Fabric::new();
-    let hdfs = HdfsStore::new(HdfsSpec::default(), fabric.clone());
-    // Two unequal datanodes: round-robin placement decides every time.
-    hdfs.add_datanode(
-        fabric.add_link(40.0e6, "dn0-nic"),
-        fabric.add_link(12.0e6, "dn0-ebs"),
-    );
-    hdfs.add_datanode(
-        fabric.add_link(15.0e6, "dn1-nic"),
-        fabric.add_link(50.0e6, "dn1-ebs"),
-    );
-    let trace = trace_of(&fabric, Rc::new(hdfs), None);
-    assert_pinned("hdfs op trace", trace.as_bytes(), HDFS_DIGEST);
+    for typed in [false, true] {
+        let fabric = Fabric::new();
+        let hdfs = HdfsStore::new(HdfsSpec::default(), fabric.clone());
+        // Two unequal datanodes: round-robin placement decides every time.
+        hdfs.add_datanode(
+            fabric.add_link(40.0e6, "dn0-nic"),
+            fabric.add_link(12.0e6, "dn0-ebs"),
+        );
+        hdfs.add_datanode(
+            fabric.add_link(15.0e6, "dn1-nic"),
+            fabric.add_link(50.0e6, "dn1-ebs"),
+        );
+        let trace = trace_of(&fabric, Rc::new(hdfs), None, typed);
+        assert_pinned("hdfs op trace", trace.as_bytes(), HDFS_DIGEST);
+    }
 }
 
 #[test]
 fn s3_op_trace_is_pinned() {
-    let fabric = Fabric::new();
-    let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
-    let spec = S3Spec {
-        put_rate: 20.0,
-        get_rate: 30.0,
-        burst: 3.0,
-        connections: 3,
-        ..S3Spec::default()
-    };
-    let store = Rc::new(S3Store::new(spec, fabric.clone(), cloud.clone()));
-    let trace = trace_of(&fabric, store.clone(), Some(&cloud));
-    assert!(
-        store.stats().throttle_wait_secs > 0.0,
-        "the bucket never ran dry"
-    );
-    assert_pinned("s3 op trace", trace.as_bytes(), S3_DIGEST);
+    for typed in [false, true] {
+        let fabric = Fabric::new();
+        let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+        let spec = S3Spec {
+            put_rate: 20.0,
+            get_rate: 30.0,
+            burst: 3.0,
+            connections: 3,
+            ..S3Spec::default()
+        };
+        let store = Rc::new(S3Store::new(spec, fabric.clone(), cloud.clone()));
+        let trace = trace_of(&fabric, store.clone(), Some(&cloud), typed);
+        assert!(
+            store.stats().throttle_wait_secs > 0.0,
+            "the bucket never ran dry"
+        );
+        assert_pinned("s3 op trace", trace.as_bytes(), S3_DIGEST);
+    }
 }
 
 #[test]
 fn sqs_op_trace_is_pinned() {
-    let fabric = Fabric::new();
-    let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
-    let spec = SqsSpec {
-        message_rate: 40.0,
-        burst: 4.0,
-        connections: 3,
-        ..SqsSpec::default()
-    };
-    let store = Rc::new(SqsStore::new(spec, fabric.clone(), cloud.clone()));
-    let trace = trace_of(&fabric, store.clone(), Some(&cloud));
-    assert!(
-        store.stats().throttle_wait_secs > 0.0,
-        "the bucket never ran dry"
-    );
-    assert_pinned("sqs op trace", trace.as_bytes(), SQS_DIGEST);
+    for typed in [false, true] {
+        let fabric = Fabric::new();
+        let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+        let spec = SqsSpec {
+            message_rate: 40.0,
+            burst: 4.0,
+            connections: 3,
+            ..SqsSpec::default()
+        };
+        let store = Rc::new(SqsStore::new(spec, fabric.clone(), cloud.clone()));
+        let trace = trace_of(&fabric, store.clone(), Some(&cloud), typed);
+        assert!(
+            store.stats().throttle_wait_secs > 0.0,
+            "the bucket never ran dry"
+        );
+        assert_pinned("sqs op trace", trace.as_bytes(), SQS_DIGEST);
+    }
 }
 
 #[test]
 fn redis_op_trace_is_pinned() {
-    let fabric = Fabric::new();
-    let nic = fabric.add_link(45.0e6, "redis-nic");
-    let spec = RedisSpec {
-        capacity_bytes: 1_500_000,
-        ..RedisSpec::default()
-    };
-    let store = Rc::new(RedisStore::new(spec, fabric.clone(), nic));
-    let trace = trace_of(&fabric, store, None);
-    assert!(trace.contains("redis out of memory"), "{trace}");
-    assert_pinned("redis op trace", trace.as_bytes(), REDIS_DIGEST);
+    for typed in [false, true] {
+        let fabric = Fabric::new();
+        let nic = fabric.add_link(45.0e6, "redis-nic");
+        let spec = RedisSpec {
+            capacity_bytes: 1_500_000,
+            ..RedisSpec::default()
+        };
+        let store = Rc::new(RedisStore::new(spec, fabric.clone(), nic));
+        let trace = trace_of(&fabric, store, None, typed);
+        assert!(trace.contains("redis out of memory"), "{trace}");
+        assert_pinned("redis op trace", trace.as_bytes(), REDIS_DIGEST);
+    }
 }
 
 const LOCAL_DIGEST: u64 = 0xcbfc_30cf_937d_7ed0;

@@ -2,7 +2,9 @@
 //! the same observable semantics — writes are durable, reads return the
 //! exact (newest) bytes, the counters add up, only local stores lose data
 //! with their executor — and the one deliberate asymmetry stays: an S3
-//! miss is billed, an SQS miss is not.
+//! miss is billed, an SQS miss is not. Asking by token (`put_to` /
+//! `get_to`) or by callback (`put` / `get`) makes no difference a caller
+//! can see, bare or under either decorator.
 
 use splitserve_rt::{check, Bytes};
 use std::cell::RefCell;
@@ -11,14 +13,24 @@ use std::rc::Rc;
 use splitserve_cloud::{Category, Cloud, CloudSpec, S3_USD_PER_GET};
 use splitserve_des::{Fabric, Sim};
 use splitserve_obs::MetricsRegistry;
+use splitserve_des::{SimDuration, SimTime};
 use splitserve_storage::{
     BlockId, BlockStore, ClientLoc, FaultStore, HdfsSpec, HdfsStore, InstrumentedStore,
-    LocalDiskStore, RedisSpec, RedisStore, S3Spec, S3Store, SqsSpec, SqsStore, StoreFaults,
-    StoreStats,
+    LocalDiskStore, RedisSpec, RedisStore, S3Spec, S3Store, SqsSpec, SqsStore, StoreClient,
+    StoreError, StoreFaults, StoreStats,
 };
 
 /// One store of each kind over `fabric`; request fees go to `cloud`.
 fn all_stores(fabric: &Fabric, cloud: &Cloud) -> Vec<(&'static str, Rc<dyn BlockStore>)> {
+    all_stores_with(fabric, cloud, RedisSpec::default())
+}
+
+/// [`all_stores`], with Redis built from `redis`.
+fn all_stores_with(
+    fabric: &Fabric,
+    cloud: &Cloud,
+    redis: RedisSpec,
+) -> Vec<(&'static str, Rc<dyn BlockStore>)> {
     let local = LocalDiskStore::new(fabric.clone());
     let hdfs = HdfsStore::new(HdfsSpec::default(), fabric.clone());
     let nn = fabric.add_link(1e9, "hdfs-nic");
@@ -38,10 +50,13 @@ fn all_stores(fabric: &Fabric, cloud: &Cloud) -> Vec<(&'static str, Rc<dyn Block
         ),
         (
             "redis",
-            Rc::new(RedisStore::new(RedisSpec::default(), fabric.clone(), redis_nic)),
+            Rc::new(RedisStore::new(redis, fabric.clone(), redis_nic)),
         ),
     ]
 }
+
+/// What a store layer is: the bare store, or a decorator over it.
+type Wrap = fn(Rc<dyn BlockStore>) -> Rc<dyn BlockStore>;
 
 /// put → get roundtrips exact bytes on every store, for arbitrary
 /// block contents and ids — a zero-length block and an overwritten one
@@ -156,7 +171,6 @@ fn only_local_store_loses_blocks_on_executor_death() {
 /// unknown id changes nothing, and no counter moves.
 #[test]
 fn forget_shuffle_drops_exactly_that_shuffles_blocks() {
-    type Wrap = fn(Rc<dyn BlockStore>) -> Rc<dyn BlockStore>;
     let wraps: [(&str, Wrap); 3] = [
         ("bare", |s| s),
         ("instrumented", |s| InstrumentedStore::wrap(s, MetricsRegistry::enabled())),
@@ -249,5 +263,133 @@ fn missing_blocks_error_uniformly() {
         assert_eq!(cloud.cost_for(Category::S3Get), S3_USD_PER_GET);
         assert_eq!(cloud.cost_for(Category::SqsRequest), 0.0);
         assert_eq!(cloud.total_cost(), S3_USD_PER_GET);
+    });
+}
+
+/// What a caller hears, one line per answer in arrival order: the op, the
+/// instant in µs, and the outcome (a read's length and byte sum). It is
+/// also the client the typed path answers, with the op as the token.
+#[derive(Default)]
+struct Heard(RefCell<String>);
+
+impl Heard {
+    fn note(&self, sim: &Sim, op: u64, outcome: Result<String, StoreError>) {
+        let at = sim.now().as_micros();
+        let line = match outcome {
+            Ok(what) => format!("{op} {at} Ok({what})\n"),
+            Err(e) => format!("{op} {at} {e}\n"),
+        };
+        self.0.borrow_mut().push_str(&line);
+    }
+
+    fn put(&self, sim: &Sim, op: u64, r: Result<(), StoreError>) {
+        self.note(sim, op, r.map(|()| "put".to_string()));
+    }
+
+    fn get(&self, sim: &Sim, op: u64, r: Result<Bytes, StoreError>) {
+        let sum = |b: &Bytes| b.iter().map(|&x| u64::from(x)).sum::<u64>();
+        self.note(sim, op, r.map(|b| format!("{} of {}", b.len(), sum(&b))));
+    }
+}
+
+impl StoreClient for Heard {
+    fn put_landed(self: Rc<Self>, sim: &mut Sim, token: u64, r: Result<(), StoreError>) {
+        self.put(sim, token, r);
+    }
+
+    fn get_landed(self: Rc<Self>, sim: &mut Sim, token: u64, r: Result<Bytes, StoreError>) {
+        self.get(sim, token, r);
+    }
+}
+
+/// The script both paths run against store `which` of a fresh world seeded
+/// `seed`, under `wrap`: what the caller heard, the final counters and the
+/// cloud's bill. Redis holds 4 KB, so the batch after the first refuses
+/// its put at once, and every store answers a missing block's get at once.
+fn heard(seed: u64, which: usize, wrap: Wrap, typed: bool) -> (String, StoreStats, f64) {
+    let mut sim = Sim::new(seed);
+    let fabric = Fabric::new();
+    let cloud = Cloud::new(CloudSpec::default(), fabric.clone());
+    let redis = RedisSpec {
+        capacity_bytes: 4_096,
+        ..RedisSpec::default()
+    };
+    let (_, bare) = all_stores_with(&fabric, &cloud, redis).swap_remove(which);
+    let store = wrap(bare);
+    let client = ClientLoc::vm(fabric.add_link(1e8, "nic"), fabric.add_link(2e8, "disk"));
+    store.register_executor("exec-0", client);
+    let heard = Rc::new(Heard::default());
+    let block = |map| BlockId::shuffle("exec-0", 0, map, 0);
+    let mut op = 0;
+    let mut put = |sim: &mut Sim, map, len: usize| {
+        let (data, to) = (Bytes::from(vec![op as u8 + 1; len]), Rc::clone(&heard));
+        if typed {
+            store.put_to(sim, client, block(map), data, to, op);
+        } else {
+            store.put(sim, client, block(map), data, Box::new(move |sim, r| to.put(sim, op, r)));
+        }
+        op += 1;
+    };
+    put(&mut sim, 0, 1_000);
+    put(&mut sim, 1, 2_000);
+    put(&mut sim, 2, 300);
+    sim.run();
+    put(&mut sim, 3, 3_000);
+    put(&mut sim, 0, 10);
+    sim.run();
+    let mut op = 10;
+    let mut get = |sim: &mut Sim, map| {
+        let to = Rc::clone(&heard);
+        if typed {
+            store.get_to(sim, client, block(map), to, op);
+        } else {
+            store.get(sim, client, block(map), Box::new(move |sim, r| to.get(sim, op, r)));
+        }
+        op += 1;
+    };
+    for map in [9, 0, 1, 2, 3] {
+        get(&mut sim, map);
+    }
+    sim.run();
+    let heard = heard.0.borrow().clone();
+    (heard, store.stats(), cloud.total_cost())
+}
+
+/// `put_to` / `get_to` answer exactly as `put` / `get` do — the same
+/// results at the same virtual instants, in the same order, with the same
+/// counters and bill — on all five stores, bare and under each decorator
+/// (the fault layer delays the first batch and fails a put and a get), and
+/// for the answers a store gives at once: a refused put, a missing block.
+#[test]
+fn token_requests_answer_like_callbacks() {
+    let layers: [(&str, Wrap); 3] = [
+        ("bare", |s| s),
+        ("instrumented", |s| InstrumentedStore::wrap(s, MetricsRegistry::enabled())),
+        ("fault", |s| {
+            let faults = StoreFaults::new();
+            let (from, until) = (SimTime::ZERO, SimTime::from_micros(1));
+            faults.add_latency_window(from, until, SimDuration::from_millis(30));
+            faults.fail_nth_put(2);
+            faults.fail_nth_get(3);
+            FaultStore::wrap(s, faults)
+        }),
+    ];
+    check::run("token_requests_answer_like_callbacks", 4, |g| {
+        let seed = g.u64();
+        for (layer, wrap) in layers {
+            for which in 0..5 {
+                let by_callback = heard(seed, which, wrap, false);
+                let by_token = heard(seed, which, wrap, true);
+                let name = format!("store {which} / {layer}");
+                assert_eq!(by_token, by_callback, "{name}");
+                let (heard, stats, _) = by_token;
+                assert_eq!(heard.lines().count(), 10, "{name}: every op answered once\n{heard}");
+                assert!(heard.contains("block not found"), "{name}\n{heard}");
+                // Redis also misses the block it refused.
+                let refused = heard.contains("redis out of memory");
+                assert_eq!(refused, which == 4, "{name}\n{heard}");
+                assert_eq!(stats.failed_gets, 1 + u64::from(refused), "{name}");
+            }
+        }
     });
 }

@@ -89,6 +89,29 @@ fn every_block_store_impl_defines_forget_shuffle() {
     assert!(missing.is_empty(), "`BlockStore` impls without `forget_shuffle`: {missing:?}");
 }
 
+/// The engine hears its block requests land by token — `put_to` /
+/// `get_to`, answered through `StoreClient` — never through a boxed
+/// callback, which would put an allocation back on every shuffle block.
+/// Its non-test code, whitespace removed so a call split across lines is
+/// still seen, names neither `store.put(` / `store.get(` nor a callback
+/// type.
+#[test]
+fn engine_reaches_the_store_only_by_token() {
+    let mut code = String::new();
+    for (_, text) in rust_files(&["crates/engine/src"]) {
+        let lines = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        for line in lines.filter(|l| !l.trim_start().starts_with("//")) {
+            code.extend(line.split_whitespace());
+        }
+    }
+    for boxed in ["store.put(", "store.get(", "PutCallback", "GetCallback"] {
+        assert!(!code.contains(boxed), "crates/engine/src calls the store with `{boxed}`");
+    }
+    for typed in ["store.put_to(", "store.get_to("] {
+        assert!(code.contains(typed), "the scan found no `{typed}`: it no longer sees the calls");
+    }
+}
+
 /// The engine, the event core, the cloud model and the deployment layer
 /// are where iteration order reaches a digest and where per-job hashing is
 /// hot: std's `HashMap` / `HashSet` (SipHash, randomised order) stay out
