@@ -232,10 +232,10 @@ fn class_block(out: &mut String, r: &FleetOutcome, tenants: &[TenantSpec], class
     out.push_str("],");
     // The class bill curve: every class tenant's charges merged by
     // (time, tenant), cumulative recomputed class-wide.
-    let mut charges: Vec<(u64, String, f64)> = Vec::new();
+    let mut charges: Vec<(u64, &str, f64)> = Vec::new();
     for t in &class_tenants {
         for p in r.bill.curve(&t.id) {
-            charges.push((p.at.as_micros(), t.id.to_string(), p.amount_usd));
+            charges.push((p.at.as_micros(), t.id.as_str(), p.amount_usd));
         }
     }
     charges.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));

@@ -94,6 +94,15 @@ pub(crate) fn rows<T: 'static>(data: &PartitionData) -> &Vec<T> {
         .expect("partition type mismatch: engine invariant violated")
 }
 
+/// A partition's rows by value when the caller holds the last handle to
+/// them (`Ok`), and still shared otherwise (`Err`), as behind a `cache()`.
+fn unwrap_rows<T: Send + Sync + 'static>(data: PartitionData) -> Result<Vec<T>, Arc<Vec<T>>> {
+    let rc = data
+        .downcast::<Vec<T>>()
+        .unwrap_or_else(|_| panic!("partition type mismatch: engine invariant violated"));
+    Arc::try_unwrap(rc)
+}
+
 fn wrap<T: Send + Sync + 'static>(v: Vec<T>) -> PartitionData {
     Arc::new(v)
 }
@@ -129,17 +138,19 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 
     /// A one-parent narrow operator: partition for partition, `body` turns
-    /// the parent's rows into this node's inside the same task.
+    /// the parent's partition into this node's rows inside the same task.
+    /// The body owns the partition: it borrows the rows ([`rows`]) or, when
+    /// it consumes them, takes them by value ([`unwrap_rows`]).
     fn narrow<U: Send + Sync + 'static>(
         &self,
         label: &'static str,
-        body: impl Fn(&mut TaskContext, &[T]) -> Vec<U> + Send + Sync + 'static,
+        body: impl Fn(&mut TaskContext, PartitionData) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
         let parent = self.node();
         let edge = Dep::Narrow(Arc::clone(&parent));
         let compute = move |ctx: &mut TaskContext, part: usize| {
             let input = parent.compute(ctx, part);
-            wrap(body(ctx, rows::<T>(&input)))
+            wrap(body(ctx, input))
         };
         Dataset::from_node(op(label, self.num_partitions(), [edge], compute))
     }
@@ -203,7 +214,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         f: impl Fn(&T) -> U + Send + Sync + 'static,
         cost_secs_per_record: Option<f64>,
     ) -> Dataset<U> {
-        self.narrow("map", move |ctx, rows| {
+        self.narrow("map", move |ctx, input| {
+            let rows = rows::<T>(&input);
             match cost_secs_per_record {
                 Some(c) => ctx.charge_secs(rows.len() as f64 * c),
                 None => ctx.charge_records(rows.len() as u64),
@@ -217,23 +229,36 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: Clone,
     {
-        self.narrow("filter", move |ctx, rows| {
+        self.narrow("filter", move |ctx, input| {
+            let rows = rows::<T>(&input);
             ctx.charge_records(rows.len() as u64);
             rows.iter().filter(|t| f(t)).cloned().collect()
         })
     }
 
-    /// Maps each record to zero or more outputs.
-    pub fn flat_map<U: Send + Sync + 'static>(
-        &self,
-        f: impl Fn(&T) -> Vec<U> + Send + Sync + 'static,
-    ) -> Dataset<U> {
-        self.narrow("flatMap", move |ctx, rows| {
-            let mut out = Vec::new();
-            for t in rows {
-                out.extend(f(t));
+    /// Maps each record to zero or more outputs, streamed into the
+    /// partition: Spark's `flatMap(T => TraversableOnce[U])`, so `f` takes
+    /// the record by value and returns any iterable, with nothing
+    /// collected per record. Records are moved out of the parent's
+    /// partition when this task holds its only handle, and cloned when it
+    /// is shared, as behind a `cache()`.
+    pub fn flat_map<U, I>(&self, f: impl Fn(T) -> I + Send + Sync + 'static) -> Dataset<U>
+    where
+        T: Clone,
+        U: Send + Sync + 'static,
+        I: IntoIterator<Item = U>,
+    {
+        self.narrow("flatMap", move |ctx, input| {
+            let rows = unwrap_rows::<T>(input);
+            let read = rows.as_ref().map_or_else(|shared| shared.len(), Vec::len);
+            // Sized for a fan-out of one: an expanding body grows it a few
+            // times a task, however many records it reads.
+            let mut out = Vec::with_capacity(read);
+            match rows {
+                Ok(rows) => rows.into_iter().for_each(|t| out.extend(f(t))),
+                Err(shared) => shared.iter().for_each(|t| out.extend(f(t.clone()))),
             }
-            ctx.charge_records(rows.len() as u64 + out.len() as u64);
+            ctx.charge_records(read as u64 + out.len() as u64);
             out
         })
     }
@@ -244,7 +269,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         &self,
         f: impl Fn(&mut TaskContext, &[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        self.narrow("mapPartitions", f)
+        self.narrow("mapPartitions", move |ctx, input| f(ctx, rows::<T>(&input)))
     }
 
     /// Pairs each record with a key.
@@ -505,17 +530,9 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
 pub fn collect_partitions<T: Clone + Send + Sync + 'static>(parts: Vec<PartitionData>) -> Vec<T> {
     let mut out: Vec<T> = Vec::new();
     for p in parts {
-        let rc = p
-            .downcast::<Vec<T>>()
-            .unwrap_or_else(|_| panic!("partition type mismatch: engine invariant violated"));
-        match Arc::try_unwrap(rc) {
-            Ok(v) => {
-                if out.is_empty() {
-                    out = v;
-                } else {
-                    out.extend(v);
-                }
-            }
+        match unwrap_rows::<T>(p) {
+            Ok(v) if out.is_empty() => out = v,
+            Ok(v) => out.extend(v),
             Err(shared) => out.extend(shared.iter().cloned()),
         }
     }
@@ -720,7 +737,7 @@ mod tests {
         let ds = Dataset::parallelize((0..100i64).collect(), 4)
             .filter(|x| x % 2 == 0)
             .map(|x| x * 3)
-            .flat_map(|x| vec![*x, -*x]);
+            .flat_map(|x| [x, -x]);
         let got = compute_all(&ds);
         assert_eq!(got.len(), 100);
         assert!(got.contains(&294) && got.contains(&-294));

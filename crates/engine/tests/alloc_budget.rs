@@ -1,4 +1,5 @@
-//! Allocation budgets for the reduce side's two hot bodies.
+//! Allocation budgets for the data plane's hot bodies: the reduce side's
+//! join and combine, a streaming `flat_map` and a wide map side.
 //!
 //! Heap allocations are counted per thread by this binary's own global
 //! allocator, so a count is a pure function of the body and its input: it
@@ -160,6 +161,67 @@ fn reduce_by_key_allocates_per_task_not_per_record() {
     );
 }
 
+/// A 1→3 `flat_map` streams each record's outputs into the partition it
+/// builds, which starts at one row per record read and doubles twice. A
+/// task allocates its generated input (the rows and their `Arc`) and its
+/// output (three buffer sizes and the `Arc`). Before `flat_map` took any
+/// iterable, every record added one more: the `Vec` it returned.
+#[test]
+fn flat_map_allocates_per_task_not_per_row() {
+    let per_task = RECORDS / MAPS as u64;
+    let tripled = Dataset::<u64>::generate(MAPS, move |p| {
+        (0..per_task).map(|i| i * MAPS as u64 + p as u64).collect()
+    })
+    .flat_map(|x| [x, x + 1, x + 2]);
+    let node = tripled.node();
+    let mut allocs = 0;
+    for part in 0..MAPS {
+        let mut ctx = TaskContext::empty(WorkModel::default());
+        let (rows, n) = allocs_in(|| node.compute(&mut ctx, part));
+        allocs += n;
+        drop(rows);
+    }
+    println!("flat_map 1→3: {allocs} allocations for {RECORDS} records");
+    assert!(
+        allocs <= FLAT_MAP_BUDGET,
+        "{MAPS} flat_map tasks over {RECORDS} records made {allocs} allocations; \
+         the budget is {FLAT_MAP_BUDGET}"
+    );
+}
+
+/// A map task over 64 buckets takes 64 scratch buffers before it gives
+/// any back, and the pool keeps them all (its bound is bytes, not
+/// buffers): after a warm-up pass, each task allocates its blocks and a
+/// constant. Every record encodes to 14 bytes and every bucket is
+/// non-empty, so the warm-up grows all 64 buffers past any bucket's need.
+#[test]
+fn a_wide_map_task_runs_on_pooled_scratch() {
+    const BUCKETS: usize = 64;
+    // Keys of 4 varint bytes, values of 10.
+    let records: Vec<(u64, u64)> = (0..RECORDS).map(|i| ((1 << 21) + i, u64::MAX - i)).collect();
+    let grouped = Dataset::parallelize(records, MAPS).group_by_key(BUCKETS);
+    let deps = input_shuffles(&grouped.node());
+    map_side(&deps[0]);
+    let (fetched, allocs) = map_side(&deps[0]);
+    assert_eq!(allocs, map_side(&deps[0]).1, "allocation counts repeat exactly");
+    let blocks = fetched.iter().flatten().filter(|b| !b.is_empty()).count() as u64;
+    assert_eq!(blocks, (MAPS * BUCKETS) as u64, "every bucket of every task holds records");
+    println!("64-bucket map side: {allocs} allocations for {blocks} blocks");
+    assert!(
+        allocs <= blocks + WIDE_MAP_OVERHEAD,
+        "{MAPS} map tasks of {BUCKETS} buckets made {allocs} allocations; \
+         the budget is one per block plus {WIDE_MAP_OVERHEAD}"
+    );
+}
+
+/// Allocations of the four 1→3 `flat_map` tasks over `RECORDS` records
+/// (six a task); 50 072 when every record returned a `Vec`.
+const FLAT_MAP_BUDGET: u64 = 24;
+/// Allocations of the four 64-bucket map bodies beyond one per block (two
+/// a task: the scratch list and the bucket list). 1 288 beyond when the
+/// pool kept 32 buffers, and half of every task's scratch was allocated
+/// and grown afresh.
+const WIDE_MAP_OVERHEAD: u64 = 8;
 /// Allocations of the four join reduce bodies beyond one per left record
 /// (twelve a task: arena, table, matched list and output, four of them
 /// grown once because varint-encoded records run under their in-memory

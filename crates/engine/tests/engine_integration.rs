@@ -120,6 +120,33 @@ fn join_across_stores_is_correct() {
         .all(|(k, (name, order))| *name == format!("user-{k}") && order % 100 == *k));
 }
 
+/// `flat_map` moves its rows out of a parent partition only it holds; a
+/// `cache()`d parent is shared with the cache, so each of two jobs reading
+/// it clones the rows instead, and must see exactly what the owned path
+/// yields and be charged exactly what it is charged.
+#[test]
+fn flat_map_over_a_cached_parent_matches_the_owned_path() {
+    let pages = |p: usize| -> Vec<(u64, Vec<u64>)> {
+        (0..500u64).map(|i| (i, (0..i % 5).map(|d| d * 7 + p as u64).collect())).collect()
+    };
+    let contribs = |(page, dsts): (u64, Vec<u64>)| dsts.into_iter().map(move |d| (d, page));
+    let owned = Dataset::generate(4, pages).flat_map(contribs);
+    let cached = Dataset::generate(4, pages).cache().flat_map(contribs);
+
+    let mut rig = local_rig(2);
+    let (want, owned_metrics) = run_job(&mut rig, &owned);
+    assert_eq!(want.len(), 4 * 500 * 2, "every page yields `page % 5` rows");
+    for job in 0..2 {
+        let (got, metrics) = run_job(&mut rig, &cached);
+        assert_eq!(got, want, "job {job}: rows");
+        assert_eq!(
+            metrics.cpu_secs_total.to_bits(),
+            owned_metrics.cpu_secs_total.to_bits(),
+            "job {job}: charges"
+        );
+    }
+}
+
 #[test]
 fn more_executors_is_faster() {
     let time_with = |n: usize| {

@@ -122,7 +122,7 @@ fn build_plan(data: Vec<(u64, u64)>, parts: usize, steps: &[Step]) -> Dataset<(u
             Step::GroupCount { partitions } => ds
                 .group_by_key(partitions)
                 .map(|(k, vs)| (*k, vs.len() as u64)),
-            Step::FlatMapTwin => ds.flat_map(|(k, v)| vec![(*k, *v), (*k, v.wrapping_add(1))]),
+            Step::FlatMapTwin => ds.flat_map(|(k, v)| [(k, v), (k, v.wrapping_add(1))]),
             Step::MapPartitionsXor(x) => ds.map_partitions(move |ctx, rows| {
                 ctx.charge_records(rows.len() as u64);
                 rows.iter().map(|(k, v)| (*k, v ^ x)).collect()

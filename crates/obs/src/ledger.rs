@@ -210,7 +210,7 @@ impl SloLedger {
 }
 
 /// One point on a tenant's cumulative-bill curve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BillPoint {
     /// Charge instant on the virtual clock.
     pub at: SimTime,
@@ -218,8 +218,10 @@ pub struct BillPoint {
     pub amount_usd: f64,
     /// Cumulative spend after this charge.
     pub cumulative_usd: f64,
-    /// Free-form charge category (e.g. `"vm"`, `"lambda"`, `"accrued"`).
-    pub kind: String,
+    /// Charge category, a literal at the charging site (e.g. `"vm"`,
+    /// `"lambda"`, `"accrued"`), so a point and its copies allocate
+    /// nothing.
+    pub kind: &'static str,
 }
 
 /// Per-tenant billing accounting: feed it charges, read the cumulative
@@ -236,7 +238,7 @@ impl BillLedger {
     }
 
     /// Records a charge of `usd` for `tenant` at `at`.
-    pub fn charge(&self, tenant: &TenantId, at: SimTime, usd: f64, kind: &str) {
+    pub fn charge(&self, tenant: &TenantId, at: SimTime, usd: f64, kind: &'static str) {
         let mut inner = lock(&self.inner);
         let points = inner.entry(tenant.clone()).or_default();
         let cumulative = points.last().map_or(0.0, |p| p.cumulative_usd) + usd;
@@ -244,7 +246,7 @@ impl BillLedger {
             at,
             amount_usd: usd,
             cumulative_usd: cumulative,
-            kind: kind.to_string(),
+            kind,
         });
     }
 

@@ -14,9 +14,12 @@
 //! - the buffer free lists are **thread-local and lock-free**: with task
 //!   bodies running on a worker pool, every worker recycles its own
 //!   buffers and shares nothing with any other thread;
-//! - at most [`MAX_POOLED_BUFFERS`] buffers retained per thread, each at
-//!   most [`MAX_BUFFER_CAPACITY`] bytes, so a one-off giant record
-//!   cannot pin memory forever.
+//! - the buffers a thread retains hold at most [`POOL_BUDGET_BYTES`] of
+//!   capacity between them, kept as a running total, and none more than
+//!   [`MAX_BUFFER_CAPACITY`] bytes, so a one-off giant record cannot pin
+//!   memory forever. The bound is on bytes, not buffers: a map task with
+//!   64 small buckets runs entirely on pooled scratch, and a thread never
+//!   pins more than the budget however its buffers are sized.
 //!
 //! Returned buffers are always cleared; `take` never exposes stale
 //! bytes. Pooling only affects *where* scratch space comes from, never
@@ -24,15 +27,22 @@
 
 use std::cell::RefCell;
 
-/// Most buffers the pool retains per thread.
-pub const MAX_POOLED_BUFFERS: usize = 32;
+/// Most bytes of capacity the pool retains per thread, summed over its
+/// buffers.
+pub const POOL_BUDGET_BYTES: usize = 64 << 20;
 
 /// Largest buffer the pool will retain (larger ones are dropped on
 /// `give` and fall back to the allocator).
 pub const MAX_BUFFER_CAPACITY: usize = 8 << 20;
 
+/// One thread's free list and the capacity it holds.
+struct Pool {
+    bufs: Vec<Vec<u8>>,
+    bytes: usize,
+}
+
 thread_local! {
-    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    static POOL: RefCell<Pool> = const { RefCell::new(Pool { bufs: Vec::new(), bytes: 0 }) };
 }
 
 /// Takes a cleared buffer with `capacity() >= min_capacity`.
@@ -51,15 +61,20 @@ thread_local! {
 /// ```
 pub fn take(min_capacity: usize) -> Vec<u8> {
     POOL.with(|p| {
-        let mut bufs = p.borrow_mut();
-        let best = bufs
+        let mut pool = p.borrow_mut();
+        let best = pool
+            .bufs
             .iter()
             .enumerate()
             .filter(|(_, b)| b.capacity() >= min_capacity)
             .min_by_key(|(_, b)| b.capacity())
             .map(|(i, _)| i);
         match best {
-            Some(i) => bufs.swap_remove(i),
+            Some(i) => {
+                let buf = pool.bufs.swap_remove(i);
+                pool.bytes -= buf.capacity();
+                buf
+            }
             None => Vec::with_capacity(min_capacity),
         }
     })
@@ -68,19 +83,19 @@ pub fn take(min_capacity: usize) -> Vec<u8> {
 /// Returns `buf` to the calling thread's pool for reuse.
 ///
 /// The buffer is cleared before it is stored. Oversized buffers and
-/// returns beyond the pool's bound are dropped (allocator takes them
-/// back), so the pool's resident memory stays bounded.
+/// returns that would take the pool past its byte budget are dropped
+/// (allocator takes them back), so the pool's resident memory stays
+/// bounded.
 pub fn give(mut buf: Vec<u8>) {
     POOL.with(|p| {
-        let mut bufs = p.borrow_mut();
-        if buf.capacity() == 0
-            || buf.capacity() > MAX_BUFFER_CAPACITY
-            || bufs.len() >= MAX_POOLED_BUFFERS
-        {
+        let mut pool = p.borrow_mut();
+        let cap = buf.capacity();
+        if cap == 0 || cap > MAX_BUFFER_CAPACITY || pool.bytes + cap > POOL_BUDGET_BYTES {
             return;
         }
         buf.clear();
-        bufs.push(buf);
+        pool.bytes += cap;
+        pool.bufs.push(buf);
     });
 }
 
@@ -131,15 +146,45 @@ mod tests {
             // Oversized buffers are never retained.
             give(Vec::with_capacity(MAX_BUFFER_CAPACITY + 1));
             assert!(take(8).capacity() <= MAX_BUFFER_CAPACITY);
-            for _ in 0..MAX_POOLED_BUFFERS + 5 {
-                give(Vec::with_capacity(1024));
+            // Returns beyond the byte budget are dropped: exactly the
+            // budget's worth of largest-size buffers comes back, and a
+            // take the pool cannot serve allocates what was asked for.
+            let fits = POOL_BUDGET_BYTES / MAX_BUFFER_CAPACITY;
+            for _ in 0..fits + 3 {
+                give(Vec::with_capacity(MAX_BUFFER_CAPACITY));
             }
-            // Exactly MAX_POOLED_BUFFERS of the returns come back; a take
-            // the pool cannot serve allocates what was asked for and no more.
-            let served = (0..MAX_POOLED_BUFFERS + 5)
-                .filter(|_| take(8).capacity() >= 1024)
+            let served = (0..fits + 3)
+                .filter(|_| take(8).capacity() == MAX_BUFFER_CAPACITY)
                 .count();
-            assert_eq!(served, MAX_POOLED_BUFFERS);
+            assert_eq!(served, fits);
+            // A drained pool has its whole budget again, for small
+            // buffers as for large ones.
+            let small = POOL_BUDGET_BYTES / (64 << 10);
+            for _ in 0..small + 5 {
+                give(Vec::with_capacity(64 << 10));
+            }
+            let served = (0..small + 5).filter(|_| take(8).capacity() == 64 << 10).count();
+            assert_eq!(served, small);
+        });
+    }
+
+    /// A map task over 64 buckets takes all its scratch before it gives
+    /// any back: once 64 buffers are pooled, every take of such a round is
+    /// served from the pool. (Pooled buffers are told apart from fresh ones
+    /// by a capacity a fresh take never has; the allocator may well hand a
+    /// fresh take a freed buffer's address.)
+    #[test]
+    fn a_sixty_four_bucket_round_is_served_from_the_pool() {
+        on_fresh_thread(|| {
+            const ASKED: usize = 4096;
+            const POOLED: usize = 5000;
+            (0..64).for_each(|_| give(Vec::with_capacity(POOLED)));
+            for round in 0..3 {
+                let bufs: Vec<Vec<u8>> = (0..64).map(|_| take(ASKED)).collect();
+                let fresh = bufs.iter().filter(|b| b.capacity() != POOLED).count();
+                assert_eq!(fresh, 0, "round {round}: {fresh} of 64 takes allocated");
+                bufs.into_iter().for_each(give);
+            }
         });
     }
 

@@ -116,7 +116,7 @@ impl PageRank {
                 .join(&ranks, p)
                 .flat_map(|(_, (dsts, rank))| {
                     let share = rank / dsts.len() as f64;
-                    dsts.iter().map(|d| (*d, share)).collect()
+                    dsts.into_iter().map(move |d| (d, share))
                 })
                 .map_with_cost(|kv| *kv, Some(contrib_cost));
             ranks = contribs

@@ -547,7 +547,7 @@ impl TpcdsLoad {
                 let mut lines = 0u64;
                 for item in items {
                     if let OrderItem::Sale(w, sc, pr, _) = item {
-                        warehouses.insert(*w);
+                        warehouses.insert(w);
                         ship += sc;
                         profit += pr;
                         lines += 1;
@@ -555,18 +555,14 @@ impl TpcdsLoad {
                 }
                 // EXISTS: shipped from more than one warehouse.
                 // Q16/Q94: NOT EXISTS returns; Q95: EXISTS returns.
-                if lines > 0 && warehouses.len() >= 2 && (returned == want_returned) {
-                    vec![(
-                        0u64,
-                        QueryAnswer {
-                            count: 1,
-                            total_a: ship,
-                            total_b: profit,
-                        },
-                    )]
-                } else {
-                    Vec::new()
-                }
+                (lines > 0 && warehouses.len() >= 2 && returned == want_returned).then_some((
+                    0u64,
+                    QueryAnswer {
+                        count: 1,
+                        total_a: ship,
+                        total_b: profit,
+                    },
+                ))
             })
             .reduce_by_key(1, |a, b| QueryAnswer {
                 count: a.count + b.count,
