@@ -307,11 +307,6 @@ impl<'a> Oracle<'a> {
         }
     }
 
-    /// The topology cases run on.
-    pub fn topology(&self) -> &ChaosTopology {
-        &self.topo
-    }
-
     /// Runs `plan` under both store kinds and checks every invariant.
     pub fn check(&self, plan: &FaultPlan) -> Result<PlanOutcome, Box<ChaosFailure>> {
         let hdfs = run_case(self.workload, ShuffleStoreKind::Hdfs, Some(plan), &self.topo);

@@ -4,6 +4,13 @@
 //! of JSON: objects, arrays, strings and unsigned integers. This module
 //! parses exactly that sliver with a recursive-descent parser; the writer
 //! side is plain string formatting in [`crate::FaultPlan::to_json`].
+//!
+//! Plan text is user input (`CHAOS_PLAN`), so the recursion is bounded:
+//! a plan nests three deep (plan object, events array, event object), and
+//! anything deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
+
+/// Deepest array / object nesting the parser accepts.
+const MAX_DEPTH: usize = 8;
 
 /// A parsed JSON value restricted to what fault plans use.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +58,7 @@ pub(crate) fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -63,6 +71,8 @@ pub(crate) fn parse(src: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -98,8 +108,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                nested
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b'0'..=b'9' => self.number(),
             other => Err(format!(
@@ -223,5 +240,13 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 }

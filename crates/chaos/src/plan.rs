@@ -13,6 +13,13 @@ use splitserve_storage::StoreFaults;
 
 use crate::json::{parse, Json};
 
+/// The latest instant and the longest duration a plan may name, in
+/// microseconds: one virtual day. Generated plans stay inside 45 s and
+/// fleet plans inside about 1 200 s; the bound keeps every `instant +
+/// duration` the injector computes far below the simulation clock's `u64`
+/// limit, so a hand-written plan cannot overflow it.
+pub const PLAN_HORIZON_US: u64 = 86_400_000_000;
+
 /// One scheduled fault. All times are absolute simulation microseconds so
 /// plans round-trip through JSON without float drift.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,38 +150,45 @@ impl FaultEvent {
             0 => Err(format!("field {key:?} is a 1-based ordinal, got 0")),
             n => Ok(n),
         };
+        // Instants and durations, in microseconds.
+        let us = |key: &str| match v.num(key)? {
+            n if n > PLAN_HORIZON_US => Err(format!(
+                "field {key:?} is {n} µs, past the plan horizon of {PLAN_HORIZON_US} µs"
+            )),
+            n => Ok(n),
+        };
         Ok(match kind {
             "kill" => FaultEvent::Kill {
-                at_us: v.num("at_us")?,
+                at_us: us("at_us")?,
                 lambda: u32_of("lambda")?,
             },
             "burst-kill" => FaultEvent::BurstKill {
-                at_us: v.num("at_us")?,
-                min_age_us: v.num("min_age_us")?,
+                at_us: us("at_us")?,
+                min_age_us: us("min_age_us")?,
             },
             "drain" => FaultEvent::Drain {
-                at_us: v.num("at_us")?,
+                at_us: us("at_us")?,
                 lambda: u32_of("lambda")?,
             },
             "fetch-fail" => FaultEvent::FetchFail { nth: ordinal("nth")? },
             "write-fail" => FaultEvent::WriteFail { nth: ordinal("nth")? },
             "latency" => FaultEvent::Latency {
-                from_us: v.num("from_us")?,
-                until_us: v.num("until_us")?,
-                extra_us: v.num("extra_us")?,
+                from_us: us("from_us")?,
+                until_us: us("until_us")?,
+                extra_us: us("extra_us")?,
             },
             "straggle" => FaultEvent::Straggle {
-                at_us: v.num("at_us")?,
+                at_us: us("at_us")?,
                 lambda: u32_of("lambda")?,
                 slowdown_pct: u32_of("slowdown_pct")?,
-                for_us: v.num("for_us")?,
+                for_us: us("for_us")?,
             },
             "add-lambdas" => FaultEvent::AddLambdas {
-                at_us: v.num("at_us")?,
+                at_us: us("at_us")?,
                 count: u32_of("count")?,
             },
             "add-vm-cores" => FaultEvent::AddVmCores {
-                at_us: v.num("at_us")?,
+                at_us: us("at_us")?,
                 cores: u32_of("cores")?,
             },
             other => return Err(format!("unknown event type {other:?}")),
@@ -344,7 +358,8 @@ impl FaultPlan {
         s
     }
 
-    /// Parses a plan serialized by [`FaultPlan::to_json`].
+    /// Parses a plan serialized by [`FaultPlan::to_json`]. An instant or a
+    /// duration past [`PLAN_HORIZON_US`] is an error naming its field.
     pub fn from_json(src: &str) -> Result<FaultPlan, String> {
         let v = parse(src)?;
         let seed = v.num("seed")?;
@@ -444,6 +459,88 @@ mod tests {
             let err = FaultPlan::from_json(&zeroth).expect_err("ordinals are 1-based");
             assert!(err.contains("\"nth\""), "{kind}: {err} should name the field");
         }
+    }
+
+    #[test]
+    fn deeply_nested_plan_text_is_an_error() {
+        let text = format!("{{\"seed\":0,\"events\":{}", "[".repeat(200_000));
+        let err = FaultPlan::from_json(&text).expect_err("nesting is bounded");
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn straggle_past_the_horizon_is_an_error() {
+        let text = format!(
+            "{{\"seed\":0,\"events\":[{{\"type\":\"straggle\",\"at_us\":1000000,\"lambda\":0,\
+             \"slowdown_pct\":300,\"for_us\":{}}}]}}",
+            u64::MAX
+        );
+        let err = FaultPlan::from_json(&text).expect_err("past the horizon");
+        assert!(err.contains("\"for_us\""), "{err} should name the field");
+    }
+
+    #[test]
+    fn latency_past_the_horizon_is_an_error() {
+        let text = format!(
+            "{{\"seed\":0,\"events\":[{{\"type\":\"latency\",\"from_us\":0,\
+             \"until_us\":5000000,\"extra_us\":{}}}]}}",
+            u64::MAX
+        );
+        let err = FaultPlan::from_json(&text).expect_err("past the horizon");
+        assert!(err.contains("\"extra_us\""), "{err} should name the field");
+    }
+
+    /// The horizon itself is safe to simulate: the largest straggle and
+    /// latency a plan can name run to completion without clock overflow.
+    #[test]
+    fn plans_at_the_horizon_run() {
+        let text = format!(
+            "{{\"seed\":0,\"events\":[\
+             {{\"type\":\"straggle\",\"at_us\":{h},\"lambda\":0,\"slowdown_pct\":300,\"for_us\":{h}}},\
+             {{\"type\":\"latency\",\"from_us\":0,\"until_us\":{h},\"extra_us\":{h}}}]}}",
+            h = PLAN_HORIZON_US
+        );
+        let plan = FaultPlan::from_json(&text).expect("the horizon is inclusive");
+        let w = crate::workloads::ChaosPageRank::small();
+        let topo = crate::ChaosTopology::default();
+        let r = crate::run_case(&w, splitserve::ShuffleStoreKind::Hdfs, Some(&plan), &topo);
+        assert!(r.fingerprint.is_some(), "the run completes");
+        assert!(r.delays > 0, "the latency window was reached");
+    }
+
+    /// Random text and mutations of real plan text either fail to parse or
+    /// parse to a plan that round-trips — never a panic.
+    #[test]
+    fn hostile_plan_text_errs_or_roundtrips() {
+        const ALPHABET: &[u8] = b"{}[],:\"0123456789 abcdeklnrstuy-_\\";
+        splitserve_rt::check::run("hostile_plan_text_errs_or_roundtrips", 512, |g| {
+            let mut text = if g.bool() {
+                FaultPlan::generate(g.u64()).to_json().into_bytes()
+            } else {
+                g.vec(0, 64, |g| ALPHABET[g.usize_in(0, ALPHABET.len())])
+            };
+            for _ in 0..g.usize_in(0, 4) {
+                let at = g.usize_in(0, text.len() + 1);
+                match g.usize_in(0, 4) {
+                    0 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    1 => text.insert(at, ALPHABET[g.usize_in(0, ALPHABET.len())]),
+                    2 => {
+                        let digits = g.u64().to_string();
+                        text.splice(at..at, digits.bytes());
+                    }
+                    _ => {
+                        text.splice(at..at, std::iter::repeat_n(b'[', g.usize_in(1, 64)));
+                    }
+                }
+            }
+            let text = String::from_utf8(text).expect("ASCII");
+            if let Ok(plan) = FaultPlan::from_json(&text) {
+                let again = FaultPlan::from_json(&plan.to_json());
+                assert_eq!(again.as_ref(), Ok(&plan), "{text} did not round-trip");
+            }
+        });
     }
 
     #[test]

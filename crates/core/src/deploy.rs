@@ -405,7 +405,7 @@ impl Deployment {
         let drain_started = sim.now();
         let span = obs
             .spans
-            .open(drain_started, "segue", exec.as_str(), &format!("segue drain {exec}"));
+            .open(drain_started, "segue", exec.as_str(), format!("segue drain {exec}"));
         self.engine.drain_executor(sim, exec, move |sim, _| {
             obs.spans.close(span, sim.now());
             obs.metrics

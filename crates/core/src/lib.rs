@@ -71,3 +71,11 @@ pub use tenancy::{
     run_tenant_fleet, run_tenant_fleet_with, AdmissionController, FleetJob, FleetOutcome,
     FleetPolicy, SloClass, TenantFleetConfig, TenantJobOutcome, TenantSpec,
 };
+
+// A run's summary may leave the thread that ran it: independent runs side
+// by side hand back only these, and share nothing else.
+const _: () = {
+    const fn send<T: Send>() {}
+    send::<FleetOutcome>();
+    send::<ScenarioResult>();
+};

@@ -116,17 +116,17 @@ pub fn record_split_plan(obs: &splitserve_obs::Obs, at: splitserve_des::SimTime,
         return;
     }
     let span = obs.spans.open(at, "driver", "planner", "plan split");
-    obs.spans.annotate(span, "vm_cores", &plan.vm_cores.to_string());
-    obs.spans.annotate(span, "lambdas", &plan.lambdas.to_string());
+    obs.spans.annotate(span, "vm_cores", plan.vm_cores.to_string());
+    obs.spans.annotate(span, "lambdas", plan.lambdas.to_string());
     obs.spans.annotate(
         span,
         "launch_replacement_vms",
-        &plan.launch_replacement_vms.to_string(),
+        plan.launch_replacement_vms.to_string(),
     );
     obs.spans.annotate(
         span,
         "lambda_timeout_secs",
-        &format!("{:.3}", plan.lambda_timeout.as_secs_f64()),
+        format!("{:.3}", plan.lambda_timeout.as_secs_f64()),
     );
     obs.spans.close(span, at);
     obs.metrics

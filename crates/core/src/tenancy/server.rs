@@ -454,8 +454,8 @@ struct Ctx {
     outcomes: RefCell<Vec<Option<TenantJobOutcome>>>,
     remaining: Cell<usize>,
     billed: Cell<f64>,
-    slo: SloLedger,
-    bill: BillLedger,
+    slo: RefCell<SloLedger>,
+    bill: RefCell<BillLedger>,
     /// `admission_wait_seconds{tenant_class}` handles, one per tenant
     /// spec (specs sharing a class share the underlying series) — the
     /// dispatch loop records per job and must not rebuild metric keys.
@@ -508,11 +508,14 @@ fn dispatch_all(sim: &mut Sim, ctx: &Rc<Ctx>, dispatches: Vec<Dispatch>) {
                 };
                 let latency = (outcome.finished_us - outcome.arrived_us) as f64 / 1e6;
                 ctx2.slo
+                    .borrow_mut()
                     .record_job(&spec.id, finished, latency, fj.slo_us as f64 / 1e6);
                 let accrued = ctx2.d.cloud().accrued_cost(finished);
                 let delta = accrued - ctx2.billed.get();
                 if delta > 0.0 {
-                    ctx2.bill.charge(&spec.id, finished, delta, "accrued");
+                    ctx2.bill
+                        .borrow_mut()
+                        .charge(&spec.id, finished, delta, "accrued");
                     ctx2.billed.set(accrued);
                 }
                 ctx2.outcomes.borrow_mut()[fj.job as usize] = Some(outcome);
@@ -595,8 +598,8 @@ pub fn run_tenant_fleet_with(
         outcomes: RefCell::new(vec![None; jobs.len()]),
         remaining: Cell::new(jobs.len()),
         billed: Cell::new(0.0),
-        slo: SloLedger::new(),
-        bill: BillLedger::new(),
+        slo: RefCell::default(),
+        bill: RefCell::default(),
         admission_wait,
         hol_blocking,
         handle,
@@ -625,6 +628,7 @@ pub fn run_tenant_fleet_with(
     if settle > 0.0 {
         let at = outcomes.iter().map(|o| o.finished_us).max().unwrap_or(0);
         ctx.bill
+            .borrow_mut()
             .charge(&cfg.settle_tenant, SimTime::from_micros(at), settle, "final");
     }
     let lambdas_launched = ctx.handle.as_ref().map_or(0, |h| h.lambdas_launched());
@@ -635,8 +639,8 @@ pub fn run_tenant_fleet_with(
     FleetOutcome {
         policy: cfg.policy,
         outcomes,
-        slo: ctx.slo,
-        bill: ctx.bill,
+        slo: ctx.slo.into_inner(),
+        bill: ctx.bill.into_inner(),
         admission: ctx.ctrl.into_inner().into_log(),
         cost_usd,
         lambdas_launched,

@@ -5,15 +5,16 @@
 //! series, the executor-lane spans of the Chrome trace, the rollups, and
 //! finally the event log — so the views agree by construction.
 //!
-//! Registry series are resolved once at construction into handles; span
-//! names and annotations are only formatted while the span recorder is
-//! on. A run without observability pays one branch per view.
+//! Registry and rollup series are resolved once at construction into
+//! handles; span names and annotations are only formatted while the span
+//! recorder is on, and are moved into it. A run without observability
+//! pays one branch per view.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use splitserve_des::SimTime;
-use splitserve_obs::{CounterHandle, HistogramHandle, Obs, QuantileHandle, SpanId};
+use splitserve_obs::{CounterHandle, HistogramHandle, Obs, QuantileHandle, RollupHandle, SpanId};
 
 use crate::context::TaskContext;
 use crate::events::{EngineEventKind, EventLog, FailureKind, JobId, ShufflePhase};
@@ -35,8 +36,8 @@ const FAILURES: [FailureKind; 3] = [
 ];
 const PHASES: [ShufflePhase; 2] = [ShufflePhase::Fetch, ShufflePhase::Write];
 
-/// Every registry series the scheduler's steady-state events feed,
-/// resolved once. Arrays are indexed by the discriminant of
+/// Every registry and rollup series the scheduler's steady-state events
+/// feed, resolved once. Arrays are indexed by the discriminant of
 /// [`ExecutorKind`], [`FailureKind`] or [`ShufflePhase`] (`as usize`).
 #[derive(Debug, Default)]
 struct Handles {
@@ -59,6 +60,8 @@ struct Handles {
     shuffle_encode_bytes: CounterHandle,
     shuffle_combine_seconds_hist: HistogramHandle,
     shuffle_combine_seconds_quant: QuantileHandle,
+    task_run_rollup: [RollupHandle; 2],
+    job_execution_rollup: RollupHandle,
 }
 
 impl Handles {
@@ -98,6 +101,9 @@ impl Handles {
                 COMBINE_BUCKETS,
             ),
             shuffle_combine_seconds_quant: m.quantile_handle("shuffle_combine_seconds", &[]),
+            task_run_rollup: KINDS
+                .map(|k| obs.rollups.handle("task_run_seconds", &[("kind", k.label())])),
+            job_execution_rollup: obs.rollups.handle("job_execution_seconds", &[]),
         }
     }
 }
@@ -195,9 +201,9 @@ impl Telemetry {
                 h.job_execution_seconds_hist.observe(secs);
                 h.job_execution_seconds_quant.record(secs);
                 if spans.is_enabled() {
-                    spans.instant(at, "driver", "driver", &format!("{job} completed"));
+                    spans.instant(at, "driver", "driver", format!("{job} completed"));
                 }
-                self.obs.rollups.record("job_execution_seconds", &[], at, secs);
+                h.job_execution_rollup.record(at, secs);
             }
             E::StageCompleted { job, .. } => {
                 self.fold(*job, |m| m.stages_run += 1);
@@ -207,14 +213,14 @@ impl Telemetry {
                 h.stage_rollbacks.inc();
                 h.stage_rollback_missing.add(*missing as u64);
                 if spans.is_enabled() {
-                    spans.instant(at, "driver", "driver", &format!("rollback s{}", stage.0));
+                    spans.instant(at, "driver", "driver", format!("rollback s{}", stage.0));
                 }
             }
             E::TaskStarted { task, kind } => {
                 if spans.is_enabled() {
                     let name = format!("task s{}.{}", task.stage.0, task.part);
-                    opened = spans.open(at, kind.label(), task.exec.as_str(), &name);
-                    spans.annotate(opened, "stage", &task.stage.0.to_string());
+                    opened = spans.open(at, kind.label(), task.exec.as_str(), name);
+                    spans.annotate(opened, "stage", task.stage.0.to_string());
                 }
             }
             E::TaskComputed { task, cpu_secs } => {
@@ -227,12 +233,10 @@ impl Telemetry {
                 h.task_cpu_seconds[k].observe(*cpu_secs);
                 h.task_run_seconds[k].record(*run_secs);
                 if spans.is_enabled() {
-                    spans.annotate(span, "cpu_secs", &format!("{cpu_secs:.6}"));
+                    spans.annotate(span, "cpu_secs", format!("{cpu_secs:.6}"));
                     spans.close(span, at);
                 }
-                self.obs
-                    .rollups
-                    .record("task_run_seconds", &[("kind", kind.label())], at, *run_secs);
+                h.task_run_rollup[k].record(at, *run_secs);
             }
             E::TaskFailed { task, why, .. } => {
                 self.fold(task.job, |m| m.tasks_recomputed += 1);
@@ -269,7 +273,7 @@ impl Telemetry {
                 if spans.is_enabled() {
                     let note =
                         format!("elapsed {elapsed_secs:.6}s > threshold {threshold_secs:.6}s");
-                    spans.annotate(span, "straggler", &note);
+                    spans.annotate(span, "straggler", note);
                 }
             }
             // The two higher-layer events are rare: their series are

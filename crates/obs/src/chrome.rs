@@ -44,18 +44,15 @@ pub(crate) fn to_chrome_trace(rec: &SpanRecorder) -> String {
     let Some(inner) = &rec.inner else {
         return "{\"traceEvents\":[]}".to_string();
     };
-    let inner = crate::span::lock(inner);
+    let inner = inner.borrow();
 
     // Deterministic pid per lane and tid per (lane, track).
     let mut lanes: BTreeMap<&str, u64> = BTreeMap::new();
     let mut tracks: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-    for s in &inner.spans {
-        lanes.entry(&s.lane).or_insert(0);
-        tracks.entry((&s.lane, &s.track)).or_insert(0);
-    }
-    for i in &inner.instants {
-        lanes.entry(&i.lane).or_insert(0);
-        tracks.entry((&i.lane, &i.track)).or_insert(0);
+    let coordinates = inner.spans.iter().map(|s| (s.lane, s.track));
+    for (lane, track) in coordinates.chain(inner.instants.iter().map(|i| (i.lane, i.track))) {
+        lanes.entry(lane).or_insert(0);
+        tracks.entry((lane, track)).or_insert(0);
     }
     for (n, (_, pid)) in lanes.iter_mut().enumerate() {
         *pid = n as u64 + 1;
@@ -81,8 +78,8 @@ pub(crate) fn to_chrome_trace(rec: &SpanRecorder) -> String {
     }
     for s in &inner.spans {
         let Some(end) = s.end else { continue };
-        let pid = lanes[s.lane.as_str()];
-        let tid = tracks[&(s.lane.as_str(), s.track.as_str())];
+        let pid = lanes[s.lane];
+        let tid = tracks[&(s.lane, s.track)];
         let ts = s.start.as_micros();
         let dur = end.saturating_since(s.start).as_micros();
         let mut args = String::new();
@@ -99,8 +96,8 @@ pub(crate) fn to_chrome_trace(rec: &SpanRecorder) -> String {
         ));
     }
     for i in &inner.instants {
-        let pid = lanes[i.lane.as_str()];
-        let tid = tracks[&(i.lane.as_str(), i.track.as_str())];
+        let pid = lanes[i.lane];
+        let tid = tracks[&(i.lane, i.track)];
         events.push(format!(
             "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"name\":\"{}\"}}",
             i.at.as_micros(),

@@ -8,12 +8,12 @@
 //! ROADMAP's multi-tenant job server share one accounting path.
 //!
 //! Ledgers are explicit objects (not hidden behind the [`Obs`](crate::Obs)
-//! enable flag): whoever runs a job stream constructs them, feeds them
-//! from job-completion callbacks, and reads the curves at the end.
-//! Cloneable handles; clones share storage.
+//! enable flag): whoever runs a job stream owns them, feeds them from
+//! job-completion callbacks through `&mut self`, and hands them on with
+//! the run's outcome, which reads the curves at the end.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use splitserve_des::SimTime;
 
@@ -78,13 +78,9 @@ struct TenantSlo {
 
 /// Per-tenant SLO accounting: feed it job completions, read the
 /// attainment curve and latency quantiles.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SloLedger {
-    inner: Arc<Mutex<BTreeMap<TenantId, TenantSlo>>>,
-}
-
-fn lock<T>(inner: &Arc<Mutex<T>>) -> MutexGuard<'_, T> {
-    inner.lock().unwrap_or_else(|e| e.into_inner())
+    tenants: BTreeMap<TenantId, TenantSlo>,
 }
 
 impl SloLedger {
@@ -96,15 +92,14 @@ impl SloLedger {
     /// Records one job completion for `tenant`, returning whether the job
     /// met its SLO (`latency_secs <= slo_secs`).
     pub fn record_job(
-        &self,
+        &mut self,
         tenant: &TenantId,
         at: SimTime,
         latency_secs: f64,
         slo_secs: f64,
     ) -> bool {
         let met = latency_secs <= slo_secs;
-        let mut inner = lock(&self.inner);
-        let t = inner.entry(tenant.clone()).or_default();
+        let t = self.tenants.entry(tenant.clone()).or_default();
         if met {
             t.met += 1;
         }
@@ -124,15 +119,13 @@ impl SloLedger {
 
     /// Jobs recorded for `tenant`.
     pub fn jobs(&self, tenant: &TenantId) -> u64 {
-        lock(&self.inner)
-            .get(tenant)
-            .map_or(0, |t| t.points.len() as u64)
+        self.tenants.get(tenant).map_or(0, |t| t.points.len() as u64)
     }
 
     /// Current attainment for `tenant`: fraction of recorded jobs that
     /// met their SLO (vacuously 1.0 with no jobs).
     pub fn attainment(&self, tenant: &TenantId) -> f64 {
-        lock(&self.inner).get(tenant).map_or(1.0, |t| {
+        self.tenants.get(tenant).map_or(1.0, |t| {
             if t.points.is_empty() {
                 1.0
             } else {
@@ -144,7 +137,7 @@ impl SloLedger {
     /// The attainment curve: one point per completed job, completion
     /// order.
     pub fn curve(&self, tenant: &TenantId) -> Vec<SloPoint> {
-        lock(&self.inner)
+        self.tenants
             .get(tenant)
             .map(|t| t.points.clone())
             .unwrap_or_default()
@@ -153,41 +146,33 @@ impl SloLedger {
     /// A latency quantile for `tenant` from the ledger's streaming digest
     /// (within the digest's documented relative error).
     pub fn latency_quantile(&self, tenant: &TenantId, q: f64) -> Option<f64> {
-        lock(&self.inner)
-            .get(tenant)?
-            .latency
-            .as_ref()?
-            .quantile(q)
+        self.tenants.get(tenant)?.latency.as_ref()?.quantile(q)
     }
 
     /// A copy of the tenant's latency digest, if any job was recorded.
     pub fn latency_digest(&self, tenant: &TenantId) -> Option<QuantileDigest> {
-        lock(&self.inner).get(tenant)?.latency.clone()
+        self.tenants.get(tenant)?.latency.clone()
     }
 
     /// All tenants that recorded at least one job, sorted.
     pub fn tenants(&self) -> Vec<TenantId> {
-        lock(&self.inner).keys().cloned().collect()
+        self.tenants.keys().cloned().collect()
     }
 
     /// Jobs recorded across **all** tenants.
     pub fn fleet_jobs(&self) -> u64 {
-        lock(&self.inner)
-            .values()
-            .map(|t| t.points.len() as u64)
-            .sum()
+        self.tenants.values().map(|t| t.points.len() as u64).sum()
     }
 
     /// Fleet-wide attainment: met / recorded across all tenants
     /// (vacuously 1.0 with no jobs). Multi-tenant outcomes must use
     /// this — per-tenant [`SloLedger::attainment`] reports one tenant.
     pub fn fleet_attainment(&self) -> f64 {
-        let inner = lock(&self.inner);
-        let total: u64 = inner.values().map(|t| t.points.len() as u64).sum();
+        let total = self.fleet_jobs();
         if total == 0 {
             return 1.0;
         }
-        let met: u64 = inner.values().map(|t| t.met).sum();
+        let met: u64 = self.tenants.values().map(|t| t.met).sum();
         met as f64 / total as f64
     }
 
@@ -195,9 +180,8 @@ impl SloLedger {
     /// merge is exactly commutative and associative, so the result does
     /// not depend on tenant order). `None` if no job was recorded.
     pub fn fleet_latency_digest(&self) -> Option<QuantileDigest> {
-        let inner = lock(&self.inner);
         let mut acc: Option<QuantileDigest> = None;
-        for t in inner.values() {
+        for t in self.tenants.values() {
             if let Some(d) = &t.latency {
                 match &mut acc {
                     Some(a) => a.merge(d),
@@ -226,9 +210,9 @@ pub struct BillPoint {
 
 /// Per-tenant billing accounting: feed it charges, read the cumulative
 /// bill curve.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct BillLedger {
-    inner: Arc<Mutex<BTreeMap<TenantId, Vec<BillPoint>>>>,
+    tenants: BTreeMap<TenantId, Vec<BillPoint>>,
 }
 
 impl BillLedger {
@@ -238,9 +222,8 @@ impl BillLedger {
     }
 
     /// Records a charge of `usd` for `tenant` at `at`.
-    pub fn charge(&self, tenant: &TenantId, at: SimTime, usd: f64, kind: &'static str) {
-        let mut inner = lock(&self.inner);
-        let points = inner.entry(tenant.clone()).or_default();
+    pub fn charge(&mut self, tenant: &TenantId, at: SimTime, usd: f64, kind: &'static str) {
+        let points = self.tenants.entry(tenant.clone()).or_default();
         let cumulative = points.last().map_or(0.0, |p| p.cumulative_usd) + usd;
         points.push(BillPoint {
             at,
@@ -252,7 +235,7 @@ impl BillLedger {
 
     /// Total spend recorded for `tenant`.
     pub fn total(&self, tenant: &TenantId) -> f64 {
-        lock(&self.inner)
+        self.tenants
             .get(tenant)
             .and_then(|p| p.last())
             .map_or(0.0, |p| p.cumulative_usd)
@@ -260,21 +243,17 @@ impl BillLedger {
 
     /// The cumulative-bill curve: one point per charge, charge order.
     pub fn curve(&self, tenant: &TenantId) -> Vec<BillPoint> {
-        lock(&self.inner)
-            .get(tenant)
-            .cloned()
-            .unwrap_or_default()
+        self.tenants.get(tenant).cloned().unwrap_or_default()
     }
 
     /// All tenants that recorded at least one charge, sorted.
     pub fn tenants(&self) -> Vec<TenantId> {
-        lock(&self.inner).keys().cloned().collect()
+        self.tenants.keys().cloned().collect()
     }
 
     /// Total spend across **all** tenants.
     pub fn fleet_total(&self) -> f64 {
-        let inner = lock(&self.inner);
-        inner
+        self.tenants
             .values()
             .filter_map(|p| p.last())
             .map(|p| p.cumulative_usd)
@@ -294,7 +273,7 @@ mod tests {
 
     #[test]
     fn attainment_curve_tracks_met_fraction() {
-        let l = SloLedger::new();
+        let mut l = SloLedger::new();
         let t = TenantId::default();
         assert_eq!(l.attainment(&t), 1.0, "vacuous attainment");
         assert!(l.record_job(&t, SimTime::from_secs(1), 2.0, 5.0));
@@ -313,7 +292,7 @@ mod tests {
 
     #[test]
     fn tenants_are_isolated() {
-        let l = SloLedger::new();
+        let mut l = SloLedger::new();
         let a = TenantId::new("a");
         let b = TenantId::new("b");
         l.record_job(&a, SimTime::ZERO, 1.0, 2.0);
@@ -325,7 +304,7 @@ mod tests {
 
     #[test]
     fn bill_curve_is_cumulative() {
-        let l = BillLedger::new();
+        let mut l = BillLedger::new();
         let t = TenantId::default();
         l.charge(&t, SimTime::from_secs(1), 0.5, "vm");
         l.charge(&t, SimTime::from_secs(2), 0.25, "lambda");
@@ -339,7 +318,7 @@ mod tests {
 
     #[test]
     fn fleet_accessors_aggregate_all_tenants() {
-        let l = SloLedger::new();
+        let mut l = SloLedger::new();
         assert_eq!(l.fleet_attainment(), 1.0, "vacuous fleet attainment");
         assert!(l.fleet_latency_digest().is_none());
         let a = TenantId::new("a");
@@ -357,19 +336,11 @@ mod tests {
         by_hand.merge(&l.latency_digest(&b).unwrap());
         assert_eq!(d.canonical_bytes(), by_hand.canonical_bytes());
 
-        let bill = BillLedger::new();
+        let mut bill = BillLedger::new();
         assert_eq!(bill.fleet_total(), 0.0);
         bill.charge(&a, SimTime::from_secs(1), 0.5, "vm");
         bill.charge(&b, SimTime::from_secs(2), 0.25, "lambda");
         bill.charge(&a, SimTime::from_secs(3), 0.5, "vm");
         assert!((bill.fleet_total() - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let l = SloLedger::new();
-        let c = l.clone();
-        c.record_job(&TenantId::default(), SimTime::ZERO, 1.0, 2.0);
-        assert_eq!(l.jobs(&TenantId::default()), 1);
     }
 }

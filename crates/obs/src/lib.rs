@@ -23,8 +23,13 @@
 //! DESIGN.md §7 carries the measured values.
 //!
 //! Series are recorded through handles resolved once
-//! ([`MetricsRegistry::counter_handle`] and friends): the key is built at
-//! wiring time, a record is an atomic bump or one uncontended lock.
+//! ([`MetricsRegistry::counter_handle`], [`Rollups::handle`] and friends):
+//! the key is built at wiring time, a record is an indexed update.
+//!
+//! An `Obs` belongs to one run. Everything records on that run's
+//! simulation thread — task bodies report what they measured at their
+//! join — so storage is `Rc<RefCell<_>>`, with no lock or atomic, and
+//! independent runs share nothing.
 //!
 //! ```
 //! use splitserve_des::SimTime;
@@ -61,12 +66,12 @@ pub use registry::{
     DEFAULT_LATENCY_BUCKETS,
 };
 pub use span::{Span, SpanId, SpanRecorder};
-pub use timeseries::{Rollups, WindowSnapshot};
+pub use timeseries::{RollupHandle, Rollups, WindowSnapshot};
 
-/// The bundle instrumented layers carry: a metrics registry plus a span
-/// recorder, both sharing one enabled/disabled state.
+/// The bundle instrumented layers carry: a metrics registry, a span
+/// recorder and rollups, all sharing one enabled/disabled state.
 ///
-/// Cloneable handle; clones share the underlying storage.
+/// Cloneable handle; clones share one run's storage.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     /// Counters, gauges, histograms and streaming quantile digests.

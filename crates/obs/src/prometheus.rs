@@ -57,16 +57,15 @@ pub(crate) fn render(reg: &MetricsRegistry) -> String {
     let Some(inner) = &reg.inner else {
         return String::new();
     };
-    let inner = crate::registry::lock(inner);
+    let inner = inner.borrow();
     let mut out = String::new();
 
     let mut last_name = "";
-    for ((name, labels), cell) in &inner.counters {
+    for ((name, labels), value) in inner.counters.iter() {
         if name != last_name {
             let _ = writeln!(out, "# TYPE {name} counter");
             last_name = name;
         }
-        let value = cell.load(std::sync::atomic::Ordering::Relaxed);
         let _ = writeln!(out, "{name}{} {value}", labels_block(labels, None));
     }
 
@@ -85,8 +84,7 @@ pub(crate) fn render(reg: &MetricsRegistry) -> String {
     }
 
     last_name = "";
-    for ((name, labels), cell) in &inner.histograms {
-        let h = crate::registry::cell_lock(cell);
+    for ((name, labels), h) in inner.histograms.iter() {
         if name != last_name {
             let _ = writeln!(out, "# TYPE {name} histogram");
             last_name = name;
@@ -120,8 +118,7 @@ pub(crate) fn render(reg: &MetricsRegistry) -> String {
     // the same base name. Values are within the digest's relative-error
     // bound (see the `digest` module).
     last_name = "";
-    for ((name, labels), d) in &inner.digests {
-        let d = crate::registry::cell_lock(d);
+    for ((name, labels), d) in inner.digests.iter() {
         if name != last_name {
             let _ = writeln!(out, "# TYPE {name}_quantile gauge");
             last_name = name;

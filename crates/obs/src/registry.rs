@@ -1,9 +1,14 @@
-//! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms, each keyed by a label set.
+//! The metrics registry: named counters, gauges, fixed-bucket histograms
+//! and streaming quantile digests, each keyed by a label set.
+//!
+//! A registry belongs to one run and is recorded on that run's simulation
+//! thread, so its storage is one `Rc<RefCell<_>>`: a handle is the
+//! registry plus a slot index, and a record is one borrow and an indexed
+//! update.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::rc::Rc;
 
 use crate::digest::QuantileDigest;
 
@@ -16,6 +21,69 @@ pub const DEFAULT_LATENCY_BUCKETS: &[f64] = &[
 
 /// `(name, sorted labels)` — the identity of one time series.
 pub(crate) type MetricKey = (String, Vec<(String, String)>);
+
+/// Builds the key of `name{labels}`; label order does not matter.
+pub(crate) fn key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+    let mut l: Vec<(String, String)> = labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    l.sort();
+    (name.to_string(), l)
+}
+
+/// One family of series behind slot indices. A series is born when it is
+/// first resolved but counts only once something was recorded into it,
+/// so a handle that never records leaves every rendering untouched.
+#[derive(Debug)]
+pub(crate) struct Family<T> {
+    /// Key → slot, in key order: the order every renderer walks.
+    index: BTreeMap<MetricKey, usize>,
+    /// `(recorded, cell)` per slot.
+    cells: Vec<(bool, T)>,
+}
+
+impl<T> Default for Family<T> {
+    fn default() -> Self {
+        Family {
+            index: BTreeMap::new(),
+            cells: Vec::new(),
+        }
+    }
+}
+
+impl<T> Family<T> {
+    /// The slot of `key`, creating its cell with `birth` the first time.
+    pub fn resolve(&mut self, key: MetricKey, birth: impl FnOnce() -> T) -> usize {
+        let cells = &mut self.cells;
+        *self.index.entry(key).or_insert_with(|| {
+            cells.push((false, birth()));
+            cells.len() - 1
+        })
+    }
+
+    /// The cell of `slot`, marked recorded.
+    #[inline]
+    pub fn record(&mut self, slot: usize) -> &mut T {
+        let cell = &mut self.cells[slot];
+        cell.0 = true;
+        &mut cell.1
+    }
+
+    /// The cell of `key`, if anything was recorded into it.
+    pub fn get(&self, key: &MetricKey) -> Option<&T> {
+        self.index
+            .get(key)
+            .and_then(|&slot| self.cells[slot].0.then_some(&self.cells[slot].1))
+    }
+
+    /// Every recorded series, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&MetricKey, &T)> {
+        self.index
+            .iter()
+            .filter_map(|(key, &slot)| self.cells[slot].0.then_some((key, &self.cells[slot].1)))
+    }
+}
 
 #[derive(Debug, Clone)]
 pub(crate) struct Histogram {
@@ -69,82 +137,41 @@ pub struct HistogramSnapshot {
 
 #[derive(Debug, Default)]
 pub(crate) struct RegistryInner {
-    /// Counter cells are `Arc`-shared so a [`CounterHandle`] can alias
-    /// one and bump it with a single atomic add.
-    pub counters: BTreeMap<MetricKey, Arc<AtomicU64>>,
+    pub counters: Family<u64>,
     pub gauges: BTreeMap<MetricKey, f64>,
-    /// Histograms are `Arc<Mutex<_>>` for the same reason (see
-    /// [`HistogramHandle`]).
-    pub histograms: BTreeMap<MetricKey, Arc<Mutex<Histogram>>>,
-    /// Streaming quantile digests, one cell per series (see
-    /// [`QuantileHandle`]).
-    pub digests: BTreeMap<MetricKey, Arc<Mutex<QuantileDigest>>>,
+    pub histograms: Family<Histogram>,
+    pub digests: Family<QuantileDigest>,
 }
 
-/// Named counters, gauges and fixed-bucket histograms.
+type Shared = Rc<RefCell<RegistryInner>>;
+
+/// Named counters, gauges, histograms and quantile digests.
 ///
 /// A disabled registry (the [`Default`]) holds no storage: every record
-/// call is one branch. Clones of an enabled registry share storage, so a
-/// handle can be threaded through engine, policy and storage layers while
-/// one exporter reads the aggregate.
-///
-/// Storage is behind a `Mutex` and handles are `Send + Sync`, so clones
-/// may record from any thread. Counts, bucket counts and digests commute;
-/// a histogram's `f64` sum does not (addition lands in call order), so a
-/// series whose rendered text must repeat is recorded from one thread in
-/// a deterministic order — the engine records everything, including what
-/// task bodies measured, on the simulation thread.
+/// call is one branch. Clones of an enabled registry share storage, so one
+/// run's engine, policy and storage layers record into the registry its
+/// exporter reads. A histogram's `f64` sum lands in call order, so the
+/// rendered text repeats because everything is recorded on the one
+/// simulation thread, in event order — including what task bodies
+/// measured, which the engine records at the body's join.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    pub(crate) inner: Option<Arc<Mutex<RegistryInner>>>,
-}
-
-/// Locks a registry's storage, recovering from poison: a panicking task
-/// body must not wedge the telemetry of the run that reports it.
-pub(crate) fn lock(inner: &Arc<Mutex<RegistryInner>>) -> MutexGuard<'_, RegistryInner> {
-    inner.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Locks one histogram or digest cell, recovering from poison like
-/// [`lock`].
-pub(crate) fn cell_lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
-    cell.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-#[derive(Debug)]
-struct CounterCore {
-    registry: Arc<Mutex<RegistryInner>>,
-    key: MetricKey,
-    /// The counter's cell, materialized in the registry on first
-    /// [`add`](CounterHandle::add) — a handle that never records leaves
-    /// the registry (and therefore the rendered exposition) untouched,
-    /// exactly like a counter name nobody ever added to.
-    cell: OnceLock<Arc<AtomicU64>>,
+    pub(crate) inner: Option<Shared>,
 }
 
 /// A pre-resolved counter: the `(name, sorted labels)` key is built once
-/// at wiring time; every [`add`](CounterHandle::add) after the first is a
-/// single relaxed atomic bump — no allocation, no registry lock. Handles
-/// from a disabled registry are inert (one branch per call). Cloning
-/// shares the resolution.
+/// at wiring time; every [`add`](CounterHandle::add) is an indexed bump —
+/// no allocation, no key. Handles from a disabled registry are inert (one
+/// branch per call). Two handles resolved for the same series share it.
 #[derive(Debug, Clone, Default)]
-pub struct CounterHandle(Option<Arc<CounterCore>>);
+pub struct CounterHandle(Option<(Shared, usize)>);
 
 impl CounterHandle {
     /// Adds `delta` to the counter.
     #[inline]
     pub fn add(&self, delta: u64) {
-        let Some(core) = &self.0 else { return };
-        core.cell
-            .get_or_init(|| {
-                Arc::clone(
-                    lock(&core.registry)
-                        .counters
-                        .entry(core.key.clone())
-                        .or_default(),
-                )
-            })
-            .fetch_add(delta, Ordering::Relaxed);
+        let Some((registry, slot)) = &self.0 else { return };
+        *registry.borrow_mut().counters.record(*slot) += delta;
     }
 
     /// Adds one.
@@ -154,82 +181,41 @@ impl CounterHandle {
     }
 }
 
-#[derive(Debug)]
-struct HistogramCore {
-    registry: Arc<Mutex<RegistryInner>>,
-    key: MetricKey,
-    bounds: Vec<f64>,
-    cell: OnceLock<Arc<Mutex<Histogram>>>,
-}
-
-/// A pre-resolved histogram: [`observe`](HistogramHandle::observe) after
-/// the first is one uncontended mutex lock plus a bucket increment. Two
-/// handles resolved for the same series share its cell.
+/// A pre-resolved histogram: [`observe`](HistogramHandle::observe) is a
+/// bucket search and increment. Two handles resolved for the same series
+/// share it.
 #[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Option<Arc<HistogramCore>>);
+pub struct HistogramHandle(Option<(Shared, usize)>);
 
 impl HistogramHandle {
     /// Records `value`.
     #[inline]
     pub fn observe(&self, value: f64) {
-        let Some(core) = &self.0 else { return };
-        let cell = core.cell.get_or_init(|| {
-            Arc::clone(
-                lock(&core.registry)
-                    .histograms
-                    .entry(core.key.clone())
-                    .or_insert_with(|| Arc::new(Mutex::new(Histogram::new(&core.bounds)))),
-            )
-        });
-        cell_lock(cell).observe(value);
+        let Some((registry, slot)) = &self.0 else { return };
+        registry.borrow_mut().histograms.record(*slot).observe(value);
     }
 }
 
-#[derive(Debug)]
-struct QuantileCore {
-    registry: Arc<Mutex<RegistryInner>>,
-    key: MetricKey,
-    cell: OnceLock<Arc<Mutex<QuantileDigest>>>,
-}
-
 /// A pre-resolved streaming-quantile digest:
-/// [`record`](QuantileHandle::record) after the first is one uncontended
-/// mutex lock plus the digest bucket bump. Two handles resolved for the
-/// same series share its cell.
+/// [`record`](QuantileHandle::record) is the digest's bucket bump. Two
+/// handles resolved for the same series share it.
 #[derive(Debug, Clone, Default)]
-pub struct QuantileHandle(Option<Arc<QuantileCore>>);
+pub struct QuantileHandle(Option<(Shared, usize)>);
 
 impl QuantileHandle {
     /// Records `value`.
     #[inline]
     pub fn record(&self, value: f64) {
-        let Some(core) = &self.0 else { return };
-        let cell = core.cell.get_or_init(|| {
-            Arc::clone(
-                lock(&core.registry)
-                    .digests
-                    .entry(core.key.clone())
-                    .or_default(),
-            )
-        });
-        cell_lock(cell).record(value);
+        let Some((registry, slot)) = &self.0 else { return };
+        registry.borrow_mut().digests.record(*slot).record(value);
     }
-}
-
-fn key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
-    let mut l: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    l.sort();
-    (name.to_string(), l)
 }
 
 impl MetricsRegistry {
     /// A registry that records.
     pub fn enabled() -> Self {
         MetricsRegistry {
-            inner: Some(Arc::new(Mutex::new(RegistryInner::default()))),
+            inner: Some(Shared::default()),
         }
     }
 
@@ -243,46 +229,53 @@ impl MetricsRegistry {
         self.inner.is_some()
     }
 
+    /// Resolves `name{labels}` in the family `pick` selects: the shared
+    /// storage plus the series' slot, or `None` when disabled.
+    fn resolve<T>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        pick: impl FnOnce(&mut RegistryInner) -> &mut Family<T>,
+        birth: impl FnOnce() -> T,
+    ) -> Option<(Shared, usize)> {
+        let inner = self.inner.as_ref()?;
+        let slot = pick(&mut inner.borrow_mut()).resolve(key(name, labels), birth);
+        Some((Rc::clone(inner), slot))
+    }
+
     /// Current value of a counter (zero if never touched or disabled).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
-        lock(inner)
+        inner
+            .borrow()
             .counters
             .get(&key(name, labels))
-            .map(|c| c.load(Ordering::Relaxed))
+            .copied()
             .unwrap_or(0)
     }
 
     /// Resolves the counter `name{labels}` to a reusable [`CounterHandle`]
-    /// — the key is built and sorted once, here; every
-    /// [`add`](CounterHandle::add) after that is an atomic bump.
+    /// — the key is built and sorted once, here.
     pub fn counter_handle(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        CounterHandle(self.inner.as_ref().map(|inner| {
-            Arc::new(CounterCore {
-                registry: Arc::clone(inner),
-                key: key(name, labels),
-                cell: OnceLock::new(),
-            })
-        }))
+        CounterHandle(self.resolve(name, labels, |r| &mut r.counters, || 0))
     }
 
     /// Sets the gauge `name{labels}` to `value`.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        lock(inner).gauges.insert(key(name, labels), value);
+        inner.borrow_mut().gauges.insert(key(name, labels), value);
     }
 
     /// Current value of a gauge, if it was ever set.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         let inner = self.inner.as_ref()?;
-        lock(inner).gauges.get(&key(name, labels)).copied()
+        inner.borrow().gauges.get(&key(name, labels)).copied()
     }
 
-    /// Snapshot of one histogram, if it exists.
+    /// Snapshot of one histogram, if anything was observed into it.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
-        let inner = self.inner.as_ref()?;
-        let cell = lock(inner).histograms.get(&key(name, labels)).cloned()?;
-        let h = cell_lock(&cell);
+        let inner = self.inner.as_ref()?.borrow();
+        let h = inner.histograms.get(&key(name, labels))?;
         Some(HistogramSnapshot {
             bounds: h.bounds.clone(),
             counts: h.counts.clone(),
@@ -291,63 +284,55 @@ impl MetricsRegistry {
         })
     }
 
-    /// Resolves the histogram `name{labels}` (created with
-    /// [`DEFAULT_LATENCY_BUCKETS`] on first observation) to a reusable
-    /// [`HistogramHandle`].
+    /// Resolves the histogram `name{labels}` (with
+    /// [`DEFAULT_LATENCY_BUCKETS`] if this is its first resolution) to a
+    /// reusable [`HistogramHandle`].
     pub fn histogram_handle(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
         self.histogram_handle_with(name, labels, DEFAULT_LATENCY_BUCKETS)
     }
 
     /// Resolves the histogram `name{labels}` to a reusable
-    /// [`HistogramHandle`], creating it with `bounds` on its first
-    /// observation (a histogram's buckets are fixed at birth).
+    /// [`HistogramHandle`]. A histogram's buckets are fixed at birth: the
+    /// series' first resolution creates it with `bounds`, and a later
+    /// resolution keeps them.
     pub fn histogram_handle_with(
         &self,
         name: &str,
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> HistogramHandle {
-        HistogramHandle(self.inner.as_ref().map(|inner| {
-            Arc::new(HistogramCore {
-                registry: Arc::clone(inner),
-                key: key(name, labels),
-                bounds: bounds.to_vec(),
-                cell: OnceLock::new(),
-            })
-        }))
+        HistogramHandle(self.resolve(
+            name,
+            labels,
+            |r| &mut r.histograms,
+            || Histogram::new(bounds),
+        ))
     }
 
-    /// Resolves the streaming quantile digest `name{labels}` (created with
-    /// [`crate::DEFAULT_DIGEST_ALPHA`] on first record) to a reusable
-    /// [`QuantileHandle`]. Unlike a histogram, the digest answers
-    /// arbitrary quantiles within a documented relative error.
+    /// Resolves the streaming quantile digest `name{labels}` (with
+    /// [`crate::DEFAULT_DIGEST_ALPHA`]) to a reusable [`QuantileHandle`].
+    /// Unlike a histogram, the digest answers arbitrary quantiles within a
+    /// documented relative error.
     pub fn quantile_handle(&self, name: &str, labels: &[(&str, &str)]) -> QuantileHandle {
-        QuantileHandle(self.inner.as_ref().map(|inner| {
-            Arc::new(QuantileCore {
-                registry: Arc::clone(inner),
-                key: key(name, labels),
-                cell: OnceLock::new(),
-            })
-        }))
+        QuantileHandle(self.resolve(name, labels, |r| &mut r.digests, QuantileDigest::default))
     }
 
     /// A copy of the digest for `name{labels}`, if anything was recorded.
     /// It depends only on the recorded multiset, not on recording order.
     pub fn quantile_digest(&self, name: &str, labels: &[(&str, &str)]) -> Option<QuantileDigest> {
-        let inner = self.inner.as_ref()?;
-        let cell = lock(inner).digests.get(&key(name, labels)).cloned()?;
-        let digest = cell_lock(&cell).clone();
-        Some(digest)
+        let inner = self.inner.as_ref()?.borrow();
+        inner.digests.get(&key(name, labels)).cloned()
     }
 
     /// Sum of a counter across all label sets sharing `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
-        lock(inner)
+        inner
+            .borrow()
             .counters
             .iter()
             .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| v.load(Ordering::Relaxed))
+            .map(|(_, v)| v)
             .sum()
     }
 
@@ -355,11 +340,6 @@ impl MetricsRegistry {
     /// `prometheus` module for the grammar). Deterministic ordering.
     pub fn render_prometheus(&self) -> String {
         crate::prometheus::render(self)
-    }
-
-    /// Writes [`MetricsRegistry::render_prometheus`] to `path`.
-    pub fn write_prometheus(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.render_prometheus())
     }
 }
 

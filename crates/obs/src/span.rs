@@ -6,13 +6,21 @@
 //! become threads in the Chrome trace export, which is what makes the
 //! Figure-7 executor-timeline layout fall out of `chrome://tracing`
 //! directly.
+//!
+//! Lanes, tracks and annotation keys are `&'static str` — an executor
+//! kind's label, an interned executor id, a literal — and a name or an
+//! annotation value is a `Cow<'static, str>`: a static name is stored as
+//! the pointer it is, a formatted one is moved in, never copied.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use splitserve_des::SimTime;
 
 /// Identifies an open span. Obtained from [`SpanRecorder::open`]; a
-/// disabled recorder hands out [`SpanId::NONE`], which closes harmlessly.
+/// disabled recorder hands out [`SpanId::NONE`], which indexes no span and
+/// so closes and annotates harmlessly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(pub(crate) u64);
 
@@ -25,25 +33,25 @@ impl SpanId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Lane (Chrome-trace process), e.g. `"vm"`, `"lambda"`, `"storage"`.
-    pub lane: String,
+    pub lane: &'static str,
     /// Track within the lane (Chrome-trace thread), e.g. an executor id.
-    pub track: String,
+    pub track: &'static str,
     /// Human-readable name, e.g. `"task 2.5"` or `"segue drain"`.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Open instant.
     pub start: SimTime,
     /// Close instant; `None` while still open.
     pub end: Option<SimTime>,
     /// Free-form annotations (Chrome-trace `args`).
-    pub args: Vec<(String, String)>,
+    pub args: Vec<(&'static str, Cow<'static, str>)>,
 }
 
 /// An instant event — zero-duration marker on a track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instant {
-    pub(crate) lane: String,
-    pub(crate) track: String,
-    pub(crate) name: String,
+    pub(crate) lane: &'static str,
+    pub(crate) track: &'static str,
+    pub(crate) name: Cow<'static, str>,
     pub(crate) at: SimTime,
 }
 
@@ -54,27 +62,18 @@ pub(crate) struct SpanInner {
 }
 
 /// Records nested spans and instant markers. Disabled by [`Default`];
-/// clones of an enabled recorder share storage.
-///
-/// Storage is behind a `Mutex` so clones may record from worker threads
-/// (task bodies running on the engine's worker pool) as well as the
-/// simulation thread.
+/// clones of an enabled recorder share one run's storage, recorded on
+/// that run's simulation thread.
 #[derive(Debug, Clone, Default)]
 pub struct SpanRecorder {
-    pub(crate) inner: Option<Arc<Mutex<SpanInner>>>,
-}
-
-/// Locks a recorder's storage, recovering from poison: a panicking task
-/// body must not wedge the telemetry of the run that reports it.
-pub(crate) fn lock(inner: &Arc<Mutex<SpanInner>>) -> MutexGuard<'_, SpanInner> {
-    inner.lock().unwrap_or_else(|e| e.into_inner())
+    pub(crate) inner: Option<Rc<RefCell<SpanInner>>>,
 }
 
 impl SpanRecorder {
     /// A recorder that records.
     pub fn enabled() -> Self {
         SpanRecorder {
-            inner: Some(Arc::new(Mutex::new(SpanInner::default()))),
+            inner: Some(Rc::default()),
         }
     }
 
@@ -90,16 +89,22 @@ impl SpanRecorder {
 
     /// Opens a span at `at` on `lane`/`track`. Returns [`SpanId::NONE`]
     /// when disabled.
-    pub fn open(&self, at: SimTime, lane: &str, track: &str, name: &str) -> SpanId {
+    pub fn open(
+        &self,
+        at: SimTime,
+        lane: &'static str,
+        track: &'static str,
+        name: impl Into<Cow<'static, str>>,
+    ) -> SpanId {
         let Some(inner) = &self.inner else {
             return SpanId::NONE;
         };
-        let mut inner = lock(inner);
+        let mut inner = inner.borrow_mut();
         let id = SpanId(inner.spans.len() as u64);
         inner.spans.push(Span {
-            lane: lane.to_string(),
-            track: track.to_string(),
-            name: name.to_string(),
+            lane,
+            track,
+            name: name.into(),
             start: at,
             end: None,
             args: Vec::new(),
@@ -112,11 +117,7 @@ impl SpanRecorder {
     /// (zero-length span) so the trace stays well-formed.
     pub fn close(&self, id: SpanId, at: SimTime) {
         let Some(inner) = &self.inner else { return };
-        if id == SpanId::NONE {
-            return;
-        }
-        let mut inner = lock(inner);
-        if let Some(span) = inner.spans.get_mut(id.0 as usize) {
+        if let Some(span) = inner.borrow_mut().spans.get_mut(id.0 as usize) {
             if span.end.is_none() {
                 span.end = Some(at.max(span.start));
             }
@@ -124,24 +125,26 @@ impl SpanRecorder {
     }
 
     /// Attaches a `key = value` annotation to an open or closed span.
-    pub fn annotate(&self, id: SpanId, key: &str, value: &str) {
+    pub fn annotate(&self, id: SpanId, key: &'static str, value: impl Into<Cow<'static, str>>) {
         let Some(inner) = &self.inner else { return };
-        if id == SpanId::NONE {
-            return;
-        }
-        let mut inner = lock(inner);
-        if let Some(span) = inner.spans.get_mut(id.0 as usize) {
-            span.args.push((key.to_string(), value.to_string()));
+        if let Some(span) = inner.borrow_mut().spans.get_mut(id.0 as usize) {
+            span.args.push((key, value.into()));
         }
     }
 
     /// Records a zero-duration marker.
-    pub fn instant(&self, at: SimTime, lane: &str, track: &str, name: &str) {
+    pub fn instant(
+        &self,
+        at: SimTime,
+        lane: &'static str,
+        track: &'static str,
+        name: impl Into<Cow<'static, str>>,
+    ) {
         let Some(inner) = &self.inner else { return };
-        lock(inner).instants.push(Instant {
-            lane: lane.to_string(),
-            track: track.to_string(),
-            name: name.to_string(),
+        inner.borrow_mut().instants.push(Instant {
+            lane,
+            track,
+            name: name.into(),
             at,
         });
     }
@@ -149,7 +152,7 @@ impl SpanRecorder {
     /// All spans recorded so far (open ones have `end == None`).
     pub fn snapshot(&self) -> Vec<Span> {
         match &self.inner {
-            Some(inner) => lock(inner).spans.clone(),
+            Some(inner) => inner.borrow().spans.clone(),
             None => Vec::new(),
         }
     }
@@ -165,7 +168,7 @@ impl SpanRecorder {
     /// Number of spans still open.
     pub fn open_spans(&self) -> usize {
         match &self.inner {
-            Some(inner) => lock(inner).spans.iter().filter(|s| s.end.is_none()).count(),
+            Some(inner) => inner.borrow().spans.iter().filter(|s| s.end.is_none()).count(),
             None => 0,
         }
     }
@@ -185,8 +188,8 @@ impl SpanRecorder {
     pub fn nesting_violation(&self) -> Option<(String, String)> {
         let mut spans = self.finished_spans();
         spans.sort_by(|a, b| {
-            (&a.lane, &a.track, a.start)
-                .cmp(&(&b.lane, &b.track, b.start))
+            (a.lane, a.track, a.start)
+                .cmp(&(b.lane, b.track, b.start))
                 // Ties on start: longer span first, so a container
                 // precedes its contents.
                 .then(b.end.cmp(&a.end))
@@ -195,7 +198,7 @@ impl SpanRecorder {
         let mut stack: Vec<usize> = Vec::new();
         let mut track_of: Option<(&str, &str)> = None;
         for (i, s) in spans.iter().enumerate() {
-            let here = (s.lane.as_str(), s.track.as_str());
+            let here = (s.lane, s.track);
             if track_of != Some(here) {
                 track_of = Some(here);
                 stack.clear();
@@ -212,7 +215,7 @@ impl SpanRecorder {
                 // `top` starts no later and is still open at our start;
                 // proper nesting requires it to contain us entirely.
                 if end > spans[top].end.expect("finished") {
-                    return Some((spans[top].name.clone(), s.name.clone()));
+                    return Some((spans[top].name.to_string(), s.name.to_string()));
                 }
             }
             stack.push(i);
@@ -223,11 +226,6 @@ impl SpanRecorder {
     /// Renders the Chrome trace-event JSON (see the `chrome` module).
     pub fn to_chrome_trace(&self) -> String {
         crate::chrome::to_chrome_trace(self)
-    }
-
-    /// Writes [`SpanRecorder::to_chrome_trace`] to `path`.
-    pub fn write_chrome_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_chrome_trace())
     }
 }
 
@@ -260,7 +258,7 @@ mod tests {
         let spans = r.finished_spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].end, Some(t(4)));
-        assert_eq!(spans[0].args, vec![("cpu_secs".into(), "1.25".into())]);
+        assert_eq!(spans[0].args, vec![("cpu_secs", "1.25".into())]);
     }
 
     #[test]

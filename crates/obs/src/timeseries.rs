@@ -4,19 +4,20 @@
 //! and latency *over the day* — so point-in-time counters are not enough.
 //! [`Rollups`] keeps, per registered metric, a ring of tumbling windows
 //! on the simulation clock: each window aggregates sum/count/min/max of
-//! everything recorded inside it. The record path is O(1): one map lookup
-//! plus one slot update, no allocation after the series exists.
+//! everything recorded inside it. Series are resolved once into a
+//! [`RollupHandle`], like registry series; a record is one slot update and
+//! allocates nothing.
 //!
 //! Like the rest of the observability layer, a disabled handle is one
 //! branch per record call and holds no storage.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use splitserve_des::{SimDuration, SimTime};
 
 use crate::chrome::escape_json;
-use crate::registry::MetricKey;
+use crate::registry::{key, Family};
 
 /// Width of one tumbling window in virtual time, every series.
 const WIDTH: SimDuration = SimDuration::from_secs(1);
@@ -77,16 +78,7 @@ impl Series {
     fn new(width: SimDuration, retention: usize) -> Self {
         Series {
             width_us: width.as_micros().max(1),
-            ring: vec![
-                Window {
-                    index: EMPTY,
-                    sum: 0.0,
-                    count: 0,
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                };
-                retention.max(1)
-            ],
+            ring: vec![Window::fresh(EMPTY); retention.max(1)],
         }
     }
 
@@ -122,38 +114,38 @@ impl Series {
     }
 }
 
-#[derive(Debug, Default)]
-struct RollupsInner {
-    series: BTreeMap<MetricKey, Series>,
-}
+type Shared = Rc<RefCell<Family<Series>>>;
 
 /// Tumbling windowed rollups over virtual time, keyed like registry
 /// metrics by `(name, labels)`.
 ///
-/// Cloneable handle; clones share storage. The [`Default`] is disabled.
+/// Cloneable handle; clones share one run's storage. The [`Default`] is
+/// disabled.
 #[derive(Debug, Clone, Default)]
 pub struct Rollups {
-    inner: Option<Arc<Mutex<RollupsInner>>>,
+    inner: Option<Shared>,
 }
 
-fn lock(inner: &Arc<Mutex<RollupsInner>>) -> MutexGuard<'_, RollupsInner> {
-    inner.lock().unwrap_or_else(|e| e.into_inner())
-}
+/// A pre-resolved rollup series; inert when resolved from disabled
+/// [`Rollups`].
+#[derive(Debug, Clone, Default)]
+pub struct RollupHandle(Option<(Shared, usize)>);
 
-fn key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
-    let mut l: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    l.sort();
-    (name.to_string(), l)
+impl RollupHandle {
+    /// Records `value` at virtual instant `at` into the tumbling window
+    /// it falls in.
+    #[inline]
+    pub fn record(&self, at: SimTime, value: f64) {
+        let Some((series, slot)) = &self.0 else { return };
+        series.borrow_mut().record(*slot).record(at, value);
+    }
 }
 
 impl Rollups {
     /// A recording handle.
     pub fn enabled() -> Self {
         Rollups {
-            inner: Some(Arc::new(Mutex::new(RollupsInner::default()))),
+            inner: Some(Shared::default()),
         }
     }
 
@@ -167,15 +159,15 @@ impl Rollups {
         self.inner.is_some()
     }
 
-    /// Records `value` at virtual instant `at` into the tumbling window
-    /// it falls in. O(1): one map lookup plus one slot update.
-    pub fn record(&self, name: &str, labels: &[(&str, &str)], at: SimTime, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        lock(inner)
-            .series
-            .entry(key(name, labels))
-            .or_insert_with(|| Series::new(WIDTH, RETENTION))
-            .record(at, value);
+    /// Resolves the series `name{labels}` to a reusable [`RollupHandle`].
+    /// A series nothing is recorded into stays out of [`Rollups::to_json`].
+    pub fn handle(&self, name: &str, labels: &[(&str, &str)]) -> RollupHandle {
+        RollupHandle(self.inner.as_ref().map(|inner| {
+            let slot = inner
+                .borrow_mut()
+                .resolve(key(name, labels), || Series::new(WIDTH, RETENTION));
+            (Rc::clone(inner), slot)
+        }))
     }
 
     /// All retained tumbling windows of one series, ascending by window
@@ -184,8 +176,8 @@ impl Rollups {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        lock(inner)
-            .series
+        inner
+            .borrow()
             .get(&key(name, labels))
             .map(Series::windows)
             .unwrap_or_default()
@@ -200,8 +192,8 @@ impl Rollups {
             out.push_str("]}");
             return out;
         };
-        let inner = lock(inner);
-        for (si, ((name, labels), series)) in inner.series.iter().enumerate() {
+        let inner = inner.borrow();
+        for (si, ((name, labels), series)) in inner.iter().enumerate() {
             if si > 0 {
                 out.push(',');
             }
@@ -237,7 +229,7 @@ mod tests {
     #[test]
     fn disabled_rollups_are_inert() {
         let r = Rollups::disabled();
-        r.record("x", &[], SimTime::ZERO, 1.0);
+        r.handle("x", &[]).record(SimTime::ZERO, 1.0);
         assert!(r.windows("x", &[]).is_empty());
         assert_eq!(r.to_json(), "{\"series\":[]}");
     }
@@ -245,9 +237,10 @@ mod tests {
     #[test]
     fn values_land_in_their_tumbling_windows() {
         let r = Rollups::enabled();
-        r.record("lat", &[], SimTime::from_millis(100), 1.0);
-        r.record("lat", &[], SimTime::from_millis(900), 3.0);
-        r.record("lat", &[], SimTime::from_millis(1500), 5.0);
+        let lat = r.handle("lat", &[]);
+        lat.record(SimTime::from_millis(100), 1.0);
+        lat.record(SimTime::from_millis(900), 3.0);
+        lat.record(SimTime::from_millis(1500), 5.0);
         let w = r.windows("lat", &[]);
         assert_eq!(w.len(), 2);
         assert_eq!((w[0].index, w[0].count, w[0].sum), (0, 2, 4.0));
@@ -271,12 +264,14 @@ mod tests {
     #[test]
     fn json_is_deterministic_and_labelled() {
         let r = Rollups::enabled();
-        r.record("b", &[("k", "v")], SimTime::from_secs(1), 2.0);
-        r.record("a", &[], SimTime::ZERO, 1.0);
+        let _unused = r.handle("c", &[]);
+        r.handle("b", &[("k", "v")]).record(SimTime::from_secs(1), 2.0);
+        r.handle("a", &[]).record(SimTime::ZERO, 1.0);
         let json = r.to_json();
         assert_eq!(json, r.to_json());
         assert!(json.find("\"a\"").unwrap() < json.find("\"b\"").unwrap());
         assert!(json.contains("\"k\":\"v\""));
         assert!(json.contains("\"width_us\":1000000"));
+        assert!(!json.contains("\"c\""), "a series nothing recorded into stays out");
     }
 }

@@ -127,6 +127,23 @@ fn engine_and_des_sources_name_no_std_hash_collection() {
     assert!(hits.is_empty(), "std hash collections in {hits:?}");
 }
 
+/// An `Obs` belongs to one run and records on that run's simulation
+/// thread, so the observability crate keeps no cross-thread storage: no
+/// lock, atomic or `OnceLock` in the non-test lines of `crates/obs/src`.
+#[test]
+fn obs_holds_no_lock_or_atomic() {
+    let hits: Vec<String> = source_lines(&["crates/obs/src"])
+        .into_iter()
+        .filter(|(_, line)| {
+            ["Mutex", "RwLock", "Atomic", "OnceLock"]
+                .iter()
+                .any(|word| line.contains(word))
+        })
+        .map(|(at, line)| format!("{at}: {}", line.trim()))
+        .collect();
+    assert!(hits.is_empty(), "cross-thread storage in obs: {hits:#?}");
+}
+
 /// Process-global state is what keeps independent `Sim`s from running
 /// side by side (ROADMAP item 3), so it can only go down: the `static`s
 /// (a `thread_local!` declares one) in the crates' non-test lines are
