@@ -174,10 +174,12 @@ impl ColdStartSpec {
             "hybrid" => {
                 let mut spec = HybridHistogramSpec::default();
                 if let Some(a) = arg {
+                    // No saturation: `u64::MAX` µs has no selector of its own.
                     spec.fallback_keepalive_us = a
                         .parse::<u64>()
                         .map_err(|e| format!("bad fallback secs in {s:?}: {e}"))?
-                        .saturating_mul(1_000_000);
+                        .checked_mul(1_000_000)
+                        .ok_or_else(|| format!("fallback secs in {s:?} overflow"))?;
                 }
                 Ok(ColdStartSpec::HybridHistogram(spec))
             }
@@ -1063,6 +1065,39 @@ mod tests {
             assert_eq!(spec.selector(), s);
             assert_eq!(ColdStartSpec::parse(&spec.selector()).unwrap(), spec);
         }
+    }
+
+    /// Random text and mutations of real selectors either fail to parse or
+    /// parse to a spec whose selector parses back to it — never a panic.
+    #[test]
+    fn hostile_selector_text_errs_or_roundtrips() {
+        const SELECTORS: [&str; 4] = ["forever", "fixed:30", "pressure:6144", "hybrid:15"];
+        const ALPHABET: &[u8] = b":+-0123456789 abcdefhilnoprsuvxy";
+        splitserve_rt::check::run("hostile_selector_text_errs_or_roundtrips", 512, |g| {
+            let mut text = if g.bool() {
+                SELECTORS[g.usize_in(0, SELECTORS.len())].as_bytes().to_vec()
+            } else {
+                g.vec(0, 24, |g| ALPHABET[g.usize_in(0, ALPHABET.len())])
+            };
+            for _ in 0..g.usize_in(0, 4) {
+                let at = g.usize_in(0, text.len() + 1);
+                match g.usize_in(0, 3) {
+                    0 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    1 => text.insert(at, ALPHABET[g.usize_in(0, ALPHABET.len())]),
+                    _ => {
+                        let digits = g.u64().to_string();
+                        text.splice(at..at, digits.bytes());
+                    }
+                }
+            }
+            let text = String::from_utf8(text).expect("ASCII");
+            if let Ok(spec) = ColdStartSpec::parse(&text) {
+                let again = ColdStartSpec::parse(&spec.selector());
+                assert_eq!(again.as_ref(), Ok(&spec), "{text:?} did not round-trip");
+            }
+        });
     }
 
     #[test]

@@ -15,8 +15,8 @@ use splitserve_engine::{Engine, EngineConfig, ExecutorDesc, ExecutorId};
 use splitserve_obs::SpanId;
 use splitserve_rt::FastMap;
 use splitserve_storage::{
-    HdfsSpec, HdfsStore, InstrumentedStore, LocalDiskStore, RedisSpec, RedisStore, S3Spec, S3Store,
-    SharedStore, SqsSpec, SqsStore,
+    HdfsSpec, HdfsStore, LocalDiskStore, RedisSpec, RedisStore, S3Spec, S3Store, SharedStore,
+    SqsSpec, SqsStore,
 };
 
 /// Which substrate holds intermediate shuffle state.
@@ -121,11 +121,12 @@ impl Deployment {
     }
 
     /// Like [`Deployment::new`] with a custom engine configuration, threading
-    /// the freshly built store through `wrap` before instrumentation. This is
-    /// the seam the chaos plane uses to interpose its fault-injecting
-    /// decorator *underneath* the metrics layer, so injected latency and
-    /// errors are visible in `store_op_seconds` / `store_ops_total` like
-    /// any organic slowness or failure would be.
+    /// the freshly built store through `wrap` before the engine takes it.
+    /// This is the seam the chaos plane uses to interpose its
+    /// fault-injecting decorator. The engine records the `store_*` series
+    /// where each request lands, above whatever `wrap` added, so injected
+    /// latency and errors show in `store_op_seconds` / `store_ops_total`
+    /// like any organic slowness or failure would.
     pub fn with_wrapped_store(
         sim: &mut Sim,
         cloud_spec: CloudSpec,
@@ -161,11 +162,7 @@ impl Deployment {
                 ))
             }
         };
-        let store = wrap(store);
-        // With observability on, every store op is measured on the shared
-        // registry; with it off this is the identity function.
-        let store = InstrumentedStore::wrap(store, engine_cfg.obs.metrics.clone());
-        let engine = Engine::new(engine_cfg, store);
+        let engine = Engine::new(engine_cfg, wrap(store));
         Deployment {
             fabric,
             cloud,

@@ -1,0 +1,256 @@
+//! Observability adds no heap allocation to a store round trip: a shuffle
+//! job through a `Deployment` with `Obs::enabled()` allocates, between a
+//! store answering and the engine asking for its next block, no more than
+//! the same job with obs disabled.
+//!
+//! A probe decorator sits directly over the built store (through
+//! `Deployment::with_wrapped_store`) and times nothing but allocation
+//! calls: it opens a window when it hands an answer up and closes it when
+//! the next request reaches it from inside that answer. Whatever sits
+//! between the probe and the engine, and the engine's own landing, is in
+//! the window. The first job warms every table; the second is measured.
+//! The `store_op_seconds` digests are warmed too, with a value in every
+//! bucket a latency could fall in: a digest allocates when it meets a new
+//! bucket, wherever it is recorded from, and that growth is bounded by the
+//! bucket count, not paid per request.
+//!
+//! Heap allocations are counted per thread by this binary's own global
+//! allocator, so a count is a pure function of the code under it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use splitserve::{Deployment, ShuffleStoreKind};
+use splitserve_cloud::{CloudSpec, M4_XLARGE};
+use splitserve_des::Sim;
+use splitserve_engine::{collect_partitions, Dataset, EngineConfig};
+use splitserve_obs::Obs;
+use splitserve_rt::Bytes;
+use splitserve_storage::{
+    BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, SharedStore, StoreClient, StoreStats,
+};
+
+thread_local! {
+    /// Allocation calls made by this thread (no destructor, const
+    /// initializer: touching it never allocates).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` and `layout` come from this allocator, which is
+        // `System` underneath, so they are valid for `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` through one of the methods
+        // above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What the probe saw: the window open since an answer went up (the
+/// allocation count then), and over the requests that closed one, their
+/// number and the allocations made inside their windows.
+#[derive(Default)]
+struct Tally {
+    open: Cell<Option<u64>>,
+    measuring: Cell<bool>,
+    round_trips: Cell<u64>,
+    allocs: Cell<u64>,
+}
+
+impl Tally {
+    /// Hands an answer up inside a window.
+    fn deliver(&self, answer: impl FnOnce()) {
+        self.open.set(Some(ALLOCS.with(Cell::get)));
+        answer();
+        self.open.set(None);
+    }
+
+    /// A request reached the probe: if it came from inside an answer, the
+    /// window closes and counts.
+    fn arrived(&self) {
+        if let Some(since) = self.open.take() {
+            if self.measuring.get() {
+                self.round_trips.set(self.round_trips.get() + 1);
+                self.allocs
+                    .set(self.allocs.get() + ALLOCS.with(Cell::get) - since);
+            }
+        }
+    }
+}
+
+/// Forwards every call to the built store, answering each request through
+/// a [`Tally`] window. It converts typed requests to callbacks below
+/// itself, so both forms reach the store the same way; its own box is
+/// made after the window closes.
+struct Probe {
+    inner: SharedStore,
+    tally: Rc<Tally>,
+}
+
+impl BlockStore for Probe {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+
+    fn survives_executor_loss(&self) -> bool {
+        self.inner.survives_executor_loss()
+    }
+
+    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
+        self.tally.arrived();
+        let tally = Rc::clone(&self.tally);
+        let cb: PutCallback = Box::new(move |sim, r| tally.deliver(|| cb(sim, r)));
+        self.inner.put(sim, client, block, data, cb);
+    }
+
+    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
+        self.tally.arrived();
+        let tally = Rc::clone(&self.tally);
+        let cb: GetCallback = Box::new(move |sim, r| tally.deliver(|| cb(sim, r)));
+        self.inner.get(sim, client, block, cb);
+    }
+
+    fn put_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        data: Bytes,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        self.tally.arrived();
+        let tally = Rc::clone(&self.tally);
+        let cb: PutCallback =
+            Box::new(move |sim, r| tally.deliver(|| to.put_landed(sim, token, r)));
+        self.inner.put(sim, client, block, data, cb);
+    }
+
+    fn get_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        self.tally.arrived();
+        let tally = Rc::clone(&self.tally);
+        let cb: GetCallback =
+            Box::new(move |sim, r| tally.deliver(|| to.get_landed(sim, token, r)));
+        self.inner.get(sim, client, block, cb);
+    }
+
+    fn on_executor_lost(&self, sim: &mut Sim, executor: &str) {
+        self.inner.on_executor_lost(sim, executor)
+    }
+
+    fn register_executor(&self, executor: &str, loc: ClientLoc) {
+        self.inner.register_executor(executor, loc)
+    }
+
+    fn forget_shuffle(&self, shuffle: u64) {
+        self.inner.forget_shuffle(shuffle)
+    }
+
+    fn contains(&self, block: &BlockId) -> bool {
+        self.inner.contains(block)
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.inner.stats()
+    }
+}
+
+/// Runs a 12 × 12 shuffle job twice on four HDFS-backed VM executors and
+/// returns the second job's `(round trips, allocations)`.
+fn measured_round_trips(obs: Obs) -> (u64, u64) {
+    let tally = Rc::new(Tally::default());
+    let probe_tally = Rc::clone(&tally);
+    // A value in every bucket from 1 ns to 1000 s (steps finer than the
+    // digest's 2 % buckets), so no store latency meets a new one.
+    for op in ["put", "get"] {
+        let digest = obs
+            .metrics
+            .quantile_handle("store_op_seconds", &[("store", "hdfs"), ("op", op)]);
+        let mut secs = 1e-9;
+        while secs < 1e3 {
+            digest.record(secs);
+            secs *= 1.005;
+        }
+    }
+    let mut sim = Sim::new(9);
+    let cfg = EngineConfig {
+        obs,
+        ..EngineConfig::default()
+    };
+    let d = Deployment::with_wrapped_store(
+        &mut sim,
+        CloudSpec::default(),
+        ShuffleStoreKind::Hdfs,
+        M4_XLARGE,
+        cfg,
+        move |inner| {
+            Rc::new(Probe {
+                inner,
+                tally: probe_tally,
+            })
+        },
+    );
+    d.add_vm_workers(&mut sim, M4_XLARGE, 4);
+    for measuring in [false, true] {
+        tally.measuring.set(measuring);
+        // A fresh plan each time: a resubmitted one would skip its map stage.
+        let ds = Dataset::parallelize((0..12_000u64).map(|i| (i % 600, 1u64)).collect(), 12)
+            .reduce_by_key(12, |a, b| a + b);
+        let rows = Rc::new(RefCell::new(Vec::new()));
+        let out = Rc::clone(&rows);
+        d.engine().submit_job(&mut sim, ds.node(), move |_, job| {
+            *out.borrow_mut() = collect_partitions::<(u64, u64)>(job.partitions);
+        });
+        sim.run();
+        assert_eq!(rows.borrow().len(), 600, "the job completes");
+    }
+    (tally.round_trips.get(), tally.allocs.get())
+}
+
+#[test]
+fn observability_adds_no_allocation_to_a_store_round_trip() {
+    let (trips_off, allocs_off) = measured_round_trips(Obs::disabled());
+    let (trips_on, allocs_on) = measured_round_trips(Obs::enabled());
+    println!("obs off: {allocs_off} allocations in {trips_off} round trips");
+    println!("obs on:  {allocs_on} allocations in {trips_on} round trips");
+    // Past the window of eight, each of a task's twelve requests is asked
+    // for from inside an answer: four per task, 24 tasks.
+    assert_eq!(trips_off, 96);
+    assert_eq!(trips_on, trips_off, "obs changes no request");
+    assert!(
+        allocs_on <= allocs_off,
+        "obs on allocates {allocs_on} in {trips_on} store round trips, obs off {allocs_off}"
+    );
+}

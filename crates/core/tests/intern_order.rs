@@ -1,4 +1,4 @@
-//! ROADMAP item 3's prerequisite, proved rather than assumed: the
+//! ROADMAP item 1's prerequisite, proved rather than assumed: the
 //! interner hands out symbols in first-come order, and `Interned` hashes
 //! by symbol, so independent `Sim`s sharing a process see symbol numbers
 //! that depend on who ran first. This binary holds one test so its decoys

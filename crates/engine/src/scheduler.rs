@@ -34,7 +34,7 @@ use crate::executor::{ExecutorDesc, ExecutorId, ExecutorKind};
 use crate::metrics::{JobMetrics, JobOutput};
 use crate::node::{PartitionData, PlanNode, ShuffleBucket, ShuffleDep, ShuffleId};
 use crate::stage::{build_stages, Stage, StageGraph, StageId, StageKind};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{StoreOp, Telemetry};
 use crate::tracker::{MapOutputTracker, MapStatus};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,6 +175,10 @@ struct BlockRequest {
     attempt: AttemptId,
     at: usize,
     span: SpanId,
+    /// When the request went to the store, and the bytes a put carries (0
+    /// for a get): what the landing records in the `store_*` series.
+    issued: SimTime,
+    len: u64,
 }
 
 /// A task body between its launch and its completion event, named by
@@ -669,14 +673,22 @@ impl Shared {
     }
 }
 
+/// Every store request lands here, above any decorator the store wears:
+/// injected errors and latency are recorded like organic ones.
 impl StoreClient for Shared {
     fn put_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<(), StoreError>) {
-        let BlockRequest { attempt, span, .. } = self.take_request(token);
+        let BlockRequest { attempt, span, issued, len, .. } = self.take_request(token);
+        let moved = result.is_ok().then_some(len);
+        self.tele
+            .record_store_op(StoreOp::Put, sim.now().saturating_since(issued), moved);
         Engine { shared: self }.write_landed(sim, attempt, span, result);
     }
 
     fn get_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<Bytes, StoreError>) {
-        let BlockRequest { attempt, at, span } = self.take_request(token);
+        let BlockRequest { attempt, at, span, issued, .. } = self.take_request(token);
+        let moved = result.as_ref().ok().map(|b| b.len() as u64);
+        self.tele
+            .record_store_op(StoreOp::Get, sim.now().saturating_since(issued), moved);
         Engine { shared: self }.fetch_landed(sim, attempt, at, span, result);
     }
 }
@@ -707,7 +719,7 @@ fn task_inputs(
 impl Engine {
     /// Creates an engine over the given shuffle store.
     pub fn new(cfg: EngineConfig, store: Rc<dyn BlockStore>) -> Self {
-        let tele = Telemetry::new(cfg.obs.clone(), EventLog::new(cfg.event_log));
+        let tele = Telemetry::new(cfg.obs.clone(), EventLog::new(cfg.event_log), store.kind());
         let pool = (cfg.workers >= 2).then(|| WorkerPool::new(cfg.workers));
         Engine {
             shared: Rc::new(Shared {
@@ -895,13 +907,7 @@ impl Engine {
                 self.attempt_failed(sim.now(), inner, &info, FailureKind::ExecutorLost, reason);
             }
         }
-        sh.store.on_executor_lost(sim, id.as_str());
-        if !sh.store.survives_executor_loss() {
-            let affected = sh.inner.borrow_mut().tracker.unregister_executor(id);
-            if !affected.is_empty() {
-                self.rollback_incomplete_stages(sim);
-            }
-        }
+        self.lose_executor_blocks(sim, id);
         self.progress_all_jobs(sim);
     }
 
@@ -967,17 +973,25 @@ impl Engine {
             cb
         };
         // A decommissioned executor's node is gone; local blocks with it.
-        sh.store.on_executor_lost(sim, id.as_str());
-        if !sh.store.survives_executor_loss() {
-            let affected = sh.inner.borrow_mut().tracker.unregister_executor(&id);
-            if !affected.is_empty() {
-                self.rollback_incomplete_stages(sim);
-            }
-        }
+        self.lose_executor_blocks(sim, &id);
         if let Some(cb) = cb {
             cb(sim, id);
         }
         self.progress_all_jobs(sim);
+    }
+
+    /// Tells the store `id` is gone. If its blocks go with it, its map
+    /// outputs are unregistered and the stages that need them roll back.
+    fn lose_executor_blocks(&self, sim: &mut Sim, id: &ExecutorId) {
+        let sh = &*self.shared;
+        sh.tele.record_store_executor_loss();
+        sh.store.on_executor_lost(sim, id.as_str());
+        if !sh.store.survives_executor_loss() {
+            let affected = sh.inner.borrow_mut().tracker.unregister_executor(id);
+            if !affected.is_empty() {
+                self.rollback_incomplete_stages(sim);
+            }
+        }
     }
 
     /// Marks stages whose map outputs vanished as needing resubmission and
@@ -1381,8 +1395,8 @@ impl Engine {
             f.next += 1;
             f.outstanding += 1;
             let block = BlockId::shuffle(writer, shuffle.0, map as u64, a.info.task.part as u64);
-            let span = f.span;
-            (f.client, block, inner.requests.insert(BlockRequest { attempt, at, span }))
+            let request = BlockRequest { attempt, at, span: f.span, issued: sim.now(), len: 0 };
+            (f.client, block, inner.requests.insert(request))
         };
         sh.store
             .get_to(sim, client, block, self.shared.clone(), u64::from(token));
@@ -1680,7 +1694,9 @@ impl Engine {
             let TaskRef { exec, part, .. } = a.info.task;
             let block = BlockId::shuffle(exec, w.shuffle.0, part as u64, reduce as u64);
             let bytes = w.buckets[reduce].bytes.clone();
-            let request = BlockRequest { attempt, at: reduce, span: w.span };
+            let len = bytes.len() as u64;
+            let request =
+                BlockRequest { attempt, at: reduce, span: w.span, issued: sim.now(), len };
             (w.client, block, bytes, inner.requests.insert(request))
         };
         sh.store

@@ -5,6 +5,12 @@
 //! series, the executor-lane spans of the Chrome trace, the rollups, and
 //! finally the event log — so the views agree by construction.
 //!
+//! Two recorder calls feed the registry beside it without a logged event:
+//! [`Telemetry::record_body`] for what a task body measured, and
+//! [`Telemetry::record_store_op`] for each store request as it lands — so
+//! the `store_*` series count every request the engine makes, under
+//! whatever decorators the store wears.
+//!
 //! Registry and rollup series are resolved once at construction into
 //! handles; span names and annotations are only formatted while the span
 //! recorder is on, and are moved into it. A run without observability
@@ -13,7 +19,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use splitserve_des::SimTime;
+use splitserve_des::{SimDuration, SimTime};
 use splitserve_obs::{CounterHandle, HistogramHandle, Obs, QuantileHandle, RollupHandle, SpanId};
 
 use crate::context::TaskContext;
@@ -36,9 +42,19 @@ const FAILURES: [FailureKind; 3] = [
 ];
 const PHASES: [ShufflePhase; 2] = [ShufflePhase::Fetch, ShufflePhase::Write];
 
+/// A store request, as the `op` label of the `store_*` series names it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StoreOp {
+    Put,
+    Get,
+}
+
+const STORE_OPS: [&str; 2] = ["put", "get"];
+
 /// Every registry and rollup series the scheduler's steady-state events
 /// feed, resolved once. Arrays are indexed by the discriminant of
-/// [`ExecutorKind`], [`FailureKind`] or [`ShufflePhase`] (`as usize`).
+/// [`ExecutorKind`], [`FailureKind`], [`ShufflePhase`] or [`StoreOp`]
+/// (`as usize`).
 #[derive(Debug, Default)]
 struct Handles {
     executors_registered: [CounterHandle; 2],
@@ -62,12 +78,21 @@ struct Handles {
     shuffle_combine_seconds_quant: QuantileHandle,
     task_run_rollup: [RollupHandle; 2],
     job_execution_rollup: RollupHandle,
+    store_op_seconds_hist: [HistogramHandle; 2],
+    store_op_seconds_quant: [QuantileHandle; 2],
+    /// `[op][ok, err]`.
+    store_ops: [[CounterHandle; 2]; 2],
+    /// Bytes written by puts, read by gets.
+    store_bytes: [CounterHandle; 2],
+    store_executor_losses: CounterHandle,
 }
 
 impl Handles {
-    fn resolve(obs: &Obs) -> Self {
+    /// `store` labels the `store_*` series: the engine's store's kind.
+    fn resolve(obs: &Obs, store: &str) -> Self {
         let m = &obs.metrics;
         let per_kind = |name: &str| KINDS.map(|k| m.counter_handle(name, &[("kind", k.label())]));
+        let per_op = |op| [("store", store), ("op", op)];
         Handles {
             executors_registered: per_kind("executors_registered_total"),
             tasks_completed: per_kind("tasks_completed_total"),
@@ -104,6 +129,20 @@ impl Handles {
             task_run_rollup: KINDS
                 .map(|k| obs.rollups.handle("task_run_seconds", &[("kind", k.label())])),
             job_execution_rollup: obs.rollups.handle("job_execution_seconds", &[]),
+            store_op_seconds_hist: STORE_OPS
+                .map(|op| m.histogram_handle("store_op_seconds", &per_op(op))),
+            store_op_seconds_quant: STORE_OPS
+                .map(|op| m.quantile_handle("store_op_seconds", &per_op(op))),
+            store_ops: STORE_OPS.map(|op| {
+                ["ok", "err"].map(|outcome| {
+                    let labels = [("store", store), ("op", op), ("outcome", outcome)];
+                    m.counter_handle("store_ops_total", &labels)
+                })
+            }),
+            store_bytes: ["store_bytes_written_total", "store_bytes_read_total"]
+                .map(|name| m.counter_handle(name, &[("store", store)])),
+            store_executor_losses: m
+                .counter_handle("store_executor_losses_total", &[("store", store)]),
         }
     }
 }
@@ -121,9 +160,9 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    pub fn new(obs: Obs, log: EventLog) -> Self {
+    pub fn new(obs: Obs, log: EventLog, store: &str) -> Self {
         Telemetry {
-            h: Handles::resolve(&obs),
+            h: Handles::resolve(&obs, store),
             obs,
             log,
             jobs: RefCell::default(),
@@ -160,6 +199,29 @@ impl Telemetry {
             self.h.shuffle_combine_seconds_hist.observe(secs);
             self.h.shuffle_combine_seconds_quant.record(secs);
         }
+    }
+
+    /// Records a store request as it lands: its latency from request to
+    /// answer, and its outcome — `Some(bytes moved)` for an `Ok`, `None`
+    /// for any `Err`, which moves no bytes. A recorder call like
+    /// [`Telemetry::record_body`].
+    pub fn record_store_op(&self, op: StoreOp, latency: SimDuration, moved: Option<u64>) {
+        let (h, i) = (&self.h, op as usize);
+        let secs = latency.as_secs_f64();
+        h.store_op_seconds_hist[i].observe(secs);
+        h.store_op_seconds_quant[i].record(secs);
+        match moved {
+            Some(bytes) => {
+                h.store_ops[i][0].inc();
+                h.store_bytes[i].add(bytes);
+            }
+            None => h.store_ops[i][1].inc(),
+        }
+    }
+
+    /// Records that the store was told an executor is gone.
+    pub fn record_store_executor_loss(&self) {
+        self.h.store_executor_losses.inc();
     }
 
     /// Reports an occurrence that neither continues nor opens a span.

@@ -165,12 +165,36 @@ fn run_with_kill(kill_at: Option<SimTime>) -> (Rig, SimTime) {
     (rig, out.metrics.completed_at)
 }
 
+/// Every store request the engine made landed back in it and was
+/// recorded once: on a run with no injected store fault, the `store_*`
+/// series equal the store's own counters.
+fn assert_store_series_match_the_store(rig: &Rig, what: &str) {
+    let (m, stats) = (&rig.engine.obs().metrics, rig.engine.store().stats());
+    let ops = |op, outcome| {
+        let labels = [("store", "local-disk"), ("op", op), ("outcome", outcome)];
+        m.counter_value("store_ops_total", &labels)
+    };
+    let bytes = |name| m.counter_value(name, &[("store", "local-disk")]);
+    assert_eq!(
+        [
+            ops("put", "ok"),
+            ops("get", "ok"),
+            ops("get", "err"),
+            bytes("store_bytes_written_total"),
+            bytes("store_bytes_read_total"),
+        ],
+        [stats.puts, stats.gets, stats.failed_gets, stats.bytes_in, stats.bytes_out],
+        "{what}"
+    );
+}
+
 #[test]
 fn invariants_survive_executor_kill_and_rollback() {
     // A kill every 3 ms across the job: on links this slow the instants
     // land in fetch, compute and write phases alike. Whatever a kill
     // hits, every view of the run must tell the same story.
-    let (_, done_at) = run_with_kill(None);
+    let (rig, done_at) = run_with_kill(None);
+    assert_store_series_match_the_store(&rig, "no kill");
     let instants: Vec<u64> = (1..)
         .map(|i| i * 3)
         .take_while(|ms| *ms * 1_000 < done_at.as_micros())
@@ -215,6 +239,7 @@ fn invariants_survive_executor_kill_and_rollback() {
             (written, counter("shuffle_bytes_written_total")),
             (m.shuffle_bytes_written, written)
         );
+        assert_store_series_match_the_store(&rig, &format!("kill at {ms} ms"));
         // Failed attempts close their spans too.
         let spans = obs.spans.finished_spans();
         let task_spans = spans.iter().filter(|s| s.name.starts_with("task ")).count();

@@ -1,8 +1,7 @@
 //! Fault-injection middleware over any [`BlockStore`].
 //!
 //! [`FaultStore`] is the storage arm of the chaos plane (the `splitserve-chaos`
-//! crate): a decorator in the mold of [`InstrumentedStore`](crate::InstrumentedStore)
-//! that forwards every call to the wrapped store, but can
+//! crate): a decorator that forwards every call to the wrapped store, but can
 //!
 //! - fail the Nth `get` / Nth `put` with [`StoreError::Injected`] — the
 //!   deterministic stand-in for a flaky fetch or a rejected shuffle write;
@@ -17,9 +16,8 @@
 //! always the same operation. Faults injected are counted on the schedule
 //! (and, when a registry is attached, as `faults_injected_total{kind}`).
 //!
-//! Like the instrumentation decorator, [`FaultStore::wrap`] is the
-//! identity when the schedule is empty: an unarmed chaos run adds no
-//! virtual-dispatch hop to the data path.
+//! [`FaultStore::wrap`] is the identity when the schedule is empty: an
+//! unarmed chaos run adds no virtual-dispatch hop to the data path.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -430,91 +428,6 @@ mod tests {
         assert!(!store.contains(&block));
         assert_eq!((bare.used_bytes(), bare.block_count()), (0, 0));
         assert_eq!((store.stats().puts, store.stats().bytes_in), (1, 32));
-    }
-
-    /// Satellite check for the chaos plane: stacking the instrumentation
-    /// decorator *over* the fault decorator (the order `Deployment`
-    /// uses) makes injected errors visible as ordinary error outcomes.
-    #[test]
-    fn instrumented_over_fault_counts_injected_error_outcome() {
-        let metrics = MetricsRegistry::enabled();
-        let faults = StoreFaults::new();
-        faults.fail_nth_put(1);
-        let fabric = Fabric::new();
-        let store: SharedStore = Rc::new(LocalDiskStore::new(fabric.clone()));
-        let stacked =
-            crate::InstrumentedStore::wrap(FaultStore::wrap(store, faults), metrics.clone());
-        let nic = fabric.add_link(1e9, "nic");
-        let disk = fabric.add_link(1e9, "disk");
-        stacked.register_executor("e-0", ClientLoc::vm(nic, disk));
-        let mut sim = Sim::new(1);
-        stacked.put(
-            &mut sim,
-            ClientLoc::vm(nic, disk),
-            BlockId::named("e-0", "x"),
-            Bytes::from(vec![0u8; 8]),
-            Box::new(|_, r| assert!(r.is_err())),
-        );
-        sim.run();
-        assert_eq!(
-            metrics.counter_value(
-                "store_ops_total",
-                &[("store", "local-disk"), ("op", "put"), ("outcome", "err")]
-            ),
-            1,
-            "injected failure shows up as an ordinary error outcome"
-        );
-        assert_eq!(
-            metrics.counter_value("store_bytes_written_total", &[("store", "local-disk")]),
-            0,
-            "nothing was actually written"
-        );
-    }
-
-    /// Injected latency must be measured by the instrumentation layer
-    /// like organic slowness would be.
-    #[test]
-    fn instrumented_over_fault_sees_injected_latency() {
-        let metrics = MetricsRegistry::enabled();
-        let faults = StoreFaults::new();
-        faults.add_latency_window(
-            SimTime::ZERO,
-            SimTime::from_secs(60),
-            SimDuration::from_secs(3),
-        );
-        let fabric = Fabric::new();
-        let store: SharedStore = Rc::new(LocalDiskStore::new(fabric.clone()));
-        let stacked =
-            crate::InstrumentedStore::wrap(FaultStore::wrap(store, faults), metrics.clone());
-        let nic = fabric.add_link(1e9, "nic");
-        let disk = fabric.add_link(1e9, "disk");
-        stacked.register_executor("e-0", ClientLoc::vm(nic, disk));
-        let mut sim = Sim::new(1);
-        let client = ClientLoc::vm(nic, disk);
-        let blk = BlockId::named("e-0", "slow");
-        stacked.put(
-            &mut sim,
-            client,
-            blk,
-            Bytes::from(vec![0u8; 128]),
-            Box::new(|_, r| r.expect("delayed, not failed")),
-        );
-        sim.run();
-        stacked.get(&mut sim, client, blk, Box::new(|_, r| {
-            r.expect("delayed, not failed");
-        }));
-        sim.run();
-        for op in ["put", "get"] {
-            let h = metrics
-                .histogram("store_op_seconds", &[("store", "local-disk"), ("op", op)])
-                .expect("latency recorded");
-            assert_eq!(h.count, 1);
-            assert!(
-                h.sum >= 3.0,
-                "{op} latency must include the injected 3 s (got {})",
-                h.sum
-            );
-        }
     }
 
     #[test]

@@ -22,7 +22,6 @@ mod api;
 mod fault;
 mod hdfs;
 mod local;
-mod obs;
 mod redis;
 mod s3;
 mod sqs;
@@ -34,7 +33,6 @@ pub use api::{
 pub use fault::{FaultStore, StoreFaults};
 pub use hdfs::{HdfsSpec, HdfsStore};
 pub use local::LocalDiskStore;
-pub use obs::InstrumentedStore;
 pub use redis::{RedisSpec, RedisStore};
 pub use s3::{S3Spec, S3Store};
 pub use sqs::{SqsSpec, SqsStore, SQS_MESSAGE_BYTES};

@@ -4,7 +4,7 @@
 //! with their executor — and the one deliberate asymmetry stays: an S3
 //! miss is billed, an SQS miss is not. Asking by token (`put_to` /
 //! `get_to`) or by callback (`put` / `get`) makes no difference a caller
-//! can see, bare or under either decorator.
+//! can see, bare or under the fault decorator.
 
 use splitserve_rt::{check, Bytes};
 use std::cell::RefCell;
@@ -12,12 +12,11 @@ use std::rc::Rc;
 
 use splitserve_cloud::{Category, Cloud, CloudSpec, S3_USD_PER_GET};
 use splitserve_des::{Fabric, Sim};
-use splitserve_obs::MetricsRegistry;
 use splitserve_des::{SimDuration, SimTime};
 use splitserve_storage::{
-    BlockId, BlockStore, ClientLoc, FaultStore, HdfsSpec, HdfsStore, InstrumentedStore,
-    LocalDiskStore, RedisSpec, RedisStore, S3Spec, S3Store, SqsSpec, SqsStore, StoreClient,
-    StoreError, StoreFaults, StoreStats,
+    BlockId, BlockStore, ClientLoc, FaultStore, HdfsSpec, HdfsStore, LocalDiskStore, RedisSpec,
+    RedisStore, S3Spec, S3Store, SqsSpec, SqsStore, StoreClient, StoreError, StoreFaults,
+    StoreStats,
 };
 
 /// One store of each kind over `fabric`; request fees go to `cloud`.
@@ -166,14 +165,13 @@ fn only_local_store_loses_blocks_on_executor_death() {
 }
 
 /// `forget_shuffle` drops exactly that shuffle's blocks, whichever
-/// executor wrote them, on every store — bare and under each decorator,
-/// which must forward the call. Other shuffles and named blocks stay, an
+/// executor wrote them, on every store — bare and under the fault
+/// decorator, which must forward the call. Other shuffles and named blocks stay, an
 /// unknown id changes nothing, and no counter moves.
 #[test]
 fn forget_shuffle_drops_exactly_that_shuffles_blocks() {
-    let wraps: [(&str, Wrap); 3] = [
+    let wraps: [(&str, Wrap); 2] = [
         ("bare", |s| s),
-        ("instrumented", |s| InstrumentedStore::wrap(s, MetricsRegistry::enabled())),
         ("fault", |s| {
             let faults = StoreFaults::new();
             faults.fail_nth_get(u64::MAX); // armed, never strikes
@@ -357,14 +355,13 @@ fn heard(seed: u64, which: usize, wrap: Wrap, typed: bool) -> (String, StoreStat
 
 /// `put_to` / `get_to` answer exactly as `put` / `get` do — the same
 /// results at the same virtual instants, in the same order, with the same
-/// counters and bill — on all five stores, bare and under each decorator
-/// (the fault layer delays the first batch and fails a put and a get), and
+/// counters and bill — on all five stores, bare and under the fault
+/// decorator (which delays the first batch and fails a put and a get), and
 /// for the answers a store gives at once: a refused put, a missing block.
 #[test]
 fn token_requests_answer_like_callbacks() {
-    let layers: [(&str, Wrap); 3] = [
+    let layers: [(&str, Wrap); 2] = [
         ("bare", |s| s),
-        ("instrumented", |s| InstrumentedStore::wrap(s, MetricsRegistry::enabled())),
         ("fault", |s| {
             let faults = StoreFaults::new();
             let (from, until) = (SimTime::ZERO, SimTime::from_micros(1));

@@ -145,7 +145,7 @@ fn obs_holds_no_lock_or_atomic() {
 }
 
 /// Process-global state is what keeps independent `Sim`s from running
-/// side by side (ROADMAP item 3), so it can only go down: the `static`s
+/// side by side (ROADMAP item 1), so it can only go down: the `static`s
 /// (a `thread_local!` declares one) in the crates' non-test lines are
 /// these four —
 /// the plan-node and shuffle id counters, the interner's tables and the
@@ -166,4 +166,30 @@ fn process_global_state_is_the_four_known_statics() {
         .collect();
     names.sort();
     assert_eq!(names, ["NEXT_NODE", "NEXT_SHUFFLE", "POOL", "TABLES"]);
+}
+
+/// Panic sites in the crates' non-test lines: a file up to its first
+/// `#[cfg(test)]`, doc examples included — what `scripts/loc.sh` counts.
+/// The figure may only go down: a change that removes sites lowers
+/// `CEILING` to the new count, and nothing raises it.
+#[test]
+fn panic_sites_only_go_down() {
+    const CEILING: usize = 107;
+    const SITES: [&str; 4] = [".unwrap()", ".expect(", "panic!", "unreachable!"];
+    let mut per_file = Vec::new();
+    for (path, text) in rust_files(&["crates"]) {
+        if !path.to_string_lossy().contains("/src/") {
+            continue;
+        }
+        let code = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        let n: usize = code
+            .map(|line| SITES.iter().map(|site| line.matches(site).count()).sum::<usize>())
+            .sum();
+        if n > 0 {
+            per_file.push((n, path.display().to_string()));
+        }
+    }
+    let total: usize = per_file.iter().map(|(n, _)| n).sum();
+    per_file.sort();
+    assert!(total <= CEILING, "{total} panic sites, ceiling {CEILING}: {per_file:#?}");
 }
