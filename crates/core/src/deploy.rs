@@ -462,7 +462,7 @@ mod tests {
     use super::*;
     use splitserve_cloud::M4_XLARGE;
     use splitserve_des::{Dist, SimDuration, SimTime};
-    use splitserve_engine::{collect_partitions, Dataset};
+    use splitserve_engine::{collect_partitions, Dataset, ExecutorKind};
     use std::cell::RefCell;
 
     fn quiet_cloud() -> CloudSpec {
@@ -508,7 +508,7 @@ mod tests {
         assert_eq!(rows.len(), 8);
         // Lambdas actually did the work.
         let execs = d.engine().executors();
-        assert!(execs.iter().all(|e| e.id.as_str().starts_with("lambda-")));
+        assert!(execs.iter().all(|e| e.kind == ExecutorKind::Lambda));
         assert!(execs.iter().any(|e| e.tasks_done > 0));
     }
 

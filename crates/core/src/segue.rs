@@ -133,7 +133,7 @@ mod tests {
     use crate::deploy::ShuffleStoreKind;
     use splitserve_cloud::{CloudSpec, M4_4XLARGE, M4_XLARGE};
     use splitserve_des::Dist;
-    use splitserve_engine::{collect_partitions, Dataset};
+    use splitserve_engine::{collect_partitions, Dataset, ExecutorKind};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -184,7 +184,7 @@ mod tests {
             .engine()
             .executors()
             .iter()
-            .filter(|e| e.id.as_str().starts_with("lambda-") && e.alive)
+            .filter(|e| e.kind == ExecutorKind::Lambda && e.alive)
             .count();
         assert_eq!(lambdas_alive, 0, "all lambdas decommissioned");
         let correct = collect_partitions::<(u64, f64)>(r.partitions);

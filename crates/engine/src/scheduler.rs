@@ -90,25 +90,20 @@ struct AttemptInfo {
 }
 
 /// Everything the scheduler holds for one task attempt: who and where it
-/// is, plus the window state of whichever shuffle phase it is in. The
-/// store requests of that phase name the attempt by id ([`BlockRequest`])
-/// and look the window up here — so an attempt that dies (its entry
-/// removed) takes its fetch plan and unwritten buckets with it, and a
-/// request that lands afterwards finds nothing and stops.
+/// is, plus the transfer window of its shuffle fetch or write while one
+/// is open. The store requests of that window name the attempt by id
+/// ([`BlockRequest`]) and look the window up here — so an attempt that
+/// dies (its entry removed) takes its fetch plan and unwritten buckets
+/// with it, and a request that lands afterwards finds nothing and stops.
 struct Attempt {
     info: AttemptInfo,
     /// The blocks the task must fetch before it computes, as
     /// `(shuffle, map index, writer, size)` in input-shuffle then map
     /// order; fixed at dispatch.
     plan: Vec<(ShuffleId, usize, ExecutorId, u64)>,
-    io: ShuffleIo,
-}
-
-enum ShuffleIo {
-    /// Between phases (waiting for its launch, computing, finishing).
-    Idle,
-    Fetch(FetchWindow),
-    Write(WriteWindow),
+    /// `None` between phases (waiting for its launch, computing,
+    /// finishing).
+    io: Option<Transfer>,
 }
 
 /// Maximum concurrent block requests per task, for shuffle reads and
@@ -130,12 +125,27 @@ const STRAGGLER_MULTIPLE: f64 = 2.0;
 /// make the quantile meaningless.
 const STRAGGLER_MIN_SAMPLES: u64 = 4;
 
-/// A reduce-side fetch in flight: at most [`MAX_FETCH_CONCURRENCY`] gets
-/// outstanding, issued in plan order.
-struct FetchWindow {
-    /// Next plan entry to request.
+/// A shuffle phase in flight — a reduce-side fetch or a map-side write,
+/// which are the same operation: at most [`MAX_FETCH_CONCURRENCY`] block
+/// requests outstanding, issued in order (gets in plan order, puts of the
+/// non-empty buckets in reduce order).
+struct Transfer {
+    /// Next plan entry or bucket to consider (empty buckets are skipped,
+    /// never written).
     next: usize,
+    /// Requests not yet handed to the store.
+    unsent: usize,
     outstanding: usize,
+    /// The phase's byte total, for its finish event.
+    bytes: u64,
+    client: ClientLoc,
+    span: SpanId,
+    started: SimTime,
+    dir: Direction,
+}
+
+/// What a [`Transfer`] moves, and what it hands on when it finishes.
+enum Direction {
     /// Fetched blocks, parallel to the plan (`None` until they land; an
     /// empty `Bytes` would cost an allocation each). Completions arrive in
     /// whatever order the store finishes them (fault injection and
@@ -143,28 +153,15 @@ struct FetchWindow {
     /// position hands compute its inputs in map order regardless — task
     /// inputs, and therefore outputs, stay bit-identical across fault
     /// schedules.
-    blocks: Vec<Option<Bytes>>,
-    client: ClientLoc,
-    span: SpanId,
-    started: SimTime,
-}
-
-/// A map-side write in flight: the non-empty buckets go out in reduce
-/// order under the same window.
-struct WriteWindow {
-    shuffle: ShuffleId,
-    buckets: Vec<ShuffleBucket>,
-    /// Next bucket to consider (empty ones are skipped, never written).
-    next: usize,
-    /// Non-empty buckets not yet handed to the store.
-    unsent: usize,
-    outstanding: usize,
-    /// Serialized size of every bucket, for the map status.
-    sizes: Vec<u64>,
-    cpu: f64,
-    client: ClientLoc,
-    span: SpanId,
-    started: SimTime,
+    Fetch(Vec<Option<Bytes>>),
+    /// A map task's buckets, the serialized size of every bucket (for the
+    /// map status) and the CPU seconds its body charged.
+    Write {
+        shuffle: ShuffleId,
+        buckets: Vec<ShuffleBucket>,
+        sizes: Vec<u64>,
+        cpu: f64,
+    },
 }
 
 /// A block get or put the store holds for an attempt, parked under the
@@ -663,33 +660,16 @@ impl EventHandler for Shared {
     }
 }
 
-impl Shared {
-    /// The block request the store answers under `token`, out of the
-    /// table before the landing runs.
-    fn take_request(&self, token: u64) -> BlockRequest {
-        let slot = u32::try_from(token).expect("a store token is a request slot");
-        let taken = self.inner.borrow_mut().requests.take(slot);
-        taken.expect("the store answers a parked request once")
-    }
-}
-
-/// Every store request lands here, above any decorator the store wears:
-/// injected errors and latency are recorded like organic ones.
+/// Every store request lands in [`Engine::landed`], above any decorator
+/// the store wears: injected errors and latency are recorded like organic
+/// ones.
 impl StoreClient for Shared {
     fn put_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<(), StoreError>) {
-        let BlockRequest { attempt, span, issued, len, .. } = self.take_request(token);
-        let moved = result.is_ok().then_some(len);
-        self.tele
-            .record_store_op(StoreOp::Put, sim.now().saturating_since(issued), moved);
-        Engine { shared: self }.write_landed(sim, attempt, span, result);
+        Engine { shared: self }.landed(sim, token, StoreOp::Put, result.map(|()| None));
     }
 
     fn get_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<Bytes, StoreError>) {
-        let BlockRequest { attempt, at, span, issued, .. } = self.take_request(token);
-        let moved = result.as_ref().ok().map(|b| b.len() as u64);
-        self.tele
-            .record_store_op(StoreOp::Get, sim.now().saturating_since(issued), moved);
-        Engine { shared: self }.fetch_landed(sim, attempt, at, span, result);
+        Engine { shared: self }.landed(sim, token, StoreOp::Get, result.map(Some));
     }
 }
 
@@ -1315,7 +1295,7 @@ impl Engine {
                             straggler_flagged: false,
                         },
                         plan,
-                        io: ShuffleIo::Idle,
+                        io: None,
                     },
                 );
                 // The driver is a single-threaded dispatcher: task
@@ -1328,150 +1308,209 @@ impl Engine {
         }
     }
 
-    /// Starts the (window-bounded) shuffle fetch for a task, then runs its
+    /// Starts a task's shuffle fetch, or — with nothing to fetch — its
     /// computation.
     fn begin_fetch(&self, sim: &mut Sim, attempt: AttemptId) {
-        let sh = &*self.shared;
-        let gets = {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
+        let fetch = {
+            let inner = self.shared.inner.borrow();
             let Some(a) = inner.attempts.get(&attempt) else {
                 return;
             };
-            let (info, blocks) = (a.info, a.plan.len());
-            if blocks == 0 {
-                let job = inner.jobs[info.task.job.0 as usize]
+            if a.plan.is_empty() {
+                let job = inner.jobs[a.info.task.job.0 as usize]
                     .live
                     .as_ref()
                     .expect("an attempt pins its job");
-                Err(task_inputs(job.graph.stage(info.task.stage), &[], Vec::new()))
+                Err(task_inputs(job.graph.stage(a.info.task.stage), &[], Vec::new()))
             } else {
-                let bytes = a.plan.iter().map(|(_, _, _, size)| size).sum();
-                let meta = inner.exec(info.task.exec).expect("executor of live attempt");
-                let started = E::ShufflePhaseStarted {
-                    task: info.task,
-                    kind: meta.desc.kind,
-                    phase: ShufflePhase::Fetch,
-                    bytes,
-                };
-                let span = sh.tele.emit_span(sim.now(), SpanId::NONE, started);
-                let client = meta.desc.client_loc();
-                let a = inner.attempts.get_mut(&attempt).expect("seen above");
-                a.io = ShuffleIo::Fetch(FetchWindow {
-                    next: 0,
-                    outstanding: 0,
-                    blocks: vec![None; blocks],
-                    client,
-                    span,
-                    started: sim.now(),
-                });
-                Ok(MAX_FETCH_CONCURRENCY.min(blocks))
+                Ok((a.plan.iter().map(|(_, _, _, size)| size).sum(), a.plan.len()))
             }
         };
-        match gets {
-            Ok(window) => (0..window).for_each(|_| self.fetch_next(sim, attempt)),
+        match fetch {
+            Ok((bytes, blocks)) => {
+                let dir = Direction::Fetch(vec![None; blocks]);
+                self.open_transfer(sim, attempt, bytes, blocks, dir);
+            }
             Err(no_inputs) => self.run_compute(sim, attempt, no_inputs),
         }
     }
 
-    /// Requests the attempt's next planned block, if any is left. A no-op
-    /// for a dead attempt: a get can fail synchronously and take the
-    /// attempt down while its window is still being opened.
-    fn fetch_next(&self, sim: &mut Sim, attempt: AttemptId) {
+    /// Opens the attempt's shuffle phase: reports it started, then issues
+    /// the first [`MAX_FETCH_CONCURRENCY`] of its `unsent` requests.
+    fn open_transfer(
+        &self,
+        sim: &mut Sim,
+        attempt: AttemptId,
+        bytes: u64,
+        unsent: usize,
+        dir: Direction,
+    ) {
         let sh = &*self.shared;
-        let (client, block, token) = {
+        {
+            let mut inner = sh.inner.borrow_mut();
+            let inner = &mut *inner;
+            let Some(task) = inner.attempts.get(&attempt).map(|a| a.info.task) else {
+                return;
+            };
+            let meta = inner.exec(task.exec).expect("executor of live attempt");
+            let phase = match dir {
+                Direction::Fetch(_) => ShufflePhase::Fetch,
+                Direction::Write { .. } => ShufflePhase::Write,
+            };
+            let started = E::ShufflePhaseStarted { task, kind: meta.desc.kind, phase, bytes };
+            let span = sh.tele.emit_span(sim.now(), SpanId::NONE, started);
+            let client = meta.desc.client_loc();
+            let transfer = Transfer {
+                next: 0,
+                unsent,
+                outstanding: 0,
+                bytes,
+                client,
+                span,
+                started: sim.now(),
+                dir,
+            };
+            if let Some(a) = inner.attempts.get_mut(&attempt) {
+                a.io = Some(transfer);
+            }
+        }
+        (0..MAX_FETCH_CONCURRENCY.min(unsent)).for_each(|_| self.issue_next(sim, attempt));
+    }
+
+    /// Hands the store the attempt's next request, if any is left: a get of
+    /// the next plan entry, or a put of the next non-empty bucket. A no-op
+    /// for a dead attempt: a request can fail synchronously and take the
+    /// attempt down while its window is still being opened.
+    fn issue_next(&self, sim: &mut Sim, attempt: AttemptId) {
+        let sh = &*self.shared;
+        let (client, block, put, token) = {
             let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
             let Some(a) = inner.attempts.get_mut(&attempt) else {
                 return;
             };
-            let ShuffleIo::Fetch(f) = &mut a.io else {
+            let Some(t) = a.io.as_mut().filter(|t| t.unsent > 0) else {
                 return;
             };
-            let Some(&(shuffle, map, writer, _)) = a.plan.get(f.next) else {
-                return;
+            let TaskRef { exec, part, .. } = a.info.task;
+            let (block, put) = match &t.dir {
+                Direction::Fetch(_) => {
+                    let (shuffle, map, writer, _) = a.plan[t.next];
+                    (BlockId::shuffle(writer, shuffle.0, map as u64, part as u64), None)
+                }
+                Direction::Write { shuffle, buckets, .. } => {
+                    while buckets[t.next].bytes.is_empty() {
+                        t.next += 1;
+                    }
+                    let block = BlockId::shuffle(exec, shuffle.0, part as u64, t.next as u64);
+                    (block, Some(buckets[t.next].bytes.clone()))
+                }
             };
-            let at = f.next;
-            f.next += 1;
-            f.outstanding += 1;
-            let block = BlockId::shuffle(writer, shuffle.0, map as u64, a.info.task.part as u64);
-            let request = BlockRequest { attempt, at, span: f.span, issued: sim.now(), len: 0 };
-            (f.client, block, inner.requests.insert(request))
+            let at = t.next;
+            t.next += 1;
+            t.unsent -= 1;
+            t.outstanding += 1;
+            let len = put.as_ref().map_or(0, |bytes| bytes.len() as u64);
+            let request = BlockRequest { attempt, at, span: t.span, issued: sim.now(), len };
+            (t.client, block, put, u64::from(inner.requests.insert(request)))
         };
-        sh.store
-            .get_to(sim, client, block, self.shared.clone(), u64::from(token));
+        let to = self.shared.clone();
+        match put {
+            Some(bytes) => sh.store.put_to(sim, client, block, bytes, to, token),
+            None => sh.store.get_to(sim, client, block, to, token),
+        }
     }
 
-    /// A get of plan entry `at` came back.
-    fn fetch_landed(
+    /// The store answered the request parked under `token`: a get with
+    /// `Some` block, a put with `None`. A live attempt's window issues its
+    /// next request, or hands on what it moved once the last one is in, or
+    /// fails its attempt; a dead attempt's landing closes the phase's span.
+    fn landed(
         &self,
         sim: &mut Sim,
-        attempt: AttemptId,
-        at: usize,
-        span: SpanId,
-        result: Result<Bytes, StoreError>,
+        token: u64,
+        op: StoreOp,
+        result: Result<Option<Bytes>, StoreError>,
     ) {
         enum Next {
-            Fetch,
-            /// Inputs in hand, and the event of the fetch finishing.
-            Compute(FastMap<ShuffleId, Vec<Bytes>>, EngineEventKind),
-            Failed(ShuffleId, usize, StoreError),
+            Issue,
+            Compute(FastMap<ShuffleId, Vec<Bytes>>),
+            Register(ShuffleId, Vec<u64>, f64),
+            FetchFailed(ShuffleId, usize, StoreError),
+            WriteFailed(StoreError),
         }
-        let aborted = E::ShufflePhaseAborted { phase: ShufflePhase::Fetch };
         let sh = &*self.shared;
+        let now = sim.now();
+        let slot = u32::try_from(token).expect("a store token is a request slot");
+        let taken = sh.inner.borrow_mut().requests.take(slot);
+        let BlockRequest { attempt, at, span, issued, len } =
+            taken.expect("the store answers a parked request once");
+        let moved = result.as_ref().ok().map(|b| b.as_ref().map_or(len, |b| b.len() as u64));
+        sh.tele.record_store_op(op, now.saturating_since(issued), moved);
+        let phase = match op {
+            StoreOp::Get => ShufflePhase::Fetch,
+            StoreOp::Put => ShufflePhase::Write,
+        };
         let next = {
             let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
-            match (inner.attempts.get_mut(&attempt), result) {
-                (None, _) => {
-                    sh.tele.emit_span(sim.now(), span, aborted);
-                    return;
-                }
-                (Some(a), Ok(bytes)) => {
-                    let ShuffleIo::Fetch(f) = &mut a.io else {
-                        unreachable!("a landing get belongs to a fetching attempt");
-                    };
-                    f.outstanding -= 1;
-                    f.blocks[at] = Some(bytes);
-                    if f.next < a.plan.len() || f.outstanding > 0 {
-                        Next::Fetch
-                    } else {
-                        let ShuffleIo::Fetch(f) = std::mem::replace(&mut a.io, ShuffleIo::Idle)
-                        else {
-                            unreachable!("matched above");
-                        };
-                        let plan = std::mem::take(&mut a.plan);
-                        let job = inner.jobs[a.info.task.job.0 as usize]
-                            .live
-                            .as_ref()
-                            .expect("an attempt pins its job");
-                        Next::Compute(
-                            task_inputs(job.graph.stage(a.info.task.stage), &plan, f.blocks),
-                            E::ShufflePhaseFinished {
-                                task: a.info.task,
-                                phase: ShufflePhase::Fetch,
-                                bytes: plan.iter().map(|(_, _, _, size)| size).sum(),
-                                secs: sim.now().saturating_since(f.started).as_secs_f64(),
-                            },
-                        )
+            let Some(a) = inner.attempts.get_mut(&attempt) else {
+                sh.tele.emit_span(now, span, E::ShufflePhaseAborted { phase });
+                return;
+            };
+            let t = a.io.as_mut().expect("a request lands in its attempt's open window");
+            match result {
+                Err(err) => {
+                    sh.tele.emit_span(now, span, E::ShufflePhaseAborted { phase });
+                    match t.dir {
+                        Direction::Fetch(_) => {
+                            let (shuffle, map, ..) = a.plan[at];
+                            Next::FetchFailed(shuffle, map, err)
+                        }
+                        Direction::Write { .. } => Next::WriteFailed(err),
                     }
                 }
-                (Some(a), Err(err)) => {
-                    let (shuffle, map, ..) = a.plan[at];
-                    Next::Failed(shuffle, map, err)
+                Ok(block) => {
+                    t.outstanding -= 1;
+                    if let (Direction::Fetch(blocks), Some(block)) = (&mut t.dir, block) {
+                        blocks[at] = Some(block);
+                    }
+                    match a.io.take_if(|t| t.unsent == 0 && t.outstanding == 0) {
+                        None => Next::Issue,
+                        Some(t) => {
+                            let (task, bytes) = (a.info.task, t.bytes);
+                            let secs = now.saturating_since(t.started).as_secs_f64();
+                            let finished = E::ShufflePhaseFinished { task, phase, bytes, secs };
+                            sh.tele.emit_span(now, span, finished);
+                            match t.dir {
+                                Direction::Fetch(blocks) => {
+                                    let job = inner.jobs[task.job.0 as usize]
+                                        .live
+                                        .as_ref()
+                                        .expect("an attempt pins its job");
+                                    let plan = std::mem::take(&mut a.plan);
+                                    let stage = job.graph.stage(task.stage);
+                                    Next::Compute(task_inputs(stage, &plan, blocks))
+                                }
+                                Direction::Write { shuffle, sizes, cpu, .. } => {
+                                    Next::Register(shuffle, sizes, cpu)
+                                }
+                            }
+                        }
+                    }
                 }
             }
         };
         match next {
-            Next::Fetch => self.fetch_next(sim, attempt),
-            Next::Compute(inputs, finished) => {
-                sh.tele.emit_span(sim.now(), span, finished);
-                self.run_compute(sim, attempt, inputs);
+            Next::Issue => self.issue_next(sim, attempt),
+            Next::Compute(inputs) => self.run_compute(sim, attempt, inputs),
+            Next::Register(shuffle, sizes, cpu) => {
+                self.map_outputs_done(sim, attempt, shuffle, sizes, cpu)
             }
-            Next::Failed(shuffle, map, err) => {
-                sh.tele.emit_span(sim.now(), span, aborted);
-                self.fetch_failed(sim, attempt, shuffle, map, err);
+            Next::FetchFailed(shuffle, map, err) => {
+                self.fetch_failed(sim, attempt, shuffle, map, err)
             }
+            Next::WriteFailed(err) => self.task_write_failed(sim, attempt, err),
         }
     }
 
@@ -1605,8 +1644,8 @@ impl Engine {
         }
     }
 
-    /// Window-bounded writes of a map task's non-empty buckets, then
-    /// registration.
+    /// Reports a map task computed, then writes its non-empty buckets —
+    /// or, with every bucket empty, registers its output at once.
     fn write_map_outputs(
         &self,
         sim: &mut Sim,
@@ -1615,145 +1654,28 @@ impl Engine {
         cpu: f64,
     ) {
         let sh = &*self.shared;
-        let puts = {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
+        let (shuffle, sizes) = {
+            let inner = sh.inner.borrow();
             let Some(a) = inner.attempts.get(&attempt) else {
                 return; // executor died while "computing"
             };
-            let info = a.info;
-            let job = inner.jobs[info.task.job.0 as usize]
+            let task = a.info.task;
+            let job = inner.jobs[task.job.0 as usize]
                 .live
                 .as_ref()
                 .expect("an attempt pins its job");
-            let StageKind::ShuffleMap(dep) = &job.graph.stage(info.task.stage).kind else {
+            let StageKind::ShuffleMap(dep) = &job.graph.stage(task.stage).kind else {
                 unreachable!("map payload implies map stage");
             };
-            let shuffle = dep.id;
-            let sizes: Vec<u64> = buckets.iter().map(|b| b.bytes.len() as u64).collect();
-            let (task, cpu_secs) = (info.task, cpu);
-            sh.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs });
-            let unsent = sizes.iter().filter(|size| **size > 0).count();
-            if unsent == 0 {
-                Err((shuffle, sizes))
-            } else {
-                let meta = inner.exec(info.task.exec).expect("executor of live attempt");
-                let started = E::ShufflePhaseStarted {
-                    task,
-                    kind: meta.desc.kind,
-                    phase: ShufflePhase::Write,
-                    bytes: sizes.iter().sum(),
-                };
-                let span = sh.tele.emit_span(sim.now(), SpanId::NONE, started);
-                let client = meta.desc.client_loc();
-                let a = inner.attempts.get_mut(&attempt).expect("seen above");
-                a.io = ShuffleIo::Write(WriteWindow {
-                    shuffle,
-                    buckets,
-                    next: 0,
-                    unsent,
-                    outstanding: 0,
-                    sizes,
-                    cpu,
-                    client,
-                    span,
-                    started: sim.now(),
-                });
-                Ok(MAX_FETCH_CONCURRENCY.min(unsent))
-            }
+            sh.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs: cpu });
+            (dep.id, buckets.iter().map(|b| b.bytes.len() as u64).collect::<Vec<_>>())
         };
-        match puts {
-            Ok(window) => (0..window).for_each(|_| self.write_next(sim, attempt)),
-            Err((shuffle, sizes)) => self.map_outputs_done(sim, attempt, shuffle, sizes, cpu),
-        }
-    }
-
-    /// Hands the attempt's next non-empty bucket to the store, if any is
-    /// left; a no-op for a dead attempt, like [`Engine::fetch_next`].
-    fn write_next(&self, sim: &mut Sim, attempt: AttemptId) {
-        let sh = &*self.shared;
-        let (client, block, bytes, token) = {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(a) = inner.attempts.get_mut(&attempt) else {
-                return;
-            };
-            let ShuffleIo::Write(w) = &mut a.io else {
-                return;
-            };
-            if w.unsent == 0 {
-                return;
-            }
-            while w.buckets[w.next].bytes.is_empty() {
-                w.next += 1;
-            }
-            let reduce = w.next;
-            w.next += 1;
-            w.unsent -= 1;
-            w.outstanding += 1;
-            let TaskRef { exec, part, .. } = a.info.task;
-            let block = BlockId::shuffle(exec, w.shuffle.0, part as u64, reduce as u64);
-            let bytes = w.buckets[reduce].bytes.clone();
-            let len = bytes.len() as u64;
-            let request =
-                BlockRequest { attempt, at: reduce, span: w.span, issued: sim.now(), len };
-            (w.client, block, bytes, inner.requests.insert(request))
-        };
-        sh.store
-            .put_to(sim, client, block, bytes, self.shared.clone(), u64::from(token));
-    }
-
-    /// A bucket write came back.
-    fn write_landed(
-        &self,
-        sim: &mut Sim,
-        attempt: AttemptId,
-        span: SpanId,
-        result: Result<(), StoreError>,
-    ) {
-        let sh = &*self.shared;
-        let aborted = E::ShufflePhaseAborted { phase: ShufflePhase::Write };
-        // `None`: more to write; `Some(Ok)`: all landed; `Some(Err)`: failed.
-        let next = {
-            let mut inner = sh.inner.borrow_mut();
-            match (inner.attempts.get_mut(&attempt), result) {
-                (None, _) => {
-                    sh.tele.emit_span(sim.now(), span, aborted);
-                    return;
-                }
-                (Some(a), Ok(())) => {
-                    let ShuffleIo::Write(w) = &mut a.io else {
-                        unreachable!("a landing put belongs to a writing attempt");
-                    };
-                    w.outstanding -= 1;
-                    if w.unsent > 0 || w.outstanding > 0 {
-                        None
-                    } else {
-                        let ShuffleIo::Write(w) = std::mem::replace(&mut a.io, ShuffleIo::Idle)
-                        else {
-                            unreachable!("matched above");
-                        };
-                        Some(Ok((w, a.info.task)))
-                    }
-                }
-                (Some(_), Err(err)) => Some(Err(err)),
-            }
-        };
-        match next {
-            None => self.write_next(sim, attempt),
-            Some(Ok((w, task))) => {
-                let finished = E::ShufflePhaseFinished {
-                    task,
-                    phase: ShufflePhase::Write,
-                    bytes: w.sizes.iter().sum(),
-                    secs: sim.now().saturating_since(w.started).as_secs_f64(),
-                };
-                sh.tele.emit_span(sim.now(), span, finished);
-                self.map_outputs_done(sim, attempt, w.shuffle, w.sizes, w.cpu);
-            }
-            Some(Err(err)) => {
-                sh.tele.emit_span(sim.now(), span, aborted);
-                self.task_write_failed(sim, attempt, err);
+        match sizes.iter().filter(|size| **size > 0).count() {
+            0 => self.map_outputs_done(sim, attempt, shuffle, sizes, cpu),
+            unsent => {
+                let bytes = sizes.iter().sum();
+                let dir = Direction::Write { shuffle, buckets, sizes, cpu };
+                self.open_transfer(sim, attempt, bytes, unsent, dir);
             }
         }
     }

@@ -16,7 +16,11 @@ use splitserve_engine::{
     JobOutput, LiveState,
 };
 use splitserve_obs::Obs;
-use splitserve_storage::{FaultStore, HdfsSpec, HdfsStore, SharedStore, StoreFaults};
+use splitserve_storage::{
+    BlockId, BlockStore, ClientLoc, FaultStore, GetCallback, HdfsSpec, HdfsStore, PutCallback,
+    SharedStore, StoreError, StoreFaults, StoreStats,
+};
+use splitserve_rt::Bytes;
 
 struct Rig {
     sim: Sim,
@@ -32,6 +36,16 @@ fn faulty_hdfs_rig(executors: usize, faults: StoreFaults) -> Rig {
 }
 
 fn faulty_hdfs_rig_with_workers(executors: usize, faults: StoreFaults, workers: usize) -> Rig {
+    hdfs_rig(executors, workers, |store| FaultStore::wrap(store, faults))
+}
+
+/// An HDFS-backed engine with observability on, whose store is `wrap`
+/// applied to the HDFS store.
+fn hdfs_rig(
+    executors: usize,
+    workers: usize,
+    wrap: impl FnOnce(SharedStore) -> SharedStore,
+) -> Rig {
     let fabric = Fabric::new();
     let hdfs = HdfsStore::new(HdfsSpec::default(), fabric.clone());
     let nn_nic = fabric.add_link(1e9, "hdfs-nic");
@@ -44,7 +58,7 @@ fn faulty_hdfs_rig_with_workers(executors: usize, faults: StoreFaults, workers: 
         workers,
         ..EngineConfig::default()
     };
-    let engine = Engine::new(cfg, FaultStore::wrap(store, faults));
+    let engine = Engine::new(cfg, wrap(store));
     let mut sim = Sim::new(7);
     for i in 0..executors {
         let nic = fabric.add_link(1e9, format!("nic-{i}"));
@@ -303,6 +317,133 @@ fn a_kill_with_store_requests_in_flight_leaves_none_parked() {
         rig.engine.live_state(),
         LiveState {
             jobs: 0,
+            shuffles: 1,
+            attempts: 0,
+            parked_computes: 0,
+            store_ops: 0
+        }
+    );
+}
+
+/// Answers its `fail_put`-th put and its `fail_get`-th get (1-based) at
+/// once with [`StoreError::Rejected`], scheduling nothing — what
+/// `RedisStore` does over capacity and every store does for a missing
+/// block — and hands every other request to `inner`.
+struct RejectNth {
+    inner: SharedStore,
+    fail_put: u64,
+    fail_get: u64,
+    puts: Cell<u64>,
+    gets: Cell<u64>,
+}
+
+impl RejectNth {
+    fn wrap(inner: SharedStore, fail_put: u64, fail_get: u64) -> SharedStore {
+        let (puts, gets) = (Cell::new(0), Cell::new(0));
+        Rc::new(RejectNth { inner, fail_put, fail_get, puts, gets })
+    }
+}
+
+/// Bumps `count` and reports whether this request is the `nth`.
+fn is_nth(count: &Cell<u64>, nth: u64) -> bool {
+    count.set(count.get() + 1);
+    count.get() == nth
+}
+
+impl BlockStore for RejectNth {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+
+    fn survives_executor_loss(&self) -> bool {
+        self.inner.survives_executor_loss()
+    }
+
+    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
+        if is_nth(&self.puts, self.fail_put) {
+            return cb(sim, Err(StoreError::Rejected(format!("put {block}"))));
+        }
+        self.inner.put(sim, client, block, data, cb);
+    }
+
+    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
+        if is_nth(&self.gets, self.fail_get) {
+            return cb(sim, Err(StoreError::Rejected(format!("get {block}"))));
+        }
+        self.inner.get(sim, client, block, cb);
+    }
+
+    fn on_executor_lost(&self, sim: &mut Sim, executor: &str) {
+        self.inner.on_executor_lost(sim, executor);
+    }
+
+    fn register_executor(&self, executor: &str, loc: ClientLoc) {
+        self.inner.register_executor(executor, loc);
+    }
+
+    fn forget_shuffle(&self, shuffle: u64) {
+        self.inner.forget_shuffle(shuffle);
+    }
+
+    fn contains(&self, block: &BlockId) -> bool {
+        self.inner.contains(block)
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.inner.stats()
+    }
+}
+
+/// A request the store refuses synchronously takes its attempt down while
+/// the attempt's window is still opening — the window's later requests
+/// must then not go out, and its earlier ones, answered after the attempt
+/// died, must still close the phase. Six map tasks write five non-empty
+/// buckets each, and five reduce tasks fetch six blocks each, so every
+/// window opens with at least four requests; the second put and the
+/// second get of the run are each the second request of the first window
+/// of their direction.
+#[test]
+fn a_request_refused_while_its_window_opens_fails_its_attempt_cleanly() {
+    let job = || {
+        Dataset::parallelize((0..3_000u64).map(|i| (i % 30, 1u64)).collect(), 6)
+            .reduce_by_key(5, |a, b| a + b)
+    };
+    let rows = |wrap: fn(SharedStore) -> SharedStore| {
+        let mut rig = hdfs_rig(3, 1, wrap);
+        let ds = job();
+        let out = run_to_completion(&mut rig, &ds);
+        let mut rows = collect_partitions::<(u64, u64)>(out.partitions);
+        rows.sort();
+        (rig, rows)
+    };
+    let (_, clean) = rows(|store| RejectNth::wrap(store, 0, 0));
+    let (rig, struck) = rows(|store| RejectNth::wrap(store, 2, 2));
+    assert_eq!(clean, struck, "the refusals change no row");
+
+    let failed = |reason| {
+        rig.obs
+            .metrics
+            .counter_value("tasks_failed_total", &[("reason", reason)])
+    };
+    assert_eq!((failed("write-failed"), failed("fetch-failed")), (1, 1));
+    let events = rig.engine.event_log().snapshot();
+    let count = |f: &dyn Fn(&EngineEventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+    let finished = count(&|k| matches!(k, EngineEventKind::TaskFinished { .. }));
+    let failed = count(&|k| matches!(k, EngineEventKind::TaskFailed { .. }));
+    let spans = rig.obs.spans.finished_spans();
+    let task_spans = spans.iter().filter(|s| s.name.starts_with("task ")).count();
+    assert_eq!(task_spans, finished + failed);
+    // Per direction, one abort for the refused request and one for the
+    // request issued before it, which lands after its attempt died; the
+    // window's later requests never went out.
+    let aborts = count(&|k| matches!(k, EngineEventKind::ShufflePhaseAborted { .. }));
+    assert_eq!(aborts, 4);
+    assert_eq!(rig.obs.spans.open_spans(), 0, "every phase span closed");
+    assert_eq!(
+        rig.engine.live_state(),
+        LiveState {
+            jobs: 0,
+            // The job retired while `ds` was reachable.
             shuffles: 1,
             attempts: 0,
             parked_computes: 0,
