@@ -1,3 +1,5 @@
+//! Allocation budgets of whole runs through a `Deployment`.
+//!
 //! Observability adds no heap allocation to a store round trip: a shuffle
 //! job through a `Deployment` with `Obs::enabled()` allocates, between a
 //! store answering and the engine asking for its next block, no more than
@@ -21,6 +23,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use splitserve::tenancy::{
+    default_fleet_jobs, default_tenant_specs, fleet_workload, run_tenant_fleet, FleetPolicy,
+    TenantFleetConfig,
+};
 use splitserve::{Deployment, ShuffleStoreKind};
 use splitserve_cloud::{CloudSpec, M4_XLARGE};
 use splitserve_des::Sim;
@@ -252,5 +258,51 @@ fn observability_adds_no_allocation_to_a_store_round_trip() {
     assert!(
         allocs_on <= allocs_off,
         "obs on allocates {allocs_on} in {trips_on} store round trips, obs off {allocs_off}"
+    );
+}
+
+/// Jobs of the reduced fleet: 20 tenants at the default fleet's job
+/// density.
+const FLEET_JOBS: usize = 1_000;
+
+/// Allocations per job of the reduced SplitServe fleet, whole run (53 065
+/// for 1 006 jobs). 67.53 when each map task also allocated its scratch
+/// lists and one block per bucket, each reduce task a map of its inputs
+/// and a list per shuffle, and every combine table its own index.
+const FLEET_ALLOCS_PER_JOB: f64 = 52.75;
+
+/// Every allocation of one reduced SplitServe fleet run, made on a thread
+/// of its own, so each run starts from an empty scratch pool.
+fn fleet_allocs() -> (u64, usize) {
+    std::thread::spawn(|| {
+        let tenants = default_tenant_specs(20);
+        let jobs = default_fleet_jobs(&tenants, 11, FLEET_JOBS, 600.0);
+        let cfg = TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants, 8);
+        let (workload, sink) = fleet_workload(8);
+        let before = ALLOCS.with(Cell::get);
+        let outcome = run_tenant_fleet(&cfg, &jobs, workload);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(outcome.outcomes.len(), jobs.len(), "every job completes");
+        assert_eq!(sink.borrow().len(), jobs.len(), "every job reports its rows");
+        (allocs, jobs.len())
+    })
+    .join()
+    .expect("fleet thread")
+}
+
+/// The per-job heap churn of a fleet run, most of it task bodies and their
+/// shuffle hand-offs: a reduced fleet of the `fleet` benchmark workload's
+/// shape, under SplitServe's policy. The first run in a process also fills
+/// the process-wide name interner, so it is not the one measured.
+#[test]
+fn a_fleet_job_stays_within_its_allocation_budget() {
+    fleet_allocs();
+    let (allocs, jobs) = fleet_allocs();
+    assert_eq!(fleet_allocs(), (allocs, jobs), "allocation counts repeat exactly");
+    let per_job = allocs as f64 / jobs as f64;
+    println!("fleet: {allocs} allocations for {jobs} jobs, {per_job:.2} per job");
+    assert!(
+        per_job <= FLEET_ALLOCS_PER_JOB,
+        "{per_job:.2} allocations per fleet job; the budget is {FLEET_ALLOCS_PER_JOB}"
     );
 }

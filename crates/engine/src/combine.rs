@@ -14,13 +14,28 @@
 //! the multiset of results, and two same-seed runs still produce
 //! byte-identical shuffle blocks.
 //!
+//! The index is scratch: it never leaves the task, so it is taken from
+//! the thread's [`splitserve_rt::pool`] when a group is built or grows and
+//! given back when the old index is dropped, under the pool's one byte
+//! budget. A recycled index is refilled with `EMPTY` to its new length, so
+//! a group behaves the same whatever its index held before.
+//!
 //! Callers pass the hash in (from [`splitserve_rt::hash::shuffle_hash`])
 //! rather than a `Hasher` living here, because the map side needs the
 //! same hash twice — once to group, once to pick the shuffle bucket —
 //! and should compute it once.
 
+use splitserve_rt::pool;
+
 /// Sentinel for an unoccupied index slot.
 const EMPTY: u32 = u32::MAX;
+
+/// An all-`EMPTY` index of `slots` slots, on pooled scratch.
+fn empty_index(slots: usize) -> Vec<u32> {
+    let mut index = pool::take_vec(slots);
+    index.resize(slots, EMPTY);
+    index
+}
 
 /// An insertion-ordered hash table from keys (with caller-supplied
 /// hashes) to accumulators.
@@ -28,7 +43,7 @@ const EMPTY: u32 = u32::MAX;
 pub(crate) struct HashGroup<K, A> {
     /// `(hash, key, accumulator)` in first-insertion order.
     entries: Vec<(u64, K, A)>,
-    /// Power-of-two open-addressing index into `entries`.
+    /// Power-of-two open-addressing index into `entries`, from the pool.
     table: Vec<u32>,
 }
 
@@ -41,7 +56,7 @@ impl<K: Eq, A> HashGroup<K, A> {
         let slots = (cap.max(8) * 8 / 7 + 1).next_power_of_two();
         HashGroup {
             entries: Vec::with_capacity(cap),
-            table: vec![EMPTY; slots],
+            table: empty_index(slots),
         }
     }
 
@@ -72,7 +87,7 @@ impl<K: Eq, A> HashGroup<K, A> {
     /// Doubles the index and re-threads every entry through its stored
     /// hash (entry order — and therefore iteration order — is untouched).
     fn grow(&mut self) {
-        let mut table = vec![EMPTY; self.table.len() * 2];
+        let mut table = empty_index(self.table.len() * 2);
         let mask = table.len() - 1;
         for (i, (h, _, _)) in self.entries.iter().enumerate() {
             let mut slot = *h as usize & mask;
@@ -81,7 +96,7 @@ impl<K: Eq, A> HashGroup<K, A> {
             }
             table[slot] = i as u32;
         }
-        self.table = table;
+        pool::give_vec(std::mem::replace(&mut self.table, table));
     }
 
     fn insert_at(&mut self, slot: usize, hash: u64, key: K, acc: A) {
@@ -166,8 +181,15 @@ impl<K: Eq, A> HashGroup<K, A> {
 
     /// Consumes the group, yielding `(key, accumulator)` pairs in
     /// first-insertion order.
-    pub fn into_pairs(self) -> impl Iterator<Item = (K, A)> {
-        self.entries.into_iter().map(|(_, k, a)| (k, a))
+    pub fn into_pairs(mut self) -> impl Iterator<Item = (K, A)> {
+        std::mem::take(&mut self.entries).into_iter().map(|(_, k, a)| (k, a))
+    }
+}
+
+impl<K, A> Drop for HashGroup<K, A> {
+    /// Gives the index back to the thread's pool.
+    fn drop(&mut self) {
+        pool::give_vec(std::mem::take(&mut self.table));
     }
 }
 
@@ -234,6 +256,34 @@ mod tests {
             grows += usize::from(g.table.len() != slots);
         }
         assert_eq!(grows, 0, "capacities that re-threaded before holding n keys");
+    }
+
+    /// A group built on an index recycled from a larger, full one starts
+    /// all-`EMPTY` and groups and iterates exactly like one built on
+    /// fresh memory. The recycling runs on a thread of its own, whose pool
+    /// starts empty.
+    #[test]
+    fn a_recycled_index_starts_empty_and_keeps_insertion_order() {
+        let keys = [5u64, 2, 9, 2, 5, 7, 11, 2];
+        let fresh: Vec<(u64, u64)> = count_all(&keys).into_pairs().collect();
+        std::thread::spawn(move || {
+            let big: Vec<u64> = (0..4_000).collect();
+            let mut g: HashGroup<u64, u64> = HashGroup::with_capacity(big.len());
+            for k in &big {
+                g.upsert(shuffle_hash(k), k, 1, |n| n, |a, n| *a += n);
+            }
+            let (big_slots, big_index) = (g.table.len(), g.table.as_ptr() as usize);
+            drop(g);
+            let g: HashGroup<u64, u64> = HashGroup::with_capacity(4);
+            assert_eq!(g.table.as_ptr() as usize, big_index, "the big index came back");
+            assert!(g.table.len() < big_slots);
+            assert!(g.table.iter().all(|&e| e == EMPTY), "recycled slots start empty");
+            drop(g);
+            let recycled: Vec<(u64, u64)> = count_all(&keys).into_pairs().collect();
+            assert_eq!(recycled, fresh);
+        })
+        .join()
+        .expect("test thread");
     }
 
     #[test]

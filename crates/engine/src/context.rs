@@ -10,12 +10,46 @@ use crate::node::ShuffleId;
 /// footprint, from which the scheduler derives the task's virtual duration.
 #[derive(Debug)]
 pub struct TaskContext {
-    shuffle_in: FastMap<ShuffleId, Vec<Bytes>>,
+    /// Every fetched block, one input shuffle's run after the other.
+    blocks: Vec<Bytes>,
+    /// Which shuffle each run of `blocks` came from.
+    runs: Runs,
     work: WorkModel,
     cpu_secs: f64,
     bytes_in: u64,
     bytes_out: u64,
     combine_secs: Option<f64>,
+}
+
+/// The input shuffles of a task's block list, in list order.
+#[derive(Debug)]
+pub(crate) enum Runs {
+    /// The whole list is this shuffle's: a single-input stage, whose
+    /// operator takes the list as it is.
+    Whole(ShuffleId),
+    /// `(shuffle, blocks)` runs back to back; a shuffle that sent this
+    /// task nothing has a run of zero blocks.
+    Split(Vec<(ShuffleId, usize)>),
+}
+
+impl Runs {
+    /// Takes `id`'s run out of a list of `len` blocks: where it starts and
+    /// how many blocks it holds, or `None` if the task fetched no such
+    /// shuffle (or its run was taken already).
+    fn take(&mut self, id: ShuffleId, len: usize) -> Option<(usize, usize)> {
+        match self {
+            Runs::Whole(whole) if *whole == id => {
+                *self = Runs::Split(Vec::new());
+                Some((0, len))
+            }
+            Runs::Whole(_) => None,
+            Runs::Split(runs) => {
+                let at = runs.iter().position(|(shuffle, _)| *shuffle == id)?;
+                let start = runs[..at].iter().map(|(_, n)| n).sum();
+                Some((start, runs.remove(at).1))
+            }
+        }
+    }
 }
 
 impl TaskContext {
@@ -28,13 +62,26 @@ impl TaskContext {
     /// anchor the parallel data plane's join events are scheduled on
     /// (see DESIGN.md "Parallel task data plane").
     pub fn new(work: WorkModel, shuffle_in: FastMap<ShuffleId, Vec<Bytes>>) -> Self {
-        let bytes_in: u64 = shuffle_in
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|b| b.len() as u64)
-            .sum();
+        let shuffles: Vec<(ShuffleId, Vec<Bytes>)> = shuffle_in.into_iter().collect();
+        match <[_; 1]>::try_from(shuffles) {
+            Ok([(id, blocks)]) => TaskContext::fetched(work, blocks, Runs::Whole(id)),
+            Err(mut shuffles) => {
+                shuffles.sort_unstable_by_key(|(id, _)| *id);
+                let runs = shuffles.iter().map(|(id, run)| (*id, run.len())).collect();
+                let blocks = shuffles.into_iter().flat_map(|(_, run)| run).collect();
+                TaskContext::fetched(work, blocks, Runs::Split(runs))
+            }
+        }
+    }
+
+    /// A context over one task's fetched block list, as the scheduler's
+    /// fetch lands it: no per-shuffle copies. Charges deserialization
+    /// like [`TaskContext::new`].
+    pub(crate) fn fetched(work: WorkModel, blocks: Vec<Bytes>, runs: Runs) -> Self {
+        let bytes_in: u64 = blocks.iter().map(|b| b.len() as u64).sum();
         let mut ctx = TaskContext {
-            shuffle_in,
+            blocks,
+            runs,
             work,
             cpu_secs: 0.0,
             bytes_in,
@@ -47,20 +94,26 @@ impl TaskContext {
 
     /// An empty context (source stages with no shuffle inputs).
     pub fn empty(work: WorkModel) -> Self {
-        TaskContext::new(work, FastMap::default())
+        TaskContext::fetched(work, Vec::new(), Runs::Split(Vec::new()))
     }
 
     /// The fetched blocks for shuffle `id` (one per upstream map task that
-    /// produced a non-empty bucket for this partition).
+    /// produced a non-empty bucket for this partition). A single-input
+    /// stage gets the task's whole block list, without a copy.
     ///
     /// # Panics
     ///
     /// Panics if the scheduler did not fetch that shuffle for this task —
     /// an engine invariant violation, not a user error.
     pub fn shuffle_input(&mut self, id: ShuffleId) -> Vec<Bytes> {
-        self.shuffle_in
-            .remove(&id)
-            .unwrap_or_else(|| panic!("shuffle {id} not fetched for this task"))
+        let Some((start, n)) = self.runs.take(id, self.blocks.len()) else {
+            panic!("shuffle {id} not fetched for this task")
+        };
+        if n == self.blocks.len() {
+            std::mem::take(&mut self.blocks)
+        } else {
+            self.blocks.drain(start..start + n).collect()
+        }
     }
 
     /// The work model in force (operators read its rates).
@@ -185,6 +238,32 @@ mod tests {
         );
         let blocks = ctx.shuffle_input(ShuffleId(0));
         assert_eq!(blocks.len(), 2);
+    }
+
+    /// A two-input context hands each shuffle its own run, in any order,
+    /// and the last run taken is the remaining list itself.
+    #[test]
+    fn split_runs_hand_each_shuffle_its_blocks() {
+        let block = |b: &'static [u8]| Bytes::from_static(b);
+        let blocks = vec![block(b"a1"), block(b"a2"), block(b"b1")];
+        let runs = Runs::Split(vec![(ShuffleId(3), 2), (ShuffleId(4), 0), (ShuffleId(5), 1)]);
+        let mut ctx = TaskContext::fetched(WorkModel::default(), blocks, runs);
+        assert_eq!(ctx.bytes_in(), 6);
+        assert_eq!(ctx.shuffle_input(ShuffleId(5)), vec![block(b"b1")]);
+        assert!(ctx.shuffle_input(ShuffleId(4)).is_empty());
+        let last = ctx.blocks.as_ptr();
+        let a = ctx.shuffle_input(ShuffleId(3));
+        assert_eq!(a, vec![block(b"a1"), block(b"a2")]);
+        assert_eq!(a.as_ptr(), last, "the last run is handed over, not copied");
+    }
+
+    #[test]
+    #[should_panic(expected = "not fetched")]
+    fn a_run_is_taken_once() {
+        let mut ctx =
+            TaskContext::fetched(WorkModel::default(), Vec::new(), Runs::Whole(ShuffleId(1)));
+        assert!(ctx.shuffle_input(ShuffleId(1)).is_empty());
+        ctx.shuffle_input(ShuffleId(1));
     }
 
     #[test]

@@ -51,10 +51,13 @@ fn next_shuffle_id() -> ShuffleId {
 /// One serialized shuffle bucket produced by a map task: the bytes bound
 /// for one reduce partition.
 ///
-/// The payload is an immutable [`Bytes`] snapshot sized exactly to its
-/// contents: the partitioner encodes into pooled scratch and freezes the
-/// result here, so the scheduler can hand the same allocation to the
-/// block store without copying.
+/// The payload is an immutable [`Bytes`] slice of a buffer the map task's
+/// buckets share, back to back and sized exactly to their contents: the
+/// partitioner encodes into pooled scratch and freezes consecutive
+/// buckets together into buffers of up to 128 KiB (a larger bucket has
+/// one of its own), so a task with small buckets allocates one buffer
+/// for all of them, and the scheduler hands each slice to the block store
+/// without copying. An empty bucket is an empty slice.
 #[derive(Debug, Clone)]
 pub struct ShuffleBucket {
     /// Serialized records.

@@ -27,7 +27,7 @@ use splitserve_rt::{Bytes, FastMap, FastSet, Slab, TaskHandle, WorkerPool};
 use splitserve_storage::{BlockId, BlockStore, ClientLoc, StoreClient, StoreError};
 
 use crate::config::{EngineConfig, WorkModel};
-use crate::context::TaskContext;
+use crate::context::{Runs, TaskContext};
 use crate::events::{EngineEventKind, EngineEventKind as E, EventLog, FailureKind, JobId};
 use crate::events::{ShufflePhase, TaskRef};
 use crate::executor::{ExecutorDesc, ExecutorId, ExecutorKind};
@@ -146,14 +146,14 @@ struct Transfer {
 
 /// What a [`Transfer`] moves, and what it hands on when it finishes.
 enum Direction {
-    /// Fetched blocks, parallel to the plan (`None` until they land; an
-    /// empty `Bytes` would cost an allocation each). Completions arrive in
-    /// whatever order the store finishes them (fault injection and
-    /// latency windows reshuffle that order); filing each under its plan
-    /// position hands compute its inputs in map order regardless — task
-    /// inputs, and therefore outputs, stay bit-identical across fault
-    /// schedules.
-    Fetch(Vec<Option<Bytes>>),
+    /// Fetched blocks, parallel to the plan: the task's block list itself,
+    /// empty until each lands (an empty `Bytes` allocates nothing).
+    /// Completions arrive in whatever order the store finishes them (fault
+    /// injection and latency windows reshuffle that order); filing each
+    /// under its plan position hands compute its inputs in map order
+    /// regardless — task inputs, and therefore outputs, stay bit-identical
+    /// across fault schedules.
+    Fetch(Vec<Bytes>),
     /// A map task's buckets, the serialized size of every bucket (for the
     /// map status) and the CPU seconds its body charged.
     Write {
@@ -207,7 +207,7 @@ enum Body {
         terminal: Arc<dyn PlanNode>,
         kind: StageKind,
         part: usize,
-        inputs: FastMap<ShuffleId, Vec<Bytes>>,
+        ctx: TaskContext,
     },
 }
 
@@ -437,14 +437,20 @@ impl Inner {
         true
     }
 
+    /// The job of a live attempt, which the attempt keeps live.
+    fn pinned_job(&self, job: JobId) -> &LiveJob {
+        self.jobs[job.0 as usize].live.as_ref().expect("an attempt pins its job")
+    }
+
+    /// [`Inner::pinned_job`], mutable.
+    fn pinned_job_mut(&mut self, job: JobId) -> &mut LiveJob {
+        self.jobs[job.0 as usize].live.as_mut().expect("an attempt pins its job")
+    }
+
     /// Removes an attempt, releasing its hold on its job.
     fn take_attempt(&mut self, id: AttemptId) -> Option<Attempt> {
         let attempt = self.attempts.remove(&id)?;
-        self.jobs[attempt.info.task.job.0 as usize]
-            .live
-            .as_mut()
-            .expect("an attempt pins its job")
-            .attempts -= 1;
+        self.pinned_job_mut(attempt.info.task.job).attempts -= 1;
         Some(attempt)
     }
 
@@ -627,10 +633,8 @@ fn run_body(
     terminal: &dyn PlanNode,
     kind: &StageKind,
     part: usize,
-    work: WorkModel,
-    inputs: FastMap<ShuffleId, Vec<Bytes>>,
+    mut ctx: TaskContext,
 ) -> BodyResult {
-    let mut ctx = TaskContext::new(work, inputs);
     let data = terminal.compute(&mut ctx, part);
     let payload = match kind {
         StageKind::ShuffleMap(dep) => ComputePayload::MapOut((dep.partitioner)(&mut ctx, data)),
@@ -673,27 +677,26 @@ impl StoreClient for Shared {
     }
 }
 
-/// The task inputs a finished fetch hands to compute: every input shuffle
-/// of `stage` gets an entry (even when this reduce partition received no
-/// bytes from it), holding its blocks in map order — the plan's order.
-fn task_inputs(
+/// The context a task computes in, over the block list its fetch filled:
+/// the list is handed over whole, with the plan's run of blocks for every
+/// input shuffle of `stage` (a run of none where this reduce partition
+/// received no bytes from it), in map order — the plan's order.
+fn task_context(
+    work: &WorkModel,
     stage: &Stage,
     plan: &[(ShuffleId, usize, ExecutorId, u64)],
-    blocks: Vec<Option<Bytes>>,
-) -> FastMap<ShuffleId, Vec<Bytes>> {
-    let mut inputs =
-        FastMap::with_capacity_and_hasher(stage.input_shuffles.len(), Default::default());
-    let mut blocks = blocks
-        .into_iter()
-        .map(|b| b.expect("every planned block was fetched"));
-    let mut at = 0;
-    for dep in &stage.input_shuffles {
-        let n = plan[at..].iter().take_while(|(s, ..)| *s == dep.id).count();
-        inputs.insert(dep.id, blocks.by_ref().take(n).collect());
-        at += n;
-    }
-    debug_assert_eq!(at, plan.len(), "plan follows input-shuffle order");
-    inputs
+    blocks: Vec<Bytes>,
+) -> TaskContext {
+    debug_assert!(plan.is_sorted_by_key(|(s, ..)| *s), "plan follows input-shuffle order");
+    let runs = match &stage.input_shuffles[..] {
+        [only] => Runs::Whole(only.id),
+        deps => Runs::Split(
+            deps.iter()
+                .map(|dep| (dep.id, plan.iter().filter(|(s, ..)| *s == dep.id).count()))
+                .collect(),
+        ),
+    };
+    TaskContext::fetched(work.clone(), blocks, runs)
 }
 
 impl Engine {
@@ -1317,18 +1320,15 @@ impl Engine {
                 return;
             };
             if a.plan.is_empty() {
-                let job = inner.jobs[a.info.task.job.0 as usize]
-                    .live
-                    .as_ref()
-                    .expect("an attempt pins its job");
-                Err(task_inputs(job.graph.stage(a.info.task.stage), &[], Vec::new()))
+                let stage = inner.pinned_job(a.info.task.job).graph.stage(a.info.task.stage);
+                Err(task_context(&inner.cfg.work, stage, &[], Vec::new()))
             } else {
                 Ok((a.plan.iter().map(|(_, _, _, size)| size).sum(), a.plan.len()))
             }
         };
         match fetch {
             Ok((bytes, blocks)) => {
-                let dir = Direction::Fetch(vec![None; blocks]);
+                let dir = Direction::Fetch(vec![Bytes::new(); blocks]);
                 self.open_transfer(sim, attempt, bytes, blocks, dir);
             }
             Err(no_inputs) => self.run_compute(sim, attempt, no_inputs),
@@ -1434,7 +1434,7 @@ impl Engine {
     ) {
         enum Next {
             Issue,
-            Compute(FastMap<ShuffleId, Vec<Bytes>>),
+            Compute(TaskContext),
             Register(ShuffleId, Vec<u64>, f64),
             FetchFailed(ShuffleId, usize, StoreError),
             WriteFailed(StoreError),
@@ -1473,7 +1473,7 @@ impl Engine {
                 Ok(block) => {
                     t.outstanding -= 1;
                     if let (Direction::Fetch(blocks), Some(block)) = (&mut t.dir, block) {
-                        blocks[at] = Some(block);
+                        blocks[at] = block;
                     }
                     match a.io.take_if(|t| t.unsent == 0 && t.outstanding == 0) {
                         None => Next::Issue,
@@ -1484,13 +1484,10 @@ impl Engine {
                             sh.tele.emit_span(now, span, finished);
                             match t.dir {
                                 Direction::Fetch(blocks) => {
-                                    let job = inner.jobs[task.job.0 as usize]
-                                        .live
-                                        .as_ref()
-                                        .expect("an attempt pins its job");
                                     let plan = std::mem::take(&mut a.plan);
-                                    let stage = job.graph.stage(task.stage);
-                                    Next::Compute(task_inputs(stage, &plan, blocks))
+                                    let stage = inner.pinned_job(task.job).graph.stage(task.stage);
+                                    let work = &inner.cfg.work;
+                                    Next::Compute(task_context(work, stage, &plan, blocks))
                                 }
                                 Direction::Write { shuffle, sizes, cpu, .. } => {
                                     Next::Register(shuffle, sizes, cpu)
@@ -1503,7 +1500,7 @@ impl Engine {
         };
         match next {
             Next::Issue => self.issue_next(sim, attempt),
-            Next::Compute(inputs) => self.run_compute(sim, attempt, inputs),
+            Next::Compute(ctx) => self.run_compute(sim, attempt, ctx),
             Next::Register(shuffle, sizes, cpu) => {
                 self.map_outputs_done(sim, attempt, shuffle, sizes, cpu)
             }
@@ -1526,17 +1523,13 @@ impl Engine {
     /// allocates identical event sequence numbers, and therefore an
     /// identical event order, at every worker count.
     ///
-    /// `deser_bound` is the deserialization charge [`TaskContext::new`]
-    /// levies for the fetched blocks: a lower bound on the body's total
-    /// CPU charge, which guarantees the completion instant derived at the
-    /// join (`launch + task_overhead + cpu/speed*gc`) never precedes the
-    /// join itself.
-    fn run_compute(
-        &self,
-        sim: &mut Sim,
-        attempt: AttemptId,
-        inputs: FastMap<ShuffleId, Vec<Bytes>>,
-    ) {
+    /// `deser_bound` is the deserialization charge [`TaskContext::fetched`]
+    /// levies for the fetched blocks, which is all a fresh context has
+    /// charged: a lower bound on the body's total CPU charge, which
+    /// guarantees the completion instant derived at the join
+    /// (`launch + task_overhead + cpu/speed*gc`) never precedes the join
+    /// itself.
+    fn run_compute(&self, sim: &mut Sim, attempt: AttemptId, ctx: TaskContext) {
         let sh = &*self.shared;
         let mut inner = sh.inner.borrow_mut();
         let inner = &mut *inner;
@@ -1546,31 +1539,19 @@ impl Engine {
         let task = a.info.task;
         let meta = inner.exec(task.exec).expect("executor of live attempt");
         let (speed, mem_bytes) = (meta.desc.core_speed * meta.speed_factor, meta.desc.memory_bytes());
-        let job = inner.jobs[task.job.0 as usize]
-            .live
-            .as_ref()
-            .expect("an attempt pins its job");
-        let stage = job.graph.stage(task.stage);
+        let stage = inner.pinned_job(task.job).graph.stage(task.stage);
         let (terminal, kind, part) = (Arc::clone(&stage.terminal), stage.kind.clone(), task.part);
-        let work = &inner.cfg.work;
-        let deser_secs = inputs
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|b| b.len() as u64)
-            .sum::<u64>() as f64
-            * work.deser_secs_per_byte;
+        let deser_secs = ctx.cpu_secs();
         let launched_at = sim.now();
-        let join_at =
-            launched_at + work.task_overhead + SimDuration::from_secs_f64(deser_secs / speed);
+        let join_at = launched_at
+            + inner.cfg.work.task_overhead
+            + SimDuration::from_secs_f64(deser_secs / speed);
         // One event either way: a pooled body is already running on a
         // worker thread and is collected at the join; an inline body is
         // parked as its ingredients and runs when the join fires.
         let body = match &sh.pool {
-            Some(pool) => {
-                let work = work.clone();
-                Body::Pooled(pool.submit(move || run_body(&*terminal, &kind, part, work, inputs)))
-            }
-            None => Body::Inline { terminal, kind, part, inputs },
+            Some(pool) => Body::Pooled(pool.submit(move || run_body(&*terminal, &kind, part, ctx))),
+            None => Body::Inline { terminal, kind, part, ctx },
         };
         let slot = inner.computes.insert(Compute::Launched {
             attempt,
@@ -1600,10 +1581,7 @@ impl Engine {
         // The body runs with the scheduler's state released.
         let (payload, ctx) = match body {
             Body::Pooled(running) => running.join(),
-            Body::Inline { terminal, kind, part, inputs } => {
-                let work = sh.inner.borrow().cfg.work.clone();
-                run_body(&*terminal, &kind, part, work, inputs)
-            }
+            Body::Inline { terminal, kind, part, ctx } => run_body(&*terminal, &kind, part, ctx),
         };
         // Every body that ran reports here, whether or not its attempt
         // is still alive, in join order: the order of `workers = 1`.
@@ -1630,11 +1608,7 @@ impl Engine {
                         return; // executor died while "computing"
                     };
                     let info = a.info;
-                    inner.jobs[info.task.job.0 as usize]
-                        .live
-                        .as_mut()
-                        .expect("an attempt pins its job")
-                        .result_parts[info.task.part] = Some(data);
+                    inner.pinned_job_mut(info.task.job).result_parts[info.task.part] = Some(data);
                     let (task, cpu_secs) = (info.task, cpu);
                     self.shared.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs });
                 }
@@ -1660,11 +1634,8 @@ impl Engine {
                 return; // executor died while "computing"
             };
             let task = a.info.task;
-            let job = inner.jobs[task.job.0 as usize]
-                .live
-                .as_ref()
-                .expect("an attempt pins its job");
-            let StageKind::ShuffleMap(dep) = &job.graph.stage(task.stage).kind else {
+            let stage = inner.pinned_job(task.job).graph.stage(task.stage);
+            let StageKind::ShuffleMap(dep) = &stage.kind else {
                 unreachable!("map payload implies map stage");
             };
             sh.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs: cpu });
@@ -1728,10 +1699,8 @@ impl Engine {
             let (task, cpu_secs) = (info.task, cpu);
             let finished = E::TaskFinished { task, kind, cpu_secs, run_secs };
             sh.tele.emit_span(sim.now(), info.span, finished);
-            inner.jobs[info.task.job.0 as usize]
-                .live
-                .as_mut()
-                .expect("an attempt pins its job")
+            inner
+                .pinned_job_mut(info.task.job)
                 .status[info.task.stage.0 as usize]
                 .running
                 .remove(info.task.part);

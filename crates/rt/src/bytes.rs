@@ -4,15 +4,18 @@
 //! buffer: cloning or slicing never copies the payload, which is what lets
 //! one map output fan out to many reduce-side readers without duplicating
 //! memory. A writer's `Vec<u8>` becomes a [`Bytes`] with one exact-size
-//! copy.
+//! copy, and several writers' vectors become one with [`Bytes::concat`]:
+//! a map task freezes its small buckets into one buffer and hands each
+//! reduce partition a slice of it.
 //!
 //! That copy is inherent to the representation: the shared buffer is an
 //! `Arc<[u8]>`, whose bytes live in the same allocation as its reference
 //! counts, so a `Vec<u8>` can only enter it by being copied — whether
-//! through [`Bytes::copy_from_slice`] or `Bytes::from(Vec<u8>)`.
-//! It is the price of one allocation per block (an `Arc<Vec<u8>>` would
-//! adopt the vector but add a second); what it costs on the shuffle write
-//! path is measured in DESIGN.md §8.
+//! through [`Bytes::copy_from_slice`], `Bytes::from(Vec<u8>)` or
+//! [`Bytes::concat`]. It is the price of one allocation per buffer (an
+//! `Arc<Vec<u8>>` would adopt the vector but add a second); what it costs
+//! on the shuffle write path is measured in DESIGN.md §8. An empty
+//! [`Bytes`] allocates nothing.
 
 use std::fmt;
 use std::ops::{Deref, RangeBounds};
@@ -39,9 +42,14 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation is shared, but none is needed).
+    /// An empty buffer. Allocates nothing: every empty `Arc<[u8]>` shares
+    /// one static allocation.
     pub fn new() -> Bytes {
-        Bytes::from(Vec::new())
+        Bytes {
+            buf: Arc::default(),
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Wraps a static byte string.
@@ -61,6 +69,40 @@ impl Bytes {
             start: 0,
             end,
         }
+    }
+
+    /// Copies `parts` back to back into one fresh shared buffer of
+    /// exactly their total length: one allocation however many parts
+    /// there are, and none when they are all empty. Several parts cost a
+    /// zero fill of the buffer before the copy; one part costs the copy
+    /// alone.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use splitserve_rt::Bytes;
+    ///
+    /// let joined = Bytes::concat(&[b"ab".to_vec(), Vec::new(), b"c".to_vec()]);
+    /// assert_eq!(&joined[..], b"abc");
+    /// ```
+    pub fn concat<P: AsRef<[u8]>>(parts: &[P]) -> Bytes {
+        let end = parts.iter().map(|p| p.as_ref().len()).sum();
+        match parts {
+            _ if end == 0 => return Bytes::new(),
+            [one] => return Bytes::copy_from_slice(one.as_ref()),
+            _ => {}
+        }
+        // `repeat_n` reports its exact length, so the collect allocates
+        // the shared buffer once; it is still unshared, so `make_mut`
+        // hands it back without cloning.
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, end).collect();
+        let mut rest = Arc::make_mut(&mut buf);
+        for part in parts {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(part.as_ref().len());
+            head.copy_from_slice(part.as_ref());
+            rest = tail;
+        }
+        Bytes { buf, start: 0, end }
     }
 
     /// Number of bytes in this view.
@@ -196,6 +238,15 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_slice_panics() {
         Bytes::from(vec![0u8; 4]).slice(2..9);
+    }
+
+    #[test]
+    fn concat_lays_parts_back_to_back_in_one_exact_buffer() {
+        let parts = [b"map".to_vec(), Vec::new(), b"side".to_vec()];
+        let joined = Bytes::concat(&parts);
+        assert_eq!(&joined[..], b"mapside");
+        assert_eq!(joined.buf.len(), 7, "no spare bytes");
+        assert!(Bytes::concat::<Vec<u8>>(&[Vec::new(), Vec::new()]).is_empty());
     }
 
     /// Pins what the docs say: a vector enters by copy. The shared view

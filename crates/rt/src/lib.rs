@@ -22,9 +22,10 @@
 //! * [`hash`] — a seeded XXH64 hasher with a fixed shuffle seed, so
 //!   bucket placement is fast *and* frozen across runs and toolchains;
 //!   [`hash::assert_pinned`] is the workspace's one artifact-pin helper.
-//! * [`pool`] — a bounded pool of reusable byte buffers (per-thread
-//!   lock-free free lists, process-wide aggregated stats) that damps
-//!   per-task encode allocations.
+//! * [`pool`] — a bounded pool of reusable scratch vectors (per-thread
+//!   lock-free free lists under one byte budget): encode buffers, the
+//!   lists that hold them and hash-table indexes, so a task body
+//!   allocates little beyond what it hands on.
 //! * [`worker`] — a fixed-size worker-thread pool the engine offloads
 //!   task bodies onto; [`rng::derive_seed`] is the per-task seeding rule
 //!   that keeps those bodies deterministic wherever they run.

@@ -1,4 +1,4 @@
-//! A per-thread pool of reusable byte buffers.
+//! A per-thread pool of reusable scratch vectors.
 //!
 //! Every shuffle map task encodes its output into freshly grown `Vec`s,
 //! and a wide stage runs thousands of tasks — under the old path the
@@ -8,42 +8,83 @@
 //! fills it, snapshots the bytes into an exact-sized block, and
 //! [`give`]s the buffer back for the next task.
 //!
+//! Byte buffers are not the only scratch a task throws away. The same
+//! pool recycles vectors of the other [`Recycled`] element types through
+//! [`take_vec`] and [`give_vec`]: the `u32` index tables of the engine's
+//! hash grouping, a map task's per-bucket size list and the list that
+//! holds its bucket buffers. Each element type has a free list of its
+//! own, and all of them share the thread's one byte budget.
+//!
 //! The pool is deliberately modest and bounded — it is a steady-state
 //! allocation damper, not a general allocator:
 //!
-//! - the buffer free lists are **thread-local and lock-free**: with task
+//! - the free lists are **thread-local and lock-free**: with task
 //!   bodies running on a worker pool, every worker recycles its own
-//!   buffers and shares nothing with any other thread;
-//! - the buffers a thread retains hold at most [`POOL_BUDGET_BYTES`] of
+//!   vectors and shares nothing with any other thread;
+//! - the vectors a thread retains hold at most [`POOL_BUDGET_BYTES`] of
 //!   capacity between them, kept as a running total, and none more than
 //!   [`MAX_BUFFER_CAPACITY`] bytes, so a one-off giant record cannot pin
-//!   memory forever. The bound is on bytes, not buffers: a map task with
+//!   memory forever. The bound is on bytes, not vectors: a map task with
 //!   64 small buckets runs entirely on pooled scratch, and a thread never
-//!   pins more than the budget however its buffers are sized.
+//!   pins more than the budget however its vectors are sized.
 //!
-//! Returned buffers are always cleared; `take` never exposes stale
-//! bytes. Pooling only affects *where* scratch space comes from, never
+//! Returned vectors are always cleared; a take never exposes stale
+//! elements. Pooling only affects *where* scratch space comes from, never
 //! the bytes written through it, so determinism is unaffected.
 
 use std::cell::RefCell;
 
 /// Most bytes of capacity the pool retains per thread, summed over its
-/// buffers.
+/// vectors of every element type.
 pub const POOL_BUDGET_BYTES: usize = 64 << 20;
 
-/// Largest buffer the pool will retain (larger ones are dropped on
-/// `give` and fall back to the allocator).
+/// Largest vector, in bytes of capacity, the pool will retain (larger
+/// ones are dropped on `give` and fall back to the allocator).
 pub const MAX_BUFFER_CAPACITY: usize = 8 << 20;
 
-/// One thread's free list and the capacity it holds.
+/// One thread's free lists and the bytes of capacity they hold.
 struct Pool {
-    bufs: Vec<Vec<u8>>,
-    bytes: usize,
+    bytes: Vec<Vec<u8>>,
+    slots: Vec<Vec<u32>>,
+    sizes: Vec<Vec<usize>>,
+    lists: Vec<Vec<Vec<u8>>>,
+    held: usize,
 }
 
 thread_local! {
-    static POOL: RefCell<Pool> = const { RefCell::new(Pool { bufs: Vec::new(), bytes: 0 }) };
+    static POOL: RefCell<Pool> = const {
+        RefCell::new(Pool {
+            bytes: Vec::new(),
+            slots: Vec::new(),
+            sizes: Vec::new(),
+            lists: Vec::new(),
+            held: 0,
+        })
+    };
 }
+
+/// An element type whose vectors the pool recycles.
+pub trait Recycled: Sized {
+    /// Runs `f` on this type's free list in the calling thread's pool and
+    /// on the bytes of capacity the whole pool holds.
+    #[doc(hidden)]
+    fn with_free_list<R>(f: impl FnOnce(&mut Vec<Vec<Self>>, &mut usize) -> R) -> R;
+}
+
+macro_rules! recycled {
+    ($($elem:ty => $list:ident),* $(,)?) => {$(
+        impl Recycled for $elem {
+            fn with_free_list<R>(f: impl FnOnce(&mut Vec<Vec<Self>>, &mut usize) -> R) -> R {
+                POOL.with(|p| {
+                    let pool = &mut *p.borrow_mut();
+                    f(&mut pool.$list, &mut pool.held)
+                })
+            }
+        }
+    )*};
+}
+
+recycled!(u8 => bytes, u32 => slots, usize => sizes, Vec<u8> => lists);
 
 /// Takes a cleared buffer with `capacity() >= min_capacity`.
 ///
@@ -60,24 +101,7 @@ thread_local! {
 /// splitserve_rt::pool::give(buf);
 /// ```
 pub fn take(min_capacity: usize) -> Vec<u8> {
-    POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        let best = pool
-            .bufs
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.capacity() >= min_capacity)
-            .min_by_key(|(_, b)| b.capacity())
-            .map(|(i, _)| i);
-        match best {
-            Some(i) => {
-                let buf = pool.bufs.swap_remove(i);
-                pool.bytes -= buf.capacity();
-                buf
-            }
-            None => Vec::with_capacity(min_capacity),
-        }
-    })
+    take_vec(min_capacity)
 }
 
 /// Returns `buf` to the calling thread's pool for reuse.
@@ -86,17 +110,64 @@ pub fn take(min_capacity: usize) -> Vec<u8> {
 /// returns that would take the pool past its byte budget are dropped
 /// (allocator takes them back), so the pool's resident memory stays
 /// bounded.
-pub fn give(mut buf: Vec<u8>) {
-    POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        let cap = buf.capacity();
-        if cap == 0 || cap > MAX_BUFFER_CAPACITY || pool.bytes + cap > POOL_BUDGET_BYTES {
-            return;
+pub fn give(buf: Vec<u8>) {
+    give_vec(buf)
+}
+
+/// [`take`] for any [`Recycled`] element type: a cleared vector with
+/// `capacity() >= min_capacity`, the best fit from this type's free list
+/// or a fresh one.
+///
+/// # Examples
+///
+/// ```
+/// use splitserve_rt::pool;
+///
+/// let mut slots: Vec<u32> = pool::take_vec(64);
+/// slots.resize(64, u32::MAX);
+/// pool::give_vec(slots);
+/// let again: Vec<u32> = pool::take_vec(16);
+/// assert!(again.is_empty() && again.capacity() >= 64);
+/// ```
+pub fn take_vec<T: Recycled>(min_capacity: usize) -> Vec<T> {
+    T::with_free_list(|free, held| {
+        let best = free
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.capacity() >= min_capacity)
+            .min_by_key(|(_, v)| v.capacity())
+            .map(|(i, _)| i);
+        match best {
+            Some(i) => {
+                let v = free.swap_remove(i);
+                *held -= footprint(&v);
+                v
+            }
+            None => Vec::with_capacity(min_capacity),
         }
-        buf.clear();
-        pool.bytes += cap;
-        pool.bufs.push(buf);
-    });
+    })
+}
+
+/// [`give`] for any [`Recycled`] element type. The vector is cleared
+/// before it is stored, so a list of buffers should come back empty:
+/// buffers still in it are dropped with it.
+pub fn give_vec<T: Recycled>(mut v: Vec<T>) {
+    let bytes = footprint(&v);
+    if bytes == 0 || bytes > MAX_BUFFER_CAPACITY {
+        return;
+    }
+    v.clear();
+    T::with_free_list(|free, held| {
+        if *held + bytes <= POOL_BUDGET_BYTES {
+            *held += bytes;
+            free.push(v);
+        }
+    })
+}
+
+/// Bytes of capacity `v` holds.
+fn footprint<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 #[cfg(test)]
@@ -185,6 +256,23 @@ mod tests {
                 assert_eq!(fresh, 0, "round {round}: {fresh} of 64 takes allocated");
                 bufs.into_iter().for_each(give);
             }
+        });
+    }
+
+    /// Every element type draws on the one byte budget: index tables that
+    /// fill it leave no room for a byte buffer until one of them is taken.
+    #[test]
+    fn element_types_share_one_budget() {
+        on_fresh_thread(|| {
+            for _ in 0..POOL_BUDGET_BYTES / MAX_BUFFER_CAPACITY {
+                give_vec(Vec::<u32>::with_capacity(MAX_BUFFER_CAPACITY / 4));
+            }
+            give(Vec::with_capacity(64));
+            assert_eq!(take(8).capacity(), 8, "a full budget turns the buffer away");
+            let table: Vec<u32> = take_vec(1);
+            assert_eq!(table.capacity(), MAX_BUFFER_CAPACITY / 4, "tables have their own list");
+            give(Vec::with_capacity(64));
+            assert_eq!(take(8).capacity(), 64, "the taken table freed its bytes");
         });
     }
 

@@ -31,12 +31,22 @@ use splitserve_workloads::CloudSort;
 /// The one worker-count knob every example reads.
 const WORKERS_ENV: &str = "SPLITSERVE_WORKERS";
 
-/// Parses a `SPLITSERVE_WORKERS` value: a non-negative integer, where
-/// `0` and `1` both mean "run task bodies inline".
+/// Most engine worker threads a `SPLITSERVE_WORKERS` value may ask for.
+/// A bound on the parser, not a knob: a count the machine cannot spawn
+/// would otherwise reach the worker pool and panic there.
+const MAX_WORKERS: usize = 256;
+
+/// Parses a `SPLITSERVE_WORKERS` value: an integer from 0 to
+/// [`MAX_WORKERS`], where `0` and `1` both mean "run task bodies inline".
 fn parse_workers(value: &str) -> Result<usize, String> {
-    value
-        .parse()
-        .map_err(|e| format!("{WORKERS_ENV}={value:?}: {e} (want a thread count such as 1 or 4)"))
+    let usage = "want a thread count such as 1 or 4";
+    match value.parse::<usize>() {
+        Ok(n) if n <= MAX_WORKERS => Ok(n),
+        Ok(n) => Err(format!(
+            "{WORKERS_ENV}={value:?}: {n} threads is over {MAX_WORKERS} ({usage})"
+        )),
+        Err(e) => Err(format!("{WORKERS_ENV}={value:?}: {e} ({usage})")),
+    }
 }
 
 /// The engine worker-thread count from `SPLITSERVE_WORKERS` (default 1).
@@ -520,19 +530,56 @@ pub fn trace_timeline(workers: usize) -> TraceTimeline {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_workers;
+    use super::{parse_workers, MAX_WORKERS};
 
     #[test]
     fn workers_value_must_be_a_thread_count() {
         assert_eq!(parse_workers("0"), Ok(0));
         assert_eq!(parse_workers("1"), Ok(1));
         assert_eq!(parse_workers("4"), Ok(4));
-        for bad in ["abc", "-1", "", " 2"] {
+        assert_eq!(parse_workers("256"), Ok(MAX_WORKERS));
+        for bad in ["abc", "-1", "", " 2", "257", "99999999"] {
             let err = parse_workers(bad).expect_err(bad);
             assert!(
                 err.starts_with("SPLITSERVE_WORKERS=") && !err.contains('\n'),
                 "one line naming the variable: {err}"
             );
         }
+    }
+
+    /// Random text and mutations of real counts either fail to parse or
+    /// parse to a count the worker pool can spawn — never a panic.
+    #[test]
+    fn hostile_workers_text_errs_or_parses_in_range() {
+        const COUNTS: [&str; 5] = ["0", "1", "4", "256", "99999999"];
+        const ALPHABET: &[u8] = b"+-0123456789 _.xe";
+        splitserve_rt::check::run("hostile_workers_text_errs_or_parses_in_range", 512, |g| {
+            let mut text = if g.bool() {
+                COUNTS[g.usize_in(0, COUNTS.len())].as_bytes().to_vec()
+            } else {
+                g.vec(0, 12, |g| ALPHABET[g.usize_in(0, ALPHABET.len())])
+            };
+            for _ in 0..g.usize_in(0, 4) {
+                let at = g.usize_in(0, text.len() + 1);
+                match g.usize_in(0, 3) {
+                    0 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    1 => text.insert(at, ALPHABET[g.usize_in(0, ALPHABET.len())]),
+                    _ => {
+                        let digits = g.u64().to_string();
+                        text.splice(at..at, digits.bytes());
+                    }
+                }
+            }
+            let text = String::from_utf8(text).expect("ASCII");
+            match parse_workers(&text) {
+                Ok(n) => {
+                    assert!(n <= MAX_WORKERS, "{text:?} parsed to {n} threads");
+                    assert_eq!(text.parse::<usize>(), Ok(n), "{text:?} is not that count");
+                }
+                Err(err) => assert!(!err.contains('\n'), "{text:?}: {err}"),
+            }
+        });
     }
 }
