@@ -14,7 +14,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use splitserve_des::{Sim, SimDuration};
-use splitserve_engine::ExecutorKind;
+use splitserve_engine::{ExecutorInfo, ExecutorKind};
 
 use crate::deploy::Deployment;
 
@@ -85,39 +85,48 @@ pub fn start_allocator(
         active: Rc::new(Cell::new(true)),
         launched: Rc::new(Cell::new(0)),
     };
-    tick(sim, deployment.clone(), cfg, handle.clone());
+    tick(sim, deployment.clone(), cfg, handle.clone(), Vec::new());
     handle
 }
 
-fn tick(sim: &mut Sim, d: Deployment, cfg: AllocatorConfig, handle: AllocatorHandle) {
+/// One pass of the control loop. `execs` is the executor snapshot, kept
+/// from one tick to the next so that taking it allocates nothing.
+fn tick(
+    sim: &mut Sim,
+    d: Deployment,
+    cfg: AllocatorConfig,
+    handle: AllocatorHandle,
+    mut execs: Vec<ExecutorInfo>,
+) {
     if !handle.active.get() || d.is_shut_down() {
         return;
     }
     let engine = d.engine().clone();
     let obs = engine.obs().clone();
     let pending = engine.pending_tasks();
-    let execs = engine.executors();
-    let live_lambdas: Vec<_> = execs
-        .iter()
-        .filter(|e| e.kind == ExecutorKind::Lambda && e.alive && !e.draining)
-        .collect();
-    let live_total = execs.iter().filter(|e| e.alive && !e.draining).count() as u32;
+    engine.executors_into(&mut execs);
+    let live = |e: &&ExecutorInfo| e.alive && !e.draining;
+    let live_lambdas = || {
+        execs
+            .iter()
+            .filter(live)
+            .filter(|e| e.kind == ExecutorKind::Lambda)
+    };
+    let live_total = execs.iter().filter(live).count() as u32;
+    let lambdas = live_lambdas().count() as u32;
     obs.metrics
         .gauge_set("allocator_pending_tasks", &[], pending as f64);
     obs.metrics
         .gauge_set("allocator_live_executors", &[], f64::from(live_total));
-    obs.metrics.gauge_set(
-        "allocator_live_lambdas",
-        &[],
-        live_lambdas.len() as f64,
-    );
+    obs.metrics
+        .gauge_set("allocator_live_lambdas", &[], f64::from(lambdas));
 
     if pending > 0 {
         // Scale out: one Lambda per `tasks_per_executor` of backlog beyond
         // what the live executors will absorb.
         let want = (pending as u32).div_ceil(cfg.tasks_per_executor);
         let deficit = want.saturating_sub(live_total);
-        let room = cfg.max_lambdas.saturating_sub(live_lambdas.len() as u32);
+        let room = cfg.max_lambdas.saturating_sub(lambdas);
         let add = deficit.min(room);
         if add > 0 {
             d.add_lambda_executors(sim, add);
@@ -129,7 +138,7 @@ fn tick(sim: &mut Sim, d: Deployment, cfg: AllocatorConfig, handle: AllocatorHan
     } else {
         // Scale in: retire Lambdas idle past the timeout.
         let now = sim.now();
-        for e in &live_lambdas {
+        for e in live_lambdas() {
             if !e.busy && now.saturating_since(e.idle_since) >= cfg.idle_timeout {
                 d.drain_lambda_executor(sim, &e.id);
                 obs.metrics
@@ -141,7 +150,7 @@ fn tick(sim: &mut Sim, d: Deployment, cfg: AllocatorConfig, handle: AllocatorHan
 
     let interval = cfg.check_interval;
     let h = handle.clone();
-    sim.schedule_in(interval, move |sim| tick(sim, d, cfg, h));
+    sim.schedule_in(interval, move |sim| tick(sim, d, cfg, h, execs));
 }
 
 #[cfg(test)]

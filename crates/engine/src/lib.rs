@@ -55,4 +55,4 @@ pub use ops::{bucket_of, collect_partitions, Dataset, ShuffleKey, ShuffleValue};
 pub use ops_ext::{sample_sort_bounds, Cogrouped, SortKey};
 pub use scheduler::{Engine, ExecutorInfo, LiveState};
 pub use stage::{build_stages, Stage, StageGraph, StageId, StageKind};
-pub use tracker::{MapOutputTracker, MapStatus};
+pub use tracker::MapOutputTracker;

@@ -208,12 +208,11 @@ pub(crate) fn op<const N: usize>(
 /// in shuffle-id order.
 pub fn input_shuffles(node: &Arc<dyn PlanNode>) -> Vec<Arc<ShuffleDep>> {
     // `seen` keeps a diamond (a union of two views of one parent) from
-    // being walked once per path; a stage's closure is a handful of nodes.
-    fn walk(node: &dyn PlanNode, seen: &mut Vec<NodeId>, out: &mut Vec<Arc<ShuffleDep>>) {
-        if seen.contains(&node.id()) {
+    // being walked once per path.
+    fn walk(node: &dyn PlanNode, seen: &mut Seen, out: &mut Vec<Arc<ShuffleDep>>) {
+        if !seen.insert(node.id()) {
             return;
         }
-        seen.push(node.id());
         for dep in node.deps() {
             match dep {
                 Dep::Narrow(parent) => walk(&**parent, seen, out),
@@ -222,10 +221,49 @@ pub fn input_shuffles(node: &Arc<dyn PlanNode>) -> Vec<Arc<ShuffleDep>> {
         }
     }
     let mut out = Vec::new();
-    walk(&**node, &mut Vec::new(), &mut out);
+    walk(&**node, &mut Seen::default(), &mut out);
     out.sort_by_key(|s| s.id);
     out.dedup_by_key(|s| s.id);
     out
+}
+
+/// The nodes a stage walk has visited. A stage's closure is a handful of
+/// nodes, so the first [`Seen::INLINE`] live inline and the walk
+/// allocates nothing; a longer narrow chain spills into `rest`.
+struct Seen {
+    first: [NodeId; Seen::INLINE],
+    /// How many of `first` are filled.
+    len: usize,
+    rest: Vec<NodeId>,
+}
+
+impl Default for Seen {
+    fn default() -> Self {
+        Seen {
+            first: [NodeId(0); Seen::INLINE],
+            len: 0,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl Seen {
+    const INLINE: usize = 16;
+
+    /// Adds `id`, reporting whether it was new.
+    fn insert(&mut self, id: NodeId) -> bool {
+        if self.first[..self.len].contains(&id) || self.rest.contains(&id) {
+            return false;
+        }
+        match self.first.get_mut(self.len) {
+            Some(slot) => {
+                *slot = id;
+                self.len += 1;
+            }
+            None => self.rest.push(id),
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -240,5 +278,18 @@ mod tests {
         let s1 = next_shuffle_id();
         let s2 = next_shuffle_id();
         assert!(s2 > s1);
+    }
+
+    #[test]
+    fn seen_spills_past_its_inline_slots() {
+        let mut seen = Seen::default();
+        for id in 0..40 {
+            assert!(seen.insert(NodeId(id)), "{id} is new");
+        }
+        assert_eq!(seen.rest.len(), 40 - Seen::INLINE);
+        for id in [0, 15, 16, 39] {
+            assert!(!seen.insert(NodeId(id)), "{id} was seen");
+        }
+        assert!(seen.insert(NodeId(40)));
     }
 }

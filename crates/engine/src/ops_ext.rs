@@ -192,26 +192,19 @@ mod tests {
             // Stage order is topological.
             match &stage.kind {
                 crate::stage::StageKind::ShuffleMap(dep) => {
-                    tracker.register_shuffle(dep.id, stage.num_tasks);
+                    tracker.register_shuffle(dep.id, stage.num_tasks, dep.num_partitions);
                     for part in 0..stage.num_tasks {
                         let mut c = task_ctx(&stage.input_shuffles, part, &tracker, &store);
                         let data = stage.terminal.compute(&mut c, part);
                         let buckets = (dep.partitioner)(&mut c, data);
-                        let sizes: Vec<u64> =
-                            buckets.iter().map(|b| b.bytes.len() as u64).collect();
+                        let sizes = buckets.iter().map(|b| b.bytes.len() as u64);
+                        let writer = crate::executor::ExecutorId::new("t");
+                        tracker.register_output(dep.id, part, writer, sizes);
                         for (r, b) in buckets.into_iter().enumerate() {
                             if !b.bytes.is_empty() {
                                 store.insert((dep.id.0, part, r), b.bytes);
                             }
                         }
-                        tracker.register_output(
-                            dep.id,
-                            part,
-                            crate::tracker::MapStatus {
-                                executor: crate::executor::ExecutorId::new("t"),
-                                sizes,
-                            },
-                        );
                     }
                 }
                 crate::stage::StageKind::Result => {
@@ -236,10 +229,11 @@ mod tests {
     ) -> TaskContext {
         let mut m = splitserve_rt::FastMap::default();
         for dep in inputs {
-            let blocks: Vec<Bytes> = tracker
-                .inputs_for_reduce(dep.id, part)
+            let mut plan = Vec::new();
+            tracker.inputs_for_reduce_into(dep.id, part, &mut plan);
+            let blocks: Vec<Bytes> = plan
                 .into_iter()
-                .map(|(mi, _, _)| store[&(dep.id.0, mi, part)].clone())
+                .map(|(_, mi, _, _)| store[&(dep.id.0, mi, part)].clone())
                 .collect();
             m.insert(dep.id, blocks);
         }

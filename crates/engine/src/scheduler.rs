@@ -35,7 +35,7 @@ use crate::metrics::{JobMetrics, JobOutput};
 use crate::node::{PartitionData, PlanNode, ShuffleBucket, ShuffleDep, ShuffleId};
 use crate::stage::{build_stages, Stage, StageGraph, StageId, StageKind};
 use crate::telemetry::{StoreOp, Telemetry};
-use crate::tracker::{MapOutputTracker, MapStatus};
+use crate::tracker::MapOutputTracker;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct AttemptId(u64);
@@ -154,12 +154,11 @@ enum Direction {
     /// regardless — task inputs, and therefore outputs, stay bit-identical
     /// across fault schedules.
     Fetch(Vec<Bytes>),
-    /// A map task's buckets, the serialized size of every bucket (for the
-    /// map status) and the CPU seconds its body charged.
+    /// A map task's buckets (whose sizes the tracker copies once they are
+    /// written) and the CPU seconds its body charged.
     Write {
         shuffle: ShuffleId,
         buckets: Vec<ShuffleBucket>,
-        sizes: Vec<u64>,
         cpu: f64,
     },
 }
@@ -311,7 +310,11 @@ type JobDoneCallback = Box<dyn FnOnce(&mut Sim, JobOutput)>;
 struct LiveJob {
     graph: StageGraph,
     status: Vec<StageStatus>,
+    /// The result stage's partitions, filled as its tasks finish; emptied
+    /// when the job completes and hands them on.
     result_parts: Vec<Option<PartitionData>>,
+    /// How many of `result_parts` are filled.
+    result_filled: usize,
     on_done: Option<JobDoneCallback>,
     /// How many entries of `Inner::attempts` belong to this job.
     attempts: usize,
@@ -800,12 +803,23 @@ impl Engine {
 
     /// Snapshot of all executors (in id order).
     pub fn executors(&self) -> Vec<ExecutorInfo> {
+        let mut out = Vec::new();
+        self.executors_into(&mut out);
+        out
+    }
+
+    /// [`Engine::executors`] into `out`, replacing what it held: a control
+    /// loop that keeps its list from one tick to the next snapshots
+    /// without allocating.
+    pub fn executors_into(&self, out: &mut Vec<ExecutorInfo>) {
         let inner = self.shared.inner.borrow();
-        inner
-            .execs_by_name
-            .iter()
-            .map(|&slot| inner.execs[slot as usize].info())
-            .collect()
+        out.clear();
+        out.extend(
+            inner
+                .execs_by_name
+                .iter()
+                .map(|&slot| inner.execs[slot as usize].info()),
+        );
     }
 
     /// Snapshot of one executor.
@@ -993,7 +1007,7 @@ impl Engine {
                 let st = &mut job.status[stage.id.0 as usize];
                 if let StageKind::ShuffleMap(dep) = &stage.kind {
                     if st.state == Some(StageState::Done) && !inner.tracker.is_complete(dep.id) {
-                        let missing = inner.tracker.missing(dep.id).count();
+                        let missing = stage.num_tasks - inner.tracker.registered(dep.id);
                         st.state = Some(StageState::Waiting);
                         let (job, stage) = (job_id, stage.id);
                         sh.tele.emit(sim.now(), E::StageRolledBack { job, stage, missing });
@@ -1040,9 +1054,8 @@ impl Engine {
             // Register every shuffle in the tracker.
             for stage in &graph.stages {
                 if let StageKind::ShuffleMap(dep) = &stage.kind {
-                    inner
-                        .tracker
-                        .register_shuffle(dep.id, dep.parent.num_partitions());
+                    let (maps, reduces) = (dep.parent.num_partitions(), dep.num_partitions);
+                    inner.tracker.register_shuffle(dep.id, maps, reduces);
                 }
             }
             let n_stages = graph.len();
@@ -1055,6 +1068,7 @@ impl Engine {
                     graph,
                     status: (0..n_stages).map(|_| StageStatus::default()).collect(),
                     result_parts: vec![None; result_width],
+                    result_filled: 0,
                     on_done: Some(Box::new(on_done)),
                     attempts: 0,
                 }),
@@ -1093,13 +1107,15 @@ impl Engine {
                     .iter()
                     .all(|d| inner.tracker.is_complete(d.id));
 
-                // Completion checks.
-                let complete = match &stage.kind {
-                    StageKind::ShuffleMap(dep) => inner.tracker.is_complete(dep.id),
-                    StageKind::Result => job.result_parts.iter().all(Option::is_some),
+                // Completion checks: counts, not scans.
+                let (done, shared) = match &stage.kind {
+                    StageKind::ShuffleMap(dep) => {
+                        (inner.tracker.registered(dep.id), inner.tracker.is_shared(dep.id))
+                    }
+                    StageKind::Result => (job.result_filled, false),
                 };
                 let st = &mut job.status[sidx];
-                if complete {
+                if done == stage.num_tasks {
                     if st.state != Some(StageState::Done) {
                         st.state = Some(StageState::Done);
                         let completed = E::StageCompleted { job: job_id, stage: stage.id };
@@ -1111,24 +1127,34 @@ impl Engine {
                     continue;
                 }
                 // Runnable: queue whatever is missing and not in flight.
-                let mut queued_now = 0;
-                let mut queue_part = |part: usize| {
-                    if !st.queued.contains(part) && !st.running.contains(part) {
-                        st.queued.insert(part);
-                        inner.pending.push_back((job_id, stage.id, part));
-                        queued_now += 1;
-                    }
+                let tracker = &inner.tracker;
+                let result_parts = &job.result_parts;
+                let each_missing = |f: &mut dyn FnMut(usize)| match &stage.kind {
+                    StageKind::ShuffleMap(dep) => tracker.missing(dep.id).for_each(f),
+                    StageKind::Result => (0..result_parts.len())
+                        .filter(|&part| result_parts[part].is_none())
+                        .for_each(f),
                 };
-                match &stage.kind {
-                    StageKind::ShuffleMap(dep) => {
-                        inner.tracker.missing(dep.id).for_each(&mut queue_part)
+                // A part is done, queued or running, never two at once —
+                // unless another job's tasks register outputs of a shared
+                // shuffle. So when the three counts cover the stage,
+                // nothing is left to queue, and the scan is skipped.
+                let mut queued_now = 0;
+                if !shared && done + st.queued.len + st.running.len == stage.num_tasks {
+                    if cfg!(debug_assertions) {
+                        each_missing(&mut |part| {
+                            let in_flight = st.queued.contains(part) || st.running.contains(part);
+                            assert!(in_flight, "counts cover the stage, but part {part} is idle");
+                        });
                     }
-                    StageKind::Result => job
-                        .result_parts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.is_none())
-                        .for_each(|(part, _)| queue_part(part)),
+                } else {
+                    each_missing(&mut |part| {
+                        if !st.queued.contains(part) && !st.running.contains(part) {
+                            st.queued.insert(part);
+                            inner.pending.push_back((job_id, stage.id, part));
+                            queued_now += 1;
+                        }
+                    });
                 }
                 if queued_now > 0 {
                     let (job, stage, tasks) = (job_id, stage.id, queued_now);
@@ -1138,16 +1164,17 @@ impl Engine {
             }
 
             // Job completion.
-            if job.result_parts.iter().all(Option::is_some) {
+            if job.result_filled == job.result_parts.len() {
                 slot.done = true;
                 sh.tele.emit(sim.now(), E::JobCompleted { job: job_id });
                 // Hand the job's only references over: `collect_partitions`
                 // can then move the rows out instead of cloning them (the
-                // done flag above keeps this arm from running twice).
-                let partitions: Vec<PartitionData> = job
-                    .result_parts
-                    .iter_mut()
-                    .map(|p| p.take().expect("checked above"))
+                // done flag above keeps this arm from running twice). An
+                // `Option<Arc<_>>` is laid out as its `Arc`, so the collect
+                // reuses the slots' allocation in place.
+                let partitions: Vec<PartitionData> = std::mem::take(&mut job.result_parts)
+                    .into_iter()
+                    .map(|p| p.expect("every slot is filled"))
                     .collect();
                 let output = JobOutput {
                     partitions,
@@ -1435,7 +1462,7 @@ impl Engine {
         enum Next {
             Issue,
             Compute(TaskContext),
-            Register(ShuffleId, Vec<u64>, f64),
+            Register(ShuffleId, Vec<ShuffleBucket>, f64),
             FetchFailed(ShuffleId, usize, StoreError),
             WriteFailed(StoreError),
         }
@@ -1489,8 +1516,8 @@ impl Engine {
                                     let work = &inner.cfg.work;
                                     Next::Compute(task_context(work, stage, &plan, blocks))
                                 }
-                                Direction::Write { shuffle, sizes, cpu, .. } => {
-                                    Next::Register(shuffle, sizes, cpu)
+                                Direction::Write { shuffle, buckets, cpu } => {
+                                    Next::Register(shuffle, buckets, cpu)
                                 }
                             }
                         }
@@ -1501,8 +1528,8 @@ impl Engine {
         match next {
             Next::Issue => self.issue_next(sim, attempt),
             Next::Compute(ctx) => self.run_compute(sim, attempt, ctx),
-            Next::Register(shuffle, sizes, cpu) => {
-                self.map_outputs_done(sim, attempt, shuffle, sizes, cpu)
+            Next::Register(shuffle, buckets, cpu) => {
+                self.map_outputs_done(sim, attempt, shuffle, &buckets, cpu)
             }
             Next::FetchFailed(shuffle, map, err) => {
                 self.fetch_failed(sim, attempt, shuffle, map, err)
@@ -1608,7 +1635,12 @@ impl Engine {
                         return; // executor died while "computing"
                     };
                     let info = a.info;
-                    inner.pinned_job_mut(info.task.job).result_parts[info.task.part] = Some(data);
+                    let job = inner.pinned_job_mut(info.task.job);
+                    // A finished job has handed its slots on: a late
+                    // attempt's result has nowhere to go.
+                    if let Some(slot) = job.result_parts.get_mut(info.task.part) {
+                        job.result_filled += usize::from(slot.replace(data).is_none());
+                    }
                     let (task, cpu_secs) = (info.task, cpu);
                     self.shared.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs });
                 }
@@ -1628,7 +1660,7 @@ impl Engine {
         cpu: f64,
     ) {
         let sh = &*self.shared;
-        let (shuffle, sizes) = {
+        let shuffle = {
             let inner = sh.inner.borrow();
             let Some(a) = inner.attempts.get(&attempt) else {
                 return; // executor died while "computing"
@@ -1639,24 +1671,26 @@ impl Engine {
                 unreachable!("map payload implies map stage");
             };
             sh.tele.emit(sim.now(), E::TaskComputed { task, cpu_secs: cpu });
-            (dep.id, buckets.iter().map(|b| b.bytes.len() as u64).collect::<Vec<_>>())
+            dep.id
         };
-        match sizes.iter().filter(|size| **size > 0).count() {
-            0 => self.map_outputs_done(sim, attempt, shuffle, sizes, cpu),
+        match buckets.iter().filter(|b| !b.bytes.is_empty()).count() {
+            0 => self.map_outputs_done(sim, attempt, shuffle, &buckets, cpu),
             unsent => {
-                let bytes = sizes.iter().sum();
-                let dir = Direction::Write { shuffle, buckets, sizes, cpu };
+                let bytes = buckets.iter().map(|b| b.bytes.len() as u64).sum();
+                let dir = Direction::Write { shuffle, buckets, cpu };
                 self.open_transfer(sim, attempt, bytes, unsent, dir);
             }
         }
     }
 
+    /// Registers a map task's written buckets with the tracker, then
+    /// completes the task.
     fn map_outputs_done(
         &self,
         sim: &mut Sim,
         attempt: AttemptId,
         sid: ShuffleId,
-        sizes: Vec<u64>,
+        buckets: &[ShuffleBucket],
         cpu: f64,
     ) {
         {
@@ -1664,15 +1698,9 @@ impl Engine {
             let Some(a) = inner.attempts.get(&attempt) else {
                 return;
             };
-            let info = a.info;
-            inner.tracker.register_output(
-                sid,
-                info.task.part,
-                MapStatus {
-                    executor: info.task.exec,
-                    sizes,
-                },
-            );
+            let TaskRef { part, exec, .. } = a.info.task;
+            let sizes = buckets.iter().map(|b| b.bytes.len() as u64);
+            inner.tracker.register_output(sid, part, exec, sizes);
         }
         self.task_done(sim, attempt, cpu);
     }

@@ -45,9 +45,8 @@ pub struct Stage {
     pub terminal: Arc<dyn PlanNode>,
     /// Number of tasks (the terminal's partitions).
     pub num_tasks: usize,
-    /// Stages whose shuffle output this stage reads.
-    pub parents: Vec<StageId>,
-    /// The shuffles this stage's tasks fetch.
+    /// The shuffles this stage's tasks fetch, in shuffle-id order; their
+    /// producers are the stage's parents ([`StageGraph::parents`]).
     pub input_shuffles: Vec<Arc<ShuffleDep>>,
 }
 
@@ -58,7 +57,6 @@ impl std::fmt::Debug for Stage {
             .field("kind", &self.kind)
             .field("terminal", &self.terminal.label())
             .field("num_tasks", &self.num_tasks)
-            .field("parents", &self.parents)
             .finish()
     }
 }
@@ -97,28 +95,32 @@ impl StageGraph {
         })
     }
 
+    /// The stages whose shuffle output stage `id` reads: the producers of
+    /// its input shuffles, in the same order.
+    pub fn parents(&self, id: StageId) -> impl Iterator<Item = StageId> + '_ {
+        self.stage(id).input_shuffles.iter().map(|dep| {
+            self.producer_of(dep.id)
+                .expect("every input shuffle has its map stage")
+        })
+    }
+
     /// Appends the stage whose tasks compute `terminal`, after the map
     /// stage of every shuffle it reads that has none yet (depth first, in
     /// shuffle-id order), so parents always precede children.
     fn add_stage(&mut self, kind: StageKind, terminal: Arc<dyn PlanNode>) -> StageId {
         let input_shuffles = input_shuffles(&terminal);
-        let parents = input_shuffles
-            .iter()
-            .map(|dep| match self.producer_of(dep.id) {
-                Some(stage) => stage,
-                None => self.add_stage(
-                    StageKind::ShuffleMap(Arc::clone(dep)),
-                    Arc::clone(&dep.parent),
-                ),
-            })
-            .collect();
+        for dep in &input_shuffles {
+            if self.producer_of(dep.id).is_none() {
+                let parent = Arc::clone(&dep.parent);
+                self.add_stage(StageKind::ShuffleMap(Arc::clone(dep)), parent);
+            }
+        }
         let id = StageId(self.stages.len() as u64);
         self.stages.push(Stage {
             id,
             kind,
             num_tasks: terminal.num_partitions(),
             terminal,
-            parents,
             input_shuffles,
         });
         id
@@ -162,7 +164,7 @@ mod tests {
         assert_eq!(map.num_tasks, 4, "map side width = parent partitions");
         let result = g.stage(g.result);
         assert_eq!(result.num_tasks, 2, "result width = reduce partitions");
-        assert_eq!(result.parents, vec![StageId(0)]);
+        assert_eq!(g.parents(g.result).collect::<Vec<_>>(), vec![StageId(0)]);
         assert_eq!(result.input_shuffles.len(), 1);
     }
 
@@ -173,15 +175,10 @@ mod tests {
         let j = a.join(&b, 4);
         let g = build_stages(j.node());
         assert_eq!(g.len(), 3);
-        let result = g.stage(g.result);
-        assert_eq!(result.parents.len(), 2);
-        assert_eq!(result.num_tasks, 4);
+        assert_eq!(g.parents(g.result).count(), 2);
+        assert_eq!(g.stage(g.result).num_tasks, 4);
         // Both parents are map stages of widths 3 and 2.
-        let mut widths: Vec<usize> = result
-            .parents
-            .iter()
-            .map(|p| g.stage(*p).num_tasks)
-            .collect();
+        let mut widths: Vec<usize> = g.parents(g.result).map(|p| g.stage(p).num_tasks).collect();
         widths.sort();
         assert_eq!(widths, vec![2, 3]);
     }
@@ -195,8 +192,8 @@ mod tests {
         let g = build_stages(ds.node());
         assert_eq!(g.len(), 3);
         for s in &g.stages {
-            for p in &s.parents {
-                assert!(*p < s.id, "parent after child");
+            for p in g.parents(s.id) {
+                assert!(p < s.id, "parent after child");
             }
         }
         // Producer lookup works.
@@ -219,5 +216,9 @@ mod tests {
         let g = build_stages(j.node());
         // stages: base map, left map, right map, result = 4 (base reused).
         assert_eq!(g.len(), 4);
+        assert_eq!(g.parents(StageId(1)).collect::<Vec<_>>(), vec![StageId(0)]);
+        assert_eq!(g.parents(StageId(2)).collect::<Vec<_>>(), vec![StageId(0)]);
+        let result: Vec<_> = g.parents(g.result).collect();
+        assert_eq!(result, vec![StageId(1), StageId(2)]);
     }
 }

@@ -7,15 +7,37 @@ use splitserve_rt::FastMap;
 use crate::executor::ExecutorId;
 use crate::node::ShuffleId;
 
-/// The record a completed map task registers: who holds its output and the
-/// serialized size of each reduce bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MapStatus {
-    /// Executor that wrote the blocks (block-store directory prefix).
-    pub executor: ExecutorId,
-    /// Serialized bytes per reduce partition; zero-sized buckets were not
-    /// written and must not be fetched.
-    pub sizes: Vec<u64>,
+/// What the tracker holds for one shuffle: two allocations, however many
+/// map tasks register.
+#[derive(Debug)]
+struct MapOutputs {
+    /// The executor holding each map partition's blocks (its block-store
+    /// directory prefix); `None` until the map registers, and again once
+    /// its output is lost.
+    writers: Vec<Option<ExecutorId>>,
+    /// Serialized bytes per reduce bucket, one row of `reduces` per map,
+    /// row-major. A row means something only while its map has a writer;
+    /// zero-sized buckets were not written and must not be fetched.
+    sizes: Vec<u64>,
+    /// Reduce partitions: the length of a row.
+    reduces: usize,
+    /// Maps with a writer; the shuffle is complete when every map has one.
+    registered: usize,
+    /// Registered by more than one job since the tracker last forgot it.
+    shared: bool,
+}
+
+impl MapOutputs {
+    fn row(&self, map: usize) -> &[u64] {
+        &self.sizes[map * self.reduces..][..self.reduces]
+    }
+
+    /// Drops map `map`'s output, reporting whether it had one.
+    fn unregister(&mut self, map: usize) -> bool {
+        let lost = self.writers[map].take().is_some();
+        self.registered -= usize::from(lost);
+        lost
+    }
 }
 
 /// Driver-side shuffle metadata.
@@ -25,7 +47,7 @@ pub struct MapStatus {
 /// caller-held `Dataset` can reach the shuffle's dependency any more.
 #[derive(Debug, Default)]
 pub struct MapOutputTracker {
-    shuffles: FastMap<ShuffleId, Vec<Option<MapStatus>>>,
+    shuffles: FastMap<ShuffleId, MapOutputs>,
 }
 
 impl MapOutputTracker {
@@ -34,14 +56,32 @@ impl MapOutputTracker {
         MapOutputTracker::default()
     }
 
-    /// Registers a shuffle with `maps` map partitions (idempotent).
-    pub fn register_shuffle(&mut self, id: ShuffleId, maps: usize) {
-        self.shuffles.entry(id).or_insert_with(|| vec![None; maps]);
+    /// Registers a shuffle of `maps` map partitions into `reduces` reduce
+    /// partitions. Registering a known shuffle again keeps its outputs and
+    /// marks it [shared](MapOutputTracker::is_shared).
+    pub fn register_shuffle(&mut self, id: ShuffleId, maps: usize, reduces: usize) {
+        self.shuffles
+            .entry(id)
+            .and_modify(|outputs| outputs.shared = true)
+            .or_insert_with(|| MapOutputs {
+                writers: vec![None; maps],
+                sizes: vec![0; maps * reduces],
+                reduces,
+                registered: 0,
+                shared: false,
+            });
     }
 
     /// `true` if the shuffle is known.
     pub fn has_shuffle(&self, id: ShuffleId) -> bool {
         self.shuffles.contains_key(&id)
+    }
+
+    /// Whether shuffle `id` was registered more than once since it was
+    /// last forgotten — by two jobs over one `Dataset`, whose map tasks
+    /// may then register outputs the other job still has queued.
+    pub fn is_shared(&self, id: ShuffleId) -> bool {
+        self.shuffles.get(&id).is_some_and(|outputs| outputs.shared)
     }
 
     /// Drops everything known about shuffle `id`; registering it again
@@ -55,24 +95,43 @@ impl MapOutputTracker {
         self.shuffles.len()
     }
 
-    /// Records a completed map task's output.
+    /// Records that `executor` holds map task `map`'s output, with `sizes`
+    /// the serialized bytes of its buckets in reduce order.
     ///
     /// # Panics
     ///
-    /// Panics if the shuffle or map index is unknown.
-    pub fn register_output(&mut self, id: ShuffleId, map: usize, status: MapStatus) {
-        let maps = self
-            .shuffles
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown shuffle {id}"));
-        maps[map] = Some(status);
+    /// Panics if the shuffle or map index is unknown, or `sizes` does not
+    /// hold one entry per reduce partition.
+    pub fn register_output(
+        &mut self,
+        id: ShuffleId,
+        map: usize,
+        executor: ExecutorId,
+        sizes: impl ExactSizeIterator<Item = u64>,
+    ) {
+        let Some(outputs) = self.shuffles.get_mut(&id) else {
+            panic!("unknown shuffle {id}");
+        };
+        assert_eq!(sizes.len(), outputs.reduces, "one size per reduce partition");
+        let reduces = outputs.reduces;
+        let row = &mut outputs.sizes[map * reduces..][..reduces];
+        row.iter_mut().zip(sizes).for_each(|(slot, size)| *slot = size);
+        if outputs.writers[map].replace(executor).is_none() {
+            outputs.registered += 1;
+        }
+    }
+
+    /// Map partitions of `id` with registered output (0 for an unknown
+    /// shuffle).
+    pub fn registered(&self, id: ShuffleId) -> usize {
+        self.shuffles.get(&id).map_or(0, |outputs| outputs.registered)
     }
 
     /// Whether every map partition of `id` has registered output.
     pub fn is_complete(&self, id: ShuffleId) -> bool {
         self.shuffles
             .get(&id)
-            .is_some_and(|m| m.iter().all(Option::is_some))
+            .is_some_and(|outputs| outputs.registered == outputs.writers.len())
     }
 
     /// Map partitions of `id` with no (surviving) output, ascending (none
@@ -81,63 +140,33 @@ impl MapOutputTracker {
         self.shuffles
             .get(&id)
             .into_iter()
-            .flat_map(|m| m.iter().enumerate())
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| i)
-    }
-
-    /// The non-empty blocks a reduce task for partition `reduce` must
-    /// fetch: `(map_index, writer, size)` triples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shuffle is incomplete — stages are only launched once
-    /// their parents finished, so this is an engine invariant.
-    pub fn inputs_for_reduce(&self, id: ShuffleId, reduce: usize) -> Vec<(usize, ExecutorId, u64)> {
-        let maps = self
-            .shuffles
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown shuffle {id}"));
-        maps.iter()
-            .enumerate()
-            .map(|(m, s)| {
-                let s = s
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("shuffle {id} map {m} incomplete"));
-                (m, s.executor, s.sizes[reduce])
-            })
-            .filter(|(_, _, size)| *size > 0)
-            .collect()
+            .flat_map(|outputs| outputs.writers.iter().enumerate())
+            .filter(|(_, writer)| writer.is_none())
+            .map(|(map, _)| map)
     }
 
     /// Appends the non-empty blocks a reduce task for partition `reduce`
-    /// must fetch onto `plan` as `(shuffle, map_index, writer, size)` —
-    /// the allocation-free form of [`inputs_for_reduce`] the dispatch hot
-    /// path uses (`plan` is the caller's task-scoped fetch plan).
+    /// must fetch onto `plan` as `(shuffle, map_index, writer, size)`, in
+    /// map order (`plan` is the caller's task-scoped fetch plan).
     ///
     /// # Panics
     ///
-    /// Panics if the shuffle is incomplete, like [`inputs_for_reduce`].
-    ///
-    /// [`inputs_for_reduce`]: MapOutputTracker::inputs_for_reduce
+    /// Panics if the shuffle is unknown or incomplete — stages are only
+    /// launched once their parents finished, so this is an engine
+    /// invariant.
     pub fn inputs_for_reduce_into(
         &self,
         id: ShuffleId,
         reduce: usize,
         plan: &mut Vec<(ShuffleId, usize, ExecutorId, u64)>,
     ) {
-        let maps = self
-            .shuffles
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown shuffle {id}"));
-        plan.reserve(maps.len());
-        for (m, s) in maps.iter().enumerate() {
-            let s = s
-                .as_ref()
-                .unwrap_or_else(|| panic!("shuffle {id} map {m} incomplete"));
-            let size = s.sizes[reduce];
-            if size > 0 {
-                plan.push((id, m, s.executor, size));
+        assert!(self.is_complete(id), "shuffle {id} is unknown or incomplete");
+        let outputs = &self.shuffles[&id];
+        plan.reserve(outputs.writers.len());
+        for (map, writer) in outputs.writers.iter().enumerate() {
+            let size = outputs.row(map)[reduce];
+            if let (Some(writer), true) = (writer, size > 0) {
+                plan.push((id, map, *writer, size));
             }
         }
     }
@@ -145,22 +174,19 @@ impl MapOutputTracker {
     /// Whether `executor` currently holds any registered output of shuffle
     /// `id` — i.e. whether losing it would leave the shuffle incomplete.
     pub fn has_outputs_from(&self, id: ShuffleId, executor: &ExecutorId) -> bool {
-        self.shuffles.get(&id).is_some_and(|maps| {
-            maps.iter()
-                .flatten()
-                .any(|s| &s.executor == executor)
-        })
+        self.shuffles
+            .get(&id)
+            .is_some_and(|outputs| outputs.writers.contains(&Some(*executor)))
     }
 
     /// Forgets every output written by `executor` (its local blocks died
     /// with it). Returns the shuffles that lost outputs, with how many.
     pub fn unregister_executor(&mut self, executor: &ExecutorId) -> Vec<(ShuffleId, usize)> {
         let mut affected = Vec::new();
-        for (id, maps) in &mut self.shuffles {
+        for (id, outputs) in &mut self.shuffles {
             let mut lost = 0;
-            for slot in maps.iter_mut() {
-                if slot.as_ref().is_some_and(|s| &s.executor == executor) {
-                    *slot = None;
+            for map in 0..outputs.writers.len() {
+                if outputs.writers[map] == Some(*executor) && outputs.unregister(map) {
                     lost += 1;
                 }
             }
@@ -174,22 +200,19 @@ impl MapOutputTracker {
 
     /// Forgets one map output (after a fetch failure pinpointed it).
     pub fn unregister_output(&mut self, id: ShuffleId, map: usize) {
-        if let Some(maps) = self.shuffles.get_mut(&id) {
-            maps[map] = None;
+        if let Some(outputs) = self.shuffles.get_mut(&id) {
+            outputs.unregister(map);
         }
     }
 
     /// Total bytes registered for shuffle `id` (for metrics).
     pub fn shuffle_bytes(&self, id: ShuffleId) -> u64 {
-        self.shuffles
-            .get(&id)
-            .map(|maps| {
-                maps.iter()
-                    .flatten()
-                    .flat_map(|s| s.sizes.iter())
-                    .sum::<u64>()
-            })
-            .unwrap_or(0)
+        self.shuffles.get(&id).map_or(0, |outputs| {
+            (0..outputs.writers.len())
+                .filter(|&map| outputs.writers[map].is_some())
+                .map(|map| outputs.row(map).iter().sum::<u64>())
+                .sum()
+        })
     }
 }
 
@@ -197,65 +220,114 @@ impl MapOutputTracker {
 mod tests {
     use super::*;
 
-    fn status(exec: &str, sizes: Vec<u64>) -> MapStatus {
-        MapStatus {
-            executor: ExecutorId::new(exec),
-            sizes,
-        }
+    fn register(t: &mut MapOutputTracker, s: ShuffleId, map: usize, exec: &str, sizes: &[u64]) {
+        t.register_output(s, map, ExecutorId::new(exec), sizes.iter().copied());
+    }
+
+    fn inputs(t: &MapOutputTracker, s: ShuffleId, reduce: usize) -> Vec<(usize, &'static str, u64)> {
+        let mut plan = Vec::new();
+        t.inputs_for_reduce_into(s, reduce, &mut plan);
+        assert!(plan.iter().all(|(id, ..)| *id == s));
+        plan.into_iter()
+            .map(|(_, map, writer, size)| (map, writer.as_str(), size))
+            .collect()
     }
 
     #[test]
     fn completeness_tracking() {
         let mut t = MapOutputTracker::new();
         let s = ShuffleId(1);
-        t.register_shuffle(s, 3);
+        t.register_shuffle(s, 3, 2);
         assert!(!t.is_complete(s));
+        assert_eq!(t.registered(s), 0);
         assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![0, 1, 2]);
-        t.register_output(s, 0, status("e1", vec![10, 0]));
-        t.register_output(s, 2, status("e2", vec![5, 5]));
+        register(&mut t, s, 0, "e1", &[10, 0]);
+        register(&mut t, s, 2, "e2", &[5, 5]);
+        assert_eq!(t.registered(s), 2);
         assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![1]);
-        t.register_output(s, 1, status("e1", vec![0, 7]));
+        register(&mut t, s, 1, "e1", &[0, 7]);
         assert!(t.is_complete(s));
+        assert_eq!(t.registered(s), 3);
+    }
+
+    #[test]
+    fn re_registering_a_map_overwrites_its_row_and_counts_it_once() {
+        let mut t = MapOutputTracker::new();
+        let s = ShuffleId(1);
+        t.register_shuffle(s, 2, 2);
+        register(&mut t, s, 0, "e1", &[3, 4]);
+        register(&mut t, s, 0, "e2", &[5, 0]);
+        assert_eq!(t.registered(s), 1);
+        assert_eq!(t.shuffle_bytes(s), 5);
+        register(&mut t, s, 1, "e1", &[0, 1]);
+        assert!(t.is_complete(s));
+        assert_eq!(inputs(&t, s, 0), vec![(0, "e2", 5)]);
+        assert_eq!(inputs(&t, s, 1), vec![(1, "e1", 1)]);
+    }
+
+    #[test]
+    fn unregistering_an_output_uncounts_it_once() {
+        let mut t = MapOutputTracker::new();
+        let s = ShuffleId(1);
+        t.register_shuffle(s, 2, 1);
+        register(&mut t, s, 0, "e1", &[4]);
+        register(&mut t, s, 1, "e1", &[6]);
+        assert!(t.is_complete(s));
+        t.unregister_output(s, 1);
+        t.unregister_output(s, 1); // already gone: no double count
+        t.unregister_output(ShuffleId(9), 0); // unknown shuffle: a no-op
+        assert_eq!(t.registered(s), 1);
+        assert!(!t.is_complete(s));
+        assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(t.shuffle_bytes(s), 4, "a lost row's bytes stop counting");
+        register(&mut t, s, 1, "e2", &[2]);
+        assert!(t.is_complete(s));
+        assert_eq!(t.shuffle_bytes(s), 6);
     }
 
     #[test]
     fn register_shuffle_is_idempotent() {
         let mut t = MapOutputTracker::new();
         let s = ShuffleId(1);
-        t.register_shuffle(s, 2);
-        t.register_output(s, 0, status("e1", vec![1]));
-        t.register_shuffle(s, 2); // must not wipe
+        t.register_shuffle(s, 2, 1);
+        register(&mut t, s, 0, "e1", &[1]);
+        assert!(!t.is_shared(s));
+        t.register_shuffle(s, 2, 1); // must not wipe
         assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(t.registered(s), 1);
+        assert!(t.is_shared(s), "a second registration marks it shared");
     }
 
     #[test]
     fn forgotten_shuffle_starts_over() {
         let mut t = MapOutputTracker::new();
         let s = ShuffleId(4);
-        t.register_shuffle(s, 1);
-        t.register_output(s, 0, status("e1", vec![1]));
+        t.register_shuffle(s, 1, 1);
+        register(&mut t, s, 0, "e1", &[1]);
+        t.register_shuffle(s, 1, 1);
         assert_eq!(t.shuffle_count(), 1);
         t.forget_shuffle(s);
-        assert!(!t.has_shuffle(s) && !t.is_complete(s));
+        assert!(!t.has_shuffle(s) && !t.is_complete(s) && !t.is_shared(s));
         assert_eq!(t.shuffle_count(), 0);
-        t.register_shuffle(s, 1);
+        assert_eq!((t.registered(s), t.shuffle_bytes(s)), (0, 0));
+        t.register_shuffle(s, 1, 1);
         assert_eq!(t.missing(s).collect::<Vec<_>>(), vec![0]);
+        assert!(!t.is_shared(s));
     }
 
     #[test]
     fn reduce_inputs_skip_empty_buckets() {
         let mut t = MapOutputTracker::new();
         let s = ShuffleId(0);
-        t.register_shuffle(s, 2);
-        t.register_output(s, 0, status("e1", vec![10, 0]));
-        t.register_output(s, 1, status("e2", vec![0, 20]));
-        let r0 = t.inputs_for_reduce(s, 0);
-        assert_eq!(r0, vec![(0, ExecutorId::new("e1"), 10)]);
-        let r1 = t.inputs_for_reduce(s, 1);
-        assert_eq!(r1, vec![(1, ExecutorId::new("e2"), 20)]);
-        let mut plan = Vec::new();
+        t.register_shuffle(s, 2, 2);
+        register(&mut t, s, 0, "e1", &[10, 0]);
+        register(&mut t, s, 1, "e2", &[0, 20]);
+        assert_eq!(inputs(&t, s, 0), vec![(0, "e1", 10)]);
+        assert_eq!(inputs(&t, s, 1), vec![(1, "e2", 20)]);
+        // Appends after what the plan already holds.
+        let mut plan = vec![(ShuffleId(7), 3, ExecutorId::new("e9"), 1)];
         t.inputs_for_reduce_into(s, 1, &mut plan);
-        assert_eq!(plan, vec![(s, 1, ExecutorId::new("e2"), 20)]);
+        assert_eq!(plan[1..], [(s, 1, ExecutorId::new("e2"), 20)]);
         assert_eq!(t.shuffle_bytes(s), 30);
     }
 
@@ -264,18 +336,23 @@ mod tests {
         let mut t = MapOutputTracker::new();
         let s1 = ShuffleId(1);
         let s2 = ShuffleId(2);
-        t.register_shuffle(s1, 2);
-        t.register_shuffle(s2, 1);
-        t.register_output(s1, 0, status("dead", vec![1]));
-        t.register_output(s1, 1, status("alive", vec![1]));
-        t.register_output(s2, 0, status("dead", vec![1]));
-        let affected = t.unregister_executor(&ExecutorId::new("dead"));
+        t.register_shuffle(s1, 2, 1);
+        t.register_shuffle(s2, 1, 1);
+        register(&mut t, s1, 0, "dead", &[1]);
+        register(&mut t, s1, 1, "alive", &[2]);
+        register(&mut t, s2, 0, "dead", &[3]);
+        let dead = ExecutorId::new("dead");
+        assert!(t.has_outputs_from(s1, &dead));
+        let affected = t.unregister_executor(&dead);
         assert_eq!(affected, vec![(s1, 1), (s2, 1)]);
+        assert!(!t.has_outputs_from(s1, &dead) && !t.has_outputs_from(s2, &dead));
         assert_eq!(t.missing(s1).collect::<Vec<_>>(), vec![0]);
         assert!(!t.is_complete(s2));
         assert!(!t.is_complete(s1));
-        // Survivor intact.
-        assert_eq!(t.missing(s1).count(), 1);
+        // Survivor intact, and the counts follow the loss.
+        assert_eq!((t.registered(s1), t.registered(s2)), (1, 0));
+        assert_eq!((t.shuffle_bytes(s1), t.shuffle_bytes(s2)), (2, 0));
+        assert!(t.unregister_executor(&dead).is_empty(), "nothing left to lose");
     }
 
     #[test]
@@ -283,7 +360,7 @@ mod tests {
     fn reduce_inputs_on_incomplete_shuffle_panics() {
         let mut t = MapOutputTracker::new();
         let s = ShuffleId(3);
-        t.register_shuffle(s, 1);
-        t.inputs_for_reduce(s, 0);
+        t.register_shuffle(s, 1, 1);
+        t.inputs_for_reduce_into(s, 0, &mut Vec::new());
     }
 }

@@ -1,5 +1,6 @@
-//! Allocation budgets for the data plane's hot bodies: the reduce side's
-//! join and combine, a streaming `flat_map` and a wide map side.
+//! Allocation budgets for the data plane's hot bodies — the reduce side's
+//! join and combine, a streaming `flat_map` and a wide map side — and for
+//! the stage cut every job submission makes.
 //!
 //! Heap allocations are counted per thread by this binary's own global
 //! allocator, so a count is a pure function of the body and its input: it
@@ -11,7 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use splitserve_engine::{input_shuffles, Dataset, ShuffleDep, TaskContext, WorkModel};
+use splitserve_engine::{
+    build_stages, input_shuffles, Dataset, ShuffleDep, StageId, TaskContext, WorkModel,
+};
 use splitserve_rt::{Bytes, FastMap};
 
 thread_local! {
@@ -218,6 +221,25 @@ fn a_wide_map_task_runs_on_pooled_scratch() {
     );
 }
 
+/// The stage cut of a fleet job's plan — generate, map, `reduce_by_key`:
+/// the stage list and the result stage's one-shuffle input list. The map
+/// stage reads no shuffle, the walks keep their visited nodes inline and
+/// a stage's parents are derived, not stored. Five before: also a visited
+/// list per stage walk and the result stage's parent list.
+#[test]
+fn a_fleet_job_stage_cut_allocates_its_two_lists() {
+    let plan = Dataset::<u64>::generate(4, |p| (0..8u64).map(|i| i + p as u64).collect())
+        .map_with_cost(|x| (*x % 7, *x), Some(1e-6))
+        .reduce_by_key(2, |a, b| a.wrapping_add(*b));
+    let node = plan.node();
+    let (graph, allocs) = allocs_in(|| build_stages(node));
+    assert_eq!(graph.len(), 2);
+    assert_eq!(graph.parents(graph.result).collect::<Vec<_>>(), [StageId(0)]);
+    assert_eq!(allocs, STAGE_CUT_BUDGET, "a fleet job's stage cut");
+}
+
+/// Allocations of one fleet job's stage cut (see above).
+const STAGE_CUT_BUDGET: u64 = 2;
 /// Allocations of the four 1→3 `flat_map` tasks over `RECORDS` records
 /// (six a task); 50 072 when every record returned a `Vec`.
 const FLAT_MAP_BUDGET: u64 = 24;

@@ -478,6 +478,54 @@ fn resubmitted_dataset_skips_its_map_stage_while_it_is_held() {
     assert_eq!((hdfs.block_count(), hdfs.used_bytes()), (0, 0));
 }
 
+/// Two live jobs over one `Dataset` share its shuffle: each queues the
+/// map tasks it finds missing, and either job's map task can register an
+/// output the other still has queued or running. Here the first job's
+/// four 1 s map tasks run two at a time, then the second job's; the kill
+/// at 3.5 s takes a running map task of the second job and the outputs
+/// written on its executor, one of which the second job had already
+/// run. Its stage is then missing that part while another part it runs
+/// is done — so its done, queued and running counts add up to its width
+/// with a part left idle. Both jobs must still queue what they miss and
+/// finish with the same rows.
+#[test]
+fn two_live_jobs_over_one_dataset_share_its_shuffle() {
+    let mut rig = local_rig(2);
+    let ds = Dataset::<u64>::generate(4, |p| (0..200u64).map(|i| i * 4 + p as u64).collect())
+        .map_with_cost(|x| (*x % 10, 1u64), Some(5e-3))
+        .reduce_by_key(3, |a, b| a + b);
+    let outputs = Rc::new(RefCell::new(Vec::new()));
+    for _ in 0..2 {
+        let o = Rc::clone(&outputs);
+        rig.engine.submit_job(&mut rig.sim, ds.node(), move |_, out| {
+            let mut rows = collect_partitions::<(u64, u64)>(out.partitions);
+            rows.sort();
+            o.borrow_mut().push(rows);
+        });
+    }
+    let engine = rig.engine.clone();
+    rig.sim.schedule_at(SimTime::from_millis(3_500), move |sim| {
+        engine.kill_executor(sim, &"e-vm-0".into());
+    });
+    rig.sim.run();
+    let expect: Vec<(u64, u64)> = (0..10).map(|k| (k, 80)).collect();
+    assert_eq!(*outputs.borrow(), [expect.clone(), expect]);
+    // The second job ran its part 2 when the kill struck and had run its
+    // part 0 on the killed executor: it runs both again.
+    let starts = |part: usize| {
+        let events = rig.engine.event_log().snapshot();
+        events
+            .iter()
+            .filter(|e| {
+                matches!(e.kind, EngineEventKind::TaskStarted { task, .. }
+                    if (task.job, task.stage.0, task.part) == (JobId(1), 0, part))
+            })
+            .count()
+    };
+    assert_eq!([starts(0), starts(1), starts(2), starts(3)], [2, 1, 2, 1]);
+    assert!(!rig.engine.has_active_jobs());
+}
+
 /// Forwards every call to the store under test and notes, as each put
 /// lands, the most blocks the bare store has held.
 struct PeakBlocks {

@@ -326,7 +326,7 @@ fn render_stages(node: Arc<dyn PlanNode>) -> String {
             StageKind::ShuffleMap(d) => format!("map(s{})", rank(d.id)),
             StageKind::Result => "result".to_string(),
         };
-        let parents: Vec<u64> = s.parents.iter().map(|p| p.0).collect();
+        let parents: Vec<u64> = graph.parents(s.id).map(|p| p.0).collect();
         let inputs: Vec<usize> = s.input_shuffles.iter().map(|d| rank(d.id)).collect();
         out.push_str(&format!(
             "{} {kind} tasks={} parents={parents:?} inputs={inputs:?}\n",
