@@ -176,7 +176,7 @@ impl TaskContext {
     }
 
     /// CPU seconds of this task's map-side combine, if it ran one.
-    pub(crate) fn combine_secs(&self) -> Option<f64> {
+    pub fn combine_secs(&self) -> Option<f64> {
         self.combine_secs
     }
 

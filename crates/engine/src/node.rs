@@ -1,15 +1,21 @@
-//! The untyped plan layer: lineage nodes, dependencies and shuffle edges.
+//! The untyped plan layer: lineage nodes, dependencies and shuffle edges,
+//! and the typed row stream a stage's narrow operators run as.
 //!
-//! A job is a DAG of [`PlanNode`]s mirroring Spark's RDD graph. Narrow
-//! dependencies are computed by recursive calls within one task
-//! (pipelining); [`ShuffleDep`] edges are the stage boundaries where data
-//! is partitioned by key, serialized and moved through the block store.
+//! A job is a DAG of [`PlanNode`]s mirroring Spark's RDD graph. A stage's
+//! narrow operators run as one pass, as Spark's `RDD.compute` iterators
+//! do: rows flow from the stage's source (`generate`, `parallelize`, a
+//! wide operator's merge, `cache`, `map_partitions`) through every narrow
+//! operator straight into the stage's sink (a shuffle's map side, or the
+//! result partition), and are materialized only at those sources and
+//! sinks. [`ShuffleDep`] edges are the stage boundaries where data is
+//! partitioned by key, serialized and moved through the block store.
 //!
 //! The whole layer is `Send + Sync`: task bodies execute on the engine's
 //! worker-thread pool, so plan nodes, partition payloads and the closures
 //! inside them must be shareable across threads.
 
 use std::any::Any;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,8 +23,10 @@ use splitserve_rt::Bytes;
 
 use crate::context::TaskContext;
 
-/// A computed partition: `Arc<Vec<T>>` behind `Any`. Cheap to clone,
-/// shared between pipelined operators, and movable to worker threads.
+/// A computed partition: `Arc<Vec<T>>` behind `Any`. What a result task
+/// hands back to the job's submitter and what a `cache()` or
+/// `parallelize` shares between tasks; cheap to clone and movable to
+/// worker threads.
 pub type PartitionData = Arc<dyn Any + Send + Sync>;
 
 /// Identifies a plan node within a process.
@@ -70,6 +78,10 @@ pub struct ShuffleBucket {
 /// CPU work to the context.
 pub type Partitioner = Arc<dyn Fn(&mut TaskContext, PartitionData) -> Vec<ShuffleBucket> + Send + Sync>;
 
+/// A map task: the parent's rows of one partition streamed straight into
+/// the shuffle's map side.
+type MapTask = Box<dyn Fn(&mut TaskContext, usize) -> Vec<ShuffleBucket> + Send + Sync>;
+
 /// A wide (shuffle) dependency: the child reads `parent`'s output
 /// re-partitioned into `num_partitions` buckets by `partitioner`.
 pub struct ShuffleDep {
@@ -81,27 +93,77 @@ pub struct ShuffleDep {
     pub num_partitions: usize,
     /// Type-erased map-side work (see [`Partitioner`]).
     pub partitioner: Partitioner,
+    /// The same map side, fed by the parent's stream (see
+    /// [`ShuffleDep::map_task`]).
+    task: MapTask,
+}
+
+/// What a shuffle's map side reads: the parent stage's stream, or the
+/// rows of a partition computed already, lent.
+pub(crate) enum Feed<'a, T> {
+    /// Partition `.1` of the parent, streamed.
+    Stream(&'a dyn Stream<T>, usize),
+    /// A computed partition.
+    Computed(PartitionData),
+}
+
+impl<T: Send + Sync + 'static> Feed<'_, T> {
+    /// Sends the rows into `sink`. A computed partition is dropped once
+    /// its rows have been read, before the map side encodes anything.
+    pub(crate) fn into_sink(self, ctx: &mut TaskContext, sink: &mut Sink<'_, T>) {
+        match self {
+            Feed::Stream(parent, part) => parent.run(ctx, part, Out::Stream(sink)),
+            Feed::Computed(data) => Out::Stream(sink).kept(&kept_rows(data)),
+        }
+    }
+}
+
+/// A partition's rows, typed again.
+///
+/// # Panics
+///
+/// Panics if `data` holds another row type: an engine invariant violation.
+pub(crate) fn kept_rows<T: Send + Sync + 'static>(data: PartitionData) -> Arc<Vec<T>> {
+    data.downcast::<Vec<T>>()
+        .unwrap_or_else(|_| panic!("partition type mismatch: engine invariant violated"))
 }
 
 impl ShuffleDep {
     /// A fresh shuffle of `parent` into `num_partitions` buckets — the one
     /// place a shuffle edge is made, so the one place its width is checked.
+    /// `side` is the map side, written once: the [`Partitioner`] feeds it
+    /// a computed partition, the map task the parent's stream.
     ///
     /// # Panics
     ///
     /// Panics if `num_partitions` is zero.
-    pub fn new(
-        parent: Arc<dyn PlanNode>,
+    pub(crate) fn new<T: Send + Sync + 'static>(
+        parent: Arc<dyn Stream<T>>,
         num_partitions: usize,
-        partitioner: Partitioner,
+        side: impl Fn(&mut TaskContext, Feed<'_, T>) -> Vec<ShuffleBucket>
+            + Clone
+            + Send
+            + Sync
+            + 'static,
     ) -> Arc<ShuffleDep> {
         assert!(num_partitions > 0, "need at least one partition");
+        let computed = side.clone();
+        let streamed = Arc::clone(&parent);
         Arc::new(ShuffleDep {
             id: next_shuffle_id(),
             parent,
             num_partitions,
-            partitioner,
+            partitioner: Arc::new(move |ctx, data| computed(ctx, Feed::Computed(data))),
+            task: Box::new(move |ctx, part| side(ctx, Feed::Stream(&*streamed, part))),
         })
+    }
+
+    /// Runs map task `part`: the parent's rows stream from the stage's
+    /// source through its narrow operators into the map side, and are
+    /// materialized nowhere in between. Buckets and charges are bit for bit
+    /// those of `(self.partitioner)(ctx, self.parent.compute(ctx, part))`.
+    pub fn map_task(&self, ctx: &mut TaskContext, part: usize) -> Vec<ShuffleBucket> {
+        (self.task)(ctx, part)
     }
 }
 
@@ -118,7 +180,8 @@ impl std::fmt::Debug for ShuffleDep {
 /// A dependency edge in the plan DAG.
 #[derive(Clone)]
 pub enum Dep {
-    /// Same-stage dependency: child's `compute` calls parent's `compute`.
+    /// Same-stage dependency: the child reads the parent's rows as a stream
+    /// inside the same task.
     Narrow(Arc<dyn PlanNode>),
     /// Stage boundary: child reads the shuffle's blocks.
     Shuffle(Arc<ShuffleDep>),
@@ -148,25 +211,219 @@ pub trait PlanNode: Send + Sync {
     /// Dependency edges.
     fn deps(&self) -> &[Dep];
     /// Computes partition `part`, performing the *real* data
-    /// transformation and charging its CPU work to `ctx`.
+    /// transformation and charging its CPU work to `ctx`: the node's
+    /// stream collected into one `Vec`, or a shared source's rows as they
+    /// are shared.
     fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData;
+}
+
+/// One row on its way down a stage's stream: lent by a source that keeps
+/// its rows across tasks (`parallelize`, `cache`), or handed over by one
+/// that made them for this task. An operator reads a row by reference
+/// and clones a lent row only where it must own it.
+pub(crate) enum Row<'a, T> {
+    /// Borrowed from a shared source.
+    Lent(&'a T),
+    /// Owned by the stream.
+    Owned(T),
+}
+
+impl<T> Row<'_, T> {
+    /// The row, by reference.
+    pub(crate) fn get(&self) -> &T {
+        match self {
+            Row::Lent(row) => row,
+            Row::Owned(row) => row,
+        }
+    }
+
+    /// The row, by value: moved when owned, cloned when lent.
+    pub(crate) fn into_owned(self) -> T
+    where
+        T: Clone,
+    {
+        match self {
+            Row::Lent(row) => row.clone(),
+            Row::Owned(row) => row,
+        }
+    }
+}
+
+/// Rows on their way down a stage's stream, as one call of a [`Sink`]
+/// carries them: a source's whole partition at once, or one row a narrow
+/// operator passes on.
+pub(crate) enum Batch<'a, T> {
+    /// One row.
+    Row(Row<'a, T>),
+    /// A shared source's rows, lent.
+    Lent(&'a [T]),
+    /// The rows a source made for this task, handed over.
+    Made(Vec<T>),
+}
+
+impl<'a, T> Batch<'a, T> {
+    /// Calls `f` on every row, in order: a loop over the source's rows
+    /// with `f` inlined, so a sink right behind a source reads its rows as
+    /// fast as from a slice.
+    #[inline]
+    pub(crate) fn for_each(self, mut f: impl FnMut(Row<'a, T>)) {
+        match self {
+            Batch::Row(row) => f(row),
+            Batch::Lent(rows) => rows.iter().for_each(|row| f(Row::Lent(row))),
+            Batch::Made(rows) => rows.into_iter().for_each(|row| f(Row::Owned(row))),
+        }
+    }
+}
+
+/// Where a stage's rows go: how many rows the stream expects in all
+/// (exact at a source and through `map`, the input's count past a `filter`
+/// or `flat_map`: a sizing hint only), and the next rows. A sink is a
+/// closure on its caller's stack and charges nothing until the stream has
+/// returned.
+pub(crate) type Sink<'s, T> = dyn FnMut(usize, Batch<'_, T>) + 's;
+
+/// Where an operator sends rows it makes itself, one by one: the
+/// expected count, as for a [`Sink`], and the row.
+pub(crate) type Emit<'s, T> = dyn FnMut(usize, T) + 's;
+
+/// A partition's rows collected whole: made by this task, or kept across
+/// tasks by a shared source.
+pub(crate) enum Rows<T> {
+    /// Made by this task.
+    Made(Vec<T>),
+    /// Shared with other tasks.
+    Kept(Arc<Vec<T>>),
+}
+
+impl<T> Rows<T> {
+    /// The rows, in order.
+    pub(crate) fn as_slice(&self) -> &[T] {
+        match self {
+            Rows::Made(rows) => rows,
+            Rows::Kept(rows) => rows,
+        }
+    }
+
+    /// The rows behind an `Arc`, which shared rows already are.
+    pub(crate) fn into_kept(self) -> Arc<Vec<T>> {
+        match self {
+            Rows::Made(rows) => Arc::new(rows),
+            Rows::Kept(rows) => rows,
+        }
+    }
+}
+
+/// Where an operator sends a partition's rows: down the stage's stream
+/// into a sink, or collected whole into a slot, as [`PlanNode::compute`]
+/// and the sources that materialize (`cache`, `map_partitions`) ask.
+pub(crate) enum Out<'o, T> {
+    /// Into the stage's sink.
+    Stream(&'o mut Sink<'o, T>),
+    /// Collected into the slot.
+    Collect(&'o mut Option<Rows<T>>),
+}
+
+impl<T> Out<'_, T> {
+    /// Rows this task made, handed on whole.
+    pub(crate) fn made(self, rows: Vec<T>) {
+        match self {
+            Out::Stream(sink) => sink(rows.len(), Batch::Made(rows)),
+            Out::Collect(slot) => *slot = Some(Rows::Made(rows)),
+        }
+    }
+
+    /// Rows kept across tasks, lent.
+    pub(crate) fn kept(self, rows: &Arc<Vec<T>>) {
+        match self {
+            Out::Stream(sink) => sink(rows.len(), Batch::Lent(rows)),
+            Out::Collect(slot) => *slot = Some(Rows::Kept(Arc::clone(rows))),
+        }
+    }
+
+    /// Rows an operator makes one by one from its input: `body` sends each
+    /// to the [`Emit`] it is given.
+    pub(crate) fn made_each(self, body: impl FnOnce(&mut Emit<'_, T>)) {
+        match self {
+            Out::Stream(sink) => {
+                body(&mut |expected, row| sink(expected, Batch::Row(Row::Owned(row))))
+            }
+            Out::Collect(slot) => {
+                let mut rows = Vec::new();
+                body(&mut |expected, row| collect(&mut rows, expected, row));
+                *slot = Some(Rows::Made(rows));
+            }
+        }
+    }
+
+    /// Input rows passed on as they came: `body` sends them to the
+    /// [`Sink`] it is given. Lent rows stay lent down a stream and are
+    /// cloned only into a collection.
+    pub(crate) fn passed(self, body: impl FnOnce(&mut Sink<'_, T>))
+    where
+        T: Clone,
+    {
+        match self {
+            Out::Stream(sink) => body(sink),
+            Out::Collect(slot) => {
+                let mut rows = Vec::new();
+                body(&mut |expected, batch| {
+                    batch.for_each(|row| collect(&mut rows, expected, row.into_owned()))
+                });
+                *slot = Some(Rows::Made(rows));
+            }
+        }
+    }
+}
+
+/// Pushes `row` onto `rows`, reserving the `expected` rows first.
+fn collect<T>(rows: &mut Vec<T>, expected: usize, row: T) {
+    if rows.is_empty() {
+        rows.reserve(expected);
+    }
+    rows.push(row);
+}
+
+/// A plan node's typed side: the rows of a partition, sent down a stream
+/// or collected. Every [`Dataset`](crate::Dataset) holds one; it upcasts
+/// to the untyped [`PlanNode`] the scheduler walks.
+pub(crate) trait Stream<T>: PlanNode {
+    /// Produces partition `part` into `out`, charging its work to `ctx`
+    /// only after its input's stream has returned, so charges land in the
+    /// order source, each narrow operator, sink.
+    fn run(&self, ctx: &mut TaskContext, part: usize, out: Out<'_, T>);
+}
+
+impl<T> dyn Stream<T> + '_ {
+    /// Streams partition `part` into `sink`.
+    pub(crate) fn stream(&self, ctx: &mut TaskContext, part: usize, sink: &mut Sink<'_, T>) {
+        self.run(ctx, part, Out::Stream(sink));
+    }
+
+    /// Partition `part` collected whole: shared rows stay shared.
+    pub(crate) fn rows(&self, ctx: &mut TaskContext, part: usize) -> Rows<T> {
+        let mut slot = None;
+        self.run(ctx, part, Out::Collect(&mut slot));
+        slot.unwrap_or(Rows::Made(Vec::new()))
+    }
 }
 
 /// The one operator type: what a scheduler needs to know about a node is
 /// stored as data (id, label, width, the `N` edges inline), and what the
 /// node *does* is one closure holding the user's function — and whatever
 /// else the body reads, such as its parent or a cache's slots — by value.
-struct Op<F, const N: usize> {
+struct Op<T, F, const N: usize> {
     id: NodeId,
     label: &'static str,
     num_partitions: usize,
     deps: [Dep; N],
-    compute: F,
+    run: F,
+    _rows: PhantomData<fn() -> T>,
 }
 
-impl<F, const N: usize> PlanNode for Op<F, N>
+impl<T, F, const N: usize> PlanNode for Op<T, F, N>
 where
-    F: Fn(&mut TaskContext, usize) -> PartitionData + Send + Sync,
+    T: Send + Sync + 'static,
+    F: Fn(&mut TaskContext, usize, Out<'_, T>) + Send + Sync,
 {
     fn id(&self) -> NodeId {
         self.id
@@ -181,25 +438,37 @@ where
         &self.deps
     }
     fn compute(&self, ctx: &mut TaskContext, part: usize) -> PartitionData {
-        (self.compute)(ctx, part)
+        let this: &dyn Stream<T> = self;
+        this.rows(ctx, part).into_kept()
     }
 }
 
-/// A fresh plan node (one allocation): `compute(ctx, part)` produces
-/// partition `part` of `num_partitions`, reading the nodes and shuffles
-/// named by `deps`.
-pub(crate) fn op<const N: usize>(
+impl<T, F, const N: usize> Stream<T> for Op<T, F, N>
+where
+    T: Send + Sync + 'static,
+    F: Fn(&mut TaskContext, usize, Out<'_, T>) + Send + Sync,
+{
+    fn run(&self, ctx: &mut TaskContext, part: usize, out: Out<'_, T>) {
+        (self.run)(ctx, part, out)
+    }
+}
+
+/// A fresh plan node (one allocation): `run(ctx, part, out)` produces
+/// partition `part` of `num_partitions` into `out`, reading the nodes and
+/// shuffles named by `deps`.
+pub(crate) fn op<T: Send + Sync + 'static, const N: usize>(
     label: &'static str,
     num_partitions: usize,
     deps: [Dep; N],
-    compute: impl Fn(&mut TaskContext, usize) -> PartitionData + Send + Sync + 'static,
-) -> Arc<dyn PlanNode> {
+    run: impl Fn(&mut TaskContext, usize, Out<'_, T>) + Send + Sync + 'static,
+) -> Arc<dyn Stream<T>> {
     Arc::new(Op {
         id: next_node_id(),
         label,
         num_partitions,
         deps,
-        compute,
+        run,
+        _rows: PhantomData,
     })
 }
 

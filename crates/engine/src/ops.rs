@@ -2,13 +2,18 @@
 //! its edges and hands one closure to [`crate::node`]'s single operator
 //! type.
 //!
-//! Narrow operators (`map`, `filter`, `flat_map`, …) pipeline inside one
-//! task by recursively computing their parent. Wide operators
-//! (`reduce_by_key`, `group_by_key`, `join`) introduce [`ShuffleDep`]s:
-//! their map side partitions records by key hash, optionally applies
+//! A stage runs as one stream (see [`crate::node`]): its source makes its
+//! rows (`generate`, a wide operator's merge, `map_partitions`) or lends
+//! them (`parallelize`, `cache`), and each narrow operator (`map`,
+//! `filter`, `flat_map`, …) passes them on one at a time to the stage's
+//! sink, with no partition in between. Wide operators (`reduce_by_key`,
+//! `group_by_key`, `join`) introduce [`ShuffleDep`]s: their map side is
+//! such a sink, which partitions records by key hash, optionally applies
 //! map-side combine, and serializes buckets with `splitserve-codec`; their
 //! reduce side deserializes and merges. All transformations do *real* work
-//! on real data — the context only accounts the CPU seconds.
+//! on real data — the context only accounts the CPU seconds, and every
+//! operator charges only once its input's stream has returned, so charges
+//! land in the order source, each narrow operator, sink.
 //!
 //! The shuffle data plane is built for throughput without giving up
 //! byte-determinism (see DESIGN.md "Shuffle data plane"): keys are hashed
@@ -34,7 +39,8 @@ use splitserve_rt::{pool, Bytes};
 use crate::combine::HashGroup;
 use crate::context::TaskContext;
 use crate::node::{
-    input_shuffles, op, Dep, PartitionData, Partitioner, PlanNode, ShuffleBucket, ShuffleDep,
+    input_shuffles, kept_rows, op, Batch, Dep, Feed, Out, PartitionData, PlanNode, Row,
+    ShuffleBucket, ShuffleDep, Stream,
 };
 
 /// A typed, lazily-evaluated distributed dataset — the engine's RDD.
@@ -51,15 +57,13 @@ use crate::node::{
 /// assert_eq!(evens.num_partitions(), 4);
 /// ```
 pub struct Dataset<T> {
-    node: Arc<dyn PlanNode>,
-    _t: PhantomData<fn() -> T>,
+    node: Arc<dyn Stream<T>>,
 }
 
 impl<T> Clone for Dataset<T> {
     fn clone(&self) -> Self {
         Dataset {
             node: Arc::clone(&self.node),
-            _t: PhantomData,
         }
     }
 }
@@ -89,47 +93,26 @@ pub(crate) fn bucket_of_hash(hash: u64, num_partitions: usize) -> usize {
     (hash % num_partitions as u64) as usize
 }
 
-pub(crate) fn rows<T: 'static>(data: &PartitionData) -> &Vec<T> {
-    data.downcast_ref::<Vec<T>>()
-        .expect("partition type mismatch: engine invariant violated")
-}
-
-/// A partition's rows by value when the caller holds the last handle to
-/// them (`Ok`), and still shared otherwise (`Err`), as behind a `cache()`.
-fn unwrap_rows<T: Send + Sync + 'static>(data: PartitionData) -> Result<Vec<T>, Arc<Vec<T>>> {
-    let rc = data
-        .downcast::<Vec<T>>()
-        .unwrap_or_else(|_| panic!("partition type mismatch: engine invariant violated"));
-    Arc::try_unwrap(rc)
-}
-
-fn wrap<T: Send + Sync + 'static>(v: Vec<T>) -> PartitionData {
-    Arc::new(v)
-}
-
 /// One memoized partition: the rows plus the work-model deltas the fill
 /// charged, replayed verbatim to every later reader. Without the replay,
 /// whichever task happened to fill the cache first would be the only one
 /// charged for the parent's work — a real-time race once tasks run on
 /// worker threads, and a determinism hole in accounted durations.
-struct CacheSlot {
-    data: PartitionData,
+struct CacheSlot<T> {
+    rows: Arc<Vec<T>>,
     cpu_secs: f64,
     bytes_in: u64,
     bytes_out: u64,
 }
 
 impl<T: Send + Sync + 'static> Dataset<T> {
-    pub(crate) fn from_node(node: Arc<dyn PlanNode>) -> Self {
-        Dataset {
-            node,
-            _t: PhantomData,
-        }
+    pub(crate) fn from_node(node: Arc<dyn Stream<T>>) -> Self {
+        Dataset { node }
     }
 
     /// The underlying plan node (for job submission).
     pub fn node(&self) -> Arc<dyn PlanNode> {
-        Arc::clone(&self.node)
+        Arc::clone(&self.node) as Arc<dyn PlanNode>
     }
 
     /// Number of partitions.
@@ -137,22 +120,20 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         self.node.num_partitions()
     }
 
-    /// A one-parent narrow operator: partition for partition, `body` turns
-    /// the parent's partition into this node's rows inside the same task.
-    /// The body owns the partition: it borrows the rows ([`rows`]) or, when
-    /// it consumes them, takes them by value ([`unwrap_rows`]).
+    /// A one-parent narrow operator: partition for partition, `run` reads
+    /// the parent's stream (the closure's first argument) and sends this
+    /// node's rows on inside the same task.
     fn narrow<U: Send + Sync + 'static>(
         &self,
         label: &'static str,
-        body: impl Fn(&mut TaskContext, PartitionData) -> Vec<U> + Send + Sync + 'static,
+        run: impl Fn(&dyn Stream<T>, &mut TaskContext, usize, Out<'_, U>) + Send + Sync + 'static,
     ) -> Dataset<U> {
-        let parent = self.node();
-        let edge = Dep::Narrow(Arc::clone(&parent));
-        let compute = move |ctx: &mut TaskContext, part: usize| {
-            let input = parent.compute(ctx, part);
-            wrap(body(ctx, input))
+        let parent = Arc::clone(&self.node);
+        let edge = Dep::Narrow(self.node());
+        let body = move |ctx: &mut TaskContext, part: usize, out: Out<'_, U>| {
+            run(&*parent, ctx, part, out)
         };
-        Dataset::from_node(op(label, self.num_partitions(), [edge], compute))
+        Dataset::from_node(op(label, self.num_partitions(), [edge], body))
     }
 
     /// Distributes driver-resident data over `partitions` partitions.
@@ -170,10 +151,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
         let parts: Vec<Arc<Vec<T>>> = parts.into_iter().map(Arc::new).collect();
         let bytes_per_record = std::mem::size_of::<T>().max(8) as u64;
-        Dataset::from_node(op("parallelize", partitions, [], move |ctx, part| {
-            let p = &parts[part];
-            ctx.charge_scan(p.len() as u64 * bytes_per_record);
-            Arc::clone(p) as PartitionData
+        Dataset::from_node(op("parallelize", partitions, [], move |ctx, part, out| {
+            let rows = &parts[part];
+            ctx.charge_scan(rows.len() as u64 * bytes_per_record);
+            out.kept(rows);
         }))
     }
 
@@ -191,10 +172,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     ) -> Self {
         assert!(partitions > 0, "need at least one partition");
         let bytes_per_record = std::mem::size_of::<T>().max(8) as u64;
-        Dataset::from_node(op("generate", partitions, [], move |ctx, part| {
-            let v = gen(part);
-            ctx.charge_scan(v.len() as u64 * bytes_per_record);
-            wrap(v)
+        Dataset::from_node(op("generate", partitions, [], move |ctx, part, out| {
+            let rows = gen(part);
+            ctx.charge_scan(rows.len() as u64 * bytes_per_record);
+            out.made(rows);
         }))
     }
 
@@ -214,62 +195,86 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         f: impl Fn(&T) -> U + Send + Sync + 'static,
         cost_secs_per_record: Option<f64>,
     ) -> Dataset<U> {
-        self.narrow("map", move |ctx, input| {
-            let rows = rows::<T>(&input);
+        self.narrow("map", move |parent, ctx, part, out| {
+            let mut read = 0u64;
+            out.made_each(|emit| {
+                parent.stream(ctx, part, &mut |expected, rows| {
+                    rows.for_each(|row| {
+                        read += 1;
+                        emit(expected, f(row.get()));
+                    })
+                })
+            });
             match cost_secs_per_record {
-                Some(c) => ctx.charge_secs(rows.len() as f64 * c),
-                None => ctx.charge_records(rows.len() as u64),
+                Some(c) => ctx.charge_secs(read as f64 * c),
+                None => ctx.charge_records(read),
             }
-            rows.iter().map(&f).collect()
         })
     }
 
-    /// Keeps the records for which `f` is true.
+    /// Keeps the records for which `f` is true, passing them on as they
+    /// came: a lent row is cloned only if this partition is collected.
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Dataset<T>
     where
         T: Clone,
     {
-        self.narrow("filter", move |ctx, input| {
-            let rows = rows::<T>(&input);
-            ctx.charge_records(rows.len() as u64);
-            rows.iter().filter(|t| f(t)).cloned().collect()
+        self.narrow("filter", move |parent, ctx, part, out| {
+            let mut read = 0u64;
+            out.passed(|sink| {
+                parent.stream(ctx, part, &mut |expected, rows| {
+                    rows.for_each(|row| {
+                        read += 1;
+                        if f(row.get()) {
+                            sink(expected, Batch::Row(row));
+                        }
+                    })
+                })
+            });
+            ctx.charge_records(read);
         })
     }
 
-    /// Maps each record to zero or more outputs, streamed into the
-    /// partition: Spark's `flatMap(T => TraversableOnce[U])`, so `f` takes
-    /// the record by value and returns any iterable, with nothing
-    /// collected per record. Records are moved out of the parent's
-    /// partition when this task holds its only handle, and cloned when it
-    /// is shared, as behind a `cache()`.
+    /// Maps each record to zero or more outputs, streamed on: Spark's
+    /// `flatMap(T => TraversableOnce[U])`, so `f` takes the record by value
+    /// and returns any iterable, with nothing collected per record.
+    /// Records a task made are moved into `f`, and lent ones (behind a
+    /// `parallelize` or a `cache()`) cloned.
     pub fn flat_map<U, I>(&self, f: impl Fn(T) -> I + Send + Sync + 'static) -> Dataset<U>
     where
         T: Clone,
         U: Send + Sync + 'static,
         I: IntoIterator<Item = U>,
     {
-        self.narrow("flatMap", move |ctx, input| {
-            let rows = unwrap_rows::<T>(input);
-            let read = rows.as_ref().map_or_else(|shared| shared.len(), Vec::len);
-            // Sized for a fan-out of one: an expanding body grows it a few
-            // times a task, however many records it reads.
-            let mut out = Vec::with_capacity(read);
-            match rows {
-                Ok(rows) => rows.into_iter().for_each(|t| out.extend(f(t))),
-                Err(shared) => shared.iter().for_each(|t| out.extend(f(t.clone()))),
-            }
-            ctx.charge_records(read as u64 + out.len() as u64);
-            out
+        self.narrow("flatMap", move |parent, ctx, part, out| {
+            let (mut read, mut made) = (0u64, 0u64);
+            out.made_each(|emit| {
+                // Sized for a fan-out of one: the input's count goes on.
+                parent.stream(ctx, part, &mut |expected, rows| {
+                    rows.for_each(|row| {
+                        read += 1;
+                        for u in f(row.into_owned()) {
+                            made += 1;
+                            emit(expected, u);
+                        }
+                    })
+                })
+            });
+            ctx.charge_records(read + made);
         })
     }
 
     /// Whole-partition transformation with direct access to the context
-    /// for custom cost accounting.
+    /// for custom cost accounting. A stage's stream materializes here: the
+    /// input partition is collected (or borrowed, if shared) for `f`, and
+    /// `f`'s rows are a new source.
     pub fn map_partitions<U: Send + Sync + 'static>(
         &self,
         f: impl Fn(&mut TaskContext, &[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        self.narrow("mapPartitions", move |ctx, input| f(ctx, rows::<T>(&input)))
+        self.narrow("mapPartitions", move |parent, ctx, part, out| {
+            let rows = parent.rows(ctx, part);
+            out.made(f(ctx, rows.as_slice()));
+        })
     }
 
     /// Pairs each record with a key.
@@ -294,49 +299,58 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// until narrow edges carry a partition mapping. Union the inputs
     /// ahead of the shuffle instead.
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
-        let (first, second) = (self.node(), other.node());
+        let (first, second) = (Arc::clone(&self.node), Arc::clone(&other.node));
         assert!(
-            input_shuffles(&first).is_empty() && input_shuffles(&second).is_empty(),
+            input_shuffles(&self.node()).is_empty() && input_shuffles(&other.node()).is_empty(),
             "union of a dataset whose stage reads a shuffle cannot run: union ahead of the shuffle"
         );
-        let edges = [&first, &second].map(|parent| Dep::Narrow(Arc::clone(parent)));
+        let edges = [self, other].map(|side| Dep::Narrow(side.node()));
         let split = first.num_partitions();
         let partitions = split + second.num_partitions();
-        let compute = move |ctx: &mut TaskContext, part: usize| match part.checked_sub(split) {
-            None => first.compute(ctx, part),
-            Some(rest) => second.compute(ctx, rest),
+        let run = move |ctx: &mut TaskContext, part: usize, out: Out<'_, T>| {
+            match part.checked_sub(split) {
+                None => first.run(ctx, part, out),
+                Some(rest) => second.run(ctx, rest, out),
+            }
         };
-        Dataset::from_node(op("union", partitions, edges, compute))
+        Dataset::from_node(op("union", partitions, edges, run))
     }
 
     /// Memoizes computed partitions so repeated jobs over the same lineage
     /// skip recomputation (an idealized `.cache()`: the cache is not
-    /// invalidated by executor loss — documented simplification).
+    /// invalidated by executor loss — documented simplification). A stage's
+    /// stream materializes here: the fill collects the parent's partition,
+    /// and every reader is lent the kept rows.
     pub fn cache(&self) -> Dataset<T> {
-        let parent = self.node();
-        let partitions = parent.num_partitions();
-        let empty: Vec<Option<CacheSlot>> = (0..partitions).map(|_| None).collect();
+        let partitions = self.num_partitions();
+        let empty: Vec<Option<CacheSlot<T>>> = (0..partitions).map(|_| None).collect();
         let slots = Mutex::new(empty);
-        let edge = Dep::Narrow(Arc::clone(&parent));
-        Dataset::from_node(op("cache", partitions, [edge], move |ctx, part| {
-            // Hold the lock across the fill so concurrent readers of one
-            // partition compute it exactly once; losers replay the stored
-            // charges and see identical accounted cost.
-            let mut slots = slots.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(slot) = &slots[part] {
-                ctx.replay_charges(slot.cpu_secs, slot.bytes_in, slot.bytes_out);
-                return Arc::clone(&slot.data);
-            }
-            let (cpu0, in0, out0) = (ctx.cpu_secs(), ctx.bytes_in(), ctx.bytes_out());
-            let data = parent.compute(ctx, part);
-            slots[part] = Some(CacheSlot {
-                data: Arc::clone(&data),
-                cpu_secs: ctx.cpu_secs() - cpu0,
-                bytes_in: ctx.bytes_in() - in0,
-                bytes_out: ctx.bytes_out() - out0,
-            });
-            data
-        }))
+        self.narrow("cache", move |parent, ctx, part, out| {
+            let rows = {
+                // Hold the lock across the fill so concurrent readers of
+                // one partition compute it exactly once; losers replay the
+                // stored charges and see identical accounted cost.
+                let mut slots = slots.lock().unwrap_or_else(|e| e.into_inner());
+                match &slots[part] {
+                    Some(slot) => {
+                        ctx.replay_charges(slot.cpu_secs, slot.bytes_in, slot.bytes_out);
+                        Arc::clone(&slot.rows)
+                    }
+                    None => {
+                        let (cpu0, in0, out0) = (ctx.cpu_secs(), ctx.bytes_in(), ctx.bytes_out());
+                        let rows = parent.rows(ctx, part).into_kept();
+                        slots[part] = Some(CacheSlot {
+                            rows: Arc::clone(&rows),
+                            cpu_secs: ctx.cpu_secs() - cpu0,
+                            bytes_in: ctx.bytes_in() - in0,
+                            bytes_out: ctx.bytes_out() - out0,
+                        });
+                        rows
+                    }
+                }
+            };
+            out.kept(&rows);
+        })
     }
 }
 
@@ -350,11 +364,11 @@ pub(crate) fn wide<C: Send + Sync + 'static, const N: usize>(
 ) -> Dataset<C> {
     let ids = deps.each_ref().map(|dep| dep.id);
     let partitions = deps[0].num_partitions;
-    let compute = move |ctx: &mut TaskContext, _part: usize| {
+    let run = move |ctx: &mut TaskContext, _part: usize, out: Out<'_, C>| {
         let blocks = ids.map(|id| ctx.shuffle_input(id));
-        wrap(merge(ctx, blocks))
+        out.made(merge(ctx, blocks));
     };
-    Dataset::from_node(op(label, partitions, deps.map(Dep::Shuffle), compute))
+    Dataset::from_node(op(label, partitions, deps.map(Dep::Shuffle), run))
 }
 
 /// The sizing rule of every reduce-side table (DESIGN.md §8 "Combine"):
@@ -394,8 +408,19 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
     /// A fresh hash shuffle of `self` into `partitions` buckets, without
     /// map-side combine.
     pub(crate) fn hash_shuffled(&self, partitions: usize) -> Arc<ShuffleDep> {
-        let by_hash = partitioner_by::<K, V>(partitions, move |k| bucket_of(k, partitions));
-        ShuffleDep::new(self.node(), partitions, by_hash)
+        self.shuffled_by(partitions, move |k| bucket_of(k, partitions))
+    }
+
+    /// A fresh shuffle of `self` into `partitions` buckets, without
+    /// map-side combine: every record goes to the bucket `bucket_fn` names.
+    pub(crate) fn shuffled_by(
+        &self,
+        partitions: usize,
+        bucket_fn: impl Fn(&K) -> usize + Clone + Send + Sync + 'static,
+    ) -> Arc<ShuffleDep> {
+        ShuffleDep::new(Arc::clone(&self.node), partitions, move |ctx, feed| {
+            bucket_side(ctx, feed, partitions, &bucket_fn)
+        })
     }
 
     /// Merges values per key with `f`, shuffling into `partitions`
@@ -411,8 +436,10 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
     ) -> Dataset<(K, V)> {
         // Shared by the map-side combine and the reduce-side merge.
         let f = Arc::new(f);
-        let map_side = combining_partitioner::<K, V>(partitions, Arc::clone(&f));
-        let dep = ShuffleDep::new(self.node(), partitions, map_side);
+        let combine = Arc::clone(&f);
+        let dep = ShuffleDep::new(Arc::clone(&self.node), partitions, move |ctx, feed| {
+            combine_side(ctx, feed, partitions, &*combine)
+        });
         wide("reduceByKey", [dep], move |ctx, [blocks]| {
             let mut acc: HashGroup<K, V> = HashGroup::with_capacity(fetched_records::<K, V>(&blocks));
             for (k, v) in decode_stream::<K, V>(blocks) {
@@ -530,7 +557,7 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
 pub fn collect_partitions<T: Clone + Send + Sync + 'static>(parts: Vec<PartitionData>) -> Vec<T> {
     let mut out: Vec<T> = Vec::new();
     for p in parts {
-        match unwrap_rows::<T>(p) {
+        match Arc::try_unwrap(kept_rows::<T>(p)) {
             Ok(v) if out.is_empty() => out = v,
             Ok(v) => out.extend(v),
             Err(shared) => out.extend(shared.iter().cloned()),
@@ -667,9 +694,10 @@ where
     finish_buckets(ctx, bufs)
 }
 
-/// Partitions `records` into `num` serialized buckets by `bucket_fn`
-/// (hash buckets here; range buckets in `sort_by_key`). Shared by every
-/// non-combining map side.
+/// The map side of a shuffle without combine: sends every record `feed`
+/// yields to the bucket `bucket_fn` names, encoding it as it arrives, then
+/// charges the scan. Shared by every non-combining map side (hash buckets
+/// here; range buckets in `sort_by_key`).
 ///
 /// Deliberately a single pass into recycled pool buffers, which arrive
 /// pre-grown after a thread's first task. A sizing pass has nothing to
@@ -678,73 +706,81 @@ where
 /// absorbed — even with a byte payload's `encoded_len` down to a count of
 /// high bits it measured 1.3x slower on both CloudSort's records and
 /// PageRank's join (DESIGN.md §8).
-fn encode_buckets_by<K, V>(
+fn bucket_side<K: ShuffleKey, V: ShuffleValue>(
     ctx: &mut TaskContext,
-    records: &[(K, V)],
+    feed: Feed<'_, (K, V)>,
     num: usize,
-    bucket_fn: impl Fn(&K) -> usize,
-) -> Vec<ShuffleBucket>
-where
-    K: Encode + 'static,
-    V: Encode + 'static,
-{
-    let mut bufs = bucket_scratch(num, |_| 0);
-    for (k, v) in records {
-        let b = bucket_fn(k);
-        k.encode(&mut bufs[b]);
-        v.encode(&mut bufs[b]);
+    bucket_fn: &impl Fn(&K) -> usize,
+) -> Vec<ShuffleBucket> {
+    let (mut bufs, mut read) = (None, 0u64);
+    feed.into_sink(ctx, &mut |_, rows| {
+        // Taken once the source has made its rows, as a computed input's.
+        let bufs = bufs.get_or_insert_with(|| bucket_scratch(num, |_| 0));
+        rows.for_each(|row| {
+            let (k, v) = row.get();
+            let b = bucket_fn(k);
+            k.encode(&mut bufs[b]);
+            v.encode(&mut bufs[b]);
+            read += 1;
+        })
+    });
+    ctx.charge_records(read);
+    finish_buckets(ctx, bufs.unwrap_or_else(|| bucket_scratch(num, |_| 0)))
+}
+
+/// The map side of `reduce_by_key`: combines values per key with `f` as
+/// `feed` yields them, then hash-buckets what is left. One hash of each
+/// key serves both the grouping table and (via the stored hash) bucket
+/// choice, since equal keys share a hash and therefore a bucket.
+///
+/// Its charges wait for the stream to end and then land as a materialized
+/// input made them: the scan, then one `charge_combine(1)` per merge — the
+/// context's one `f64` accumulator makes the order of additions part of
+/// every virtual time — and the combine span is read around exactly those.
+fn combine_side<K: ShuffleKey, V: ShuffleValue>(
+    ctx: &mut TaskContext,
+    feed: Feed<'_, (K, V)>,
+    num: usize,
+    f: &impl Fn(&V, &V) -> V,
+) -> Vec<ShuffleBucket> {
+    let (mut groups, mut read, mut merges) = (None, 0u64, 0u64);
+    feed.into_sink(ctx, &mut |expected, rows| {
+        let groups: &mut HashGroup<K, V> =
+            groups.get_or_insert_with(|| HashGroup::with_capacity(expected));
+        rows.for_each(|row| {
+            let merged = match row {
+                Row::Lent((k, v)) => groups.upsert(shuffle_hash(k), k, v, V::clone, |a, v| {
+                    let m = f(a, v);
+                    *a = m;
+                }),
+                Row::Owned((k, v)) => groups.upsert_owned(shuffle_hash(&k), k, v, |v| v, |a, v| {
+                    let m = f(a, &v);
+                    *a = m;
+                }),
+            };
+            read += 1;
+            merges += u64::from(merged);
+        })
+    });
+    ctx.charge_records(read);
+    let combine_started = ctx.cpu_secs();
+    for _ in 0..merges {
+        ctx.charge_combine(1);
     }
-    finish_buckets(ctx, bufs)
-}
-
-/// The map side of a shuffle without combine: charges the scan and sends
-/// every record to the bucket `bucket_fn` names.
-pub(crate) fn partitioner_by<K: ShuffleKey, V: ShuffleValue>(
-    num: usize,
-    bucket_fn: impl Fn(&K) -> usize + Send + Sync + 'static,
-) -> Partitioner {
-    Arc::new(move |ctx: &mut TaskContext, data: PartitionData| {
-        let records = rows::<(K, V)>(&data);
-        ctx.charge_records(records.len() as u64);
-        encode_buckets_by(ctx, records, num, &bucket_fn)
-    })
-}
-
-/// The map side of `reduce_by_key`: combines values per key with `f`
-/// before hash-bucketing what is left.
-fn combining_partitioner<K: ShuffleKey, V: ShuffleValue>(
-    num: usize,
-    f: Arc<impl Fn(&V, &V) -> V + Send + Sync + 'static>,
-) -> Partitioner {
-    Arc::new(move |ctx: &mut TaskContext, data: PartitionData| {
-        let records = rows::<(K, V)>(&data);
-        ctx.charge_records(records.len() as u64);
-        // One hash of each key serves both the grouping table and (via the
-        // stored hash) bucket choice, since equal keys share a hash and
-        // therefore a bucket.
-        let combine_started = ctx.cpu_secs();
-        let mut groups: HashGroup<K, V> = HashGroup::with_capacity(records.len());
-        for (k, v) in records {
-            let h = shuffle_hash(k);
-            let merged = groups.upsert(h, k, v, V::clone, |a, v| {
-                let m = f(a, v);
-                *a = m;
-            });
-            if merged {
-                ctx.charge_combine(1);
-            }
-        }
-        ctx.note_combine(ctx.cpu_secs() - combine_started);
-        // The table owns what it kept: the input goes before the blocks come.
-        drop(data);
-        encode_grouped(ctx, num, &groups)
-    })
+    ctx.note_combine(ctx.cpu_secs() - combine_started);
+    let groups = groups.unwrap_or_else(|| HashGroup::with_capacity(0));
+    encode_grouped(ctx, num, &groups)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::WorkModel;
+
+    /// A computed partition's rows.
+    pub(crate) fn rows<T: Send + Sync + 'static>(data: &PartitionData) -> &Vec<T> {
+        data.downcast_ref::<Vec<T>>().expect("partition type mismatch")
+    }
 
     fn ctx() -> TaskContext {
         TaskContext::empty(WorkModel::default())

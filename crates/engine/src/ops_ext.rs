@@ -4,11 +4,10 @@
 
 use splitserve_rt::hash::shuffle_hash;
 
+use std::sync::Arc;
+
 use crate::combine::HashGroup;
-use crate::node::ShuffleDep;
-use crate::ops::{
-    decode_stream, fetched_records, partitioner_by, wide, Dataset, ShuffleKey, ShuffleValue,
-};
+use crate::ops::{decode_stream, fetched_records, wide, Dataset, ShuffleKey, ShuffleValue};
 
 /// A serializable record usable as a sort key with a total order.
 pub trait SortKey: ShuffleKey {}
@@ -143,10 +142,10 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
         let partitions = bounds.len() + 1;
         // Range buckets instead of hash buckets; the single-pass pooled
         // encode is shared with the hash shuffles.
-        let by_range = partitioner_by::<K, V>(partitions, move |k| match bounds.binary_search(k) {
+        let bounds = Arc::new(bounds);
+        let dep = self.shuffled_by(partitions, move |k| match bounds.binary_search(k) {
             Ok(i) | Err(i) => i,
         });
-        let dep = ShuffleDep::new(self.node(), partitions, by_range);
         wide("sortByKey", [dep], |ctx, [blocks]| {
             let mut records: Vec<(K, V)> = decode_stream::<K, V>(blocks).collect();
             let n = records.len() as u64;
@@ -177,9 +176,9 @@ mod tests {
     use super::*;
     use crate::config::WorkModel;
     use crate::context::TaskContext;
-    use crate::ops::rows;
+    use crate::node::ShuffleDep;
+    use crate::ops::tests::rows;
     use splitserve_rt::Bytes;
-    use std::sync::Arc;
 
     /// Runs an arbitrary one-or-two-shuffle plan to completion by hand.
     fn run_plan<T: Clone + Send + Sync + 'static>(ds: &Dataset<T>) -> Vec<T> {

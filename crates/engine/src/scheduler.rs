@@ -630,7 +630,8 @@ enum ComputePayload {
 /// of the duration model) plus what it measured for the registry.
 type BodyResult = (ComputePayload, TaskContext);
 
-/// A task's real computation (map compute, shuffle combine+encode, reduce
+/// A task's real computation (a map stage's stream into its shuffle's
+/// combine+encode, a result stage's stream collected, reduce
 /// decode+merge), on whichever thread runs it.
 fn run_body(
     terminal: &dyn PlanNode,
@@ -638,10 +639,9 @@ fn run_body(
     part: usize,
     mut ctx: TaskContext,
 ) -> BodyResult {
-    let data = terminal.compute(&mut ctx, part);
     let payload = match kind {
-        StageKind::ShuffleMap(dep) => ComputePayload::MapOut((dep.partitioner)(&mut ctx, data)),
-        StageKind::Result => ComputePayload::ResultOut(data),
+        StageKind::ShuffleMap(dep) => ComputePayload::MapOut(dep.map_task(&mut ctx, part)),
+        StageKind::Result => ComputePayload::ResultOut(terminal.compute(&mut ctx, part)),
     };
     (payload, ctx)
 }

@@ -1,6 +1,7 @@
 //! Allocation budgets for the data plane's hot bodies — the reduce side's
-//! join and combine, a streaming `flat_map` and a wide map side — and for
-//! the stage cut every job submission makes.
+//! join and combine, a streaming `flat_map`, a wide map side, a fleet
+//! job's and a PageRank iteration's streamed map tasks — and for the stage
+//! cut every job submission makes.
 //!
 //! Heap allocations are counted per thread by this binary's own global
 //! allocator, so a count is a pure function of the body and its input: it
@@ -169,9 +170,10 @@ fn reduce_by_key_allocates_per_task_not_per_record() {
 
 /// A 1→3 `flat_map` streams each record's outputs into the partition it
 /// builds, which starts at one row per record read and doubles twice. A
-/// task allocates its generated input (the rows and their `Arc`) and its
-/// output (three buffer sizes and the `Arc`). Before `flat_map` took any
-/// iterable, every record added one more: the `Vec` it returned.
+/// task allocates its generated rows and its output (three buffer sizes
+/// and the `Arc`). Six a task when the generated rows had an `Arc` too;
+/// before `flat_map` took any iterable, every record added one more: the
+/// `Vec` it returned.
 #[test]
 fn flat_map_allocates_per_task_not_per_row() {
     let per_task = RECORDS / MAPS as u64;
@@ -238,11 +240,119 @@ fn a_fleet_job_stage_cut_allocates_its_two_lists() {
     assert_eq!(allocs, STAGE_CUT_BUDGET, "a fleet job's stage cut");
 }
 
+/// A fleet job's map task — generate, map, `reduce_by_key`'s map side —
+/// streams the generated rows through the map straight into the combine:
+/// it allocates the user's generated rows, the table's entries, one frozen
+/// buffer and the bucket list. Computing the map's partition first and
+/// then partitioning it also allocates the map's rows and their `Arc`.
+/// Before a stage streamed, the generated rows had an `Arc` as well: seven
+/// a task.
+#[test]
+fn a_fleet_map_task_allocates_no_partition_between_its_operators() {
+    let plan = Dataset::<u64>::generate(MAPS, |p| (0..8u64).map(|i| i + p as u64).collect())
+        .map_with_cost(|x| (*x % 7, *x), Some(1e-6))
+        .reduce_by_key(2, |a, b| a.wrapping_add(*b));
+    let deps = input_shuffles(&plan.node());
+    let dep = &deps[0];
+    let streamed = || -> u64 {
+        (0..MAPS)
+            .map(|part| {
+                let mut ctx = TaskContext::empty(WorkModel::default());
+                allocs_in(|| dep.map_task(&mut ctx, part)).1
+            })
+            .sum()
+    };
+    let computed = || -> u64 {
+        (0..MAPS)
+            .map(|part| {
+                let mut ctx = TaskContext::empty(WorkModel::default());
+                allocs_in(|| {
+                    let data = dep.parent.compute(&mut ctx, part);
+                    (dep.partitioner)(&mut ctx, data)
+                })
+                .1
+            })
+            .sum()
+    };
+    // Warm the thread's pool: the table's index and the bucket scratch.
+    streamed();
+    computed();
+    let (task, materialized) = (streamed(), computed());
+    assert_eq!((task, materialized), (streamed(), computed()), "allocation counts repeat exactly");
+    println!("fleet map task: {task} allocations streamed, {materialized} materialized");
+    assert_eq!(materialized, task + 2 * MAPS as u64, "the map's rows and their `Arc`");
+    assert_eq!(task, FLEET_MAP_TASK_BUDGET * MAPS as u64, "a fleet job's map task");
+}
+
+/// PageRank's contribution task — the join's reduce side, `flat_map`
+/// over each page's links, `map_with_cost`, `reduce_by_key`'s map side —
+/// allocates what the join's reduce body and the map side allocate on
+/// their own, and nothing more: no narrow operator allocates. Before a
+/// stage streamed, `flat_map` and `map_with_cost` each built an
+/// edge-sized partition and its `Arc`, and the join's rows had one too.
+/// Links point into the first eighth of the pages, so the combine table,
+/// sized from the stream's hint (the pages a task joined), never grows.
+#[test]
+fn a_pagerank_contribution_task_allocates_nothing_in_its_narrow_operators() {
+    let links: Vec<(u64, Vec<u64>)> = (0..RECORDS)
+        .map(|page| (page, (0..1 + page % 7).map(|i| (page * 31 + i) % (RECORDS / 8)).collect()))
+        .collect();
+    let ranks: Vec<(u64, f64)> = (0..RECORDS).map(|page| (page, 1.0)).collect();
+    let joined =
+        Dataset::parallelize(links, MAPS).join(&Dataset::parallelize(ranks, MAPS), REDUCES);
+    let contribs = joined
+        .flat_map(|(_, (dsts, rank))| {
+            let share = rank / dsts.len() as f64;
+            dsts.into_iter().map(move |d| (d, share))
+        })
+        .map_with_cost(|kv| *kv, Some(1e-7))
+        .reduce_by_key(REDUCES, |a, b| a + b);
+    let deps = input_shuffles(&contribs.node());
+    let dep = &deps[0];
+    // The join's blocks, per reduce partition: the contribution tasks'
+    // input.
+    let mut inputs: Vec<FastMap<_, Vec<Bytes>>> =
+        (0..REDUCES).map(|_| FastMap::default()).collect();
+    for join_dep in input_shuffles(&dep.parent) {
+        for (r, blocks) in map_side(&join_dep).0.into_iter().enumerate() {
+            inputs[r].insert(join_dep.id, blocks);
+        }
+    }
+    let ctx = |r: usize| TaskContext::new(WorkModel::default(), inputs[r].clone());
+    let measure = || -> (u64, u64, u64) {
+        let (mut task, mut join, mut side) = (0, 0, 0);
+        for r in 0..REDUCES {
+            task += allocs_in(|| dep.map_task(&mut ctx(r), r)).1;
+            join += allocs_in(|| joined.node().compute(&mut ctx(r), r)).1;
+            let mut c = ctx(r);
+            let data = dep.parent.compute(&mut c, r);
+            side += allocs_in(|| (dep.partitioner)(&mut c, data)).1;
+        }
+        (task, join, side)
+    };
+    measure();
+    let (task, join, side) = measure();
+    assert_eq!((task, join, side), measure(), "allocation counts repeat exactly");
+    println!("pagerank contribution task: {task} allocations; join {join}, map side {side}");
+    // The join's body less the `Arc` its computed partition has, then the
+    // map side.
+    assert_eq!(task, join - REDUCES as u64 + side, "a narrow operator allocated");
+    assert_eq!(task, RECORDS + CONTRIBUTION_TASK_OVERHEAD, "PageRank's contribution tasks");
+}
+
+/// Allocations of one fleet map task streamed (see above); seven before a
+/// stage streamed.
+const FLEET_MAP_TASK_BUDGET: u64 = 4;
+/// Allocations of the four PageRank contribution tasks beyond one per
+/// page, the page's decoded link list (twenty a task: the join body's
+/// seventeen and the map side's three).
+const CONTRIBUTION_TASK_OVERHEAD: u64 = 80;
 /// Allocations of one fleet job's stage cut (see above).
 const STAGE_CUT_BUDGET: u64 = 2;
 /// Allocations of the four 1→3 `flat_map` tasks over `RECORDS` records
-/// (six a task); 50 072 when every record returned a `Vec`.
-const FLAT_MAP_BUDGET: u64 = 24;
+/// (five a task); 24 before a stage streamed, 50 072 when every record
+/// returned a `Vec`.
+const FLAT_MAP_BUDGET: u64 = 20;
 /// Allocations of the four 64-bucket map bodies (three a task: the bucket
 /// list and two shared buffers, which hold the task's 175 KB of buckets
 /// within the 128 KiB packing bound). One per block plus 8 (264 here)

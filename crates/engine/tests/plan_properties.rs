@@ -12,8 +12,9 @@ use std::sync::Arc;
 use splitserve_des::{Fabric, Sim};
 use splitserve_engine::{
     build_stages, collect_partitions, input_shuffles, sample_sort_bounds, Dataset, Dep, Engine,
-    EngineConfig, ExecutorDesc, PlanNode, ShuffleDep, ShuffleId, StageKind,
+    EngineConfig, ExecutorDesc, PlanNode, ShuffleDep, ShuffleId, StageKind, TaskContext, WorkModel,
 };
+use splitserve_rt::{Bytes, FastMap};
 use splitserve_storage::{HdfsSpec, HdfsStore, LocalDiskStore};
 
 /// Keys stay below this through every step, so one fixed sample gives
@@ -110,8 +111,22 @@ fn arb_data(g: &mut Gen, max_rows: usize, key_range: u64, val_range: Option<u64>
 
 /// Applies the pipeline on the engine.
 fn build_plan(data: Vec<(u64, u64)>, parts: usize, steps: &[Step]) -> Dataset<(u64, u64)> {
-    let mut ds = Dataset::parallelize(data, parts);
+    build_plan_over(Dataset::parallelize(data, parts), steps, false)
+}
+
+/// Applies the pipeline to `ds`; with `boundaries`, every step's output is
+/// also materialized by a `map_partitions` that copies it and charges
+/// nothing, as every operator's output was before narrow operators
+/// streamed.
+fn build_plan_over(
+    mut ds: Dataset<(u64, u64)>,
+    steps: &[Step],
+    boundaries: bool,
+) -> Dataset<(u64, u64)> {
     for step in steps {
+        if boundaries {
+            ds = ds.map_partitions(|_, rows| rows.to_vec());
+        }
         ds = match step.clone() {
             Step::MapAdd(n) => ds.map(move |(k, v)| (*k, v.wrapping_add(n))),
             Step::FilterMod(m) => ds.filter(move |(k, _)| k % m != 0),
@@ -144,6 +159,9 @@ fn build_plan(data: Vec<(u64, u64)>, parts: usize, steps: &[Step]) -> Dataset<(u
             }
             Step::Count => ds.count().map(|n| (0, *n)),
         };
+    }
+    if boundaries {
+        ds = ds.map_partitions(|_, rows| rows.to_vec());
     }
     ds
 }
@@ -384,4 +402,105 @@ fn stage_cut_matches_the_reference_walk_and_its_pins() {
     ] {
         assert_pinned(name, render_stages(plan).as_bytes(), pin);
     }
+}
+
+/// What one task left behind: its output — a map task's buckets, or a
+/// result task's rows — and the bits of every charge on its context.
+#[derive(Debug, PartialEq)]
+struct TaskTrace {
+    buckets: Vec<Vec<u8>>,
+    rows: Vec<(u64, u64)>,
+    cpu_secs: u64,
+    bytes_in: u64,
+    bytes_out: u64,
+    combine_secs: Option<u64>,
+}
+
+/// Runs every task of `plan`'s stages in stage order, one context per
+/// task over the blocks its parent stages wrote, as the scheduler would.
+/// `streamed` runs a map task as the scheduler does
+/// ([`ShuffleDep::map_task`]); otherwise as the map side of a computed
+/// partition, `(dep.partitioner)(ctx, dep.parent.compute(ctx, part))`. A
+/// result task is its terminal's `compute` either way.
+fn trace_tasks(plan: &Dataset<(u64, u64)>, streamed: bool) -> Vec<TaskTrace> {
+    let graph = build_stages(plan.node());
+    // Blocks by (producing stage, map task, reduce partition).
+    let mut written: BTreeMap<(u64, usize, usize), Bytes> = BTreeMap::new();
+    let mut traces = Vec::new();
+    for stage in &graph.stages {
+        for part in 0..stage.num_tasks {
+            let mut inputs = FastMap::default();
+            for dep in &stage.input_shuffles {
+                let producer = graph.producer_of(dep.id).expect("every input has a map stage");
+                let maps = graph.stage(producer).num_tasks;
+                let blocks: Vec<Bytes> = (0..maps)
+                    .filter_map(|m| written.get(&(producer.0, m, part)).cloned())
+                    .collect();
+                inputs.insert(dep.id, blocks);
+            }
+            let mut ctx = TaskContext::new(WorkModel::default(), inputs);
+            let (mut buckets, mut rows) = (Vec::new(), Vec::new());
+            match &stage.kind {
+                StageKind::ShuffleMap(dep) => {
+                    let out = if streamed {
+                        dep.map_task(&mut ctx, part)
+                    } else {
+                        let data = dep.parent.compute(&mut ctx, part);
+                        (dep.partitioner)(&mut ctx, data)
+                    };
+                    for (r, bucket) in out.into_iter().enumerate() {
+                        buckets.push(bucket.bytes.to_vec());
+                        if !bucket.bytes.is_empty() {
+                            written.insert((stage.id.0, part, r), bucket.bytes);
+                        }
+                    }
+                }
+                StageKind::Result => {
+                    let data = stage.terminal.compute(&mut ctx, part);
+                    rows = collect_partitions(vec![data]);
+                }
+            }
+            traces.push(TaskTrace {
+                buckets,
+                rows,
+                cpu_secs: ctx.cpu_secs().to_bits(),
+                bytes_in: ctx.bytes_in(),
+                bytes_out: ctx.bytes_out(),
+                combine_secs: ctx.combine_secs().map(f64::to_bits),
+            });
+        }
+    }
+    traces
+}
+
+/// A stage runs as one stream from its source to its sink, and that
+/// changes no byte and no charge: for every generated plan — over a lent
+/// source (`parallelize`) or a made one (`generate`), through `cache`,
+/// `map_partitions` and every narrow operator — the streamed map tasks
+/// write the buckets a computed partition's map side writes, and every
+/// task's context ends bit for bit equal, also against the same plan with
+/// every step's output materialized. Each run builds its plan afresh, so
+/// a `cache()` fills in the same task every time.
+#[test]
+fn streamed_stages_match_materialized_ones_bit_for_bit() {
+    check::run("streamed_stages_match_materialized_ones", 48, |g| {
+        let data = arb_data(g, 200, KEY_RANGE, None);
+        let parts = g.usize_in(1, 5);
+        let steps = runnable(g.vec(0, 6, arb_step));
+        let generated = g.bool();
+        let build = |boundaries: bool| {
+            let source = if generated {
+                let data = Arc::new(data.clone());
+                Dataset::generate(parts, move |p| {
+                    data.iter().skip(p).step_by(parts).copied().collect()
+                })
+            } else {
+                Dataset::parallelize(data.clone(), parts)
+            };
+            build_plan_over(source, &steps, boundaries)
+        };
+        let streamed = trace_tasks(&build(false), true);
+        assert_eq!(streamed, trace_tasks(&build(false), false), "{steps:?}");
+        assert_eq!(streamed, trace_tasks(&build(true), false), "{steps:?}");
+    });
 }
