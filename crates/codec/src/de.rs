@@ -21,7 +21,7 @@ pub trait Decode: Sized {
 
     /// Decodes `len` values back to back from the front of `input`,
     /// advancing it: the element half of a sequence's decoding, `len`
-    /// being the already-read (and [`read_len`]-checked) prefix. `Vec<T>`
+    /// being the already-read (and `read_len`-checked) prefix. `Vec<T>`
     /// reaches its elements only through this hook, so a type whose values
     /// can be read faster together than apart (`u8`) overrides it — with
     /// the same values, consumption and errors as this per-element

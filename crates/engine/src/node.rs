@@ -6,8 +6,15 @@
 //! do: rows flow from the stage's source (`generate`, `parallelize`, a
 //! wide operator's merge, `cache`, `map_partitions`) through every narrow
 //! operator straight into the stage's sink (a shuffle's map side, or the
-//! result partition), and are materialized only at those sources and
-//! sinks. [`ShuffleDep`] edges are the stage boundaries where data is
+//! collecting sink), and are materialized only at those sources and
+//! sinks. The sink is the only way a node hands rows on: a source calls
+//! it once with its whole partition, and `map`, `flat_map` and `filter`
+//! once per row. Collecting a partition — a result task's
+//! [`PlanNode::compute`], the input of `cache` or `map_partitions` — is
+//! one more sink, which keeps a source's rows as they came and owns the
+//! rows an operator passes on; a row a `filter` passes on from a shared
+//! source is cloned there, which is why a dataset's rows are `Clone`.
+//! [`ShuffleDep`] edges are the stage boundaries where data is
 //! partitioned by key, serialized and moved through the block store.
 //!
 //! The whole layer is `Send + Sync`: task bodies execute on the engine's
@@ -91,7 +98,8 @@ pub struct ShuffleDep {
     pub parent: Arc<dyn PlanNode>,
     /// Number of reduce partitions.
     pub num_partitions: usize,
-    /// Type-erased map-side work (see [`Partitioner`]).
+    /// Type-erased map-side work: the parent's computed partition in, one
+    /// bucket per reduce partition out.
     pub partitioner: Partitioner,
     /// The same map side, fed by the parent's stream (see
     /// [`ShuffleDep::map_task`]).
@@ -112,8 +120,11 @@ impl<T: Send + Sync + 'static> Feed<'_, T> {
     /// its rows have been read, before the map side encodes anything.
     pub(crate) fn into_sink(self, ctx: &mut TaskContext, sink: &mut Sink<'_, T>) {
         match self {
-            Feed::Stream(parent, part) => parent.run(ctx, part, Out::Stream(sink)),
-            Feed::Computed(data) => Out::Stream(sink).kept(&kept_rows(data)),
+            Feed::Stream(parent, part) => parent.stream(ctx, part, sink),
+            Feed::Computed(data) => {
+                let rows = kept_rows(data);
+                sink(rows.len(), Batch::Lent(&rows))
+            }
         }
     }
 }
@@ -196,8 +207,8 @@ impl std::fmt::Debug for Dep {
     }
 }
 
-/// A lineage node. The operator library in [`crate::ops`] builds every
-/// one of them through [`op`]; workloads interact through the typed
+/// A lineage node. The operator library builds every one of them through
+/// the one operator type; workloads interact through the typed
 /// [`Dataset`](crate::Dataset) wrapper instead.
 ///
 /// `Send + Sync` because `compute` runs on worker threads.
@@ -256,7 +267,7 @@ pub(crate) enum Batch<'a, T> {
     /// One row.
     Row(Row<'a, T>),
     /// A shared source's rows, lent.
-    Lent(&'a [T]),
+    Lent(&'a Arc<Vec<T>>),
     /// The rows a source made for this task, handed over.
     Made(Vec<T>),
 }
@@ -275,16 +286,14 @@ impl<'a, T> Batch<'a, T> {
     }
 }
 
-/// Where a stage's rows go: how many rows the stream expects in all
-/// (exact at a source and through `map`, the input's count past a `filter`
-/// or `flat_map`: a sizing hint only), and the next rows. A sink is a
+/// Where a stage's rows go, and the one way a plan node hands rows on: how
+/// many rows the stream expects in all (exact at a source and through
+/// `map`, the input's count past a `filter` or `flat_map`: a sizing hint
+/// only), and the next rows. A source calls it once, with its whole
+/// partition; a narrow operator once per row it passes on. A sink is a
 /// closure on its caller's stack and charges nothing until the stream has
 /// returned.
 pub(crate) type Sink<'s, T> = dyn FnMut(usize, Batch<'_, T>) + 's;
-
-/// Where an operator sends rows it makes itself, one by one: the
-/// expected count, as for a [`Sink`], and the row.
-pub(crate) type Emit<'s, T> = dyn FnMut(usize, T) + 's;
 
 /// A partition's rows collected whole: made by this task, or kept across
 /// tasks by a shared source.
@@ -295,7 +304,7 @@ pub(crate) enum Rows<T> {
     Kept(Arc<Vec<T>>),
 }
 
-impl<T> Rows<T> {
+impl<T: Clone> Rows<T> {
     /// The rows, in order.
     pub(crate) fn as_slice(&self) -> &[T] {
         match self {
@@ -311,99 +320,47 @@ impl<T> Rows<T> {
             Rows::Kept(rows) => rows,
         }
     }
-}
 
-/// Where an operator sends a partition's rows: down the stage's stream
-/// into a sink, or collected whole into a slot, as [`PlanNode::compute`]
-/// and the sources that materialize (`cache`, `map_partitions`) ask.
-pub(crate) enum Out<'o, T> {
-    /// Into the stage's sink.
-    Stream(&'o mut Sink<'o, T>),
-    /// Collected into the slot.
-    Collect(&'o mut Option<Rows<T>>),
-}
-
-impl<T> Out<'_, T> {
-    /// Rows this task made, handed on whole.
-    pub(crate) fn made(self, rows: Vec<T>) {
-        match self {
-            Out::Stream(sink) => sink(rows.len(), Batch::Made(rows)),
-            Out::Collect(slot) => *slot = Some(Rows::Made(rows)),
-        }
-    }
-
-    /// Rows kept across tasks, lent.
-    pub(crate) fn kept(self, rows: &Arc<Vec<T>>) {
-        match self {
-            Out::Stream(sink) => sink(rows.len(), Batch::Lent(rows)),
-            Out::Collect(slot) => *slot = Some(Rows::Kept(Arc::clone(rows))),
-        }
-    }
-
-    /// Rows an operator makes one by one from its input: `body` sends each
-    /// to the [`Emit`] it is given.
-    pub(crate) fn made_each(self, body: impl FnOnce(&mut Emit<'_, T>)) {
-        match self {
-            Out::Stream(sink) => {
-                body(&mut |expected, row| sink(expected, Batch::Row(Row::Owned(row))))
-            }
-            Out::Collect(slot) => {
-                let mut rows = Vec::new();
-                body(&mut |expected, row| collect(&mut rows, expected, row));
-                *slot = Some(Rows::Made(rows));
-            }
-        }
-    }
-
-    /// Input rows passed on as they came: `body` sends them to the
-    /// [`Sink`] it is given. Lent rows stay lent down a stream and are
-    /// cloned only into a collection.
-    pub(crate) fn passed(self, body: impl FnOnce(&mut Sink<'_, T>))
-    where
-        T: Clone,
-    {
-        match self {
-            Out::Stream(sink) => body(sink),
-            Out::Collect(slot) => {
-                let mut rows = Vec::new();
-                body(&mut |expected, batch| {
-                    batch.for_each(|row| collect(&mut rows, expected, row.into_owned()))
-                });
-                *slot = Some(Rows::Made(rows));
+    /// The collecting sink. A source's lone batch is kept as it came: its
+    /// `Vec` taken over, or its `Arc` shared. Rows an operator passes on
+    /// are pushed into one `Vec`, reserved for the `expected` rows when the
+    /// first arrives; a lent one, which reaches here only past a `filter`,
+    /// is cloned.
+    fn collect(&mut self, expected: usize, batch: Batch<'_, T>) {
+        match batch {
+            Batch::Made(rows) if self.as_slice().is_empty() => *self = Rows::Made(rows),
+            Batch::Lent(rows) if self.as_slice().is_empty() => *self = Rows::Kept(Arc::clone(rows)),
+            batch => {
+                let rows = match self {
+                    Rows::Made(rows) => rows,
+                    Rows::Kept(rows) => Arc::make_mut(rows),
+                };
+                if rows.is_empty() {
+                    rows.reserve(expected);
+                }
+                batch.for_each(|row| rows.push(row.into_owned()));
             }
         }
     }
 }
 
-/// Pushes `row` onto `rows`, reserving the `expected` rows first.
-fn collect<T>(rows: &mut Vec<T>, expected: usize, row: T) {
-    if rows.is_empty() {
-        rows.reserve(expected);
-    }
-    rows.push(row);
-}
-
-/// A plan node's typed side: the rows of a partition, sent down a stream
-/// or collected. Every [`Dataset`](crate::Dataset) holds one; it upcasts
+/// A plan node's typed side: the rows of a partition, sent into the
+/// stage's sink. Every [`Dataset`](crate::Dataset) holds one; it upcasts
 /// to the untyped [`PlanNode`] the scheduler walks.
 pub(crate) trait Stream<T>: PlanNode {
-    /// Produces partition `part` into `out`, charging its work to `ctx`
-    /// only after its input's stream has returned, so charges land in the
-    /// order source, each narrow operator, sink.
-    fn run(&self, ctx: &mut TaskContext, part: usize, out: Out<'_, T>);
+    /// Sends partition `part` into `sink`, charging its work to `ctx` only
+    /// after its input's stream has returned, so charges land in the order
+    /// source, each narrow operator, sink.
+    fn stream(&self, ctx: &mut TaskContext, part: usize, sink: &mut Sink<'_, T>);
 }
 
-impl<T> dyn Stream<T> + '_ {
-    /// Streams partition `part` into `sink`.
-    pub(crate) fn stream(&self, ctx: &mut TaskContext, part: usize, sink: &mut Sink<'_, T>) {
-        self.run(ctx, part, Out::Stream(sink));
-    }
-
-    /// Partition `part` collected whole: shared rows stay shared.
+impl<T: Clone> dyn Stream<T> + '_ {
+    /// Partition `part` collected whole by the collecting sink
+    /// ([`Rows::collect`]): shared rows stay shared.
     pub(crate) fn rows(&self, ctx: &mut TaskContext, part: usize) -> Rows<T> {
-        let mut slot = None;
-        self.run(ctx, part, Out::Collect(&mut slot));
-        slot.unwrap_or(Rows::Made(Vec::new()))
+        let mut rows = Rows::Made(Vec::new());
+        self.stream(ctx, part, &mut |expected, batch| rows.collect(expected, batch));
+        rows
     }
 }
 
@@ -416,14 +373,14 @@ struct Op<T, F, const N: usize> {
     label: &'static str,
     num_partitions: usize,
     deps: [Dep; N],
-    run: F,
+    stream: F,
     _rows: PhantomData<fn() -> T>,
 }
 
 impl<T, F, const N: usize> PlanNode for Op<T, F, N>
 where
-    T: Send + Sync + 'static,
-    F: Fn(&mut TaskContext, usize, Out<'_, T>) + Send + Sync,
+    T: Clone + Send + Sync + 'static,
+    F: Fn(&mut TaskContext, usize, &mut Sink<'_, T>) + Send + Sync,
 {
     fn id(&self) -> NodeId {
         self.id
@@ -445,29 +402,30 @@ where
 
 impl<T, F, const N: usize> Stream<T> for Op<T, F, N>
 where
-    T: Send + Sync + 'static,
-    F: Fn(&mut TaskContext, usize, Out<'_, T>) + Send + Sync,
+    T: Clone + Send + Sync + 'static,
+    F: Fn(&mut TaskContext, usize, &mut Sink<'_, T>) + Send + Sync,
 {
-    fn run(&self, ctx: &mut TaskContext, part: usize, out: Out<'_, T>) {
-        (self.run)(ctx, part, out)
+    fn stream(&self, ctx: &mut TaskContext, part: usize, sink: &mut Sink<'_, T>) {
+        (self.stream)(ctx, part, sink)
     }
 }
 
-/// A fresh plan node (one allocation): `run(ctx, part, out)` produces
-/// partition `part` of `num_partitions` into `out`, reading the nodes and
-/// shuffles named by `deps`.
-pub(crate) fn op<T: Send + Sync + 'static, const N: usize>(
+/// A fresh plan node (one allocation): `stream(ctx, part, sink)` sends
+/// partition `part` of `num_partitions` into `sink`, reading the nodes and
+/// shuffles named by `deps`. Rows are `Clone` so that the collecting sink
+/// can own the rows a `filter` passes on from a shared source.
+pub(crate) fn op<T: Clone + Send + Sync + 'static, const N: usize>(
     label: &'static str,
     num_partitions: usize,
     deps: [Dep; N],
-    run: impl Fn(&mut TaskContext, usize, Out<'_, T>) + Send + Sync + 'static,
+    stream: impl Fn(&mut TaskContext, usize, &mut Sink<'_, T>) + Send + Sync + 'static,
 ) -> Arc<dyn Stream<T>> {
     Arc::new(Op {
         id: next_node_id(),
         label,
         num_partitions,
         deps,
-        run,
+        stream,
         _rows: PhantomData,
     })
 }

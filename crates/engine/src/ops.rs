@@ -4,16 +4,20 @@
 //!
 //! A stage runs as one stream (see [`crate::node`]): its source makes its
 //! rows (`generate`, a wide operator's merge, `map_partitions`) or lends
-//! them (`parallelize`, `cache`), and each narrow operator (`map`,
-//! `filter`, `flat_map`, …) passes them on one at a time to the stage's
-//! sink, with no partition in between. Wide operators (`reduce_by_key`,
-//! `group_by_key`, `join`) introduce [`ShuffleDep`]s: their map side is
-//! such a sink, which partitions records by key hash, optionally applies
-//! map-side combine, and serializes buckets with `splitserve-codec`; their
-//! reduce side deserializes and merges. All transformations do *real* work
-//! on real data — the context only accounts the CPU seconds, and every
-//! operator charges only once its input's stream has returned, so charges
-//! land in the order source, each narrow operator, sink.
+//! them (`parallelize`, `cache`) in one call of the stage's sink, and each
+//! narrow operator (`map`, `filter`, `flat_map`, …) passes them on one at
+//! a time to that sink, with no partition in between. Operators have no
+//! other output: where a partition is collected (a result task, `cache`,
+//! `map_partitions`) the sink is the collecting one, and since it must
+//! own a shared row a `filter` passes on, a dataset's rows are `Clone`.
+//! Wide operators (`reduce_by_key`, `group_by_key`, `join`) introduce
+//! [`ShuffleDep`]s: their map side is such a sink, which partitions
+//! records by key hash, optionally applies map-side combine, and
+//! serializes buckets with `splitserve-codec`; their reduce side
+//! deserializes and merges. All transformations do *real* work on real
+//! data — the context only accounts the CPU seconds, and every operator
+//! charges only once its input's stream has returned, so charges land in
+//! the order source, each narrow operator, sink.
 //!
 //! The shuffle data plane is built for throughput without giving up
 //! byte-determinism (see DESIGN.md "Shuffle data plane"): keys are hashed
@@ -39,13 +43,15 @@ use splitserve_rt::{pool, Bytes};
 use crate::combine::HashGroup;
 use crate::context::TaskContext;
 use crate::node::{
-    input_shuffles, kept_rows, op, Batch, Dep, Feed, Out, PartitionData, PlanNode, Row,
-    ShuffleBucket, ShuffleDep, Stream,
+    input_shuffles, kept_rows, op, Batch, Dep, Feed, PartitionData, PlanNode, Row, ShuffleBucket,
+    ShuffleDep, Sink, Stream,
 };
 
 /// A typed, lazily-evaluated distributed dataset — the engine's RDD.
 ///
-/// Cloning a `Dataset` clones the handle, not the data.
+/// Cloning a `Dataset` clones the handle, not the data. Its rows are
+/// `Clone` (as Spark's must be serializable): collecting a partition owns
+/// the rows a `filter` passes on from a shared source, and clones them.
 ///
 /// # Examples
 ///
@@ -105,7 +111,7 @@ struct CacheSlot<T> {
     bytes_out: u64,
 }
 
-impl<T: Send + Sync + 'static> Dataset<T> {
+impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     pub(crate) fn from_node(node: Arc<dyn Stream<T>>) -> Self {
         Dataset { node }
     }
@@ -120,18 +126,21 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         self.node.num_partitions()
     }
 
-    /// A one-parent narrow operator: partition for partition, `run` reads
-    /// the parent's stream (the closure's first argument) and sends this
-    /// node's rows on inside the same task.
-    fn narrow<U: Send + Sync + 'static>(
+    /// A one-parent narrow operator: partition for partition, `stream`
+    /// reads the parent's stream (the closure's first argument) and sends
+    /// this node's rows into the sink inside the same task.
+    fn narrow<U: Clone + Send + Sync + 'static>(
         &self,
         label: &'static str,
-        run: impl Fn(&dyn Stream<T>, &mut TaskContext, usize, Out<'_, U>) + Send + Sync + 'static,
+        stream: impl Fn(&dyn Stream<T>, &mut TaskContext, usize, &mut Sink<'_, U>)
+            + Send
+            + Sync
+            + 'static,
     ) -> Dataset<U> {
         let parent = Arc::clone(&self.node);
         let edge = Dep::Narrow(self.node());
-        let body = move |ctx: &mut TaskContext, part: usize, out: Out<'_, U>| {
-            run(&*parent, ctx, part, out)
+        let body = move |ctx: &mut TaskContext, part: usize, sink: &mut Sink<'_, U>| {
+            stream(&*parent, ctx, part, sink)
         };
         Dataset::from_node(op(label, self.num_partitions(), [edge], body))
     }
@@ -151,10 +160,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
         let parts: Vec<Arc<Vec<T>>> = parts.into_iter().map(Arc::new).collect();
         let bytes_per_record = std::mem::size_of::<T>().max(8) as u64;
-        Dataset::from_node(op("parallelize", partitions, [], move |ctx, part, out| {
+        Dataset::from_node(op("parallelize", partitions, [], move |ctx, part, sink| {
             let rows = &parts[part];
             ctx.charge_scan(rows.len() as u64 * bytes_per_record);
-            out.kept(rows);
+            sink(rows.len(), Batch::Lent(rows));
         }))
     }
 
@@ -172,15 +181,15 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     ) -> Self {
         assert!(partitions > 0, "need at least one partition");
         let bytes_per_record = std::mem::size_of::<T>().max(8) as u64;
-        Dataset::from_node(op("generate", partitions, [], move |ctx, part, out| {
+        Dataset::from_node(op("generate", partitions, [], move |ctx, part, sink| {
             let rows = gen(part);
             ctx.charge_scan(rows.len() as u64 * bytes_per_record);
-            out.made(rows);
+            sink(rows.len(), Batch::Made(rows));
         }))
     }
 
     /// Element-wise transformation.
-    pub fn map<U: Send + Sync + 'static>(
+    pub fn map<U: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(&T) -> U + Send + Sync + 'static,
     ) -> Dataset<U> {
@@ -190,19 +199,17 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Like [`Dataset::map`] but charging `cost_secs_per_record` instead of
     /// the default narrow-operator rate — for compute-heavy user functions
     /// (distance computations, parsing, …).
-    pub fn map_with_cost<U: Send + Sync + 'static>(
+    pub fn map_with_cost<U: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(&T) -> U + Send + Sync + 'static,
         cost_secs_per_record: Option<f64>,
     ) -> Dataset<U> {
-        self.narrow("map", move |parent, ctx, part, out| {
+        self.narrow("map", move |parent, ctx, part, sink| {
             let mut read = 0u64;
-            out.made_each(|emit| {
-                parent.stream(ctx, part, &mut |expected, rows| {
-                    rows.for_each(|row| {
-                        read += 1;
-                        emit(expected, f(row.get()));
-                    })
+            parent.stream(ctx, part, &mut |expected, rows| {
+                rows.for_each(|row| {
+                    read += 1;
+                    sink(expected, Batch::Row(Row::Owned(f(row.get()))));
                 })
             });
             match cost_secs_per_record {
@@ -214,20 +221,15 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Keeps the records for which `f` is true, passing them on as they
     /// came: a lent row is cloned only if this partition is collected.
-    pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Dataset<T>
-    where
-        T: Clone,
-    {
-        self.narrow("filter", move |parent, ctx, part, out| {
+    pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Dataset<T> {
+        self.narrow("filter", move |parent, ctx, part, sink| {
             let mut read = 0u64;
-            out.passed(|sink| {
-                parent.stream(ctx, part, &mut |expected, rows| {
-                    rows.for_each(|row| {
-                        read += 1;
-                        if f(row.get()) {
-                            sink(expected, Batch::Row(row));
-                        }
-                    })
+            parent.stream(ctx, part, &mut |expected, rows| {
+                rows.for_each(|row| {
+                    read += 1;
+                    if f(row.get()) {
+                        sink(expected, Batch::Row(row));
+                    }
                 })
             });
             ctx.charge_records(read);
@@ -241,22 +243,19 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// `parallelize` or a `cache()`) cloned.
     pub fn flat_map<U, I>(&self, f: impl Fn(T) -> I + Send + Sync + 'static) -> Dataset<U>
     where
-        T: Clone,
-        U: Send + Sync + 'static,
+        U: Clone + Send + Sync + 'static,
         I: IntoIterator<Item = U>,
     {
-        self.narrow("flatMap", move |parent, ctx, part, out| {
+        self.narrow("flatMap", move |parent, ctx, part, sink| {
             let (mut read, mut made) = (0u64, 0u64);
-            out.made_each(|emit| {
-                // Sized for a fan-out of one: the input's count goes on.
-                parent.stream(ctx, part, &mut |expected, rows| {
-                    rows.for_each(|row| {
-                        read += 1;
-                        for u in f(row.into_owned()) {
-                            made += 1;
-                            emit(expected, u);
-                        }
-                    })
+            // Sized for a fan-out of one: the input's count goes on.
+            parent.stream(ctx, part, &mut |expected, rows| {
+                rows.for_each(|row| {
+                    read += 1;
+                    for u in f(row.into_owned()) {
+                        made += 1;
+                        sink(expected, Batch::Row(Row::Owned(u)));
+                    }
                 })
             });
             ctx.charge_records(read + made);
@@ -267,24 +266,22 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// for custom cost accounting. A stage's stream materializes here: the
     /// input partition is collected (or borrowed, if shared) for `f`, and
     /// `f`'s rows are a new source.
-    pub fn map_partitions<U: Send + Sync + 'static>(
+    pub fn map_partitions<U: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(&mut TaskContext, &[T]) -> Vec<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        self.narrow("mapPartitions", move |parent, ctx, part, out| {
+        self.narrow("mapPartitions", move |parent, ctx, part, sink| {
             let rows = parent.rows(ctx, part);
-            out.made(f(ctx, rows.as_slice()));
+            let made = f(ctx, rows.as_slice());
+            sink(made.len(), Batch::Made(made));
         })
     }
 
     /// Pairs each record with a key.
-    pub fn key_by<K: Send + Sync + 'static>(
+    pub fn key_by<K: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(&T) -> K + Send + Sync + 'static,
-    ) -> Dataset<(K, T)>
-    where
-        T: Clone,
-    {
+    ) -> Dataset<(K, T)> {
         self.map(move |t| (f(t), t.clone()))
     }
 
@@ -307,13 +304,13 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let edges = [self, other].map(|side| Dep::Narrow(side.node()));
         let split = first.num_partitions();
         let partitions = split + second.num_partitions();
-        let run = move |ctx: &mut TaskContext, part: usize, out: Out<'_, T>| {
+        let stream = move |ctx: &mut TaskContext, part: usize, sink: &mut Sink<'_, T>| {
             match part.checked_sub(split) {
-                None => first.run(ctx, part, out),
-                Some(rest) => second.run(ctx, rest, out),
+                None => first.stream(ctx, part, sink),
+                Some(rest) => second.stream(ctx, rest, sink),
             }
         };
-        Dataset::from_node(op("union", partitions, edges, run))
+        Dataset::from_node(op("union", partitions, edges, stream))
     }
 
     /// Memoizes computed partitions so repeated jobs over the same lineage
@@ -325,7 +322,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let partitions = self.num_partitions();
         let empty: Vec<Option<CacheSlot<T>>> = (0..partitions).map(|_| None).collect();
         let slots = Mutex::new(empty);
-        self.narrow("cache", move |parent, ctx, part, out| {
+        self.narrow("cache", move |parent, ctx, part, sink| {
             let rows = {
                 // Hold the lock across the fill so concurrent readers of
                 // one partition compute it exactly once; losers replay the
@@ -349,7 +346,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
                     }
                 }
             };
-            out.kept(&rows);
+            sink(rows.len(), Batch::Lent(&rows));
         })
     }
 }
@@ -357,18 +354,19 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 /// A wide operator over `N` co-partitioned shuffles: each task takes the
 /// blocks the scheduler fetched for its partition, one list per edge in
 /// edge order, and `merge` decodes and combines them.
-pub(crate) fn wide<C: Send + Sync + 'static, const N: usize>(
+pub(crate) fn wide<C: Clone + Send + Sync + 'static, const N: usize>(
     label: &'static str,
     deps: [Arc<ShuffleDep>; N],
     merge: impl Fn(&mut TaskContext, [Vec<Bytes>; N]) -> Vec<C> + Send + Sync + 'static,
 ) -> Dataset<C> {
     let ids = deps.each_ref().map(|dep| dep.id);
     let partitions = deps[0].num_partitions;
-    let run = move |ctx: &mut TaskContext, _part: usize, out: Out<'_, C>| {
+    let stream = move |ctx: &mut TaskContext, _part: usize, sink: &mut Sink<'_, C>| {
         let blocks = ids.map(|id| ctx.shuffle_input(id));
-        out.made(merge(ctx, blocks));
+        let merged = merge(ctx, blocks);
+        sink(merged.len(), Batch::Made(merged));
     };
-    Dataset::from_node(op(label, partitions, deps.map(Dep::Shuffle), run))
+    Dataset::from_node(op(label, partitions, deps.map(Dep::Shuffle), stream))
 }
 
 /// The sizing rule of every reduce-side table (DESIGN.md §8 "Combine"):
@@ -534,7 +532,7 @@ impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
     }
 
     /// Transforms values, keeping keys (no shuffle).
-    pub fn map_values<U: Send + Sync + 'static>(
+    pub fn map_values<U: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(&V) -> U + Send + Sync + 'static,
     ) -> Dataset<(K, U)> {
@@ -776,6 +774,7 @@ fn combine_side<K: ShuffleKey, V: ShuffleValue>(
 pub(crate) mod tests {
     use super::*;
     use crate::config::WorkModel;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A computed partition's rows.
     pub(crate) fn rows<T: Send + Sync + 'static>(data: &PartitionData) -> &Vec<T> {
@@ -866,6 +865,70 @@ pub(crate) mod tests {
             second.cpu_secs().to_bits(),
             "cache hit must replay the fill's exact charge"
         );
+    }
+
+    #[test]
+    fn collecting_a_shared_source_keeps_its_rows() {
+        let cases = [
+            ("parallelize", Dataset::parallelize((0..10u64).collect(), 2)),
+            ("cache", Dataset::<u64>::generate(2, |p| vec![p as u64; 5]).cache()),
+        ];
+        for (name, ds) in cases {
+            let node = ds.node();
+            let first = node.compute(&mut ctx(), 1);
+            let second = node.compute(&mut ctx(), 1);
+            assert!(Arc::ptr_eq(&first, &second), "{name}: rows shared, not copied");
+        }
+    }
+
+    /// A row that counts its clones.
+    #[derive(Debug)]
+    struct Counted {
+        n: u64,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Counted {
+                n: self.n,
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    #[test]
+    fn a_collected_filter_clones_exactly_the_lent_rows_it_keeps() {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let made = {
+            let clones = Arc::clone(&clones);
+            move || (0..10).map(|n| Counted { n, clones: Arc::clone(&clones) }).collect::<Vec<_>>()
+        };
+        let keep = |row: &Counted| row.n.is_multiple_of(3);
+        let cases = [
+            ("lent", Dataset::parallelize(made(), 1), 4),
+            ("made", Dataset::generate(1, move |_| made()), 0),
+        ];
+        for (name, source, want) in cases {
+            clones.store(0, Ordering::Relaxed);
+            let data = source.filter(keep).node().compute(&mut ctx(), 0);
+            let kept: Vec<u64> = rows::<Counted>(&data).iter().map(|row| row.n).collect();
+            assert_eq!(kept, [0, 3, 6, 9], "{name}");
+            assert_eq!(clones.load(Ordering::Relaxed), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_flat_map_that_emits_nothing_collects_an_empty_partition() {
+        let ds = Dataset::parallelize((0..10u32).collect(), 2).flat_map(|_| None::<u32>);
+        let node = ds.node();
+        for part in 0..2 {
+            let data = node.compute(&mut ctx(), part);
+            let rows = rows::<u32>(&data);
+            assert!(rows.is_empty(), "partition {part}");
+            assert_eq!(rows.capacity(), 0, "nothing reserved before a row arrives");
+        }
     }
 
     #[test]
@@ -1056,7 +1119,7 @@ pub(crate) mod tests {
     }
 
     /// The buckets one map task of `shuffled`'s input shuffle writes.
-    fn map_task_buckets<T: Send + Sync + 'static>(shuffled: &Dataset<T>) -> Vec<ShuffleBucket> {
+    fn map_task_buckets<T: Clone + Send + Sync + 'static>(shuffled: &Dataset<T>) -> Vec<ShuffleBucket> {
         let deps = input_shuffles(&shuffled.node());
         let mut c = ctx();
         let data = deps[0].parent.compute(&mut c, 0);

@@ -89,7 +89,7 @@ fn map_side(dep: &Arc<ShuffleDep>) -> (Vec<Vec<Bytes>>, u64) {
 /// The reduce bodies of `wide` over what its shuffles' map sides produced:
 /// `(map-side allocations, reduce-side allocations)`. Contexts are built
 /// and results dropped outside the counted region.
-fn shuffle_allocs<T: Send + Sync + 'static>(wide: &Dataset<T>) -> (u64, u64) {
+fn shuffle_allocs<T: Clone + Send + Sync + 'static>(wide: &Dataset<T>) -> (u64, u64) {
     let node = wide.node();
     let mut map_allocs = 0;
     let mut inputs: Vec<FastMap<_, Vec<Bytes>>> = (0..REDUCES).map(|_| FastMap::default()).collect();

@@ -83,7 +83,7 @@ fn shuffle_metrics_record_only_when_enabled() {
 /// side, by hand, and returns the reduce partitions in order, plus every
 /// serialized block (shuffle by shuffle, in map-task, then
 /// reduce-partition order) for byte-level comparison.
-fn run_wide<T: Send + Sync + 'static>(wide: &Dataset<T>) -> (Vec<PartitionData>, Vec<Bytes>) {
+fn run_wide<T: Clone + Send + Sync + 'static>(wide: &Dataset<T>) -> (Vec<PartitionData>, Vec<Bytes>) {
     let node = wide.node();
     let deps: Vec<Arc<ShuffleDep>> = input_shuffles(&node);
     let reduces = deps[0].num_partitions;

@@ -8,7 +8,7 @@
 //! - [`MetricsRegistry`] — named counters, gauges and fixed-bucket
 //!   histograms, labelled by executor kind, stage, store backend, …
 //! - [`SpanRecorder`] — structured, nested spans stamped with the
-//!   deterministic simulation clock ([`SimTime`]): task runs, shuffle
+//!   deterministic simulation clock ([`SimTime`](splitserve_des::SimTime)): task runs, shuffle
 //!   writes/fetches, Lambda cold/warm starts, segue drains, rollbacks.
 //! - Exporters — Chrome trace-event JSON ([`SpanRecorder::to_chrome_trace`],
 //!   loadable in `chrome://tracing` / Perfetto to reproduce Figure-7-style

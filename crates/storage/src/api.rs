@@ -11,7 +11,7 @@ use splitserve_des::{LinkId, Sim};
 /// follows Spark's `shuffle_<shuffle>_<map>_<reduce>` convention.
 ///
 /// `Copy`: the executor is an interned symbol and shuffle names are kept
-/// structured (see [`BlockName`]), so block ids move through the store
+/// structured (see `BlockName`), so block ids move through the store
 /// request path — built per fetch and per write — without allocating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId {

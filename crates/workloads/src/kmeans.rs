@@ -88,7 +88,7 @@ impl KMeans {
     }
 
     /// The points dataset: a mixture of `k` Gaussians around
-    /// [`KMeans::true_center`]s, generated per partition.
+    /// `KMeans::true_center`s, generated per partition.
     pub fn points_dataset(&self) -> Dataset<Vec<f64>> {
         let total = self.materialized_points();
         let parts = self.parallelism;

@@ -27,7 +27,7 @@ fn records_in<K: Decode, V: Decode>(mut block: &[u8]) -> u64 {
 /// the blocks in map-task, then reduce-partition order, each framed by its
 /// length and record count (native-endian, as `Hasher::write_u64` fed them
 /// when the pins were taken), plus the unframed payload byte count.
-fn framed_map_output<T: Send + Sync + 'static>(
+fn framed_map_output<T: Clone + Send + Sync + 'static>(
     shuffled: &Dataset<T>,
     records_in: fn(&[u8]) -> u64,
 ) -> (Vec<u8>, u64) {

@@ -15,6 +15,9 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: no broken or private intra-doc link"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> perf ledger: harness tests + smoke run (benchmark/run.sh --quick)"
 # benchmark/ is a workspace of its own that calls the public surface listed
 # in benchmark/README.md; a change that breaks it must fail here.
