@@ -10,10 +10,10 @@
 //! immediately, and retires them once idle past `idle_timeout` — billing
 //! stops and the container goes back to the warm pool.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use splitserve_des::{Sim, SimDuration};
+use splitserve_des::{EventHandler, Sim, SimDuration};
 use splitserve_engine::{ExecutorInfo, ExecutorKind};
 
 use crate::deploy::Deployment;
@@ -85,25 +85,44 @@ pub fn start_allocator(
         active: Rc::new(Cell::new(true)),
         launched: Rc::new(Cell::new(0)),
     };
-    tick(sim, deployment.clone(), cfg, handle.clone(), Vec::new());
+    let control = ControlLoop {
+        d: deployment.clone(),
+        cfg,
+        handle: handle.clone(),
+        execs: RefCell::new(Vec::new()),
+    };
+    tick(sim, Rc::new(control));
     handle
 }
 
-/// One pass of the control loop. `execs` is the executor snapshot, kept
-/// from one tick to the next so that taking it allocates nothing.
-fn tick(
-    sim: &mut Sim,
+/// A running controller: one handler, re-armed every `check_interval`
+/// with [`Sim::notify_in`], so a tick allocates nothing.
+struct ControlLoop {
     d: Deployment,
     cfg: AllocatorConfig,
     handle: AllocatorHandle,
-    mut execs: Vec<ExecutorInfo>,
-) {
+    /// The executor snapshot, kept from one tick to the next so that
+    /// taking it allocates nothing.
+    execs: RefCell<Vec<ExecutorInfo>>,
+}
+
+/// The next tick is due (the token is unused).
+impl EventHandler for ControlLoop {
+    fn on_event(self: Rc<Self>, sim: &mut Sim, _token: u64) {
+        tick(sim, self);
+    }
+}
+
+/// One pass of the control loop.
+fn tick(sim: &mut Sim, control: Rc<ControlLoop>) {
+    let ControlLoop { d, cfg, handle, execs } = &*control;
     if !handle.active.get() || d.is_shut_down() {
         return;
     }
     let engine = d.engine().clone();
     let obs = engine.obs().clone();
     let pending = engine.pending_tasks();
+    let mut execs = execs.borrow_mut();
     engine.executors_into(&mut execs);
     let live = |e: &&ExecutorInfo| e.alive && !e.draining;
     let live_lambdas = || {
@@ -149,8 +168,8 @@ fn tick(
     }
 
     let interval = cfg.check_interval;
-    let h = handle.clone();
-    sim.schedule_in(interval, move |sim| tick(sim, d, cfg, h, execs));
+    drop(execs);
+    sim.notify_in(interval, control, 0);
 }
 
 #[cfg(test)]
@@ -160,7 +179,6 @@ mod tests {
     use splitserve_cloud::{CloudSpec, M4_XLARGE};
     use splitserve_des::Dist;
     use splitserve_engine::Dataset;
-    use std::cell::RefCell;
 
     fn quiet_cloud() -> CloudSpec {
         CloudSpec {

@@ -5,7 +5,15 @@
 //! of every CloudSort/TPC-DS/PageRank stage. [`HashGroup`] replaces them
 //! with a flat open-addressing table: entries live contiguously in a
 //! `Vec` in **first-insertion order**, and a power-of-two index of `u32`
-//! slots maps precomputed hashes onto them with linear probing.
+//! slots maps precomputed hashes onto them with linear probing, at most
+//! half full.
+//!
+//! A key's home slot comes from the hash's **high half**. The shuffle
+//! sends a key to reduce partition `hash % P`
+//! ([`bucket_of_hash`](crate::ops::bucket_of_hash)), so every key one
+//! reduce task groups shares those low bits: with `P` a power of two, a
+//! home slot taken from them would land on only `1/P` of the index, and
+//! lookups would walk long clusters.
 //!
 //! Determinism is the design constraint, not an accident: iteration
 //! yields entries in the order keys first arrived, which is itself a
@@ -30,6 +38,14 @@ use splitserve_rt::pool;
 /// Sentinel for an unoccupied index slot.
 const EMPTY: u32 = u32::MAX;
 
+/// The home slot of `hash` in an index of `mask + 1` slots: the high
+/// half first, which the partitioner's `hash % P` leaves free for a power
+/// of two `P`, then the low half above bit 32 for an index that big.
+#[inline]
+fn home(hash: u64, mask: usize) -> usize {
+    hash.rotate_left(32) as usize & mask
+}
+
 /// An all-`EMPTY` index of `slots` slots, on pooled scratch.
 fn empty_index(slots: usize) -> Vec<u32> {
     let mut index = pool::take_vec(slots);
@@ -49,11 +65,12 @@ pub(crate) struct HashGroup<K, A> {
 
 impl<K: Eq, A> HashGroup<K, A> {
     /// An empty group that holds `cap` distinct keys without growing: the
-    /// index gets the first power of two strictly above `cap · 8/7`, so the
-    /// `cap`-th insert is still under the 7/8 load check. Callers size it
-    /// from what the task already holds (DESIGN.md §8 "Combine").
+    /// index gets the first power of two strictly above `2 · cap` (16 at
+    /// least), so the `cap`-th insert still leaves it under half full.
+    /// Callers size it from what the task already holds (DESIGN.md §8
+    /// "Combine").
     pub fn with_capacity(cap: usize) -> Self {
-        let slots = (cap.max(8) * 8 / 7 + 1).next_power_of_two();
+        let slots = (cap.max(4) * 2 + 1).next_power_of_two();
         HashGroup {
             entries: Vec::with_capacity(cap),
             table: empty_index(slots),
@@ -70,7 +87,7 @@ impl<K: Eq, A> HashGroup<K, A> {
     /// be inserted.
     fn probe(&self, hash: u64, key: &K) -> usize {
         let mask = self.table.len() - 1;
-        let mut slot = hash as usize & mask;
+        let mut slot = home(hash, mask);
         loop {
             let e = self.table[slot];
             if e == EMPTY {
@@ -90,7 +107,7 @@ impl<K: Eq, A> HashGroup<K, A> {
         let mut table = empty_index(self.table.len() * 2);
         let mask = table.len() - 1;
         for (i, (h, _, _)) in self.entries.iter().enumerate() {
-            let mut slot = *h as usize & mask;
+            let mut slot = home(*h, mask);
             while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
@@ -102,8 +119,8 @@ impl<K: Eq, A> HashGroup<K, A> {
     fn insert_at(&mut self, slot: usize, hash: u64, key: K, acc: A) {
         self.table[slot] = self.entries.len() as u32;
         self.entries.push((hash, key, acc));
-        // Load factor 7/8: grow before probes degrade.
-        if self.entries.len() * 8 >= self.table.len() * 7 {
+        // Load factor 1/2: linear probing inspects 1.5 slots per hit on average.
+        if self.entries.len() * 2 >= self.table.len() {
             self.grow();
         }
     }
@@ -241,14 +258,16 @@ mod tests {
     }
 
     /// `with_capacity(n)` is a promise: `n` distinct keys never re-thread
-    /// the index — including the `n` for which `n · 8/7` is itself a power
-    /// of two (14, 896, 7168, …), where the `n`-th insert used to.
+    /// the index — including the `n` for which `2n` is itself a power of
+    /// two (8, 512, 2048, …), where the `n`-th insert reaches half load —
+    /// and the index it takes is never more than needed for that.
     #[test]
     fn with_capacity_holds_its_capacity_without_growing() {
         let mut grows = 0;
         for n in 1..=4096u64 {
             let mut g: HashGroup<u64, ()> = HashGroup::with_capacity(n as usize);
-            let slots = g.table.len();
+            let (slots, n2) = (g.table.len(), 2 * n as usize);
+            assert!(slots > n2 && (slots <= 2 * n2 || slots == 16), "{n}: {slots} slots");
             for k in 0..n {
                 g.upsert(shuffle_hash(&k), &k, (), |()| (), |(), ()| ());
             }
@@ -256,6 +275,49 @@ mod tests {
             grows += usize::from(g.table.len() != slots);
         }
         assert_eq!(grows, 0, "capacities that re-threaded before holding n keys");
+    }
+
+    /// Mean slots a successful lookup inspects, read off the index: an
+    /// entry `d` slots past its home slot takes `d + 1`.
+    fn mean_probes<A>(g: &HashGroup<u64, A>) -> f64 {
+        let mask = g.table.len() - 1;
+        let steps: usize = (0..g.table.len())
+            .filter(|&slot| g.table[slot] != EMPTY)
+            .map(|slot| {
+                let (h, _, _) = &g.entries[g.table[slot] as usize];
+                (slot.wrapping_sub(home(*h, mask)) & mask) + 1
+            })
+            .sum();
+        steps as f64 / g.len() as f64
+    }
+
+    /// One reduce task of a 64-wide shuffle only sees keys with
+    /// `shuffle_hash(k) % 64` equal to its partition. Filled to the load
+    /// bound, its table must probe like one fed unfiltered keys, which a
+    /// home slot taken from the low bits those keys share cannot: only
+    /// every 64th slot would be a home. Linear probing at load `α`
+    /// inspects `(1 + 1/(1 − α)) / 2` slots per successful lookup on
+    /// average, 1.5 at `α = ½`; the bound adds 0.05 for the spread of
+    /// 2 047 keys about that mean.
+    #[test]
+    fn one_reduce_partitions_keys_probe_like_any_keys() {
+        const N: usize = 2047;
+        let fill = |keys: &mut dyn Iterator<Item = u64>| {
+            let mut g: HashGroup<u64, ()> = HashGroup::with_capacity(N);
+            for k in keys.take(N) {
+                g.upsert(shuffle_hash(&k), &k, (), |()| (), |(), ()| ());
+            }
+            assert_eq!((g.len(), g.table.len()), (N, 4096), "filled to the load bound");
+            mean_probes(&g)
+        };
+        let any = fill(&mut (0u64..));
+        let one_partition = fill(&mut (0u64..).filter(|k| shuffle_hash(k) % 64 == 5));
+        assert!(any <= 1.55, "unfiltered keys: {any:.3} probes per lookup");
+        assert!(
+            one_partition <= 1.55 && (one_partition - any).abs() <= 0.1,
+            "one reduce partition's keys: {one_partition:.3} probes per lookup, \
+             unfiltered {any:.3}"
+        );
     }
 
     /// A group built on an index recycled from a larger, full one starts

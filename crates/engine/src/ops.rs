@@ -95,6 +95,11 @@ pub fn bucket_of<K: Hash>(key: &K, num_partitions: usize) -> usize {
 
 /// The bucket for an already-computed [`shuffle_hash`] — the map side
 /// hashes each key once and reuses it for grouping and bucketing.
+///
+/// So every key one reduce task holds has the same `hash % num_partitions`
+/// (for a power-of-two width, the same low `log2 num_partitions` bits): a
+/// per-task structure keyed by the hash must index by other bits, as
+/// [`HashGroup`] takes its home slot from the high half.
 pub(crate) fn bucket_of_hash(hash: u64, num_partitions: usize) -> usize {
     (hash % num_partitions as u64) as usize
 }

@@ -117,16 +117,33 @@ fn run_shuffle<T: Clone + Send + Sync + 'static>(shuffled: &Dataset<T>) -> (Vec<
     (collect_partitions(parts), blocks)
 }
 
+/// Half the time a few dozen keys repeated many times; otherwise a key
+/// space wide enough that each table of a 64-wide shuffle holds several.
 fn random_records(g: &mut Gen) -> Vec<(u64, u64)> {
-    let key_space = g.u64_in(1, 50);
-    g.vec(0, 400, |g| (g.u64_in(0, key_space), g.u64_in(0, 1_000)))
+    let (key_space, len) = if g.bool() {
+        (g.u64_in(1, 50), 400)
+    } else {
+        (g.u64_in(50, 4_000), 1_500)
+    };
+    g.vec(0, len, |g| (g.u64_in(0, key_space), g.u64_in(0, 1_000)))
+}
+
+/// A shuffle width: a small one, or a power of two up to 64, for which
+/// every key one reduce task holds has the same low `log2 width` hash
+/// bits (all keys of a partition share `hash % width`).
+fn width(g: &mut Gen) -> usize {
+    if g.bool() {
+        g.usize_in(1, 6)
+    } else {
+        1 << g.usize_in(3, 7)
+    }
 }
 
 #[test]
 fn reduce_by_key_matches_btreemap_reference() {
     check::run("reduce_by_key_matches_reference", 60, |g| {
         let records = random_records(g);
-        let partitions = g.usize_in(1, 6);
+        let partitions = width(g);
         let maps = g.usize_in(1, 4);
 
         let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
@@ -146,7 +163,7 @@ fn reduce_by_key_matches_btreemap_reference() {
 fn group_by_key_matches_btreemap_reference() {
     check::run("group_by_key_matches_reference", 40, |g| {
         let records = random_records(g);
-        let partitions = g.usize_in(1, 5);
+        let partitions = width(g);
         let maps = g.usize_in(1, 4);
 
         let mut reference: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
@@ -177,7 +194,7 @@ fn group_by_key_matches_btreemap_reference() {
 fn cogroup_matches_btreemap_reference() {
     check::run("cogroup_matches_reference", 40, |g| {
         let (left, right) = (random_records(g), random_records(g));
-        let partitions = g.usize_in(1, 5);
+        let partitions = width(g);
         let (left_maps, right_maps) = (g.usize_in(1, 4), g.usize_in(1, 4));
 
         // Within a key, values arrive map task by map task in input order,
@@ -228,7 +245,7 @@ fn join_matches_nested_loop_reference_in_exact_row_order() {
             g.vec(0, 120, |g| (g.u64_in(0, left_keys), format!("l{}", g.u64_in(0, 1_000))));
         let right: Vec<(u64, String)> =
             g.vec(0, 120, |g| (g.u64_in(6, 6 + right_keys), format!("r{}", g.u64_in(0, 1_000))));
-        let partitions = g.usize_in(1, 5);
+        let partitions = width(g);
         let expect = nested_loop_join(&left, &right, partitions);
 
         let joined = Dataset::parallelize(left, g.usize_in(1, 4))

@@ -181,6 +181,11 @@ impl Hasher for XxHash64 {
 /// Hashes one value with XXH64 under the fixed [`SHUFFLE_HASH_SEED`] —
 /// the hash every shuffle bucket decision derives from.
 ///
+/// A key goes to reduce partition `hash % P`, so all keys one reduce task
+/// holds share `hash % P` — for a power-of-two `P`, the hash's low
+/// `log2 P` bits. A per-task structure over these hashes (the engine's
+/// grouping tables) must index by other bits, or it uses `1/P` of itself.
+///
 /// # Examples
 ///
 /// ```
