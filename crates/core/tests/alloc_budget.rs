@@ -16,10 +16,10 @@
 //! bucket, wherever it is recorded from, and that growth is bounded by the
 //! bucket count, not paid per request.
 //!
-//! Heap allocations are counted per thread by this binary's own global
-//! allocator, so a count is a pure function of the code under it.
+//! Heap allocations are counted per thread by the workspace's shared
+//! counting allocator (`tests/support/counting_alloc.rs`), so a count is a
+//! pure function of the code under it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -37,45 +37,10 @@ use splitserve_storage::{
     BlockId, BlockStore, ClientLoc, GetCallback, PutCallback, SharedStore, StoreClient, StoreStats,
 };
 
-thread_local! {
-    /// Allocation calls made by this thread (no destructor, const
-    /// initializer: touching it never allocates).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter never touches the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr` and `layout` come from this allocator, which is
-        // `System` underneath, so they are valid for `System.realloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` through one of the methods
-        // above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::allocs;
 
 /// What the probe saw: the window open since an answer went up (the
 /// allocation count then), and over the requests that closed one, their
@@ -91,7 +56,7 @@ struct Tally {
 impl Tally {
     /// Hands an answer up inside a window.
     fn deliver(&self, answer: impl FnOnce()) {
-        self.open.set(Some(ALLOCS.with(Cell::get)));
+        self.open.set(Some(allocs()));
         answer();
         self.open.set(None);
     }
@@ -103,7 +68,7 @@ impl Tally {
             if self.measuring.get() {
                 self.round_trips.set(self.round_trips.get() + 1);
                 self.allocs
-                    .set(self.allocs.get() + ALLOCS.with(Cell::get) - since);
+                    .set(self.allocs.get() + allocs() - since);
             }
         }
     }
@@ -288,9 +253,9 @@ fn fleet_allocs() -> (u64, usize) {
         let jobs = default_fleet_jobs(&tenants, 11, FLEET_JOBS, 600.0);
         let cfg = TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants, 8);
         let (workload, sink) = fleet_workload(8);
-        let before = ALLOCS.with(Cell::get);
+        let before = allocs();
         let outcome = run_tenant_fleet(&cfg, &jobs, workload);
-        let allocs = ALLOCS.with(Cell::get) - before;
+        let allocs = allocs() - before;
         assert_eq!(outcome.outcomes.len(), jobs.len(), "every job completes");
         assert_eq!(sink.borrow().len(), jobs.len(), "every job reports its rows");
         (allocs, jobs.len())

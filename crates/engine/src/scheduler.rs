@@ -308,6 +308,10 @@ type JobDoneCallback = Box<dyn FnOnce(&mut Sim, JobOutput)>;
 
 /// The scheduling state of a job that can still run a task.
 struct LiveJob {
+    /// The result stage is complete and the job's output handed on; a
+    /// stale attempt or queued task can still hold it (see
+    /// [`Inner::retire_if_over`]).
+    done: bool,
     graph: StageGraph,
     status: Vec<StageStatus>,
     /// The result stage's partitions, filled as its tasks finish; emptied
@@ -318,15 +322,6 @@ struct LiveJob {
     on_done: Option<JobDoneCallback>,
     /// How many entries of `Inner::attempts` belong to this job.
     attempts: usize,
-}
-
-/// One row of the job table. The row itself stays for the engine's
-/// lifetime; `live` is dropped when the job is over — see
-/// [`Inner::retire_if_over`]. (The job's metrics are a view of its
-/// events and live with the other views, in [`Telemetry`].)
-struct JobSlot {
-    done: bool,
-    live: Option<LiveJob>,
 }
 
 /// Sentinel in the symbol→slot side table for "no executor with this
@@ -355,8 +350,13 @@ struct Inner {
     /// busy, draining and long-dead executor. Kept current by
     /// [`Inner::update_exec`], the only way executor state changes.
     idle: BitSet,
-    /// Dense job table indexed by `JobId.0` (ids are sequential from 0).
-    jobs: Vec<JobSlot>,
+    /// The jobs that can still run a task. A job leaves when it is over
+    /// ([`Inner::retire_if_over`]), so an id below `next_job` that is not
+    /// here is a completed job. (A job's metrics are a view of its events
+    /// and live with the other views, in [`Telemetry`].)
+    jobs: FastMap<JobId, LiveJob>,
+    /// The id the next submitted job gets (ids are sequential from 0).
+    next_job: u64,
     /// The jobs that have not completed, ascending — what executor churn
     /// and rollback walk instead of the whole table.
     active: Vec<JobId>,
@@ -442,12 +442,12 @@ impl Inner {
 
     /// The job of a live attempt, which the attempt keeps live.
     fn pinned_job(&self, job: JobId) -> &LiveJob {
-        self.jobs[job.0 as usize].live.as_ref().expect("an attempt pins its job")
+        self.jobs.get(&job).expect("an attempt pins its job")
     }
 
     /// [`Inner::pinned_job`], mutable.
     fn pinned_job_mut(&mut self, job: JobId) -> &mut LiveJob {
-        self.jobs[job.0 as usize].live.as_mut().expect("an attempt pins its job")
+        self.jobs.get_mut(&job).expect("an attempt pins its job")
     }
 
     /// Removes an attempt, releasing its hold on its job.
@@ -460,18 +460,16 @@ impl Inner {
     /// Puts a failed attempt's task back at the head of the dispatch
     /// queue.
     fn requeue(&mut self, info: &AttemptInfo) {
-        let job = self.jobs[info.task.job.0 as usize]
-            .live
-            .as_mut()
-            .expect("a requeued task keeps its job live");
+        let job = self.jobs.get_mut(&info.task.job).expect("a requeued task keeps its job live");
         let st = &mut job.status[info.task.stage.0 as usize];
         st.running.remove(info.task.part);
         st.queued.insert(info.task.part);
         self.pending.push_front((info.task.job, info.task.stage, info.task.part));
     }
 
-    /// Retires `job_id` if it is over: done, with no attempt left in
-    /// `attempts` and no task queued. (Done alone is not enough — a re-run
+    /// Retires `job_id` — takes it out of `jobs` — if it is over: done,
+    /// with no attempt left in `attempts` and no task queued. From then on
+    /// the job is known by its absence. (Done alone is not enough — a re-run
     /// map task of a rolled-back stage can still be queued or in flight
     /// when the result stage finishes, and it indexes the graph when it
     /// lands.) Retiring drops the stage graph with its plan nodes, the
@@ -484,15 +482,13 @@ impl Inner {
     /// tracker entry and blocks go at the first retirement after the
     /// caller lets go.
     fn retire_if_over(&mut self, job_id: JobId, store: &dyn BlockStore) {
-        let slot = &mut self.jobs[job_id.0 as usize];
-        if !slot.done {
+        let over = |job: &LiveJob| {
+            job.done && job.attempts == 0 && job.status.iter().all(|st| st.queued.is_empty())
+        };
+        if !self.jobs.get(&job_id).is_some_and(over) {
             return;
         }
-        match &slot.live {
-            Some(job) if job.attempts == 0 && job.status.iter().all(|st| st.queued.is_empty()) => {}
-            _ => return,
-        }
-        let job = slot.live.take().expect("matched above");
+        let Some(job) = self.jobs.remove(&job_id) else { return };
         for stage in &job.graph.stages {
             if !self.stage_runtimes.is_empty() {
                 self.stage_runtimes.remove(&(job_id, stage.id));
@@ -613,7 +609,7 @@ impl std::fmt::Debug for Engine {
         let inner = self.shared.inner.borrow();
         f.debug_struct("Engine")
             .field("executors", &inner.execs.len())
-            .field("jobs", &inner.jobs.len())
+            .field("jobs", &inner.next_job)
             .field("pending_tasks", &inner.pending.len())
             .field("store", &self.shared.store.kind())
             .finish()
@@ -717,7 +713,8 @@ impl Engine {
                     exec_slots: Vec::new(),
                     name_pos: Vec::new(),
                     idle: BitSet::default(),
-                    jobs: Vec::new(),
+                    jobs: FastMap::default(),
+                    next_job: 0,
                     active: Vec::new(),
                     attempts: FastMap::default(),
                     computes: Slab::default(),
@@ -761,7 +758,7 @@ impl Engine {
     pub fn live_state(&self) -> LiveState {
         let inner = self.shared.inner.borrow();
         LiveState {
-            jobs: inner.jobs.iter().filter(|j| j.live.is_some()).count(),
+            jobs: inner.jobs.len(),
             shuffles: inner.tracker.shuffle_count(),
             attempts: inner.attempts.len(),
             parked_computes: inner.computes.len(),
@@ -919,10 +916,7 @@ impl Engine {
         }
         let inner = self.shared.inner.borrow();
         inner.active.iter().any(|job_id| {
-            let job = inner.jobs[job_id.0 as usize]
-                .live
-                .as_ref()
-                .expect("active job is live");
+            let job = inner.jobs.get(job_id).expect("active job is live");
             job.graph.stages.iter().any(|stage| {
                 let StageKind::ShuffleMap(dep) = &stage.kind else {
                     return false;
@@ -999,10 +993,7 @@ impl Engine {
         let inner = &mut *inner;
         let mut dequeue: FastSet<(JobId, StageId)> = FastSet::default();
         for &job_id in &inner.active {
-            let job = inner.jobs[job_id.0 as usize]
-                .live
-                .as_mut()
-                .expect("active job is live");
+            let job = inner.jobs.get_mut(&job_id).expect("active job is live");
             for stage in &job.graph.stages {
                 let st = &mut job.status[stage.id.0 as usize];
                 if let StageKind::ShuffleMap(dep) = &stage.kind {
@@ -1049,7 +1040,8 @@ impl Engine {
     ) -> JobId {
         let job_id = {
             let mut inner = self.shared.inner.borrow_mut();
-            let id = JobId(inner.jobs.len() as u64);
+            let id = JobId(inner.next_job);
+            inner.next_job += 1;
             let graph = build_stages(final_node);
             // Register every shuffle in the tracker.
             for stage in &graph.stages {
@@ -1062,17 +1054,16 @@ impl Engine {
             let submitted = E::JobSubmitted { job: id, stages: n_stages };
             self.shared.tele.emit(sim.now(), submitted);
             let result_width = graph.stage(graph.result).num_tasks;
-            inner.jobs.push(JobSlot {
+            let job = LiveJob {
                 done: false,
-                live: Some(LiveJob {
-                    graph,
-                    status: (0..n_stages).map(|_| StageStatus::default()).collect(),
-                    result_parts: vec![None; result_width],
-                    result_filled: 0,
-                    on_done: Some(Box::new(on_done)),
-                    attempts: 0,
-                }),
-            });
+                graph,
+                status: (0..n_stages).map(|_| StageStatus::default()).collect(),
+                result_parts: vec![None; result_width],
+                result_filled: 0,
+                on_done: Some(Box::new(on_done)),
+                attempts: 0,
+            };
+            inner.jobs.insert(id, job);
             inner.active.push(id);
             id
         };
@@ -1089,16 +1080,16 @@ impl Engine {
         {
             let mut inner = sh.inner.borrow_mut();
             let inner = &mut *inner;
-            let Some(slot) = inner.jobs.get_mut(job_id.0 as usize) else {
+            // Absent: retired already.
+            let Some(job) = inner.jobs.get_mut(&job_id) else {
                 return;
             };
-            if slot.done {
+            if job.done {
                 // A stale attempt of a finished job just ended; it may
                 // have been the last thing holding the job's state.
                 inner.retire_if_over(job_id, &*sh.store);
                 return;
             }
-            let job = slot.live.as_mut().expect("a running job is live");
             // Iterate stages in topological (id) order.
             for stage in &job.graph.stages {
                 let sidx = stage.id.0 as usize;
@@ -1165,7 +1156,7 @@ impl Engine {
 
             // Job completion.
             if job.result_filled == job.result_parts.len() {
-                slot.done = true;
+                job.done = true;
                 sh.tele.emit(sim.now(), E::JobCompleted { job: job_id });
                 // Hand the job's only references over: `collect_partitions`
                 // can then move the rows out instead of cloning them (the
@@ -1212,8 +1203,9 @@ impl Engine {
     /// blocks — no per-job deep copy.
     pub fn completed_job_metrics(&self) -> Vec<Arc<JobMetrics>> {
         let inner = self.shared.inner.borrow();
-        let done = inner.jobs.iter().enumerate().filter(|(_, j)| j.done);
-        done.filter_map(|(id, _)| self.job_metrics(JobId(id as u64)))
+        let done = (0..inner.next_job).map(JobId);
+        done.filter(|id| inner.jobs.get(id).is_none_or(|job| job.done))
+            .filter_map(|id| self.job_metrics(id))
             .collect()
     }
 
@@ -1256,11 +1248,7 @@ impl Engine {
                 };
                 // An entry can outlive its job (queued twice, then the
                 // job ran to the end and was retired).
-                let Some(job) = inner
-                    .jobs
-                    .get_mut(job_id.0 as usize)
-                    .and_then(|slot| slot.live.as_mut())
-                else {
+                let Some(job) = inner.jobs.get_mut(&job_id) else {
                     continue;
                 };
                 let st = &mut job.status[stage_id.0 as usize];
@@ -1846,7 +1834,76 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
-    use super::BitSet;
+    use std::rc::Rc;
+
+    use splitserve_des::{Fabric, Sim};
+    use splitserve_storage::LocalDiskStore;
+
+    use super::{BitSet, Engine, JobId, LiveState, StageId};
+    use crate::{Dataset, EngineConfig, ExecutorDesc};
+
+    /// Submits one small aggregation to `engine`.
+    fn submit(engine: &Engine, sim: &mut Sim) -> JobId {
+        let plan = Dataset::parallelize((0..40u64).map(|i| (i % 5, i)).collect(), 2)
+            .reduce_by_key(2, |a, b| a + b);
+        engine.submit_job(sim, plan.node(), |_, out| assert_eq!(out.partitions.len(), 2))
+    }
+
+    /// A retired job is absent from the job table. A stale dispatch entry
+    /// or a late attempt landing for it does nothing, and its metrics stay
+    /// where they were, in submission order.
+    #[test]
+    fn stale_entries_of_a_retired_job_are_no_ops() {
+        let fabric = Fabric::new();
+        let store = Rc::new(LocalDiskStore::new(fabric.clone()));
+        let engine = Engine::new(EngineConfig::default(), store);
+        let mut sim = Sim::new(7);
+        for i in 0..2 {
+            let nic = fabric.add_link(1e9, format!("nic-{i}"));
+            let disk = fabric.add_link(1e9, format!("disk-{i}"));
+            let desc = ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192);
+            engine.register_executor(&mut sim, desc);
+        }
+        for _ in 0..3 {
+            submit(&engine, &mut sim);
+            sim.run();
+        }
+        {
+            let inner = engine.shared.inner.borrow();
+            assert!(inner.jobs.is_empty() && inner.active.is_empty());
+            assert_eq!(inner.next_job, 3);
+        }
+        let events = engine.event_log().len();
+        let idle = LiveState {
+            jobs: 0,
+            shuffles: 0,
+            attempts: 0,
+            parked_computes: 0,
+            store_ops: 0,
+        };
+
+        // A dispatch entry that outlived its job is dropped unrun.
+        engine.shared.inner.borrow_mut().pending.push_back((JobId(1), StageId(0), 0));
+        engine.dispatch(&mut sim);
+        // What a stale attempt's landing does: progress its job.
+        engine.progress_job(&mut sim, JobId(1));
+        sim.run();
+        assert_eq!(engine.pending_tasks(), 0);
+        assert_eq!(engine.live_state(), idle);
+        assert_eq!(engine.event_log().len(), events, "no task ran, no stage moved");
+
+        // A running job is not among the completed ones, and ids count on
+        // past the retired jobs.
+        assert_eq!(submit(&engine, &mut sim), JobId(3));
+        let done = |engine: &Engine| -> Vec<JobId> {
+            engine.completed_job_metrics().iter().map(|m| m.job).collect()
+        };
+        assert_eq!(done(&engine), [JobId(0), JobId(1), JobId(2)]);
+        sim.run();
+        assert_eq!(done(&engine), [JobId(0), JobId(1), JobId(2), JobId(3)]);
+        assert_eq!(engine.job_metrics(JobId(0)).map(|m| m.job), Some(JobId(0)));
+        assert_eq!(engine.live_state(), idle);
+    }
 
     #[test]
     fn bit_set_spans_the_inline_word_and_the_spill() {

@@ -1,69 +1,32 @@
 //! Allocation budgets for the data plane's hot bodies — the reduce side's
 //! join and combine, a streaming `flat_map`, a wide map side, a fleet
 //! job's and a PageRank iteration's streamed map tasks — and for the stage
-//! cut every job submission makes.
+//! cut every job submission makes — and the live heap a finished job
+//! leaves in an engine.
 //!
-//! Heap allocations are counted per thread by this binary's own global
-//! allocator, so a count is a pure function of the body and its input: it
-//! repeats exactly from run to run, whatever else the test harness is
-//! doing. The budgets are what the bodies cost when they were last
-//! changed; they may only go down.
+//! Heap allocations are counted per thread by the workspace's shared
+//! counting allocator (`tests/support/counting_alloc.rs`), so a count is a
+//! pure function of the body and its input: it repeats exactly from run to
+//! run, whatever else the test harness is doing. The budgets are what the
+//! bodies cost when they were last changed; they may only go down.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
+use std::rc::Rc;
 use std::sync::Arc;
 
+use splitserve_des::{Fabric, Sim};
 use splitserve_engine::{
-    build_stages, input_shuffles, Dataset, ShuffleDep, StageId, TaskContext, WorkModel,
+    build_stages, input_shuffles, Dataset, Engine, EngineConfig, ExecutorDesc, JobMetrics,
+    LiveState, ShuffleDep, StageId, TaskContext, WorkModel,
 };
 use splitserve_rt::{Bytes, FastMap};
+use splitserve_storage::LocalDiskStore;
 
-thread_local! {
-    /// Allocation calls made by this thread (no destructor, const
-    /// initializer: touching it never allocates).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter never touches the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr` and `layout` come from this allocator, which is
-        // `System` underneath, so they are valid for `System.realloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` through one of the methods
-        // above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations this thread makes inside `body`.
-fn allocs_in<R>(body: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = body();
-    (out, ALLOCS.with(Cell::get) - before)
-}
+use counting_alloc::{allocs_in, live_bytes};
 
 const RECORDS: u64 = 50_000;
 const MAPS: usize = 4;
@@ -375,3 +338,65 @@ const COMBINE_MAP_BUDGET: u64 = 12;
 /// table entries, rows and their `Arc`). 16 when each task also allocated
 /// the table's index; 64 when the table started at 64.
 const COMBINE_REDUCE_BUDGET: u64 = 12;
+
+/// What a finished job may leave in an engine: its metrics view, one
+/// `Arc<JobMetrics>` (the block behind its strong and weak counts) and the
+/// pointer in the telemetry's `Vec`.
+const RESIDUE_PER_JOB: usize =
+    2 * size_of::<usize>() + size_of::<JobMetrics>() + size_of::<Arc<JobMetrics>>();
+
+/// The live heap an engine on a four-executor local rig holds once it has
+/// run `jobs` fleet-shaped jobs one after another, each plan and output
+/// dropped as soon as it is done with. The event log, a capture the
+/// caller asks for, is off.
+fn engine_residue(jobs: u64) -> i64 {
+    let before = live_bytes();
+    let fabric = Fabric::new();
+    let store = Rc::new(LocalDiskStore::new(fabric.clone()));
+    let engine = Engine::new(EngineConfig { event_log: false, ..EngineConfig::default() }, store);
+    let mut sim = Sim::new(7);
+    for i in 0..4 {
+        let nic = fabric.add_link(1e9, format!("nic-{i}"));
+        let disk = fabric.add_link(1e9, format!("disk-{i}"));
+        engine.register_executor(&mut sim, ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192));
+    }
+    for job in 0..jobs {
+        // The same rows every job: encoded block sizes, and so the
+        // buffers the thread's pool keeps, stop growing after the first.
+        let plan = Dataset::<u64>::generate(MAPS, |p| (0..8u64).map(|i| i + p as u64).collect())
+            .map_with_cost(|x| (*x % 7, *x), Some(1e-6))
+            .reduce_by_key(2, |a, b| a.wrapping_add(*b));
+        let done = Rc::new(Cell::new(false));
+        let d = Rc::clone(&done);
+        engine.submit_job(&mut sim, plan.node(), move |_, out| {
+            assert_eq!(out.partitions.len(), 2);
+            d.set(true);
+        });
+        drop(plan);
+        sim.run();
+        assert!(done.get(), "job {job} completes");
+    }
+    let idle = LiveState { jobs: 0, shuffles: 0, attempts: 0, parked_computes: 0, store_ops: 0 };
+    assert_eq!(engine.live_state(), idle);
+    assert_eq!(engine.completed_job_metrics().len() as u64, jobs);
+    live_bytes() - before
+}
+
+/// A long stream of jobs holds the engine's memory to its live work: over
+/// 3N more finished jobs the engine's live heap grows by at most each
+/// job's metrics view. N is a power of two, so the metrics `Vec` is
+/// exactly full at N and at 4N jobs and its doublings cost one slot a
+/// job. A first run fills the thread's buffer pool and the process-wide
+/// interner, which outlive an engine.
+#[test]
+fn a_finished_job_leaves_only_its_metrics_in_the_engine() {
+    const N: u64 = 64;
+    engine_residue(N);
+    let (n, four_n) = (engine_residue(N), engine_residue(4 * N));
+    let per_job = (four_n - n) as f64 / (3 * N) as f64;
+    println!("engine residue: {n} B after {N} jobs, {four_n} B after 4N; {per_job:.1} B a job");
+    assert!(
+        four_n - n <= (3 * N) as i64 * RESIDUE_PER_JOB as i64,
+        "{per_job:.1} live bytes a finished job; its metrics view is {RESIDUE_PER_JOB}"
+    );
+}

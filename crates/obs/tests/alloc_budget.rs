@@ -1,63 +1,19 @@
 //! Allocation budgets of the recording path: what a span and a handle
 //! record cost on the heap once a run's series exist.
 //!
-//! Heap allocations are counted per thread by this binary's own global
-//! allocator, so a count is a pure function of the calls made: it repeats
-//! exactly from run to run, whatever else the test harness is doing.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! Heap allocations are counted per thread by the workspace's shared
+//! counting allocator (`tests/support/counting_alloc.rs`), so a count is a
+//! pure function of the calls made: it repeats exactly from run to run,
+//! whatever else the test harness is doing.
 
 use splitserve_des::SimTime;
 use splitserve_obs::Obs;
 use splitserve_rt::intern::Interned;
 
-thread_local! {
-    /// Allocation calls made by this thread (no destructor, const
-    /// initializer: touching it never allocates).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter never touches the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr` and `layout` come from this allocator, which is
-        // `System` underneath, so they are valid for `System.realloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` through one of the methods
-        // above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations this thread makes inside `body`.
-fn allocs_in<R>(body: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = body();
-    (out, ALLOCS.with(Cell::get) - before)
-}
+use counting_alloc::allocs_in;
 
 const N: u64 = 10_000;
 

@@ -3,11 +3,10 @@
 //! get round trip asked for with `put_to` / `get_to` makes no heap
 //! allocation — N round trips and 2N cost the same.
 //!
-//! Heap allocations are counted per thread by this binary's own global
-//! allocator, so a count is a pure function of the code under it.
+//! Heap allocations are counted per thread by the workspace's shared
+//! counting allocator (`tests/support/counting_alloc.rs`), so a count is a
+//! pure function of the code under it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::rc::Rc;
 
 use splitserve_cloud::{Cloud, CloudSpec};
@@ -18,45 +17,10 @@ use splitserve_storage::{
     S3Spec, S3Store, SqsSpec, SqsStore, StoreClient, StoreError,
 };
 
-thread_local! {
-    /// Allocation calls made by this thread (no destructor, const
-    /// initializer: touching it never allocates).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter never touches the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr` and `layout` come from this allocator, which is
-        // `System` underneath, so they are valid for `System.realloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` through one of the methods
-        // above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::allocs;
 
 /// A client that checks every answer and keeps nothing.
 struct Ignore;
@@ -77,14 +41,14 @@ fn round_trips(store: &dyn BlockStore, sim: &mut Sim, client: ClientLoc, n: usiz
     let block = BlockId::shuffle("exec-0", 0, 0, 0);
     let data = Bytes::from(vec![7u8; 4_096]);
     let to: Rc<dyn StoreClient> = Rc::new(Ignore);
-    let before = ALLOCS.with(Cell::get);
+    let before = allocs();
     for _ in 0..n {
         store.put_to(sim, client, block, data.clone(), Rc::clone(&to), 0);
         sim.run();
         store.get_to(sim, client, block, Rc::clone(&to), 1);
         sim.run();
     }
-    ALLOCS.with(Cell::get) - before
+    allocs() - before
 }
 
 #[test]

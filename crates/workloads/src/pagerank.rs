@@ -155,39 +155,50 @@ impl DriverProgram for PageRank {
 /// Reference single-threaded PageRank for cross-checking the distributed
 /// result in tests.
 pub fn reference_pagerank(workload: &PageRank) -> Vec<(u64, f64)> {
-    // Regenerate the same graph.
-    let links_ds = workload.links();
-    let node = links_ds.node();
-    let mut adjacency: Vec<(u64, Vec<u64>)> = Vec::new();
-    for part in 0..node.num_partitions() {
-        let mut ctx = splitserve_engine::TaskContext::empty(Default::default());
-        let data = node.compute(&mut ctx, part);
-        adjacency.extend(
-            data.downcast_ref::<Vec<(u64, Vec<u64>)>>()
-                .expect("links type")
-                .iter()
-                .cloned(),
-        );
-    }
-    let mut ranks: std::collections::BTreeMap<u64, f64> =
-        (0..workload.pages).map(|p| (p, 1.0)).collect();
+    // Regenerate the same graph, partition by partition.
+    let node = workload.links().node();
+    let parts: Vec<_> = (0..node.num_partitions())
+        .map(|part| {
+            let mut ctx = splitserve_engine::TaskContext::empty(Default::default());
+            node.compute(&mut ctx, part)
+        })
+        .collect();
+    let adjacency = || {
+        parts.iter().flat_map(|data| {
+            data.downcast_ref::<Vec<(u64, Vec<u64>)>>().expect("links type")
+        })
+    };
+    // Indexed by page. A page no contribution reaches drops out of
+    // `ranked` after the first iteration, exactly as the distributed join
+    // drops it; its `ranks` entry then means nothing.
+    let pages = workload.pages as usize;
+    let mut ranks = vec![1.0f64; pages];
+    let mut ranked = vec![true; pages];
+    let mut contrib = vec![0.0f64; pages];
+    let mut reached = vec![false; pages];
     for _ in 0..workload.iterations {
-        let mut contrib: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-        for (src, dsts) in &adjacency {
-            // Pages with no in-links drop out of `ranks` after the first
-            // iteration, exactly as the distributed join drops them.
-            let Some(rank) = ranks.get(src) else { continue };
-            let share = rank / dsts.len() as f64;
-            for d in dsts {
-                *contrib.entry(*d).or_insert(0.0) += share;
+        contrib.fill(0.0);
+        reached.fill(false);
+        for (src, dsts) in adjacency() {
+            let src = *src as usize;
+            if !ranked[src] {
+                continue;
+            }
+            let share = ranks[src] / dsts.len() as f64;
+            for &d in dsts {
+                contrib[d as usize] += share;
+                reached[d as usize] = true;
             }
         }
-        ranks = contrib
-            .into_iter()
-            .map(|(k, v)| (k, 1.0 - DAMPING + DAMPING * v))
-            .collect();
+        for (rank, sum) in ranks.iter_mut().zip(&contrib) {
+            *rank = 1.0 - DAMPING + DAMPING * sum;
+        }
+        std::mem::swap(&mut ranked, &mut reached);
     }
-    ranks.into_iter().collect()
+    (0..pages)
+        .filter(|&page| ranked[page])
+        .map(|page| (page as u64, ranks[page]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -256,6 +267,49 @@ mod tests {
         let w = PageRank::new(100, 2, 2, 1);
         let g = splitserve_engine::build_stages(w.plan().node());
         assert_eq!(g.len(), w.expected_stages());
+    }
+
+    /// The reference as it was first written, over ordered maps.
+    fn map_reference(workload: &PageRank) -> Vec<(u64, f64)> {
+        let node = workload.links().node();
+        let mut adjacency: Vec<(u64, Vec<u64>)> = Vec::new();
+        for part in 0..node.num_partitions() {
+            let mut ctx = splitserve_engine::TaskContext::empty(Default::default());
+            let data = node.compute(&mut ctx, part);
+            let rows = data.downcast_ref::<Vec<(u64, Vec<u64>)>>().expect("links type");
+            adjacency.extend(rows.iter().cloned());
+        }
+        let mut ranks: std::collections::BTreeMap<u64, f64> =
+            (0..workload.pages).map(|p| (p, 1.0)).collect();
+        for _ in 0..workload.iterations {
+            let mut contrib = std::collections::BTreeMap::new();
+            for (src, dsts) in &adjacency {
+                let Some(rank) = ranks.get(src) else { continue };
+                let share = rank / dsts.len() as f64;
+                for d in dsts {
+                    *contrib.entry(*d).or_insert(0.0) += share;
+                }
+            }
+            ranks = contrib
+                .into_iter()
+                .map(|(k, v)| (k, 1.0 - DAMPING + DAMPING * v))
+                .collect();
+        }
+        ranks.into_iter().collect()
+    }
+
+    /// Same pages, same additions in the same order: the dense reference
+    /// is the map one bit for bit, pages without in-links left out.
+    #[test]
+    fn dense_reference_matches_the_map_reference_bit_for_bit() {
+        let bits = |ranks: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+            ranks.into_iter().map(|(page, rank)| (page, rank.to_bits())).collect()
+        };
+        for w in [PageRank::new(5_000, 3, 4, 11), PageRank::new(300, 1, 3, 2)] {
+            let dense = bits(reference_pagerank(&w));
+            assert!(dense.len() < w.pages as usize, "some page has no in-link");
+            assert_eq!(dense, bits(map_reference(&w)));
+        }
     }
 
     #[test]
