@@ -31,7 +31,7 @@ pub enum Fidelity {
 }
 
 /// One experiment: its tables, in print order, at a fidelity and seed.
-pub type Experiment = fn(Fidelity, u64) -> Vec<Table>;
+pub(crate) type Experiment = fn(Fidelity, u64) -> Vec<Table>;
 
 /// Every experiment by `--only` key, in `reproduce_all` order. The full
 /// output is the concatenation of the slices.
@@ -210,7 +210,7 @@ pub fn no_segue_scenarios() -> Vec<Scenario> {
 
 /// The cluster spec of the TPC-DS experiment: R = 32, r = 8, workers and
 /// master/HDFS on m4.10xlarge ("to get similar dedicated EBS bandwidth").
-pub fn fig5_spec(seed: u64) -> ScenarioSpec {
+pub(crate) fn fig5_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec {
         required_cores: 32,
         available_cores: 8,
@@ -279,7 +279,7 @@ fn push_scenario_rows(
 /// The PageRank cluster: R = 16, r = 3, workers on m4.4xlarge, master +
 /// single HDFS node colocated on an m4.xlarge (750 Mbps EBS — the
 /// bottleneck the paper discusses).
-pub fn fig6_spec(seed: u64) -> ScenarioSpec {
+pub(crate) fn fig6_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec {
         required_cores: 16,
         available_cores: 3,
@@ -294,7 +294,7 @@ pub fn fig6_spec(seed: u64) -> ScenarioSpec {
 
 /// The Figure 6 PageRank workload (850 000 pages; scaled down in quick
 /// mode).
-pub fn fig6_workload(f: Fidelity, seed: u64) -> PageRank {
+pub(crate) fn fig6_workload(f: Fidelity, seed: u64) -> PageRank {
     match f {
         // Contribution cost calibrated so the 16-core vanilla baseline
         // lands near the paper's ~100 s job duration.
@@ -324,9 +324,9 @@ pub struct TimelineLane {
     /// `vm` or `lambda`.
     pub kind: String,
     /// First task start (seconds).
-    pub first_start: f64,
+    pub(crate) first_start: f64,
     /// Last task end (seconds).
-    pub last_end: f64,
+    pub(crate) last_end: f64,
     /// Tasks completed on this executor.
     pub tasks: u64,
 }
@@ -347,7 +347,7 @@ pub struct Timeline {
 }
 
 /// Extracts a [`Timeline`] from a scenario's event log.
-pub fn timeline_of(r: &ScenarioResult) -> Timeline {
+pub(crate) fn timeline_of(r: &ScenarioResult) -> Timeline {
     use std::collections::BTreeMap;
     let mut lanes: BTreeMap<String, TimelineLane> = BTreeMap::new();
     let mut kinds: BTreeMap<String, String> = BTreeMap::new();
@@ -406,7 +406,7 @@ pub fn fig7(f: Fidelity, seed: u64) -> Vec<Timeline> {
 }
 
 /// Renders a timeline as a table.
-pub fn timeline_table(tl: &Timeline) -> Table {
+pub(crate) fn timeline_table(tl: &Timeline) -> Table {
     let mut t = Table::new(
         format!(
             "Figure 7 timeline: {} (finished {}s, segue {}, {} stages)",
@@ -432,7 +432,7 @@ pub fn timeline_table(tl: &Timeline) -> Table {
 // ---------------------------------------------------------------- Fig 8
 
 /// The K-means cluster spec: R = 16, r = 4.
-pub fn fig8_spec(seed: u64) -> ScenarioSpec {
+pub(crate) fn fig8_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec {
         required_cores: 16,
         available_cores: 4,
@@ -445,7 +445,7 @@ pub fn fig8_spec(seed: u64) -> ScenarioSpec {
 
 /// The Figure 8 K-means workload (3 M × 20-d points; scaled down in quick
 /// mode).
-pub fn fig8_workload(f: Fidelity, seed: u64) -> KMeans {
+pub(crate) fn fig8_workload(f: Fidelity, seed: u64) -> KMeans {
     match f {
         Fidelity::Paper => KMeans::paper_config(16, seed),
         Fidelity::Quick => KMeans {
@@ -493,7 +493,7 @@ pub fn fig8(f: Fidelity, base_seed: u64) -> Table {
 // ---------------------------------------------------------------- Fig 9
 
 /// The SparkPi cluster spec: R = 64 on an m4.16xlarge, r = 4.
-pub fn fig9_spec(seed: u64) -> ScenarioSpec {
+pub(crate) fn fig9_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec {
         required_cores: 64,
         available_cores: 4,

@@ -6,13 +6,13 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Table title (figure id).
-    pub title: String,
+    pub(crate) title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    pub(crate) headers: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
     /// Free-text lines printed after the table (Figure 1's crossover).
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl Table {
@@ -37,7 +37,7 @@ impl Table {
     }
 
     /// Renders as aligned plain text.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -81,7 +81,7 @@ impl Table {
     }
 
     /// Renders as CSV.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let esc = |s: &str| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -123,7 +123,7 @@ pub fn usd(v: f64) -> String {
 }
 
 /// Mean and sample standard deviation.
-pub fn mean_sd(xs: &[f64]) -> (f64, f64) {
+pub(crate) fn mean_sd(xs: &[f64]) -> (f64, f64) {
     assert!(!xs.is_empty(), "no samples");
     let n = xs.len() as f64;
     let mean = xs.iter().sum::<f64>() / n;

@@ -215,7 +215,7 @@ pub fn run_case(
 }
 
 /// An oracle violation: which store broke which invariant under which
-/// plan. [`ChaosFailure::repro_line`] prints the one-line deterministic
+/// plan. `ChaosFailure::repro_line` prints the one-line deterministic
 /// reproduction.
 #[derive(Debug, Clone)]
 pub struct ChaosFailure {
@@ -230,14 +230,14 @@ pub struct ChaosFailure {
     /// The violating run's post-mortem dump — a replayable JSON snapshot
     /// of its most recent engine events (task transitions, executor
     /// churn, rollbacks, injected faults), with
-    /// [`ChaosFailure::repro_line`] embedded. `None` only for failures
+    /// `ChaosFailure::repro_line` embedded. `None` only for failures
     /// constructed without a run (e.g. in tests).
     pub flight_dump: Option<String>,
 }
 
 impl ChaosFailure {
     /// The copy-pasteable replay line.
-    pub fn repro_line(&self) -> String {
+    pub(crate) fn repro_line(&self) -> String {
         format!("CHAOS_SEED={} CHAOS_PLAN={}", self.plan.seed, self.plan.to_json())
     }
 }

@@ -54,11 +54,6 @@ impl InjectionReport {
         self.inner.borrow().drains
     }
 
-    /// Straggle windows applied.
-    pub fn straggles(&self) -> u64 {
-        self.inner.borrow().straggles
-    }
-
     /// Capacity events performed (Lambda waves, VM rescues).
     pub fn capacity_adds(&self) -> u64 {
         self.inner.borrow().capacity_adds
@@ -200,6 +195,13 @@ mod tests {
     use splitserve::ShuffleStoreKind;
     use splitserve_cloud::{CloudSpec, M4_XLARGE};
     use splitserve_des::Dist;
+
+    impl InjectionReport {
+        /// Straggle windows applied.
+        fn straggles(&self) -> u64 {
+            self.inner.borrow().straggles
+        }
+    }
 
     fn quiet_cloud() -> CloudSpec {
         CloudSpec {

@@ -27,7 +27,7 @@ pub(crate) enum Json {
 
 impl Json {
     /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -35,7 +35,7 @@ impl Json {
     }
 
     /// A required numeric field of an object.
-    pub fn num(&self, key: &str) -> Result<u64, String> {
+    pub(crate) fn num(&self, key: &str) -> Result<u64, String> {
         match self.get(key) {
             Some(Json::Num(n)) => Ok(*n),
             Some(_) => Err(format!("field {key:?} is not a number")),
@@ -44,7 +44,7 @@ impl Json {
     }
 
     /// A required string field of an object.
-    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn str_field(&self, key: &str) -> Result<&str, String> {
         match self.get(key) {
             Some(Json::Str(s)) => Ok(s),
             Some(_) => Err(format!("field {key:?} is not a string")),

@@ -54,5 +54,5 @@ pub mod workloads;
 
 pub use harness::{run_case, CaseResult, ChaosFailure, ChaosTopology, Oracle, PlanOutcome};
 pub use inject::InjectionReport;
-pub use plan::{FaultEvent, FaultPlan, PLAN_HORIZON_US};
+pub use plan::{FaultEvent, FaultPlan};
 pub use shrink::{check_or_shrink, shrink_events};

@@ -18,7 +18,7 @@ use crate::json::{parse, Json};
 /// fleet plans inside about 1 200 s; the bound keeps every `instant +
 /// duration` the injector computes far below the simulation clock's `u64`
 /// limit, so a hand-written plan cannot overflow it.
-pub const PLAN_HORIZON_US: u64 = 86_400_000_000;
+pub(crate) const PLAN_HORIZON_US: u64 = 86_400_000_000;
 
 /// One scheduled fault. All times are absolute simulation microseconds so
 /// plans round-trip through JSON without float drift.
@@ -283,6 +283,8 @@ impl FaultPlan {
     /// waves of `per_wave` replacement Lambdas, one wave every `every_s`
     /// seconds starting at `every_s`. Pair with a short Lambda lifetime in
     /// the topology so the platform does the killing.
+    ///
+    /// Test aid: only tests call this.
     pub fn replacement_waves(waves: u32, every_s: u64, per_wave: u32) -> FaultPlan {
         let events = (1..=u64::from(waves))
             .map(|wave| FaultEvent::AddLambdas {
@@ -294,6 +296,8 @@ impl FaultPlan {
     }
 
     /// Appends a VM rescue: `cores` VM executors arriving at `at_s`.
+    ///
+    /// Test aid: only tests call this.
     pub fn with_vm_rescue(mut self, at_s: u64, cores: u32) -> FaultPlan {
         self.events.push(FaultEvent::AddVmCores {
             at_us: at_s * 1_000_000,
@@ -303,24 +307,17 @@ impl FaultPlan {
     }
 
     /// Whether any event abruptly kills executors.
-    pub fn has_kills(&self) -> bool {
+    pub(crate) fn has_kills(&self) -> bool {
         self.events
             .iter()
             .any(|e| matches!(e, FaultEvent::Kill { .. } | FaultEvent::BurstKill { .. }))
     }
 
     /// Whether any event drains executors.
-    pub fn has_drains(&self) -> bool {
+    pub(crate) fn has_drains(&self) -> bool {
         self.events
             .iter()
             .any(|e| matches!(e, FaultEvent::Drain { .. }))
-    }
-
-    /// Whether any event fails shuffle fetches.
-    pub fn has_fetch_faults(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::FetchFail { .. }))
     }
 
     /// Arms the storage-side events (fetch/write failures, latency
@@ -359,7 +356,7 @@ impl FaultPlan {
     }
 
     /// Parses a plan serialized by [`FaultPlan::to_json`]. An instant or a
-    /// duration past [`PLAN_HORIZON_US`] is an error naming its field.
+    /// duration past `PLAN_HORIZON_US` is an error naming its field.
     pub fn from_json(src: &str) -> Result<FaultPlan, String> {
         let v = parse(src)?;
         let seed = v.num("seed")?;
@@ -377,6 +374,15 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Whether any event fails shuffle fetches.
+        fn has_fetch_faults(&self) -> bool {
+            self.events
+                .iter()
+                .any(|e| matches!(e, FaultEvent::FetchFail { .. }))
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -14,7 +14,7 @@ use splitserve_rt::hash::XxHash64;
 use splitserve_workloads::{CloudSort, KMeans, PageRank, SparkPi};
 
 /// Receives the workload's fingerprint when its last job completes.
-pub type FingerprintSink = Box<dyn FnOnce(&mut Sim, u64)>;
+pub(crate) type FingerprintSink = Box<dyn FnOnce(&mut Sim, u64)>;
 
 /// Hash-stream seed; arbitrary but fixed so fingerprints are comparable
 /// across processes and runs.

@@ -46,13 +46,13 @@ impl fmt::Display for Category {
 /// total and not kept: a run makes one per storage request, and nothing
 /// reads them back one by one.
 #[derive(Debug, Clone, Default)]
-pub struct Ledger {
+pub(crate) struct Ledger {
     totals: BTreeMap<Category, f64>,
 }
 
 impl Ledger {
     /// An empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Ledger::default()
     }
 
@@ -62,23 +62,23 @@ impl Ledger {
     ///
     /// Panics if `usd` is negative or not finite — refunds don't exist in
     /// this model and NaNs would silently poison totals.
-    pub fn charge(&mut self, category: Category, usd: f64) {
+    pub(crate) fn charge(&mut self, category: Category, usd: f64) {
         assert!(usd.is_finite() && usd >= 0.0, "invalid charge: {usd}");
         *self.totals.entry(category).or_insert(0.0) += usd;
     }
 
     /// Total spend across all categories.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.totals.values().sum()
     }
 
     /// Spend in one category.
-    pub fn total_for(&self, category: Category) -> f64 {
+    pub(crate) fn total_for(&self, category: Category) -> f64 {
         self.totals.get(&category).copied().unwrap_or(0.0)
     }
 
     /// Per-category rollup, in category order.
-    pub fn by_category(&self) -> Vec<(Category, f64)> {
+    pub(crate) fn by_category(&self) -> Vec<(Category, f64)> {
         self.totals.iter().map(|(c, v)| (*c, *v)).collect()
     }
 }

@@ -13,7 +13,7 @@ use crate::pricing;
 
 /// Memory size assumed for the containers pre-warmed at simulation start
 /// (the paper's experiments run 1 536 MB executors).
-pub const PREWARMED_LAMBDA_MB: u64 = 1_536;
+pub(crate) const PREWARMED_LAMBDA_MB: u64 = 1_536;
 
 /// Identifies a VM within a [`Cloud`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,7 +37,7 @@ impl std::fmt::Display for LambdaId {
 
 /// VM lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VmState {
+pub(crate) enum VmState {
     /// Requested, still booting.
     Booting,
     /// Ready to run executors; billing accrues.
@@ -48,7 +48,7 @@ pub enum VmState {
 
 /// Lambda lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LambdaState {
+pub(crate) enum LambdaState {
     /// Invoked, container starting.
     Starting,
     /// Running user code; billing accrues; lifetime clock ticking.
@@ -179,7 +179,11 @@ impl Cloud {
     /// Creates a cloud running a caller-supplied [`ColdStartPolicy`] —
     /// the plug-in point for policies beyond the built-in
     /// [`ColdStartSpec`] variants.
-    pub fn with_policy(spec: CloudSpec, fabric: Fabric, policy: Box<dyn ColdStartPolicy>) -> Self {
+    pub(crate) fn with_policy(
+        spec: CloudSpec,
+        fabric: Fabric,
+        policy: Box<dyn ColdStartPolicy>,
+    ) -> Self {
         let pool = WarmPool::new(policy, spec.prewarmed_lambdas, PREWARMED_LAMBDA_MB);
         Cloud {
             inner: Rc::new(RefCell::new(Inner {
@@ -285,11 +289,6 @@ impl Cloud {
         if let Some(usd) = charge {
             inner.ledger.charge(Category::VmCompute, usd);
         }
-    }
-
-    /// The VM's lifecycle state.
-    pub fn vm_state(&self, id: VmId) -> VmState {
-        self.inner.borrow().vms[id.0 as usize].state
     }
 
     /// The VM's instance type.
@@ -484,11 +483,6 @@ impl Cloud {
         }
     }
 
-    /// The Lambda's lifecycle state.
-    pub fn lambda_state(&self, id: LambdaId) -> LambdaState {
-        self.inner.borrow().lambdas[id.0 as usize].state
-    }
-
     /// The Lambda's network link.
     pub fn lambda_nic(&self, id: LambdaId) -> LinkId {
         self.inner.borrow().lambdas[id.0 as usize].nic
@@ -497,11 +491,6 @@ impl Cloud {
     /// The Lambda's memory allocation in MB.
     pub fn lambda_memory_mb(&self, id: LambdaId) -> u64 {
         self.inner.borrow().lambdas[id.0 as usize].memory_mb
-    }
-
-    /// The fraction of one vCPU this Lambda receives.
-    pub fn lambda_cpu_share(&self, id: LambdaId) -> f64 {
-        pricing::lambda_cpu_share(self.lambda_memory_mb(id))
     }
 
     /// Counts of (warm, cold) starts so far.
@@ -520,18 +509,17 @@ impl Cloud {
         self.inner.borrow().pool.policy_name()
     }
 
-    /// Containers currently parked warm.
-    pub fn warm_pool_len(&self) -> usize {
-        self.inner.borrow().pool.warm_len()
-    }
-
     /// The warm-pool input stream so far — what the policy oracle replays.
+    ///
+    /// Test aid: only tests call this.
     pub fn pool_inputs(&self) -> Vec<PoolEvent> {
         self.inner.borrow().pool.inputs().to_vec()
     }
 
     /// The warm-pool decision log so far — what the policy oracle must
     /// reproduce bit-for-bit.
+    ///
+    /// Test aid: only tests call this.
     pub fn pool_decisions(&self) -> Vec<PoolDecision> {
         self.inner.borrow().pool.decisions().to_vec()
     }
@@ -539,7 +527,7 @@ impl Cloud {
     /// Sweeps the warm pool to `now` and evicts everything still parked,
     /// charging its idle memory — called by [`Cloud::shutdown_all`]; safe
     /// to call again (idempotent).
-    pub fn finalize_pool(&self, now: SimTime) {
+    pub(crate) fn finalize_pool(&self, now: SimTime) {
         self.inner.borrow_mut().pool.finalize(now.as_micros());
     }
 
@@ -625,6 +613,23 @@ mod tests {
     use super::*;
     use crate::instance::{M4_LARGE, M4_XLARGE};
     use std::cell::Cell;
+
+    impl Cloud {
+        /// Containers currently parked warm.
+        fn warm_pool_len(&self) -> usize {
+            self.inner.borrow().pool.warm_len()
+        }
+
+        /// The Lambda's lifecycle state.
+        fn lambda_state(&self, id: LambdaId) -> LambdaState {
+            self.inner.borrow().lambdas[id.0 as usize].state
+        }
+
+        /// The VM's lifecycle state.
+        fn vm_state(&self, id: VmId) -> VmState {
+            self.inner.borrow().vms[id.0 as usize].state
+        }
+    }
 
     fn quiet_spec() -> CloudSpec {
         CloudSpec {

@@ -64,7 +64,7 @@
 use splitserve_rt::hash::FastMap;
 
 /// Sentinel keepalive meaning "never expire".
-pub const FOREVER_US: u64 = u64::MAX;
+pub(crate) const FOREVER_US: u64 = u64::MAX;
 
 /// Why a policy is being asked for a keepalive window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,7 @@ pub trait ColdStartPolicy: std::fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// Idle microseconds a container parked at `now_us` survives before
-    /// eviction. [`FOREVER_US`] means it never expires; `0` means it is
+    /// eviction. `FOREVER_US` means it never expires; `0` means it is
     /// discarded immediately (the hybrid policy's "shut down now, prewarm
     /// later" arm).
     fn keepalive_us(&mut self, func: u32, now_us: u64, origin: ParkOrigin) -> u64;
@@ -114,10 +114,10 @@ pub trait ColdStartPolicy: std::fmt::Debug {
 /// Cloneable policy selection carried by `CloudSpec` (and therefore by
 /// `ScenarioSpec` / `TenantFleetConfig`). [`ColdStartSpec::build`] turns
 /// it into live policy state; custom policies plug in through
-/// [`crate::Cloud::with_policy`].
+/// `Cloud::with_policy`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColdStartSpec {
-    /// Containers expire after a fixed idle window ([`FOREVER_US`] =
+    /// Containers expire after a fixed idle window (`FOREVER_US` =
     /// never — the pre-policy-plane model, pinned by the digest suites).
     Fixed {
         /// Idle window in microseconds.
@@ -233,27 +233,16 @@ impl ColdStartSpec {
 /// Fixed idle-window keepalive — AWS Lambda's observed behaviour is
 /// roughly a 5–15 minute window; the `CloudSpec` default is 15 minutes.
 #[derive(Debug, Clone)]
-pub struct FixedKeepalive {
+pub(crate) struct FixedKeepalive {
     keepalive_us: u64,
 }
 
 impl FixedKeepalive {
     /// Keepalive of `window_us` microseconds.
-    pub fn new_us(window_us: u64) -> Self {
+    pub(crate) fn new_us(window_us: u64) -> Self {
         FixedKeepalive {
             keepalive_us: window_us,
         }
-    }
-
-    /// Keepalive of `secs` seconds.
-    pub fn secs(secs: u64) -> Self {
-        Self::new_us(secs.saturating_mul(1_000_000))
-    }
-
-    /// Infinite keepalive — byte-identical to the pre-policy warm-pool
-    /// counter, the escape hatch every digest-pinned suite uses.
-    pub fn forever() -> Self {
-        Self::new_us(FOREVER_US)
     }
 }
 
@@ -548,7 +537,7 @@ pub enum PoolDecision {
         cid: u64,
         /// Function identity.
         func: u32,
-        /// Absolute expiry instant ([`FOREVER_US`]-saturated).
+        /// Absolute expiry instant (`FOREVER_US`-saturated).
         expires_us: u64,
     },
     /// A pending prewarm materialized into a warm container.
@@ -676,11 +665,13 @@ impl WarmPool {
     }
 
     /// Current warm container count.
-    pub fn warm_len(&self) -> usize {
+    pub(crate) fn warm_len(&self) -> usize {
         self.warm.len()
     }
 
     /// Aggregate reserved warm memory in MB.
+    ///
+    /// Test aid: only tests call this.
     pub fn warm_memory_mb(&self) -> u64 {
         self.warm_mb
     }
@@ -748,7 +739,7 @@ impl WarmPool {
     }
 
     /// The lazy time-advance sweep: expiries, due prewarms, cap.
-    pub fn advance_to(&mut self, now_us: u64) {
+    pub(crate) fn advance_to(&mut self, now_us: u64) {
         // 1. Expiries, ascending (expires, cid).
         loop {
             let next = self

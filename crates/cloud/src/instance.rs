@@ -17,9 +17,9 @@ pub struct InstanceType {
     /// Main memory in MiB.
     pub memory_mb: u64,
     /// Dedicated EBS (disk) bandwidth in bytes/second.
-    pub ebs_bytes_per_sec: f64,
+    pub(crate) ebs_bytes_per_sec: f64,
     /// Network bandwidth in bytes/second.
-    pub net_bytes_per_sec: f64,
+    pub(crate) net_bytes_per_sec: f64,
     /// On-demand price in USD per hour.
     pub hourly_usd: f64,
 }
@@ -57,7 +57,7 @@ pub const M4_XLARGE: InstanceType = InstanceType {
 };
 
 /// `m4.2xlarge`: 8 vCPU, 32 GiB, $0.40/h.
-pub const M4_2XLARGE: InstanceType = InstanceType {
+pub(crate) const M4_2XLARGE: InstanceType = InstanceType {
     name: "m4.2xlarge",
     vcpus: 8,
     memory_mb: 32 * 1024,
@@ -80,7 +80,7 @@ pub const M4_4XLARGE: InstanceType = InstanceType {
 /// `m4.8xlarge`: named by the paper's profiling ladder for the 32-core rung
 /// (the real m4 family jumps from 4xlarge to 10xlarge; we model the type the
 /// paper names, interpolating its resources).
-pub const M4_8XLARGE: InstanceType = InstanceType {
+pub(crate) const M4_8XLARGE: InstanceType = InstanceType {
     name: "m4.8xlarge",
     vcpus: 32,
     memory_mb: 128 * 1024,
@@ -111,7 +111,7 @@ pub const M4_16XLARGE: InstanceType = InstanceType {
 };
 
 /// The whole m4 family, smallest first.
-pub fn m4_family() -> Vec<InstanceType> {
+pub(crate) fn m4_family() -> Vec<InstanceType> {
     vec![
         M4_LARGE,
         M4_XLARGE,

@@ -11,7 +11,7 @@
 //!   15-minute lifetime, and network bandwidth proportional to memory with
 //!   per-container jitter ([`Cloud::invoke_lambda`]).
 //!
-//! Every resource's spend lands in a [`Ledger`] so experiments can report
+//! Every resource's spend lands in a `Ledger` so experiments can report
 //! the same cost columns the paper does (Figures 1 and 8).
 //!
 //! # Examples
@@ -43,20 +43,17 @@ pub mod coldstart;
 mod instance;
 mod pricing;
 
-pub use billing::{Category, Ledger};
-pub use cloud::{Cloud, CloudSpec, LambdaId, LambdaState, VmId, VmState, PREWARMED_LAMBDA_MB};
+pub use billing::Category;
+pub use cloud::{Cloud, CloudSpec, LambdaId, VmId};
 pub use coldstart::{
-    ColdStartPolicy, ColdStartSpec, EvictReason, FixedKeepalive, HybridHistogram,
-    HybridHistogramSpec, ParkOrigin, PoolDecision, PoolEvent, PoolStats, UnloadOnPressure,
-    WarmPool, FOREVER_US,
+    ColdStartPolicy, ColdStartSpec, EvictReason, HybridHistogram, HybridHistogramSpec, ParkOrigin,
+    PoolDecision, PoolEvent, PoolStats, UnloadOnPressure, WarmPool,
 };
 pub use instance::{
-    fewest_instances_for_cores, m4_family, InstanceType, M4_10XLARGE, M4_16XLARGE, M4_2XLARGE,
-    M4_4XLARGE, M4_8XLARGE, M4_LARGE, M4_XLARGE,
+    fewest_instances_for_cores, InstanceType, M4_10XLARGE, M4_16XLARGE, M4_4XLARGE, M4_LARGE,
+    M4_XLARGE,
 };
 pub use pricing::{
-    fig1_crossover, fig1_vcpu_cost_at, lambda_compute_cost, lambda_cost, lambda_cpu_share,
-    vm_cost, LAMBDA_BILLING_QUANTUM, LAMBDA_LIFETIME, LAMBDA_MAX_MEMORY_MB, LAMBDA_MB_PER_VCPU,
-    LAMBDA_TMP_BYTES, LAMBDA_USD_PER_GB_SEC, LAMBDA_USD_PER_INVOCATION, S3_USD_PER_GET,
-    S3_USD_PER_PUT, SQS_USD_PER_REQUEST, VM_BILLING_QUANTUM, VM_MINIMUM_BILLED,
+    fig1_crossover, fig1_vcpu_cost_at, lambda_compute_cost, lambda_cost, vm_cost, S3_USD_PER_GET,
+    S3_USD_PER_PUT, SQS_USD_PER_REQUEST,
 };

@@ -6,24 +6,22 @@ use splitserve_des::SimDuration;
 use crate::instance::InstanceType;
 
 /// AWS Lambda price per GB-second of allocated memory (us-east-1, 2020).
-pub const LAMBDA_USD_PER_GB_SEC: f64 = 0.000_016_67;
+pub(crate) const LAMBDA_USD_PER_GB_SEC: f64 = 0.000_016_67;
 /// AWS Lambda price per invocation ($0.20 per million requests).
-pub const LAMBDA_USD_PER_INVOCATION: f64 = 0.000_000_2;
+pub(crate) const LAMBDA_USD_PER_INVOCATION: f64 = 0.000_000_2;
 /// Lambda billing granularity: run time is rounded up to 100 ms.
-pub const LAMBDA_BILLING_QUANTUM: SimDuration = SimDuration::from_millis(100);
+pub(crate) const LAMBDA_BILLING_QUANTUM: SimDuration = SimDuration::from_millis(100);
 /// Largest memory allocation a Lambda may request (the paper's 3 GB cap).
-pub const LAMBDA_MAX_MEMORY_MB: u64 = 3_008;
+pub(crate) const LAMBDA_MAX_MEMORY_MB: u64 = 3_008;
 /// Memory per vCPU: a 1 536 MB Lambda gets one full vCPU.
-pub const LAMBDA_MB_PER_VCPU: u64 = 1_536;
-/// Lambda ephemeral `/tmp` storage (bytes): 512 MB.
-pub const LAMBDA_TMP_BYTES: u64 = 512 * 1024 * 1024;
+pub(crate) const LAMBDA_MB_PER_VCPU: u64 = 1_536;
 /// Hard lifetime limit after which AWS kills a Lambda: 15 minutes.
-pub const LAMBDA_LIFETIME: SimDuration = SimDuration::from_secs(900);
+pub(crate) const LAMBDA_LIFETIME: SimDuration = SimDuration::from_secs(900);
 
 /// VM billing granularity: 1 second increments…
-pub const VM_BILLING_QUANTUM: SimDuration = SimDuration::from_secs(1);
+pub(crate) const VM_BILLING_QUANTUM: SimDuration = SimDuration::from_secs(1);
 /// …after a 60-second minimum charge per instance launch.
-pub const VM_MINIMUM_BILLED: SimDuration = SimDuration::from_secs(60);
+pub(crate) const VM_MINIMUM_BILLED: SimDuration = SimDuration::from_secs(60);
 
 /// S3 PUT/COPY/POST/LIST price per request.
 pub const S3_USD_PER_PUT: f64 = 0.005 / 1_000.0;
@@ -68,12 +66,6 @@ pub fn lambda_cost(memory_mb: u64, runtime: SimDuration) -> f64 {
     lambda_compute_cost(memory_mb, runtime) + LAMBDA_USD_PER_INVOCATION
 }
 
-/// The vCPU share a Lambda of `memory_mb` receives relative to a full VM
-/// core (AWS allocates CPU proportionally to memory, one vCPU per 1 536 MB).
-pub fn lambda_cpu_share(memory_mb: u64) -> f64 {
-    (memory_mb as f64 / LAMBDA_MB_PER_VCPU as f64).min(2.0)
-}
-
 /// One point of Figure 1: cost of one vCPU procured for `t`, via a
 /// m4.large VM (price halved: the instance has two vCPUs) vs. a 1 536 MB
 /// Lambda.
@@ -105,6 +97,12 @@ pub fn fig1_crossover(itype: &InstanceType, horizon: SimDuration) -> Option<SimD
 mod tests {
     use super::*;
     use crate::instance::{M4_LARGE, M4_XLARGE};
+
+    /// The vCPU share a Lambda of `memory_mb` receives relative to a full VM
+    /// core (AWS allocates CPU proportionally to memory, one vCPU per 1 536 MB).
+    fn lambda_cpu_share(memory_mb: u64) -> f64 {
+        (memory_mb as f64 / LAMBDA_MB_PER_VCPU as f64).min(2.0)
+    }
 
     #[test]
     fn vm_minimum_charge_is_flat_for_first_minute() {

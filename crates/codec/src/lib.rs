@@ -43,7 +43,7 @@ mod varint;
 
 pub use de::{from_bytes, from_bytes_seq, Decode};
 pub use error::{Error, Result};
-pub use ser::{to_bytes, to_writer, Encode};
+pub use ser::{to_bytes, Encode};
 
 /// Implements [`Encode`] and [`Decode`] for a struct with named fields by
 /// encoding the fields in declaration order — the same layout serde's
@@ -300,8 +300,8 @@ mod tests {
     #[test]
     fn streaming_decode_advances() {
         let mut buf = Vec::new();
-        crate::to_writer(&mut buf, &(1u32, 2u32)).expect("encode");
-        crate::to_writer(&mut buf, &(3u32, 4u32)).expect("encode");
+        (1u32, 2u32).encode(&mut buf);
+        (3u32, 4u32).encode(&mut buf);
         let mut slice = buf.as_slice();
         let a: (u32, u32) = crate::from_bytes_seq(&mut slice).expect("decode");
         let b: (u32, u32) = crate::from_bytes_seq(&mut slice).expect("decode");

@@ -79,17 +79,6 @@ pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Serializes `value`, appending to an existing buffer (zero-copy batching
-/// of many records into one shuffle block).
-///
-/// # Errors
-///
-/// Same as [`to_bytes`].
-pub fn to_writer<T: Encode + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<()> {
-    value.encode(out);
-    Ok(())
-}
-
 // ----- primitives ------------------------------------------------------
 
 impl Encode for bool {

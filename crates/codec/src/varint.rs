@@ -3,7 +3,7 @@
 use crate::error::{Error, Result};
 
 /// Appends `v` to `out` as an LEB128 varint (1–10 bytes).
-pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -16,30 +16,30 @@ pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends `v` zigzag-encoded so small-magnitude negatives stay short.
-pub fn write_i64(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn write_i64(out: &mut Vec<u8>, v: i64) {
     write_u64(out, zigzag(v));
 }
 
 /// Encoded length of `v` as an LEB128 varint, without writing anything
 /// (the size-hint half of [`write_u64`]).
-pub fn len_u64(v: u64) -> usize {
+pub(crate) fn len_u64(v: u64) -> usize {
     // 7 significant bits per byte; zero still takes one byte.
     let bits = 64 - (v | 1).leading_zeros() as usize;
     bits.div_ceil(7)
 }
 
 /// Encoded length of `v` as a zigzag varint.
-pub fn len_i64(v: i64) -> usize {
+pub(crate) fn len_i64(v: i64) -> usize {
     len_u64(zigzag(v))
 }
 
 /// Maps signed to unsigned preserving small magnitudes: 0,-1,1,-2 → 0,1,2,3.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -49,7 +49,7 @@ pub fn unzigzag(v: u64) -> i64 {
 ///
 /// [`Error::UnexpectedEof`] if input ends mid-varint;
 /// [`Error::VarintOverflow`] if more than 64 bits are encoded.
-pub fn read_u64(input: &mut &[u8]) -> Result<u64> {
+pub(crate) fn read_u64(input: &mut &[u8]) -> Result<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -77,7 +77,7 @@ pub fn read_u64(input: &mut &[u8]) -> Result<u64> {
 /// and the cursor advances by `1 + (b >> 7)`: when the high bit is clear
 /// the next element overwrites the spare `1`. No branch depends on the
 /// data.
-pub fn write_u8s(out: &mut Vec<u8>, items: &[u8]) {
+pub(crate) fn write_u8s(out: &mut Vec<u8>, items: &[u8]) {
     // Elements scattered per round; the round's staging buffer is twice
     // that (the worst case) plus the spare byte of the last store.
     const CHUNK: usize = 64;
@@ -98,7 +98,7 @@ pub fn write_u8s(out: &mut Vec<u8>, items: &[u8]) {
 
 /// Total encoded length of `items` as per-element varints: one byte each,
 /// plus one for every element with its high bit set.
-pub fn len_u8s(items: &[u8]) -> usize {
+pub(crate) fn len_u8s(items: &[u8]) -> usize {
     items.len() + items.iter().filter(|b| **b >= 0x80).count()
 }
 
@@ -115,7 +115,7 @@ pub fn len_u8s(items: &[u8]) -> usize {
 /// alone: the pass copies every byte to the output cursor and advances the
 /// cursor only past value bytes, OR-ing "continuation byte is not `0x01`"
 /// into one flag checked at the end.
-pub fn read_u8s(input: &mut &[u8], len: usize) -> Option<Vec<u8>> {
+pub(crate) fn read_u8s(input: &mut &[u8], len: usize) -> Option<Vec<u8>> {
     const ONES: u64 = 0x0101_0101_0101_0101;
     let src = *input;
     // Every element takes at least one byte: never allocate for more
@@ -177,7 +177,7 @@ pub fn read_u8s(input: &mut &[u8], len: usize) -> Option<Vec<u8>> {
 /// # Errors
 ///
 /// Same as [`read_u64`].
-pub fn read_i64(input: &mut &[u8]) -> Result<i64> {
+pub(crate) fn read_i64(input: &mut &[u8]) -> Result<i64> {
     read_u64(input).map(unzigzag)
 }
 

@@ -201,13 +201,13 @@ impl Deployment {
     }
 
     /// The master's VM (hosts the driver, and HDFS when selected).
-    pub fn master_vm(&self) -> VmId {
+    pub(crate) fn master_vm(&self) -> VmId {
         self.master_vm
     }
 
     /// The first worker VM provisioned, if any — where "cores freeing up
     /// on an existing VM" materialize during a segue.
-    pub fn first_worker_vm(&self) -> Option<VmId> {
+    pub(crate) fn first_worker_vm(&self) -> Option<VmId> {
         self.inner.borrow().worker_vms.first().copied()
     }
 
@@ -253,7 +253,12 @@ impl Deployment {
 
     /// Registers `cores` additional executors on an existing, running VM —
     /// the "executor on an existing VM becomes available" segue target.
-    pub fn add_executors_on_vm(&self, sim: &mut Sim, vm: VmId, cores: u32) -> Vec<ExecutorId> {
+    pub(crate) fn add_executors_on_vm(
+        &self,
+        sim: &mut Sim,
+        vm: VmId,
+        cores: u32,
+    ) -> Vec<ExecutorId> {
         let itype = self.cloud.vm_type(vm);
         let nic = self.cloud.vm_nic(vm);
         let ebs = self.cloud.vm_ebs(vm);
@@ -276,7 +281,7 @@ impl Deployment {
     /// Requests a *new* VM (with its minutes-long boot) and registers
     /// `cores` executors when it becomes ready — VM-based autoscaling.
     /// `on_ready` receives the new executor ids.
-    pub fn request_vm_workers(
+    pub(crate) fn request_vm_workers(
         &self,
         sim: &mut Sim,
         itype: InstanceType,
@@ -413,15 +418,8 @@ impl Deployment {
     }
 
     /// Whether [`Deployment::shutdown`] has run.
-    pub fn is_shut_down(&self) -> bool {
+    pub(crate) fn is_shut_down(&self) -> bool {
         self.inner.borrow().shut_down
-    }
-
-    /// Drains every Lambda executor (the end state of a full segue).
-    pub fn drain_all_lambdas(&self, sim: &mut Sim) {
-        for exec in self.lambda_executors() {
-            self.drain_lambda_executor(sim, &exec);
-        }
     }
 
     /// Ends the run: terminates all VMs, releases all Lambdas, and
@@ -464,6 +462,15 @@ mod tests {
     use splitserve_des::{Dist, SimDuration, SimTime};
     use splitserve_engine::{collect_partitions, Dataset, ExecutorKind};
     use std::cell::RefCell;
+
+    impl Deployment {
+        /// Drains every Lambda executor (the end state of a full segue).
+        fn drain_all_lambdas(&self, sim: &mut Sim) {
+            for exec in self.lambda_executors() {
+                self.drain_lambda_executor(sim, &exec);
+            }
+        }
+    }
 
     fn quiet_cloud() -> CloudSpec {
         CloudSpec {

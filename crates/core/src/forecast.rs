@@ -18,16 +18,16 @@ pub struct DayModel {
     /// Overnight baseline demand in executors.
     pub base: f64,
     /// Peak heights in executors (morning, afternoon).
-    pub peak_heights: (f64, f64),
+    pub(crate) peak_heights: (f64, f64),
     /// Peak centers in hours (e.g. 10.5, 15.0).
-    pub peak_centers: (f64, f64),
+    pub(crate) peak_centers: (f64, f64),
     /// Peak widths in hours (standard deviation of the bumps).
-    pub peak_widths: (f64, f64),
+    pub(crate) peak_widths: (f64, f64),
     /// σ(t) as a fraction of m(t).
-    pub sigma_frac: f64,
+    pub(crate) sigma_frac: f64,
     /// AR(1) correlation of the realized demand's deviation between
     /// consecutive samples.
-    pub ar_rho: f64,
+    pub(crate) ar_rho: f64,
 }
 
 impl Default for DayModel {
@@ -109,7 +109,7 @@ pub enum ProvisionPolicy {
 
 impl ProvisionPolicy {
     /// Cores provisioned at a demand point.
-    pub fn provisioned(&self, p: &DemandPoint) -> f64 {
+    pub(crate) fn provisioned(&self, p: &DemandPoint) -> f64 {
         let sigma = (p.hi - p.mean) / 2.0;
         match self {
             ProvisionPolicy::MeanPlusSigma(k) => p.mean + k * sigma,

@@ -60,10 +60,9 @@ pub use allocator::{start_allocator, AllocatorConfig, AllocatorHandle};
 pub use deploy::{Deployment, ShuffleStoreKind};
 pub use forecast::{evaluate_policy, DayModel, DemandPoint, PolicyOutcome, ProvisionPolicy};
 pub use planner::{
-    cheapest_meeting_slo, fastest_within_budget, fig1_crossover_default, plan_split,
-    record_split_plan, SplitPlan,
+    cheapest_meeting_slo, fig1_crossover_default, plan_split, record_split_plan, SplitPlan,
 };
-pub use profiler::{optimal_parallelism, profile_once, profile_sweep, ProfileMode, ProfilePoint};
+pub use profiler::{profile_sweep, ProfileMode, ProfilePoint};
 pub use run::{run_job, JobRun};
 pub use scenario::{run_scenario, DriverProgram, Scenario, ScenarioResult, ScenarioSpec};
 pub use segue::{arm_segue, ReplacementSource, SegueConfig};

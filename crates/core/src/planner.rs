@@ -48,18 +48,6 @@ pub fn cheapest_meeting_slo(profile: &[ProfilePoint], slo_secs: f64) -> Option<&
         .min_by(|a, b| a.cost_usd.partial_cmp(&b.cost_usd).expect("no NaN costs"))
 }
 
-/// The fastest profiled configuration whose cost fits `budget_usd`.
-pub fn fastest_within_budget(profile: &[ProfilePoint], budget_usd: f64) -> Option<&ProfilePoint> {
-    profile
-        .iter()
-        .filter(|p| p.cost_usd <= budget_usd)
-        .min_by(|a, b| {
-            a.execution_secs
-                .partial_cmp(&b.execution_secs)
-                .expect("no NaN times")
-        })
-}
-
 /// An intra-job resource plan for one arriving job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitPlan {
@@ -138,6 +126,18 @@ pub fn record_split_plan(obs: &splitserve_obs::Obs, at: splitserve_des::SimTime,
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fastest profiled configuration whose cost fits `budget_usd`.
+    fn fastest_within_budget(profile: &[ProfilePoint], budget_usd: f64) -> Option<&ProfilePoint> {
+        profile
+            .iter()
+            .filter(|p| p.cost_usd <= budget_usd)
+            .min_by(|a, b| {
+                a.execution_secs
+                    .partial_cmp(&b.execution_secs)
+                    .expect("no NaN times")
+            })
+    }
 
     fn profile() -> Vec<ProfilePoint> {
         vec![

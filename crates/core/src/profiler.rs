@@ -35,7 +35,7 @@ pub enum ProfileMode {
 ///
 /// The `workload` factory receives the parallelism so it can size its
 /// reduce side accordingly (as the paper's profiling does).
-pub fn profile_once(
+pub(crate) fn profile_once(
     mode: ProfileMode,
     parallelism: u32,
     spec: &ScenarioSpec,
@@ -87,19 +87,6 @@ pub fn profile_sweep(
         .collect()
 }
 
-/// The parallelism with the lowest execution time in a sweep — the
-/// "performance-optimal degree of parallelism" the profiling identifies.
-pub fn optimal_parallelism(points: &[ProfilePoint]) -> Option<u32> {
-    points
-        .iter()
-        .min_by(|a, b| {
-            a.execution_secs
-                .partial_cmp(&b.execution_secs)
-                .expect("no NaN times")
-        })
-        .map(|p| p.parallelism)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +94,19 @@ mod tests {
     use splitserve_cloud::CloudSpec;
     use splitserve_des::{Dist, Sim};
     use splitserve_engine::{Dataset, Engine};
+
+    /// The parallelism with the lowest execution time in a sweep — the
+    /// "performance-optimal degree of parallelism" the profiling identifies.
+    fn optimal_parallelism(points: &[ProfilePoint]) -> Option<u32> {
+        points
+            .iter()
+            .min_by(|a, b| {
+                a.execution_secs
+                    .partial_cmp(&b.execution_secs)
+                    .expect("no NaN times")
+            })
+            .map(|p| p.parallelism)
+    }
 
     /// A parallel workload with a serial aggregation component and
     /// per-task shuffle overhead — enough structure for a U-curve.

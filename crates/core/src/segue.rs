@@ -53,14 +53,6 @@ pub struct SegueConfig {
 }
 
 impl SegueConfig {
-    /// Replacement from a fresh VM with the default 60 s Lambda timeout.
-    pub fn new_vms(itype: InstanceType, cores: u32) -> Self {
-        SegueConfig {
-            lambda_timeout: SimDuration::from_secs(60),
-            replacement: ReplacementSource::NewVms { itype, cores },
-        }
-    }
-
     /// Replacement from cores freeing on an existing VM.
     pub fn existing_cores(cores: u32, available_in: SimDuration) -> Self {
         SegueConfig {
@@ -136,6 +128,16 @@ mod tests {
     use splitserve_engine::{collect_partitions, Dataset, ExecutorKind};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    impl SegueConfig {
+        /// Replacement from a fresh VM with the default 60 s Lambda timeout.
+        fn new_vms(itype: InstanceType, cores: u32) -> Self {
+            SegueConfig {
+                lambda_timeout: SimDuration::from_secs(60),
+                replacement: ReplacementSource::NewVms { itype, cores },
+            }
+        }
+    }
 
     fn quiet_cloud() -> CloudSpec {
         CloudSpec {

@@ -221,30 +221,9 @@ impl AdmissionController {
         }
     }
 
-    /// An effectively unlimited controller (every arrival dispatches
-    /// immediately) — the single-tenant stream wrapper uses this.
-    pub fn unlimited(specs: &[TenantSpec]) -> AdmissionController {
-        AdmissionController::new(u32::MAX, specs)
-    }
-
-    /// Total slots in the pool.
-    pub fn slots_total(&self) -> u32 {
-        self.slots_total
-    }
-
     /// Currently free slots.
     pub fn slots_free(&self) -> u32 {
         self.slots_free
-    }
-
-    /// Jobs queued across all tenants.
-    pub fn queued_jobs(&self) -> usize {
-        self.queued
-    }
-
-    /// Jobs currently holding slots.
-    pub fn running_jobs(&self) -> usize {
-        self.running_jobs.len()
     }
 
     /// Whether nothing is queued or running.
@@ -605,6 +584,13 @@ pub fn verify_log(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AdmissionController {
+        /// Jobs queued across all tenants.
+        fn queued_jobs(&self) -> usize {
+            self.queued
+        }
+    }
 
     fn spec(id: &str, class: SloClass, weight: u32, cap: u32) -> TenantSpec {
         TenantSpec {

@@ -6,7 +6,7 @@
 //!
 //! Everything here is a pure function of one `u64` seed: two calls with
 //! the same spec and seed produce byte-identical schedules
-//! ([`JobTemplate::to_line`] defines the canonical bytes), which is what
+//! (`JobTemplate::to_line` defines the canonical bytes), which is what
 //! lets the fleet example and the chaos sweeps replay bit-for-bit.
 
 use splitserve_des::Dist;
@@ -18,7 +18,7 @@ use crate::tenancy::server::FleetJob;
 
 /// Domain separator: arrival generation must not correlate with the sim
 /// clock, fault plans, or workload data derived from the same seed.
-pub const ARRIVAL_STREAM: u64 = 0xA221_7A1C_7E57_0002;
+pub(crate) const ARRIVAL_STREAM: u64 = 0xA221_7A1C_7E57_0002;
 
 /// The shape of a burst window for [`ArrivalProcess::Bursty`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// The instantaneous rate at time `t` (seconds).
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate_per_sec } => *rate_per_sec,
             ArrivalProcess::Bursty {
@@ -88,7 +88,7 @@ impl ArrivalProcess {
     }
 
     /// The peak of the rate curve — the thinning envelope.
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate_per_sec } => *rate_per_sec,
             ArrivalProcess::Bursty {
@@ -157,7 +157,7 @@ pub struct JobTemplate {
 impl JobTemplate {
     /// Canonical one-line serialization — the byte-identity unit for the
     /// determinism properties.
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(self) -> String {
         format!(
             "a={} d={} c={} s={};",
             self.arrive_at_us, self.duration_us, self.cores, self.slo_us
@@ -165,7 +165,7 @@ impl JobTemplate {
     }
 }
 
-/// The canonical bytes of a whole schedule ([`JobTemplate::to_line`]
+/// The canonical bytes of a whole schedule (`JobTemplate::to_line`
 /// concatenated), for byte-identity assertions.
 pub fn schedule_bytes(jobs: &[JobTemplate]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -193,7 +193,7 @@ pub fn tenant_seed(fleet_seed: u64, tenant: &str) -> u64 {
 }
 
 /// Generates the job schedule for `spec` from `seed`: arrivals by
-/// Lewis–Shedler thinning against [`ArrivalProcess::peak_rate`],
+/// Lewis–Shedler thinning against `ArrivalProcess::peak_rate`,
 /// durations from the log-normal model (clamped to a sane band), widths
 /// by weighted choice, SLOs as `max(duration · multiple, floor)`.
 /// Deterministic: the same `(spec, seed)` yields byte-identical output.

@@ -32,7 +32,7 @@ pub fn default_tenant_specs(n: usize) -> Vec<TenantSpec> {
 /// short, tight-SLO jobs; standard tenants surge in bursts; batch
 /// tenants follow a diurnal curve with long, loose jobs. `rate` is the
 /// tenant's mean arrivals per second.
-pub fn class_arrival_spec(class: SloClass, rate: f64, horizon_secs: f64) -> ArrivalSpec {
+pub(crate) fn class_arrival_spec(class: SloClass, rate: f64, horizon_secs: f64) -> ArrivalSpec {
     match class {
         SloClass::Interactive => ArrivalSpec {
             process: ArrivalProcess::Poisson { rate_per_sec: rate },

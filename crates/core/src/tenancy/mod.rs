@@ -12,14 +12,14 @@
 //! - [`admission`] — the engine-free [`AdmissionController`] and its
 //!   replayable event log ([`verify_log`] checks caps, strict priority,
 //!   FIFO-per-tenant and slot conservation at every step).
-//! - [`server`] — [`run_tenant_fleet`]: schedules arrivals on the sim,
+//! - `server` — [`run_tenant_fleet`]: schedules arrivals on the sim,
 //!   dispatches through the controller onto a shared [`Deployment`],
 //!   records outcomes into the tenant-keyed ledgers and the
 //!   `admission_wait_seconds{tenant_class}` / `hol_blocking_seconds`
 //!   series.
 //! - [`fleet`] — population builders and the deterministic JSON
 //!   artifact for `examples/tenant_fleet.rs`.
-//! - [`policy_sweep`] — the cold-start policy sweep: the same fleet
+//! - `policy_sweep` — the cold-start policy sweep: the same fleet
 //!   under each [`ColdStartSpec`] arm plus an engine-free recurrent
 //!   microtrace, rendered for `examples/coldstart_sweep.rs`.
 //!
@@ -34,8 +34,8 @@
 pub mod admission;
 pub mod arrivals;
 pub mod fleet;
-pub mod policy_sweep;
-pub mod server;
+pub(crate) mod policy_sweep;
+pub(crate) mod server;
 
 pub use admission::{
     verify_log, AdmissionController, AdmissionEvent, AdmissionEventKind, AdmissionRequest,
@@ -45,9 +45,7 @@ pub use arrivals::{
     bursty_arrivals, generate_jobs, schedule_bytes, schedule_digest, tenant_seed, ArrivalProcess,
     ArrivalSpec, BurstSpec, DurationModel, JobTemplate,
 };
-pub use fleet::{
-    class_arrival_spec, default_fleet_jobs, default_tenant_specs, policy_json, render_fleet_json,
-};
+pub use fleet::{default_fleet_jobs, default_tenant_specs, policy_json, render_fleet_json};
 pub use policy_sweep::{
     coldstart_arms, recurrent_fleet_jobs, recurrent_microtrace, render_coldstart_sweep_json,
     run_coldstart_arm, run_coldstart_sweep, ColdstartArm,

@@ -75,7 +75,7 @@ pub struct FleetJob {
     /// Dense global id: `jobs[i].job == i`.
     pub job: u64,
     /// Index into the config's tenant list.
-    pub tenant_idx: usize,
+    pub(crate) tenant_idx: usize,
     /// Arrival on the virtual clock, microseconds.
     pub arrive_at_us: u64,
     /// Intrinsic compute duration, microseconds (also the fair-share
@@ -253,9 +253,9 @@ pub struct TenantJobOutcome {
     /// Width in cores.
     pub cores: u32,
     /// Arrival, microseconds.
-    pub arrived_us: u64,
+    pub(crate) arrived_us: u64,
     /// Admission grant, microseconds.
-    pub dispatched_us: u64,
+    pub(crate) dispatched_us: u64,
     /// Completion, microseconds.
     pub finished_us: u64,
     /// SLO, microseconds.
@@ -269,12 +269,12 @@ impl TenantJobOutcome {
     }
 
     /// Time spent queued in admission, seconds.
-    pub fn queue_wait_secs(&self) -> f64 {
+    pub(crate) fn queue_wait_secs(&self) -> f64 {
         (self.dispatched_us - self.arrived_us) as f64 / 1e6
     }
 
     /// Whether the SLO was met.
-    pub fn met_slo(&self) -> bool {
+    pub(crate) fn met_slo(&self) -> bool {
         self.finished_us - self.arrived_us <= self.slo_us
     }
 }
@@ -339,6 +339,8 @@ impl FleetOutcome {
     /// renumbered by the tenant's own arrival sequence, so the bytes are
     /// comparable between a shared fleet and a dedicated run where
     /// global ids differ. The tenant-isolation differential diffs this.
+    ///
+    /// Test aid: only tests call this.
     pub fn tenant_rows(&self, tenant: &TenantId) -> String {
         let mut rows: Vec<&TenantJobOutcome> = self
             .outcomes

@@ -73,16 +73,6 @@ impl Dist {
         Dist::Constant(v)
     }
 
-    /// Uniform over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn uniform(lo: f64, hi: f64) -> Dist {
-        assert!(lo <= hi, "uniform bounds out of order: [{lo}, {hi})");
-        Dist::Uniform { lo, hi }
-    }
-
     /// Gaussian with `mean` and standard deviation `sd`.
     pub fn normal(mean: f64, sd: f64) -> Dist {
         assert!(sd >= 0.0, "negative standard deviation: {sd}");
@@ -114,16 +104,6 @@ impl Dist {
     pub fn exp(rate: f64) -> Dist {
         assert!(rate > 0.0, "exponential rate must be positive: {rate}");
         Dist::Exp { rate }
-    }
-
-    /// Pareto with `scale` (minimum) and `shape` (tail index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is non-positive.
-    pub fn pareto(scale: f64, shape: f64) -> Dist {
-        assert!(scale > 0.0 && shape > 0.0, "pareto parameters must be positive");
-        Dist::Pareto { scale, shape }
     }
 
     /// Wraps `self` so samples are clamped into `[min, max]`.
@@ -200,6 +180,29 @@ fn standard_normal(rng: &mut Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dist {
+        /// Pareto with `scale` (minimum) and `shape` (tail index).
+        ///
+        /// # Panics
+        ///
+        /// Panics if either parameter is non-positive.
+        fn pareto(scale: f64, shape: f64) -> Dist {
+            assert!(scale > 0.0 && shape > 0.0, "pareto parameters must be positive");
+            Dist::Pareto { scale, shape }
+        }
+
+        /// Uniform over `[lo, hi)`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `lo > hi`.
+        fn uniform(lo: f64, hi: f64) -> Dist {
+            assert!(lo <= hi, "uniform bounds out of order: [{lo}, {hi})");
+            Dist::Uniform { lo, hi }
+        }
+    }
+
     fn sample_stats(d: &Dist, n: usize) -> (f64, f64) {
         let mut rng = Rng::seed_from_u64(99);
         let xs: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();

@@ -234,6 +234,8 @@ impl Fabric {
     }
 
     /// The capacity of `link` in bytes/second.
+    ///
+    /// Test aid: only tests call this.
     pub fn link_capacity(&self, link: LinkId) -> f64 {
         self.inner.borrow().links[link.0].capacity
     }
@@ -250,6 +252,8 @@ impl Fabric {
 
     /// The instantaneous rate of `flow` in bytes/second, or `None` if it
     /// already completed or was cancelled.
+    ///
+    /// Test aid: only tests call this.
     pub fn flow_rate(&self, flow: FlowId) -> Option<f64> {
         self.inner.borrow().live(flow).map(|f| f.rate)
     }
@@ -324,6 +328,8 @@ impl Fabric {
 
     /// Cancels an in-flight flow without invoking its completion callback.
     /// Returns `true` if the flow was still live.
+    ///
+    /// Test aid: only tests call this.
     pub fn cancel_flow(&self, sim: &mut Sim, flow: FlowId) -> bool {
         let existed = {
             let mut inner = self.inner.borrow_mut();

@@ -44,6 +44,6 @@ mod token;
 
 pub use dist::Dist;
 pub use fabric::{Fabric, FlowId, LinkId, LinkPath};
-pub use sim::{EventFn, EventHandler, EventId, Sim};
+pub use sim::{EventHandler, EventId, Sim};
 pub use time::{SimDuration, SimTime};
 pub use token::TokenBucket;

@@ -74,7 +74,7 @@ pub(crate) struct EventQueue {
 impl EventQueue {
     /// Queues `action` under `(at, seq)`. `seq` must exceed every sequence
     /// number pushed before — the run's sortedness rests on it.
-    pub fn push(&mut self, at: SimTime, seq: u64, action: Action) {
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, action: Action) {
         let slot = self.slab.insert(action);
         let key = Key { at, seq, slot };
         match self.run.back() {
@@ -84,7 +84,7 @@ impl EventQueue {
     }
 
     /// The earliest pending key, if any.
-    pub fn peek(&self) -> Option<Key> {
+    pub(crate) fn peek(&self) -> Option<Key> {
         match (self.run.front(), self.heap.peek()) {
             (Some(r), Some(h)) => Some(if h.before(r) { *h } else { *r }),
             (Some(k), None) | (None, Some(k)) => Some(*k),
@@ -93,7 +93,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest pending event.
-    pub fn pop(&mut self) -> Option<(Key, Action)> {
+    pub(crate) fn pop(&mut self) -> Option<(Key, Action)> {
         let from_heap = match (self.run.front(), self.heap.peek()) {
             (Some(r), Some(h)) => h.before(r),
             (Some(_), None) => false,

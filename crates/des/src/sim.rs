@@ -32,7 +32,7 @@ pub struct EventId(u64);
 
 /// An event callback. It receives the simulator so it can read the clock and
 /// schedule follow-up events.
-pub type EventFn = Box<dyn FnOnce(&mut Sim)>;
+pub(crate) type EventFn = Box<dyn FnOnce(&mut Sim)>;
 
 /// A component that takes events as `(handler, token)` pairs rather than
 /// closures: what [`Sim::notify_at`] schedules and what a fabric flow
@@ -230,6 +230,8 @@ impl Sim {
     /// alike: the sequence numbers drawn. Against
     /// [`Sim::executed_events`] it shows cancel-and-re-schedule churn that
     /// no virtual result can.
+    ///
+    /// Test aid: only tests call this.
     pub fn scheduled_events(&self) -> u64 {
         self.next_seq
     }

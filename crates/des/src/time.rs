@@ -83,7 +83,7 @@ impl SimTime {
     }
 
     /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+    pub(crate) fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
 }

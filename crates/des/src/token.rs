@@ -92,22 +92,24 @@ impl TokenBucket {
             SimDuration::from_secs_f64(-self.tokens / self.rate)
         }
     }
-
-    /// Non-queueing variant: takes `n` tokens only if available now.
-    pub fn try_take(&mut self, now: SimTime, n: f64) -> bool {
-        self.refill(now);
-        if self.tokens >= n {
-            self.tokens -= n;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TokenBucket {
+        /// Non-queueing variant: takes `n` tokens only if available now.
+        fn try_take(&mut self, now: SimTime, n: f64) -> bool {
+            self.refill(now);
+            if self.tokens >= n {
+                self.tokens -= n;
+                true
+            } else {
+                false
+            }
+        }
+    }
 
     #[test]
     fn burst_absorbed_then_paced() {

@@ -69,7 +69,7 @@ impl<K: Eq, A> HashGroup<K, A> {
     /// least), so the `cap`-th insert still leaves it under half full.
     /// Callers size it from what the task already holds (DESIGN.md §8
     /// "Combine").
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         let slots = (cap.max(4) * 2 + 1).next_power_of_two();
         HashGroup {
             entries: Vec::with_capacity(cap),
@@ -128,7 +128,7 @@ impl<K: Eq, A> HashGroup<K, A> {
     /// Merges `arg` into `key`'s accumulator, creating it with `insert`
     /// on first sight (the key is cloned only then). Returns `true` when
     /// an existing accumulator was merged into.
-    pub fn upsert<Q>(
+    pub(crate) fn upsert<Q>(
         &mut self,
         hash: u64,
         key: &K,
@@ -154,7 +154,7 @@ impl<K: Eq, A> HashGroup<K, A> {
 
     /// Like [`upsert`](Self::upsert) for an owned key: consumed on
     /// insertion, dropped on merge — the reduce side never clones keys.
-    pub fn upsert_owned<Q>(
+    pub(crate) fn upsert_owned<Q>(
         &mut self,
         hash: u64,
         key: K,
@@ -177,7 +177,7 @@ impl<K: Eq, A> HashGroup<K, A> {
 
     /// Where `key`'s entry sits, if present (the join probe side). Entries
     /// never move, so the position stays good for the life of the group.
-    pub fn find(&self, hash: u64, key: &K) -> Option<usize> {
+    pub(crate) fn find(&self, hash: u64, key: &K) -> Option<usize> {
         match self.table[self.probe(hash, key)] {
             EMPTY => None,
             e => Some(e as usize),
@@ -185,20 +185,20 @@ impl<K: Eq, A> HashGroup<K, A> {
     }
 
     /// The accumulator at a position [`find`](Self::find) returned.
-    pub fn acc_mut(&mut self, at: usize) -> &mut A {
+    pub(crate) fn acc_mut(&mut self, at: usize) -> &mut A {
         &mut self.entries[at].2
     }
 
     /// Entries as `(hash, key, accumulator)` in first-insertion order —
     /// the map side re-derives each entry's shuffle bucket from the
     /// stored hash without rehashing.
-    pub fn entries(&self) -> impl Iterator<Item = &(u64, K, A)> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &(u64, K, A)> {
         self.entries.iter()
     }
 
     /// Consumes the group, yielding `(key, accumulator)` pairs in
     /// first-insertion order.
-    pub fn into_pairs(mut self) -> impl Iterator<Item = (K, A)> {
+    pub(crate) fn into_pairs(mut self) -> impl Iterator<Item = (K, A)> {
         std::mem::take(&mut self.entries).into_iter().map(|(_, k, a)| (k, a))
     }
 }

@@ -12,25 +12,25 @@ use splitserve_des::SimDuration;
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkModel {
     /// Seconds per record for narrow operators (map/filter/flatMap).
-    pub record_secs: f64,
+    pub(crate) record_secs: f64,
     /// Seconds per byte scanned from a source dataset.
-    pub scan_secs_per_byte: f64,
+    pub(crate) scan_secs_per_byte: f64,
     /// Seconds per byte serialized into shuffle blocks.
-    pub ser_secs_per_byte: f64,
+    pub(crate) ser_secs_per_byte: f64,
     /// Seconds per byte deserialized from shuffle blocks.
-    pub deser_secs_per_byte: f64,
+    pub(crate) deser_secs_per_byte: f64,
     /// Seconds per record for combine/merge operators (reduceByKey, join).
-    pub combine_secs_per_record: f64,
+    pub(crate) combine_secs_per_record: f64,
     /// Fixed per-task overhead (scheduler hand-off, JVM dispatch).
-    pub task_overhead: SimDuration,
+    pub(crate) task_overhead: SimDuration,
     /// Memory-pressure fraction (working set / executor memory) above
     /// which GC starts to hurt.
-    pub gc_threshold: f64,
+    pub(crate) gc_threshold: f64,
     /// Strength of the GC slowdown beyond the threshold. The paper (§3)
     /// observes that Lambdas' small memory makes "garbage collection …
     /// pose significant overheads … even for moderately memory-intensive
     /// workloads".
-    pub gc_penalty: f64,
+    pub(crate) gc_penalty: f64,
 }
 
 impl Default for WorkModel {
@@ -55,17 +55,7 @@ impl WorkModel {
     /// Returns 1.0 below [`WorkModel::gc_threshold`], then grows
     /// super-linearly — matching the observed cliff when a JVM heap
     /// approaches full.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use splitserve_engine::WorkModel;
-    ///
-    /// let wm = WorkModel::default();
-    /// assert_eq!(wm.gc_factor(0.1), 1.0);
-    /// assert!(wm.gc_factor(0.9) > wm.gc_factor(0.5));
-    /// ```
-    pub fn gc_factor(&self, pressure: f64) -> f64 {
+    pub(crate) fn gc_factor(&self, pressure: f64) -> f64 {
         let over = (pressure - self.gc_threshold).max(0.0);
         1.0 + self.gc_penalty * over * over.sqrt()
     }
@@ -106,6 +96,13 @@ impl Default for EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gc_factor_is_flat_then_grows() {
+        let wm = WorkModel::default();
+        assert_eq!(wm.gc_factor(0.1), 1.0);
+        assert!(wm.gc_factor(0.9) > wm.gc_factor(0.5));
+    }
 
     #[test]
     fn gc_factor_is_one_below_threshold() {

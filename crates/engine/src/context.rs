@@ -105,7 +105,7 @@ impl TaskContext {
     ///
     /// Panics if the scheduler did not fetch that shuffle for this task —
     /// an engine invariant violation, not a user error.
-    pub fn shuffle_input(&mut self, id: ShuffleId) -> Vec<Bytes> {
+    pub(crate) fn shuffle_input(&mut self, id: ShuffleId) -> Vec<Bytes> {
         let Some((start, n)) = self.runs.take(id, self.blocks.len()) else {
             panic!("shuffle {id} not fetched for this task")
         };
@@ -114,11 +114,6 @@ impl TaskContext {
         } else {
             self.blocks.drain(start..start + n).collect()
         }
-    }
-
-    /// The work model in force (operators read its rates).
-    pub fn work_model(&self) -> &WorkModel {
-        &self.work
     }
 
     /// Charges raw CPU seconds (reference-core).
@@ -133,24 +128,24 @@ impl TaskContext {
     }
 
     /// Charges `n` records of combine/merge work.
-    pub fn charge_combine(&mut self, n: u64) {
+    pub(crate) fn charge_combine(&mut self, n: u64) {
         self.cpu_secs += n as f64 * self.work.combine_secs_per_record;
     }
 
     /// Charges a source scan of `n` bytes and counts them as task input.
-    pub fn charge_scan(&mut self, n: u64) {
+    pub(crate) fn charge_scan(&mut self, n: u64) {
         self.cpu_secs += n as f64 * self.work.scan_secs_per_byte;
         self.bytes_in += n;
     }
 
     /// Charges serialization of `n` bytes and counts them as task output.
-    pub fn charge_ser(&mut self, n: u64) {
+    pub(crate) fn charge_ser(&mut self, n: u64) {
         self.cpu_secs += n as f64 * self.work.ser_secs_per_byte;
         self.bytes_out += n;
     }
 
     /// Charges deserialization of `n` bytes.
-    pub fn charge_deser(&mut self, n: u64) {
+    pub(crate) fn charge_deser(&mut self, n: u64) {
         self.cpu_secs += n as f64 * self.work.deser_secs_per_byte;
     }
 
@@ -161,7 +156,7 @@ impl TaskContext {
 
     /// The task's working-set estimate in bytes (inputs + outputs), used
     /// for the GC-pressure model.
-    pub fn working_set_bytes(&self) -> u64 {
+    pub(crate) fn working_set_bytes(&self) -> u64 {
         self.bytes_in + self.bytes_out
     }
 
@@ -201,6 +196,13 @@ impl TaskContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TaskContext {
+        /// The work model in force (operators read its rates).
+        fn work_model(&self) -> &WorkModel {
+            &self.work
+        }
+    }
 
     #[test]
     fn charges_accumulate() {

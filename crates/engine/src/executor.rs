@@ -31,12 +31,6 @@ impl ExecutorId {
         self.0.as_str()
     }
 
-    /// The interned handle backing this id.
-    #[inline]
-    pub fn interned(&self) -> Interned {
-        self.0
-    }
-
     /// The dense `u32` symbol backing this id — index for sparse
     /// per-engine side tables.
     #[inline]
@@ -125,7 +119,7 @@ pub struct ExecutorDesc {
     pub memory_mb: u64,
     /// Core speed relative to a reference VM core (Lambdas get
     /// `memory / 1769 MB`, capped at one core).
-    pub core_speed: f64,
+    pub(crate) core_speed: f64,
 }
 
 impl ExecutorDesc {
@@ -156,7 +150,7 @@ impl ExecutorDesc {
     }
 
     /// The executor's location for block-store transfers.
-    pub fn client_loc(&self) -> ClientLoc {
+    pub(crate) fn client_loc(&self) -> ClientLoc {
         ClientLoc {
             nic: self.nic,
             disk: self.disk,
@@ -164,7 +158,7 @@ impl ExecutorDesc {
     }
 
     /// Memory in bytes.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         self.memory_mb * 1024 * 1024
     }
 }

@@ -14,7 +14,7 @@ use splitserve_obs::escape_json;
 use crate::events::{EngineEvent, EngineEventKind, TaskRef};
 
 /// How many of the most recent events a dump shows.
-pub const FLIGHT_TAIL: usize = 4096;
+pub(crate) const FLIGHT_TAIL: usize = 4096;
 
 /// The dump's `kind` and `fields` of one event, values already text.
 fn describe(kind: &EngineEventKind) -> (String, Vec<(&'static str, String)>) {
@@ -100,7 +100,7 @@ fn describe(kind: &EngineEventKind) -> (String, Vec<(&'static str, String)>) {
     (name.to_string(), fields)
 }
 
-/// Renders the last [`FLIGHT_TAIL`] of `events` as a replayable JSON
+/// Renders the last `FLIGHT_TAIL` of `events` as a replayable JSON
 /// snapshot: `{reason, repro, overwritten, events: [{t_us, kind,
 /// fields}]}`, every field value a string. `reason` says why the dump was
 /// taken; `repro` carries the deterministic replay line (e.g. a chaos

@@ -46,13 +46,12 @@ pub use events::{
     EngineEvent, EngineEventKind, EventLog, FailureKind, JobId, ShufflePhase, TaskRef,
 };
 pub use executor::{ExecutorDesc, ExecutorId, ExecutorKind};
-pub use flight::{flight_dump, FLIGHT_TAIL};
+pub use flight::flight_dump;
 pub use metrics::{JobMetrics, JobOutput};
 pub use node::{
     input_shuffles, Dep, NodeId, PartitionData, PlanNode, ShuffleBucket, ShuffleDep, ShuffleId,
 };
 pub use ops::{bucket_of, collect_partitions, Dataset, ShuffleKey, ShuffleValue};
-pub use ops_ext::{sample_sort_bounds, Cogrouped, SortKey};
+pub use ops_ext::sample_sort_bounds;
 pub use scheduler::{Engine, ExecutorInfo, LiveState};
 pub use stage::{build_stages, Stage, StageGraph, StageId, StageKind};
-pub use tracker::MapOutputTracker;

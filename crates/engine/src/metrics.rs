@@ -12,7 +12,7 @@ pub struct JobMetrics {
     /// The job.
     pub job: JobId,
     /// Submission instant.
-    pub submitted_at: SimTime,
+    pub(crate) submitted_at: SimTime,
     /// Completion instant.
     pub completed_at: SimTime,
     /// Total stages executed (including rollback resubmissions).

@@ -83,7 +83,8 @@ pub struct ShuffleBucket {
 /// partition, applies any map-side combine, partitions by key and
 /// serializes — returning one bucket per reduce partition. Charges its
 /// CPU work to the context.
-pub type Partitioner = Arc<dyn Fn(&mut TaskContext, PartitionData) -> Vec<ShuffleBucket> + Send + Sync>;
+pub(crate) type Partitioner =
+    Arc<dyn Fn(&mut TaskContext, PartitionData) -> Vec<ShuffleBucket> + Send + Sync>;
 
 /// A map task: the parent's rows of one partition streamed straight into
 /// the shuffle's map side.

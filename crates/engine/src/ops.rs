@@ -283,6 +283,8 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     }
 
     /// Pairs each record with a key.
+    ///
+    /// Test aid: only tests call this.
     pub fn key_by<K: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(&T) -> K + Send + Sync + 'static,

@@ -9,13 +9,9 @@ use std::sync::Arc;
 use crate::combine::HashGroup;
 use crate::ops::{decode_stream, fetched_records, wide, Dataset, ShuffleKey, ShuffleValue};
 
-/// A serializable record usable as a sort key with a total order.
-pub trait SortKey: ShuffleKey {}
-impl<K: ShuffleKey> SortKey for K {}
-
 /// The output of [`Dataset::cogroup`]: per key, the full value lists from
 /// both sides.
-pub type Cogrouped<K, V, W> = Dataset<(K, (Vec<V>, Vec<W>))>;
+pub(crate) type Cogrouped<K, V, W> = Dataset<(K, (Vec<V>, Vec<W>))>;
 
 impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     /// Counts all records (runs when the job executes; the count arrives
@@ -51,50 +47,6 @@ impl<T: Send + Sync + 'static> Dataset<(u8, T)> {
 }
 
 impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
-    /// Spark's `aggregateByKey`: per-key fold into an accumulator type
-    /// `A`, with map-side partial aggregation (`seq`) and reduce-side
-    /// accumulator merging (`comb`).
-    pub fn aggregate_by_key<A>(
-        &self,
-        partitions: usize,
-        init: A,
-        seq: impl Fn(&A, &V) -> A + Send + Sync + 'static,
-        comb: impl Fn(&A, &A) -> A + Send + Sync + 'static,
-    ) -> Dataset<(K, A)>
-    where
-        A: ShuffleValue,
-    {
-        // Map side: fold raw values into accumulators, then shuffle the
-        // (K, A) pairs with combiner `comb`.
-        let pre: Dataset<(K, A)> = self.map_partitions(move |ctx, records: &[(K, V)]| {
-            ctx.charge_combine(records.len() as u64);
-            // Group by reference: keys are cloned once per distinct key at
-            // the very end, not on every record.
-            let mut acc: HashGroup<&K, A> = HashGroup::with_capacity(records.len());
-            for (k, v) in records {
-                acc.upsert_owned(
-                    shuffle_hash(k),
-                    k,
-                    v,
-                    |v| seq(&init, v),
-                    |a, v| {
-                        let m = seq(a, v);
-                        *a = m;
-                    },
-                );
-            }
-            acc.into_pairs().map(|(k, a)| (k.clone(), a)).collect()
-        });
-        pre.reduce_by_key(partitions, comb)
-    }
-
-    /// Distinct keys (drops values), one record per key.
-    pub fn distinct_keys(&self, partitions: usize) -> Dataset<K> {
-        self.map(|(k, _)| (k.clone(), ()))
-            .reduce_by_key(partitions, |_, _| ())
-            .map(|(k, _)| k.clone())
-    }
-
     /// Spark's `cogroup`: for every key present on either side, the full
     /// value lists from both datasets.
     pub fn cogroup<W: ShuffleValue>(
@@ -179,6 +131,52 @@ mod tests {
     use crate::node::ShuffleDep;
     use crate::ops::tests::rows;
     use splitserve_rt::Bytes;
+
+    impl<K: ShuffleKey, V: ShuffleValue> Dataset<(K, V)> {
+        /// Distinct keys (drops values), one record per key.
+        fn distinct_keys(&self, partitions: usize) -> Dataset<K> {
+            self.map(|(k, _)| (k.clone(), ()))
+                .reduce_by_key(partitions, |_, _| ())
+                .map(|(k, _)| k.clone())
+        }
+
+        /// Spark's `aggregateByKey`: per-key fold into an accumulator type
+        /// `A`, with map-side partial aggregation (`seq`) and reduce-side
+        /// accumulator merging (`comb`).
+        pub(crate) fn aggregate_by_key<A>(
+            &self,
+            partitions: usize,
+            init: A,
+            seq: impl Fn(&A, &V) -> A + Send + Sync + 'static,
+            comb: impl Fn(&A, &A) -> A + Send + Sync + 'static,
+        ) -> Dataset<(K, A)>
+        where
+            A: ShuffleValue,
+        {
+            // Map side: fold raw values into accumulators, then shuffle the
+            // (K, A) pairs with combiner `comb`.
+            let pre: Dataset<(K, A)> = self.map_partitions(move |ctx, records: &[(K, V)]| {
+                ctx.charge_combine(records.len() as u64);
+                // Group by reference: keys are cloned once per distinct key at
+                // the very end, not on every record.
+                let mut acc: HashGroup<&K, A> = HashGroup::with_capacity(records.len());
+                for (k, v) in records {
+                    acc.upsert_owned(
+                        shuffle_hash(k),
+                        k,
+                        v,
+                        |v| seq(&init, v),
+                        |a, v| {
+                            let m = seq(a, v);
+                            *a = m;
+                        },
+                    );
+                }
+                acc.into_pairs().map(|(k, a)| (k.clone(), a)).collect()
+            });
+            pre.reduce_by_key(partitions, comb)
+        }
+    }
 
     /// Runs an arbitrary one-or-two-shuffle plan to completion by hand.
     fn run_plan<T: Clone + Send + Sync + 'static>(ds: &Dataset<T>) -> Vec<T> {

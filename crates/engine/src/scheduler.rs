@@ -427,14 +427,17 @@ impl Inner {
             .execs_by_name
             .partition_point(|&s| self.execs[s as usize].desc.id < id);
         self.execs_by_name.insert(pos, slot);
-        // Every later position moved up by one: renumber. Registration is
-        // rare next to dispatch.
+        // Positions from `pos` on moved up by one: renumber them and
+        // re-derive their `idle` bits. Positions before `pos` keep theirs,
+        // so a deploy-built Lambda (`lambda-{n:04}`, which sorts last)
+        // touches one position.
         self.name_pos.resize(self.execs.len(), 0);
-        self.idle.clear();
-        for (pos, &slot) in self.execs_by_name.iter().enumerate() {
+        for (pos, &slot) in self.execs_by_name.iter().enumerate().skip(pos) {
             self.name_pos[slot as usize] = pos as u32;
             if self.execs[slot as usize].takes_tasks() {
                 self.idle.insert(pos);
+            } else {
+                self.idle.remove(pos);
             }
         }
         true
@@ -755,6 +758,8 @@ impl Engine {
     }
 
     /// How much per-work state is held right now (see [`LiveState`]).
+    ///
+    /// Test aid: only tests call this.
     pub fn live_state(&self) -> LiveState {
         let inner = self.shared.inner.borrow();
         LiveState {
@@ -831,6 +836,8 @@ impl Engine {
     }
 
     /// Whether any submitted job has not completed yet.
+    ///
+    /// Test aid: only tests call this.
     pub fn has_active_jobs(&self) -> bool {
         !self.shared.inner.borrow().active.is_empty()
     }

@@ -97,6 +97,8 @@ impl StageGraph {
 
     /// The stages whose shuffle output stage `id` reads: the producers of
     /// its input shuffles, in the same order.
+    ///
+    /// Test aid: only tests call this.
     pub fn parents(&self, id: StageId) -> impl Iterator<Item = StageId> + '_ {
         self.stage(id).input_shuffles.iter().map(|dep| {
             self.producer_of(dep.id)

@@ -160,7 +160,7 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    pub fn new(obs: Obs, log: EventLog, store: &str) -> Self {
+    pub(crate) fn new(obs: Obs, log: EventLog, store: &str) -> Self {
         Telemetry {
             h: Handles::resolve(&obs, store),
             obs,
@@ -169,16 +169,16 @@ impl Telemetry {
         }
     }
 
-    pub fn obs(&self) -> &Obs {
+    pub(crate) fn obs(&self) -> &Obs {
         &self.obs
     }
 
-    pub fn log(&self) -> &EventLog {
+    pub(crate) fn log(&self) -> &EventLog {
         &self.log
     }
 
     /// A job's metrics block, shared rather than cloned.
-    pub fn job_metrics(&self, job: JobId) -> Option<Arc<JobMetrics>> {
+    pub(crate) fn job_metrics(&self, job: JobId) -> Option<Arc<JobMetrics>> {
         self.jobs.borrow().get(job.0 as usize).cloned()
     }
 
@@ -191,7 +191,7 @@ impl Telemetry {
     /// body's context at the join, on the simulation thread, so the series
     /// fill in join order at every worker count. A recorder call, not a
     /// logged event: it feeds the registry only.
-    pub fn record_body(&self, body: &TaskContext) {
+    pub(crate) fn record_body(&self, body: &TaskContext) {
         if body.bytes_out() > 0 {
             self.h.shuffle_encode_bytes.add(body.bytes_out());
         }
@@ -205,7 +205,7 @@ impl Telemetry {
     /// answer, and its outcome — `Some(bytes moved)` for an `Ok`, `None`
     /// for any `Err`, which moves no bytes. A recorder call like
     /// [`Telemetry::record_body`].
-    pub fn record_store_op(&self, op: StoreOp, latency: SimDuration, moved: Option<u64>) {
+    pub(crate) fn record_store_op(&self, op: StoreOp, latency: SimDuration, moved: Option<u64>) {
         let (h, i) = (&self.h, op as usize);
         let secs = latency.as_secs_f64();
         h.store_op_seconds_hist[i].observe(secs);
@@ -220,12 +220,12 @@ impl Telemetry {
     }
 
     /// Records that the store was told an executor is gone.
-    pub fn record_store_executor_loss(&self) {
+    pub(crate) fn record_store_executor_loss(&self) {
         self.h.store_executor_losses.inc();
     }
 
     /// Reports an occurrence that neither continues nor opens a span.
-    pub fn emit(&self, at: SimTime, event: EngineEventKind) {
+    pub(crate) fn emit(&self, at: SimTime, event: EngineEventKind) {
         self.emit_span(at, SpanId::NONE, event);
     }
 
@@ -234,7 +234,7 @@ impl Telemetry {
     /// it, so a block landing after its attempt died still finds its
     /// span); the return value is the token of the span the event opens.
     /// Both are [`SpanId::NONE`] for events without one.
-    pub fn emit_span(&self, at: SimTime, span: SpanId, event: EngineEventKind) -> SpanId {
+    pub(crate) fn emit_span(&self, at: SimTime, span: SpanId, event: EngineEventKind) -> SpanId {
         use EngineEventKind as E;
         let (h, spans) = (&self.h, &self.obs.spans);
         let mut opened = SpanId::NONE;

@@ -46,20 +46,20 @@ impl MapOutputs {
 /// ([`MapOutputTracker::forget_shuffle`]) once no live job and no
 /// caller-held `Dataset` can reach the shuffle's dependency any more.
 #[derive(Debug, Default)]
-pub struct MapOutputTracker {
+pub(crate) struct MapOutputTracker {
     shuffles: FastMap<ShuffleId, MapOutputs>,
 }
 
 impl MapOutputTracker {
     /// An empty tracker.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MapOutputTracker::default()
     }
 
     /// Registers a shuffle of `maps` map partitions into `reduces` reduce
     /// partitions. Registering a known shuffle again keeps its outputs and
     /// marks it [shared](MapOutputTracker::is_shared).
-    pub fn register_shuffle(&mut self, id: ShuffleId, maps: usize, reduces: usize) {
+    pub(crate) fn register_shuffle(&mut self, id: ShuffleId, maps: usize, reduces: usize) {
         self.shuffles
             .entry(id)
             .and_modify(|outputs| outputs.shared = true)
@@ -72,26 +72,21 @@ impl MapOutputTracker {
             });
     }
 
-    /// `true` if the shuffle is known.
-    pub fn has_shuffle(&self, id: ShuffleId) -> bool {
-        self.shuffles.contains_key(&id)
-    }
-
     /// Whether shuffle `id` was registered more than once since it was
     /// last forgotten — by two jobs over one `Dataset`, whose map tasks
     /// may then register outputs the other job still has queued.
-    pub fn is_shared(&self, id: ShuffleId) -> bool {
+    pub(crate) fn is_shared(&self, id: ShuffleId) -> bool {
         self.shuffles.get(&id).is_some_and(|outputs| outputs.shared)
     }
 
     /// Drops everything known about shuffle `id`; registering it again
     /// starts from no outputs.
-    pub fn forget_shuffle(&mut self, id: ShuffleId) {
+    pub(crate) fn forget_shuffle(&mut self, id: ShuffleId) {
         self.shuffles.remove(&id);
     }
 
     /// Number of shuffles currently tracked.
-    pub fn shuffle_count(&self) -> usize {
+    pub(crate) fn shuffle_count(&self) -> usize {
         self.shuffles.len()
     }
 
@@ -102,7 +97,7 @@ impl MapOutputTracker {
     ///
     /// Panics if the shuffle or map index is unknown, or `sizes` does not
     /// hold one entry per reduce partition.
-    pub fn register_output(
+    pub(crate) fn register_output(
         &mut self,
         id: ShuffleId,
         map: usize,
@@ -123,12 +118,12 @@ impl MapOutputTracker {
 
     /// Map partitions of `id` with registered output (0 for an unknown
     /// shuffle).
-    pub fn registered(&self, id: ShuffleId) -> usize {
+    pub(crate) fn registered(&self, id: ShuffleId) -> usize {
         self.shuffles.get(&id).map_or(0, |outputs| outputs.registered)
     }
 
     /// Whether every map partition of `id` has registered output.
-    pub fn is_complete(&self, id: ShuffleId) -> bool {
+    pub(crate) fn is_complete(&self, id: ShuffleId) -> bool {
         self.shuffles
             .get(&id)
             .is_some_and(|outputs| outputs.registered == outputs.writers.len())
@@ -136,7 +131,7 @@ impl MapOutputTracker {
 
     /// Map partitions of `id` with no (surviving) output, ascending (none
     /// for an unknown shuffle).
-    pub fn missing(&self, id: ShuffleId) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn missing(&self, id: ShuffleId) -> impl Iterator<Item = usize> + '_ {
         self.shuffles
             .get(&id)
             .into_iter()
@@ -154,7 +149,7 @@ impl MapOutputTracker {
     /// Panics if the shuffle is unknown or incomplete — stages are only
     /// launched once their parents finished, so this is an engine
     /// invariant.
-    pub fn inputs_for_reduce_into(
+    pub(crate) fn inputs_for_reduce_into(
         &self,
         id: ShuffleId,
         reduce: usize,
@@ -173,7 +168,7 @@ impl MapOutputTracker {
 
     /// Whether `executor` currently holds any registered output of shuffle
     /// `id` — i.e. whether losing it would leave the shuffle incomplete.
-    pub fn has_outputs_from(&self, id: ShuffleId, executor: &ExecutorId) -> bool {
+    pub(crate) fn has_outputs_from(&self, id: ShuffleId, executor: &ExecutorId) -> bool {
         self.shuffles
             .get(&id)
             .is_some_and(|outputs| outputs.writers.contains(&Some(*executor)))
@@ -181,7 +176,7 @@ impl MapOutputTracker {
 
     /// Forgets every output written by `executor` (its local blocks died
     /// with it). Returns the shuffles that lost outputs, with how many.
-    pub fn unregister_executor(&mut self, executor: &ExecutorId) -> Vec<(ShuffleId, usize)> {
+    pub(crate) fn unregister_executor(&mut self, executor: &ExecutorId) -> Vec<(ShuffleId, usize)> {
         let mut affected = Vec::new();
         for (id, outputs) in &mut self.shuffles {
             let mut lost = 0;
@@ -199,26 +194,33 @@ impl MapOutputTracker {
     }
 
     /// Forgets one map output (after a fetch failure pinpointed it).
-    pub fn unregister_output(&mut self, id: ShuffleId, map: usize) {
+    pub(crate) fn unregister_output(&mut self, id: ShuffleId, map: usize) {
         if let Some(outputs) = self.shuffles.get_mut(&id) {
             outputs.unregister(map);
         }
-    }
-
-    /// Total bytes registered for shuffle `id` (for metrics).
-    pub fn shuffle_bytes(&self, id: ShuffleId) -> u64 {
-        self.shuffles.get(&id).map_or(0, |outputs| {
-            (0..outputs.writers.len())
-                .filter(|&map| outputs.writers[map].is_some())
-                .map(|map| outputs.row(map).iter().sum::<u64>())
-                .sum()
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MapOutputTracker {
+        /// Total bytes registered for shuffle `id` (for metrics).
+        fn shuffle_bytes(&self, id: ShuffleId) -> u64 {
+            self.shuffles.get(&id).map_or(0, |outputs| {
+                (0..outputs.writers.len())
+                    .filter(|&map| outputs.writers[map].is_some())
+                    .map(|map| outputs.row(map).iter().sum::<u64>())
+                    .sum()
+            })
+        }
+
+        /// `true` if the shuffle is known.
+        fn has_shuffle(&self, id: ShuffleId) -> bool {
+            self.shuffles.contains_key(&id)
+        }
+    }
 
     fn register(t: &mut MapOutputTracker, s: ShuffleId, map: usize, exec: &str, sizes: &[u64]) {
         t.register_output(s, map, ExecutorId::new(exec), sizes.iter().copied());

@@ -21,12 +21,12 @@ use std::collections::BTreeMap;
 
 /// Default relative-accuracy parameter: reported quantiles are within
 /// 1% of an exact order statistic.
-pub const DEFAULT_DIGEST_ALPHA: f64 = 0.01;
+pub(crate) const DEFAULT_DIGEST_ALPHA: f64 = 0.01;
 
 /// Magnitudes at or below this collapse into the exact zero bucket; the
 /// sketch does not distinguish sub-nanosecond (virtual) latencies from
 /// zero.
-pub const MIN_TRACKABLE: f64 = 1e-9;
+pub(crate) const MIN_TRACKABLE: f64 = 1e-9;
 
 /// A mergeable, deterministic streaming quantile sketch.
 ///
@@ -205,6 +205,8 @@ impl QuantileDigest {
     /// Two digests over the same multiset of values — regardless of
     /// recording order, sharding, or merge order — serialize to identical
     /// bytes.
+    ///
+    /// Test aid: only tests call this.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 12 * (self.pos.len() + self.neg.len()));
         out.extend_from_slice(&self.alpha.to_bits().to_le_bytes());

@@ -160,7 +160,7 @@ impl SloLedger {
     }
 
     /// Jobs recorded across **all** tenants.
-    pub fn fleet_jobs(&self) -> u64 {
+    pub(crate) fn fleet_jobs(&self) -> u64 {
         self.tenants.values().map(|t| t.points.len() as u64).sum()
     }
 
@@ -174,22 +174,6 @@ impl SloLedger {
         }
         let met: u64 = self.tenants.values().map(|t| t.met).sum();
         met as f64 / total as f64
-    }
-
-    /// Every tenant's latency digest merged into one fleet digest (the
-    /// merge is exactly commutative and associative, so the result does
-    /// not depend on tenant order). `None` if no job was recorded.
-    pub fn fleet_latency_digest(&self) -> Option<QuantileDigest> {
-        let mut acc: Option<QuantileDigest> = None;
-        for t in self.tenants.values() {
-            if let Some(d) = &t.latency {
-                match &mut acc {
-                    Some(a) => a.merge(d),
-                    None => acc = Some(d.clone()),
-                }
-            }
-        }
-        acc
     }
 }
 
@@ -250,20 +234,40 @@ impl BillLedger {
     pub fn tenants(&self) -> Vec<TenantId> {
         self.tenants.keys().cloned().collect()
     }
-
-    /// Total spend across **all** tenants.
-    pub fn fleet_total(&self) -> f64 {
-        self.tenants
-            .values()
-            .filter_map(|p| p.last())
-            .map(|p| p.cumulative_usd)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BillLedger {
+        /// Total spend across **all** tenants.
+        fn fleet_total(&self) -> f64 {
+            self.tenants
+                .values()
+                .filter_map(|p| p.last())
+                .map(|p| p.cumulative_usd)
+                .sum()
+        }
+    }
+
+    impl SloLedger {
+        /// Every tenant's latency digest merged into one fleet digest (the
+        /// merge is exactly commutative and associative, so the result does
+        /// not depend on tenant order). `None` if no job was recorded.
+        fn fleet_latency_digest(&self) -> Option<QuantileDigest> {
+            let mut acc: Option<QuantileDigest> = None;
+            for t in self.tenants.values() {
+                if let Some(d) = &t.latency {
+                    match &mut acc {
+                        Some(a) => a.merge(d),
+                        None => acc = Some(d.clone()),
+                    }
+                }
+            }
+            acc
+        }
+    }
 
     #[test]
     fn default_tenant_is_default() {

@@ -59,11 +59,10 @@ mod span;
 mod timeseries;
 
 pub use chrome::escape_json;
-pub use digest::{QuantileDigest, DEFAULT_DIGEST_ALPHA, MIN_TRACKABLE};
+pub use digest::QuantileDigest;
 pub use ledger::{BillLedger, BillPoint, SloLedger, SloPoint, TenantId};
 pub use registry::{
     CounterHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry, QuantileHandle,
-    DEFAULT_LATENCY_BUCKETS,
 };
 pub use span::{Span, SpanId, SpanRecorder};
 pub use timeseries::{RollupHandle, Rollups, WindowSnapshot};

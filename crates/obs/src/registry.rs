@@ -15,7 +15,7 @@ use crate::digest::QuantileDigest;
 /// Default histogram buckets for operation latencies in (virtual)
 /// seconds — spanning sub-millisecond block-store round-trips up to
 /// minute-scale VM boots.
-pub const DEFAULT_LATENCY_BUCKETS: &[f64] = &[
+pub(crate) const DEFAULT_LATENCY_BUCKETS: &[f64] = &[
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 ];
 
@@ -54,7 +54,7 @@ impl<T> Default for Family<T> {
 
 impl<T> Family<T> {
     /// The slot of `key`, creating its cell with `birth` the first time.
-    pub fn resolve(&mut self, key: MetricKey, birth: impl FnOnce() -> T) -> usize {
+    pub(crate) fn resolve(&mut self, key: MetricKey, birth: impl FnOnce() -> T) -> usize {
         let cells = &mut self.cells;
         *self.index.entry(key).or_insert_with(|| {
             cells.push((false, birth()));
@@ -64,21 +64,21 @@ impl<T> Family<T> {
 
     /// The cell of `slot`, marked recorded.
     #[inline]
-    pub fn record(&mut self, slot: usize) -> &mut T {
+    pub(crate) fn record(&mut self, slot: usize) -> &mut T {
         let cell = &mut self.cells[slot];
         cell.0 = true;
         &mut cell.1
     }
 
     /// The cell of `key`, if anything was recorded into it.
-    pub fn get(&self, key: &MetricKey) -> Option<&T> {
+    pub(crate) fn get(&self, key: &MetricKey) -> Option<&T> {
         self.index
             .get(key)
             .and_then(|&slot| self.cells[slot].0.then_some(&self.cells[slot].1))
     }
 
     /// Every recorded series, in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&MetricKey, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&MetricKey, &T)> {
         self.index
             .iter()
             .filter_map(|(key, &slot)| self.cells[slot].0.then_some((key, &self.cells[slot].1)))
@@ -138,9 +138,9 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Default)]
 pub(crate) struct RegistryInner {
     pub counters: Family<u64>,
-    pub gauges: BTreeMap<MetricKey, f64>,
+    pub(crate) gauges: BTreeMap<MetricKey, f64>,
     pub histograms: Family<Histogram>,
-    pub digests: Family<QuantileDigest>,
+    pub(crate) digests: Family<QuantileDigest>,
 }
 
 type Shared = Rc<RefCell<RegistryInner>>;
@@ -244,6 +244,8 @@ impl MetricsRegistry {
     }
 
     /// Current value of a counter (zero if never touched or disabled).
+    ///
+    /// Test aid: only tests call this.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
         inner
@@ -266,12 +268,6 @@ impl MetricsRegistry {
         inner.borrow_mut().gauges.insert(key(name, labels), value);
     }
 
-    /// Current value of a gauge, if it was ever set.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let inner = self.inner.as_ref()?;
-        inner.borrow().gauges.get(&key(name, labels)).copied()
-    }
-
     /// Snapshot of one histogram, if anything was observed into it.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
         let inner = self.inner.as_ref()?.borrow();
@@ -285,7 +281,7 @@ impl MetricsRegistry {
     }
 
     /// Resolves the histogram `name{labels}` (with
-    /// [`DEFAULT_LATENCY_BUCKETS`] if this is its first resolution) to a
+    /// `DEFAULT_LATENCY_BUCKETS` if this is its first resolution) to a
     /// reusable [`HistogramHandle`].
     pub fn histogram_handle(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
         self.histogram_handle_with(name, labels, DEFAULT_LATENCY_BUCKETS)
@@ -310,7 +306,7 @@ impl MetricsRegistry {
     }
 
     /// Resolves the streaming quantile digest `name{labels}` (with
-    /// [`crate::DEFAULT_DIGEST_ALPHA`]) to a reusable [`QuantileHandle`].
+    /// `DEFAULT_DIGEST_ALPHA`) to a reusable [`QuantileHandle`].
     /// Unlike a histogram, the digest answers arbitrary quantiles within a
     /// documented relative error.
     pub fn quantile_handle(&self, name: &str, labels: &[(&str, &str)]) -> QuantileHandle {
@@ -319,6 +315,8 @@ impl MetricsRegistry {
 
     /// A copy of the digest for `name{labels}`, if anything was recorded.
     /// It depends only on the recorded multiset, not on recording order.
+    ///
+    /// Test aid: only tests call this.
     pub fn quantile_digest(&self, name: &str, labels: &[(&str, &str)]) -> Option<QuantileDigest> {
         let inner = self.inner.as_ref()?.borrow();
         inner.digests.get(&key(name, labels)).cloned()
@@ -346,6 +344,14 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MetricsRegistry {
+        /// Current value of a gauge, if it was ever set.
+        fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+            let inner = self.inner.as_ref()?;
+            inner.borrow().gauges.get(&key(name, labels)).copied()
+        }
+    }
 
     #[test]
     fn disabled_registry_is_inert() {

@@ -48,7 +48,7 @@ pub struct Span {
 
 /// An instant event — zero-duration marker on a track.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Instant {
+pub(crate) struct Instant {
     pub(crate) lane: &'static str,
     pub(crate) track: &'static str,
     pub(crate) name: Cow<'static, str>,
@@ -166,6 +166,8 @@ impl SpanRecorder {
     }
 
     /// Number of spans still open.
+    ///
+    /// Test aid: only tests call this.
     pub fn open_spans(&self) -> usize {
         match &self.inner {
             Some(inner) => inner.borrow().spans.iter().filter(|s| s.end.is_none()).count(),
@@ -185,6 +187,8 @@ impl SpanRecorder {
     /// the sort guarantees every earlier-starting overlapper is on the
     /// stack. The old all-pairs scan made trace validation quadratic in
     /// span count, which dominated verify time on wide chaos runs.
+    ///
+    /// Test aid: only tests call this.
     pub fn nesting_violation(&self) -> Option<(String, String)> {
         let mut spans = self.finished_spans();
         spans.sort_by(|a, b| {

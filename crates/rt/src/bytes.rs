@@ -53,6 +53,8 @@ impl Bytes {
     }
 
     /// Wraps a static byte string.
+    ///
+    /// Test aid: only tests call this.
     pub fn from_static(bytes: &'static [u8]) -> Bytes {
         Bytes::from(bytes.to_vec())
     }

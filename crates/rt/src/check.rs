@@ -24,12 +24,14 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use crate::rng::Rng;
 
 /// Environment variable that replays a single failing case by seed.
-pub const SEED_ENV: &str = "SPLITSERVE_CHECK_SEED";
+pub(crate) const SEED_ENV: &str = "SPLITSERVE_CHECK_SEED";
 
 /// A source of random test inputs for one property case.
 ///
 /// Wraps an [`Rng`] with generation helpers for the shapes the suites
 /// need: bounded collections, strings and free-form scalars.
+///
+/// Test aid: only property tests use a `Gen` and its generators.
 #[derive(Debug)]
 pub struct Gen {
     rng: Rng,
@@ -37,7 +39,7 @@ pub struct Gen {
 
 impl Gen {
     /// A generator for case seed `seed`.
-    pub fn from_seed(seed: u64) -> Gen {
+    pub(crate) fn from_seed(seed: u64) -> Gen {
         Gen {
             rng: Rng::seed_from_u64(seed),
         }
@@ -135,7 +137,7 @@ fn name_seed(name: &str) -> u64 {
 ///
 /// Each case gets a fresh [`Gen`] whose seed is derived from the property
 /// name and case index. If the property panics, the harness reports the
-/// case seed and re-raises the panic; setting [`SEED_ENV`] replays exactly
+/// case seed and re-raises the panic; setting `SEED_ENV` replays exactly
 /// that one case.
 ///
 /// # Panics

@@ -17,7 +17,7 @@
 //! values in this module's tests; changing them is a wire-format break.
 //!
 //! [`shuffle_hash`] is the one entry point the engine uses: XXH64 with
-//! the fixed [`SHUFFLE_HASH_SEED`], so every map task of every run places
+//! the fixed `SHUFFLE_HASH_SEED`, so every map task of every run places
 //! a given key in the same bucket.
 
 use std::hash::{Hash, Hasher};
@@ -25,7 +25,7 @@ use std::hash::{Hash, Hasher};
 /// The fixed seed every shuffle hash uses (`b"SPLITSRV"` as a big-endian
 /// integer). Changing it re-partitions every shuffle and invalidates all
 /// recorded benchmark trajectories.
-pub const SHUFFLE_HASH_SEED: u64 = 0x53504c4954535256;
+pub(crate) const SHUFFLE_HASH_SEED: u64 = 0x53504c4954535256;
 
 const P1: u64 = 0x9e37_79b1_85eb_ca87;
 const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -178,7 +178,7 @@ impl Hasher for XxHash64 {
     }
 }
 
-/// Hashes one value with XXH64 under the fixed [`SHUFFLE_HASH_SEED`] —
+/// Hashes one value with XXH64 under the fixed `SHUFFLE_HASH_SEED` —
 /// the hash every shuffle bucket decision derives from.
 ///
 /// A key goes to reduce partition `hash % P`, so all keys one reduce task
@@ -220,6 +220,8 @@ pub fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
 /// equals `pin`. The message names the artifact and carries the new
 /// digest and length, so a deliberate byte change is one copy-paste and
 /// an accidental one says what moved.
+///
+/// Test aid: only tests call this.
 #[track_caller]
 pub fn assert_pinned(name: &str, bytes: &[u8], pin: u64) {
     let got = xxh64(0, bytes);

@@ -90,12 +90,6 @@ impl Interned {
         self.0
     }
 
-    /// Rebuilds a handle from a symbol previously obtained via [`Interned::sym`].
-    #[inline]
-    pub fn from_sym(sym: u32) -> Interned {
-        Interned(sym)
-    }
-
     /// The interned name. O(1) table lookup behind an uncontended read lock.
     #[inline]
     pub fn as_str(self) -> &'static str {
@@ -167,7 +161,7 @@ mod tests {
     fn resolves_roundtrip() {
         let a = Interned::new("intern-test-roundtrip");
         assert_eq!(a.as_str(), "intern-test-roundtrip");
-        assert_eq!(Interned::from_sym(a.sym()), a);
+        assert_eq!(Interned(a.sym()), a);
         assert_eq!(resolve(intern("intern-test-roundtrip")), "intern-test-roundtrip");
     }
 

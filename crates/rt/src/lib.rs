@@ -27,7 +27,7 @@
 //!   lists that hold them and hash-table indexes, so a task body
 //!   allocates little beyond what it hands on.
 //! * [`worker`] — a fixed-size worker-thread pool the engine offloads
-//!   task bodies onto; [`rng::derive_seed`] is the per-task seeding rule
+//!   task bodies onto; `rng::derive_seed` is the per-task seeding rule
 //!   that keeps those bodies deterministic wherever they run.
 //! * [`intern`] — a process-wide string interner handing out copyable
 //!   `u32` symbols ([`Interned`]); executor ids and other hot-loop names

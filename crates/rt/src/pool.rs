@@ -21,9 +21,9 @@
 //! - the free lists are **thread-local and lock-free**: with task
 //!   bodies running on a worker pool, every worker recycles its own
 //!   vectors and shares nothing with any other thread;
-//! - the vectors a thread retains hold at most [`POOL_BUDGET_BYTES`] of
+//! - the vectors a thread retains hold at most `POOL_BUDGET_BYTES` of
 //!   capacity between them, kept as a running total, and none more than
-//!   [`MAX_BUFFER_CAPACITY`] bytes, so a one-off giant record cannot pin
+//!   `MAX_BUFFER_CAPACITY` bytes, so a one-off giant record cannot pin
 //!   memory forever. The bound is on bytes, not vectors: a map task with
 //!   64 small buckets runs entirely on pooled scratch, and a thread never
 //!   pins more than the budget however its vectors are sized.
@@ -36,11 +36,11 @@ use std::cell::RefCell;
 
 /// Most bytes of capacity the pool retains per thread, summed over its
 /// vectors of every element type.
-pub const POOL_BUDGET_BYTES: usize = 64 << 20;
+pub(crate) const POOL_BUDGET_BYTES: usize = 64 << 20;
 
 /// Largest vector, in bytes of capacity, the pool will retain (larger
 /// ones are dropped on `give` and fall back to the allocator).
-pub const MAX_BUFFER_CAPACITY: usize = 8 << 20;
+pub(crate) const MAX_BUFFER_CAPACITY: usize = 8 << 20;
 
 /// One thread's free lists and the bytes of capacity they hold.
 struct Pool {

@@ -50,18 +50,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// `Rng::seed_from_u64(derive_seed(s, p))`, which is a pure function of
 /// `(s, p)` — the same stream whether the task runs inline, on any
 /// worker thread, or is recomputed after a failure.
-///
-/// # Examples
-///
-/// ```
-/// use splitserve_rt::rng::derive_seed;
-///
-/// assert_eq!(derive_seed(7, 3), derive_seed(7, 3));
-/// assert_ne!(derive_seed(7, 3), derive_seed(7, 4));
-/// assert_ne!(derive_seed(7, 3), derive_seed(8, 3));
-/// ```
 #[inline]
-pub fn derive_seed(seed: u64, stream: u64) -> u64 {
+pub(crate) fn derive_seed(seed: u64, stream: u64) -> u64 {
     let mut z = seed
         .wrapping_add(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(stream.wrapping_mul(0xbf58_476d_1ce4_e5b9));
@@ -73,7 +63,7 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
 impl Rng {
     /// Creates a generator for stream `stream` of base seed `seed` —
     /// shorthand for `seed_from_u64(derive_seed(seed, stream))`, the
-    /// per-task seeding rule (see [`derive_seed`]).
+    /// per-task seeding rule (see `derive_seed`).
     pub fn for_stream(seed: u64, stream: u64) -> Rng {
         Rng::seed_from_u64(derive_seed(seed, stream))
     }
@@ -110,7 +100,7 @@ impl Rng {
 
     /// The next 32 uniformly random bits (high half of [`Self::next_u64`]).
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
@@ -137,16 +127,6 @@ impl Rng {
     #[inline]
     pub fn gen_range<T: SampleUniform>(&mut self, range: Range<T>) -> T {
         T::sample_range(self, range.start, range.end)
-    }
-
-    /// `true` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        self.next_f64() < p
     }
 
     /// An unbiased uniform integer in `[0, bound)` (Lemire's method with
@@ -281,6 +261,25 @@ uniform_float!(f32, f64);
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Rng {
+        /// `true` with probability `p`.
+        ///
+        /// # Panics
+        ///
+        /// Panics unless `0.0 <= p <= 1.0`.
+        fn gen_bool(&mut self, p: f64) -> bool {
+            assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+            self.next_f64() < p
+        }
+    }
+
+    #[test]
+    fn derive_seed_is_a_pure_function_of_seed_and_stream() {
+        assert_eq!(derive_seed(7, 3), derive_seed(7, 3));
+        assert_ne!(derive_seed(7, 3), derive_seed(7, 4));
+        assert_ne!(derive_seed(7, 3), derive_seed(8, 3));
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -53,6 +53,8 @@ impl BlockId {
     }
 
     /// An arbitrary named block.
+    ///
+    /// Test aid: only tests call this.
     pub fn named(executor: impl Into<Interned>, name: impl Into<BlockName>) -> Self {
         BlockId {
             executor: executor.into(),
@@ -109,6 +111,8 @@ pub struct ClientLoc {
 
 impl ClientLoc {
     /// A client with only a network link (e.g. a Lambda).
+    ///
+    /// Test aid: only tests call this.
     pub fn net(nic: LinkId) -> Self {
         ClientLoc {
             nic: Some(nic),

@@ -109,12 +109,6 @@ impl StoreFaults {
         self.inner.borrow().ops_delayed
     }
 
-    /// Total faults injected so far (failures + delays).
-    pub fn total_injected(&self) -> u64 {
-        let s = self.inner.borrow();
-        s.gets_failed + s.puts_failed + s.ops_delayed
-    }
-
     /// Decides the fate of the next `get`: `Err` with its ordinal if it
     /// must fail, otherwise the extra latency to apply (possibly zero).
     fn next_get(&self, now: SimTime) -> Result<SimDuration, u64> {
@@ -280,6 +274,14 @@ mod tests {
     use super::*;
     use crate::LocalDiskStore;
     use splitserve_des::Fabric;
+
+    impl StoreFaults {
+        /// Total faults injected so far (failures + delays).
+        fn total_injected(&self) -> u64 {
+            let s = self.inner.borrow();
+            s.gets_failed + s.puts_failed + s.ops_delayed
+        }
+    }
 
     fn rig(faults: StoreFaults) -> (Sim, SharedStore, ClientLoc) {
         let fabric = Fabric::new();

@@ -18,7 +18,7 @@ use crate::store::{Admitted, Request, Store, Substrate};
 #[derive(Debug, Clone)]
 pub struct HdfsSpec {
     /// Namenode metadata round-trip latency in seconds.
-    pub namenode_latency: Dist,
+    pub(crate) namenode_latency: Dist,
 }
 
 impl Default for HdfsSpec {
@@ -56,8 +56,7 @@ pub struct Hdfs {
 /// let nic = fabric.add_link(93.75e6, "master-nic");  // 750 Mbps
 /// let ebs = fabric.add_link(93.75e6, "master-ebs");
 /// let hdfs = HdfsStore::new(HdfsSpec::default(), fabric);
-/// hdfs.add_datanode(nic, ebs);
-/// assert_eq!(hdfs.datanode_count(), 1);
+/// assert_eq!(hdfs.add_datanode(nic, ebs), 0); // the first datanode
 /// ```
 pub type HdfsStore = Store<Hdfs>;
 
@@ -78,11 +77,6 @@ impl Store<Hdfs> {
         let mut model = self.model();
         model.datanodes.push(DataNode { nic, disk });
         model.datanodes.len() - 1
-    }
-
-    /// Number of datanodes registered.
-    pub fn datanode_count(&self) -> usize {
-        self.model().datanodes.len()
     }
 }
 

@@ -35,7 +35,7 @@ pub use hdfs::{HdfsSpec, HdfsStore};
 pub use local::LocalDiskStore;
 pub use redis::{RedisSpec, RedisStore};
 pub use s3::{S3Spec, S3Store};
-pub use sqs::{SqsSpec, SqsStore, SQS_MESSAGE_BYTES};
+pub use sqs::{SqsSpec, SqsStore};
 pub use store::Store;
 
 use std::rc::Rc;

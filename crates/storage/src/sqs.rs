@@ -10,7 +10,7 @@ use crate::s3::Connections;
 use crate::store::{Admitted, Request, Store, Substrate};
 
 /// SQS message size limit: 256 KB.
-pub const SQS_MESSAGE_BYTES: u64 = 256 * 1024;
+pub(crate) const SQS_MESSAGE_BYTES: u64 = 256 * 1024;
 
 /// Behaviour knobs for [`SqsStore`].
 #[derive(Debug, Clone)]
@@ -70,7 +70,7 @@ impl Store<Sqs> {
     }
 
     /// Number of SQS messages a block of `len` bytes occupies.
-    pub fn messages_for(len: u64) -> u64 {
+    pub(crate) fn messages_for(len: u64) -> u64 {
         len.div_ceil(SQS_MESSAGE_BYTES).max(1)
     }
 }

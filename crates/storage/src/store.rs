@@ -45,14 +45,14 @@ pub struct Request<'a> {
 
 impl Request<'_> {
     /// Draws a latency in seconds from `dist` on the simulator's RNG.
-    pub fn draw(&mut self, dist: &Dist) -> SimDuration {
+    pub(crate) fn draw(&mut self, dist: &Dist) -> SimDuration {
         SimDuration::from_secs_f64(dist.sample(self.sim.rng()))
     }
 }
 
 /// An admitted request: the delay before its bytes move, the links they
 /// then cross, and the substrate's placement of the block.
-pub type Admitted<P> = Result<(SimDuration, LinkPath, P), StoreError>;
+pub(crate) type Admitted<P> = Result<(SimDuration, LinkPath, P), StoreError>;
 
 /// A storage substrate as a cost model: where bytes live and what one
 /// request to them costs. Sealed — the module is private, so only this
@@ -238,6 +238,8 @@ impl<S: Substrate> Store<S> {
     }
 
     /// Blocks currently held.
+    ///
+    /// Test aid: only tests call this.
     pub fn block_count(&self) -> usize {
         self.core.inner.borrow().blocks.len()
     }

@@ -13,13 +13,13 @@ use splitserve_rt::rng::SmallRng;
 /// ([`splitserve_rt::rng::derive_seed`], the SplitMix64 finalizer over
 /// `(seed, part)`), so the stream is identical wherever the task body
 /// runs — inline, on a worker thread, or recomputed after a failure.
-pub fn partition_rng(seed: u64, part: usize) -> SmallRng {
+pub(crate) fn partition_rng(seed: u64, part: usize) -> SmallRng {
     SmallRng::for_stream(seed, part as u64)
 }
 
 /// Splits `total` items into `parts` near-equal ranges; returns the
 /// half-open range of partition `part`.
-pub fn partition_range(total: u64, parts: usize, part: usize) -> (u64, u64) {
+pub(crate) fn partition_range(total: u64, parts: usize, part: usize) -> (u64, u64) {
     assert!(part < parts, "partition {part} out of {parts}");
     let parts = parts as u64;
     let part = part as u64;
@@ -32,7 +32,7 @@ pub fn partition_range(total: u64, parts: usize, part: usize) -> (u64, u64) {
 
 /// A bounded power-law sample in `[1, max]` with tail exponent `alpha` —
 /// used for web-graph out-degrees.
-pub fn power_law(rng: &mut SmallRng, alpha: f64, max: u64) -> u64 {
+pub(crate) fn power_law(rng: &mut SmallRng, alpha: f64, max: u64) -> u64 {
     let u: f64 = rng.gen_range(0.0..1.0);
     // Inverse CDF of a truncated Pareto starting at 1.
     let x = (1.0 - u * (1.0 - (max as f64).powf(1.0 - alpha))).powf(1.0 / (1.0 - alpha));

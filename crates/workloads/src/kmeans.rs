@@ -78,18 +78,18 @@ impl KMeans {
     }
 
     /// Points actually generated (≤ [`KMeans::materialize_cap`]).
-    pub fn materialized_points(&self) -> u64 {
+    pub(crate) fn materialized_points(&self) -> u64 {
         self.points.min(self.materialize_cap)
     }
 
     /// How many real points each materialized point represents.
-    pub fn represent_factor(&self) -> f64 {
+    pub(crate) fn represent_factor(&self) -> f64 {
         self.points as f64 / self.materialized_points() as f64
     }
 
     /// The points dataset: a mixture of `k` Gaussians around
     /// `KMeans::true_center`s, generated per partition.
-    pub fn points_dataset(&self) -> Dataset<Vec<f64>> {
+    pub(crate) fn points_dataset(&self) -> Dataset<Vec<f64>> {
         let total = self.materialized_points();
         let parts = self.parallelism;
         let dims = self.dims;
@@ -113,7 +113,7 @@ impl KMeans {
 
     /// Initial centroids: true centers perturbed, so the algorithm has
     /// real work to do but converges within the budget.
-    pub fn initial_centroids(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn initial_centroids(&self) -> Vec<Vec<f64>> {
         (0..self.k)
             .map(|c| {
                 self.true_center(c)
@@ -134,12 +134,12 @@ impl KMeans {
 }
 
 /// Squared Euclidean distance.
-pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 /// Index of the centroid closest to `p`.
-pub fn closest(p: &[f64], centroids: &[Vec<f64>]) -> usize {
+pub(crate) fn closest(p: &[f64], centroids: &[Vec<f64>]) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for (i, c) in centroids.iter().enumerate() {

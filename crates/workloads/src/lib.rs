@@ -24,11 +24,8 @@ mod pi;
 mod sort;
 mod tpcds;
 
-pub use gen::{partition_range, partition_rng, power_law};
-pub use kmeans::{closest, dist2, KMeans};
-pub use pagerank::{reference_pagerank, PageRank, DAMPING};
+pub use kmeans::KMeans;
+pub use pagerank::{reference_pagerank, PageRank};
 pub use pi::{estimate_pi, SparkPi};
 pub use sort::CloudSort;
-pub use tpcds::{
-    CatalogSale, QueryAnswer, Return, StoreSale, TpcdsLoad, TpcdsQuery, TpcdsTables, WebSale,
-};
+pub use tpcds::{QueryAnswer, StoreSale, TpcdsLoad, TpcdsQuery, TpcdsTables};

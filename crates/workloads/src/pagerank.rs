@@ -19,10 +19,11 @@ use crate::gen::{partition_range, partition_rng, power_law};
 /// # Examples
 ///
 /// ```
+/// use splitserve_engine::build_stages;
 /// use splitserve_workloads::PageRank;
 ///
 /// let pr = PageRank::new(25_000, 2, 8, 1);
-/// assert_eq!(pr.expected_stages(), 7);
+/// assert_eq!(build_stages(pr.plan().node()).len(), 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageRank {
@@ -37,17 +38,17 @@ pub struct PageRank {
     /// Per-contribution CPU seconds charged in the contribution stage —
     /// calibrated to JVM Spark's per-record overhead so figure-scale runs
     /// land at the paper's job durations.
-    pub contrib_cost_secs: f64,
+    pub(crate) contrib_cost_secs: f64,
     /// In-link skew exponent: destinations are drawn as
     /// `pages · u^dst_skew`, so larger values concentrate in-links on few
     /// hot pages — the straggler-inducing skew of real web graphs that
     /// caps scaling at high parallelism (the paper's Fig. 4 U-curve and
     /// its "straggler problems common to BSP workloads").
-    pub dst_skew: f64,
+    pub(crate) dst_skew: f64,
 }
 
 /// The damping factor used by the classic formulation.
-pub const DAMPING: f64 = 0.85;
+pub(crate) const DAMPING: f64 = 0.85;
 
 impl PageRank {
     /// A PageRank workload over `pages` pages.
@@ -66,11 +67,6 @@ impl PageRank {
     pub fn with_contrib_cost(mut self, secs: f64) -> Self {
         self.contrib_cost_secs = secs;
         self
-    }
-
-    /// Stage count of the single multi-iteration job.
-    pub fn expected_stages(&self) -> usize {
-        3 * self.iterations + 1
     }
 
     /// The adjacency dataset: `(page, out_links)` with power-law
@@ -209,6 +205,13 @@ mod tests {
     use splitserve_des::Fabric;
     use splitserve_engine::{EngineConfig, ExecutorDesc};
     use splitserve_storage::LocalDiskStore;
+
+    impl PageRank {
+        /// Stage count of the single multi-iteration job.
+        fn expected_stages(&self) -> usize {
+            3 * self.iterations + 1
+        }
+    }
 
     fn run_distributed(w: &PageRank) -> Vec<(u64, f64)> {
         let fabric = Fabric::new();

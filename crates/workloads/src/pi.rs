@@ -88,7 +88,7 @@ impl SparkPi {
     }
 
     /// Total darts actually simulated (after per-task capping).
-    pub fn effective_darts(&self) -> u64 {
+    pub(crate) fn effective_darts(&self) -> u64 {
         (self.darts / self.tasks as u64) * self.tasks as u64
     }
 }

@@ -20,78 +20,78 @@ use crate::gen::{partition_range, partition_rng};
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreSale {
     /// Day-of-year style date key.
-    pub sold_date: u32,
+    pub(crate) sold_date: u32,
     /// Store surrogate key.
     pub store: u32,
     /// Extended sales price.
-    pub price: f64,
+    pub(crate) price: f64,
     /// Net profit.
-    pub profit: f64,
+    pub(crate) profit: f64,
     /// Block payload standing in for the remaining TPC-DS columns.
     pub pad: Vec<u8>,
 }
 
 /// One web-channel sale.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WebSale {
+pub(crate) struct WebSale {
     /// Sale date key.
-    pub sold_date: u32,
+    pub(crate) sold_date: u32,
     /// Ship date key.
-    pub ship_date: u32,
+    pub(crate) ship_date: u32,
     /// Web-site surrogate key.
     pub site: u32,
     /// Order number (join key for Q94/Q95).
     pub order: u64,
     /// Warehouse the line shipped from.
-    pub warehouse: u32,
+    pub(crate) warehouse: u32,
     /// Customer ship-to address state.
-    pub ship_state: u32,
+    pub(crate) ship_state: u32,
     /// Extended shipping cost.
-    pub ship_cost: f64,
+    pub(crate) ship_cost: f64,
     /// Net profit.
-    pub profit: f64,
+    pub(crate) profit: f64,
     /// Extended sales price.
-    pub price: f64,
+    pub(crate) price: f64,
     /// Column-block payload.
     pub pad: Vec<u8>,
 }
 
 /// One catalog-channel sale.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CatalogSale {
+pub(crate) struct CatalogSale {
     /// Ship date key.
-    pub ship_date: u32,
+    pub(crate) ship_date: u32,
     /// Call-center surrogate key.
-    pub call_center: u32,
+    pub(crate) call_center: u32,
     /// Catalog page (Q5's grouping key).
     pub page: u32,
     /// Order number (Q16's join key).
     pub order: u64,
     /// Warehouse the line shipped from.
-    pub warehouse: u32,
+    pub(crate) warehouse: u32,
     /// Ship-to address state.
-    pub ship_state: u32,
+    pub(crate) ship_state: u32,
     /// Extended shipping cost.
-    pub ship_cost: f64,
+    pub(crate) ship_cost: f64,
     /// Net profit.
-    pub profit: f64,
+    pub(crate) profit: f64,
     /// Extended sales price.
-    pub price: f64,
+    pub(crate) price: f64,
     /// Column-block payload.
     pub pad: Vec<u8>,
 }
 
 /// A return row (any channel): order key plus amounts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Return {
+pub(crate) struct Return {
     /// Returned order number.
     pub order: u64,
     /// Date key of the return.
-    pub returned_date: u32,
+    pub(crate) returned_date: u32,
     /// Channel-specific grouping key (store/site/page).
-    pub group_key: u32,
+    pub(crate) group_key: u32,
     /// Return amount.
-    pub amount: f64,
+    pub(crate) amount: f64,
     /// Net loss.
     pub loss: f64,
 }
@@ -142,7 +142,7 @@ pub struct TpcdsTables {
 
 impl TpcdsTables {
     /// Scale-factor-8 tables partitioned for a 32-core cluster.
-    pub fn sf8(seed: u64) -> Self {
+    pub(crate) fn sf8(seed: u64) -> Self {
         TpcdsTables {
             sf: 8,
             input_partitions: 64,
@@ -164,15 +164,15 @@ impl TpcdsTables {
     }
 
     /// Rows in `store_sales`.
-    pub fn store_sales_rows(&self) -> u64 {
+    pub(crate) fn store_sales_rows(&self) -> u64 {
         16_000 * u64::from(self.sf)
     }
     /// Rows in `web_sales`.
-    pub fn web_sales_rows(&self) -> u64 {
+    pub(crate) fn web_sales_rows(&self) -> u64 {
         12_000 * u64::from(self.sf)
     }
     /// Rows in `catalog_sales`.
-    pub fn catalog_sales_rows(&self) -> u64 {
+    pub(crate) fn catalog_sales_rows(&self) -> u64 {
         10_000 * u64::from(self.sf)
     }
 
@@ -198,7 +198,7 @@ impl TpcdsTables {
     }
 
     /// The `web_sales` fact table.
-    pub fn web_sales(&self) -> Dataset<WebSale> {
+    pub(crate) fn web_sales(&self) -> Dataset<WebSale> {
         let rows = self.web_sales_rows();
         let parts = self.input_partitions;
         let seed = self.seed;
@@ -227,7 +227,7 @@ impl TpcdsTables {
     }
 
     /// The `catalog_sales` fact table.
-    pub fn catalog_sales(&self) -> Dataset<CatalogSale> {
+    pub(crate) fn catalog_sales(&self) -> Dataset<CatalogSale> {
         let rows = self.catalog_sales_rows();
         let parts = self.input_partitions;
         let seed = self.seed;
@@ -275,15 +275,15 @@ impl TpcdsTables {
     }
 
     /// `store_returns`.
-    pub fn store_returns(&self) -> Dataset<Return> {
+    pub(crate) fn store_returns(&self) -> Dataset<Return> {
         self.returns(self.store_sales_rows(), 0x111, 1)
     }
     /// `web_returns` (order-keyed, matching `web_sales.order`).
-    pub fn web_returns(&self) -> Dataset<Return> {
+    pub(crate) fn web_returns(&self) -> Dataset<Return> {
         self.returns(self.web_sales_rows(), 0x222, 3)
     }
     /// `catalog_returns` (order-keyed, matching `catalog_sales.order`).
-    pub fn catalog_returns(&self) -> Dataset<Return> {
+    pub(crate) fn catalog_returns(&self) -> Dataset<Return> {
         self.returns(self.catalog_sales_rows(), 0x333, 2)
     }
 }
@@ -372,9 +372,9 @@ pub struct QueryAnswer {
     /// Orders (Q16/94/95) or groups (Q5) contributing.
     pub count: u64,
     /// Summed ship cost (Q16/94/95) or sales (Q5).
-    pub total_a: f64,
+    pub(crate) total_a: f64,
     /// Summed net profit/loss.
-    pub total_b: f64,
+    pub(crate) total_b: f64,
 }
 
 impl_record!(QueryAnswer { count, total_a, total_b });

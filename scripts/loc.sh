@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The one counter for "non-test lines": per crate and in total, the lines
-# of crates/*/src/**/*.rs before each file's first `#[cfg(test)]`.
+# The one counter for "non-test lines" and the public surface: per crate
+# and in total, the lines of crates/*/src/**/*.rs before each file's first
+# `#[cfg(test)]`, and the `pub fn` lines among them.
 # PR descriptions and ROADMAP's "Recent" entries quote parent / change
 # from this script. Run from anywhere; takes an optional repo root.
 set -euo pipefail
@@ -8,10 +9,14 @@ set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
 total=0
+total_pub=0
+printf '%-12s %6s %7s\n' crate lines 'pub fn'
 for crate in crates/*/; do
-    n=$(find "$crate/src" -name '*.rs' -print0 | sort -z |
-        xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }')
-    printf '%-12s %6d\n' "$(basename "$crate")" "$n"
+    read -r n p < <(find "$crate/src" -name '*.rs' -print0 | sort -z |
+        xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
+            !test { n++; if (/pub fn /) p++ } END { print n + 0, p + 0 }')
+    printf '%-12s %6d %7d\n' "$(basename "$crate")" "$n" "$p"
     total=$((total + n))
+    total_pub=$((total_pub + p))
 done
-printf '%-12s %6d\n' total "$total"
+printf '%-12s %6d %7d\n' total "$total" "$total_pub"

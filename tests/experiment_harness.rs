@@ -26,19 +26,19 @@ fn quick_text(only: Option<&'static str>) -> String {
     String::from_utf8(out).expect("tables are UTF-8")
 }
 
+/// The quick text is built once, as `--only` slices: each slice runs in
+/// a process that already ran every later experiment, so an experiment
+/// that leaks state into the next (a process-wide id counter such as
+/// `NEXT_NODE` / `NEXT_SHUFFLE`) moves the concatenation off the pin.
 #[test]
 fn only_slices_concatenate_to_the_pinned_quick_text() {
     let keys: Vec<&'static str> = ex::EXPERIMENTS.iter().map(|(key, _)| *key).collect();
     for (i, key) in keys.iter().enumerate() {
         assert!(!keys[..i].contains(key), "--only key {key} listed twice");
     }
-    let slices: String = keys.iter().map(|key| quick_text(Some(key))).collect();
-    let full = quick_text(None);
-    assert!(
-        slices == full,
-        "the --only slices no longer concatenate to the full output"
-    );
-    assert_pinned("reproduce_all --quick", full.as_bytes(), QUICK_TEXT);
+    let mut slices: Vec<String> = keys.iter().rev().map(|key| quick_text(Some(key))).collect();
+    slices.reverse();
+    assert_pinned("reproduce_all --quick", slices.concat().as_bytes(), QUICK_TEXT);
 }
 
 #[test]
