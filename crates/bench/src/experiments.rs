@@ -70,7 +70,7 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
 
 /// Figure 1: cost of one vCPU via a m4.large VM vs a 1 536 MB Lambda, as a
 /// function of time-in-use, with the crossover as the table's note.
-pub fn fig1() -> Table {
+pub(crate) fn fig1() -> Table {
     let mut t = Table::new(
         "Figure 1: cost of one vCPU (m4.large vs 1536 MB Lambda)",
         &["time_s", "vm_usd", "lambda_usd"],
@@ -102,7 +102,7 @@ pub fn fig1_crossover_secs() -> f64 {
 
 /// Figure 2: predicted demand bands and a realized path over a workday,
 /// plus the provisioning-policy comparison the figure motivates.
-pub fn fig2(seed: u64) -> (Table, Table) {
+pub(crate) fn fig2(seed: u64) -> (Table, Table) {
     let model = DayModel::default();
     let series = model.series(288, seed); // 5-minute samples
     let mut t = Table::new(
@@ -164,7 +164,7 @@ pub fn fig4_ladder(f: Fidelity) -> Vec<u32> {
 
 /// Figure 4: PageRank profiling — execution time and cost vs degree of
 /// parallelism, all-Lambda (a) or all-VM (b).
-pub fn fig4(mode: ProfileMode, f: Fidelity, seed: u64) -> Table {
+pub(crate) fn fig4(mode: ProfileMode, f: Fidelity, seed: u64) -> Table {
     let which = match mode {
         ProfileMode::LambdaOnly => "(a) Lambda-based executors",
         ProfileMode::VmOnly => "(b) VM-based executors",
@@ -223,7 +223,7 @@ pub(crate) fn fig5_spec(seed: u64) -> ScenarioSpec {
 
 /// Figure 5: the four TPC-DS queries across the scenarios. Each row also
 /// reports the slowdown normalized to `Spark 32 VM`.
-pub fn fig5(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn fig5(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Figure 5: TPC-DS Q5/Q16/Q94/Q95 (SF 8, R=32, r=8)",
         &["query", "scenario", "exec_s", "vs_Spark_R_VM", "cost_usd", "tasks_vm", "tasks_la"],
@@ -304,7 +304,7 @@ pub(crate) fn fig6_workload(f: Fidelity, seed: u64) -> PageRank {
 }
 
 /// Figure 6: PageRank across all eight scenarios.
-pub fn fig6(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn fig6(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Figure 6: PageRank (850k pages, R=16, r=3)",
         &["workload", "scenario", "exec_s", "vs_Spark_R_VM", "cost_usd", "tasks_vm", "tasks_la"],
@@ -318,32 +318,32 @@ pub fn fig6(f: Fidelity, seed: u64) -> Table {
 
 /// One executor's lane in a timeline.
 #[derive(Debug, Clone)]
-pub struct TimelineLane {
+pub(crate) struct TimelineLane {
     /// Executor id.
-    pub executor: String,
+    executor: String,
     /// `vm` or `lambda`.
-    pub kind: String,
+    kind: String,
     /// First task start (seconds).
-    pub(crate) first_start: f64,
+    first_start: f64,
     /// Last task end (seconds).
-    pub(crate) last_end: f64,
+    last_end: f64,
     /// Tasks completed on this executor.
-    pub tasks: u64,
+    tasks: u64,
 }
 
 /// A rendered execution timeline for one scenario run.
 #[derive(Debug, Clone)]
-pub struct Timeline {
+pub(crate) struct Timeline {
     /// The scenario label.
-    pub label: String,
+    label: String,
     /// Job completion time.
-    pub finished_at: f64,
+    finished_at: f64,
     /// When the segue marker fired, if it did.
-    pub segue_at: Option<f64>,
+    segue_at: Option<f64>,
     /// Stage completion instants.
-    pub stage_completions: Vec<f64>,
+    stage_completions: Vec<f64>,
     /// Per-executor lanes.
-    pub lanes: Vec<TimelineLane>,
+    lanes: Vec<TimelineLane>,
 }
 
 /// Extracts a [`Timeline`] from a scenario's event log.
@@ -392,7 +392,7 @@ pub(crate) fn timeline_of(r: &ScenarioResult) -> Timeline {
 
 /// Figure 7: the three PageRank timelines — 16 VM cores, 3 VM + 13 La, and
 /// 3 VM + 13 La with segue at 45 s.
-pub fn fig7(f: Fidelity, seed: u64) -> Vec<Timeline> {
+pub(crate) fn fig7(f: Fidelity, seed: u64) -> Vec<Timeline> {
     let spec = fig6_spec(seed);
     let factory = move || -> Box<dyn DriverProgram> { Box::new(fig6_workload(f, seed)) };
     [
@@ -457,7 +457,7 @@ pub(crate) fn fig8_workload(f: Fidelity, seed: u64) -> KMeans {
 
 /// Figure 8: K-means performance *and* cost with error bars from
 /// independent trials (the paper: 15 trials, ±1 sample sd).
-pub fn fig8(f: Fidelity, base_seed: u64) -> Table {
+pub(crate) fn fig8(f: Fidelity, base_seed: u64) -> Table {
     let trials = match f {
         Fidelity::Paper => 15,
         Fidelity::Quick => 3,
@@ -514,7 +514,7 @@ pub fn fig9_scenarios() -> Vec<Scenario> {
 }
 
 /// Figure 9: SparkPi (10¹⁰ darts, 64 executors) across scenarios.
-pub fn fig9(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn fig9(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Figure 9: SparkPi (1e10 darts, R=64, r=4)",
         &["workload", "scenario", "exec_s", "vs_Spark_R_VM", "cost_usd", "tasks_vm", "tasks_la"],
@@ -537,7 +537,7 @@ pub fn fig9(f: Fidelity, seed: u64) -> Table {
 
 /// Ablation: the same hybrid PageRank run over each shuffle substrate —
 /// the design-choice comparison behind the paper's §4.3 store discussion.
-pub fn ablation_stores(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn ablation_stores(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation: shuffle substrate under the hybrid (r VM + Δ La)",
         &["store", "exec_s", "cost_usd", "throttle_wait_s"],
@@ -562,7 +562,7 @@ pub fn ablation_stores(f: Fidelity, seed: u64) -> Table {
 }
 
 /// Ablation: segue threshold (`spark.lambda.executor.timeout`) sweep.
-pub fn ablation_segue_threshold(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn ablation_segue_threshold(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation: spark.lambda.executor.timeout sweep (hybrid + segue)",
         &["timeout_s", "exec_s", "cost_usd", "tasks_la"],
@@ -585,7 +585,7 @@ pub fn ablation_segue_threshold(f: Fidelity, seed: u64) -> Table {
 }
 
 /// Ablation: Lambda memory-size sweep on the all-Lambda scenario.
-pub fn ablation_lambda_memory(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn ablation_lambda_memory(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation: Lambda memory size (all-Lambda K-means)",
         &["memory_mb", "exec_s", "cost_usd"],
@@ -605,7 +605,7 @@ pub fn ablation_lambda_memory(f: Fidelity, seed: u64) -> Table {
 /// Ablation: a CloudSort-style job over each shared shuffle substrate —
 /// the paper's §2 point that per-request S3 pricing explodes for
 /// shuffle-write-heavy jobs while HDFS (tenant-owned) adds none.
-pub fn ablation_cloudsort(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn ablation_cloudsort(f: Fidelity, seed: u64) -> Table {
     let records = match f {
         Fidelity::Paper => 400_000u64,
         Fidelity::Quick => 40_000u64,
@@ -645,7 +645,7 @@ pub fn ablation_cloudsort(f: Fidelity, seed: u64) -> Table {
 /// Ablation: the scripted hybrid (launch Δ Lambdas up front) vs the
 /// closed-loop dynamic-allocation controller that discovers the backlog
 /// by itself — the autonomous version of the launching facility.
-pub fn ablation_controller(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn ablation_controller(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation: scripted hybrid vs dynamic-allocation controller",
         &["mode", "exec_s", "cost_usd", "lambdas_used"],
@@ -691,7 +691,7 @@ pub fn ablation_controller(f: Fidelity, seed: u64) -> Table {
 /// Ablation: a bursty job stream against a fixed VM pool, with and
 /// without SplitServe's Lambda bridging — the inter-job composition of
 /// paper §4.1 (Fig. 2's lean-provisioning story, measured end to end).
-pub fn ablation_job_stream(f: Fidelity, seed: u64) -> Table {
+pub(crate) fn ablation_job_stream(f: Fidelity, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation: bursty job stream — fixed VM pool vs SplitServe bridging",
         &["policy", "slo_attainment", "mean_latency_s", "cost_usd", "lambdas"],

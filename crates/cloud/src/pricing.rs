@@ -13,7 +13,9 @@ pub(crate) const LAMBDA_USD_PER_INVOCATION: f64 = 0.000_000_2;
 pub(crate) const LAMBDA_BILLING_QUANTUM: SimDuration = SimDuration::from_millis(100);
 /// Largest memory allocation a Lambda may request (the paper's 3 GB cap).
 pub(crate) const LAMBDA_MAX_MEMORY_MB: u64 = 3_008;
-/// Memory per vCPU: a 1 536 MB Lambda gets one full vCPU.
+/// Memory per vCPU on Fig. 1's price curve: a 1 536 MB Lambda is priced as
+/// one full vCPU. The engine's CPU model disagrees: `ExecutorDesc::lambda`
+/// runs a Lambda at `memory_mb / 1769` of a core, so that vCPU is 0.868 core.
 pub(crate) const LAMBDA_MB_PER_VCPU: u64 = 1_536;
 /// Hard lifetime limit after which AWS kills a Lambda: 15 minutes.
 pub(crate) const LAMBDA_LIFETIME: SimDuration = SimDuration::from_secs(900);

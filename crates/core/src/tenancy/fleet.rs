@@ -305,9 +305,9 @@ pub fn policy_json(r: &FleetOutcome, tenants: &[TenantSpec], fingerprint: u64) -
     out
 }
 
-/// Renders the whole sweep artifact. `workers` is a display label only —
-/// callers comparing artifacts across worker counts pass a fixed
-/// value, as `tests/artifact_pins.rs` does.
+/// Renders the whole sweep artifact with `workers` as its `"workers"`
+/// field, a label only: the artifacts render 1, the reduced-fleet pin
+/// tests render 0.
 pub fn render_fleet_json(
     workers: usize,
     tenants: &[TenantSpec],

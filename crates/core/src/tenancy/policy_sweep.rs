@@ -97,7 +97,6 @@ pub fn recurrent_fleet_jobs(
 /// Runs one sweep arm: the splitserve-policy fleet with
 /// `cloud.coldstart` set to `spec` and nothing else changed.
 pub fn run_coldstart_arm(
-    workers: usize,
     tenants: &[TenantSpec],
     jobs: &[FleetJob],
     pool_cores: u32,
@@ -105,7 +104,6 @@ pub fn run_coldstart_arm(
 ) -> ColdstartArm {
     let mut cfg =
         TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants.to_vec(), pool_cores);
-    cfg.engine.workers = workers;
     cfg.cloud.coldstart = spec.clone();
     // No seeded warm pool: every warm start must be earned by the
     // policy under test.
@@ -123,14 +121,13 @@ pub fn run_coldstart_arm(
 /// Runs the full sweep: one splitserve-policy fleet per cold-start arm,
 /// identical tenants/jobs/seed, only `cloud.coldstart` varying.
 pub fn run_coldstart_sweep(
-    workers: usize,
     tenants: &[TenantSpec],
     jobs: &[FleetJob],
     pool_cores: u32,
 ) -> Vec<ColdstartArm> {
     coldstart_arms()
         .iter()
-        .map(|spec| run_coldstart_arm(workers, tenants, jobs, pool_cores, spec))
+        .map(|spec| run_coldstart_arm(tenants, jobs, pool_cores, spec))
         .collect()
 }
 
@@ -152,8 +149,8 @@ fn pool_block(out: &mut String, selector: &str, policy: &'static str, stats: &Po
     );
 }
 
-/// Renders the sweep artifact. `workers` is a display label only —
-/// callers comparing across worker counts pass a fixed value.
+/// Renders the sweep artifact with `workers` as its `"workers"` field,
+/// a label only: the artifact renders 1, the pin tests render 0.
 pub fn render_coldstart_sweep_json(
     workers: usize,
     tenants: &[TenantSpec],
@@ -217,12 +214,12 @@ mod tests {
         let tenants = default_tenant_specs(4);
         let jobs = recurrent_fleet_jobs(&tenants, 3, 10, 40);
         let run = || {
-            let arms = run_coldstart_sweep(1, &tenants, &jobs, 4);
+            let arms = run_coldstart_sweep(&tenants, &jobs, 4);
             render_coldstart_sweep_json(0, &tenants, jobs.len(), 30, 45, &arms)
         };
         let a = run();
         assert_eq!(a, run(), "sweep artifact must be byte-deterministic");
-        let arms = run_coldstart_sweep(1, &tenants, &jobs, 4);
+        let arms = run_coldstart_sweep(&tenants, &jobs, 4);
         assert!(
             arms.iter().all(|a| a.outcome.lambdas_launched > 0),
             "bursts must overflow onto Lambdas or the sweep tests nothing"

@@ -85,6 +85,9 @@ struct Footprint {
     digest_bytes: Vec<u8>,
     /// The full Prometheus exposition of the run's registry.
     prometheus: String,
+    /// The run's spans as a Chrome trace, and its windowed rollups.
+    chrome_trace: String,
+    rollups: String,
 }
 
 /// Runs `plan` (shared across calls so shuffle ids coincide) on a fresh
@@ -138,6 +141,8 @@ fn run_with_workers(plan: &Dataset<(u64, u64)>, execs: usize, workers: usize) ->
         exec_secs: out.metrics.execution_time().as_secs_f64(),
         digest_bytes,
         prometheus: obs.metrics.render_prometheus(),
+        chrome_trace: obs.spans.to_chrome_trace(),
+        rollups: obs.rollups.to_json(),
     }
 }
 
@@ -178,6 +183,11 @@ fn worker_count_never_changes_bytes_events_or_rows() {
             got.prometheus, base.prometheus,
             "Prometheus text differs at workers={workers}"
         );
+        assert_eq!(
+            got.chrome_trace, base.chrome_trace,
+            "Chrome trace differs at workers={workers}"
+        );
+        assert_eq!(got.rollups, base.rollups, "rollups differ at workers={workers}");
         assert_eq!(
             got.blocks.len(),
             base.blocks.len(),

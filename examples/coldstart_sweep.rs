@@ -8,17 +8,17 @@
 //! cargo run --release --example coldstart_sweep [out.json]
 //! ```
 //!
-//! Deterministic: byte-identical across runs, and `SPLITSERVE_WORKERS`
-//! changes only the embedded `"workers":N` label
-//! (`tests/artifact_pins.rs` pins both). Set `SPLITSERVE_COLDSTART` to a
+//! Deterministic: the engine runs task bodies on the simulation thread
+//! (the artifact's `"workers":1` field), and the artifact is
+//! byte-identical across runs (`tests/artifact_pins.rs` pins it). Set
+//! `SPLITSERVE_COLDSTART` to a
 //! selector (`forever`, `fixed:<secs>`, `pressure:<cap_mb>`,
 //! `hybrid[:<fallback_secs>]`) to append one extra arm to the sweep.
 
 use splitserve_cloud::ColdStartSpec;
-use splitserve_suite::{coldstart_sweep, workers_from_env, write_artifact};
+use splitserve_suite::{coldstart_sweep, write_artifact};
 
 fn main() -> Result<(), String> {
-    let workers = workers_from_env();
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/coldstart_sweep.json".to_string());
@@ -26,8 +26,8 @@ fn main() -> Result<(), String> {
         .ok()
         .map(|sel| ColdStartSpec::parse(&sel).map_err(|e| format!("SPLITSERVE_COLDSTART: {e}")))
         .transpose()?;
-    let json = coldstart_sweep(workers, extra.as_ref()).json(workers);
+    let json = coldstart_sweep(extra.as_ref()).json();
     let wrote = write_artifact(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
-    println!("coldstart-sweep: workers={workers} {wrote}");
+    println!("coldstart-sweep: {wrote}");
     Ok(())
 }

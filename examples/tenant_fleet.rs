@@ -8,18 +8,17 @@
 //! cargo run --release --example tenant_fleet [out.json]
 //! ```
 //!
-//! Deterministic: run it twice and the artifact is byte-identical, and
-//! `SPLITSERVE_WORKERS` (the engine's worker-thread count) changes only
-//! the embedded `"workers":N` label — `tests/artifact_pins.rs` pins both.
+//! Deterministic: the engine runs task bodies on the simulation thread
+//! (the artifact's `"workers":1` field), and running it twice writes the
+//! same bytes — `tests/artifact_pins.rs` pins them.
 
-use splitserve_suite::{tenant_fleet, workers_from_env, write_artifact};
+use splitserve_suite::{tenant_fleet, write_artifact};
 
 fn main() -> std::io::Result<()> {
-    let workers = workers_from_env();
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/tenant_fleet.json".to_string());
-    let wrote = write_artifact(&out_path, &tenant_fleet(workers).json(workers))?;
-    println!("tenant-fleet: workers={workers} {wrote}");
+    let wrote = write_artifact(&out_path, &tenant_fleet().json())?;
+    println!("tenant-fleet: {wrote}");
     Ok(())
 }

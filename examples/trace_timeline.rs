@@ -9,14 +9,15 @@
 //! Open `<out-dir>/trace_timeline.json` (default `target/`) in
 //! `chrome://tracing` (or <https://ui.perfetto.dev>): one row per
 //! executor, with the VM lanes filling up as the Lambda lanes drain at
-//! the segue. `tests/artifact_pins.rs` pins both files and
-//! asserts that shape on the recorded spans.
+//! the segue. The run is single-threaded and deterministic:
+//! `tests/artifact_pins.rs` pins both files and asserts that shape on the
+//! recorded spans.
 
-use splitserve_suite::{trace_timeline, workers_from_env};
+use splitserve_suite::trace_timeline;
 
 fn main() -> std::io::Result<()> {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "target".into());
-    let run = trace_timeline(workers_from_env());
+    let run = trace_timeline();
     println!("running {} under Scenario::SsHybridSegue ...", run.workload);
     let result = &run.result;
     println!(

@@ -1,8 +1,8 @@
 //! Umbrella crate: hosts the workspace-level integration tests and
 //! examples, and the builders of the five artifacts they share. Each
-//! builder runs its experiment at a given engine worker-thread count and
-//! returns the typed outcome; the examples print and write what it
-//! renders, `tests/artifact_pins.rs` pins the same bytes and asserts the
+//! builder runs its experiment single-threaded and returns the typed
+//! outcome; the examples print and write what it renders,
+//! `tests/artifact_pins.rs` pins the same bytes and asserts the
 //! paper-shape claims on the same typed values.
 
 use std::fmt::Write as _;
@@ -27,42 +27,6 @@ use splitserve_engine::{Dataset, Engine};
 use splitserve_obs::{Obs, SloLedger, TenantId};
 use splitserve_rt::hash::xxh64;
 use splitserve_workloads::CloudSort;
-
-/// The one worker-count knob every example reads.
-const WORKERS_ENV: &str = "SPLITSERVE_WORKERS";
-
-/// Most engine worker threads a `SPLITSERVE_WORKERS` value may ask for.
-/// A bound on the parser, not a knob: a count the machine cannot spawn
-/// would otherwise reach the worker pool and panic there.
-const MAX_WORKERS: usize = 256;
-
-/// Parses a `SPLITSERVE_WORKERS` value: an integer from 0 to
-/// [`MAX_WORKERS`], where `0` and `1` both mean "run task bodies inline".
-fn parse_workers(value: &str) -> Result<usize, String> {
-    let usage = "want a thread count such as 1 or 4";
-    match value.parse::<usize>() {
-        Ok(n) if n <= MAX_WORKERS => Ok(n),
-        Ok(n) => Err(format!(
-            "{WORKERS_ENV}={value:?}: {n} threads is over {MAX_WORKERS} ({usage})"
-        )),
-        Err(e) => Err(format!("{WORKERS_ENV}={value:?}: {e} ({usage})")),
-    }
-}
-
-/// The engine worker-thread count from `SPLITSERVE_WORKERS` (default 1).
-/// A value that does not parse is a usage error: one line on stderr and
-/// exit code 2, never a silent single-worker run.
-pub fn workers_from_env() -> usize {
-    match std::env::var(WORKERS_ENV) {
-        Err(std::env::VarError::NotPresent) => Ok(1),
-        Err(e) => Err(format!("{WORKERS_ENV}: {e}")),
-        Ok(v) => parse_workers(&v),
-    }
-    .unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
-}
 
 /// Writes `bytes` to `path` (creating its directory) and returns the
 /// `wrote <path> (<n> bytes) digest=<xxh64>` tail of an example's final
@@ -91,15 +55,15 @@ pub struct TenantFleet {
 }
 
 impl TenantFleet {
-    /// The JSON artifact; `workers` is only the embedded label.
-    pub fn json(&self, workers: usize) -> String {
-        render_fleet_json(workers, &self.tenants, self.jobs, &self.results)
+    /// The JSON artifact.
+    pub fn json(&self) -> String {
+        render_fleet_json(1, &self.tenants, self.jobs, &self.results)
     }
 }
 
-/// Runs the tenant fleet on `workers` engine threads, replaying every
-/// admission log through [`verify_log`]. Progress goes to stderr.
-pub fn tenant_fleet(workers: usize) -> TenantFleet {
+/// Runs the tenant fleet, replaying every admission log through
+/// [`verify_log`]. Progress goes to stderr.
+pub fn tenant_fleet() -> TenantFleet {
     let horizon_secs = 1_200.0;
     let pool_cores = 40;
     let tenants = default_tenant_specs(100);
@@ -112,8 +76,7 @@ pub fn tenant_fleet(workers: usize) -> TenantFleet {
     let results = FleetPolicy::all()
         .into_iter()
         .map(|policy| {
-            let mut cfg = TenantFleetConfig::for_policy(policy, tenants.clone(), pool_cores);
-            cfg.engine.workers = workers;
+            let cfg = TenantFleetConfig::for_policy(policy, tenants.clone(), pool_cores);
             let (wl, sink) = fleet_workload(8);
             let r = run_tenant_fleet(&cfg, &jobs, wl);
             verify_log(cfg.slots, &tenants, &r.admission).expect("admission invariants");
@@ -154,11 +117,10 @@ pub struct ColdstartSweep {
 }
 
 impl ColdstartSweep {
-    /// The JSON artifact (microtrace + arms); `workers` is only the
-    /// embedded label.
-    pub fn json(&self, workers: usize) -> String {
+    /// The JSON artifact (microtrace + arms).
+    pub fn json(&self) -> String {
         render_coldstart_sweep_json(
-            workers,
+            1,
             &self.tenants,
             self.jobs,
             MICRO_ROUNDS,
@@ -168,10 +130,9 @@ impl ColdstartSweep {
     }
 }
 
-/// Runs the sweep on `workers` engine threads, appending `extra` as one
-/// more arm, and replays every arm's admission log through
-/// [`verify_log`]. Progress goes to stderr.
-pub fn coldstart_sweep(workers: usize, extra: Option<&ColdStartSpec>) -> ColdstartSweep {
+/// Runs the sweep, appending `extra` as one more arm, and replays every
+/// arm's admission log through [`verify_log`]. Progress goes to stderr.
+pub fn coldstart_sweep(extra: Option<&ColdStartSpec>) -> ColdstartSweep {
     let pool_cores = 8;
     let tenants = default_tenant_specs(6);
     let jobs = recurrent_fleet_jobs(&tenants, 6, 20, 45);
@@ -180,10 +141,10 @@ pub fn coldstart_sweep(workers: usize, extra: Option<&ColdStartSpec>) -> Coldsta
         tenants.len(),
         jobs.len()
     );
-    let mut arms = run_coldstart_sweep(workers, &tenants, &jobs, pool_cores);
+    let mut arms = run_coldstart_sweep(&tenants, &jobs, pool_cores);
     if let Some(spec) = extra {
         eprintln!("coldstart-sweep: extra arm {}", spec.selector());
-        arms.push(run_coldstart_arm(workers, &tenants, &jobs, pool_cores, spec));
+        arms.push(run_coldstart_arm(&tenants, &jobs, pool_cores, spec));
     }
     let slots =
         TenantFleetConfig::for_policy(FleetPolicy::SplitServe, tenants.clone(), pool_cores).slots;
@@ -338,10 +299,10 @@ fn policy_block(out: &mut String, r: &FleetOutcome, obs: &Obs) {
 impl SloDashboard {
     /// The JSON artifact: per policy the SLO-attainment curve, the
     /// cumulative-bill curve, streaming-digest latency quantiles and the
-    /// windowed task-run rollups. `workers` is only the embedded label.
-    pub fn json(&self, workers: usize) -> String {
+    /// windowed task-run rollups.
+    pub fn json(&self) -> String {
         let mut json = String::new();
-        let _ = write!(json, "{{\"workers\":{workers},\"jobs\":{},", self.jobs);
+        let _ = write!(json, "{{\"workers\":1,\"jobs\":{},", self.jobs);
         json.push_str("\"policies\":[");
         for (i, (r, obs)) in self.policies.iter().enumerate() {
             if i > 0 {
@@ -354,8 +315,8 @@ impl SloDashboard {
     }
 }
 
-/// Runs the dashboard's two policies on `workers` engine threads.
-pub fn slo_dashboard(workers: usize) -> SloDashboard {
+/// Runs the dashboard's two policies.
+pub fn slo_dashboard() -> SloDashboard {
     // Bursty arrivals with an SLO tight enough that the fixed pool
     // misses some bursts and the launching facility's bridging shows up
     // in the attainment curve.
@@ -374,7 +335,6 @@ pub fn slo_dashboard(workers: usize) -> SloDashboard {
                 },
                 ..ScenarioSpec::default()
             };
-            spec.engine.workers = workers;
             let obs = spec.enable_observability();
             let r = run_tenant_fleet(
                 &TenantFleetConfig::single_tenant(policy, &spec, 8),
@@ -426,10 +386,10 @@ impl ChaosSmoke {
     }
 }
 
-/// Runs the chaos matrix on `workers` engine threads.
-pub fn chaos_smoke(workers: usize) -> ChaosSmoke {
+/// Runs the chaos matrix.
+pub fn chaos_smoke() -> ChaosSmoke {
     const SEEDS: u64 = 16;
-    let topo = ChaosTopology { workers };
+    let topo = ChaosTopology::default();
     let workloads: [&dyn ChaosWorkload; 2] = [&ChaosPageRank::small(), &ChaosCloudSort::small()];
     let mut smoke = ChaosSmoke {
         lines: Vec::new(),
@@ -489,8 +449,8 @@ impl TraceTimeline {
     }
 }
 
-/// Runs the traced CloudSort on `workers` engine threads.
-pub fn trace_timeline(workers: usize) -> TraceTimeline {
+/// Runs the traced CloudSort.
+pub fn trace_timeline() -> TraceTimeline {
     // The §4.2 walkthrough shape: the sort needs 16 cores, finds 3 free,
     // bridges with 13 Lambdas. The sort is short (~1 s virtual), so the
     // segue is scaled to land mid-job: replacement VM cores free up at
@@ -503,7 +463,6 @@ pub fn trace_timeline(workers: usize) -> TraceTimeline {
         seed: 7,
         ..ScenarioSpec::default()
     };
-    spec.engine.workers = workers;
     let obs = spec.enable_observability();
 
     // The launching facility's decision, recorded on the driver lane so
@@ -525,61 +484,5 @@ pub fn trace_timeline(workers: usize) -> TraceTimeline {
         workload,
         result,
         obs,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{parse_workers, MAX_WORKERS};
-
-    #[test]
-    fn workers_value_must_be_a_thread_count() {
-        assert_eq!(parse_workers("0"), Ok(0));
-        assert_eq!(parse_workers("1"), Ok(1));
-        assert_eq!(parse_workers("4"), Ok(4));
-        assert_eq!(parse_workers("256"), Ok(MAX_WORKERS));
-        for bad in ["abc", "-1", "", " 2", "257", "99999999"] {
-            let err = parse_workers(bad).expect_err(bad);
-            assert!(
-                err.starts_with("SPLITSERVE_WORKERS=") && !err.contains('\n'),
-                "one line naming the variable: {err}"
-            );
-        }
-    }
-
-    /// Random text and mutations of real counts either fail to parse or
-    /// parse to a count the worker pool can spawn — never a panic.
-    #[test]
-    fn hostile_workers_text_errs_or_parses_in_range() {
-        const COUNTS: [&str; 5] = ["0", "1", "4", "256", "99999999"];
-        const ALPHABET: &[u8] = b"+-0123456789 _.xe";
-        splitserve_rt::check::run("hostile_workers_text_errs_or_parses_in_range", 512, |g| {
-            let mut text = if g.bool() {
-                COUNTS[g.usize_in(0, COUNTS.len())].as_bytes().to_vec()
-            } else {
-                g.vec(0, 12, |g| ALPHABET[g.usize_in(0, ALPHABET.len())])
-            };
-            for _ in 0..g.usize_in(0, 4) {
-                let at = g.usize_in(0, text.len() + 1);
-                match g.usize_in(0, 3) {
-                    0 if at < text.len() => {
-                        text.remove(at);
-                    }
-                    1 => text.insert(at, ALPHABET[g.usize_in(0, ALPHABET.len())]),
-                    _ => {
-                        let digits = g.u64().to_string();
-                        text.splice(at..at, digits.bytes());
-                    }
-                }
-            }
-            let text = String::from_utf8(text).expect("ASCII");
-            match parse_workers(&text) {
-                Ok(n) => {
-                    assert!(n <= MAX_WORKERS, "{text:?} parsed to {n} threads");
-                    assert_eq!(text.parse::<usize>(), Ok(n), "{text:?} is not that count");
-                }
-                Err(err) => assert!(!err.contains('\n'), "{text:?}: {err}"),
-            }
-        });
     }
 }

@@ -1,11 +1,12 @@
 //! The artifact pin table. Each of the five example artifacts is built
-//! in-process by the same `splitserve_suite` builder its example calls,
-//! and must be (a) byte-identical across two runs, (b) byte-identical
-//! across 1 and 4 engine worker threads once the embedded `"workers":N`
-//! label is rendered as a fixed value, and (c) equal to its pinned
-//! xxhash64 digest — the one the example prints as `digest=`. The
-//! paper-shape claims the artifacts exist to show are asserted here too,
-//! once, on the typed outcomes rather than on re-parsed JSON.
+//! in-process, single-threaded, by the same `splitserve_suite` builder
+//! its example calls, and must be (a) byte-identical across two runs and
+//! (b) equal to its pinned xxhash64 digest — the one the example prints
+//! as `digest=`. The paper-shape claims the artifacts exist to show are
+//! asserted here too, once, on the typed outcomes rather than on
+//! re-parsed JSON. That a worker count reaches no artifact byte is the
+//! engine's own contract, held by its determinism tests
+//! (`parallel_determinism.rs`, `tenant_isolation.rs`, `tenant_chaos.rs`).
 //!
 //! Updating a pin is a deliberate act: `assert_pinned` prints the new
 //! digest and length; justify the byte change in review.
@@ -28,12 +29,10 @@ use splitserve_suite::{
     trace_timeline, DASHBOARD_QUANTILES, MICRO_GAP_SECS, MICRO_ROUNDS,
 };
 
-// `[workers=1, workers=4]` digests of the bytes each example writes; the
-// two differ only through the embedded label.
-const TENANT_FLEET: [u64; 2] = [0x8d89_667a_0715_385b, 0x2537_41d9_db7d_2b6f];
-const COLDSTART_SWEEP: [u64; 2] = [0xec08_39a9_91f0_ee1d, 0x681e_16f1_4653_5f03];
-const SLO_DASHBOARD: [u64; 2] = [0x4603_04c0_4d4e_696d, 0xcd3a_1bf8_03db_afde];
-// No label inside these: one digest at every worker count.
+// Digests of the bytes each example writes.
+const TENANT_FLEET: u64 = 0x8d89_667a_0715_385b;
+const COLDSTART_SWEEP: u64 = 0xec08_39a9_91f0_ee1d;
+const SLO_DASHBOARD: u64 = 0x4603_04c0_4d4e_696d;
 const CHAOS_SMOKE: u64 = 0x26b7_f0f2_1a67_1813;
 const TRACE_TIMELINE_JSON: u64 = 0x386f_6f26_da97_0a2e;
 const TRACE_TIMELINE_PROM: u64 = 0x220d_2af8_8d81_19f0;
@@ -42,38 +41,28 @@ const TRACE_TIMELINE_PROM: u64 = 0x220d_2af8_8d81_19f0;
 /// check compared their 6-decimal prints and allowed one ulp of that grid.
 const USD_EPS: f64 = 2e-6;
 
-/// One artifact run three ways: workers=1, workers=1 again, workers=4.
-fn three_runs<A>(build: impl Fn(usize) -> A) -> [A; 3] {
-    [build(1), build(1), build(4)]
+/// One artifact built twice.
+fn two_runs<A>(build: impl Fn() -> A) -> [A; 2] {
+    [build(), build()]
 }
 
-/// `render(run, label)` is the artifact's bytes with `label` embedded as
-/// its worker count.
+/// `render(run)` is the artifact's bytes.
 #[track_caller]
 fn assert_runs_pinned<A>(
     name: &str,
-    [first, again, w4]: &[A; 3],
-    render: impl Fn(&A, usize) -> String,
-    [pin_w1, pin_w4]: [u64; 2],
+    [first, again]: &[A; 2],
+    render: impl Fn(&A) -> String,
+    pin: u64,
 ) {
-    let bytes = render(first, 1);
-    assert!(bytes == render(again, 1), "{name}: two runs differ");
-    assert!(
-        render(first, 0) == render(w4, 0),
-        "{name}: worker count reached the artifact beyond its label"
-    );
-    assert_pinned(&format!("{name} at workers=1"), bytes.as_bytes(), pin_w1);
-    assert_pinned(
-        &format!("{name} at workers=4"),
-        render(w4, 4).as_bytes(),
-        pin_w4,
-    );
+    let bytes = render(first);
+    assert!(bytes == render(again), "{name}: two runs differ");
+    assert_pinned(name, bytes.as_bytes(), pin);
 }
 
 #[test]
 fn tenant_fleet_is_pinned_settles_its_bills_and_splitserve_beats_vm_only() {
-    let runs = three_runs(tenant_fleet);
-    assert_runs_pinned("tenant_fleet", &runs, |f, label| f.json(label), TENANT_FLEET);
+    let runs = two_runs(tenant_fleet);
+    assert_runs_pinned("tenant_fleet", &runs, |f| f.json(), TENANT_FLEET);
 
     let fleet = &runs[0];
     assert!(fleet.tenants.len() >= 100, "fleet below tenant floor");
@@ -157,8 +146,8 @@ fn microtrace_orderings_hold_at_example_scale() {
 
 #[test]
 fn coldstart_sweep_is_pinned_and_hybrid_is_no_colder_than_fixed() {
-    let runs = three_runs(|w| coldstart_sweep(w, None));
-    assert_runs_pinned("coldstart_sweep", &runs, |s, label| s.json(label), COLDSTART_SWEEP);
+    let runs = two_runs(|| coldstart_sweep(None));
+    assert_runs_pinned("coldstart_sweep", &runs, |s| s.json(), COLDSTART_SWEEP);
 
     let arms = &runs[0].arms;
     let selectors: Vec<&str> = arms.iter().map(|a| a.selector.as_str()).collect();
@@ -187,8 +176,8 @@ fn coldstart_sweep_is_pinned_and_hybrid_is_no_colder_than_fixed() {
 
 #[test]
 fn slo_dashboard_is_pinned_settles_its_bill_and_splitserve_beats_the_vm_pool() {
-    let runs = three_runs(slo_dashboard);
-    assert_runs_pinned("slo_dashboard", &runs, |d, label| d.json(label), SLO_DASHBOARD);
+    let runs = two_runs(slo_dashboard);
+    assert_runs_pinned("slo_dashboard", &runs, |d| d.json(), SLO_DASHBOARD);
 
     let policies = &runs[0].policies;
     let names: Vec<&str> = policies
@@ -233,31 +222,26 @@ fn slo_dashboard_is_pinned_settles_its_bill_and_splitserve_beats_the_vm_pool() {
 
 #[test]
 fn chaos_smoke_is_pinned_and_every_case_completes() {
-    let runs = three_runs(chaos_smoke);
-    assert_runs_pinned(
-        "chaos_smoke",
-        &runs,
-        |c, _| c.digest_input(),
-        [CHAOS_SMOKE; 2],
-    );
+    let runs = two_runs(chaos_smoke);
+    assert_runs_pinned("chaos_smoke", &runs, |c| c.digest_input(), CHAOS_SMOKE);
     assert_eq!((runs[0].completed, runs[0].lines.len()), (64, 64));
     assert!(runs[0].text().ends_with(&format!("digest={CHAOS_SMOKE:016x}\n")));
 }
 
 #[test]
 fn trace_timeline_is_pinned_and_shows_both_substrates_and_the_segue_drain() {
-    let runs = three_runs(trace_timeline);
+    let runs = two_runs(trace_timeline);
     assert_runs_pinned(
         "trace_timeline.json",
         &runs,
-        |t, _| t.obs.spans.to_chrome_trace(),
-        [TRACE_TIMELINE_JSON; 2],
+        |t| t.obs.spans.to_chrome_trace(),
+        TRACE_TIMELINE_JSON,
     );
     assert_runs_pinned(
         "trace_timeline.prom",
         &runs,
-        |t, _| t.obs.metrics.render_prometheus(),
-        [TRACE_TIMELINE_PROM; 2],
+        |t| t.obs.metrics.render_prometheus(),
+        TRACE_TIMELINE_PROM,
     );
 
     let spans = runs[0].obs.spans.finished_spans();
