@@ -54,7 +54,7 @@ const VM_CORES: u32 = 2;
 /// Lambda executors launched at t=0.
 const INITIAL_LAMBDAS: u32 = 4;
 /// Replacement waves: this many waves …
-const WAVE_COUNT: u64 = 10;
+const WAVE_COUNT: u32 = 10;
 /// … one every this many seconds (first at that instant) …
 const WAVE_EVERY_S: u64 = 5;
 /// … of this many Lambdas each.
@@ -153,16 +153,9 @@ pub fn run_case(
     );
     d.add_vm_cores(&mut sim, &M4_4XLARGE, VM_CORES);
     d.add_lambda_executors(&mut sim, INITIAL_LAMBDAS);
-    for wave in 1..=WAVE_COUNT {
-        let d2 = d.clone();
-        sim.schedule_at(SimTime::from_secs(wave * WAVE_EVERY_S), move |sim| {
-            d2.add_lambda_executors(sim, WAVE_SIZE);
-        });
-    }
-    let d2 = d.clone();
-    sim.schedule_at(SimTime::from_secs(RESCUE_AT_S), move |sim| {
-        d2.add_vm_cores(sim, &M4_4XLARGE, RESCUE_CORES);
-    });
+    let capacity = FaultPlan::replacement_waves(WAVE_COUNT, WAVE_EVERY_S, WAVE_SIZE)
+        .with_vm_rescue(RESCUE_AT_S, RESCUE_CORES);
+    inject::arm(&mut sim, &d, &capacity);
     let report = match plan {
         Some(p) => inject::arm(&mut sim, &d, p),
         None => InjectionReport::default(),

@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use splitserve::Deployment;
 use splitserve_cloud::M4_4XLARGE;
-use splitserve_des::{Sim, SimDuration, SimTime};
+use splitserve_des::{EventHandler, Sim, SimDuration, SimTime};
 use splitserve_engine::{EngineEventKind, ExecutorId};
 
 use crate::plan::{FaultEvent, FaultPlan};
@@ -36,8 +36,8 @@ struct ReportState {
 }
 
 /// A live tally of what the injector actually performed (an event can be a
-/// no-op when its target is already dead), shared with the scheduled
-/// callbacks. Cloneable handle; clones share state.
+/// no-op when its target is already dead), shared with the injector's
+/// events. Cloneable handle; clones share state.
 #[derive(Debug, Clone, Default)]
 pub struct InjectionReport {
     inner: Rc<RefCell<ReportState>>,
@@ -79,13 +79,6 @@ fn nth_lambda(d: &Deployment, n: u32) -> Option<ExecutorId> {
     Some(ids[n as usize % ids.len()])
 }
 
-/// Schedules `f` at `at_us`, clamped forward to "now" when the plan is
-/// armed after that instant has passed.
-fn at(sim: &mut Sim, at_us: u64, f: impl FnOnce(&mut Sim) + 'static) {
-    let t = SimTime::from_micros(at_us).max(sim.now());
-    sim.schedule_at(t, f);
-}
-
 fn injected(sim: &Sim, d: &Deployment, kind: &'static str) {
     d.engine()
         .emit(sim.now(), EngineEventKind::FaultInjected { kind });
@@ -106,34 +99,47 @@ fn kill_one(sim: &mut Sim, d: &Deployment, report: &InjectionReport, id: &Execut
     d.engine().kill_executor(sim, id);
 }
 
-/// Arms every executor-side event of `plan` against `deployment`,
-/// returning the shared report the callbacks will fill in as the
-/// simulation runs. Call before `sim.run()`; storage-side events must
-/// already be armed on the store (see [`FaultPlan::arm_store_faults`]).
-pub fn arm(sim: &mut Sim, deployment: &Deployment, plan: &FaultPlan) -> InjectionReport {
-    let report = InjectionReport::default();
-    for ev in plan.events.clone() {
-        let d = deployment.clone();
-        let r = report.clone();
-        match ev {
-            FaultEvent::Kill { at_us, lambda } => at(sim, at_us, move |sim| {
-                if let Some(id) = nth_lambda(&d, lambda) {
-                    kill_one(sim, &d, &r, &id);
+/// Token bit of a straggle's end, under the event's index in the plan.
+const STRAGGLE_END: u64 = 1;
+
+/// The armed plan: one handler for all its events.
+struct Injector {
+    d: Deployment,
+    report: InjectionReport,
+    events: Vec<FaultEvent>,
+    /// The executor each straggle slowed, by event index, until its end.
+    straggling: RefCell<Vec<Option<ExecutorId>>>,
+}
+
+impl EventHandler for Injector {
+    fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
+        let index = (token >> 1) as usize;
+        if token & STRAGGLE_END != 0 {
+            if let Some(id) = self.straggling.borrow_mut()[index].take() {
+                self.d.engine().set_executor_speed_factor(&id, 1.0);
+            }
+            return;
+        }
+        let (d, r) = (&self.d, &self.report);
+        match self.events[index] {
+            FaultEvent::Kill { lambda, .. } => {
+                if let Some(id) = nth_lambda(d, lambda) {
+                    kill_one(sim, d, r, &id);
                 }
-            }),
-            FaultEvent::BurstKill { at_us, min_age_us } => at(sim, at_us, move |sim| {
+            }
+            FaultEvent::BurstKill { min_age_us, .. } => {
                 let min_age = SimDuration::from_micros(min_age_us);
                 for id in d.lambda_executors() {
                     let Some(info) = d.engine().executor_info(&id) else {
                         continue;
                     };
                     if info.alive && sim.now().saturating_since(info.registered_at) >= min_age {
-                        kill_one(sim, &d, &r, &id);
+                        kill_one(sim, d, r, &id);
                     }
                 }
-            }),
-            FaultEvent::Drain { at_us, lambda } => at(sim, at_us, move |sim| {
-                let Some(id) = nth_lambda(&d, lambda) else {
+            }
+            FaultEvent::Drain { lambda, .. } => {
+                let Some(id) = nth_lambda(d, lambda) else {
                     return;
                 };
                 // Mirror the drain path's own liveness check so the tally
@@ -142,24 +148,24 @@ pub fn arm(sim: &mut Sim, deployment: &Deployment, plan: &FaultPlan) -> Injectio
                     Some(info) if info.alive && !info.draining => {}
                     _ => return,
                 }
-                injected(sim, &d, "drain");
+                injected(sim, d, "drain");
                 r.inner.borrow_mut().drains += 1;
                 d.drain_lambda_executor(sim, &id);
-            }),
+            }
             FaultEvent::Straggle {
-                at_us,
                 lambda,
                 slowdown_pct,
                 for_us,
-            } => at(sim, at_us, move |sim| {
-                let Some(id) = nth_lambda(&d, lambda) else {
+                ..
+            } => {
+                let Some(id) = nth_lambda(d, lambda) else {
                     return;
                 };
                 match d.engine().executor_info(&id) {
                     Some(info) if info.alive => {}
                     _ => return,
                 }
-                injected(sim, &d, "straggle");
+                injected(sim, d, "straggle");
                 r.inner.borrow_mut().straggles += 1;
                 // Tasks launched during the window run slower; the factor
                 // is sampled at launch, so an in-flight task keeps its
@@ -167,24 +173,52 @@ pub fn arm(sim: &mut Sim, deployment: &Deployment, plan: &FaultPlan) -> Injectio
                 let pct = slowdown_pct.max(1);
                 d.engine()
                     .set_executor_speed_factor(&id, 100.0 / f64::from(pct));
-                let d2 = d.clone();
-                sim.schedule_at(sim.now() + SimDuration::from_micros(for_us), move |_| {
-                    d2.engine().set_executor_speed_factor(&id, 1.0);
-                });
-            }),
-            FaultEvent::AddLambdas { at_us, count } => at(sim, at_us, move |sim| {
+                self.straggling.borrow_mut()[index] = Some(id);
+                let end = sim.now() + SimDuration::from_micros(for_us);
+                sim.notify_at(end, self.clone(), token | STRAGGLE_END);
+            }
+            FaultEvent::AddLambdas { count, .. } => {
                 r.inner.borrow_mut().capacity_adds += 1;
                 d.add_lambda_executors(sim, count);
-            }),
-            FaultEvent::AddVmCores { at_us, cores } => at(sim, at_us, move |sim| {
+            }
+            FaultEvent::AddVmCores { cores, .. } => {
                 r.inner.borrow_mut().capacity_adds += 1;
                 d.add_vm_cores(sim, &M4_4XLARGE, cores);
-            }),
+            }
             // Storage-side events live in the store decorator.
             FaultEvent::FetchFail { .. }
             | FaultEvent::WriteFail { .. }
             | FaultEvent::Latency { .. } => {}
         }
+    }
+}
+
+/// Arms every executor-side event of `plan` against `deployment` (at its
+/// `at_us`, or now if that has passed), returning the shared report the
+/// events will fill in as the simulation runs. Call before `sim.run()`;
+/// storage-side events must already be armed on the store (see
+/// [`FaultPlan::arm_store_faults`]).
+pub fn arm(sim: &mut Sim, deployment: &Deployment, plan: &FaultPlan) -> InjectionReport {
+    let report = InjectionReport::default();
+    let injector = Rc::new(Injector {
+        d: deployment.clone(),
+        report: report.clone(),
+        events: plan.events.clone(),
+        straggling: RefCell::new(vec![None; plan.events.len()]),
+    });
+    for (index, ev) in plan.events.iter().enumerate() {
+        let at_us = match *ev {
+            FaultEvent::Kill { at_us, .. }
+            | FaultEvent::BurstKill { at_us, .. }
+            | FaultEvent::Drain { at_us, .. }
+            | FaultEvent::Straggle { at_us, .. }
+            | FaultEvent::AddLambdas { at_us, .. }
+            | FaultEvent::AddVmCores { at_us, .. } => at_us,
+            // Storage-side events live in the store decorator.
+            _ => continue,
+        };
+        let at = SimTime::from_micros(at_us).max(sim.now());
+        sim.notify_at(at, injector.clone(), (index as u64) << 1);
     }
     report
 }

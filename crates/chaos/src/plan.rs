@@ -279,12 +279,11 @@ impl FaultPlan {
         }
     }
 
-    /// The churn half of the ported `fault_tolerance` scenarios: `waves`
-    /// waves of `per_wave` replacement Lambdas, one wave every `every_s`
-    /// seconds starting at `every_s`. Pair with a short Lambda lifetime in
-    /// the topology so the platform does the killing.
-    ///
-    /// Test aid: only tests call this.
+    /// `waves` waves of `per_wave` replacement Lambdas, one wave every
+    /// `every_s` seconds starting at `every_s`: the churn half of the
+    /// ported `fault_tolerance` scenarios (paired with a short Lambda
+    /// lifetime, so the platform does the killing), and the chaos
+    /// topology's own capacity.
     pub fn replacement_waves(waves: u32, every_s: u64, per_wave: u32) -> FaultPlan {
         let events = (1..=u64::from(waves))
             .map(|wave| FaultEvent::AddLambdas {
@@ -296,8 +295,6 @@ impl FaultPlan {
     }
 
     /// Appends a VM rescue: `cores` VM executors arriving at `at_s`.
-    ///
-    /// Test aid: only tests call this.
     pub fn with_vm_rescue(mut self, at_s: u64, cores: u32) -> FaultPlan {
         self.events.push(FaultEvent::AddVmCores {
             at_us: at_s * 1_000_000,

@@ -1,13 +1,15 @@
 //! The cloud component: VM and Lambda lifecycles wired to the fabric and
-//! the billing ledger.
+//! the billing ledger. Its timers are its own typed events, and it reports
+//! to its owner through a [`CloudListener`] held by `Weak`: the cloud keeps
+//! no caller closure, so no cycle can run through it.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use splitserve_des::{Dist, Fabric, LinkId, Sim, SimDuration, SimTime};
+use splitserve_des::{Dist, EventHandler, Fabric, LinkId, Sim, SimDuration, SimTime};
 
 use crate::billing::{Category, Ledger};
-use crate::coldstart::{ColdStartPolicy, ColdStartSpec, PoolDecision, PoolEvent, PoolStats, WarmPool};
+use crate::coldstart::{ColdStartSpec, PoolDecision, PoolEvent, PoolStats, WarmPool};
 use crate::instance::InstanceType;
 use crate::pricing;
 
@@ -115,9 +117,6 @@ struct Vm {
     started_at: Option<SimTime>,
 }
 
-/// Callback fired when the platform's lifetime limit kills a Lambda.
-type KillCallback = Box<dyn FnOnce(&mut Sim, LambdaId)>;
-
 struct Lambda {
     memory_mb: u64,
     func: u32,
@@ -125,8 +124,32 @@ struct Lambda {
     nic: LinkId,
     started_at: Option<SimTime>,
     kill_event: Option<splitserve_des::EventId>,
-    on_killed: Option<KillCallback>,
 }
+
+/// What the cloud reports to its [`CloudListener`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloudEvent {
+    /// A VM from [`Cloud::request_vm`] booted (unless terminated first).
+    VmReady(VmId),
+    /// A Lambda's container came up (unless released first); its lifetime
+    /// clock started.
+    LambdaReady(LambdaId),
+    /// The platform's lifetime limit killed a running Lambda.
+    LambdaKilled(LambdaId),
+}
+
+/// The owner of a [`Cloud`], registered with [`Cloud::set_listener`].
+pub trait CloudListener {
+    /// `event` happened at `sim.now()`.
+    fn on_cloud_event(self: Rc<Self>, sim: &mut Sim, event: CloudEvent);
+}
+
+/// Token kinds of the cloud's timers, under the index into `vms` or
+/// `lambdas`.
+const VM_BOOT: u64 = 0;
+const LAMBDA_START: u64 = 1;
+const LAMBDA_KILL: u64 = 2;
+const KIND_BITS: u32 = 2;
 
 struct Inner {
     spec: CloudSpec,
@@ -134,6 +157,54 @@ struct Inner {
     lambdas: Vec<Lambda>,
     pool: WarmPool,
     ledger: Ledger,
+    listener: Option<Weak<dyn CloudListener>>,
+}
+
+/// What every handle to a cloud, and every one of its timers, shares.
+struct Core {
+    inner: RefCell<Inner>,
+}
+
+/// A VM boot, a Lambda start or a lifetime kill fell due.
+impl EventHandler for Core {
+    fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
+        let (now, i) = (sim.now(), (token >> KIND_BITS) as usize);
+        let mut inner = self.inner.borrow_mut();
+        let event = match token & ((1 << KIND_BITS) - 1) {
+            VM_BOOT if inner.vms[i].state == VmState::Booting => {
+                let vm = &mut inner.vms[i];
+                vm.state = VmState::Running;
+                vm.started_at = Some(now);
+                CloudEvent::VmReady(VmId(i as u64))
+            }
+            LAMBDA_START if inner.lambdas[i].state == LambdaState::Starting => {
+                // Arm the platform's hard lifetime kill.
+                let kill = (i as u64) << KIND_BITS | LAMBDA_KILL;
+                let kill = sim.notify_in(inner.spec.lambda_lifetime, self.clone(), kill);
+                let lam = &mut inner.lambdas[i];
+                lam.state = LambdaState::Running;
+                lam.started_at = Some(now);
+                lam.kill_event = Some(kill);
+                CloudEvent::LambdaReady(LambdaId(i as u64))
+            }
+            LAMBDA_KILL if inner.lambdas[i].state == LambdaState::Running => {
+                let lam = &mut inner.lambdas[i];
+                lam.state = LambdaState::Killed;
+                let runtime = now.saturating_since(lam.started_at.expect("running lambda started"));
+                let usd = pricing::lambda_compute_cost(lam.memory_mb, runtime);
+                inner.ledger.charge(Category::LambdaCompute, usd);
+                CloudEvent::LambdaKilled(LambdaId(i as u64))
+            }
+            // Terminated while booting, released before it came up or
+            // before its kill.
+            _ => return,
+        };
+        let listener = inner.listener.as_ref().and_then(Weak::upgrade);
+        drop(inner);
+        if let Some(listener) = listener {
+            listener.on_cloud_event(sim, event);
+        }
+    }
 }
 
 /// Cloneable handle to the simulated cloud.
@@ -151,13 +222,13 @@ struct Inner {
 /// ```
 #[derive(Clone)]
 pub struct Cloud {
-    inner: Rc<RefCell<Inner>>,
+    core: Rc<Core>,
     fabric: Fabric,
 }
 
 impl std::fmt::Debug for Cloud {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.core.inner.borrow();
         f.debug_struct("Cloud")
             .field("vms", &inner.vms.len())
             .field("lambdas", &inner.lambdas.len())
@@ -173,68 +244,44 @@ impl Cloud {
     /// policy from `spec.coldstart`.
     pub fn new(spec: CloudSpec, fabric: Fabric) -> Self {
         let policy = spec.coldstart.build();
-        Self::with_policy(spec, fabric, policy)
-    }
-
-    /// Creates a cloud running a caller-supplied [`ColdStartPolicy`] —
-    /// the plug-in point for policies beyond the built-in
-    /// [`ColdStartSpec`] variants.
-    pub(crate) fn with_policy(
-        spec: CloudSpec,
-        fabric: Fabric,
-        policy: Box<dyn ColdStartPolicy>,
-    ) -> Self {
         let pool = WarmPool::new(policy, spec.prewarmed_lambdas, PREWARMED_LAMBDA_MB);
+        let inner = Inner {
+            spec,
+            vms: Vec::new(),
+            lambdas: Vec::new(),
+            pool,
+            ledger: Ledger::new(),
+            listener: None,
+        };
         Cloud {
-            inner: Rc::new(RefCell::new(Inner {
-                spec,
-                vms: Vec::new(),
-                lambdas: Vec::new(),
-                pool,
-                ledger: Ledger::new(),
-            })),
+            core: Rc::new(Core {
+                inner: RefCell::new(inner),
+            }),
             fabric,
         }
     }
 
-    /// The fabric this cloud places links on.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
+    /// Makes `listener` hear this cloud's [`CloudEvent`]s. The cloud keeps
+    /// only a `Weak` to it: events that fire once it is gone go unheard.
+    pub fn set_listener<L: CloudListener + 'static>(&self, listener: &Rc<L>) {
+        let listener: Weak<L> = Rc::downgrade(listener);
+        self.core.inner.borrow_mut().listener = Some(listener);
     }
 
     // ----- VMs -------------------------------------------------------
 
-    /// Requests a new VM. `on_ready` fires after the sampled boot delay.
-    /// Billing accrues from readiness until [`Cloud::terminate_vm`].
-    pub fn request_vm(
-        &self,
-        sim: &mut Sim,
-        itype: InstanceType,
-        on_ready: impl FnOnce(&mut Sim, VmId) + 'static,
-    ) -> VmId {
+    /// Requests a new VM; [`CloudEvent::VmReady`] reports it after the
+    /// sampled boot delay. Billing accrues from readiness until
+    /// [`Cloud::terminate_vm`].
+    pub fn request_vm(&self, sim: &mut Sim, itype: InstanceType) -> VmId {
         let boot_secs = {
-            let inner = self.inner.borrow();
+            let inner = self.core.inner.borrow();
             inner.spec.vm_boot.clone()
         }
         .sample(sim.rng());
         let id = self.add_vm(itype, VmState::Booting);
-        let cloud = self.clone();
-        sim.schedule_in(SimDuration::from_secs_f64(boot_secs), move |sim| {
-            let still_wanted = {
-                let mut inner = cloud.inner.borrow_mut();
-                let vm = &mut inner.vms[id.0 as usize];
-                if vm.state == VmState::Booting {
-                    vm.state = VmState::Running;
-                    vm.started_at = Some(sim.now());
-                    true
-                } else {
-                    false // terminated while booting
-                }
-            };
-            if still_wanted {
-                on_ready(sim, id);
-            }
-        });
+        let boot = SimDuration::from_secs_f64(boot_secs);
+        sim.notify_in(boot, self.core.clone(), id.0 << KIND_BITS | VM_BOOT);
         id
     }
 
@@ -243,7 +290,7 @@ impl Cloud {
     /// now.
     pub fn provision_vm_ready(&self, sim: &mut Sim, itype: InstanceType) -> VmId {
         let id = self.add_vm(itype, VmState::Running);
-        self.inner.borrow_mut().vms[id.0 as usize].started_at = Some(sim.now());
+        self.core.inner.borrow_mut().vms[id.0 as usize].started_at = Some(sim.now());
         id
     }
 
@@ -256,7 +303,7 @@ impl Cloud {
             itype.ebs_bytes_per_sec,
             format!("{}-ebs", itype.name),
         );
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         let id = VmId(inner.vms.len() as u64);
         inner.vms.push(Vm {
             itype,
@@ -275,7 +322,7 @@ impl Cloud {
     ///
     /// Panics if the VM was already terminated.
     pub fn terminate_vm(&self, sim: &mut Sim, id: VmId) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         let now = sim.now();
         let vm = &mut inner.vms[id.0 as usize];
         assert_ne!(vm.state, VmState::Terminated, "double terminate of {id}");
@@ -293,66 +340,48 @@ impl Cloud {
 
     /// The VM's instance type.
     pub fn vm_type(&self, id: VmId) -> InstanceType {
-        self.inner.borrow().vms[id.0 as usize].itype.clone()
+        self.core.inner.borrow().vms[id.0 as usize].itype.clone()
     }
 
     /// Number of vCPUs (executor cores) on the VM.
     pub fn vm_cores(&self, id: VmId) -> u32 {
-        self.inner.borrow().vms[id.0 as usize].itype.vcpus
+        self.core.inner.borrow().vms[id.0 as usize].itype.vcpus
     }
 
     /// The VM's network link.
     pub fn vm_nic(&self, id: VmId) -> LinkId {
-        self.inner.borrow().vms[id.0 as usize].nic
+        self.core.inner.borrow().vms[id.0 as usize].nic
     }
 
     /// The VM's dedicated EBS (disk) link.
     pub fn vm_ebs(&self, id: VmId) -> LinkId {
-        self.inner.borrow().vms[id.0 as usize].ebs
+        self.core.inner.borrow().vms[id.0 as usize].ebs
     }
 
     // ----- Lambdas ---------------------------------------------------
 
-    /// Invokes a Lambda with `memory_mb` of memory.
+    /// Invokes a Lambda of function `func` with `memory_mb` of memory.
     ///
-    /// `on_ready` fires after a warm or cold start depending on pool state;
-    /// `on_killed` fires if the container hits the platform lifetime limit
-    /// before [`Cloud::release_lambda`] is called. The invocation fee is
-    /// charged immediately; compute is billed on release/kill at 100 ms
-    /// granularity.
+    /// [`CloudEvent::LambdaReady`] reports it after a warm or cold start
+    /// depending on pool state, [`CloudEvent::LambdaKilled`] if it hits the
+    /// platform lifetime limit before [`Cloud::release_lambda`]. The
+    /// invocation fee is charged immediately; compute is billed on
+    /// release/kill at 100 ms granularity. The warm pool is shared across
+    /// functions (any parked container serves any function, matching
+    /// container-fungible platforms), but per-func policies — notably the
+    /// hybrid histogram — key their idle-time statistics and prewarm
+    /// windows on `func`.
     ///
     /// # Panics
     ///
     /// Panics if `memory_mb` exceeds the platform maximum (3 008 MB).
-    pub fn invoke_lambda(
-        &self,
-        sim: &mut Sim,
-        memory_mb: u64,
-        on_ready: impl FnOnce(&mut Sim, LambdaId) + 'static,
-        on_killed: impl FnOnce(&mut Sim, LambdaId) + 'static,
-    ) -> LambdaId {
-        self.invoke_lambda_for(sim, 0, memory_mb, on_ready, on_killed)
-    }
-
-    /// [`Cloud::invoke_lambda`] with an explicit function identity. The
-    /// warm pool is shared across functions (any parked container serves
-    /// any function, matching container-fungible platforms), but per-func
-    /// policies — notably the hybrid histogram — key their idle-time
-    /// statistics and prewarm windows on `func`.
-    pub fn invoke_lambda_for(
-        &self,
-        sim: &mut Sim,
-        func: u32,
-        memory_mb: u64,
-        on_ready: impl FnOnce(&mut Sim, LambdaId) + 'static,
-        on_killed: impl FnOnce(&mut Sim, LambdaId) + 'static,
-    ) -> LambdaId {
+    pub fn invoke_lambda(&self, sim: &mut Sim, func: u32, memory_mb: u64) -> LambdaId {
         assert!(
             memory_mb <= pricing::LAMBDA_MAX_MEMORY_MB,
             "lambda memory {memory_mb} MB exceeds platform max"
         );
-        let (start_dist, lifetime) = {
-            let mut inner = self.inner.borrow_mut();
+        let start_dist = {
+            let mut inner = self.core.inner.borrow_mut();
             let now = sim.now();
             inner
                 .ledger
@@ -362,18 +391,17 @@ impl Cloud {
             // regardless of the warm/cold outcome, so policy choice never
             // shifts the RNG stream or the event queue.
             let warm = inner.pool.invoke(now.as_micros(), func, memory_mb);
-            let d = if warm {
+            if warm {
                 inner.spec.lambda_warm_start.clone()
             } else {
                 inner.spec.lambda_cold_start.clone()
-            };
-            (d, inner.spec.lambda_lifetime)
+            }
         };
         let start_secs = start_dist.sample(sim.rng());
 
         // Bandwidth ∝ memory, with per-container jitter.
         let (bw, jitter) = {
-            let inner = self.inner.borrow();
+            let inner = self.core.inner.borrow();
             let base = inner.spec.lambda_net_bytes_per_sec_at_max * memory_mb as f64
                 / pricing::LAMBDA_MAX_MEMORY_MB as f64;
             (base, inner.spec.lambda_net_jitter.clone())
@@ -382,7 +410,7 @@ impl Cloud {
         let nic = self.fabric.add_link(bw, format!("lambda-{memory_mb}mb-nic"));
 
         let id = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.core.inner.borrow_mut();
             let id = LambdaId(inner.lambdas.len() as u64);
             inner.lambdas.push(Lambda {
                 memory_mb,
@@ -391,92 +419,36 @@ impl Cloud {
                 nic,
                 started_at: None,
                 kill_event: None,
-                on_killed: Some(Box::new(on_killed)),
             });
             id
         };
-
-        let cloud = self.clone();
-        sim.schedule_in(SimDuration::from_secs_f64(start_secs), move |sim| {
-            {
-                let mut inner = cloud.inner.borrow_mut();
-                let lam = &mut inner.lambdas[id.0 as usize];
-                if lam.state != LambdaState::Starting {
-                    return; // released/aborted before the container came up
-                }
-                lam.state = LambdaState::Running;
-                lam.started_at = Some(sim.now());
-            }
-            // Arm the platform's hard lifetime kill.
-            let cloud2 = cloud.clone();
-            let kill = sim.schedule_in(lifetime, move |sim| cloud2.kill_lambda(sim, id));
-            cloud.inner.borrow_mut().lambdas[id.0 as usize].kill_event = Some(kill);
-            on_ready(sim, id);
-        });
+        let start = SimDuration::from_secs_f64(start_secs);
+        sim.notify_in(start, self.core.clone(), id.0 << KIND_BITS | LAMBDA_START);
         id
     }
 
-    fn kill_lambda(&self, sim: &mut Sim, id: LambdaId) {
-        let cb = {
-            let mut inner = self.inner.borrow_mut();
-            let now = sim.now();
-            let lam = &mut inner.lambdas[id.0 as usize];
-            if lam.state != LambdaState::Running {
-                return;
-            }
-            lam.state = LambdaState::Killed;
-            let runtime = now.saturating_since(lam.started_at.expect("running lambda started"));
-            let usd = pricing::lambda_compute_cost(lam.memory_mb, runtime);
-            let cb = lam.on_killed.take();
-            inner.ledger.charge(Category::LambdaCompute, usd);
-            cb
-        };
-        if let Some(cb) = cb {
-            cb(sim, id);
-        }
-    }
-
-    /// Gracefully releases a Lambda: finalizes its bill and parks the
-    /// container in the warm pool. Releasing an already-killed container is
-    /// a no-op (the kill callback already ran).
+    /// Gracefully releases a Lambda: finalizes its bill, parks the
+    /// container in the warm pool and cancels its lifetime kill. Releasing
+    /// an already-killed container is a no-op.
     pub fn release_lambda(&self, sim: &mut Sim, id: LambdaId) {
-        // The kill can no longer happen, so its callback goes too (dropped
-        // once the borrow below ends): it typically holds the deployment
-        // that holds this cloud — a cycle that kept whole runs alive.
-        let (kill_event, _unfired) = {
-            let mut inner = self.inner.borrow_mut();
+        let kill_event = {
+            let mut inner = self.core.inner.borrow_mut();
             let now = sim.now();
             let lam = &mut inner.lambdas[id.0 as usize];
-            let unfired = lam.on_killed.take();
-            let kill_event = match lam.state {
+            let billed = match lam.state {
                 LambdaState::Running => {
-                    lam.state = LambdaState::Released;
-                    let runtime =
-                        now.saturating_since(lam.started_at.expect("running lambda started"));
-                    let usd = pricing::lambda_compute_cost(lam.memory_mb, runtime);
-                    let ev = lam.kill_event.take();
-                    let mem = lam.memory_mb;
-                    let func = lam.func;
-                    inner.ledger.charge(Category::LambdaCompute, usd);
-                    inner.pool.release(now.as_micros(), func, mem);
-                    ev
+                    now.saturating_since(lam.started_at.expect("running lambda started"))
                 }
-                LambdaState::Starting => {
-                    // Released before it even started: bill one quantum.
-                    lam.state = LambdaState::Released;
-                    let usd = pricing::lambda_compute_cost(
-                        lam.memory_mb,
-                        pricing::LAMBDA_BILLING_QUANTUM,
-                    );
-                    let mem = lam.memory_mb;
-                    let func = lam.func;
-                    inner.ledger.charge(Category::LambdaCompute, usd);
-                    inner.pool.release(now.as_micros(), func, mem);
-                    None
-                }
-                LambdaState::Released | LambdaState::Killed => None,
+                // Released before it even started: bill one quantum.
+                LambdaState::Starting => pricing::LAMBDA_BILLING_QUANTUM,
+                LambdaState::Released | LambdaState::Killed => return,
             };
-            (kill_event, unfired)
+            lam.state = LambdaState::Released;
+            let usd = pricing::lambda_compute_cost(lam.memory_mb, billed);
+            let (func, mem, ev) = (lam.func, lam.memory_mb, lam.kill_event.take());
+            inner.ledger.charge(Category::LambdaCompute, usd);
+            inner.pool.release(now.as_micros(), func, mem);
+            ev
         };
         if let Some(ev) = kill_event {
             sim.cancel(ev);
@@ -485,35 +457,29 @@ impl Cloud {
 
     /// The Lambda's network link.
     pub fn lambda_nic(&self, id: LambdaId) -> LinkId {
-        self.inner.borrow().lambdas[id.0 as usize].nic
+        self.core.inner.borrow().lambdas[id.0 as usize].nic
     }
 
     /// The Lambda's memory allocation in MB.
     pub fn lambda_memory_mb(&self, id: LambdaId) -> u64 {
-        self.inner.borrow().lambdas[id.0 as usize].memory_mb
-    }
-
-    /// Counts of (warm, cold) starts so far.
-    pub fn start_counts(&self) -> (u64, u64) {
-        let s = self.inner.borrow().pool.stats();
-        (s.warm_starts, s.cold_starts)
+        self.core.inner.borrow().lambdas[id.0 as usize].memory_mb
     }
 
     /// Aggregate warm-pool statistics under the active cold-start policy.
     pub fn pool_stats(&self) -> PoolStats {
-        self.inner.borrow().pool.stats()
+        self.core.inner.borrow().pool.stats()
     }
 
     /// The active cold-start policy's label.
     pub fn policy_name(&self) -> &'static str {
-        self.inner.borrow().pool.policy_name()
+        self.core.inner.borrow().pool.policy_name()
     }
 
     /// The warm-pool input stream so far — what the policy oracle replays.
     ///
     /// Test aid: only tests call this.
     pub fn pool_inputs(&self) -> Vec<PoolEvent> {
-        self.inner.borrow().pool.inputs().to_vec()
+        self.core.inner.borrow().pool.inputs().to_vec()
     }
 
     /// The warm-pool decision log so far — what the policy oracle must
@@ -521,42 +487,35 @@ impl Cloud {
     ///
     /// Test aid: only tests call this.
     pub fn pool_decisions(&self) -> Vec<PoolDecision> {
-        self.inner.borrow().pool.decisions().to_vec()
-    }
-
-    /// Sweeps the warm pool to `now` and evicts everything still parked,
-    /// charging its idle memory — called by [`Cloud::shutdown_all`]; safe
-    /// to call again (idempotent).
-    pub(crate) fn finalize_pool(&self, now: SimTime) {
-        self.inner.borrow_mut().pool.finalize(now.as_micros());
+        self.core.inner.borrow().pool.decisions().to_vec()
     }
 
     // ----- Billing ---------------------------------------------------
 
     /// Records an arbitrary charge (used by the storage services).
     pub fn charge(&self, category: Category, usd: f64) {
-        self.inner.borrow_mut().ledger.charge(category, usd);
+        self.core.inner.borrow_mut().ledger.charge(category, usd);
     }
 
     /// Total *finalized* spend so far.
     pub fn total_cost(&self) -> f64 {
-        self.inner.borrow().ledger.total()
+        self.core.inner.borrow().ledger.total()
     }
 
     /// Finalized spend in one category.
     pub fn cost_for(&self, category: Category) -> f64 {
-        self.inner.borrow().ledger.total_for(category)
+        self.core.inner.borrow().ledger.total_for(category)
     }
 
     /// Per-category rollup of finalized spend.
     pub fn cost_by_category(&self) -> Vec<(Category, f64)> {
-        self.inner.borrow().ledger.by_category()
+        self.core.inner.borrow().ledger.by_category()
     }
 
     /// Finalized spend *plus* the accrued cost of everything still running
     /// at `now` — the number an experiment reads at job completion.
     pub fn accrued_cost(&self, now: SimTime) -> f64 {
-        let inner = self.inner.borrow();
+        let inner = self.core.inner.borrow();
         let mut total = inner.ledger.total();
         for vm in &inner.vms {
             if vm.state == VmState::Running {
@@ -579,32 +538,22 @@ impl Cloud {
     /// Terminates every running VM and releases every running Lambda,
     /// finalizing all bills — called at the end of an experiment.
     pub fn shutdown_all(&self, sim: &mut Sim) {
-        let vm_ids: Vec<VmId> = {
-            let inner = self.inner.borrow();
-            (0..inner.vms.len() as u64)
-                .map(VmId)
-                .filter(|id| inner.vms[id.0 as usize].state != VmState::Terminated)
-                .collect()
+        let (vms, lambdas) = {
+            let inner = self.core.inner.borrow();
+            (inner.vms.len() as u64, inner.lambdas.len() as u64)
         };
-        for id in vm_ids {
-            self.terminate_vm(sim, id);
+        for id in (0..vms).map(VmId) {
+            if self.core.inner.borrow().vms[id.0 as usize].state != VmState::Terminated {
+                self.terminate_vm(sim, id);
+            }
         }
-        let lambda_ids: Vec<LambdaId> = {
-            let inner = self.inner.borrow();
-            (0..inner.lambdas.len() as u64)
-                .map(LambdaId)
-                .filter(|id| {
-                    matches!(
-                        inner.lambdas[id.0 as usize].state,
-                        LambdaState::Running | LambdaState::Starting
-                    )
-                })
-                .collect()
-        };
-        for id in lambda_ids {
+        // Releasing a released or killed Lambda is a no-op.
+        for id in (0..lambdas).map(LambdaId) {
             self.release_lambda(sim, id);
         }
-        self.finalize_pool(sim.now());
+        // Sweep the warm pool to now and evict everything still parked,
+        // charging its idle memory (idempotent).
+        self.core.inner.borrow_mut().pool.finalize(sim.now().as_micros());
     }
 }
 
@@ -612,22 +561,81 @@ impl Cloud {
 mod tests {
     use super::*;
     use crate::instance::{M4_LARGE, M4_XLARGE};
-    use std::cell::Cell;
 
     impl Cloud {
+        /// Counts of (warm, cold) starts so far.
+        fn start_counts(&self) -> (u64, u64) {
+            let s = self.pool_stats();
+            (s.warm_starts, s.cold_starts)
+        }
+
         /// Containers currently parked warm.
         fn warm_pool_len(&self) -> usize {
-            self.inner.borrow().pool.warm_len()
+            self.core.inner.borrow().pool.warm_len()
         }
 
         /// The Lambda's lifecycle state.
         fn lambda_state(&self, id: LambdaId) -> LambdaState {
-            self.inner.borrow().lambdas[id.0 as usize].state
+            self.core.inner.borrow().lambdas[id.0 as usize].state
         }
 
         /// The VM's lifecycle state.
         fn vm_state(&self, id: VmId) -> VmState {
-            self.inner.borrow().vms[id.0 as usize].state
+            self.core.inner.borrow().vms[id.0 as usize].state
+        }
+    }
+
+    /// Records what the cloud reports, with the second it heard each
+    /// event, and releases a Lambda the test asked for `hold` after it
+    /// comes up (at once for a zero hold).
+    struct Recorder {
+        cloud: Cloud,
+        heard: RefCell<Vec<(f64, CloudEvent)>>,
+        holds: RefCell<Vec<(LambdaId, SimDuration)>>,
+    }
+
+    impl Recorder {
+        fn on(cloud: &Cloud) -> Rc<Recorder> {
+            let recorder = Rc::new(Recorder {
+                cloud: cloud.clone(),
+                heard: RefCell::default(),
+                holds: RefCell::default(),
+            });
+            cloud.set_listener(&recorder);
+            recorder
+        }
+
+        fn release_after(&self, id: LambdaId, hold: SimDuration) {
+            self.holds.borrow_mut().push((id, hold));
+        }
+
+        fn heard(&self) -> Vec<(f64, CloudEvent)> {
+            self.heard.borrow().clone()
+        }
+
+        /// When `id` came up, if it did.
+        fn ready_at(&self, id: LambdaId) -> Option<f64> {
+            let heard = self.heard.borrow();
+            let mut ready = heard.iter().filter(|(_, e)| *e == CloudEvent::LambdaReady(id));
+            ready.next().map(|(at, _)| *at)
+        }
+    }
+
+    impl CloudListener for Recorder {
+        fn on_cloud_event(self: Rc<Self>, sim: &mut Sim, event: CloudEvent) {
+            self.heard.borrow_mut().push((sim.now().as_secs_f64(), event));
+            let CloudEvent::LambdaReady(id) = event else {
+                return;
+            };
+            let hold = self.holds.borrow().iter().find(|(l, _)| *l == id).map(|(_, h)| *h);
+            match hold {
+                Some(hold) if hold.is_zero() => self.cloud.release_lambda(sim, id),
+                Some(hold) => {
+                    let cloud = self.cloud.clone();
+                    sim.schedule_in(hold, move |sim| cloud.release_lambda(sim, id));
+                }
+                None => {}
+            }
         }
     }
 
@@ -645,13 +653,10 @@ mod tests {
     fn vm_boot_delay_applies() {
         let mut sim = Sim::new(0);
         let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        let ready_at = Rc::new(Cell::new(-1.0));
-        let r = Rc::clone(&ready_at);
-        cloud.request_vm(&mut sim, M4_LARGE, move |sim, _id| {
-            r.set(sim.now().as_secs_f64());
-        });
+        let recorder = Recorder::on(&cloud);
+        let vm = cloud.request_vm(&mut sim, M4_LARGE);
         sim.run();
-        assert_eq!(ready_at.get(), 110.0);
+        assert_eq!(recorder.heard(), [(110.0, CloudEvent::VmReady(vm))]);
     }
 
     #[test]
@@ -673,15 +678,14 @@ mod tests {
     fn terminate_while_booting_is_free() {
         let mut sim = Sim::new(0);
         let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        let fired = Rc::new(Cell::new(false));
-        let f = Rc::clone(&fired);
-        let vm = cloud.request_vm(&mut sim, M4_XLARGE, move |_, _| f.set(true));
+        let recorder = Recorder::on(&cloud);
+        let vm = cloud.request_vm(&mut sim, M4_XLARGE);
         let c = cloud.clone();
         sim.schedule_in(SimDuration::from_secs(10), move |sim| {
             c.terminate_vm(sim, vm);
         });
         sim.run();
-        assert!(!fired.get(), "on_ready must not fire after cancel");
+        assert!(recorder.heard().is_empty(), "VmReady must not fire after cancel");
         assert_eq!(cloud.total_cost(), 0.0);
         assert_eq!(cloud.vm_state(vm), VmState::Terminated);
     }
@@ -690,24 +694,13 @@ mod tests {
     fn lambda_warm_start_then_release_bills_quantum() {
         let mut sim = Sim::new(0);
         let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        let ready_at = Rc::new(Cell::new(-1.0));
-        let r = Rc::clone(&ready_at);
-        let cloud2 = cloud.clone();
-        cloud.invoke_lambda(
-            &mut sim,
-            1_536,
-            move |sim, id| {
-                r.set(sim.now().as_secs_f64());
-                // run 0.25 s then release
-                let c = cloud2.clone();
-                sim.schedule_in(SimDuration::from_millis(250), move |sim| {
-                    c.release_lambda(sim, id);
-                });
-            },
-            |_, _| panic!("must not be killed"),
-        );
+        let recorder = Recorder::on(&cloud);
+        let id = cloud.invoke_lambda(&mut sim, 0, 1_536);
+        // run 0.25 s then release
+        recorder.release_after(id, SimDuration::from_millis(250));
         sim.run();
-        assert!((ready_at.get() - 0.1).abs() < 1e-9);
+        assert_eq!(recorder.heard().len(), 1, "released, never killed");
+        assert!((recorder.ready_at(id).expect("came up") - 0.1).abs() < 1e-9);
         // 0.25 s rounds to 0.3 s of 1.5 GB + invocation fee.
         let expect = pricing::LAMBDA_USD_PER_GB_SEC * 1.5 * 0.3 + pricing::LAMBDA_USD_PER_INVOCATION;
         assert!(
@@ -721,36 +714,28 @@ mod tests {
     fn lambda_lifetime_kill_fires_callback() {
         let mut sim = Sim::new(0);
         let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        let killed_at = Rc::new(Cell::new(-1.0));
-        let k = Rc::clone(&killed_at);
-        cloud.invoke_lambda(
-            &mut sim,
-            1_536,
-            |_, _| {}, // never released
-            move |sim, _| k.set(sim.now().as_secs_f64()),
-        );
+        let recorder = Recorder::on(&cloud);
+        let id = cloud.invoke_lambda(&mut sim, 0, 1_536); // never released
         sim.run();
         // ready at 0.1 s + 900 s lifetime
-        assert!((killed_at.get() - 900.1).abs() < 1e-6);
+        let (killed_at, killed) = recorder.heard()[1];
+        assert_eq!(killed, CloudEvent::LambdaKilled(id));
+        assert!((killed_at - 900.1).abs() < 1e-6);
     }
 
     #[test]
     fn release_cancels_lifetime_kill() {
         let mut sim = Sim::new(0);
         let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        let cloud2 = cloud.clone();
-        cloud.invoke_lambda(
-            &mut sim,
-            1_536,
-            move |sim, id| {
-                let c = cloud2.clone();
-                sim.schedule_in(SimDuration::from_secs(10), move |sim| {
-                    c.release_lambda(sim, id);
-                });
-            },
-            |_, _| panic!("kill must be cancelled by release"),
-        );
+        let recorder = Recorder::on(&cloud);
+        let id = cloud.invoke_lambda(&mut sim, 0, 1_536);
+        recorder.release_after(id, SimDuration::from_secs(10));
         sim.run();
+        assert_eq!(
+            recorder.heard(),
+            [(0.1, CloudEvent::LambdaReady(id))],
+            "kill must be cancelled by release"
+        );
         assert!(sim.now().as_secs_f64() < 900.0);
     }
 
@@ -762,21 +747,13 @@ mod tests {
             ..quiet_spec()
         };
         let cloud = Cloud::new(spec, Fabric::new());
-        let mut ready = Vec::new();
-        for _ in 0..3 {
-            let r = Rc::new(Cell::new(-1.0));
-            ready.push(Rc::clone(&r));
-            cloud.invoke_lambda(
-                &mut sim,
-                1_536,
-                move |sim, _| r.set(sim.now().as_secs_f64()),
-                |_, _| {},
-            );
-        }
+        let recorder = Recorder::on(&cloud);
+        let ids: Vec<LambdaId> = (0..3).map(|_| cloud.invoke_lambda(&mut sim, 0, 1_536)).collect();
         sim.run_until(SimTime::from_secs(30));
-        assert!((ready[0].get() - 0.1).abs() < 1e-9);
-        assert!((ready[1].get() - 0.1).abs() < 1e-9);
-        assert!((ready[2].get() - 3.0).abs() < 1e-9, "third start is cold");
+        let ready: Vec<f64> = ids.iter().map(|id| recorder.ready_at(*id).unwrap_or(-1.0)).collect();
+        assert!((ready[0] - 0.1).abs() < 1e-9);
+        assert!((ready[1] - 0.1).abs() < 1e-9);
+        assert!((ready[2] - 3.0).abs() < 1e-9, "third start is cold");
         assert_eq!(cloud.start_counts(), (2, 1));
     }
 
@@ -788,23 +765,14 @@ mod tests {
             ..quiet_spec()
         };
         let cloud = Cloud::new(spec, Fabric::new());
-        let cloud2 = cloud.clone();
-        cloud.invoke_lambda(
-            &mut sim,
-            1_536,
-            move |sim, id| {
-                let c = cloud2.clone();
-                sim.schedule_in(SimDuration::from_secs(1), move |sim| {
-                    c.release_lambda(sim, id);
-                    // Re-invoke: should be warm again.
-                    let c2 = c.clone();
-                    c.invoke_lambda(sim, 1_536, move |sim2, id2| {
-                        c2.release_lambda(sim2, id2);
-                    }, |_, _| {});
-                });
-            },
-            |_, _| {},
-        );
+        let recorder = Recorder::on(&cloud);
+        let first = cloud.invoke_lambda(&mut sim, 0, 1_536);
+        recorder.release_after(first, SimDuration::from_secs(1));
+        sim.run_until(SimTime::from_millis(1_100));
+        assert_eq!(cloud.lambda_state(first), LambdaState::Released);
+        // Re-invoke: should be warm again.
+        let second = cloud.invoke_lambda(&mut sim, 0, 1_536);
+        recorder.release_after(second, SimDuration::ZERO);
         sim.run();
         assert_eq!(cloud.start_counts(), (2, 0));
     }
@@ -812,10 +780,10 @@ mod tests {
     #[test]
     fn lambda_bandwidth_scales_with_memory() {
         let mut sim = Sim::new(0);
-        let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        let big = cloud.invoke_lambda(&mut sim, 3_008, |_, _| {}, |_, _| {});
-        let small = cloud.invoke_lambda(&mut sim, 752, |_, _| {}, |_, _| {});
-        let f = cloud.fabric();
+        let f = Fabric::new();
+        let cloud = Cloud::new(quiet_spec(), f.clone());
+        let big = cloud.invoke_lambda(&mut sim, 0, 3_008);
+        let small = cloud.invoke_lambda(&mut sim, 0, 752);
         let bw_big = f.link_capacity(cloud.lambda_nic(big));
         let bw_small = f.link_capacity(cloud.lambda_nic(small));
         assert!((bw_big / bw_small - 4.0).abs() < 1e-6);
@@ -838,7 +806,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cloud = Cloud::new(quiet_spec(), Fabric::new());
         cloud.provision_vm_ready(&mut sim, M4_LARGE);
-        cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, |_, _| {});
+        cloud.invoke_lambda(&mut sim, 0, 1_536);
         sim.run_until(SimTime::from_secs(10));
         cloud.shutdown_all(&mut sim);
         sim.run();
@@ -847,45 +815,12 @@ mod tests {
         assert!((accrued - cloud.total_cost()).abs() < 1e-12, "nothing left accruing");
     }
 
-    /// `on_killed` usually captures the deployment that owns the cloud;
-    /// once a Lambda can no longer be killed the cloud must let go of it.
-    #[test]
-    fn released_lambdas_drop_their_kill_callbacks() {
-        let mut sim = Sim::new(0);
-        let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        let sentinel = Rc::new(());
-        let held = |s: &Rc<()>| {
-            let s = Rc::clone(s);
-            move |_: &mut Sim, _: LambdaId| drop(s)
-        };
-        let running = cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
-        sim.run_until(SimTime::from_secs(1));
-        // Still starting when released.
-        let starting = cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
-        assert_eq!(Rc::strong_count(&sentinel), 3);
-        cloud.release_lambda(&mut sim, running);
-        assert_eq!(cloud.lambda_state(running), LambdaState::Released);
-        assert_eq!(Rc::strong_count(&sentinel), 2);
-        cloud.release_lambda(&mut sim, starting);
-        assert_eq!(Rc::strong_count(&sentinel), 1);
-
-        // `shutdown_all` releases whatever is left, in either state.
-        cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
-        sim.run_until(SimTime::from_secs(2));
-        cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, held(&sentinel));
-        assert_eq!(Rc::strong_count(&sentinel), 3);
-        cloud.shutdown_all(&mut sim);
-        assert_eq!(Rc::strong_count(&sentinel), 1);
-        sim.run();
-        assert_eq!(Rc::strong_count(&sentinel), 1);
-    }
-
     #[test]
     #[should_panic(expected = "exceeds platform max")]
     fn oversized_lambda_rejected() {
         let mut sim = Sim::new(0);
         let cloud = Cloud::new(quiet_spec(), Fabric::new());
-        cloud.invoke_lambda(&mut sim, 4_096, |_, _| {}, |_, _| {});
+        cloud.invoke_lambda(&mut sim, 0, 4_096);
     }
 
     fn all_policy_specs() -> Vec<ColdStartSpec> {
@@ -912,22 +847,20 @@ mod tests {
                 ..quiet_spec()
             };
             let cloud = Cloud::new(spec, Fabric::new());
-            let killed = Rc::new(Cell::new(false));
-            let k = Rc::clone(&killed);
-            cloud.invoke_lambda(
-                &mut sim,
-                1_536,
-                |_, _| {}, // never released → lifetime kill at ~8 s
-                move |_, _| k.set(true),
-            );
+            let recorder = Recorder::on(&cloud);
+            // Never released → lifetime kill at ~8 s.
+            let id = cloud.invoke_lambda(&mut sim, 0, 1_536);
             sim.run_until(SimTime::from_secs(20));
-            assert!(killed.get(), "[{name}] lifetime kill must fire");
+            assert!(
+                recorder.heard().iter().any(|(_, e)| *e == CloudEvent::LambdaKilled(id)),
+                "[{name}] lifetime kill must fire"
+            );
             assert_eq!(
                 cloud.warm_pool_len(),
                 0,
                 "[{name}] killed container re-entered the warm pool"
             );
-            cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, |_, _| {});
+            cloud.invoke_lambda(&mut sim, 0, 1_536);
             sim.run_until(SimTime::from_secs(40));
             assert_eq!(
                 cloud.start_counts(),
@@ -939,7 +872,7 @@ mod tests {
 
     /// An invocation aborted while Starting parks its container; if that
     /// parked container then *expires* before the start event fires, the
-    /// pending `on_ready` must be dropped (the Lambda is Released, not
+    /// pending start must report nothing (the Lambda is Released, not
     /// resurrected) and the original invoke must stay counted exactly
     /// once — no double-counted start, no span from beyond the grave.
     #[test]
@@ -953,37 +886,26 @@ mod tests {
             ..quiet_spec()
         };
         let cloud = Cloud::new(spec, Fabric::new());
-        let ready_fired = Rc::new(Cell::new(0u32));
-        let r = Rc::clone(&ready_fired);
+        let recorder = Recorder::on(&cloud);
         // Cold start takes 3 s; abort at 0.5 s re-parks the container with
         // a 1 s keepalive, so it expires at 1.5 s — before the start event
         // at 3 s.
         let c = cloud.clone();
-        let id = cloud.invoke_lambda(
-            &mut sim,
-            1_536,
-            move |_, _| r.set(r.get() + 1),
-            |_, _| panic!("never killed"),
-        );
+        let id = cloud.invoke_lambda(&mut sim, 0, 1_536);
         sim.schedule_in(SimDuration::from_millis(500), move |sim| {
             c.release_lambda(sim, id);
         });
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(cloud.warm_pool_len(), 1, "aborted container parked");
         // Next invoke at 2 s: the parked container expired at 1.5 s.
-        let r2 = Rc::clone(&ready_fired);
-        let c2 = cloud.clone();
-        cloud.invoke_lambda(
-            &mut sim,
-            1_536,
-            move |sim, id2| {
-                r2.set(r2.get() + 1);
-                c2.release_lambda(sim, id2);
-            },
-            |_, _| panic!("never killed"),
-        );
+        let live = cloud.invoke_lambda(&mut sim, 0, 1_536);
+        recorder.release_after(live, SimDuration::ZERO);
         sim.run();
-        assert_eq!(ready_fired.get(), 1, "only the live invoke's on_ready fires");
+        assert_eq!(
+            recorder.heard(),
+            [(5.0, CloudEvent::LambdaReady(live))],
+            "only the live invoke comes up, and nothing is killed"
+        );
         assert_eq!(
             cloud.start_counts(),
             (0, 2),
@@ -995,8 +917,8 @@ mod tests {
     }
 
     /// The abort path (release while Starting) parks a container that a
-    /// back-to-back invoke can reuse warm — and reuse must not re-fire
-    /// the aborted invocation's `on_ready`.
+    /// back-to-back invoke can reuse warm — and reuse must not bring the
+    /// aborted invocation up.
     #[test]
     fn abort_then_immediate_reinvoke_is_warm_without_resurrection() {
         let mut sim = Sim::new(0);
@@ -1005,22 +927,32 @@ mod tests {
             ..quiet_spec()
         };
         let cloud = Cloud::new(spec, Fabric::new());
-        let first_ready = Rc::new(Cell::new(false));
-        let fr = Rc::clone(&first_ready);
+        let recorder = Recorder::on(&cloud);
         let c = cloud.clone();
-        let id = cloud.invoke_lambda(
-            &mut sim,
-            1_536,
-            move |_, _| fr.set(true),
-            |_, _| {},
-        );
+        let id = cloud.invoke_lambda(&mut sim, 0, 1_536);
         sim.schedule_in(SimDuration::from_millis(100), move |sim| {
             c.release_lambda(sim, id);
             // Warm re-invoke 100 ms after the abort parked the container.
-            c.invoke_lambda(sim, 1_536, |_, _| {}, |_, _| {});
+            c.invoke_lambda(sim, 0, 1_536);
         });
         sim.run_until(SimTime::from_secs(10));
-        assert!(!first_ready.get(), "aborted invoke must not come up");
+        assert_eq!(recorder.ready_at(id), None, "aborted invoke must not come up");
         assert_eq!(cloud.start_counts(), (1, 1), "abort re-warms the pool");
+    }
+
+    /// The cloud holds its listener weakly: one dropped by its owner hears
+    /// nothing, and the cloud keeps nothing of it alive.
+    #[test]
+    fn a_dropped_listener_is_not_kept_alive() {
+        let mut sim = Sim::new(0);
+        let cloud = Cloud::new(quiet_spec(), Fabric::new());
+        let recorder = Recorder::on(&cloud);
+        let gone = Rc::downgrade(&recorder);
+        cloud.invoke_lambda(&mut sim, 0, 1_536);
+        cloud.request_vm(&mut sim, M4_LARGE);
+        drop(recorder);
+        assert!(gone.upgrade().is_none());
+        sim.run();
+        assert_eq!(cloud.start_counts(), (1, 0));
     }
 }

@@ -113,8 +113,7 @@ pub trait ColdStartPolicy: std::fmt::Debug {
 
 /// Cloneable policy selection carried by `CloudSpec` (and therefore by
 /// `ScenarioSpec` / `TenantFleetConfig`). [`ColdStartSpec::build`] turns
-/// it into live policy state; custom policies plug in through
-/// `Cloud::with_policy`.
+/// it into live policy state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColdStartSpec {
     /// Containers expire after a fixed idle window (`FOREVER_US` =

@@ -17,22 +17,33 @@
 //! # Examples
 //!
 //! ```
-//! use splitserve_cloud::{Cloud, CloudSpec, M4_LARGE};
+//! use splitserve_cloud::{Cloud, CloudEvent, CloudListener, CloudSpec, M4_LARGE};
 //! use splitserve_des::{Fabric, Sim};
+//! use std::{cell::Cell, rc::Rc};
+//!
+//! /// The cloud's owner: executor registration would happen here.
+//! struct Owner(Cell<u32>);
+//!
+//! impl CloudListener for Owner {
+//!     fn on_cloud_event(self: Rc<Self>, _sim: &mut Sim, event: CloudEvent) {
+//!         if let CloudEvent::LambdaReady(_) = event {
+//!             self.0.set(self.0.get() + 1);
+//!         }
+//!     }
+//! }
 //!
 //! let mut sim = Sim::new(1);
 //! let cloud = Cloud::new(CloudSpec::default(), Fabric::new());
+//! let owner = Rc::new(Owner(Cell::new(0)));
+//! cloud.set_listener(&owner);
 //!
 //! // A job arrives: two cores are free on a VM, three more come from Lambdas.
 //! let vm = cloud.provision_vm_ready(&mut sim, M4_LARGE);
 //! for _ in 0..3 {
-//!     cloud.invoke_lambda(&mut sim, 1536, |_sim, id| {
-//!         // executor registration would happen here
-//!         let _ = id;
-//!     }, |_sim, _id| { /* lifetime kill */ });
+//!     cloud.invoke_lambda(&mut sim, 0, 1536);
 //! }
 //! sim.run();
-//! assert_eq!(cloud.vm_cores(vm), 2);
+//! assert_eq!((cloud.vm_cores(vm), owner.0.get()), (2, 3));
 //! ```
 
 #![warn(missing_docs)]
@@ -44,7 +55,7 @@ mod instance;
 mod pricing;
 
 pub use billing::Category;
-pub use cloud::{Cloud, CloudSpec, LambdaId, VmId};
+pub use cloud::{Cloud, CloudEvent, CloudListener, CloudSpec, LambdaId, VmId};
 pub use coldstart::{
     ColdStartPolicy, ColdStartSpec, EvictReason, HybridHistogram, HybridHistogramSpec, ParkOrigin,
     PoolDecision, PoolEvent, PoolStats, UnloadOnPressure, WarmPool,
@@ -54,6 +65,6 @@ pub use instance::{
     M4_XLARGE,
 };
 pub use pricing::{
-    fig1_crossover, fig1_vcpu_cost_at, lambda_compute_cost, lambda_cost, vm_cost, S3_USD_PER_GET,
-    S3_USD_PER_PUT, SQS_USD_PER_REQUEST,
+    fig1_crossover, fig1_vcpu_cost_at, lambda_compute_cost, lambda_core_share, lambda_cost,
+    vm_cost, S3_USD_PER_GET, S3_USD_PER_PUT, SQS_USD_PER_REQUEST,
 };

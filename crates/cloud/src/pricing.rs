@@ -14,9 +14,18 @@ pub(crate) const LAMBDA_BILLING_QUANTUM: SimDuration = SimDuration::from_millis(
 /// Largest memory allocation a Lambda may request (the paper's 3 GB cap).
 pub(crate) const LAMBDA_MAX_MEMORY_MB: u64 = 3_008;
 /// Memory per vCPU on Fig. 1's price curve: a 1 536 MB Lambda is priced as
-/// one full vCPU. The engine's CPU model disagrees: `ExecutorDesc::lambda`
+/// one full vCPU. The executors' CPU model disagrees: [`lambda_core_share`]
 /// runs a Lambda at `memory_mb / 1769` of a core, so that vCPU is 0.868 core.
 pub(crate) const LAMBDA_MB_PER_VCPU: u64 = 1_536;
+
+/// The share of a VM core a Lambda executor of `memory_mb` computes at:
+/// one core per 1 769 MB (AWS's later-documented rate), capped at one.
+/// Fig. 1 prices a vCPU at `LAMBDA_MB_PER_VCPU` (1 536 MB) instead: a known
+/// deviation (EXPERIMENTS.md, deviation 5).
+pub fn lambda_core_share(memory_mb: u64) -> f64 {
+    (memory_mb as f64 / 1769.0).min(1.0)
+}
+
 /// Hard lifetime limit after which AWS kills a Lambda: 15 minutes.
 pub(crate) const LAMBDA_LIFETIME: SimDuration = SimDuration::from_secs(900);
 
@@ -104,6 +113,13 @@ mod tests {
     /// core (AWS allocates CPU proportionally to memory, one vCPU per 1 536 MB).
     fn lambda_cpu_share(memory_mb: u64) -> f64 {
         (memory_mb as f64 / LAMBDA_MB_PER_VCPU as f64).min(2.0)
+    }
+
+    #[test]
+    fn lambda_core_share_is_memory_over_1769_mb_capped_at_one_core() {
+        assert!((lambda_core_share(1769) - 1.0).abs() < 1e-12);
+        assert!((lambda_core_share(1536) - 1536.0 / 1769.0).abs() < 1e-12);
+        assert_eq!(lambda_core_share(3008), 1.0, "capped at one core");
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property tests for the pricing and billing rules — the arithmetic
 //! behind every cost figure in the reproduction.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use splitserve_cloud::{
-    fig1_vcpu_cost_at, lambda_compute_cost, lambda_cost, vm_cost, Cloud, CloudSpec, M4_10XLARGE,
-    M4_LARGE, M4_XLARGE,
+    fig1_vcpu_cost_at, lambda_compute_cost, lambda_cost, vm_cost, Cloud, CloudEvent,
+    CloudListener, CloudSpec, LambdaId, M4_10XLARGE, M4_LARGE, M4_XLARGE,
 };
 use splitserve_des::{Dist, Fabric, Sim, SimDuration, SimTime};
 use splitserve_rt::check;
@@ -15,6 +18,41 @@ fn quiet_spec() -> CloudSpec {
         lambda_cold_start: Dist::constant(3.0),
         lambda_net_jitter: Dist::constant(1.0),
         ..CloudSpec::default()
+    }
+}
+
+/// The cloud's listener in these runs: records the hold a test gave each
+/// Lambda and releases the Lambda that long after it comes up.
+struct Releaser {
+    cloud: Cloud,
+    holds: RefCell<Vec<(LambdaId, SimDuration)>>,
+}
+
+impl Releaser {
+    fn on(cloud: &Cloud) -> Rc<Releaser> {
+        let releaser = Rc::new(Releaser {
+            cloud: cloud.clone(),
+            holds: RefCell::default(),
+        });
+        cloud.set_listener(&releaser);
+        releaser
+    }
+
+    fn release_after(&self, id: LambdaId, hold: SimDuration) {
+        self.holds.borrow_mut().push((id, hold));
+    }
+}
+
+impl CloudListener for Releaser {
+    fn on_cloud_event(self: Rc<Self>, sim: &mut Sim, event: CloudEvent) {
+        let CloudEvent::LambdaReady(id) = event else {
+            return;
+        };
+        let hold = self.holds.borrow().iter().find(|(l, _)| *l == id).map(|(_, h)| *h);
+        if let Some(hold) = hold {
+            let cloud = self.cloud.clone();
+            sim.schedule_in(hold, move |sim| cloud.release_lambda(sim, id));
+        }
     }
 }
 
@@ -113,18 +151,11 @@ fn ledger_matches_hand_computed_bill() {
             sim.schedule_in(dur, move |sim| c.terminate_vm(sim, vm));
             expected += vm_cost(&M4_LARGE, dur);
         }
+        let releaser = Releaser::on(&cloud);
         for s in &lambda_secs {
-            let c = cloud.clone();
             let dur = SimDuration::from_secs(*s);
-            cloud.invoke_lambda(
-                &mut sim,
-                1536,
-                move |sim, id| {
-                    let c2 = c.clone();
-                    sim.schedule_in(dur, move |sim| c2.release_lambda(sim, id));
-                },
-                |_, _| {},
-            );
+            let id = cloud.invoke_lambda(&mut sim, 0, 1536);
+            releaser.release_after(id, dur);
             expected += lambda_cost(1536, dur);
         }
         sim.run();
@@ -143,22 +174,14 @@ fn start_counts_add_up() {
         let mut sim = Sim::new(2);
         let spec = CloudSpec { prewarmed_lambdas: 3, ..quiet_spec() };
         let cloud = Cloud::new(spec, Fabric::new());
+        let releaser = Releaser::on(&cloud);
         for _ in 0..n {
-            let c = cloud.clone();
-            cloud.invoke_lambda(
-                &mut sim,
-                1536,
-                move |sim, id| {
-                    let c2 = c.clone();
-                    sim.schedule_in(SimDuration::from_secs(1), move |sim| {
-                        c2.release_lambda(sim, id);
-                    });
-                },
-                |_, _| {},
-            );
+            let id = cloud.invoke_lambda(&mut sim, 0, 1536);
+            releaser.release_after(id, SimDuration::from_secs(1));
         }
         sim.run_until(SimTime::from_secs(500));
-        let (warm, cold) = cloud.start_counts();
+        let stats = cloud.pool_stats();
+        let (warm, cold) = (stats.warm_starts, stats.cold_starts);
         assert_eq!(warm + cold, n as u64);
         // Sequential-ish invokes with 3 prewarmed: at most the bursts that
         // overlapped beyond pool depth went cold.

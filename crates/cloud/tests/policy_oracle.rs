@@ -13,11 +13,13 @@
 //! 2. full `Cloud` runs whose recorded input stream (`pool_inputs`) is
 //!    replayed through the oracle and compared against `pool_decisions`.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use splitserve_cloud::{
-    Cloud, CloudSpec, ColdStartPolicy, ColdStartSpec, EvictReason, HybridHistogramSpec,
-    ParkOrigin, PoolDecision, PoolEvent, PoolStats, WarmPool,
+    Cloud, CloudEvent, CloudListener, CloudSpec, ColdStartPolicy, ColdStartSpec, EvictReason,
+    HybridHistogramSpec, LambdaId, ParkOrigin, PoolDecision, PoolEvent, PoolStats, WarmPool,
 };
 use splitserve_des::{Dist, Fabric, Sim, SimDuration, SimTime};
 use splitserve_rt::check::{self, Gen};
@@ -375,6 +377,41 @@ fn oracle_differential_on_random_streams() {
     }
 }
 
+/// The cloud's listener in these runs: records the hold a test gave each
+/// Lambda and releases the Lambda that long after it comes up.
+struct Releaser {
+    cloud: Cloud,
+    holds: RefCell<Vec<(LambdaId, SimDuration)>>,
+}
+
+impl Releaser {
+    fn on(cloud: &Cloud) -> Rc<Releaser> {
+        let releaser = Rc::new(Releaser {
+            cloud: cloud.clone(),
+            holds: RefCell::default(),
+        });
+        cloud.set_listener(&releaser);
+        releaser
+    }
+
+    fn release_after(&self, id: LambdaId, hold: SimDuration) {
+        self.holds.borrow_mut().push((id, hold));
+    }
+}
+
+impl CloudListener for Releaser {
+    fn on_cloud_event(self: Rc<Self>, sim: &mut Sim, event: CloudEvent) {
+        let CloudEvent::LambdaReady(id) = event else {
+            return;
+        };
+        let hold = self.holds.borrow().iter().find(|(l, _)| *l == id).map(|(_, h)| *h);
+        if let Some(hold) = hold {
+            let cloud = self.cloud.clone();
+            sim.schedule_in(hold, move |sim| cloud.release_lambda(sim, id));
+        }
+    }
+}
+
 /// The same differential via a full `Cloud` run: random invoke/release
 /// schedules on the discrete-event simulator, the recorded input stream
 /// replayed through the oracle.
@@ -395,29 +432,19 @@ fn oracle_differential_on_cloud_runs() {
             };
             let mut sim = Sim::new(g.u64());
             let cloud = Cloud::new(cloud_spec, Fabric::new());
+            let releaser = Releaser::on(&cloud);
             let n = g.usize_in(1, 24);
             for _ in 0..n {
                 let at = g.u64_in(0, 180_000_000);
                 let func = g.u64_in(0, 3) as u32;
                 let hold = g.u64_in(100_000, 40_000_000);
                 let release = g.bool();
-                let c = cloud.clone();
+                let (c, r) = (cloud.clone(), Rc::clone(&releaser));
                 sim.schedule_at(SimTime::from_micros(at), move |sim| {
-                    let c2 = c.clone();
-                    c.invoke_lambda_for(
-                        sim,
-                        func,
-                        1_536,
-                        move |sim, id| {
-                            if release {
-                                let c3 = c2.clone();
-                                sim.schedule_in(SimDuration::from_micros(hold), move |sim| {
-                                    c3.release_lambda(sim, id);
-                                });
-                            }
-                        },
-                        |_, _| {},
-                    );
+                    let id = c.invoke_lambda(sim, func, 1_536);
+                    if release {
+                        r.release_after(id, SimDuration::from_micros(hold));
+                    }
                 });
             }
             sim.run_until(SimTime::from_secs(400));

@@ -7,7 +7,7 @@ use splitserve_des::{Sim, SimDuration};
 use splitserve_engine::{Engine, EngineConfig, EngineEvent, JobMetrics};
 use splitserve_storage::StoreStats;
 
-use crate::deploy::{vm_batches, Deployment, ShuffleStoreKind};
+use crate::deploy::{Deployment, ShuffleStoreKind, Timer};
 use crate::run::run_job;
 use crate::segue::{arm_segue, ReplacementSource, SegueConfig};
 
@@ -113,12 +113,9 @@ impl Scenario {
             Scenario::SparkAutoscale => {
                 d.add_vm_cores(sim, itype, small_r);
                 // After the detection delay, request VMs for the missing cores.
-                let (d, itype) = (d.clone(), itype.clone());
-                sim.schedule_in(spec.autoscale_detect_delay, move |sim| {
-                    for batch in vm_batches(&itype, delta) {
-                        d.request_vm_workers(sim, itype.clone(), batch, |_, _| {});
-                    }
-                });
+                let at = sim.now() + spec.autoscale_detect_delay;
+                let itype = itype.clone();
+                d.arm_timer(sim, at, Timer::Autoscale { itype, cores: delta });
             }
             Scenario::QuboleLambda | Scenario::SsRLambda => {
                 d.add_lambda_executors(sim, big_r);

@@ -18,7 +18,7 @@ use splitserve_cloud::InstanceType;
 use splitserve_des::{Sim, SimDuration, SimTime};
 use splitserve_engine::EngineEventKind;
 
-use crate::deploy::{vm_batches, Deployment};
+use crate::deploy::{Deployment, Timer};
 
 /// Where the replacement VM cores come from.
 #[derive(Debug, Clone)]
@@ -76,27 +76,18 @@ pub fn arm_segue(sim: &mut Sim, deployment: &Deployment, cfg: SegueConfig) {
     let timeout = cfg.lambda_timeout;
     match cfg.replacement {
         ReplacementSource::NewVms { itype, cores } => {
-            for batch in vm_batches(&itype, cores) {
-                let d = deployment.clone();
-                deployment.request_vm_workers(sim, itype.clone(), batch, move |sim, _ids| {
-                    commence_drain(sim, &d, timeout);
-                });
-            }
+            deployment.request_vm_workers(sim, &itype, cores, Some(timeout));
         }
         ReplacementSource::ExistingVmCores { cores, available_in } => {
-            let d = deployment.clone();
-            sim.schedule_in(available_in, move |sim| {
-                let vm = d.first_worker_vm().unwrap_or_else(|| d.master_vm());
-                d.add_executors_on_vm(sim, vm, cores);
-                commence_drain(sim, &d, timeout);
-            });
+            let at = sim.now() + available_in;
+            deployment.arm_timer(sim, at, Timer::SegueCores { cores, timeout });
         }
     }
 }
 
 /// Replacement cores are in place: drain each Lambda executor once it has
 /// exceeded the timeout (immediately, if it already has).
-fn commence_drain(sim: &mut Sim, deployment: &Deployment, timeout: SimDuration) {
+pub(crate) fn commence_drain(sim: &mut Sim, deployment: &Deployment, timeout: SimDuration) {
     deployment
         .engine()
         .emit(sim.now(), EngineEventKind::Marker("segue commences"));
@@ -108,13 +99,10 @@ fn commence_drain(sim: &mut Sim, deployment: &Deployment, timeout: SimDuration) 
             continue;
         }
         let drain_at: SimTime = info.registered_at + timeout;
-        let d = deployment.clone();
         if drain_at <= sim.now() {
-            d.drain_lambda_executor(sim, &exec);
+            deployment.drain_lambda_executor(sim, &exec);
         } else {
-            sim.schedule_at(drain_at, move |sim| {
-                d.drain_lambda_executor(sim, &exec);
-            });
+            deployment.arm_timer(sim, drain_at, Timer::Drain(exec));
         }
     }
 }

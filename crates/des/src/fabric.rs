@@ -265,6 +265,9 @@ impl Fabric {
     /// receiver's NIC) is bottlenecked by whichever gives it the smallest
     /// fair share. An empty `links` slice means an uncontended local move,
     /// which completes immediately at the current instant.
+    ///
+    /// Benchmark seam: library code starts flows with
+    /// [`Fabric::start_flow_notify`].
     pub fn start_flow(
         &self,
         sim: &mut Sim,

@@ -8,9 +8,10 @@
 //! The crate provides four building blocks:
 //!
 //! - [`Sim`] — the event loop: a cancellable priority queue of events —
-//!   `FnOnce(&mut Sim)` callbacks, or allocation-free `(handler, token)`
-//!   pairs for an [`EventHandler`] — with deterministic FIFO tie-breaking
-//!   and a seeded RNG, so every run is reproducible from its seed. The
+//!   allocation-free `(handler, token)` pairs for an [`EventHandler`], or
+//!   `FnOnce(&mut Sim)` callbacks (the benchmark's seam) — with
+//!   deterministic FIFO tie-breaking and a seeded RNG, so every run is
+//!   reproducible from its seed. The
 //!   queue keeps pre-scheduled far-future events in an append-only sorted
 //!   run, out of the small heap the near-term events churn through.
 //! - [`SimTime`] / [`SimDuration`] — exact microsecond-resolution time.

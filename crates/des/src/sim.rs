@@ -1,16 +1,12 @@
 //! The event loop: a deterministic, cancellable discrete-event scheduler.
 //!
 //! [`Sim`] owns the virtual clock and a priority queue of events (see
-//! `queue.rs` for its shape). An event runs one of two things when it
-//! fires. The general form is a boxed `FnOnce(&mut Sim)`: domain
-//! components (cloud, storage, engine) live in `Rc<RefCell<…>>` handles
-//! captured by those closures, and [`Sim::schedule_at`] and its siblings
-//! are the one way to schedule for everything that fires a few times per
-//! job. The components that fire an event per task or per block transfer
-//! (fabric, stores, scheduler) implement [`EventHandler`] instead and
-//! schedule `(handler, token)` pairs with [`Sim::notify_at`]: the pair is
-//! stored inline in the queue's slab, so scheduling allocates nothing, and
-//! the `u64` token names state the component parked for the event.
+//! `queue.rs` for its shape). Library code schedules every event as a
+//! `(handler, token)` pair for an [`EventHandler`] ([`Sim::notify_at`]):
+//! the pair is stored inline in the queue's slab, so scheduling allocates
+//! nothing, and the `u64` token names state the component parked for the
+//! event. A boxed `FnOnce(&mut Sim)` ([`Sim::schedule_at`],
+//! [`Sim::schedule_in`]) is the benchmark's seam and a test convenience.
 //!
 //! Both forms are one stream: one queue, one sequence counter, one
 //! [`Sim::cancel`], one [`Sim::step`]. Two events scheduled for the same
@@ -251,7 +247,8 @@ impl Sim {
         &mut self.rng
     }
 
-    /// Schedules `f` to run at absolute time `at`.
+    /// Schedules `f` to run at absolute time `at`. Benchmark seam: library
+    /// code schedules typed events ([`Sim::notify_at`]).
     ///
     /// # Panics
     ///
@@ -302,19 +299,14 @@ impl Sim {
         EventId(seq)
     }
 
-    /// Schedules `f` to run after `delay` from now.
+    /// Schedules `f` to run after `delay` from now. Benchmark seam, like
+    /// [`Sim::schedule_at`].
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
         f: impl FnOnce(&mut Sim) + 'static,
     ) -> EventId {
         self.schedule_at(self.after(delay), f)
-    }
-
-    /// Schedules `f` to run at the current instant, after all callbacks
-    /// already queued for this instant.
-    pub fn schedule_now(&mut self, f: impl FnOnce(&mut Sim) + 'static) -> EventId {
-        self.schedule_at(self.now, f)
     }
 
     /// Cancels a pending event. Returns `true` if the event had not yet

@@ -381,7 +381,7 @@ fn single_timer_fires_what_per_flow_events_would() {
                     let now = sim.now().as_micros();
                     l.borrow_mut().push((false, tag, now));
                     let l = Rc::clone(&l);
-                    sim.schedule_now(move |_| l.borrow_mut().push((true, tag, now)));
+                    sim.schedule_at(sim.now(), move |_| l.borrow_mut().push((true, tag, now)));
                 }));
                 model.start(tag, path, bytes);
             } else {

@@ -171,9 +171,9 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Completion continuation for writes.
+/// Completion continuation for writes (benchmark seam, like `put`).
 pub type PutCallback = Box<dyn FnOnce(&mut Sim, Result<(), StoreError>)>;
-/// Completion continuation for reads.
+/// Completion continuation for reads (benchmark seam, like `get`).
 pub type GetCallback = Box<dyn FnOnce(&mut Sim, Result<Bytes, StoreError>)>;
 
 /// A component that hears its store requests land as `(client, token)`
@@ -226,16 +226,18 @@ pub trait BlockStore {
     fn survives_executor_loss(&self) -> bool;
 
     /// Writes `data` under `block`, invoking `cb` when the bytes are
-    /// durably placed.
+    /// durably placed. Benchmark seam: library code uses
+    /// [`BlockStore::put_to`].
     fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback);
 
-    /// Reads `block`, invoking `cb` with the bytes or an error.
+    /// Reads `block`, invoking `cb` with the bytes or an error. Benchmark
+    /// seam: library code uses [`BlockStore::get_to`].
     fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback);
 
     /// [`BlockStore::put`], answered by `to.put_landed(sim, token, ..)`
     /// at the instant and program point `put` would call its callback.
-    /// The default boxes that call into `put`; a store that parks requests
-    /// itself answers without the box.
+    /// The default boxes that call into `put` (the benchmark's frozen
+    /// decorator inherits it); the library's stores answer without the box.
     fn put_to(
         &self,
         sim: &mut Sim,

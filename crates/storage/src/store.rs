@@ -115,13 +115,13 @@ enum Op<P> {
 
 /// Whom a request answers: the caller's boxed callback `C`, or a client
 /// and the caller's token.
-enum Reply<C> {
+pub(crate) enum Reply<C> {
     Call(C),
     To(Rc<dyn StoreClient>, u64),
 }
 
 impl Reply<PutCallback> {
-    fn answer(self, sim: &mut Sim, result: Result<(), StoreError>) {
+    pub(crate) fn answer(self, sim: &mut Sim, result: Result<(), StoreError>) {
         match self {
             Reply::Call(cb) => cb(sim, result),
             Reply::To(client, token) => client.put_landed(sim, token, result),
@@ -130,7 +130,7 @@ impl Reply<PutCallback> {
 }
 
 impl Reply<GetCallback> {
-    fn answer(self, sim: &mut Sim, result: Result<Bytes, StoreError>) {
+    pub(crate) fn answer(self, sim: &mut Sim, result: Result<Bytes, StoreError>) {
         match self {
             Reply::Call(cb) => cb(sim, result),
             Reply::To(client, token) => client.get_landed(sim, token, result),

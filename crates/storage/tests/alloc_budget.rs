@@ -10,11 +10,11 @@
 use std::rc::Rc;
 
 use splitserve_cloud::{Cloud, CloudSpec};
-use splitserve_des::{Fabric, Sim};
+use splitserve_des::{Fabric, Sim, SimDuration, SimTime};
 use splitserve_rt::Bytes;
 use splitserve_storage::{
-    BlockId, BlockStore, ClientLoc, HdfsSpec, HdfsStore, LocalDiskStore, RedisSpec, RedisStore,
-    S3Spec, S3Store, SqsSpec, SqsStore, StoreClient, StoreError,
+    BlockId, BlockStore, ClientLoc, FaultStore, HdfsSpec, HdfsStore, LocalDiskStore, RedisSpec,
+    RedisStore, S3Spec, S3Store, SqsSpec, SqsStore, StoreClient, StoreError, StoreFaults,
 };
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -103,4 +103,25 @@ fn a_token_round_trip_allocates_nothing_after_warm_up() {
         );
         assert_eq!(once, twice, "{name}: a token round trip allocates");
     }
+}
+
+/// The fault decorator holds a delayed request in its own slab and passes
+/// it on in the form it came in: a chaos run's token traffic reaches the
+/// store without a box, delay or not.
+#[test]
+fn a_fault_store_holds_and_passes_token_requests_without_a_box() {
+    const N: usize = 200;
+    let fabric = Fabric::new();
+    let faults = StoreFaults::new();
+    let (from, until) = (SimTime::ZERO, SimTime::from_secs(1_000_000));
+    faults.add_latency_window(from, until, SimDuration::from_millis(5));
+    let store = FaultStore::wrap(Rc::new(LocalDiskStore::new(fabric.clone())), faults.clone());
+    let client = ClientLoc::vm(fabric.add_link(1e9, "nic"), fabric.add_link(1e9, "disk"));
+    store.register_executor("exec-0", client);
+    let mut sim = Sim::new(3);
+    round_trips(&*store, &mut sim, client, N);
+    let once = round_trips(&*store, &mut sim, client, N);
+    let twice = round_trips(&*store, &mut sim, client, 2 * N);
+    assert_eq!(faults.ops_delayed(), 8 * N as u64, "every request was held");
+    assert_eq!((once, twice), (0, 0), "a held token request allocates");
 }

@@ -112,6 +112,30 @@ fn engine_reaches_the_store_only_by_token() {
     }
 }
 
+/// Library code schedules only typed events: outside `des` (which defines
+/// both forms) no non-test line of `crates/*/src` calls `schedule_at`,
+/// `schedule_in` or `schedule_now`. The boxed forms stay only as the
+/// benchmark's seam.
+#[test]
+fn library_code_schedules_only_typed_events() {
+    let mut code = String::new();
+    for (path, text) in rust_files(&["crates"]) {
+        let path = path.to_string_lossy();
+        if !path.contains("/src/") || path.contains("crates/des/src") {
+            continue;
+        }
+        let lines = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        for line in lines.filter(|l| !l.trim_start().starts_with("//")) {
+            code.extend(line.split_whitespace());
+        }
+    }
+    for boxed in ["schedule_at(", "schedule_in(", "schedule_now("] {
+        assert!(!code.contains(boxed), "crates/*/src schedules a closure with `{boxed}`");
+    }
+    let seen = code.contains("notify_in(");
+    assert!(seen, "the scan found no `notify_in(`: it no longer sees the calls");
+}
+
 /// The engine, the event core, the cloud model and the deployment layer
 /// are where iteration order reaches a digest and where per-job hashing is
 /// hot: std's `HashMap` / `HashSet` (SipHash, randomised order) stay out
@@ -174,7 +198,7 @@ fn process_global_state_is_the_four_known_statics() {
 /// `CEILING` to the new count, and nothing raises it.
 #[test]
 fn panic_sites_only_go_down() {
-    const CEILING: usize = 87;
+    const CEILING: usize = 86;
     const SITES: [&str; 4] = [".unwrap()", ".expect(", "panic!", "unreachable!"];
     let mut per_file = Vec::new();
     for (path, text) in rust_files(&["crates"]) {
