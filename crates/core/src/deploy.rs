@@ -50,7 +50,8 @@ impl std::fmt::Display for ShuffleStoreKind {
 }
 
 /// A control timer of the segue and autoscale paths, parked until its
-/// event fires.
+/// event fires — or, for a drain in progress, until the engine reports the
+/// executor gone.
 pub(crate) enum Timer {
     /// `cores` free up on an existing VM; a segue with Lambda timeout
     /// `timeout` drains once they register.
@@ -59,6 +60,13 @@ pub(crate) enum Timer {
     Drain(ExecutorId),
     /// The autoscaler has seen the shortfall: request VMs for `cores`.
     Autoscale { itype: InstanceType, cores: u32 },
+    /// A Lambda executor is draining since `drain_started`, under the
+    /// drain span `span`: once it leaves, the Lambda is released.
+    Drained {
+        lambda: LambdaId,
+        span: SpanId,
+        drain_started: SimTime,
+    },
 }
 
 #[derive(Default)]
@@ -184,6 +192,18 @@ impl EventHandler for Shared {
             }
             Timer::Drain(exec) => d.drain_lambda_executor(sim, &exec),
             Timer::Autoscale { itype, cores } => d.request_vm_workers(sim, &itype, cores, None),
+            Timer::Drained {
+                lambda,
+                span,
+                drain_started,
+            } => {
+                let obs = d.engine().obs();
+                obs.spans.close(span, sim.now());
+                obs.metrics
+                    .histogram_handle("segue_drain_seconds", &[])
+                    .observe(sim.now().saturating_since(drain_started).as_secs_f64());
+                d.cloud().release_lambda(sim, lambda);
+            }
         }
     }
 }
@@ -449,7 +469,6 @@ impl Deployment {
             return;
         };
         drop(inner);
-        let cloud = self.cloud().clone();
         // Only a live, not-yet-draining executor actually drains; bail like
         // the engine would so no span is left dangling on a no-op call.
         match self.engine().executor_info(exec) {
@@ -459,21 +478,21 @@ impl Deployment {
         // The drain span gets a per-executor track on the segue lane: it
         // overlaps the executor's in-flight task span, and concurrent
         // drains overlap each other, so it can share a track with neither.
-        let obs = self.engine().obs().clone();
         let drain_started = sim.now();
-        let span = obs.spans.open(
+        let span = self.engine().obs().spans.open(
             drain_started,
             "segue",
             exec.as_str(),
             format!("segue drain {exec}"),
         );
-        self.engine().drain_executor(sim, exec, move |sim, _| {
-            obs.spans.close(span, sim.now());
-            obs.metrics
-                .histogram_handle("segue_drain_seconds", &[])
-                .observe(sim.now().saturating_since(drain_started).as_secs_f64());
-            cloud.release_lambda(sim, lambda);
-        });
+        let drained = Timer::Drained {
+            lambda,
+            span,
+            drain_started,
+        };
+        let slot = self.shared.inner.borrow_mut().timers.insert(drained);
+        let to = self.shared.clone();
+        self.engine().drain_executor(sim, exec, to, u64::from(slot));
     }
 
     /// Whether [`Deployment::shutdown`] has run.

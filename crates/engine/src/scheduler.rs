@@ -15,10 +15,16 @@
 //! - supports *graceful draining* — the mechanism SplitServe's segueing
 //!   facility relies on: a draining executor takes no new tasks, finishes
 //!   its current one, and decommissions when idle.
+//!
+//! Every change of the scheduler's state is a transition: a method of
+//! `Inner` on `&mut self` that changes state, reports to telemetry, and
+//! appends each call that leaves the engine to `Inner::effects` as an
+//! [`Effect`]. The runner ([`Shared::run`]) is the only code that borrows
+//! the state mutably; it makes those calls with no borrow held.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak as RcWeak};
 use std::sync::{Arc, Weak};
 
 use splitserve_des::{EventHandler, Sim, SimDuration, SimTime};
@@ -40,9 +46,6 @@ use crate::tracker::MapOutputTracker;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct AttemptId(u64);
 
-/// Callback invoked when a draining executor finally leaves the cluster.
-type DrainCallback = Box<dyn FnOnce(&mut Sim, ExecutorId)>;
-
 struct ExecMeta {
     desc: ExecutorDesc,
     alive: bool,
@@ -51,7 +54,9 @@ struct ExecMeta {
     registered_at: SimTime,
     idle_since: SimTime,
     tasks_done: u64,
-    on_drained: Option<DrainCallback>,
+    /// Whom to notify, with which token, when a draining executor leaves
+    /// the cluster.
+    drained_to: Option<(RcWeak<dyn EventHandler>, u64)>,
     /// Multiplier on the executor's core speed (1.0 = nominal). The chaos
     /// plane lowers it to turn an executor into a straggler.
     speed_factor: f64,
@@ -80,6 +85,8 @@ impl ExecMeta {
 #[derive(Debug, Clone, Copy)]
 struct AttemptInfo {
     task: TaskRef,
+    /// The slot of `task.exec` in the executor table.
+    slot: usize,
     /// The task's executor-lane span (no-op id when obs is disabled).
     span: SpanId,
     /// When the attempt was dispatched (the span's open instant) — the
@@ -115,7 +122,7 @@ const MAX_FETCH_CONCURRENCY: usize = 8;
 /// curve back up at high degrees of parallelism (Fig. 4).
 const DRIVER_DISPATCH: SimDuration = SimDuration::from_millis(4);
 
-/// The straggler watch (detection only, see [`Engine::straggler_watch`])
+/// The straggler watch (detection only, see [`Inner::straggler_watch`])
 /// flags a still-running attempt whose elapsed virtual time exceeds this
 /// quantile of its stage's completed run times …
 const STRAGGLER_QUANTILE: f64 = 0.95;
@@ -176,6 +183,10 @@ struct BlockRequest {
     issued: SimTime,
     len: u64,
 }
+
+/// A block request as the store gets it: the client, the block, the bytes
+/// of a put (`None` for a get) and the token the answer comes back under.
+type Request = (ClientLoc, BlockId, Option<Bytes>, u64);
 
 /// A task body between its launch and its completion event, named by
 /// slot in the two events of its life. Deliberately *not* part of the
@@ -324,9 +335,62 @@ struct LiveJob {
     attempts: usize,
 }
 
+/// The job of a live attempt, which the attempt keeps live (a job leaves
+/// the table only once it has no attempt left).
+fn pinned(jobs: &mut FastMap<JobId, LiveJob>, job: JobId) -> &mut LiveJob {
+    jobs.get_mut(&job).expect("an attempt pins its job")
+}
+
 /// Sentinel in the symbol→slot side table for "no executor with this
 /// symbol registered here".
 const NO_SLOT: u32 = u32::MAX;
+
+/// A call a transition leaves to the runner, which makes it with no
+/// borrow of the scheduler's state held — or, for the last three kinds, a
+/// transition that must run only after the calls queued before it.
+enum Effect {
+    /// A launch, join or completion event of this engine (`notify_at`).
+    Timer(SimTime, u64),
+    /// The attempt's next block request (`put_to` / `get_to`, answered by
+    /// token), built by [`Inner::issue_next`] when its turn comes: the
+    /// request before it may have failed the attempt synchronously.
+    Issue(AttemptId),
+    /// `BlockStore::register_executor`.
+    Register(ExecutorId, ClientLoc),
+    /// `BlockStore::forget_shuffle`.
+    Forget(ShuffleId),
+    /// `BlockStore::on_executor_lost`; when the executor's blocks went
+    /// with it, [`Inner::lose_outputs`] follows.
+    ExecutorLost(ExecutorId),
+    /// The caller's `on_done`.
+    JobDone(JobDoneCallback, JobOutput),
+    /// A drained executor's notification ([`Engine::drain_executor`]).
+    Drained(RcWeak<dyn EventHandler>, u64),
+    /// [`Inner::dispatch`].
+    Dispatch,
+    /// [`Inner::progress`].
+    Progress(JobId),
+    /// [`Inner::progress_all`].
+    ProgressAll,
+}
+
+/// What a transition reads besides the scheduler's state: the instant it
+/// runs at, the views it reports to and the pool its bodies start on.
+struct Cx<'a> {
+    now: SimTime,
+    tele: &'a Telemetry,
+    pool: Option<&'a WorkerPool>,
+}
+
+impl Cx<'_> {
+    fn emit(&self, event: EngineEventKind) {
+        self.tele.emit(self.now, event);
+    }
+
+    fn emit_span(&self, span: SpanId, event: EngineEventKind) -> SpanId {
+        self.tele.emit_span(self.now, span, event)
+    }
+}
 
 struct Inner {
     cfg: EngineConfig,
@@ -377,9 +441,36 @@ struct Inner {
     /// when the job went (the caller holds the `Dataset`), re-examined at
     /// every retirement. Shuffles of running jobs are not in here.
     held_shuffles: FastMap<ShuffleId, Weak<ShuffleDep>>,
+    /// The runner's stack of effects not yet made, the next on top; one
+    /// buffer for every nested run, so making them allocates nothing.
+    effects: Vec<Effect>,
 }
 
 impl Inner {
+    fn new(cfg: EngineConfig) -> Self {
+        Inner {
+            cfg,
+            execs: Vec::new(),
+            execs_by_name: Vec::new(),
+            exec_slots: Vec::new(),
+            name_pos: Vec::new(),
+            idle: BitSet::default(),
+            jobs: FastMap::default(),
+            next_job: 0,
+            active: Vec::new(),
+            attempts: FastMap::default(),
+            computes: Slab::default(),
+            requests: Slab::default(),
+            pending: VecDeque::new(),
+            next_attempt: 0,
+            tracker: MapOutputTracker::new(),
+            driver_free_at: SimTime::ZERO,
+            stage_runtimes: FastMap::default(),
+            held_shuffles: FastMap::default(),
+            effects: Vec::new(),
+        }
+    }
+
     /// Slot of a registered executor, dead or alive.
     #[inline]
     fn exec_slot(&self, id: ExecutorId) -> Option<usize> {
@@ -443,35 +534,16 @@ impl Inner {
         true
     }
 
-    /// The job of a live attempt, which the attempt keeps live.
-    fn pinned_job(&self, job: JobId) -> &LiveJob {
-        self.jobs.get(&job).expect("an attempt pins its job")
-    }
-
-    /// [`Inner::pinned_job`], mutable.
-    fn pinned_job_mut(&mut self, job: JobId) -> &mut LiveJob {
-        self.jobs.get_mut(&job).expect("an attempt pins its job")
-    }
-
-    /// Removes an attempt, releasing its hold on its job.
-    fn take_attempt(&mut self, id: AttemptId) -> Option<Attempt> {
-        let attempt = self.attempts.remove(&id)?;
-        self.pinned_job_mut(attempt.info.task.job).attempts -= 1;
-        Some(attempt)
-    }
-
-    /// Puts a failed attempt's task back at the head of the dispatch
-    /// queue.
-    fn requeue(&mut self, info: &AttemptInfo) {
-        let job = self
-            .jobs
-            .get_mut(&info.task.job)
-            .expect("a requeued task keeps its job live");
-        let st = &mut job.status[info.task.stage.0 as usize];
-        st.running.remove(info.task.part);
-        st.queued.insert(info.task.part);
-        self.pending
-            .push_front((info.task.job, info.task.stage, info.task.part));
+    /// Removes an attempt: its job holds one attempt fewer, and its part
+    /// no longer runs.
+    fn take_attempt(&mut self, id: AttemptId) -> Option<AttemptInfo> {
+        let Attempt { info, .. } = self.attempts.remove(&id)?;
+        let job = pinned(&mut self.jobs, info.task.job);
+        job.attempts -= 1;
+        job.status[info.task.stage.0 as usize]
+            .running
+            .remove(info.task.part);
+        Some(info)
     }
 
     /// Retires `job_id` — takes it out of `jobs` — if it is over: done,
@@ -482,13 +554,13 @@ impl Inner {
     /// lands.) Retiring drops the stage graph with its plan nodes, the
     /// per-stage status and straggler digests, and forgets every shuffle
     /// whose dependency nobody can reach any more — in the tracker and in
-    /// `store`, whose blocks of it go too. A `Dataset` the caller still
+    /// the store, whose blocks of it go too. A `Dataset` the caller still
     /// holds keeps its `ShuffleDep` alive, so resubmitting it finds its
     /// map outputs registered and its blocks stored and skips the map
     /// stage, exactly as while the first job's state was around; its
     /// tracker entry and blocks go at the first retirement after the
     /// caller lets go.
-    fn retire_if_over(&mut self, job_id: JobId, store: &dyn BlockStore) {
+    fn retire_if_over(&mut self, job_id: JobId) {
         let over = |job: &LiveJob| {
             job.done && job.attempts == 0 && job.status.iter().all(|st| st.queued.is_empty())
         };
@@ -507,15 +579,819 @@ impl Inner {
             }
         }
         drop(job);
-        let tracker = &mut self.tracker;
+        let (tracker, effects) = (&mut self.tracker, &mut self.effects);
         self.held_shuffles.retain(|id, dep| {
             let reachable = dep.strong_count() > 0;
             if !reachable {
                 tracker.forget_shuffle(*id);
-                store.forget_shuffle(id.0);
+                effects.push(Effect::Forget(*id));
             }
             reachable
         });
+    }
+
+    // ----- executors ---------------------------------------------------
+
+    /// Registers an executor and offers it pending work.
+    fn register(&mut self, cx: &Cx, desc: ExecutorDesc) {
+        self.effects
+            .push(Effect::Register(desc.id, desc.client_loc()));
+        let (id, kind) = (desc.id, desc.kind);
+        let fresh = self.add_exec(ExecMeta {
+            desc,
+            alive: true,
+            draining: false,
+            running: None,
+            registered_at: cx.now,
+            idle_since: cx.now,
+            tasks_done: 0,
+            drained_to: None,
+            speed_factor: 1.0,
+        });
+        assert!(fresh, "duplicate executor {id}");
+        cx.emit(E::ExecutorRegistered { exec: id, kind });
+        self.dispatch(cx);
+    }
+
+    /// Puts a live executor into graceful-drain mode; an idle one leaves
+    /// at once.
+    fn drain(&mut self, cx: &Cx, id: ExecutorId, to: RcWeak<dyn EventHandler>, token: u64) {
+        let Some(slot) = self.exec_slot(id) else {
+            return;
+        };
+        if !self.execs[slot].alive || self.execs[slot].draining {
+            return;
+        }
+        let idle = self.update_exec(slot, |meta| {
+            meta.draining = true;
+            meta.drained_to = Some((to, token));
+            meta.running.is_none()
+        });
+        cx.emit(E::ExecutorDraining { exec: id });
+        if idle {
+            self.decommission(cx, slot);
+        }
+    }
+
+    /// An executor dies: its running task fails and is re-queued, and the
+    /// store hears of the loss.
+    fn kill(&mut self, cx: &Cx, id: ExecutorId) {
+        let Some(slot) = self.exec_slot(id) else {
+            return;
+        };
+        if !self.execs[slot].alive {
+            return;
+        }
+        let running = self.update_exec(slot, |meta| {
+            meta.alive = false;
+            meta.running.take()
+        });
+        cx.emit(E::ExecutorLost { exec: id });
+        if let Some(info) = running.and_then(|a| self.take_attempt(a)) {
+            let reason = "executor lost".into();
+            self.attempt_failed(cx, &info, FailureKind::ExecutorLost, reason);
+        }
+        self.effects.push(Effect::ExecutorLost(id));
+        self.effects.push(Effect::ProgressAll);
+    }
+
+    /// A live, draining, idle executor leaves the cluster.
+    fn decommission(&mut self, cx: &Cx, slot: usize) {
+        let (id, to) = self.update_exec(slot, |meta| {
+            meta.alive = false;
+            (meta.desc.id, meta.drained_to.take())
+        });
+        cx.emit(E::ExecutorDecommissioned { exec: id });
+        // A decommissioned executor's node is gone; local blocks with it.
+        self.effects.push(Effect::ExecutorLost(id));
+        if let Some((to, token)) = to {
+            self.effects.push(Effect::Drained(to, token));
+        }
+        self.effects.push(Effect::ProgressAll);
+    }
+
+    /// `id`'s blocks died with it: its map outputs are unregistered and the
+    /// stages that need them roll back.
+    fn lose_outputs(&mut self, cx: &Cx, id: ExecutorId) {
+        if !self.tracker.unregister_executor(&id).is_empty() {
+            self.rollback(cx);
+        }
+    }
+
+    /// Marks stages whose map outputs vanished as needing resubmission and
+    /// pulls now-unrunnable queued tasks back out of the dispatch queue.
+    fn rollback(&mut self, cx: &Cx) {
+        let mut dequeue: FastSet<(JobId, StageId)> = FastSet::default();
+        for &job_id in &self.active {
+            let job = self.jobs.get_mut(&job_id).expect("active job is live");
+            for stage in &job.graph.stages {
+                let st = &mut job.status[stage.id.0 as usize];
+                if let StageKind::ShuffleMap(dep) = &stage.kind {
+                    if st.state == Some(StageState::Done) && !self.tracker.is_complete(dep.id) {
+                        let missing = stage.num_tasks - self.tracker.registered(dep.id);
+                        st.state = Some(StageState::Waiting);
+                        let (job, stage) = (job_id, stage.id);
+                        cx.emit(E::StageRolledBack {
+                            job,
+                            stage,
+                            missing,
+                        });
+                    }
+                }
+                // Any stage whose inputs are no longer complete must not
+                // keep tasks in the dispatch queue.
+                let inputs_ok = stage
+                    .input_shuffles
+                    .iter()
+                    .all(|d| self.tracker.is_complete(d.id));
+                if !inputs_ok && !st.queued.is_empty() {
+                    st.queued.clear();
+                    if st.running.is_empty() {
+                        st.state = Some(StageState::Waiting);
+                    }
+                    dequeue.insert((job_id, stage.id));
+                }
+            }
+        }
+        if !dequeue.is_empty() {
+            // Set lookup per entry: the old `Vec::contains` scan was
+            // O(pending × rolled-back stages).
+            self.pending
+                .retain(|(j, s, _)| !dequeue.contains(&(*j, *s)));
+        }
+    }
+
+    // ----- jobs ---------------------------------------------------------
+
+    fn submit(
+        &mut self,
+        cx: &Cx,
+        final_node: Arc<dyn PlanNode>,
+        on_done: JobDoneCallback,
+    ) -> JobId {
+        let id = JobId(self.next_job);
+        self.next_job += 1;
+        let graph = build_stages(final_node);
+        // Register every shuffle in the tracker.
+        for stage in &graph.stages {
+            if let StageKind::ShuffleMap(dep) = &stage.kind {
+                let (maps, reduces) = (dep.parent.num_partitions(), dep.num_partitions);
+                self.tracker.register_shuffle(dep.id, maps, reduces);
+            }
+        }
+        let n_stages = graph.len();
+        cx.emit(E::JobSubmitted {
+            job: id,
+            stages: n_stages,
+        });
+        let result_width = graph.stage(graph.result).num_tasks;
+        let job = LiveJob {
+            done: false,
+            graph,
+            status: (0..n_stages).map(|_| StageStatus::default()).collect(),
+            result_parts: vec![None; result_width],
+            result_filled: 0,
+            on_done: Some(on_done),
+            attempts: 0,
+        };
+        self.jobs.insert(id, job);
+        self.active.push(id);
+        self.progress(cx, id);
+        id
+    }
+
+    /// Advances stage states for one job: marks completed stages, queues
+    /// newly-runnable tasks, finishes the job when the result stage is
+    /// done. Then dispatches — after the job's `on_done`, so a job it
+    /// submits reports before the next task starts.
+    fn progress(&mut self, cx: &Cx, job_id: JobId) {
+        // Absent: retired already.
+        let Some(job) = self.jobs.get_mut(&job_id) else {
+            return;
+        };
+        if job.done {
+            // A stale attempt of a finished job just ended; it may
+            // have been the last thing holding the job's state.
+            return self.retire_if_over(job_id);
+        }
+        // Iterate stages in topological (id) order.
+        for stage in &job.graph.stages {
+            let sidx = stage.id.0 as usize;
+            let parents_done = stage
+                .input_shuffles
+                .iter()
+                .all(|d| self.tracker.is_complete(d.id));
+
+            // Completion checks: counts, not scans.
+            let (done, shared) = match &stage.kind {
+                StageKind::ShuffleMap(dep) => (
+                    self.tracker.registered(dep.id),
+                    self.tracker.is_shared(dep.id),
+                ),
+                StageKind::Result => (job.result_filled, false),
+            };
+            let st = &mut job.status[sidx];
+            if done == stage.num_tasks {
+                if st.state != Some(StageState::Done) {
+                    st.state = Some(StageState::Done);
+                    cx.emit(E::StageCompleted {
+                        job: job_id,
+                        stage: stage.id,
+                    });
+                }
+                continue;
+            }
+            if !parents_done {
+                continue;
+            }
+            // Runnable: queue whatever is missing and not in flight.
+            let tracker = &self.tracker;
+            let result_parts = &job.result_parts;
+            let each_missing = |f: &mut dyn FnMut(usize)| match &stage.kind {
+                StageKind::ShuffleMap(dep) => tracker.missing(dep.id).for_each(f),
+                StageKind::Result => (0..result_parts.len())
+                    .filter(|&part| result_parts[part].is_none())
+                    .for_each(f),
+            };
+            // A part is done, queued or running, never two at once —
+            // unless another job's tasks register outputs of a shared
+            // shuffle. So when the three counts cover the stage,
+            // nothing is left to queue, and the scan is skipped.
+            let mut queued_now = 0;
+            if !shared && done + st.queued.len + st.running.len == stage.num_tasks {
+                if cfg!(debug_assertions) {
+                    each_missing(&mut |part| {
+                        let in_flight = st.queued.contains(part) || st.running.contains(part);
+                        assert!(in_flight, "counts cover the stage, but part {part} is idle");
+                    });
+                }
+            } else {
+                each_missing(&mut |part| {
+                    if !st.queued.contains(part) && !st.running.contains(part) {
+                        st.queued.insert(part);
+                        self.pending.push_back((job_id, stage.id, part));
+                        queued_now += 1;
+                    }
+                });
+            }
+            if queued_now > 0 {
+                let (job, stage, tasks) = (job_id, stage.id, queued_now);
+                cx.emit(E::StageSubmitted { job, stage, tasks });
+            }
+            st.state = Some(StageState::Running);
+        }
+
+        // Job completion.
+        if job.result_filled == job.result_parts.len() {
+            job.done = true;
+            cx.emit(E::JobCompleted { job: job_id });
+            // Hand the job's only references over: `collect_partitions`
+            // can then move the rows out instead of cloning them (the
+            // done flag above keeps this arm from running twice). An
+            // `Option<Arc<_>>` is laid out as its `Arc`, so the collect
+            // reuses the slots' allocation in place.
+            let partitions: Vec<PartitionData> = std::mem::take(&mut job.result_parts)
+                .into_iter()
+                .map(|p| p.expect("every slot is filled"))
+                .collect();
+            let output = JobOutput {
+                partitions,
+                // From here on the metrics block is frozen; share it.
+                metrics: cx.tele.job_metrics(job_id).expect("submitted above"),
+            };
+            let on_done = job.on_done.take();
+            let at = self
+                .active
+                .binary_search(&job_id)
+                .expect("a running job is active");
+            self.active.remove(at);
+            self.retire_if_over(job_id);
+            if let Some(on_done) = on_done {
+                self.effects.push(Effect::JobDone(on_done, output));
+                return self.effects.push(Effect::Dispatch);
+            }
+        }
+        self.dispatch(cx);
+    }
+
+    /// Queues a [`Inner::progress`] of every job not completed yet, as they
+    /// stand now: progressing one job can finish it, and its callback can
+    /// submit more (those progress themselves on submission).
+    fn progress_all(&mut self) {
+        let Inner {
+            active, effects, ..
+        } = self;
+        effects.extend(active.iter().map(|&job| Effect::Progress(job)));
+    }
+
+    // ----- dispatch and the task state machine ---------------------------
+
+    /// Pairs pending tasks with idle executors.
+    fn dispatch(&mut self, cx: &Cx) {
+        // The common call finds nothing queued; look there before
+        // scanning the executor table.
+        while !self.pending.is_empty() {
+            // The first idle, live, non-draining executor in name order
+            // (see `execs_by_name`).
+            let Some(pos) = self.idle.first() else { break };
+            let slot = self.execs_by_name[pos] as usize;
+            debug_assert_eq!(
+                self.execs_by_name
+                    .iter()
+                    .position(|&s| self.execs[s as usize].takes_tasks()),
+                Some(pos),
+                "idle set out of step with the executor table"
+            );
+            // Pop the next dispatchable task.
+            let Some((job_id, stage_id, part)) = self.pending.pop_front() else {
+                break;
+            };
+            // An entry can outlive its job (queued twice, then the
+            // job ran to the end and was retired).
+            let Some(job) = self.jobs.get_mut(&job_id) else {
+                continue;
+            };
+            let st = &mut job.status[stage_id.0 as usize];
+            if !st.queued.remove(part) {
+                continue; // stale entry (rolled back or duplicate)
+            }
+            let stage = job.graph.stage(stage_id);
+            // Inputs must still be complete (rollback may have struck
+            // between queueing and dispatch).
+            if !stage
+                .input_shuffles
+                .iter()
+                .all(|d| self.tracker.is_complete(d.id))
+            {
+                // Dropped, not re-queued: if that was a finished job's
+                // last queued task, nothing holds the job any more.
+                self.retire_if_over(job_id);
+                continue;
+            }
+            let (exec, kind) = (self.execs[slot].desc.id, self.execs[slot].desc.kind);
+            st.running.insert(part);
+            job.attempts += 1;
+            let attempt = AttemptId(self.next_attempt);
+            self.next_attempt += 1;
+            let task = TaskRef {
+                job: job_id,
+                stage: stage_id,
+                part,
+                exec,
+            };
+            let span = cx.emit_span(SpanId::NONE, E::TaskStarted { task, kind });
+            // Build the fetch plan: (shuffle, map index, writer, size).
+            // Blocks are identified lazily at fetch time — the plan
+            // carries only `Copy` handles, no per-block strings.
+            let mut plan = Vec::new();
+            for dep in &stage.input_shuffles {
+                self.tracker.inputs_for_reduce_into(dep.id, part, &mut plan);
+            }
+            self.update_exec(slot, |meta| meta.running = Some(attempt));
+            let info = AttemptInfo {
+                task,
+                slot,
+                span,
+                started_at: cx.now,
+                straggler_flagged: false,
+            };
+            let io = None;
+            self.attempts.insert(attempt, Attempt { info, plan, io });
+            // The driver is a single-threaded dispatcher: task
+            // launches serialize through it.
+            let start_at = self.driver_free_at.max(cx.now) + DRIVER_DISPATCH;
+            self.driver_free_at = start_at;
+            self.effects.push(Effect::Timer(start_at, attempt.0));
+        }
+    }
+
+    /// The launch event: starts a task's shuffle fetch, or — with nothing
+    /// to fetch — its computation.
+    fn begin_fetch(&mut self, cx: &Cx, attempt: AttemptId) {
+        let Some(a) = self.attempts.get(&attempt) else {
+            return;
+        };
+        let (bytes, blocks) = (a.plan.iter().map(|p| p.3).sum(), a.plan.len());
+        if blocks == 0 {
+            return self.compute(cx, attempt, Vec::new());
+        }
+        let dir = Direction::Fetch(vec![Bytes::new(); blocks]);
+        self.open_transfer(cx, attempt, bytes, blocks, dir);
+    }
+
+    /// Opens the attempt's shuffle phase: reports it started, then queues
+    /// the first [`MAX_FETCH_CONCURRENCY`] of its `unsent` requests.
+    fn open_transfer(
+        &mut self,
+        cx: &Cx,
+        attempt: AttemptId,
+        bytes: u64,
+        unsent: usize,
+        dir: Direction,
+    ) {
+        let Some(a) = self.attempts.get_mut(&attempt) else {
+            return;
+        };
+        let meta = &self.execs[a.info.slot];
+        let phase = match dir {
+            Direction::Fetch(_) => ShufflePhase::Fetch,
+            Direction::Write { .. } => ShufflePhase::Write,
+        };
+        let started = E::ShufflePhaseStarted {
+            task: a.info.task,
+            kind: meta.desc.kind,
+            phase,
+            bytes,
+        };
+        a.io = Some(Transfer {
+            next: 0,
+            unsent,
+            outstanding: 0,
+            bytes,
+            client: meta.desc.client_loc(),
+            span: cx.emit_span(SpanId::NONE, started),
+            started: cx.now,
+            dir,
+        });
+        let issues = MAX_FETCH_CONCURRENCY.min(unsent);
+        self.effects
+            .extend((0..issues).map(|_| Effect::Issue(attempt)));
+    }
+
+    /// Parks the attempt's next request, if any is left, and returns it
+    /// with its token: a get of the next plan entry, or a put (with its
+    /// bytes) of the next non-empty bucket. `None` for a dead attempt: a
+    /// request can fail synchronously and take the attempt down while its
+    /// window is still being opened.
+    fn issue_next(&mut self, cx: &Cx, attempt: AttemptId) -> Option<Request> {
+        let a = self.attempts.get_mut(&attempt)?;
+        let t = a.io.as_mut().filter(|t| t.unsent > 0)?;
+        let TaskRef { exec, part, .. } = a.info.task;
+        let (block, put) = match &t.dir {
+            Direction::Fetch(_) => {
+                let (shuffle, map, writer, _) = a.plan[t.next];
+                (
+                    BlockId::shuffle(writer, shuffle.0, map as u64, part as u64),
+                    None,
+                )
+            }
+            Direction::Write {
+                shuffle, buckets, ..
+            } => {
+                while buckets[t.next].bytes.is_empty() {
+                    t.next += 1;
+                }
+                let block = BlockId::shuffle(exec, shuffle.0, part as u64, t.next as u64);
+                (block, Some(buckets[t.next].bytes.clone()))
+            }
+        };
+        let at = t.next;
+        t.next += 1;
+        t.unsent -= 1;
+        t.outstanding += 1;
+        let request = BlockRequest {
+            attempt,
+            at,
+            span: t.span,
+            issued: cx.now,
+            len: put.as_ref().map_or(0, |bytes| bytes.len() as u64),
+        };
+        let token = u64::from(self.requests.insert(request));
+        Some((t.client, block, put, token))
+    }
+
+    /// The store answered the request parked under `token`: a get with
+    /// `Some` block, a put with `None`. A live attempt's window issues its
+    /// next request, or hands on what it moved once the last one is in, or
+    /// fails its attempt; a dead attempt's landing closes the phase's span.
+    fn landed(
+        &mut self,
+        cx: &Cx,
+        token: u64,
+        op: StoreOp,
+        result: Result<Option<Bytes>, StoreError>,
+    ) {
+        let taken = u32::try_from(token)
+            .ok()
+            .and_then(|slot| self.requests.take(slot));
+        let BlockRequest {
+            attempt,
+            at,
+            span,
+            issued,
+            len,
+        } = taken.expect("the store answers a parked request once");
+        let moved = result
+            .as_ref()
+            .ok()
+            .map(|b| b.as_ref().map_or(len, |b| b.len() as u64));
+        cx.tele
+            .record_store_op(op, cx.now.saturating_since(issued), moved);
+        let phase = match op {
+            StoreOp::Get => ShufflePhase::Fetch,
+            StoreOp::Put => ShufflePhase::Write,
+        };
+        let Some(a) = self.attempts.get_mut(&attempt) else {
+            cx.emit_span(span, E::ShufflePhaseAborted { phase });
+            return;
+        };
+        let t =
+            a.io.as_mut()
+                .expect("a request lands in its attempt's open window");
+        let block = match result {
+            Ok(block) => block,
+            Err(err) => {
+                cx.emit_span(span, E::ShufflePhaseAborted { phase });
+                return match t.dir {
+                    Direction::Fetch(_) => {
+                        let (shuffle, map, ..) = a.plan[at];
+                        self.fetch_failed(cx, attempt, shuffle, map, err)
+                    }
+                    Direction::Write { .. } => self.write_failed(cx, attempt, err),
+                };
+            }
+        };
+        t.outstanding -= 1;
+        if let (Direction::Fetch(blocks), Some(block)) = (&mut t.dir, block) {
+            blocks[at] = block;
+        }
+        let Some(t) = a.io.take_if(|t| t.unsent == 0 && t.outstanding == 0) else {
+            return self.effects.push(Effect::Issue(attempt));
+        };
+        let (task, bytes) = (a.info.task, t.bytes);
+        let secs = cx.now.saturating_since(t.started).as_secs_f64();
+        let finished = E::ShufflePhaseFinished {
+            task,
+            phase,
+            bytes,
+            secs,
+        };
+        cx.emit_span(span, finished);
+        match t.dir {
+            Direction::Fetch(blocks) => self.compute(cx, attempt, blocks),
+            Direction::Write {
+                shuffle,
+                buckets,
+                cpu,
+            } => self.map_outputs_done(cx, attempt, shuffle, &buckets, cpu),
+        }
+    }
+
+    /// Launches the task's real computation over the blocks its fetch
+    /// filled, and queues the *join* event where the simulation picks the
+    /// result back up.
+    ///
+    /// With `workers >= 2` the body (map compute, shuffle combine+encode,
+    /// reduce decode+merge) is submitted to the worker pool here and the
+    /// join blocks (wall-clock only) until it finishes; with `workers <= 1`
+    /// the body runs inline on the simulation thread when the join event
+    /// fires. Both modes schedule the join at the same virtual instant —
+    /// `now + task_overhead + deser_bound/speed` — so the simulation
+    /// allocates identical event sequence numbers, and therefore an
+    /// identical event order, at every worker count.
+    ///
+    /// `deser_bound` is the deserialization charge [`TaskContext::fetched`]
+    /// levies for the fetched blocks, which is all a fresh context has
+    /// charged: a lower bound on the body's total CPU charge, which
+    /// guarantees the completion instant derived at the join
+    /// (`launch + task_overhead + cpu/speed*gc`) never precedes the join
+    /// itself.
+    fn compute(&mut self, cx: &Cx, attempt: AttemptId, blocks: Vec<Bytes>) {
+        let Some(a) = self.attempts.get_mut(&attempt) else {
+            return;
+        };
+        let (task, plan) = (a.info.task, std::mem::take(&mut a.plan));
+        let meta = &self.execs[a.info.slot];
+        let (speed, mem_bytes) = (
+            meta.desc.core_speed * meta.speed_factor,
+            meta.desc.memory_bytes(),
+        );
+        let stage = pinned(&mut self.jobs, task.job).graph.stage(task.stage);
+        let ctx = task_context(&self.cfg.work, stage, &plan, blocks);
+        let (terminal, kind, part) = (Arc::clone(&stage.terminal), stage.kind.clone(), task.part);
+        let deser_secs = ctx.cpu_secs();
+        let join_at =
+            cx.now + self.cfg.work.task_overhead + SimDuration::from_secs_f64(deser_secs / speed);
+        // One event either way: a pooled body is already running on a
+        // worker thread and is collected at the join; an inline body is
+        // parked as its ingredients and runs when the join fires.
+        let body = match cx.pool {
+            Some(pool) => Body::Pooled(pool.submit(move || run_body(&*terminal, &kind, part, ctx))),
+            None => Body::Inline {
+                terminal,
+                kind,
+                part,
+                ctx,
+            },
+        };
+        let slot = self.computes.insert(Compute::Launched {
+            attempt,
+            launched_at: cx.now,
+            speed,
+            mem_bytes,
+            body,
+        });
+        let token = COMPUTE | u64::from(slot);
+        self.effects.push(Effect::Timer(join_at, token));
+    }
+
+    /// The join event, once the body ran: queues the completion at the
+    /// instant the duration model dictates. Runs even when the attempt
+    /// died mid-flight (`after_compute` discards dead attempts) so the
+    /// event structure never depends on fault timing.
+    fn join_compute(
+        &mut self,
+        attempt: AttemptId,
+        launched_at: SimTime,
+        speed: f64,
+        mem_bytes: u64,
+        (payload, ctx): BodyResult,
+    ) {
+        let (cpu, working_set) = (ctx.cpu_secs(), ctx.working_set_bytes());
+        let work = &self.cfg.work;
+        let pressure = working_set as f64 / mem_bytes as f64;
+        let gc = work.gc_factor(pressure);
+        let dur = work.task_overhead + SimDuration::from_secs_f64(cpu / speed * gc);
+        let slot = self.computes.insert(Compute::Joined(attempt, payload, cpu));
+        // `cpu >= deser_bound` (charged at context construction) and
+        // `gc >= 1`, so `launched_at + dur >= now`: never in the past.
+        let token = COMPUTE | u64::from(slot);
+        self.effects.push(Effect::Timer(launched_at + dur, token));
+    }
+
+    /// The task's modeled CPU time has elapsed: a result task files its
+    /// partition and completes; a map task writes its non-empty buckets —
+    /// or, with every bucket empty, registers its output at once.
+    fn after_compute(&mut self, cx: &Cx, attempt: AttemptId, payload: ComputePayload, cpu: f64) {
+        let Some(a) = self.attempts.get(&attempt) else {
+            return; // executor died while "computing"
+        };
+        let task = a.info.task;
+        cx.emit(E::TaskComputed {
+            task,
+            cpu_secs: cpu,
+        });
+        match payload {
+            ComputePayload::ResultOut(data) => {
+                let job = pinned(&mut self.jobs, task.job);
+                // A finished job has handed its slots on: a late
+                // attempt's result has nowhere to go.
+                if let Some(slot) = job.result_parts.get_mut(task.part) {
+                    job.result_filled += usize::from(slot.replace(data).is_none());
+                }
+                self.task_done(cx, attempt, cpu);
+            }
+            ComputePayload::MapOut(shuffle, buckets) => {
+                match buckets.iter().filter(|b| !b.bytes.is_empty()).count() {
+                    0 => self.map_outputs_done(cx, attempt, shuffle, &buckets, cpu),
+                    unsent => {
+                        let bytes = buckets.iter().map(|b| b.bytes.len() as u64).sum();
+                        let dir = Direction::Write {
+                            shuffle,
+                            buckets,
+                            cpu,
+                        };
+                        self.open_transfer(cx, attempt, bytes, unsent, dir);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Registers a map task's written buckets with the tracker, then
+    /// completes the task.
+    fn map_outputs_done(
+        &mut self,
+        cx: &Cx,
+        attempt: AttemptId,
+        sid: ShuffleId,
+        buckets: &[ShuffleBucket],
+        cpu: f64,
+    ) {
+        let Some(a) = self.attempts.get(&attempt) else {
+            return;
+        };
+        let TaskRef { part, exec, .. } = a.info.task;
+        let sizes = buckets.iter().map(|b| b.bytes.len() as u64);
+        self.tracker.register_output(sid, part, exec, sizes);
+        self.task_done(cx, attempt, cpu);
+    }
+
+    /// Common completion path: free the executor, update metrics, progress.
+    fn task_done(&mut self, cx: &Cx, attempt: AttemptId, cpu: f64) {
+        let Some(info) = self.take_attempt(attempt) else {
+            return;
+        };
+        let (kind, drain) = self.update_exec(info.slot, |meta| {
+            meta.running = None;
+            meta.idle_since = cx.now;
+            meta.tasks_done += 1;
+            (meta.desc.kind, meta.draining && meta.alive)
+        });
+        let run_secs = cx.now.saturating_since(info.started_at).as_secs_f64();
+        let (task, cpu_secs) = (info.task, cpu);
+        let finished = E::TaskFinished {
+            task,
+            kind,
+            cpu_secs,
+            run_secs,
+        };
+        cx.emit_span(info.span, finished);
+        if cx.tele.obs().is_enabled() {
+            self.straggler_watch(cx, &info, run_secs);
+        }
+        if drain {
+            self.decommission(cx, info.slot);
+            // After the executor's loss and drain notification.
+            self.effects.push(Effect::Progress(task.job));
+        } else {
+            self.progress(cx, task.job);
+        }
+    }
+
+    /// The straggler watch: fold the just-completed attempt's run time
+    /// into its stage's live completion digest, then compare every
+    /// still-running attempt of the same stage against
+    /// [`STRAGGLER_MULTIPLE`] × the digest's [`STRAGGLER_QUANTILE`].
+    /// Detection only — a suspect is reported as one
+    /// `StragglerSuspected` event, never re-launched speculatively. Runs only while observability is enabled, so the
+    /// disabled path stays one branch.
+    fn straggler_watch(&mut self, cx: &Cx, done: &AttemptInfo, run_secs: f64) {
+        let threshold = {
+            let digest = self
+                .stage_runtimes
+                .entry((done.task.job, done.task.stage))
+                .or_default();
+            digest.record(run_secs);
+            if digest.count() < STRAGGLER_MIN_SAMPLES {
+                return;
+            }
+            match digest.quantile(STRAGGLER_QUANTILE) {
+                Some(q) if q * STRAGGLER_MULTIPLE > 0.0 => q * STRAGGLER_MULTIPLE,
+                _ => return,
+            }
+        };
+        for Attempt { info, .. } in self.attempts.values_mut() {
+            let same_stage = (info.task.job, info.task.stage) == (done.task.job, done.task.stage);
+            if !same_stage || info.straggler_flagged {
+                continue;
+            }
+            let elapsed = cx.now.saturating_since(info.started_at).as_secs_f64();
+            if elapsed > threshold {
+                info.straggler_flagged = true;
+                let suspected = E::StragglerSuspected {
+                    task: info.task,
+                    elapsed_secs: elapsed,
+                    threshold_secs: threshold,
+                };
+                cx.emit_span(info.span, suspected);
+            }
+        }
+    }
+
+    /// An attempt (already out of the table) ended without its output:
+    /// free its executor (a no-op on a dead one), report the failure and
+    /// put the task back at the head of the queue.
+    fn attempt_failed(&mut self, cx: &Cx, info: &AttemptInfo, why: FailureKind, reason: String) {
+        let task = info.task;
+        self.update_exec(info.slot, |meta| meta.running = None);
+        cx.emit_span(info.span, E::TaskFailed { task, why, reason });
+        pinned(&mut self.jobs, task.job).status[task.stage.0 as usize]
+            .queued
+            .insert(task.part);
+        self.pending.push_front((task.job, task.stage, task.part));
+    }
+
+    /// A shuffle fetch failed: requeue the task, invalidate the lost map
+    /// output so its stage is resubmitted.
+    fn fetch_failed(
+        &mut self,
+        cx: &Cx,
+        attempt: AttemptId,
+        shuffle: ShuffleId,
+        map: usize,
+        err: StoreError,
+    ) {
+        let Some(info) = self.take_attempt(attempt) else {
+            return;
+        };
+        cx.emit(E::FetchFailed {
+            task: info.task,
+            shuffle,
+        });
+        self.tracker.unregister_output(shuffle, map);
+        self.attempt_failed(cx, &info, FailureKind::FetchFailed, err.to_string());
+        self.rollback(cx);
+        self.effects.push(Effect::ProgressAll);
+    }
+
+    /// A map-output write failed (e.g. store capacity): requeue the task.
+    fn write_failed(&mut self, cx: &Cx, attempt: AttemptId, err: StoreError) {
+        let Some(info) = self.take_attempt(attempt) else {
+            return;
+        };
+        self.attempt_failed(cx, &info, FailureKind::WriteFailed, err.to_string());
+        self.dispatch(cx);
     }
 }
 
@@ -576,6 +1452,94 @@ struct Shared {
     pool: Option<WorkerPool>,
 }
 
+impl Shared {
+    fn cx(&self, now: SimTime) -> Cx<'_> {
+        Cx {
+            now,
+            tele: &self.tele,
+            pool: self.pool.as_ref(),
+        }
+    }
+
+    /// The runner: applies the transition `step` to the scheduler's state,
+    /// then makes the calls it queued, first queued first, each with no
+    /// borrow held. A call that re-enters the engine — a store refusing a
+    /// request synchronously, an `on_done` that submits a job — runs its
+    /// own transitions and their calls to the end before the next queued
+    /// call is made: depth first, the order of nested calls.
+    fn run<R>(self: &Rc<Self>, sim: &mut Sim, step: impl FnOnce(&mut Inner, &Cx) -> R) -> R {
+        let mut base = 0;
+        let out = self.transition(|inner| {
+            base = inner.effects.len();
+            step(inner, &self.cx(sim.now()))
+        });
+        while let Some(effect) = self.next_effect(base) {
+            self.apply(sim, effect);
+        }
+        out
+    }
+
+    /// Runs one transition with the state borrowed, and stacks what it
+    /// queued so that the first is made first.
+    fn transition<R>(&self, step: impl FnOnce(&mut Inner) -> R) -> R {
+        let mut inner = self.inner.borrow_mut();
+        let from = inner.effects.len();
+        let out = step(&mut inner);
+        inner.effects[from..].reverse();
+        out
+    }
+
+    /// The next effect of the run whose stack started at `base`.
+    fn next_effect(&self, base: usize) -> Option<Effect> {
+        let mut inner = self.inner.borrow_mut();
+        if inner.effects.len() > base {
+            inner.effects.pop()
+        } else {
+            None
+        }
+    }
+
+    fn apply(self: &Rc<Self>, sim: &mut Sim, effect: Effect) {
+        let cx = &self.cx(sim.now());
+        match effect {
+            Effect::Timer(at, token) => {
+                sim.notify_at(at, self.clone(), token);
+            }
+            Effect::Issue(attempt) => {
+                let request = self.transition(|inner| inner.issue_next(cx, attempt));
+                match request {
+                    Some((client, block, Some(bytes), token)) => {
+                        self.store
+                            .put_to(sim, client, block, bytes, self.clone(), token)
+                    }
+                    Some((client, block, None, token)) => {
+                        self.store.get_to(sim, client, block, self.clone(), token)
+                    }
+                    None => {}
+                }
+            }
+            Effect::Register(id, loc) => self.store.register_executor(id.as_str(), loc),
+            Effect::Forget(shuffle) => self.store.forget_shuffle(shuffle.0),
+            Effect::ExecutorLost(id) => {
+                self.tele.record_store_executor_loss();
+                self.store.on_executor_lost(sim, id.as_str());
+                if !self.store.survives_executor_loss() {
+                    self.transition(|inner| inner.lose_outputs(cx, id));
+                }
+            }
+            Effect::JobDone(on_done, output) => on_done(sim, output),
+            Effect::Drained(to, token) => {
+                if let Some(to) = to.upgrade() {
+                    to.on_event(sim, token);
+                }
+            }
+            Effect::Dispatch => self.transition(|inner| inner.dispatch(cx)),
+            Effect::Progress(job) => self.transition(|inner| inner.progress(cx, job)),
+            Effect::ProgressAll => self.transition(Inner::progress_all),
+        }
+    }
+}
+
 /// The Spark-like engine. A handle is one `Rc`, so the clones that ride
 /// in every scheduled event cost one increment; all state is shared.
 ///
@@ -598,13 +1562,13 @@ struct Shared {
 ///
 /// let sums = Dataset::parallelize((0..1000u64).map(|i| (i % 4, i)).collect(), 4)
 ///     .reduce_by_key(2, |a, b| a + b);
-/// let out = std::rc::Rc::new(std::cell::RefCell::new(None));
+/// let out = Rc::new(std::cell::Cell::new(None));
 /// let o = Rc::clone(&out);
 /// engine.submit_job(&mut sim, sums.node(), move |_sim, output| {
-///     *o.borrow_mut() = Some(collect_partitions::<(u64, u64)>(output.partitions));
+///     o.set(Some(collect_partitions::<(u64, u64)>(output.partitions)));
 /// });
 /// sim.run();
-/// let mut rows = out.borrow_mut().take().expect("job finished");
+/// let mut rows = out.take().expect("job finished");
 /// rows.sort();
 /// assert_eq!(rows.len(), 4);
 /// ```
@@ -626,7 +1590,7 @@ impl std::fmt::Debug for Engine {
 }
 
 enum ComputePayload {
-    MapOut(Vec<ShuffleBucket>),
+    MapOut(ShuffleId, Vec<ShuffleBucket>),
     ResultOut(PartitionData),
 }
 
@@ -645,7 +1609,7 @@ fn run_body(
     mut ctx: TaskContext,
 ) -> BodyResult {
     let payload = match kind {
-        StageKind::ShuffleMap(dep) => ComputePayload::MapOut(dep.map_task(&mut ctx, part)),
+        StageKind::ShuffleMap(dep) => ComputePayload::MapOut(dep.id, dep.map_task(&mut ctx, part)),
         StageKind::Result => ComputePayload::ResultOut(terminal.compute(&mut ctx, part)),
     };
     (payload, ctx)
@@ -653,14 +1617,13 @@ fn run_body(
 
 impl EventHandler for Shared {
     fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
-        let engine = Engine { shared: self };
         if token & COMPUTE == 0 {
-            return engine.begin_fetch(sim, AttemptId(token));
+            return self.run(sim, |inner, cx| inner.begin_fetch(cx, AttemptId(token)));
         }
-        let slot = u32::try_from(token & !COMPUTE).expect("a compute token carries a slot");
         // Out of the table before anything runs: the body's inputs and
         // outputs are held exactly as long as the events need them.
-        let parked = engine.shared.inner.borrow_mut().computes.take(slot);
+        let slot = u32::try_from(token & !COMPUTE).ok();
+        let parked = self.transition(|inner| slot.and_then(|slot| inner.computes.take(slot)));
         match parked.expect("a compute event names a parked body") {
             Compute::Launched {
                 attempt,
@@ -668,24 +1631,48 @@ impl EventHandler for Shared {
                 speed,
                 mem_bytes,
                 body,
-            } => engine.join_compute(sim, attempt, launched_at, speed, mem_bytes, body),
-            Compute::Joined(attempt, payload, cpu) => {
-                engine.after_compute(sim, attempt, payload, cpu)
+            } => {
+                // The body runs with the scheduler's state released.
+                let done = match body {
+                    Body::Pooled(running) => running.join(),
+                    Body::Inline {
+                        terminal,
+                        kind,
+                        part,
+                        ctx,
+                    } => run_body(&*terminal, &kind, part, ctx),
+                };
+                // Every body that ran reports here, whether or not its
+                // attempt is still alive, in join order: the order of
+                // `workers = 1`.
+                self.tele.record_body(&done.1);
+                self.run(sim, |inner, _| {
+                    inner.join_compute(attempt, launched_at, speed, mem_bytes, done)
+                });
             }
+            Compute::Joined(attempt, payload, cpu) => self.run(sim, |inner, cx| {
+                inner.after_compute(cx, attempt, payload, cpu)
+            }),
         }
     }
 }
 
-/// Every store request lands in [`Engine::landed`], above any decorator
+/// Every store request lands in [`Inner::landed`], above any decorator
 /// the store wears: injected errors and latency are recorded like organic
 /// ones.
 impl StoreClient for Shared {
     fn put_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<(), StoreError>) {
-        Engine { shared: self }.landed(sim, token, StoreOp::Put, result.map(|()| None));
+        let result = result.map(|()| None);
+        self.run(sim, |inner, cx| {
+            inner.landed(cx, token, StoreOp::Put, result)
+        });
     }
 
     fn get_landed(self: Rc<Self>, sim: &mut Sim, token: u64, result: Result<Bytes, StoreError>) {
-        Engine { shared: self }.landed(sim, token, StoreOp::Get, result.map(Some));
+        let result = result.map(Some);
+        self.run(sim, |inner, cx| {
+            inner.landed(cx, token, StoreOp::Get, result)
+        });
     }
 }
 
@@ -722,26 +1709,7 @@ impl Engine {
         Engine {
             shared: Rc::new(Shared {
                 pool,
-                inner: RefCell::new(Inner {
-                    cfg,
-                    execs: Vec::new(),
-                    execs_by_name: Vec::new(),
-                    exec_slots: Vec::new(),
-                    name_pos: Vec::new(),
-                    idle: BitSet::default(),
-                    jobs: FastMap::default(),
-                    next_job: 0,
-                    active: Vec::new(),
-                    attempts: FastMap::default(),
-                    computes: Slab::default(),
-                    requests: Slab::default(),
-                    pending: VecDeque::new(),
-                    next_attempt: 0,
-                    tracker: MapOutputTracker::new(),
-                    driver_free_at: SimTime::ZERO,
-                    stage_runtimes: FastMap::default(),
-                    held_shuffles: FastMap::default(),
-                }),
+                inner: RefCell::new(Inner::new(cfg)),
                 store,
                 tele,
             }),
@@ -792,29 +1760,7 @@ impl Engine {
     ///
     /// Panics if the id is already registered.
     pub fn register_executor(&self, sim: &mut Sim, desc: ExecutorDesc) {
-        let sh = &*self.shared;
-        sh.store
-            .register_executor(desc.id.as_str(), desc.client_loc());
-        {
-            let mut inner = sh.inner.borrow_mut();
-            let id = desc.id;
-            let kind = desc.kind;
-            let fresh = inner.add_exec(ExecMeta {
-                desc,
-                alive: true,
-                draining: false,
-                running: None,
-                registered_at: sim.now(),
-                idle_since: sim.now(),
-                tasks_done: 0,
-                on_drained: None,
-                speed_factor: 1.0,
-            });
-            assert!(fresh, "duplicate executor {id}");
-            sh.tele
-                .emit(sim.now(), E::ExecutorRegistered { exec: id, kind });
-        }
-        self.dispatch(sim);
+        self.shared.run(sim, |inner, cx| inner.register(cx, desc));
     }
 
     /// Snapshot of all executors (in id order).
@@ -867,36 +1813,21 @@ impl Engine {
     }
 
     /// Puts an executor into graceful-drain mode: it takes no new tasks,
-    /// finishes any current one, and `on_drained` fires when it leaves the
-    /// cluster. This is the decommission path that does **not** roll back
-    /// execution — provided the shuffle store survives executor loss.
+    /// finishes any current one, and when it leaves the cluster the engine
+    /// calls `to.on_event(sim, token)`. The engine holds `to` by `Weak`,
+    /// as the cloud holds its listener: its owner keeps it alive. This is
+    /// the decommission path that does **not** roll back execution —
+    /// provided the shuffle store survives executor loss.
     pub fn drain_executor(
         &self,
         sim: &mut Sim,
         id: &ExecutorId,
-        on_drained: impl FnOnce(&mut Sim, ExecutorId) + 'static,
+        to: Rc<dyn EventHandler>,
+        token: u64,
     ) {
-        let finish_now = {
-            let mut inner = self.shared.inner.borrow_mut();
-            let Some(slot) = inner.exec_slot(*id) else {
-                return;
-            };
-            if !inner.execs[slot].alive || inner.execs[slot].draining {
-                return;
-            }
-            let idle = inner.update_exec(slot, |meta| {
-                meta.draining = true;
-                meta.on_drained = Some(Box::new(on_drained));
-                meta.running.is_none()
-            });
-            self.shared
-                .tele
-                .emit(sim.now(), E::ExecutorDraining { exec: *id });
-            idle
-        };
-        if finish_now {
-            self.decommission(sim, *id);
-        }
+        let to = Rc::downgrade(&to);
+        self.shared
+            .run(sim, |inner, cx| inner.drain(cx, *id, to, token));
     }
 
     /// Abruptly kills an executor (Lambda lifetime expiry, VM crash). Its
@@ -904,28 +1835,7 @@ impl Engine {
     /// executor-local, its map outputs are invalidated and the affected
     /// stages roll back.
     pub fn kill_executor(&self, sim: &mut Sim, id: &ExecutorId) {
-        let sh = &*self.shared;
-        {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(slot) = inner.exec_slot(*id) else {
-                return;
-            };
-            if !inner.execs[slot].alive {
-                return;
-            }
-            let running = inner.update_exec(slot, |meta| {
-                meta.alive = false;
-                meta.running.take()
-            });
-            sh.tele.emit(sim.now(), E::ExecutorLost { exec: *id });
-            if let Some(Attempt { info, .. }) = running.and_then(|a| inner.take_attempt(a)) {
-                let reason = "executor lost".into();
-                self.attempt_failed(sim.now(), inner, &info, FailureKind::ExecutorLost, reason);
-            }
-        }
-        self.lose_executor_blocks(sim, id);
-        self.progress_all_jobs(sim);
+        self.shared.run(sim, |inner, cx| inner.kill(cx, *id));
     }
 
     /// Whether killing `id` *right now* would roll a stage back: true iff
@@ -963,100 +1873,11 @@ impl Engine {
             factor.is_finite() && factor > 0.0,
             "invalid speed factor {factor}"
         );
-        let mut inner = self.shared.inner.borrow_mut();
-        if let Some(slot) = inner.exec_slot(*id) {
-            inner.update_exec(slot, |meta| meta.speed_factor = factor);
-        }
-    }
-
-    fn decommission(&self, sim: &mut Sim, id: ExecutorId) {
-        let sh = &*self.shared;
-        let cb = {
-            let mut inner = sh.inner.borrow_mut();
-            let Some(slot) = inner.exec_slot(id) else {
-                return;
-            };
-            if !inner.execs[slot].alive {
-                return;
+        self.shared.transition(|inner| {
+            if let Some(slot) = inner.exec_slot(*id) {
+                inner.update_exec(slot, |meta| meta.speed_factor = factor);
             }
-            let cb = inner.update_exec(slot, |meta| {
-                meta.alive = false;
-                meta.on_drained.take()
-            });
-            sh.tele
-                .emit(sim.now(), E::ExecutorDecommissioned { exec: id });
-            cb
-        };
-        // A decommissioned executor's node is gone; local blocks with it.
-        self.lose_executor_blocks(sim, &id);
-        if let Some(cb) = cb {
-            cb(sim, id);
-        }
-        self.progress_all_jobs(sim);
-    }
-
-    /// Tells the store `id` is gone. If its blocks go with it, its map
-    /// outputs are unregistered and the stages that need them roll back.
-    fn lose_executor_blocks(&self, sim: &mut Sim, id: &ExecutorId) {
-        let sh = &*self.shared;
-        sh.tele.record_store_executor_loss();
-        sh.store.on_executor_lost(sim, id.as_str());
-        if !sh.store.survives_executor_loss() {
-            let affected = sh.inner.borrow_mut().tracker.unregister_executor(id);
-            if !affected.is_empty() {
-                self.rollback_incomplete_stages(sim);
-            }
-        }
-    }
-
-    /// Marks stages whose map outputs vanished as needing resubmission and
-    /// pulls now-unrunnable queued tasks back out of the dispatch queue.
-    fn rollback_incomplete_stages(&self, sim: &mut Sim) {
-        let sh = &*self.shared;
-        let mut inner = sh.inner.borrow_mut();
-        let inner = &mut *inner;
-        let mut dequeue: FastSet<(JobId, StageId)> = FastSet::default();
-        for &job_id in &inner.active {
-            let job = inner.jobs.get_mut(&job_id).expect("active job is live");
-            for stage in &job.graph.stages {
-                let st = &mut job.status[stage.id.0 as usize];
-                if let StageKind::ShuffleMap(dep) = &stage.kind {
-                    if st.state == Some(StageState::Done) && !inner.tracker.is_complete(dep.id) {
-                        let missing = stage.num_tasks - inner.tracker.registered(dep.id);
-                        st.state = Some(StageState::Waiting);
-                        let (job, stage) = (job_id, stage.id);
-                        sh.tele.emit(
-                            sim.now(),
-                            E::StageRolledBack {
-                                job,
-                                stage,
-                                missing,
-                            },
-                        );
-                    }
-                }
-                // Any stage whose inputs are no longer complete must not
-                // keep tasks in the dispatch queue.
-                let inputs_ok = stage
-                    .input_shuffles
-                    .iter()
-                    .all(|d| inner.tracker.is_complete(d.id));
-                if !inputs_ok && !st.queued.is_empty() {
-                    st.queued.clear();
-                    if st.running.is_empty() {
-                        st.state = Some(StageState::Waiting);
-                    }
-                    dequeue.insert((job_id, stage.id));
-                }
-            }
-        }
-        if !dequeue.is_empty() {
-            // Set lookup per entry: the old `Vec::contains` scan was
-            // O(pending × rolled-back stages).
-            inner
-                .pending
-                .retain(|(j, s, _)| !dequeue.contains(&(*j, *s)));
-        }
+        });
     }
 
     // ----- jobs ---------------------------------------------------------
@@ -1069,172 +1890,9 @@ impl Engine {
         final_node: Arc<dyn PlanNode>,
         on_done: impl FnOnce(&mut Sim, JobOutput) + 'static,
     ) -> JobId {
-        let job_id = {
-            let mut inner = self.shared.inner.borrow_mut();
-            let id = JobId(inner.next_job);
-            inner.next_job += 1;
-            let graph = build_stages(final_node);
-            // Register every shuffle in the tracker.
-            for stage in &graph.stages {
-                if let StageKind::ShuffleMap(dep) = &stage.kind {
-                    let (maps, reduces) = (dep.parent.num_partitions(), dep.num_partitions);
-                    inner.tracker.register_shuffle(dep.id, maps, reduces);
-                }
-            }
-            let n_stages = graph.len();
-            let submitted = E::JobSubmitted {
-                job: id,
-                stages: n_stages,
-            };
-            self.shared.tele.emit(sim.now(), submitted);
-            let result_width = graph.stage(graph.result).num_tasks;
-            let job = LiveJob {
-                done: false,
-                graph,
-                status: (0..n_stages).map(|_| StageStatus::default()).collect(),
-                result_parts: vec![None; result_width],
-                result_filled: 0,
-                on_done: Some(Box::new(on_done)),
-                attempts: 0,
-            };
-            inner.jobs.insert(id, job);
-            inner.active.push(id);
-            id
-        };
-        self.progress_job(sim, job_id);
-        job_id
-    }
-
-    /// Advances stage states for one job: marks completed stages, queues
-    /// newly-runnable tasks, finishes the job when the result stage is
-    /// done. Then dispatches.
-    fn progress_job(&self, sim: &mut Sim, job_id: JobId) {
-        let sh = &*self.shared;
-        let mut finished: Option<(JobDoneCallback, JobOutput)> = None;
-        {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            // Absent: retired already.
-            let Some(job) = inner.jobs.get_mut(&job_id) else {
-                return;
-            };
-            if job.done {
-                // A stale attempt of a finished job just ended; it may
-                // have been the last thing holding the job's state.
-                inner.retire_if_over(job_id, &*sh.store);
-                return;
-            }
-            // Iterate stages in topological (id) order.
-            for stage in &job.graph.stages {
-                let sidx = stage.id.0 as usize;
-                let parents_done = stage
-                    .input_shuffles
-                    .iter()
-                    .all(|d| inner.tracker.is_complete(d.id));
-
-                // Completion checks: counts, not scans.
-                let (done, shared) = match &stage.kind {
-                    StageKind::ShuffleMap(dep) => (
-                        inner.tracker.registered(dep.id),
-                        inner.tracker.is_shared(dep.id),
-                    ),
-                    StageKind::Result => (job.result_filled, false),
-                };
-                let st = &mut job.status[sidx];
-                if done == stage.num_tasks {
-                    if st.state != Some(StageState::Done) {
-                        st.state = Some(StageState::Done);
-                        let completed = E::StageCompleted {
-                            job: job_id,
-                            stage: stage.id,
-                        };
-                        sh.tele.emit(sim.now(), completed);
-                    }
-                    continue;
-                }
-                if !parents_done {
-                    continue;
-                }
-                // Runnable: queue whatever is missing and not in flight.
-                let tracker = &inner.tracker;
-                let result_parts = &job.result_parts;
-                let each_missing = |f: &mut dyn FnMut(usize)| match &stage.kind {
-                    StageKind::ShuffleMap(dep) => tracker.missing(dep.id).for_each(f),
-                    StageKind::Result => (0..result_parts.len())
-                        .filter(|&part| result_parts[part].is_none())
-                        .for_each(f),
-                };
-                // A part is done, queued or running, never two at once —
-                // unless another job's tasks register outputs of a shared
-                // shuffle. So when the three counts cover the stage,
-                // nothing is left to queue, and the scan is skipped.
-                let mut queued_now = 0;
-                if !shared && done + st.queued.len + st.running.len == stage.num_tasks {
-                    if cfg!(debug_assertions) {
-                        each_missing(&mut |part| {
-                            let in_flight = st.queued.contains(part) || st.running.contains(part);
-                            assert!(in_flight, "counts cover the stage, but part {part} is idle");
-                        });
-                    }
-                } else {
-                    each_missing(&mut |part| {
-                        if !st.queued.contains(part) && !st.running.contains(part) {
-                            st.queued.insert(part);
-                            inner.pending.push_back((job_id, stage.id, part));
-                            queued_now += 1;
-                        }
-                    });
-                }
-                if queued_now > 0 {
-                    let (job, stage, tasks) = (job_id, stage.id, queued_now);
-                    sh.tele
-                        .emit(sim.now(), E::StageSubmitted { job, stage, tasks });
-                }
-                st.state = Some(StageState::Running);
-            }
-
-            // Job completion.
-            if job.result_filled == job.result_parts.len() {
-                job.done = true;
-                sh.tele.emit(sim.now(), E::JobCompleted { job: job_id });
-                // Hand the job's only references over: `collect_partitions`
-                // can then move the rows out instead of cloning them (the
-                // done flag above keeps this arm from running twice). An
-                // `Option<Arc<_>>` is laid out as its `Arc`, so the collect
-                // reuses the slots' allocation in place.
-                let partitions: Vec<PartitionData> = std::mem::take(&mut job.result_parts)
-                    .into_iter()
-                    .map(|p| p.expect("every slot is filled"))
-                    .collect();
-                let output = JobOutput {
-                    partitions,
-                    // From here on the metrics block is frozen; share it.
-                    metrics: sh.tele.job_metrics(job_id).expect("submitted above"),
-                };
-                if let Some(cb) = job.on_done.take() {
-                    finished = Some((cb, output));
-                }
-                let at = inner
-                    .active
-                    .binary_search(&job_id)
-                    .expect("a running job is active");
-                inner.active.remove(at);
-                inner.retire_if_over(job_id, &*sh.store);
-            }
-        }
-        if let Some((cb, output)) = finished {
-            cb(sim, output);
-        }
-        self.dispatch(sim);
-    }
-
-    fn progress_all_jobs(&self, sim: &mut Sim) {
-        // A snapshot: progressing one job can finish it, and its callback
-        // can submit more (those progress themselves on submission).
-        let ids = self.shared.inner.borrow().active.clone();
-        for id in ids {
-            self.progress_job(sim, id);
-        }
+        let on_done = Box::new(on_done);
+        self.shared
+            .run(sim, |inner, cx| inner.submit(cx, final_node, on_done))
     }
 
     /// Metrics of every job that has completed so far, in submission
@@ -1253,734 +1911,42 @@ impl Engine {
     pub fn job_metrics(&self, job: JobId) -> Option<Arc<JobMetrics>> {
         self.shared.tele.job_metrics(job)
     }
-
-    // ----- dispatch and the task state machine ---------------------------
-
-    /// Pairs pending tasks with idle executors.
-    fn dispatch(&self, sim: &mut Sim) {
-        let sh = &*self.shared;
-        loop {
-            let (attempt, start_at) = {
-                let mut inner = sh.inner.borrow_mut();
-                let inner = &mut *inner;
-                // The common call finds nothing queued; look there before
-                // scanning the executor table.
-                if inner.pending.is_empty() {
-                    break;
-                }
-                // The first idle, live, non-draining executor in name order
-                // (see `execs_by_name`).
-                let Some(pos) = inner.idle.first() else { break };
-                let slot = inner.execs_by_name[pos] as usize;
-                debug_assert_eq!(
-                    inner
-                        .execs_by_name
-                        .iter()
-                        .position(|&s| inner.execs[s as usize].takes_tasks()),
-                    Some(pos),
-                    "idle set out of step with the executor table"
-                );
-                let exec_id = inner.execs[slot].desc.id;
-                // Pop the next dispatchable task.
-                let Some((job_id, stage_id, part)) = inner.pending.pop_front() else {
-                    break;
-                };
-                // An entry can outlive its job (queued twice, then the
-                // job ran to the end and was retired).
-                let Some(job) = inner.jobs.get_mut(&job_id) else {
-                    continue;
-                };
-                let st = &mut job.status[stage_id.0 as usize];
-                if !st.queued.remove(part) {
-                    continue; // stale entry (rolled back or duplicate)
-                }
-                let stage = job.graph.stage(stage_id);
-                // Inputs must still be complete (rollback may have struck
-                // between queueing and dispatch).
-                if !stage
-                    .input_shuffles
-                    .iter()
-                    .all(|d| inner.tracker.is_complete(d.id))
-                {
-                    // Dropped, not re-queued: if that was a finished job's
-                    // last queued task, nothing holds the job any more.
-                    inner.retire_if_over(job_id, &*sh.store);
-                    continue;
-                }
-                // Re-validate the executor chosen at the top of this
-                // iteration before binding the task to it. Nothing can
-                // intervene today (selection and binding share one borrow
-                // of the scheduler state), but a kill arriving in between
-                // must requeue the task, not panic the driver — this was
-                // an `.expect("dispatch picked a live executor")`.
-                if !inner.execs[slot].takes_tasks() {
-                    st.queued.insert(part);
-                    inner.pending.push_front((job_id, stage_id, part));
-                    continue;
-                }
-                let kind = inner.execs[slot].desc.kind;
-                st.running.insert(part);
-                job.attempts += 1;
-                let attempt = AttemptId(inner.next_attempt);
-                inner.next_attempt += 1;
-                let task = TaskRef {
-                    job: job_id,
-                    stage: stage_id,
-                    part,
-                    exec: exec_id,
-                };
-                let span =
-                    sh.tele
-                        .emit_span(sim.now(), SpanId::NONE, E::TaskStarted { task, kind });
-                // Build the fetch plan: (shuffle, map index, writer, size).
-                // Blocks are identified lazily at fetch time — the plan
-                // carries only `Copy` handles, no per-block strings.
-                let mut plan = Vec::new();
-                for dep in &stage.input_shuffles {
-                    inner
-                        .tracker
-                        .inputs_for_reduce_into(dep.id, part, &mut plan);
-                }
-                inner.update_exec(slot, |meta| meta.running = Some(attempt));
-                inner.attempts.insert(
-                    attempt,
-                    Attempt {
-                        info: AttemptInfo {
-                            task,
-                            span,
-                            started_at: sim.now(),
-                            straggler_flagged: false,
-                        },
-                        plan,
-                        io: None,
-                    },
-                );
-                // The driver is a single-threaded dispatcher: task
-                // launches serialize through it.
-                let start_at = inner.driver_free_at.max(sim.now()) + DRIVER_DISPATCH;
-                inner.driver_free_at = start_at;
-                (attempt, start_at)
-            };
-            sim.notify_at(start_at, self.shared.clone(), attempt.0);
-        }
-    }
-
-    /// Starts a task's shuffle fetch, or — with nothing to fetch — its
-    /// computation.
-    fn begin_fetch(&self, sim: &mut Sim, attempt: AttemptId) {
-        let fetch = {
-            let inner = self.shared.inner.borrow();
-            let Some(a) = inner.attempts.get(&attempt) else {
-                return;
-            };
-            if a.plan.is_empty() {
-                let stage = inner
-                    .pinned_job(a.info.task.job)
-                    .graph
-                    .stage(a.info.task.stage);
-                Err(task_context(&inner.cfg.work, stage, &[], Vec::new()))
-            } else {
-                Ok((
-                    a.plan.iter().map(|(_, _, _, size)| size).sum(),
-                    a.plan.len(),
-                ))
-            }
-        };
-        match fetch {
-            Ok((bytes, blocks)) => {
-                let dir = Direction::Fetch(vec![Bytes::new(); blocks]);
-                self.open_transfer(sim, attempt, bytes, blocks, dir);
-            }
-            Err(no_inputs) => self.run_compute(sim, attempt, no_inputs),
-        }
-    }
-
-    /// Opens the attempt's shuffle phase: reports it started, then issues
-    /// the first [`MAX_FETCH_CONCURRENCY`] of its `unsent` requests.
-    fn open_transfer(
-        &self,
-        sim: &mut Sim,
-        attempt: AttemptId,
-        bytes: u64,
-        unsent: usize,
-        dir: Direction,
-    ) {
-        let sh = &*self.shared;
-        {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(task) = inner.attempts.get(&attempt).map(|a| a.info.task) else {
-                return;
-            };
-            let meta = inner.exec(task.exec).expect("executor of live attempt");
-            let phase = match dir {
-                Direction::Fetch(_) => ShufflePhase::Fetch,
-                Direction::Write { .. } => ShufflePhase::Write,
-            };
-            let started = E::ShufflePhaseStarted {
-                task,
-                kind: meta.desc.kind,
-                phase,
-                bytes,
-            };
-            let span = sh.tele.emit_span(sim.now(), SpanId::NONE, started);
-            let client = meta.desc.client_loc();
-            let transfer = Transfer {
-                next: 0,
-                unsent,
-                outstanding: 0,
-                bytes,
-                client,
-                span,
-                started: sim.now(),
-                dir,
-            };
-            if let Some(a) = inner.attempts.get_mut(&attempt) {
-                a.io = Some(transfer);
-            }
-        }
-        (0..MAX_FETCH_CONCURRENCY.min(unsent)).for_each(|_| self.issue_next(sim, attempt));
-    }
-
-    /// Hands the store the attempt's next request, if any is left: a get of
-    /// the next plan entry, or a put of the next non-empty bucket. A no-op
-    /// for a dead attempt: a request can fail synchronously and take the
-    /// attempt down while its window is still being opened.
-    fn issue_next(&self, sim: &mut Sim, attempt: AttemptId) {
-        let sh = &*self.shared;
-        let (client, block, put, token) = {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(a) = inner.attempts.get_mut(&attempt) else {
-                return;
-            };
-            let Some(t) = a.io.as_mut().filter(|t| t.unsent > 0) else {
-                return;
-            };
-            let TaskRef { exec, part, .. } = a.info.task;
-            let (block, put) = match &t.dir {
-                Direction::Fetch(_) => {
-                    let (shuffle, map, writer, _) = a.plan[t.next];
-                    (
-                        BlockId::shuffle(writer, shuffle.0, map as u64, part as u64),
-                        None,
-                    )
-                }
-                Direction::Write {
-                    shuffle, buckets, ..
-                } => {
-                    while buckets[t.next].bytes.is_empty() {
-                        t.next += 1;
-                    }
-                    let block = BlockId::shuffle(exec, shuffle.0, part as u64, t.next as u64);
-                    (block, Some(buckets[t.next].bytes.clone()))
-                }
-            };
-            let at = t.next;
-            t.next += 1;
-            t.unsent -= 1;
-            t.outstanding += 1;
-            let len = put.as_ref().map_or(0, |bytes| bytes.len() as u64);
-            let request = BlockRequest {
-                attempt,
-                at,
-                span: t.span,
-                issued: sim.now(),
-                len,
-            };
-            (
-                t.client,
-                block,
-                put,
-                u64::from(inner.requests.insert(request)),
-            )
-        };
-        let to = self.shared.clone();
-        match put {
-            Some(bytes) => sh.store.put_to(sim, client, block, bytes, to, token),
-            None => sh.store.get_to(sim, client, block, to, token),
-        }
-    }
-
-    /// The store answered the request parked under `token`: a get with
-    /// `Some` block, a put with `None`. A live attempt's window issues its
-    /// next request, or hands on what it moved once the last one is in, or
-    /// fails its attempt; a dead attempt's landing closes the phase's span.
-    fn landed(
-        &self,
-        sim: &mut Sim,
-        token: u64,
-        op: StoreOp,
-        result: Result<Option<Bytes>, StoreError>,
-    ) {
-        enum Next {
-            Issue,
-            Compute(TaskContext),
-            Register(ShuffleId, Vec<ShuffleBucket>, f64),
-            FetchFailed(ShuffleId, usize, StoreError),
-            WriteFailed(StoreError),
-        }
-        let sh = &*self.shared;
-        let now = sim.now();
-        let slot = u32::try_from(token).expect("a store token is a request slot");
-        let taken = sh.inner.borrow_mut().requests.take(slot);
-        let BlockRequest {
-            attempt,
-            at,
-            span,
-            issued,
-            len,
-        } = taken.expect("the store answers a parked request once");
-        let moved = result
-            .as_ref()
-            .ok()
-            .map(|b| b.as_ref().map_or(len, |b| b.len() as u64));
-        sh.tele
-            .record_store_op(op, now.saturating_since(issued), moved);
-        let phase = match op {
-            StoreOp::Get => ShufflePhase::Fetch,
-            StoreOp::Put => ShufflePhase::Write,
-        };
-        let next = {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(a) = inner.attempts.get_mut(&attempt) else {
-                sh.tele
-                    .emit_span(now, span, E::ShufflePhaseAborted { phase });
-                return;
-            };
-            let t =
-                a.io.as_mut()
-                    .expect("a request lands in its attempt's open window");
-            match result {
-                Err(err) => {
-                    sh.tele
-                        .emit_span(now, span, E::ShufflePhaseAborted { phase });
-                    match t.dir {
-                        Direction::Fetch(_) => {
-                            let (shuffle, map, ..) = a.plan[at];
-                            Next::FetchFailed(shuffle, map, err)
-                        }
-                        Direction::Write { .. } => Next::WriteFailed(err),
-                    }
-                }
-                Ok(block) => {
-                    t.outstanding -= 1;
-                    if let (Direction::Fetch(blocks), Some(block)) = (&mut t.dir, block) {
-                        blocks[at] = block;
-                    }
-                    match a.io.take_if(|t| t.unsent == 0 && t.outstanding == 0) {
-                        None => Next::Issue,
-                        Some(t) => {
-                            let (task, bytes) = (a.info.task, t.bytes);
-                            let secs = now.saturating_since(t.started).as_secs_f64();
-                            let finished = E::ShufflePhaseFinished {
-                                task,
-                                phase,
-                                bytes,
-                                secs,
-                            };
-                            sh.tele.emit_span(now, span, finished);
-                            match t.dir {
-                                Direction::Fetch(blocks) => {
-                                    let plan = std::mem::take(&mut a.plan);
-                                    let stage = inner.pinned_job(task.job).graph.stage(task.stage);
-                                    let work = &inner.cfg.work;
-                                    Next::Compute(task_context(work, stage, &plan, blocks))
-                                }
-                                Direction::Write {
-                                    shuffle,
-                                    buckets,
-                                    cpu,
-                                } => Next::Register(shuffle, buckets, cpu),
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        match next {
-            Next::Issue => self.issue_next(sim, attempt),
-            Next::Compute(ctx) => self.run_compute(sim, attempt, ctx),
-            Next::Register(shuffle, buckets, cpu) => {
-                self.map_outputs_done(sim, attempt, shuffle, &buckets, cpu)
-            }
-            Next::FetchFailed(shuffle, map, err) => {
-                self.fetch_failed(sim, attempt, shuffle, map, err)
-            }
-            Next::WriteFailed(err) => self.task_write_failed(sim, attempt, err),
-        }
-    }
-
-    /// Launches the task's real computation and schedules the *join*
-    /// event where the simulation picks the result back up.
-    ///
-    /// With `workers >= 2` the body (map compute, shuffle combine+encode,
-    /// reduce decode+merge) is submitted to the worker pool here and the
-    /// join blocks (wall-clock only) until it finishes; with `workers <= 1`
-    /// the body runs inline on the simulation thread when the join event
-    /// fires. Both modes schedule the join at the same virtual instant —
-    /// `now + task_overhead + deser_bound/speed` — so the simulation
-    /// allocates identical event sequence numbers, and therefore an
-    /// identical event order, at every worker count.
-    ///
-    /// `deser_bound` is the deserialization charge [`TaskContext::fetched`]
-    /// levies for the fetched blocks, which is all a fresh context has
-    /// charged: a lower bound on the body's total CPU charge, which
-    /// guarantees the completion instant derived at the join
-    /// (`launch + task_overhead + cpu/speed*gc`) never precedes the join
-    /// itself.
-    fn run_compute(&self, sim: &mut Sim, attempt: AttemptId, ctx: TaskContext) {
-        let sh = &*self.shared;
-        let mut inner = sh.inner.borrow_mut();
-        let inner = &mut *inner;
-        let Some(a) = inner.attempts.get(&attempt) else {
-            return;
-        };
-        let task = a.info.task;
-        let meta = inner.exec(task.exec).expect("executor of live attempt");
-        let (speed, mem_bytes) = (
-            meta.desc.core_speed * meta.speed_factor,
-            meta.desc.memory_bytes(),
-        );
-        let stage = inner.pinned_job(task.job).graph.stage(task.stage);
-        let (terminal, kind, part) = (Arc::clone(&stage.terminal), stage.kind.clone(), task.part);
-        let deser_secs = ctx.cpu_secs();
-        let launched_at = sim.now();
-        let join_at = launched_at
-            + inner.cfg.work.task_overhead
-            + SimDuration::from_secs_f64(deser_secs / speed);
-        // One event either way: a pooled body is already running on a
-        // worker thread and is collected at the join; an inline body is
-        // parked as its ingredients and runs when the join fires.
-        let body = match &sh.pool {
-            Some(pool) => Body::Pooled(pool.submit(move || run_body(&*terminal, &kind, part, ctx))),
-            None => Body::Inline {
-                terminal,
-                kind,
-                part,
-                ctx,
-            },
-        };
-        let slot = inner.computes.insert(Compute::Launched {
-            attempt,
-            launched_at,
-            speed,
-            mem_bytes,
-            body,
-        });
-        sim.notify_at(join_at, self.shared.clone(), COMPUTE | u64::from(slot));
-    }
-
-    /// The join event: collects the task body's result — running it now,
-    /// if it was parked inline — and schedules the completion at the
-    /// instant the duration model dictates. Runs even when the attempt
-    /// died mid-flight (`after_compute` discards dead attempts) so the
-    /// event structure never depends on fault timing.
-    fn join_compute(
-        &self,
-        sim: &mut Sim,
-        attempt: AttemptId,
-        launched_at: SimTime,
-        speed: f64,
-        mem_bytes: u64,
-        body: Body,
-    ) {
-        let sh = &*self.shared;
-        // The body runs with the scheduler's state released.
-        let (payload, ctx) = match body {
-            Body::Pooled(running) => running.join(),
-            Body::Inline {
-                terminal,
-                kind,
-                part,
-                ctx,
-            } => run_body(&*terminal, &kind, part, ctx),
-        };
-        // Every body that ran reports here, whether or not its attempt
-        // is still alive, in join order: the order of `workers = 1`.
-        sh.tele.record_body(&ctx);
-        let (cpu, working_set) = (ctx.cpu_secs(), ctx.working_set_bytes());
-        let mut inner = sh.inner.borrow_mut();
-        let work = &inner.cfg.work;
-        let pressure = working_set as f64 / mem_bytes as f64;
-        let gc = work.gc_factor(pressure);
-        let dur = work.task_overhead + SimDuration::from_secs_f64(cpu / speed * gc);
-        let slot = inner
-            .computes
-            .insert(Compute::Joined(attempt, payload, cpu));
-        // `cpu >= deser_bound` (charged at context construction) and
-        // `gc >= 1`, so `launched_at + dur >= now`: never in the past.
-        sim.notify_at(
-            launched_at + dur,
-            self.shared.clone(),
-            COMPUTE | u64::from(slot),
-        );
-    }
-
-    /// The task's modeled CPU time has elapsed; persist outputs.
-    fn after_compute(&self, sim: &mut Sim, attempt: AttemptId, payload: ComputePayload, cpu: f64) {
-        match payload {
-            ComputePayload::ResultOut(data) => {
-                {
-                    let mut inner = self.shared.inner.borrow_mut();
-                    let Some(a) = inner.attempts.get(&attempt) else {
-                        return; // executor died while "computing"
-                    };
-                    let info = a.info;
-                    let job = inner.pinned_job_mut(info.task.job);
-                    // A finished job has handed its slots on: a late
-                    // attempt's result has nowhere to go.
-                    if let Some(slot) = job.result_parts.get_mut(info.task.part) {
-                        job.result_filled += usize::from(slot.replace(data).is_none());
-                    }
-                    let (task, cpu_secs) = (info.task, cpu);
-                    self.shared
-                        .tele
-                        .emit(sim.now(), E::TaskComputed { task, cpu_secs });
-                }
-                self.task_done(sim, attempt, cpu);
-            }
-            ComputePayload::MapOut(buckets) => self.write_map_outputs(sim, attempt, buckets, cpu),
-        }
-    }
-
-    /// Reports a map task computed, then writes its non-empty buckets —
-    /// or, with every bucket empty, registers its output at once.
-    fn write_map_outputs(
-        &self,
-        sim: &mut Sim,
-        attempt: AttemptId,
-        buckets: Vec<ShuffleBucket>,
-        cpu: f64,
-    ) {
-        let sh = &*self.shared;
-        let shuffle = {
-            let inner = sh.inner.borrow();
-            let Some(a) = inner.attempts.get(&attempt) else {
-                return; // executor died while "computing"
-            };
-            let task = a.info.task;
-            let stage = inner.pinned_job(task.job).graph.stage(task.stage);
-            let StageKind::ShuffleMap(dep) = &stage.kind else {
-                unreachable!("map payload implies map stage");
-            };
-            sh.tele.emit(
-                sim.now(),
-                E::TaskComputed {
-                    task,
-                    cpu_secs: cpu,
-                },
-            );
-            dep.id
-        };
-        match buckets.iter().filter(|b| !b.bytes.is_empty()).count() {
-            0 => self.map_outputs_done(sim, attempt, shuffle, &buckets, cpu),
-            unsent => {
-                let bytes = buckets.iter().map(|b| b.bytes.len() as u64).sum();
-                let dir = Direction::Write {
-                    shuffle,
-                    buckets,
-                    cpu,
-                };
-                self.open_transfer(sim, attempt, bytes, unsent, dir);
-            }
-        }
-    }
-
-    /// Registers a map task's written buckets with the tracker, then
-    /// completes the task.
-    fn map_outputs_done(
-        &self,
-        sim: &mut Sim,
-        attempt: AttemptId,
-        sid: ShuffleId,
-        buckets: &[ShuffleBucket],
-        cpu: f64,
-    ) {
-        {
-            let mut inner = self.shared.inner.borrow_mut();
-            let Some(a) = inner.attempts.get(&attempt) else {
-                return;
-            };
-            let TaskRef { part, exec, .. } = a.info.task;
-            let sizes = buckets.iter().map(|b| b.bytes.len() as u64);
-            inner.tracker.register_output(sid, part, exec, sizes);
-        }
-        self.task_done(sim, attempt, cpu);
-    }
-
-    /// Common completion path: free the executor, update metrics, progress.
-    fn task_done(&self, sim: &mut Sim, attempt: AttemptId, cpu: f64) {
-        let sh = &*self.shared;
-        let (job_id, decommission_target) = {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
-                return;
-            };
-            let slot = inner
-                .exec_slot(info.task.exec)
-                .expect("executor of live attempt");
-            let (kind, drain) = inner.update_exec(slot, |meta| {
-                meta.running = None;
-                meta.idle_since = sim.now();
-                meta.tasks_done += 1;
-                (meta.desc.kind, meta.draining && meta.alive)
-            });
-            let run_secs = sim.now().saturating_since(info.started_at).as_secs_f64();
-            let (task, cpu_secs) = (info.task, cpu);
-            let finished = E::TaskFinished {
-                task,
-                kind,
-                cpu_secs,
-                run_secs,
-            };
-            sh.tele.emit_span(sim.now(), info.span, finished);
-            inner.pinned_job_mut(info.task.job).status[info.task.stage.0 as usize]
-                .running
-                .remove(info.task.part);
-            if sh.tele.obs().is_enabled() {
-                self.straggler_watch(sim.now(), inner, &info, run_secs);
-            }
-            (info.task.job, drain.then_some(info.task.exec))
-        };
-        if let Some(exec) = decommission_target {
-            self.decommission(sim, exec);
-        }
-        self.progress_job(sim, job_id);
-    }
-
-    /// The straggler watch: fold the just-completed attempt's run time
-    /// into its stage's live completion digest, then compare every
-    /// still-running attempt of the same stage against
-    /// [`STRAGGLER_MULTIPLE`] × the digest's [`STRAGGLER_QUANTILE`].
-    /// Detection only — a suspect is reported as one
-    /// `StragglerSuspected` event, never re-launched speculatively. Runs only while observability is enabled, so the
-    /// disabled path stays one branch.
-    fn straggler_watch(&self, now: SimTime, inner: &mut Inner, done: &AttemptInfo, run_secs: f64) {
-        let threshold = {
-            let digest = inner
-                .stage_runtimes
-                .entry((done.task.job, done.task.stage))
-                .or_default();
-            digest.record(run_secs);
-            if digest.count() < STRAGGLER_MIN_SAMPLES {
-                return;
-            }
-            match digest.quantile(STRAGGLER_QUANTILE) {
-                Some(q) if q * STRAGGLER_MULTIPLE > 0.0 => q * STRAGGLER_MULTIPLE,
-                _ => return,
-            }
-        };
-        for Attempt { info, .. } in inner.attempts.values_mut() {
-            let same_stage = (info.task.job, info.task.stage) == (done.task.job, done.task.stage);
-            if !same_stage || info.straggler_flagged {
-                continue;
-            }
-            let elapsed = now.saturating_since(info.started_at).as_secs_f64();
-            if elapsed > threshold {
-                info.straggler_flagged = true;
-                let suspected = E::StragglerSuspected {
-                    task: info.task,
-                    elapsed_secs: elapsed,
-                    threshold_secs: threshold,
-                };
-                self.shared.tele.emit_span(now, info.span, suspected);
-            }
-        }
-    }
-
-    /// An attempt (already out of the table) ended without its output:
-    /// free its executor (a no-op on a dead one), report the failure and
-    /// put the task back at the head of the queue.
-    fn attempt_failed(
-        &self,
-        now: SimTime,
-        inner: &mut Inner,
-        info: &AttemptInfo,
-        why: FailureKind,
-        reason: String,
-    ) {
-        let task = info.task;
-        if let Some(slot) = inner.exec_slot(task.exec) {
-            inner.update_exec(slot, |meta| meta.running = None);
-        }
-        self.shared
-            .tele
-            .emit_span(now, info.span, E::TaskFailed { task, why, reason });
-        inner.requeue(info);
-    }
-
-    /// A shuffle fetch failed: requeue the task, invalidate the lost map
-    /// output so its stage is resubmitted.
-    fn fetch_failed(
-        &self,
-        sim: &mut Sim,
-        attempt: AttemptId,
-        shuffle: ShuffleId,
-        map: usize,
-        err: StoreError,
-    ) {
-        let sh = &*self.shared;
-        {
-            let mut inner = sh.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
-                return;
-            };
-            let task = info.task;
-            sh.tele.emit(sim.now(), E::FetchFailed { task, shuffle });
-            inner.tracker.unregister_output(shuffle, map);
-            self.attempt_failed(
-                sim.now(),
-                inner,
-                &info,
-                FailureKind::FetchFailed,
-                err.to_string(),
-            );
-        }
-        self.rollback_incomplete_stages(sim);
-        self.progress_all_jobs(sim);
-    }
-
-    /// A map-output write failed (e.g. store capacity): requeue the task.
-    fn task_write_failed(&self, sim: &mut Sim, attempt: AttemptId, err: StoreError) {
-        {
-            let mut inner = self.shared.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(Attempt { info, .. }) = inner.take_attempt(attempt) else {
-                return;
-            };
-            self.attempt_failed(
-                sim.now(),
-                inner,
-                &info,
-                FailureKind::WriteFailed,
-                err.to_string(),
-            );
-        }
-        self.dispatch(sim);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::rc::Rc;
 
-    use splitserve_des::{Fabric, Sim};
+    use splitserve_des::{Fabric, Sim, SimTime};
+    use splitserve_rt::Bytes;
     use splitserve_storage::LocalDiskStore;
 
-    use super::{BitSet, Engine, JobId, LiveState, StageId};
+    use super::{BitSet, Cx, Engine, Inner, JobId, LiveState, StageId, StageState};
+    use crate::events::EventLog;
+    use crate::node::ShuffleBucket;
+    use crate::stage::StageKind;
+    use crate::telemetry::Telemetry;
     use crate::{Dataset, EngineConfig, ExecutorDesc};
 
     /// Submits one small aggregation to `engine`.
     fn submit(engine: &Engine, sim: &mut Sim) -> JobId {
-        let plan = Dataset::parallelize((0..40u64).map(|i| (i % 5, i)).collect(), 2)
-            .reduce_by_key(2, |a, b| a + b);
-        engine.submit_job(sim, plan.node(), |_, out| {
+        engine.submit_job(sim, aggregation().node(), |_, out| {
             assert_eq!(out.partitions.len(), 2)
         })
+    }
+
+    /// Two map tasks into a two-way shuffle, and two reduce tasks.
+    fn aggregation() -> Dataset<(u64, u64)> {
+        Dataset::parallelize((0..40u64).map(|i| (i % 5, i)).collect(), 2)
+            .reduce_by_key(2, |a, b| a + b)
+    }
+
+    /// The scheduler's state on its own, and the views its transitions
+    /// report to: no `Sim`, no store, and nothing queued is ever made.
+    fn bare() -> (Inner, Telemetry) {
+        let cfg = EngineConfig::default();
+        let tele = Telemetry::new(cfg.obs.clone(), EventLog::new(cfg.event_log), "none");
+        (Inner::new(cfg), tele)
     }
 
     /// A retired job is absent from the job table. A stale dispatch entry
@@ -2023,9 +1989,11 @@ mod tests {
             .borrow_mut()
             .pending
             .push_back((JobId(1), StageId(0), 0));
-        engine.dispatch(&mut sim);
+        engine.shared.run(&mut sim, |inner, cx| inner.dispatch(cx));
         // What a stale attempt's landing does: progress its job.
-        engine.progress_job(&mut sim, JobId(1));
+        engine
+            .shared
+            .run(&mut sim, |inner, cx| inner.progress(cx, JobId(1)));
         sim.run();
         assert_eq!(engine.pending_tasks(), 0);
         assert_eq!(engine.live_state(), idle);
@@ -2050,6 +2018,86 @@ mod tests {
         assert_eq!(done(&engine), [JobId(0), JobId(1), JobId(2), JobId(3)]);
         assert_eq!(engine.job_metrics(JobId(0)).map(|m| m.job), Some(JobId(0)));
         assert_eq!(engine.live_state(), idle);
+    }
+
+    /// Placement is name order, and VM executors (`e-vm-…`) sort before
+    /// Lambda ones (`lambda-…`): the VM takes the task even when the
+    /// Lambda registered first.
+    #[test]
+    fn dispatch_picks_the_vm_before_the_lambda_whichever_registered_first() {
+        let fabric = Fabric::new();
+        let (nic, disk) = (fabric.add_link(1e9, "nic"), fabric.add_link(1e9, "disk"));
+        let vm = || ExecutorDesc::vm("e-vm-0000", nic, disk, 8192);
+        let lambda = || ExecutorDesc::lambda("lambda-0000", nic, 1536);
+        for order in [[lambda(), vm()], [vm(), lambda()]] {
+            let (mut inner, tele) = bare();
+            let cx = Cx {
+                now: SimTime::ZERO,
+                tele: &tele,
+                pool: None,
+            };
+            for desc in order {
+                inner.register(&cx, desc);
+            }
+            let one_task = Dataset::parallelize(vec![1u64], 1);
+            inner.submit(&cx, one_task.node(), Box::new(|_, _| {}));
+            inner.dispatch(&cx);
+            let placed: Vec<_> = inner.attempts.values().map(|a| a.info.task.exec).collect();
+            assert_eq!(placed, ["e-vm-0000".into()]);
+        }
+    }
+
+    /// Losing the map outputs a queued reduce stage reads rolls the map
+    /// stage back and takes the reduce tasks out of the dispatch queue.
+    #[test]
+    fn rollback_dequeues_a_stage_whose_input_shuffle_is_incomplete() {
+        let fabric = Fabric::new();
+        let (nic, disk) = (fabric.add_link(1e9, "nic"), fabric.add_link(1e9, "disk"));
+        let (mut inner, tele) = bare();
+        let cx = Cx {
+            now: SimTime::ZERO,
+            tele: &tele,
+            pool: None,
+        };
+        inner.register(&cx, ExecutorDesc::vm("e-vm-0000", nic, disk, 8192));
+        let plan = aggregation();
+        let job = inner.submit(&cx, plan.node(), Box::new(|_, _| {}));
+        let (map_stage, shuffle) = match &inner.jobs[&job].graph.stages[0].kind {
+            StageKind::ShuffleMap(dep) => (StageId(0), dep.id),
+            StageKind::Result => unreachable!("stage 0 of a shuffle job maps"),
+        };
+        // The two map tasks run one after the other on the one executor,
+        // each writing a bucket per reduce partition. The second one's
+        // completion queues both reduce tasks and places the first on the
+        // executor it freed; the other waits in the queue.
+        for _ in 0..2 {
+            let attempt = *inner.attempts.keys().next().expect("a map task runs");
+            let buckets = vec![
+                ShuffleBucket {
+                    bytes: Bytes::new(),
+                };
+                2
+            ];
+            inner.map_outputs_done(&cx, attempt, shuffle, &buckets, 0.0);
+        }
+        let status = |inner: &Inner, stage: usize| {
+            let st = &inner.jobs[&job].status[stage];
+            (st.state, st.queued.len, st.running.len)
+        };
+        assert_eq!(inner.pending, [(job, StageId(1), 1)]);
+        assert_eq!(status(&inner, 0), (Some(StageState::Done), 0, 0));
+        assert_eq!(status(&inner, 1), (Some(StageState::Running), 1, 1));
+
+        inner.lose_outputs(&cx, "e-vm-0000".into());
+        assert!(inner.pending.is_empty(), "{:?}", inner.pending);
+        assert_eq!(status(&inner, 0), (Some(StageState::Waiting), 0, 0));
+        // The placed reduce task keeps running (its fetch will fail), so
+        // its stage stays running with nothing queued.
+        assert_eq!(status(&inner, 1), (Some(StageState::Running), 0, 1));
+        let rolled_back = tele.log().snapshot().iter().any(|e| {
+            matches!(e.kind, crate::EngineEventKind::StageRolledBack { stage, missing: 2, .. } if stage == map_stage)
+        });
+        assert!(rolled_back, "the map stage reports its rollback");
     }
 
     #[test]

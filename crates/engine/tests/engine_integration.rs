@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use splitserve_des::{Fabric, Sim, SimDuration, SimTime};
+use splitserve_des::{EventHandler, Fabric, Sim, SimDuration, SimTime};
 use splitserve_engine::{
     collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, JobId,
     JobOutput, LiveState,
@@ -244,19 +244,24 @@ fn graceful_drain_finishes_task_then_decommissions() {
         .submit_job(&mut rig.sim, ds.node(), move |_, out| {
             *s.borrow_mut() = Some(out);
         });
-    let drained: Rc<RefCell<Option<f64>>> = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&drained);
-    let engine = rig.engine.clone();
+    /// Records the instant and token of the drain notification.
+    struct Drained(Cell<Option<(SimTime, u64)>>);
+    impl EventHandler for Drained {
+        fn on_event(self: Rc<Self>, sim: &mut Sim, token: u64) {
+            self.0.set(Some((sim.now(), token)));
+        }
+    }
+    let drained = Rc::new(Drained(Cell::new(None)));
+    let (engine, to) = (rig.engine.clone(), Rc::clone(&drained));
     rig.sim.schedule_at(SimTime::from_millis(30), move |sim| {
-        engine.drain_executor(sim, &"e-vm-0".into(), move |sim, _| {
-            *d.borrow_mut() = Some(sim.now().as_secs_f64());
-        });
+        engine.drain_executor(sim, &"e-vm-0".into(), to, 7);
     });
     rig.sim.run();
     let out = slot.borrow_mut().take().expect("job completes on survivor");
     let rows = collect_partitions::<(u64, u64)>(out.partitions);
     assert_eq!(rows.len(), 20);
-    assert!(drained.borrow().is_some(), "drain callback fired");
+    let (at, token) = drained.0.get().expect("drain notification fired");
+    assert!(at >= SimTime::from_millis(30) && token == 7);
     assert_eq!(
         out.metrics.tasks_recomputed, 0,
         "graceful drain must not redo work"

@@ -5,7 +5,7 @@
 //! failure must requeue the task *without* any rollback, and each path
 //! must label its `tasks_failed_total` telemetry with the right reason.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use splitserve_obs::Obs;
 use splitserve_rt::Bytes;
 use splitserve_storage::{
     BlockId, BlockStore, ClientLoc, FaultStore, GetCallback, HdfsSpec, HdfsStore, PutCallback,
-    SharedStore, StoreError, StoreFaults, StoreStats,
+    SharedStore, StoreClient, StoreError, StoreFaults, StoreStats,
 };
 
 struct Rig {
@@ -472,4 +472,153 @@ fn a_request_refused_while_its_window_opens_fails_its_attempt_cleanly() {
             store_ops: 0
         }
     );
+}
+
+/// Asks the engine for its live state from every store call the engine
+/// makes — which panics if the call comes while the scheduler's state is
+/// mutably borrowed — and counts the calls, and the forgets among them.
+#[derive(Default)]
+struct BorrowAudit {
+    inner: OnceCell<SharedStore>,
+    engine: RefCell<Option<Engine>>,
+    calls: Cell<u64>,
+    forgets: Cell<u64>,
+}
+
+impl BorrowAudit {
+    fn store(&self) -> &SharedStore {
+        self.inner.get().expect("wrapped at construction")
+    }
+
+    fn check(&self) {
+        if let Some(engine) = &*self.engine.borrow() {
+            engine.live_state();
+            self.calls.set(self.calls.get() + 1);
+        }
+    }
+}
+
+impl BlockStore for BorrowAudit {
+    fn kind(&self) -> &'static str {
+        self.check();
+        self.store().kind()
+    }
+
+    fn survives_executor_loss(&self) -> bool {
+        self.check();
+        self.store().survives_executor_loss()
+    }
+
+    fn put(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, data: Bytes, cb: PutCallback) {
+        self.check();
+        self.store().put(sim, client, block, data, cb);
+    }
+
+    fn get(&self, sim: &mut Sim, client: ClientLoc, block: BlockId, cb: GetCallback) {
+        self.check();
+        self.store().get(sim, client, block, cb);
+    }
+
+    fn put_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        data: Bytes,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        self.check();
+        self.store().put_to(sim, client, block, data, to, token);
+    }
+
+    fn get_to(
+        &self,
+        sim: &mut Sim,
+        client: ClientLoc,
+        block: BlockId,
+        to: Rc<dyn StoreClient>,
+        token: u64,
+    ) {
+        self.check();
+        self.store().get_to(sim, client, block, to, token);
+    }
+
+    fn on_executor_lost(&self, sim: &mut Sim, executor: &str) {
+        self.check();
+        self.store().on_executor_lost(sim, executor);
+    }
+
+    fn register_executor(&self, executor: &str, loc: ClientLoc) {
+        self.check();
+        self.store().register_executor(executor, loc);
+    }
+
+    fn forget_shuffle(&self, shuffle: u64) {
+        self.check();
+        self.forgets.set(self.forgets.get() + 1);
+        self.store().forget_shuffle(shuffle);
+    }
+
+    fn contains(&self, block: &BlockId) -> bool {
+        self.check();
+        self.store().contains(block)
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.check();
+        self.store().stats()
+    }
+}
+
+/// No call into the store, and no `on_done`, comes while the scheduler
+/// holds its state borrowed: a job whose shuffle is forgotten when it
+/// retires, and a job that loses an executor mid-flight, both run to the
+/// end with every store call able to read the engine.
+#[test]
+fn no_store_call_or_callback_runs_with_the_scheduler_state_borrowed() {
+    let audit = Rc::new(BorrowAudit::default());
+    let a = Rc::clone(&audit);
+    let mut rig = hdfs_rig(3, 1, move |store| {
+        let _ = a.inner.set(store);
+        a
+    });
+    *audit.engine.borrow_mut() = Some(rig.engine.clone());
+    let outputs = Rc::new(Cell::new(0));
+    let submit = |rig: &mut Rig| {
+        let (engine, outputs) = (rig.engine.clone(), Rc::clone(&outputs));
+        // The dataset is dropped here: its shuffle is forgotten as the
+        // job retires.
+        let node = two_stage_job().node();
+        rig.engine.submit_job(&mut rig.sim, node, move |_, out| {
+            engine.live_state();
+            assert_eq!(out.partitions.len(), 3);
+            outputs.set(outputs.get() + 1);
+        });
+    };
+
+    submit(&mut rig);
+    rig.sim.run();
+    assert_eq!((outputs.get(), audit.forgets.get()), (1, 1));
+
+    submit(&mut rig);
+    let engine = rig.engine.clone();
+    let at = rig.sim.now() + SimDuration::from_millis(15);
+    rig.sim.schedule_at(at, move |sim| {
+        engine.kill_executor(sim, &"e-vm-1".into());
+    });
+    rig.sim.run();
+    assert_eq!((outputs.get(), audit.forgets.get()), (2, 2));
+    let lost = rig.engine.event_log().snapshot().iter().any(|e| {
+        matches!(
+            e.kind,
+            EngineEventKind::TaskFailed {
+                why: FailureKind::ExecutorLost,
+                ..
+            }
+        )
+    });
+    assert!(lost, "the kill struck a running task");
+    assert!(audit.calls.get() > 0);
+    audit.engine.borrow_mut().take();
 }

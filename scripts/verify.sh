@@ -21,6 +21,11 @@ echo "==> artifact and quick-pass pins under the release profile"
 # count, which only a release run of the chaos matrix showed.
 cargo test --release -q --offline --test artifact_pins --test experiment_harness
 
+echo "==> the engine's own suites under the release profile"
+# That miscompile sat in the engine; its unit and integration tests run
+# optimized too.
+cargo test --release -q --offline -p splitserve-engine
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

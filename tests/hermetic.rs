@@ -231,7 +231,7 @@ fn process_global_state_is_the_four_known_statics() {
 /// `CEILING` to the new count, and nothing raises it.
 #[test]
 fn panic_sites_only_go_down() {
-    const CEILING: usize = 86;
+    const CEILING: usize = 77;
     const SITES: [&str; 4] = [".unwrap()", ".expect(", "panic!", "unreachable!"];
     let mut per_file = Vec::new();
     for (path, text) in rust_files(&["crates"]) {
